@@ -952,14 +952,18 @@ mod tests {
             .0
             .contains("--wal"));
         assert!(parse(v(&["append"])).unwrap_err().0.contains("CSV path"));
-        assert!(parse(v(&["append", "r.csv", "--wal", "w", "--window", "0"]))
-            .unwrap_err()
-            .0
-            .contains("at least 1"));
-        assert!(parse(v(&["append", "r.csv", "--wal", "w", "--window", "2"]))
-            .unwrap_err()
-            .0
-            .contains("requires --seal"));
+        assert!(
+            parse(v(&["append", "r.csv", "--wal", "w", "--window", "0"]))
+                .unwrap_err()
+                .0
+                .contains("at least 1")
+        );
+        assert!(
+            parse(v(&["append", "r.csv", "--wal", "w", "--window", "2"]))
+                .unwrap_err()
+                .0
+                .contains("requires --seal")
+        );
         assert!(parse(v(&["append", "r.csv", "--wal", "w", "--bogus"])).is_err());
     }
 

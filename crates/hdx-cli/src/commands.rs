@@ -9,7 +9,7 @@ use hdx_core::{
     real_outcomes, report_to_json, CheckpointedRun, ExplorationMode, HDivExplorer,
     HDivExplorerConfig, HDivResult, OutcomeFn, RunBudget,
 };
-use hdx_data::{read_csv, AttributeKind, Column, CsvOptions, DataFrame, NULL_CODE};
+use hdx_data::{read_csv, AttributeKind, CsvOptions, DataFrame};
 use hdx_discretize::GainCriterion;
 use hdx_stats::Outcome;
 
@@ -179,42 +179,6 @@ fn append(opts: &AppendOpts) -> Result<RunOutput, CliError> {
     })
 }
 
-/// Parses one cell of a boolean column.
-fn parse_bool_cell(col: &Column, row: usize, name: &str) -> Result<bool, CliError> {
-    match col {
-        Column::Categorical(c) => {
-            let code = c.code(row);
-            if code == NULL_CODE {
-                return Err(CliError(format!("null label in column `{name}` row {row}")));
-            }
-            match c.level(code).to_ascii_lowercase().as_str() {
-                "true" | "t" | "yes" | "y" | "1" => Ok(true),
-                "false" | "f" | "no" | "n" | "0" => Ok(false),
-                other => Err(CliError(format!(
-                    "column `{name}` is not boolean (value `{other}`)"
-                ))),
-            }
-        }
-        Column::Continuous(c) => match c.get(row) {
-            Some(v) if v == 0.0 || v == 1.0 => Ok(v == 1.0),
-            Some(v) => Err(CliError(format!(
-                "column `{name}` is not boolean (value `{v}`)"
-            ))),
-            None => Err(CliError(format!("null label in column `{name}` row {row}"))),
-        },
-    }
-}
-
-/// Extracts a boolean column by name.
-fn bool_column(df: &DataFrame, name: &str) -> Result<Vec<bool>, CliError> {
-    let col = df
-        .column_by_name(name)
-        .map_err(|e| CliError(e.to_string()))?;
-    (0..df.n_rows())
-        .map(|row| parse_bool_cell(col, row, name))
-        .collect()
-}
-
 /// Loads the CSV and computes (mining frame, outcomes, ingestion quality).
 fn load(
     input: &InputOpts,
@@ -243,8 +207,9 @@ fn load(
             (outcomes, vec![name])
         }
         stat => {
-            let y_true = bool_column(&df, &input.label_col)?;
-            let y_pred = bool_column(&df, &input.pred_col)?;
+            let labels = |name: &str| df.bool_column(name).map_err(|e| CliError(e.to_string()));
+            let y_true = labels(&input.label_col)?;
+            let y_pred = labels(&input.pred_col)?;
             let f = match stat {
                 Stat::Fpr => OutcomeFn::Fpr,
                 Stat::Fnr => OutcomeFn::Fnr,
@@ -866,10 +831,8 @@ mod tests {
         for _ in 0..3 {
             run_full(&["append", &rows, "--wal", &wal, "--seal"]).expect("sealed append");
         }
-        let out = run_full(&[
-            "append", &rows, "--wal", &wal, "--seal", "--window", "2",
-        ])
-        .expect("windowed append");
+        let out = run_full(&["append", &rows, "--wal", &wal, "--seal", "--window", "2"])
+            .expect("windowed append");
         assert!(out.text.contains("2 sealed segment(s)"), "{}", out.text);
         assert!(out.text.contains("retired"), "{}", out.text);
 
@@ -931,7 +894,12 @@ mod tests {
             let err = x > 60 && g == "b" && i % 8 != 0;
             csv.push_str(&format!("{x},{g},{t},{}\n", t != err));
         }
-        std::fs::write(&path, csv).unwrap();
+        // Tests run in parallel and share `fixture.csv`: write a private
+        // copy and rename it into place, so a reader never sees the file
+        // truncated by another test's rewrite.
+        let staged = format!("{path}.{:?}", std::thread::current().id());
+        std::fs::write(&staged, csv).unwrap();
+        std::fs::rename(&staged, &path).unwrap();
         path
     }
 

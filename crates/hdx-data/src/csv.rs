@@ -4,6 +4,12 @@
 //! row, comma (or custom) separators, double-quote quoting with `""` escapes,
 //! and empty cells as nulls. Columns where every non-empty cell parses as a
 //! number are inferred continuous; everything else is categorical.
+//!
+//! The reader makes one streaming pass over the text (DESIGN.md §12.6):
+//! each record is split into borrowed fields ([`split_record`]) and every
+//! cell goes straight into its typed column. A column starts numeric and
+//! turns categorical at its first non-numeric cell, when its earlier cells
+//! are re-read from the kept records' lines.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -11,11 +17,11 @@ use std::path::Path;
 
 use hdx_governor::fail_point;
 
-use crate::builder::DataFrameBuilder;
+use crate::column::{CategoricalColumn, Column, ContinuousColumn};
 use crate::error::DataError;
 use crate::frame::DataFrame;
 use crate::quality::DataQualityReport;
-use crate::value::Value;
+use crate::schema::{Attribute, AttributeKind, Schema};
 
 /// Options controlling CSV parsing.
 #[derive(Debug, Clone)]
@@ -40,48 +46,135 @@ impl Default for CsvOptions {
     }
 }
 
-/// Splits one CSV record honouring quotes. Returns the fields.
-fn split_record(line: &str, sep: char) -> Result<Vec<String>, String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            if c == '"' {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    cur.push('"');
-                } else {
-                    in_quotes = false;
-                }
-            } else {
-                cur.push(c);
+/// Splits one CSV record (a line without its terminator) into raw fields,
+/// honouring double quotes.
+///
+/// Stores the first `fields.len()` raw fields in `fields` and returns how
+/// many fields the record holds, which may be more or fewer than
+/// `fields.len()`; pass an empty slice to count and validate only. A raw
+/// field borrows `line` as written, quotes included.
+///
+/// A field that starts with `"` is quoted: it runs to the next `"` not
+/// doubled, and may hold the separator. A quote anywhere else is an error,
+/// as is a quoted field left open at the end of the line (quoted line
+/// breaks are not supported).
+///
+/// # Errors
+/// `"quote in the middle of an unquoted field"` or
+/// `"unterminated quoted field"`.
+pub fn split_record<'a>(
+    line: &'a str,
+    separator: char,
+    fields: &mut [&'a str],
+) -> Result<usize, &'static str> {
+    let mut sep_buf = [0u8; 4];
+    let sep = separator.encode_utf8(&mut sep_buf).as_bytes();
+    let bytes = line.as_bytes();
+    let mut count = 0;
+    let mut start = 0;
+    loop {
+        let mut at = start;
+        if bytes.get(at) == Some(&b'"') {
+            at = closing_quote(bytes, at + 1).ok_or("unterminated quoted field")? + 1;
+        }
+        // Up to the separator the field holds no quote: a `"` here follows
+        // unquoted text or the closing quote plus more text.
+        let end = loop {
+            let Some(k) = bytes
+                .get(at..)
+                .and_then(|rest| rest.iter().position(|&b| b == b'"' || b == sep[0]))
+            else {
+                break None;
+            };
+            let k = at + k;
+            if bytes.get(k) == Some(&b'"') {
+                return Err("quote in the middle of an unquoted field");
             }
-        } else if c == '"' {
-            if !cur.is_empty() {
-                return Err("quote in the middle of an unquoted field".to_string());
+            if bytes.get(k..).is_some_and(|rest| rest.starts_with(sep)) {
+                break Some(k);
             }
-            in_quotes = true;
-        } else if c == sep {
-            fields.push(std::mem::take(&mut cur));
-        } else {
-            cur.push(c);
+            at = k + 1;
+        };
+        if let Some(slot) = fields.get_mut(count) {
+            *slot = line
+                .get(start..end.unwrap_or(bytes.len()))
+                .unwrap_or_default();
+        }
+        count += 1;
+        match end {
+            Some(k) => start = k + sep.len(),
+            None => return Ok(count),
         }
     }
-    if in_quotes {
-        return Err("unterminated quoted field".to_string());
-    }
-    fields.push(cur);
-    Ok(fields)
 }
 
-fn quote_field(field: &str, sep: char) -> String {
-    if field.contains(sep) || field.contains('"') || field.contains('\n') {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
+/// Index of the quote closing a quoted field whose text starts at `from`:
+/// the first `"` not doubled. `None` when the field never closes.
+fn closing_quote(bytes: &[u8], mut from: usize) -> Option<usize> {
+    loop {
+        let q = from + bytes.get(from..)?.iter().position(|&b| b == b'"')?;
+        if bytes.get(q + 1) != Some(&b'"') {
+            return Some(q);
+        }
+        from = q + 2;
     }
+}
+
+/// The text of a raw field from [`split_record`]: an unquoted field as it
+/// is; a quoted one without its quotes, `""` read as `"`, followed by any
+/// text after the closing quote.
+///
+/// Borrows `raw` unless the field holds a doubled quote or text after its
+/// closing quote; only then is it copied, into `scratch`.
+pub(crate) fn unquote_field<'f>(raw: &'f str, scratch: &'f mut String) -> &'f str {
+    let Some(body) = raw.strip_prefix('"') else {
+        return raw;
+    };
+    if let Some(inner) = body.strip_suffix('"') {
+        if !inner.contains('"') {
+            return inner;
+        }
+    }
+    scratch.clear();
+    let mut rest = body;
+    while let Some(q) = rest.find('"') {
+        let (text, quote) = rest.split_at(q);
+        scratch.push_str(text);
+        rest = quote.get(1..).unwrap_or_default();
+        match rest.strip_prefix('"') {
+            Some(after) => {
+                // ALLOC: the quoted-field copy — an unescaped `""` needs a
+                // buffer of its own (`scratch`, reused across fields).
+                scratch.push('"');
+                rest = after;
+            }
+            None => break,
+        }
+    }
+    scratch.push_str(rest);
+    scratch
+}
+
+/// Writes `field` to `out`, quoted when it holds the separator, a quote or
+/// a line break.
+fn push_field(out: &mut String, field: &str, sep: char) {
+    if field.contains(sep) || field.contains('"') || field.contains('\n') {
+        out.push('"');
+        out.push_str(&field.replace('"', "\"\""));
+        out.push('"');
+    } else {
+        out.push_str(field);
+    }
+}
+
+/// Ends the record that starts at byte `start` of `out`. A record whose
+/// line would be blank (say one empty field) gets a leading `""`: the
+/// reader skips blank lines, so the record would be lost.
+fn end_record(out: &mut String, start: usize) {
+    if out.get(start..).is_some_and(|line| line.trim().is_empty()) {
+        out.insert_str(start, "\"\"");
+    }
+    out.push('\n');
 }
 
 /// Parses CSV text into a [`DataFrame`] with type inference.
@@ -117,6 +210,7 @@ pub fn read_csv_str_with_quality(
         line: 0,
         message,
     });
+    let sep = options.separator;
     let mut quality = DataQualityReport::default();
     let mut lines = text
         .lines()
@@ -126,89 +220,107 @@ pub fn read_csv_str_with_quality(
         line: 1,
         message: "missing header row".to_string(),
     })?;
-    let names = split_record(header, options.separator)
-        .map_err(|message| DataError::Csv { line: 1, message })?;
-    let n_cols = names.len();
+    let header_error = |message: &str| DataError::Csv {
+        line: 1,
+        message: message.to_string(),
+    };
+    let n_cols = split_record(header, sep, &mut []).map_err(header_error)?;
+    let mut fields = vec![""; n_cols];
+    split_record(header, sep, &mut fields).map_err(header_error)?;
+    let mut scratch = String::new();
+    let names: Vec<String> = fields
+        .iter()
+        .map(|f| unquote_field(f, &mut scratch).to_string())
+        .collect();
 
-    let mut records: Vec<Vec<String>> = Vec::new();
-    for (idx, line) in lines {
-        let parsed = split_record(line, options.separator).and_then(|fields| {
-            if fields.len() == n_cols {
-                Ok(fields)
-            } else {
-                Err(format!("expected {n_cols} fields, found {}", fields.len()))
-            }
-        });
-        match parsed {
-            Ok(fields) => records.push(fields),
-            Err(message) => {
-                if options.quarantine_malformed_rows {
-                    quality.count_row(idx + 1);
-                } else {
-                    return Err(DataError::Csv {
-                        line: idx + 1,
-                        message,
-                    });
-                }
-            }
-        }
-    }
-
-    // Infer kinds: continuous iff all non-empty cells parse as f64. Note
+    // Every column starts numeric unless forced categorical. Note
     // `NaN`/`inf` *do* parse, so a dirty numeric column stays numeric and
-    // its bad cells are quarantined below rather than silently flipping the
+    // its bad cells are quarantined rather than silently flipping the
     // whole column categorical.
-    let mut builder = DataFrameBuilder::new();
-    let mut numeric = vec![true; n_cols];
-    for record in &records {
-        for (j, field) in record.iter().enumerate() {
-            let f = field.trim();
-            if !f.is_empty() && f.parse::<f64>().is_err() {
-                numeric[j] = false;
+    let mut columns: Vec<Column> = names
+        .iter()
+        .map(|name| {
+            if options.force_categorical.contains(name) {
+                Column::Categorical(CategoricalColumn::new())
+            } else {
+                Column::Continuous(ContinuousColumn::new())
+            }
+        })
+        .collect();
+    // The lines of the rows kept so far, for re-reading a column that turns
+    // categorical.
+    let mut kept: Vec<&str> = Vec::new();
+    for (idx, line) in lines {
+        let malformed = match split_record(line, sep, &mut fields) {
+            Ok(n) if n == n_cols => None,
+            Ok(n) => Some(format!("expected {n_cols} fields, found {n}")),
+            Err(message) => Some(message.to_string()),
+        };
+        if let Some(message) = malformed {
+            if options.quarantine_malformed_rows {
+                quality.count_row(idx + 1);
+                continue;
+            }
+            return Err(DataError::Csv {
+                line: idx + 1,
+                message,
+            });
+        }
+        for (j, (field, column)) in fields.iter().zip(&mut columns).enumerate() {
+            let cell = unquote_field(field, &mut scratch).trim();
+            match column {
+                Column::Continuous(values) if cell.is_empty() => values.push_null(),
+                Column::Continuous(values) => match cell.parse::<f64>() {
+                    Ok(v) if v.is_finite() => values.push(v),
+                    Ok(_) => {
+                        values.push_null();
+                        quality.count_cell(&names[j], false);
+                    }
+                    Err(_) => {
+                        let mut levels = reread_categorical(&kept, sep, j);
+                        levels.push(cell);
+                        quality.columns.retain(|c| c.name != names[j]);
+                        *column = Column::Categorical(levels);
+                    }
+                },
+                Column::Categorical(levels) if cell.is_empty() => levels.push_null(),
+                Column::Categorical(levels) => levels.push(cell),
             }
         }
+        kept.push(line);
     }
-    for (j, name) in names.iter().enumerate() {
-        let forced = options.force_categorical.iter().any(|n| n == name);
-        if numeric[j] && !forced {
-            builder.add_continuous(name.clone())?;
-        } else {
-            builder.add_categorical(name.clone())?;
-        }
+
+    let mut schema = Schema::new();
+    for (name, column) in names.into_iter().zip(&columns) {
+        let kind = match column {
+            Column::Categorical(_) => AttributeKind::Categorical,
+            Column::Continuous(_) => AttributeKind::Continuous,
+        };
+        schema.push(Attribute::new(name, kind))?;
     }
-    for (i, record) in records.into_iter().enumerate() {
-        let row: Vec<Value> = record
-            .into_iter()
-            .enumerate()
-            .map(|(j, field)| {
-                let f = field.trim();
-                if f.is_empty() {
-                    Value::Null
-                } else if numeric[j] && !options.force_categorical.iter().any(|n| *n == names[j]) {
-                    match f.parse::<f64>() {
-                        Ok(v) if v.is_finite() => Value::Num(v),
-                        Ok(_) => {
-                            quality.count_cell(&names[j], false);
-                            Value::Null
-                        }
-                        Err(_) => {
-                            quality.count_cell(&names[j], true);
-                            Value::Null
-                        }
-                    }
-                } else {
-                    Value::Cat(f.to_string())
-                }
-            })
-            .collect();
-        builder.push_row(row).map_err(|e| DataError::Csv {
-            line: i + 2,
-            message: e.to_string(),
-        })?;
-    }
+    let frame = DataFrame::from_columns(schema, columns)?;
     hdx_obs::counter_add!(DataCellsQuarantined, quality.cells_quarantined());
     hdx_obs::counter_add!(DataRowsQuarantined, quality.rows_quarantined);
-    Ok((builder.finish(), quality))
+    Ok((frame, quality))
+}
+
+/// Field `j` of every kept line, as a categorical column: the cells of a
+/// numeric column that has just met its first non-numeric cell.
+fn reread_categorical(kept: &[&str], sep: char, j: usize) -> CategoricalColumn {
+    let mut fields = vec![""; j + 1];
+    let mut scratch = String::new();
+    let mut levels = CategoricalColumn::new();
+    for line in kept {
+        // Kept lines split cleanly the first time.
+        let _ = split_record(line, sep, &mut fields);
+        let cell = unquote_field(fields[j], &mut scratch).trim();
+        if cell.is_empty() {
+            levels.push_null();
+        } else {
+            levels.push(cell);
+        }
+    }
+    levels
 }
 
 /// Reads a CSV file into a [`DataFrame`].
@@ -235,25 +347,39 @@ pub fn read_csv_with_quality(
 
 /// Serialises a [`DataFrame`] to CSV text.
 pub fn write_csv_string(df: &DataFrame, separator: char) -> String {
+    use std::fmt::Write as _;
+    if df.n_attributes() == 0 {
+        // No fields, hence no rows: an empty header line.
+        return "\n".to_string();
+    }
     let mut out = String::new();
-    let header: Vec<String> = df
-        .schema()
-        .iter()
-        .map(|(_, a)| quote_field(a.name(), separator))
-        .collect();
-    out.push_str(&header.join(&separator.to_string()));
-    out.push('\n');
+    for (id, attr) in df.schema().iter() {
+        if id.index() > 0 {
+            out.push(separator);
+        }
+        push_field(&mut out, attr.name(), separator);
+    }
+    end_record(&mut out, 0);
+    let mut number = String::new();
     for row in 0..df.n_rows() {
-        let fields: Vec<String> = df
-            .schema()
-            .iter()
-            .map(|(id, _)| {
-                let v = df.column(id).value(row);
-                quote_field(&v.to_string(), separator)
-            })
-            .collect();
-        out.push_str(&fields.join(&separator.to_string()));
-        out.push('\n');
+        let start = out.len();
+        for (id, _) in df.schema().iter() {
+            if id.index() > 0 {
+                out.push(separator);
+            }
+            match df.column(id) {
+                Column::Categorical(c) => push_field(&mut out, c.get(row).unwrap_or(""), separator),
+                Column::Continuous(c) => {
+                    if let Some(x) = c.get(row) {
+                        number.clear();
+                        // Writing to a `String` cannot fail.
+                        let _ = write!(number, "{x}");
+                        push_field(&mut out, &number, separator);
+                    }
+                }
+            }
+        }
+        end_record(&mut out, start);
     }
     out
 }
@@ -408,6 +534,61 @@ mod tests {
         let text = write_csv_string(&df, ',');
         let df2 = read_csv_str(&text, &CsvOptions::default()).unwrap();
         assert_eq!(df, df2);
+    }
+
+    #[test]
+    fn split_record_borrows_fields_and_counts_past_the_slots() {
+        let line = r#"a,"b,c",,"say ""hi""","x"y"#;
+        let mut fields = [""; 3];
+        assert_eq!(split_record(line, ',', &mut fields), Ok(5));
+        assert_eq!(fields, ["a", "\"b,c\"", ""]);
+        assert_eq!(split_record(line, ',', &mut []), Ok(5));
+        let mut scratch = String::new();
+        assert_eq!(unquote_field("\"b,c\"", &mut scratch), "b,c");
+        assert_eq!(
+            unquote_field(r#""say ""hi""""#, &mut scratch),
+            r#"say "hi""#
+        );
+        assert_eq!(unquote_field(r#""x"y"#, &mut scratch), "xy");
+        assert_eq!(unquote_field("\"\"", &mut scratch), "");
+        assert_eq!(split_record("", ',', &mut []), Ok(1));
+        assert_eq!(split_record("a€b€", '€', &mut []), Ok(3));
+    }
+
+    #[test]
+    fn split_record_rejects_bad_quoting() {
+        for line in ["a\"b", " \"a\"", "\"a\"b\"c"] {
+            assert_eq!(
+                split_record(line, ',', &mut []),
+                Err("quote in the middle of an unquoted field"),
+                "{line}"
+            );
+        }
+        for line in ["\"open", "\"a\"\"", "x,\"a,b"] {
+            assert_eq!(
+                split_record(line, ',', &mut []),
+                Err("unterminated quoted field"),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn late_text_cell_turns_a_column_categorical() {
+        let text = "x,y\n1,NaN\n,1\n 2.50 ,inf\nabc,2\n1,3\n";
+        let (df, quality) = read_csv_str_with_quality(text, &CsvOptions::default()).unwrap();
+        let x = df.schema().id("x").unwrap();
+        assert_eq!(df.schema().kind(x), AttributeKind::Categorical);
+        let col = df.categorical(x);
+        assert_eq!(col.levels(), ["1", "2.50", "abc"]);
+        assert_eq!(
+            (0..5).map(|r| col.get(r)).collect::<Vec<_>>(),
+            [Some("1"), None, Some("2.50"), Some("abc"), Some("1")]
+        );
+        // `y` stays numeric with its two non-finite cells counted.
+        assert_eq!(quality.columns.len(), 1);
+        assert_eq!(quality.columns[0].name, "y");
+        assert_eq!(quality.columns[0].non_finite, 2);
     }
 
     #[test]

@@ -34,6 +34,20 @@ pub enum DataError {
         /// Number of rows in the frame.
         len: usize,
     },
+    /// A label column held a null cell.
+    NullLabel {
+        /// Label column.
+        attribute: String,
+        /// 0-based row of the null cell.
+        row: usize,
+    },
+    /// A label column held a value that does not read as a boolean.
+    NotBoolean {
+        /// Label column.
+        attribute: String,
+        /// The offending value (a categorical level lower-cased).
+        value: String,
+    },
     /// CSV input could not be parsed.
     Csv {
         /// 1-based line number.
@@ -70,6 +84,12 @@ impl fmt::Display for DataError {
             ),
             DataError::RowOutOfBounds { row, len } => {
                 write!(f, "row index {row} out of bounds for frame of {len} rows")
+            }
+            DataError::NullLabel { attribute, row } => {
+                write!(f, "null label in column `{attribute}` row {row}")
+            }
+            DataError::NotBoolean { attribute, value } => {
+                write!(f, "column `{attribute}` is not boolean (value `{value}`)")
             }
             DataError::Csv { line, message } => {
                 write!(f, "CSV parse error at line {line}: {message}")

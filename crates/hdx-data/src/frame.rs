@@ -1,6 +1,6 @@
 //! The [`DataFrame`]: a schema plus equal-length typed columns.
 
-use crate::column::{CategoricalColumn, Column, ContinuousColumn};
+use crate::column::{CategoricalColumn, Column, ContinuousColumn, NULL_CODE};
 use crate::error::DataError;
 use crate::schema::{AttrId, AttributeKind, Schema};
 use crate::value::Value;
@@ -129,6 +129,54 @@ impl DataFrame {
         Ok(self.column(id).value(row))
     }
 
+    /// Decodes the label column `name` as one boolean per row.
+    ///
+    /// A categorical level reads, ignoring ASCII case, as `true`, `t`,
+    /// `yes`, `y`, `1` or `false`, `f`, `no`, `n`, `0`; each level is decoded
+    /// once. A continuous cell must be `0` or `1`.
+    ///
+    /// # Errors
+    /// [`DataError::UnknownAttribute`] for an unknown name; otherwise the
+    /// first row that is null ([`DataError::NullLabel`]) or not boolean
+    /// ([`DataError::NotBoolean`]).
+    pub fn bool_column(&self, name: &str) -> Result<Vec<bool>, DataError> {
+        let null = |row| DataError::NullLabel {
+            attribute: name.to_string(),
+            row,
+        };
+        let not_boolean = |value| DataError::NotBoolean {
+            attribute: name.to_string(),
+            value,
+        };
+        match self.column_by_name(name)? {
+            Column::Categorical(c) => {
+                let truth: Vec<Option<bool>> = c.levels().iter().map(|l| bool_level(l)).collect();
+                c.codes()
+                    .iter()
+                    .enumerate()
+                    .map(|(row, &code)| {
+                        if code == NULL_CODE {
+                            return Err(null(row));
+                        }
+                        truth[code as usize]
+                            .ok_or_else(|| not_boolean(c.level(code).to_ascii_lowercase()))
+                    })
+                    .collect()
+            }
+            Column::Continuous(c) => c
+                .values()
+                .iter()
+                .enumerate()
+                .map(|(row, &v)| match v {
+                    0.0 => Ok(false),
+                    1.0 => Ok(true),
+                    v if v.is_nan() => Err(null(row)),
+                    v => Err(not_boolean(v.to_string())),
+                })
+                .collect(),
+        }
+    }
+
     /// Returns a new frame containing only the rows for which `keep` is true.
     ///
     /// # Panics
@@ -215,6 +263,18 @@ impl DataFrame {
     }
 }
 
+/// The boolean a categorical label level spells, if any.
+fn bool_level(level: &str) -> Option<bool> {
+    let spells = |words: [&str; 5]| words.iter().any(|w| level.eq_ignore_ascii_case(w));
+    if spells(["true", "t", "yes", "y", "1"]) {
+        Some(true)
+    } else if spells(["false", "f", "no", "n", "0"]) {
+        Some(false)
+    } else {
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,6 +358,65 @@ mod tests {
         let out = df.take(&[2, 2, 0]);
         let age = out.schema().id("age").unwrap();
         assert_eq!(out.continuous(age).values(), &[50.0, 50.0, 20.0]);
+    }
+
+    #[test]
+    fn bool_column_decodes_levels_and_numbers() {
+        let schema = Schema::from_attributes(vec![
+            Attribute::categorical("word"),
+            Attribute::continuous("bit"),
+        ])
+        .unwrap();
+        let words = ["TRUE", "f", "Yes", "n", "1", "0", "T"];
+        let word = Column::Categorical(CategoricalColumn::from_values(words));
+        let bit = Column::Continuous(ContinuousColumn::from_values(vec![
+            1.0, 0.0, -0.0, 1.0, 0.0, 1.0, 0.0,
+        ]));
+        let df = DataFrame::from_columns(schema, vec![word, bit]).unwrap();
+        let want = [true, false, true, false, true, false, true];
+        assert_eq!(df.bool_column("word").unwrap(), want);
+        assert_eq!(
+            df.bool_column("bit").unwrap(),
+            [true, false, false, true, false, true, false]
+        );
+        assert!(matches!(
+            df.bool_column("nope"),
+            Err(DataError::UnknownAttribute(_))
+        ));
+    }
+
+    #[test]
+    fn bool_column_reports_the_first_bad_row() {
+        let schema = Schema::from_attributes(vec![
+            Attribute::categorical("word"),
+            Attribute::continuous("bit"),
+        ])
+        .unwrap();
+        let mut word = CategoricalColumn::from_values(["yes", "Maybe"]);
+        word.push_null();
+        let bit = ContinuousColumn::from_values(vec![1.0, f64::NAN, 0.5]);
+        let df = DataFrame::from_columns(
+            schema,
+            vec![Column::Categorical(word), Column::Continuous(bit)],
+        )
+        .unwrap();
+        assert_eq!(
+            df.bool_column("word").unwrap_err().to_string(),
+            "column `word` is not boolean (value `maybe`)"
+        );
+        assert_eq!(
+            df.bool_column("bit").unwrap_err().to_string(),
+            "null label in column `bit` row 1"
+        );
+        let df = df.take(&[0, 2]);
+        assert_eq!(
+            df.bool_column("word").unwrap_err().to_string(),
+            "null label in column `word` row 1"
+        );
+        assert_eq!(
+            df.bool_column("bit").unwrap_err().to_string(),
+            "column `bit` is not boolean (value `0.5`)"
+        );
     }
 
     #[test]

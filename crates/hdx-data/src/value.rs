@@ -1,4 +1,4 @@
-//! Dynamically-typed cell values, used at frame boundaries (builders, CSV).
+//! Dynamically-typed cell values, used at frame boundaries (builders, display).
 
 use std::fmt;
 
@@ -6,7 +6,7 @@ use std::fmt;
 ///
 /// Inside the frame, categorical data is dictionary-encoded and continuous
 /// data is `f64`; `Value` is only used at the edges (row-wise construction,
-/// CSV parsing, pretty printing).
+/// pretty printing).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Missing value.

@@ -265,7 +265,11 @@ mod tests {
         assert_eq!(hit_count("fp-tests::io"), 0, "and does not count it");
         assert_eq!(io_hit("fp-tests::io"), None, "1st io hit: pass through");
         assert_eq!(io_hit("fp-tests::io"), Some(IoFault::Enospc));
-        assert_eq!(io_hit("fp-tests::io"), Some(IoFault::Enospc), "keeps firing");
+        assert_eq!(
+            io_hit("fp-tests::io"),
+            Some(IoFault::Enospc),
+            "keeps firing"
+        );
         disarm("fp-tests::io");
 
         arm("fp-tests::io-vv", FailAction::Error("boom".into()), 1);

@@ -51,7 +51,10 @@ impl IngestCursor {
     pub fn decode(bytes: &[u8]) -> Result<Self, IngestError> {
         if bytes.len() != CURSOR_LEN {
             return Err(IngestError::Corrupt {
-                message: format!("cursor payload is {} bytes, expected {CURSOR_LEN}", bytes.len()),
+                message: format!(
+                    "cursor payload is {} bytes, expected {CURSOR_LEN}",
+                    bytes.len()
+                ),
             });
         }
         let word = |i: usize| -> u64 {
@@ -169,7 +172,11 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(IngestCursor::load(&path).unwrap(), None, "corrupt → redo, not error");
+        assert_eq!(
+            IngestCursor::load(&path).unwrap(),
+            None,
+            "corrupt → redo, not error"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

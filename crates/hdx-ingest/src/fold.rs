@@ -64,7 +64,10 @@ impl LatticeView {
     ///
     /// `items` must be sorted ascending (checked under debug assertions).
     pub fn apply(&mut self, items: &[ItemId], outcome: Outcome) {
-        debug_assert!(items.windows(2).all(|w| w.first() < w.last()), "row items must be sorted");
+        debug_assert!(
+            items.windows(2).all(|w| w.first() < w.last()),
+            "row items must be sorted"
+        );
         fail_point!("ingest::fold");
         let mut touched = 0u64;
         for (itemset, accum) in &mut self.itemsets {
@@ -86,7 +89,10 @@ impl LatticeView {
     /// accumulator): the exact inverse of [`LatticeView::apply`] for
     /// counts and integer-valued sums, ULP-bounded for real sums.
     pub fn retract(&mut self, items: &[ItemId], outcome: Outcome) {
-        debug_assert!(items.windows(2).all(|w| w.first() < w.last()), "row items must be sorted");
+        debug_assert!(
+            items.windows(2).all(|w| w.first() < w.last()),
+            "row items must be sorted"
+        );
         fail_point!("ingest::fold");
         let one = StatAccum::from_outcomes(&[outcome]);
         for (itemset, accum) in &mut self.itemsets {
@@ -293,8 +299,7 @@ mod tests {
         let window_b = synth_rows(150, 2);
         let mut view = empty_view();
         view.apply_batch(&window_a);
-        let snapshot: Vec<StatAccum> =
-            view.itemsets().iter().map(|(_, a)| a.clone()).collect();
+        let snapshot: Vec<StatAccum> = view.itemsets().iter().map(|(_, a)| a.clone()).collect();
         view.apply_batch(&window_b);
         view.retract_batch(&window_b);
         assert_eq!(view.n_rows(), 200);
@@ -308,8 +313,7 @@ mod tests {
         let mut view = empty_view();
         let rows = synth_rows(50, 7);
         view.apply_batch(&rows);
-        let snapshot: Vec<StatAccum> =
-            view.itemsets().iter().map(|(_, a)| a.clone()).collect();
+        let snapshot: Vec<StatAccum> = view.itemsets().iter().map(|(_, a)| a.clone()).collect();
         let extra = (ids(&[0, 2, 4]), Outcome::Bool(true));
         view.apply(&extra.0, extra.1);
         view.retract(&extra.0, extra.1);
@@ -329,8 +333,14 @@ mod tests {
         for ((_, got), want) in view.itemsets().iter().zip(&want) {
             let (_, _, gs, gq) = got.raw_parts();
             let (_, _, ws, wq) = want.raw_parts();
-            assert!((gs - ws).abs() <= 1e-9 * ws.abs().max(1.0), "sum {gs} vs {ws}");
-            assert!((gq - wq).abs() <= 1e-9 * wq.abs().max(1.0), "sum_sq {gq} vs {wq}");
+            assert!(
+                (gs - ws).abs() <= 1e-9 * ws.abs().max(1.0),
+                "sum {gs} vs {ws}"
+            );
+            assert!(
+                (gq - wq).abs() <= 1e-9 * wq.abs().max(1.0),
+                "sum_sq {gq} vs {wq}"
+            );
         }
     }
 

@@ -102,7 +102,10 @@ impl Wal {
     /// [`IngestError::Io`] only when the directory itself cannot be
     /// created, scanned, or the open segment cannot be opened for append —
     /// corrupt *data* never errors.
-    pub fn open(dir: impl Into<PathBuf>, config: WalConfig) -> Result<(Self, IngestReport), IngestError> {
+    pub fn open(
+        dir: impl Into<PathBuf>,
+        config: WalConfig,
+    ) -> Result<(Self, IngestReport), IngestError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| IngestError::io(&dir, &e))?;
         let mut report = IngestReport::default();
@@ -126,7 +129,9 @@ impl Wal {
             };
             let quarantined = match envelope::open(&bytes) {
                 Ok(payload) => match scan_frames(&payload) {
-                    ScanOutcome { rows, valid_len, .. } if valid_len == payload.len() => {
+                    ScanOutcome {
+                        rows, valid_len, ..
+                    } if valid_len == payload.len() => {
                         sealed.push(SealedSegment {
                             seq,
                             rows,
@@ -675,7 +680,10 @@ mod tests {
         assert_eq!(report.quarantined_frames, 1);
         assert_eq!(report.quarantined_bytes, 6);
         assert!(!report.is_clean());
-        assert!(report.notes[0].contains("torn open-segment tail"), "{report:?}");
+        assert!(
+            report.notes[0].contains("torn open-segment tail"),
+            "{report:?}"
+        );
         assert!(dir.join(format!("{OPEN_FILE}.quarantine")).is_file());
         // A third open is quiet: the tail was truncated away.
         drop(wal2);
@@ -844,7 +852,11 @@ mod tests {
         wal.append_row(&row(1)).unwrap();
         wal.commit().unwrap();
 
-        failpoint::arm("ingest::wal::append", FailAction::Io(IoFault::ShortWrite), 1);
+        failpoint::arm(
+            "ingest::wal::append",
+            FailAction::Io(IoFault::ShortWrite),
+            1,
+        );
         let err = wal.append_row(&row(2)).expect_err("short write must fail");
         failpoint::disarm("ingest::wal::append");
         assert!(err.to_string().contains("short write"), "{err}");

@@ -209,7 +209,10 @@ mod tests {
                 rows: 3,
                 durable_rows: 12,
             },
-            JobEvent::IngestQuarantined { frames: 1, bytes: 6 },
+            JobEvent::IngestQuarantined {
+                frames: 1,
+                bytes: 6,
+            },
             JobEvent::Drained,
             JobEvent::Done {
                 ok: true,

@@ -16,7 +16,7 @@ use hdx_core::{
     real_outcomes, report_to_json, ExplorationMode, HDivExplorer, HDivExplorerConfig, OutcomeFn,
     RunBudget,
 };
-use hdx_data::{read_csv_str, AttributeKind, Column, CsvOptions, DataFrame, NULL_CODE};
+use hdx_data::{read_csv_str, AttributeKind, CsvOptions, DataFrame};
 use hdx_discretize::GainCriterion;
 use hdx_governor::{fail_point, CancelReason, CancelToken, Termination};
 use hdx_stats::Outcome;
@@ -41,35 +41,6 @@ pub enum JobRunOutcome {
 /// A `serve::job` / `serve::done` fail-point error (tests only).
 struct Injected(String);
 
-/// Parses one cell of a boolean column (same truth table as the CLI).
-fn parse_bool_cell(col: &Column, row: usize, name: &str) -> Result<bool, String> {
-    match col {
-        Column::Categorical(c) => {
-            let code = c.code(row);
-            if code == NULL_CODE {
-                return Err(format!("null label in column `{name}` row {row}"));
-            }
-            match c.level(code).to_ascii_lowercase().as_str() {
-                "true" | "t" | "yes" | "y" | "1" => Ok(true),
-                "false" | "f" | "no" | "n" | "0" => Ok(false),
-                other => Err(format!("column `{name}` is not boolean (value `{other}`)")),
-            }
-        }
-        Column::Continuous(c) => match c.get(row) {
-            Some(v) if v == f64::from(u8::from(v > 0.5)) => Ok(v > 0.5),
-            Some(v) => Err(format!("column `{name}` is not boolean (value `{v}`)")),
-            None => Err(format!("null label in column `{name}` row {row}")),
-        },
-    }
-}
-
-fn bool_column(df: &DataFrame, name: &str) -> Result<Vec<bool>, String> {
-    let col = df.column_by_name(name).map_err(|e| e.to_string())?;
-    (0..df.n_rows())
-        .map(|row| parse_bool_cell(col, row, name))
-        .collect()
-}
-
 /// Loads the job's dataset and computes the mining frame + outcomes.
 fn load(spec: &JobSpec, csv: &str) -> Result<(DataFrame, Vec<Outcome>), String> {
     let options = CsvOptions {
@@ -90,8 +61,9 @@ fn load(spec: &JobSpec, csv: &str) -> Result<(DataFrame, Vec<Outcome>), String> 
             (real_outcomes(df.continuous(attr).values()), vec![name])
         }
         stat => {
-            let y_true = bool_column(&df, &spec.label_col)?;
-            let y_pred = bool_column(&df, &spec.pred_col)?;
+            let labels = |name: &str| df.bool_column(name).map_err(|e| e.to_string());
+            let y_true = labels(&spec.label_col)?;
+            let y_pred = labels(&spec.pred_col)?;
             let f = match stat {
                 StatKind::Fpr => OutcomeFn::Fpr,
                 StatKind::Fnr => OutcomeFn::Fnr,

@@ -1219,8 +1219,9 @@ fn job_append(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str, body: 
         return;
     };
     // Schema check against the admitted dataset's header: every appended
-    // row must carry exactly the admitted column count. Rejecting the batch
-    // here keeps the WAL free of rows the loader would quarantine later.
+    // row must split as the loader splits it (quotes honoured) into exactly
+    // the admitted column count. Rejecting the batch here keeps the WAL
+    // free of rows the loader would refuse or quarantine later.
     let dir = shared.job_dir(job_id);
     let fields = match expected_fields(&dir, separator) {
         Ok(n) => n,
@@ -1230,16 +1231,13 @@ fn job_append(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str, body: 
         }
     };
     for (i, row) in rows.iter().enumerate() {
-        let got = row.split(separator).count();
-        if got != fields {
-            respond_error(
-                stream,
-                400,
-                "Bad Request",
-                &format!("row {i} has {got} field(s), dataset has {fields}"),
-            );
-            return;
-        }
+        let refusal = match hdx_data::split_record(row, separator, &mut []) {
+            Ok(got) if got == fields => continue,
+            Ok(got) => format!("row {i} has {got} field(s), dataset has {fields}"),
+            Err(e) => format!("row {i}: {e}"),
+        };
+        respond_error(stream, 400, "Bad Request", &refusal);
+        return;
     }
     // Backpressure: durable-but-unfolded rows are bounded. 429 is the
     // degrade-not-die answer — the WAL never grows past what re-mining can
@@ -1274,7 +1272,9 @@ fn job_append(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str, body: 
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         Arc::clone(locks.entry(job_id.to_string()).or_default())
     };
-    let guard = lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let guard = lock
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let appended = append_to_wal(&dir, &rows);
     drop(guard);
     let (durable_rows, report) = match appended {
@@ -1346,14 +1346,19 @@ fn job_append(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str, body: 
     respond_json(stream, 202, "Accepted", &body);
 }
 
-/// Column count of the admitted dataset (from its header line).
+/// Column count of the admitted dataset: its header (first non-blank line)
+/// split as the loader splits it.
 fn expected_fields(dir: &std::path::Path, separator: char) -> Result<usize, String> {
     let data = std::fs::File::open(dir.join(DATA_FILE))
         .map_err(|e| format!("cannot open dataset: {e}"))?;
-    let mut header = String::new();
-    std::io::BufRead::read_line(&mut std::io::BufReader::new(data), &mut header)
-        .map_err(|e| format!("cannot read dataset header: {e}"))?;
-    Ok(header.trim_end().split(separator).count())
+    for line in std::io::BufRead::lines(std::io::BufReader::new(data)) {
+        let line = line.map_err(|e| format!("cannot read dataset header: {e}"))?;
+        if !line.trim().is_empty() {
+            return hdx_data::split_record(&line, separator, &mut [])
+                .map_err(|e| format!("cannot read dataset header: {e}"));
+        }
+    }
+    Err("cannot read dataset header: no header row".to_string())
 }
 
 /// Opens (healing), appends, and commits one batch into a job's WAL.
@@ -1387,8 +1392,7 @@ fn requeue_if_rows_pending(shared: &Arc<Shared>, job_id: &str) {
             return;
         };
         job.ingest.folded_rows = cursor.rows_folded.max(job.ingest.folded_rows);
-        let requeue =
-            job.ingest.pending_rows() > 0 && matches!(job.phase, JobPhase::Finished(_));
+        let requeue = job.ingest.pending_rows() > 0 && matches!(job.phase, JobPhase::Finished(_));
         if requeue {
             job.phase = JobPhase::Queued;
             job.cancel = CancelToken::new();

@@ -150,8 +150,7 @@ fn await_folded(addr: SocketAddr, job_id: &str) -> String {
     loop {
         let state = await_terminal(addr, job_id);
         let status = http(addr, "GET", &format!("/jobs/{job_id}"), "");
-        if !status.body.contains("\"ingest\"")
-            || json_u64_field(&status.body, "pending_rows") == 0
+        if !status.body.contains("\"ingest\"") || json_u64_field(&status.body, "pending_rows") == 0
         {
             return state;
         }
@@ -297,6 +296,52 @@ fn malformed_appends_are_rejected_before_the_wal() {
     assert_eq!(lost.status, 404, "{}", lost.body);
 
     assert_eq!(await_terminal(addr, &job_id), "done");
+    assert_eq!(http(addr, "POST", "/shutdown", "").status, 202);
+    handle.join().expect("drain");
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// Appended rows are split the way the loader splits them: a quoted
+/// separator is one field (accepted, and the re-mine reads it), while a
+/// stray or unterminated quote is refused before the WAL — acknowledging it
+/// would make every later re-mine fail to read the dataset.
+#[test]
+fn appended_rows_are_split_like_the_loader_splits_them() {
+    let state = tmp_state_dir("quoting");
+    let (addr, handle) = start(config(state.clone()));
+    // The header is the first non-blank line, for the loader and the
+    // append check alike.
+    let csv = format!("\n{}", sample_csv(50));
+    let accepted = http(addr, "POST", "/jobs", &submission(&csv, "acme"));
+    assert_eq!(accepted.status, 202, "{}", accepted.body);
+    let job_id = extract_job_id(&accepted.body);
+    assert_eq!(await_terminal(addr, &job_id), "done");
+
+    for bad in ["1,0,3,4,a\"b\n", "1,0,3,4,\"open\n", "1,0,\"3\"x\"y,4,a\n"] {
+        let refused = http(addr, "POST", &format!("/jobs/{job_id}/append"), bad);
+        assert_eq!(refused.status, 400, "{bad:?}: {}", refused.body);
+        assert!(refused.body.contains("quote"), "{bad:?}: {}", refused.body);
+    }
+    let status = http(addr, "GET", &format!("/jobs/{job_id}"), "");
+    assert!(
+        !status.body.contains("\"ingest\""),
+        "a refused append must not create durable rows: {}",
+        status.body
+    );
+
+    let quoted = "1,0,3,4,\"Smith, J\"\n0,1,5,6,\"say \"\"hi\"\"\"\n";
+    let appended = http(addr, "POST", &format!("/jobs/{job_id}/append"), quoted);
+    assert_eq!(appended.status, 202, "{}", appended.body);
+    assert_eq!(json_u64_field(&appended.body, "durable_rows"), 2);
+    assert_eq!(await_folded(addr, &job_id), "done");
+    let status = http(addr, "GET", &format!("/jobs/{job_id}"), "");
+    assert_eq!(
+        json_u64_field(&status.body, "folded_rows"),
+        2,
+        "{}",
+        status.body
+    );
+
     assert_eq!(http(addr, "POST", "/shutdown", "").status, 202);
     handle.join().expect("drain");
     let _ = std::fs::remove_dir_all(&state);

@@ -44,8 +44,76 @@ fn csv_roundtrip_preserves_mining() {
     assert_eq!(a, b);
 }
 
+/// A null cell of a one-column frame used to be written as an empty line,
+/// which the reader skips: `x\n1\n\n2\n` read back as two rows, not three.
+#[test]
+fn single_column_null_rows_survive_a_roundtrip() {
+    use h_divexplorer::data::{DataFrameBuilder, Value};
+    let mut b = DataFrameBuilder::new();
+    b.add_continuous("x").unwrap();
+    for v in [Value::Num(1.0), Value::Null, Value::Num(2.0)] {
+        b.push_row(vec![v]).unwrap();
+    }
+    let df = b.finish();
+    let text = write_csv_string(&df, ',');
+    assert_eq!(text, "x\n1\n\"\"\n2\n");
+    let back = read_csv_str(&text, &CsvOptions::default()).unwrap();
+    assert_eq!(back.n_rows(), 3);
+    assert_eq!(back, df);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One-column frames survive a CSV round-trip with every row, null
+    /// cells included (a bare null cell would be a blank line).
+    #[test]
+    fn csv_roundtrip_arbitrary_single_column_frames(
+        rows in proptest::collection::vec(
+            (
+                proptest::option::of(-1e6f64..1e6),
+                proptest::option::of("[a-z,\"\\- ]{0,8}"),
+            ),
+            1..40,
+        )
+    ) {
+        use h_divexplorer::data::{DataFrameBuilder, Value};
+        let mut nums = DataFrameBuilder::new();
+        nums.add_continuous("x").unwrap();
+        let mut cats = DataFrameBuilder::new();
+        cats.add_categorical("s").unwrap();
+        for (num, cat) in &rows {
+            // Blank strings parse back as nulls, so normalise them here.
+            let cat = cat.clone().filter(|c| !c.trim().is_empty());
+            nums.push_row(vec![num.map_or(Value::Null, Value::Num)]).unwrap();
+            cats.push_row(vec![cat.map_or(Value::Null, Value::Cat)]).unwrap();
+        }
+        let nums = nums.finish();
+        let back = read_csv_str(&write_csv_string(&nums, ','), &CsvOptions::default()).unwrap();
+        prop_assert_eq!(back.n_rows(), nums.n_rows());
+        let x = nums.schema().id("x").unwrap();
+        for row in 0..nums.n_rows() {
+            let (orig, got) = (nums.continuous(x).get(row), back.continuous(x).get(row));
+            match (orig, got) {
+                (None, None) => {}
+                (Some(a), Some(b)) => {
+                    prop_assert!((a - b).abs() <= 1e-9 * (1.0 + a.abs()), "{} vs {}", a, b)
+                }
+                other => prop_assert!(false, "null mismatch {:?}", other),
+            }
+        }
+        let cats = cats.finish();
+        let back = read_csv_str(&write_csv_string(&cats, ','), &CsvOptions {
+            force_categorical: vec!["s".to_string()],
+            ..CsvOptions::default()
+        }).unwrap();
+        prop_assert_eq!(back.n_rows(), cats.n_rows());
+        let s = cats.schema().id("s").unwrap();
+        for row in 0..cats.n_rows() {
+            let cat_orig = cats.categorical(s).get(row).map(str::trim);
+            prop_assert_eq!(cat_orig, back.categorical(s).get(row));
+        }
+    }
 
     /// Arbitrary frames (mixed kinds, nulls, quoting hazards) survive a CSV
     /// round-trip exactly.

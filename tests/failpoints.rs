@@ -284,11 +284,7 @@ fn checkpoint_io_faults_preserve_the_previous_checkpoint() {
 
     // Short write: half the sealed bytes land in the scratch file — the
     // crash-mid-write artifact — and recovery must skip it.
-    failpoint::arm(
-        "checkpoint::write",
-        FailAction::Io(IoFault::ShortWrite),
-        1,
-    );
+    failpoint::arm("checkpoint::write", FailAction::Io(IoFault::ShortWrite), 1);
     let err = store.write(&state).expect_err("injected short write");
     failpoint::disarm("checkpoint::write");
     assert!(err.to_string().contains("short write"), "{err}");
