@@ -1,12 +1,12 @@
 //! Mining-performance harness: times the word-level outcome kernels against
-//! the scalar reference path (micro), the three miners end to end
-//! (synthetic-peak and compas), and the parallel miner's rows × threads
-//! scaling curve, then writes machine-readable results to
-//! `BENCH_mining.json` (`hdx-bench/mining/v4`), with the scheduler
-//! steal/park counters summarised as derived utilization rates under
-//! `"sched"` and the run's hdx-obs telemetry — per-stage spans, pruning
-//! counters, the `hdx.bench.iter.latency_ns` histogram — embedded under
-//! `"telemetry"`.
+//! the scalar reference path (micro), the production miner and the two
+//! oracle miners end to end (synthetic-peak and compas; the paper's miner
+//! ablation), and the multi-threaded search's rows × threads scaling curve,
+//! then writes machine-readable results to `BENCH_mining.json`
+//! (`hdx-bench/mining/v5`), with the scheduler steal/park counters
+//! summarised as derived utilization rates under `"sched"` and the run's
+//! hdx-obs telemetry — per-stage spans, pruning counters, the
+//! `hdx.bench.iter.latency_ns` histogram — embedded under `"telemetry"`.
 //!
 //! Unlike the criterion benches this binary needs no bench runner, finishes
 //! in seconds, and has a CI mode:
@@ -19,18 +19,23 @@
 //! `--enforce` exits non-zero when a performance floor is missed (the
 //! regression gate CI runs): the boolean dense kernel must beat the scalar
 //! path, the numeric dense kernel must clear
-//! [`NUMERIC_FLOOR_FULL`]/[`NUMERIC_FLOOR_QUICK`], and — only when the host
-//! actually has ≥ 4 CPUs, since a smaller host cannot *measure* parallel
-//! speedup — the 4-thread parallel efficiency on the largest scaling input
-//! must clear [`EFFICIENCY_FLOOR`]. `--out` overrides the output path
-//! (default `BENCH_mining.json` in the current directory).
+//! [`NUMERIC_FLOOR_FULL`]/[`NUMERIC_FLOOR_QUICK`], and — only when the
+//! 4-thread cell on the largest scaling input was timed, which needs a host
+//! with ≥ 4 CPUs — the 4-thread parallel efficiency there must clear
+//! [`EFFICIENCY_FLOOR`]. `--out` overrides the output path (default
+//! `BENCH_mining.json` in the current directory).
 //!
 //! Schema history: v3 added `"kernel_path"`, `"host_cpus"` and the
 //! `"scaling"` section, and re-sized the quick micro geometry (16 Ki → 32 Ki
 //! rows) so per-call setup no longer dominates the quick kernel timings.
 //! v4 added the `"sched"` section: the work-stealing scheduler's raw
 //! steal/park counters and their per-thousand-emitted-itemsets rates
-//! derived from the embedded telemetry.
+//! derived from the embedded telemetry. v5 names end-to-end rows by
+//! `"miner"` (`apriori`, `fpgrowth`, `vertical`), drops the parallel
+//! end-to-end row and the serial `threads: 0` scaling row (one thread is
+//! the serial search), and writes `"skipped": "threads > host_cpus"` in
+//! place of the timing of a scaling cell with more threads than the host
+//! has CPUs, since such a cell measures time-slicing, not scaling.
 
 use hdx_bench::experiments::{outcomes_for, pipeline_for};
 use hdx_bench::splitmix64;
@@ -38,7 +43,7 @@ use hdx_core::HDivExplorerConfig;
 use hdx_data::AttrId;
 use hdx_datasets::{compas, synthetic_peak};
 use hdx_items::{Bitset, Item, ItemCatalog};
-use hdx_mining::{accum_scalar, mine, MiningAlgorithm, MiningConfig, Transactions};
+use hdx_mining::{accum_scalar, apriori, fpgrowth, mine, MiningConfig, MiningResult, Transactions};
 use hdx_obs::timing::median_ns;
 use hdx_stats::{active_kernel, Outcome, OutcomePlanes};
 use std::fmt::Write as _;
@@ -167,9 +172,20 @@ fn micro(kind: &'static str, quick: bool) -> MicroResult {
     }
 }
 
+/// A miner under the end-to-end ablation.
+type Miner = fn(&Transactions, &ItemCatalog, &MiningConfig) -> MiningResult;
+
+/// The end-to-end ablation: the two oracles and the production search (one
+/// thread).
+const MINERS: [(&str, Miner); 3] = [
+    ("apriori", apriori),
+    ("fpgrowth", fpgrowth),
+    ("vertical", mine),
+];
+
 struct EndToEnd {
     dataset: String,
-    algorithm: MiningAlgorithm,
+    miner: &'static str,
     itemsets: usize,
     ms: f64,
 }
@@ -180,6 +196,10 @@ fn end_to_end(quick: bool) -> Vec<EndToEnd> {
     } else {
         (2_500, 1_543, 5)
     };
+    let config = MiningConfig {
+        min_support: 0.05,
+        ..MiningConfig::default()
+    };
     let mut out = Vec::new();
     for dataset in [synthetic_peak(rows_peak, 1), compas(rows_compas, 1)] {
         hdx_obs::span!("bench", owned dataset.name.clone());
@@ -188,25 +208,14 @@ fn end_to_end(quick: bool) -> Vec<EndToEnd> {
         let (catalog, hierarchies, _) = pipeline.discretize(&dataset.frame, &outcomes);
         let transactions =
             Transactions::encode_generalized(&dataset.frame, &catalog, &hierarchies, &outcomes);
-        for algorithm in [
-            MiningAlgorithm::Apriori,
-            MiningAlgorithm::FpGrowth,
-            MiningAlgorithm::Vertical,
-            MiningAlgorithm::VerticalParallel,
-        ] {
-            let config = MiningConfig {
-                min_support: 0.05,
-                max_len: None,
-                algorithm,
-                threads: None,
-            };
-            let itemsets = mine(&transactions, &catalog, &config).itemsets.len();
+        for (miner, run) in MINERS {
+            let itemsets = run(&transactions, &catalog, &config).itemsets.len();
             let ns = median_ns(iters, || {
-                black_box(mine(&transactions, &catalog, &config).itemsets.len());
+                black_box(run(&transactions, &catalog, &config).itemsets.len());
             });
             out.push(EndToEnd {
                 dataset: dataset.name.clone(),
-                algorithm,
+                miner,
                 itemsets,
                 ms: ns / 1e6,
             });
@@ -215,16 +224,15 @@ fn end_to_end(quick: bool) -> Vec<EndToEnd> {
     out
 }
 
-/// One cell of the rows × threads scaling matrix. `threads == 0` encodes the
-/// serial [`MiningAlgorithm::Vertical`] reference row.
+/// One cell of the rows × threads scaling matrix.
 struct ScalingCell {
     rows: usize,
     threads: usize,
     itemsets: usize,
-    ms: f64,
-    /// `T(1 thread) / (threads · T(threads))` within the same row count;
-    /// 1.0 for the 1-thread baseline, `None` for the serial reference.
-    efficiency: Option<f64>,
+    /// Median ms and the efficiency `T(1 thread) / (threads · T(threads))`
+    /// within the same row count; `None` when the cell has more threads
+    /// than the host has CPUs and was not timed.
+    timing: Option<(f64, f64)>,
 }
 
 /// Synthetic scaling input: `n_attrs` categorical attributes of
@@ -270,8 +278,8 @@ fn scaling_input(n_rows: usize) -> (Transactions, ItemCatalog) {
     (Transactions::from_rows(rows, outcomes), catalog)
 }
 
-/// Times the parallel miner over a rows × threads matrix (plus a serial
-/// reference per row count) on the synthetic scaling input.
+/// Times the search over a rows × threads matrix on the synthetic scaling
+/// input, skipping cells with more threads than the host has CPUs.
 fn scaling(quick: bool) -> Vec<ScalingCell> {
     let (row_sizes, thread_counts, iters): (&[usize], &[usize], usize) = if quick {
         (&[16_384, 65_536], &[1, 2, 4], 2)
@@ -284,46 +292,30 @@ fn scaling(quick: bool) -> Vec<ScalingCell> {
         let (transactions, catalog) = scaling_input(n_rows);
         let serial = MiningConfig {
             min_support: 0.01,
-            max_len: None,
-            algorithm: MiningAlgorithm::Vertical,
-            threads: None,
+            ..MiningConfig::default()
         };
         let itemsets = mine(&transactions, &catalog, &serial).itemsets.len();
-        let serial_ns = median_ns(iters, || {
-            black_box(mine(&transactions, &catalog, &serial).itemsets.len());
-        });
-        out.push(ScalingCell {
-            rows: n_rows,
-            threads: 0,
-            itemsets,
-            ms: serial_ns / 1e6,
-            efficiency: None,
-        });
         let mut one_thread_ms = 0.0f64;
         for &k in thread_counts {
-            let config = MiningConfig {
-                algorithm: MiningAlgorithm::VerticalParallel,
-                threads: Some(k),
-                ..serial
-            };
-            let ns = median_ns(iters, || {
-                black_box(mine(&transactions, &catalog, &config).itemsets.len());
+            let timing = (k <= host_cpus()).then(|| {
+                let config = MiningConfig {
+                    threads: k,
+                    ..serial
+                };
+                let ns = median_ns(iters, || {
+                    black_box(mine(&transactions, &catalog, &config).itemsets.len());
+                });
+                let ms = ns / 1e6;
+                if k == 1 {
+                    one_thread_ms = ms;
+                }
+                (ms, one_thread_ms / (k as f64 * ms))
             });
-            let ms = ns / 1e6;
-            if k == 1 {
-                one_thread_ms = ms;
-            }
-            let efficiency = if one_thread_ms > 0.0 {
-                Some(one_thread_ms / (k as f64 * ms))
-            } else {
-                None
-            };
             out.push(ScalingCell {
                 rows: n_rows,
                 threads: k,
                 itemsets,
-                ms,
-                efficiency,
+                timing,
             });
         }
     }
@@ -339,7 +331,7 @@ fn render_json(
 ) -> String {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"hdx-bench/mining/v4\",");
+    let _ = writeln!(json, "  \"schema\": \"hdx-bench/mining/v5\",");
     let _ = writeln!(json, "  \"mode\": \"{mode}\",");
     let _ = writeln!(json, "  \"kernel_path\": \"{}\",", active_kernel().as_str());
     let _ = writeln!(json, "  \"host_cpus\": {},", host_cpus());
@@ -365,32 +357,27 @@ fn render_json(
         let comma = if i + 1 < e2e.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"dataset\": \"{}\", \"algorithm\": \"{:?}\", \
+            "    {{\"dataset\": \"{}\", \"miner\": \"{}\", \
              \"itemsets\": {}, \"ms\": {:.3}}}{comma}",
-            e.dataset, e.algorithm, e.itemsets, e.ms,
+            e.dataset, e.miner, e.itemsets, e.ms,
         );
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"scaling\": [");
     for (i, c) in cells.iter().enumerate() {
         let comma = if i + 1 < cells.len() { "," } else { "" };
-        let algorithm = if c.threads == 0 {
-            "Vertical"
-        } else {
-            "VerticalParallel"
+        let measured = match c.timing {
+            Some((ms, efficiency)) => format!("\"ms\": {ms:.3}, \"efficiency\": {efficiency:.3}"),
+            None => "\"skipped\": \"threads > host_cpus\"".to_string(),
         };
-        let efficiency = c
-            .efficiency
-            .map_or("null".to_string(), |e| format!("{e:.3}"));
         let _ = writeln!(
             json,
-            "    {{\"rows\": {}, \"algorithm\": \"{algorithm}\", \"threads\": {}, \
-             \"itemsets\": {}, \"ms\": {:.3}, \"efficiency\": {efficiency}}}{comma}",
-            c.rows, c.threads, c.itemsets, c.ms,
+            "    {{\"rows\": {}, \"threads\": {}, \"itemsets\": {}, {measured}}}{comma}",
+            c.rows, c.threads, c.itemsets,
         );
     }
     let _ = writeln!(json, "  ],");
-    // The parallel miner's scheduler health at a glance: raw steal/park
+    // The work-stealing scheduler's health at a glance: raw steal/park
     // counts plus utilization rates normalized per thousand emitted
     // itemsets, so runs of different sizes compare directly.
     let sched = telemetry.sched_rates();
@@ -413,9 +400,10 @@ fn render_json(
 }
 
 /// The `--enforce` gates; returns an error message for the first missed
-/// floor. The parallel-efficiency floor only applies on hosts with enough
-/// CPUs to run the measured threads truly in parallel — a 1-core runner
-/// timesharing 4 workers measures scheduling, not scaling.
+/// floor. The parallel-efficiency floor only applies when its cell was
+/// timed, i.e. on hosts with enough CPUs to run the measured threads truly
+/// in parallel — a 1-core runner timesharing 4 workers measures
+/// scheduling, not scaling.
 fn enforce(quick: bool, micros: &[MicroResult], cells: &[ScalingCell]) -> Result<(), String> {
     let micro_of = |name: &str| {
         micros
@@ -451,24 +439,16 @@ fn enforce(quick: bool, micros: &[MicroResult], cells: &[ScalingCell]) -> Result
         active_kernel().as_str()
     );
     const GATED_THREADS: usize = 4;
-    if host_cpus() < GATED_THREADS {
-        println!(
-            "enforce: skipping parallel-efficiency floor (host has {} CPU(s), gate needs {})",
-            host_cpus(),
-            GATED_THREADS
-        );
-        return Ok(());
-    }
     let largest = cells.iter().map(|c| c.rows).max().unwrap_or(0);
     let gated = cells
         .iter()
         .find(|c| c.rows == largest && c.threads == GATED_THREADS);
-    match gated.and_then(|c| c.efficiency) {
-        Some(eff) if eff < EFFICIENCY_FLOOR => Err(format!(
+    match gated.and_then(|c| c.timing) {
+        Some((_, eff)) if eff < EFFICIENCY_FLOOR => Err(format!(
             "parallel efficiency at {GATED_THREADS} threads on {largest} rows is {eff:.3} \
              (must be >= {EFFICIENCY_FLOOR})"
         )),
-        Some(eff) => {
+        Some((_, eff)) => {
             println!(
                 "enforce OK: parallel efficiency {eff:.3} at {GATED_THREADS} threads on \
                  {largest} rows"
@@ -476,7 +456,11 @@ fn enforce(quick: bool, micros: &[MicroResult], cells: &[ScalingCell]) -> Result
             Ok(())
         }
         None => {
-            println!("enforce: no {GATED_THREADS}-thread scaling cell measured; skipping");
+            println!(
+                "enforce: skipping parallel-efficiency floor (no timed {GATED_THREADS}-thread \
+                 cell; host has {} CPU(s))",
+                host_cpus()
+            );
             Ok(())
         }
     }
@@ -503,18 +487,19 @@ fn main() -> ExitCode {
     let e2e = end_to_end(opts.quick);
     for e in &e2e {
         println!(
-            "e2e {:>16}/{:<16?} {:>6} itemsets  {:>9.3} ms",
-            e.dataset, e.algorithm, e.itemsets, e.ms,
+            "e2e {:>16}/{:<16} {:>6} itemsets  {:>9.3} ms",
+            e.dataset, e.miner, e.itemsets, e.ms,
         );
     }
     let cells = scaling(opts.quick);
     for c in &cells {
-        let eff = c
-            .efficiency
-            .map_or_else(|| "  (serial)".to_string(), |e| format!(" eff {e:.3}"));
+        let measured = c.timing.map_or_else(
+            || "skipped (threads > host_cpus)".to_string(),
+            |(ms, eff)| format!("{ms:>9.3} ms eff {eff:.3}"),
+        );
         println!(
-            "scaling {:>9} rows  {:>2} thread(s)  {:>6} itemsets  {:>9.3} ms{eff}",
-            c.rows, c.threads, c.itemsets, c.ms,
+            "scaling {:>9} rows  {:>2} thread(s)  {:>6} itemsets  {measured}",
+            c.rows, c.threads, c.itemsets,
         );
     }
 

@@ -4,8 +4,8 @@
 //! This crate persists the run's state — emitted itemsets with their exact
 //! outcome accumulators, the miner's traversal cursor, the discretization
 //! trees, governor counters, and dataset/config fingerprints — at *work
-//! boundaries* (Apriori level ends, DFS root-subtree ends), so a killed run
-//! restarts from its last boundary instead of from zero.
+//! boundaries* (DFS root-subtree ends), so a killed run restarts from its
+//! last boundary instead of from zero.
 //!
 //! Durability model (see DESIGN.md §12):
 //!
@@ -221,11 +221,9 @@ mod tests {
 
     fn progress(cursor: u64) -> MiningProgress {
         MiningProgress {
-            algorithm: "apriori".to_string(),
             cursor,
             n_rows: 5,
             emitted: vec![],
-            frontier: vec![],
             counters: CounterSnapshot::default(),
         }
     }

@@ -217,11 +217,9 @@ mod tests {
             config_fingerprint: 2,
             trees: vec![],
             progress: MiningProgress {
-                algorithm: "apriori".to_string(),
                 cursor,
                 n_rows: 4,
                 emitted: vec![],
-                frontier: vec![],
                 counters: CounterSnapshot::default(),
             },
         }

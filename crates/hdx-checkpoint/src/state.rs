@@ -45,28 +45,20 @@ pub struct CounterSnapshot {
     pub tree_nodes: u64,
 }
 
-/// Where a miner is in its traversal, plus everything it has emitted.
+/// Where the miner is in its traversal, plus everything it has emitted.
 ///
-/// The `cursor` is algorithm-specific but always means "work units fully
-/// completed": for Apriori it is the last *completed level* `k` (the
-/// `frontier` holds that level's surviving itemsets); for the vertical and
-/// FP-Growth miners it is the number of first-level subtrees (root items /
-/// header entries) fully explored, and `frontier` is empty. All three miners
-/// are deterministic, so `emitted[..]` + `cursor` reproduce the uninterrupted
-/// run exactly.
+/// The `cursor` counts the work units fully completed: the first-level
+/// subtrees (root items) of the depth-first search fully explored. The
+/// search is deterministic, so `emitted[..]` + `cursor` reproduce the
+/// uninterrupted run exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MiningProgress {
-    /// The mining algorithm's stable name (`MiningAlgorithm::as_str`).
-    pub algorithm: String,
     /// Completed-work cursor (see type docs).
     pub cursor: u64,
     /// Transaction count, re-checked on resume.
     pub n_rows: u64,
     /// Every frequent itemset emitted so far, in emission order.
     pub emitted: Vec<ItemsetSnapshot>,
-    /// Apriori's current frontier (sorted itemsets of level `cursor`);
-    /// empty for the depth-first miners.
-    pub frontier: Vec<Vec<u32>>,
     /// Governor counters at the boundary.
     pub counters: CounterSnapshot,
 }
@@ -109,7 +101,7 @@ pub struct CheckpointState {
     /// Fingerprint of the dataset + outcome vector the run was started on.
     pub dataset_fingerprint: u64,
     /// Fingerprint of the effective configuration (support thresholds,
-    /// algorithm, exploration mode, …).
+    /// exploration mode, …).
     pub config_fingerprint: u64,
     /// The discretization trees the item catalog was built from.
     pub trees: Vec<TreeSnapshot>,
@@ -207,7 +199,6 @@ fn decode_tree(r: &mut ByteReader<'_>) -> Result<TreeSnapshot, CheckpointError> 
 }
 
 fn encode_progress(w: &mut ByteWriter, p: &MiningProgress) {
-    w.put_str(&p.algorithm);
     w.put_u64(p.cursor);
     w.put_u64(p.n_rows);
     w.put_u64(p.emitted.len() as u64);
@@ -218,17 +209,12 @@ fn encode_progress(w: &mut ByteWriter, p: &MiningProgress) {
         w.put_f64(fi.accum.sum);
         w.put_f64(fi.accum.sum_sq);
     }
-    w.put_u64(p.frontier.len() as u64);
-    for itemset in &p.frontier {
-        w.put_u32_list(itemset);
-    }
     w.put_u64(p.counters.itemsets);
     w.put_u64(p.counters.candidate_bytes);
     w.put_u64(p.counters.tree_nodes);
 }
 
 fn decode_progress(r: &mut ByteReader<'_>) -> Result<MiningProgress, CheckpointError> {
-    let algorithm = r.str()?;
     let cursor = r.u64()?;
     let n_rows = r.u64()?;
     let n_emitted = r.len_prefix()?;
@@ -244,22 +230,15 @@ fn decode_progress(r: &mut ByteReader<'_>) -> Result<MiningProgress, CheckpointE
             },
         });
     }
-    let n_frontier = r.len_prefix()?;
-    let mut frontier = Vec::with_capacity(n_frontier.min(1 << 20));
-    for _ in 0..n_frontier {
-        frontier.push(r.u32_list()?);
-    }
     let counters = CounterSnapshot {
         itemsets: r.u64()?,
         candidate_bytes: r.u64()?,
         tree_nodes: r.u64()?,
     };
     Ok(MiningProgress {
-        algorithm,
         cursor,
         n_rows,
         emitted,
-        frontier,
         counters,
     })
 }
@@ -308,7 +287,6 @@ mod tests {
                 ],
             }],
             progress: MiningProgress {
-                algorithm: "apriori".to_string(),
                 cursor: 2,
                 n_rows: 1000,
                 emitted: vec![ItemsetSnapshot {
@@ -320,7 +298,6 @@ mod tests {
                         sum_sq: 91.25,
                     },
                 }],
-                frontier: vec![vec![7, 12], vec![8, 12]],
                 counters: CounterSnapshot {
                     itemsets: 41,
                     candidate_bytes: 8192,
@@ -344,11 +321,9 @@ mod tests {
             config_fingerprint: 0,
             trees: vec![],
             progress: MiningProgress {
-                algorithm: String::new(),
                 cursor: 0,
                 n_rows: 0,
                 emitted: vec![],
-                frontier: vec![],
                 counters: CounterSnapshot::default(),
             },
         };

@@ -228,11 +228,9 @@ mod tests {
             config_fingerprint: 0x1234,
             trees: vec![],
             progress: MiningProgress {
-                algorithm: "vertical".to_string(),
                 cursor,
                 n_rows: 10,
                 emitted: vec![],
-                frontier: vec![],
                 counters: CounterSnapshot::default(),
             },
         }

@@ -135,8 +135,8 @@ pub struct ExploreOpts {
     pub polarity: bool,
     /// Pattern length cap.
     pub max_len: Option<usize>,
-    /// Worker-thread cap for the parallel miner (`None` = all cores).
-    pub threads: Option<usize>,
+    /// Mining worker threads (checkpointed runs mine serially).
+    pub threads: usize,
     /// Rows to print.
     pub top: usize,
     /// Redundancy filter.
@@ -438,7 +438,7 @@ pub fn parse(args: Vec<String>) -> Result<Command, CliError> {
                 base_mode: false,
                 polarity: false,
                 max_len: None,
-                threads: None,
+                threads: 1,
                 top: 10,
                 non_redundant: false,
                 fd_tolerance: None,
@@ -471,7 +471,7 @@ pub fn parse(args: Vec<String>) -> Result<Command, CliError> {
                         if n == 0 {
                             return Err(CliError::new("--threads must be at least 1"));
                         }
-                        opts.threads = Some(n);
+                        opts.threads = n;
                     }
                     "--top" => opts.top = cur.parse_value(&flag)?,
                     "--non-redundant" => opts.non_redundant = true,
@@ -753,7 +753,7 @@ mod tests {
         assert_eq!(o.tree_support, 0.2);
         assert!(o.base_mode && o.polarity && o.json && o.entropy && o.non_redundant);
         assert_eq!(o.max_len, Some(3));
-        assert_eq!(o.threads, Some(4));
+        assert_eq!(o.threads, 4);
         assert_eq!(o.top, 5);
         assert_eq!(o.fd_tolerance, Some(0.01));
     }

@@ -242,7 +242,6 @@ fn pipeline_config(
     entropy: bool,
     polarity: bool,
     max_len: Option<usize>,
-    threads: Option<usize>,
 ) -> HDivExplorerConfig {
     HDivExplorerConfig {
         min_support: support,
@@ -254,7 +253,6 @@ fn pipeline_config(
         },
         polarity_pruning: polarity,
         max_len,
-        threads,
         ..HDivExplorerConfig::default()
     }
 }
@@ -386,13 +384,13 @@ fn explore(opts: &ExploreOpts) -> Result<RunOutput, CliError> {
     let mut pipeline = HDivExplorer::new(HDivExplorerConfig {
         budget: build_budget(opts.timeout, opts.max_itemsets),
         adaptive_support: opts.adaptive_support,
+        threads: opts.threads,
         ..pipeline_config(
             opts.support,
             opts.tree_support,
             opts.entropy,
             opts.polarity,
             opts.max_len,
-            opts.threads,
         )
     });
     if let Some(tolerance) = opts.fd_tolerance {
@@ -446,16 +444,12 @@ fn resume(opts: &ResumeOpts) -> Result<RunOutput, CliError> {
     let mut pipeline = HDivExplorer::new(HDivExplorerConfig {
         budget: build_budget(opts.timeout, opts.max_itemsets),
         adaptive_support: manifest.adaptive_support,
-        // Thread count is a per-invocation resource knob, not run-determining
-        // configuration, so it is not sealed in the manifest: a resume uses
-        // the default (all cores).
         ..pipeline_config(
             manifest.support,
             manifest.tree_support,
             manifest.entropy,
             false,
             manifest.max_len,
-            None,
         )
     });
     if let Some(tolerance) = manifest.fd_tolerance {
@@ -639,7 +633,6 @@ fn discretize(opts: &DiscretizeOpts) -> Result<String, CliError> {
         opts.entropy,
         false,
         None,
-        None,
     ));
     let (catalog, _, trees) = pipeline.discretize(&frame, &outcomes);
     let mut out = String::new();
@@ -662,14 +655,7 @@ fn discretize(opts: &DiscretizeOpts) -> Result<String, CliError> {
 fn baselines(opts: &BaselinesOpts) -> Result<String, CliError> {
     let (frame, outcomes, _) = load(&opts.input)?;
     let losses: Vec<f64> = outcomes.iter().map(|o| o.value().unwrap_or(0.0)).collect();
-    let pipeline = HDivExplorer::new(pipeline_config(
-        0.05,
-        opts.tree_support,
-        false,
-        false,
-        None,
-        None,
-    ));
+    let pipeline = HDivExplorer::new(pipeline_config(0.05, opts.tree_support, false, false, None));
     let (catalog, hierarchies, _) = pipeline.discretize(&frame, &outcomes);
     let leaf_items = hierarchies.leaf_items();
 

@@ -55,7 +55,8 @@ EXPLORE OPTIONS:
   --mode <base|hierarchical>        exploration mode [hierarchical]
   --polarity             enable polarity pruning
   --max-len <n>          cap pattern length
-  --threads <n>          cap parallel-miner worker threads [all cores]
+  --threads <n>          mining worker threads [1]; --checkpoint-dir runs
+                         stay serial
   --top <k>              rows to print [10]
   --non-redundant        drop subgroups explained by a sub-pattern
   --fd <tolerance>       discover taxonomies from functional dependencies

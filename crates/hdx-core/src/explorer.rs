@@ -5,7 +5,7 @@ use std::time::Instant;
 use hdx_data::DataFrame;
 use hdx_governor::{CancelToken, Governor, RunBudget};
 use hdx_items::{HierarchySet, ItemCatalog};
-use hdx_mining::{mine_governed, MiningAlgorithm, MiningConfig, Transactions};
+use hdx_mining::{mine_governed, MiningConfig, Transactions};
 use hdx_stats::Outcome;
 
 use crate::polarity::mine_with_polarity_governed;
@@ -16,13 +16,10 @@ use crate::report::DivergenceReport;
 pub struct ExplorationConfig {
     /// Minimum subgroup support `s`.
     pub min_support: f64,
-    /// Mining algorithm.
-    pub algorithm: MiningAlgorithm,
     /// Optional cap on pattern length.
     pub max_len: Option<usize>,
-    /// Worker threads for [`MiningAlgorithm::VerticalParallel`] (`None` =
-    /// all available cores). Ignored by the serial algorithms.
-    pub threads: Option<usize>,
+    /// Mining worker threads (default 1); see [`MiningConfig::threads`].
+    pub threads: usize,
     /// Whether to apply polarity pruning (§V-C).
     pub polarity_pruning: bool,
     /// Work/time limits for the run (unbounded by default). When a limit
@@ -36,9 +33,8 @@ impl Default for ExplorationConfig {
     fn default() -> Self {
         Self {
             min_support: 0.05,
-            algorithm: MiningAlgorithm::default(),
             max_len: None,
-            threads: None,
+            threads: 1,
             polarity_pruning: false,
             budget: RunBudget::unbounded(),
         }
@@ -50,7 +46,6 @@ impl ExplorationConfig {
         MiningConfig {
             min_support: self.min_support,
             max_len: self.max_len,
-            algorithm: self.algorithm,
             threads: self.threads,
         }
     }
@@ -311,30 +306,5 @@ mod tests {
             report.termination,
             Termination::Cancelled(CancelReason::User)
         );
-    }
-
-    #[test]
-    fn all_algorithms_give_same_report() {
-        let (df, catalog, hs, outcomes) = setup();
-        let reports: Vec<DivergenceReport> = [
-            MiningAlgorithm::Apriori,
-            MiningAlgorithm::FpGrowth,
-            MiningAlgorithm::Vertical,
-        ]
-        .into_iter()
-        .map(|algorithm| {
-            DivExplorer::new(ExplorationConfig {
-                min_support: 0.05,
-                algorithm,
-                ..ExplorationConfig::default()
-            })
-            .explore_generalized(&df, &catalog, &hs, &outcomes)
-        })
-        .collect();
-        for r in &reports[1..] {
-            assert_eq!(r.records.len(), reports[0].records.len());
-            assert_eq!(r.top().unwrap().label, reports[0].top().unwrap().label);
-            assert_eq!(r.max_divergence(), reports[0].max_divergence());
-        }
     }
 }

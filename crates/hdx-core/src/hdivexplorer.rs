@@ -14,7 +14,6 @@ use hdx_data::{AttributeKind, DataFrame};
 use hdx_discretize::{DiscretizationTree, GainCriterion, TreeDiscretizer, TreeDiscretizerConfig};
 use hdx_governor::{CancelToken, Governor, RunBudget, RunCounters, Termination};
 use hdx_items::{HierarchySet, Item, ItemCatalog, ItemHierarchy, Taxonomy};
-use hdx_mining::MiningAlgorithm;
 use hdx_stats::Outcome;
 
 use crate::error::CoreError;
@@ -43,13 +42,12 @@ pub struct HDivExplorerConfig {
     pub criterion: GainCriterion,
     /// Optional cap on tree depth.
     pub max_tree_depth: Option<usize>,
-    /// Mining algorithm.
-    pub algorithm: MiningAlgorithm,
     /// Optional cap on pattern length.
     pub max_len: Option<usize>,
-    /// Worker threads for [`MiningAlgorithm::VerticalParallel`] (`None` =
-    /// all available cores). Ignored by the serial algorithms.
-    pub threads: Option<usize>,
+    /// Mining worker threads (default 1); see
+    /// [`MiningConfig::threads`](hdx_mining::MiningConfig::threads).
+    /// Checkpointed runs always mine serially.
+    pub threads: usize,
     /// Whether to apply polarity pruning (§V-C).
     pub polarity_pruning: bool,
     /// Work/time limits for the whole run. The discretization stage charges
@@ -75,9 +73,8 @@ impl Default for HDivExplorerConfig {
             tree_min_support: 0.1,
             criterion: GainCriterion::Divergence,
             max_tree_depth: None,
-            algorithm: MiningAlgorithm::default(),
             max_len: None,
-            threads: None,
+            threads: 1,
             polarity_pruning: false,
             budget: RunBudget::unbounded(),
             adaptive_support: false,
@@ -89,7 +86,6 @@ impl HDivExplorerConfig {
     fn exploration(&self, min_support: f64) -> ExplorationConfig {
         ExplorationConfig {
             min_support,
-            algorithm: self.algorithm,
             max_len: self.max_len,
             threads: self.threads,
             polarity_pruning: self.polarity_pruning,

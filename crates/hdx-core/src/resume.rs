@@ -8,13 +8,14 @@
 //!
 //! 1. the **dataset fingerprint** (schema, every cell, every outcome);
 //! 2. the **configuration fingerprint** (effective support thresholds,
-//!    criterion, algorithm, exploration mode — *not* the budget, since
-//!    resuming with a different budget is the whole point);
+//!    criterion, exploration mode — *not* the budget, since resuming with a
+//!    different budget is the whole point);
 //! 3. a content hash of the **re-derived discretization trees**, proving the
 //!    recomputation reproduced the item catalog the checkpoint was built on.
 //!
-//! All three miners are deterministic, so a resumed run returns bit-for-bit
-//! the report an uninterrupted run would have produced.
+//! Checkpointed mining always runs the serial search, which is
+//! deterministic, so a resumed run returns bit-for-bit the report an
+//! uninterrupted run would have produced.
 
 use std::time::Instant;
 
@@ -25,9 +26,7 @@ use hdx_checkpoint::{
 use hdx_data::{AttributeKind, DataFrame};
 use hdx_discretize::{DiscretizationTree, GainCriterion};
 use hdx_governor::{Governor, RunBudget, RunCounters, Termination};
-use hdx_mining::{
-    checkpoint_algorithm, mine_governed_ckpt, validate_resume, MiningConfig, Transactions,
-};
+use hdx_mining::{mine_governed_ckpt, validate_resume, MiningConfig, Transactions};
 use hdx_stats::Outcome;
 
 use crate::error::CoreError;
@@ -106,10 +105,11 @@ pub fn fingerprint_dataset(df: &DataFrame, outcomes: &[Outcome]) -> u64 {
 /// minimum support.
 ///
 /// Deliberately excluded: the budget and the cancel token (resuming under a
-/// *different* budget is the point of checkpointing) and `adaptive_support`
+/// *different* budget is the point of checkpointing), `adaptive_support`
 /// (its effect is entirely captured by the effective `min_support` passed
-/// here). `polarity_pruning` is excluded because the checkpointed entry
-/// points refuse it.
+/// here) and `threads` (checkpointed runs always mine serially).
+/// `polarity_pruning` is excluded because the checkpointed entry points
+/// refuse it.
 pub fn fingerprint_config(
     config: &HDivExplorerConfig,
     mode: ExplorationMode,
@@ -123,7 +123,6 @@ pub fn fingerprint_config(
         GainCriterion::Divergence => 1,
     });
     f.write_u64(config.max_tree_depth.map_or(u64::MAX, |d| d as u64));
-    f.write_str(checkpoint_algorithm(config.algorithm));
     f.write_u64(config.max_len.map_or(u64::MAX, |l| l as u64));
     f.write_u8(match mode {
         ExplorationMode::Base => 0,
@@ -296,14 +295,13 @@ impl HDivExplorer {
             let mining = MiningConfig {
                 min_support,
                 max_len: self.config.max_len,
-                algorithm: self.config.algorithm,
                 threads: self.config.threads,
             };
             // The loaded progress applies only to the first pass; adaptive
             // retries restart mining from scratch at the coarser support.
             let progress = resume_progress.take();
             if let Some(p) = &progress {
-                validate_resume(p, &mining, &transactions)?;
+                validate_resume(p, &transactions)?;
             }
             let governor = match &progress {
                 Some(p) => Governor::resumed_with_token(
@@ -367,8 +365,9 @@ impl HDivExplorer {
 mod tests {
     use super::*;
     use crate::outcome_fn::OutcomeFn;
+    use hdx_checkpoint::codec::ByteWriter;
+    use hdx_checkpoint::{envelope, CheckpointState};
     use hdx_data::{DataFrameBuilder, Value};
-    use hdx_mining::MiningAlgorithm;
     use rand::rngs::StdRng;
     use rand::{RngExt as _, SeedableRng};
     use std::fs;
@@ -416,7 +415,6 @@ mod tests {
         let dir = tmp_dir("fresh");
         let config = HDivExplorerConfig {
             min_support: 0.05,
-            algorithm: MiningAlgorithm::Vertical,
             ..HDivExplorerConfig::default()
         };
         let pipeline = HDivExplorer::new(config);
@@ -443,7 +441,6 @@ mod tests {
         let dir = tmp_dir("resume");
         let base = HDivExplorerConfig {
             min_support: 0.05,
-            algorithm: MiningAlgorithm::Vertical,
             ..HDivExplorerConfig::default()
         };
         let full = HDivExplorer::new(base).fit_mode(&df, &outcomes, ExplorationMode::Generalized);
@@ -489,10 +486,7 @@ mod tests {
     fn resume_rejects_an_edited_dataset() {
         let (df, outcomes) = setup(400);
         let dir = tmp_dir("editeddata");
-        let config = HDivExplorerConfig {
-            algorithm: MiningAlgorithm::Apriori,
-            ..HDivExplorerConfig::default()
-        };
+        let config = HDivExplorerConfig::default();
         HDivExplorer::new(config)
             .fit_checkpointed(
                 &df,
@@ -590,10 +584,7 @@ mod tests {
     fn corrupt_newest_checkpoint_falls_back_on_resume() {
         let (df, outcomes) = setup(600);
         let dir = tmp_dir("fallback");
-        let base = HDivExplorerConfig {
-            algorithm: MiningAlgorithm::FpGrowth,
-            ..HDivExplorerConfig::default()
-        };
+        let base = HDivExplorerConfig::default();
         let full = HDivExplorer::new(base).fit_mode(&df, &outcomes, ExplorationMode::Generalized);
         let total = full.report.records.len() as u64;
         HDivExplorer::new(HDivExplorerConfig {
@@ -680,7 +671,16 @@ mod tests {
             base,
             fingerprint_config(&budgeted, ExplorationMode::Generalized, 0.05)
         );
-        // Support, mode and algorithm do.
+        // Neither does the thread count: checkpointed runs mine serially.
+        let threaded = HDivExplorerConfig {
+            threads: 4,
+            ..config
+        };
+        assert_eq!(
+            base,
+            fingerprint_config(&threaded, ExplorationMode::Generalized, 0.05)
+        );
+        // Support and mode do.
         assert_ne!(
             base,
             fingerprint_config(&config, ExplorationMode::Generalized, 0.1)
@@ -689,26 +689,95 @@ mod tests {
             base,
             fingerprint_config(&config, ExplorationMode::Base, 0.05)
         );
-        let apriori = HDivExplorerConfig {
-            algorithm: MiningAlgorithm::Apriori,
+    }
+
+    /// Encodes `state` in the payload layout of checkpoints written before
+    /// the miner label was dropped: a label string ahead of the cursor and
+    /// an Apriori frontier (a list of itemsets) ahead of the counters.
+    fn labelled_payload(state: &CheckpointState, label: &str, frontier: &[Vec<u32>]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_u64(state.dataset_fingerprint);
+        w.put_u64(state.config_fingerprint);
+        w.put_u64(state.trees.len() as u64);
+        for tree in &state.trees {
+            w.put_u32(u32::from(tree.attr));
+            w.put_u64(tree.nodes.len() as u64);
+            for node in &tree.nodes {
+                w.put_f64(node.lo);
+                w.put_f64(node.hi);
+                w.put_opt_u32(node.item);
+                w.put_f64(node.support);
+                w.put_opt_f64(node.statistic);
+                w.put_opt_f64(node.divergence);
+                w.put_u32_list(&node.children);
+                w.put_u32(node.depth);
+            }
+        }
+        let p = &state.progress;
+        w.put_str(label);
+        w.put_u64(p.cursor);
+        w.put_u64(p.n_rows);
+        w.put_u64(p.emitted.len() as u64);
+        for fi in &p.emitted {
+            w.put_u32_list(&fi.items);
+            w.put_u64(fi.accum.n);
+            w.put_u64(fi.accum.n_valid);
+            w.put_f64(fi.accum.sum);
+            w.put_f64(fi.accum.sum_sq);
+        }
+        w.put_u64(frontier.len() as u64);
+        for itemset in frontier {
+            w.put_u32_list(itemset);
+        }
+        w.put_u64(p.counters.itemsets);
+        w.put_u64(p.counters.candidate_bytes);
+        w.put_u64(p.counters.tree_nodes);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn resume_refuses_a_checkpoint_in_the_labelled_layout() {
+        let (df, outcomes) = setup(600);
+        let config = HDivExplorerConfig::default();
+        let full = HDivExplorer::new(config).fit_mode(&df, &outcomes, ExplorationMode::Generalized);
+        let total = full.report.records.len() as u64;
+        // A real mid-run state, whose fingerprints all match this run.
+        let dir = tmp_dir("labelled");
+        HDivExplorer::new(HDivExplorerConfig {
+            budget: RunBudget::unbounded().with_max_itemsets(total - 2),
             ..config
-        };
-        assert_ne!(
-            base,
-            fingerprint_config(&apriori, ExplorationMode::Generalized, 0.05)
-        );
-        // The parallel vertical miner checkpoints as the serial one.
-        let v = HDivExplorerConfig {
-            algorithm: MiningAlgorithm::Vertical,
-            ..config
-        };
-        let vp = HDivExplorerConfig {
-            algorithm: MiningAlgorithm::VerticalParallel,
-            ..config
-        };
-        assert_eq!(
-            fingerprint_config(&v, ExplorationMode::Generalized, 0.05),
-            fingerprint_config(&vp, ExplorationMode::Generalized, 0.05)
-        );
+        })
+        .fit_checkpointed(
+            &df,
+            &outcomes,
+            ExplorationMode::Generalized,
+            CheckpointStore::create(&dir).unwrap(),
+            1,
+        )
+        .unwrap();
+        let state = CheckpointStore::open(&dir)
+            .unwrap()
+            .load_latest()
+            .unwrap()
+            .state;
+        let pair = state.progress.emitted[0].items.clone();
+        // Written in the old layout with this run's own fingerprints, so
+        // only the layout can refuse it. (The old config fingerprint also
+        // hashed the label, which alone refuses a real old checkpoint.)
+        for (label, frontier) in [("vertical", vec![]), ("apriori", vec![pair])] {
+            let dir = tmp_dir(&format!("labelled-{label}"));
+            let store = CheckpointStore::create(&dir).unwrap();
+            let sealed = envelope::seal(&labelled_payload(&state, label, &frontier));
+            fs::write(store.path_of(1), sealed).unwrap();
+            let err = HDivExplorer::new(config)
+                .resume_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
+                .unwrap_err();
+            assert!(
+                matches!(err, CoreError::Checkpoint(_)),
+                "{label}: expected a checkpoint refusal, got {err}"
+            );
+            let _ = fs::remove_dir_all(&dir);
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 }

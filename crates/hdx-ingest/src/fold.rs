@@ -36,9 +36,9 @@ impl LatticeView {
             itemsets: result
                 .itemsets
                 .iter()
-                .map(|f| (f.itemset.clone(), f.accum.clone()))
+                .map(|f| (f.itemset.clone(), f.accum))
                 .collect(),
-            global: result.global.clone(),
+            global: result.global,
             n_rows: result.n_rows as u64,
         }
     }
@@ -299,7 +299,7 @@ mod tests {
         let window_b = synth_rows(150, 2);
         let mut view = empty_view();
         view.apply_batch(&window_a);
-        let snapshot: Vec<StatAccum> = view.itemsets().iter().map(|(_, a)| a.clone()).collect();
+        let snapshot: Vec<StatAccum> = view.itemsets().iter().map(|(_, a)| *a).collect();
         view.apply_batch(&window_b);
         view.retract_batch(&window_b);
         assert_eq!(view.n_rows(), 200);
@@ -313,7 +313,7 @@ mod tests {
         let mut view = empty_view();
         let rows = synth_rows(50, 7);
         view.apply_batch(&rows);
-        let snapshot: Vec<StatAccum> = view.itemsets().iter().map(|(_, a)| a.clone()).collect();
+        let snapshot: Vec<StatAccum> = view.itemsets().iter().map(|(_, a)| *a).collect();
         let extra = (ids(&[0, 2, 4]), Outcome::Bool(true));
         view.apply(&extra.0, extra.1);
         view.retract(&extra.0, extra.1);

@@ -44,4 +44,4 @@ pub use cursor::{IngestCursor, CURSOR_FILE};
 pub use error::IngestError;
 pub use fold::LatticeView;
 pub use report::IngestReport;
-pub use wal::{replay_dir, SealedSegment, Wal, WalConfig, OPEN_FILE};
+pub use wal::{replay_dir, RetiredSegment, SealedSegment, Wal, WalConfig, OPEN_FILE};

@@ -76,6 +76,10 @@ pub struct SealedSegment {
     pub bytes: u64,
 }
 
+/// A segment removed by [`Wal::retire_oldest`]: its descriptor and the raw
+/// rows it held.
+pub type RetiredSegment = (SealedSegment, Vec<Vec<u8>>);
+
 /// A durable, segmented row log. See the module docs for the format and
 /// the recovery rules.
 #[derive(Debug)]
@@ -427,7 +431,7 @@ impl Wal {
     /// # Errors
     /// The errors of [`Wal::segment_rows`], plus [`IngestError::Io`] when
     /// the file cannot be removed.
-    pub fn retire_oldest(&mut self) -> Result<Option<(SealedSegment, Vec<Vec<u8>>)>, IngestError> {
+    pub fn retire_oldest(&mut self) -> Result<Option<RetiredSegment>, IngestError> {
         if self.sealed.is_empty() {
             return Ok(None);
         }

@@ -9,18 +9,18 @@
 //! word-level [`OutcomePlanes`] kernel. The per-attribute constraint is
 //! enforced at join time, which also implements the generalized-itemset rule
 //! that an item never joins one of its own ancestors.
+//!
+//! A differential-test oracle for the production search and the paper's
+//! miner ablation: ungoverned and never checkpointed.
 
 use std::collections::HashSet;
 
-use hdx_checkpoint::{Checkpointer, MiningProgress};
-use hdx_governor::{fail_point, Governor};
 use hdx_items::{Bitset, ItemCatalog, ItemId, Itemset};
 use hdx_stats::OutcomePlanes;
 
-use crate::checkpoint::{progress_snapshot, restore_itemset};
 use crate::result::{FrequentItemset, MiningResult};
 use crate::transactions::Transactions;
-use crate::vertical::{cover_bytes, item_covers};
+use crate::vertical::item_covers;
 use crate::MiningConfig;
 
 /// Mines all frequent itemsets level by level.
@@ -29,41 +29,9 @@ pub fn apriori(
     catalog: &ItemCatalog,
     config: &MiningConfig,
 ) -> MiningResult {
-    apriori_governed(transactions, catalog, config, &Governor::unbounded())
-}
-
-/// [`apriori`] under a [`Governor`]: polls for deadline/budget/cancellation
-/// at candidate granularity and stops emitting once the budget trips, so the
-/// result is a (still exact) subset of the unbounded run. Candidate bytes
-/// are charged only when a frequent candidate's joint cover is materialised;
-/// candidates pruned by the fused support count are free.
-pub fn apriori_governed(
-    transactions: &Transactions,
-    catalog: &ItemCatalog,
-    config: &MiningConfig,
-    governor: &Governor,
-) -> MiningResult {
-    apriori_run(transactions, catalog, config, governor, None, None)
-}
-
-/// The shared Apriori driver behind [`apriori_governed`] and
-/// [`crate::mine_governed_ckpt`]: optionally records a checkpoint boundary
-/// after every fully-counted level (cursor = completed level `k`, frontier =
-/// that level's survivors) and optionally restarts from such a boundary.
-pub(crate) fn apriori_run(
-    transactions: &Transactions,
-    catalog: &ItemCatalog,
-    config: &MiningConfig,
-    governor: &Governor,
-    mut ckpt: Option<&mut Checkpointer>,
-    resume: Option<&MiningProgress>,
-) -> MiningResult {
     let n = transactions.n_rows();
     let min_count = config.min_count(n);
-    let candidate_bytes = cover_bytes(n);
     let planes = OutcomePlanes::from_outcomes(transactions.outcomes());
-
-    fail_point!("mining::apriori");
 
     // L1 and the dense ItemId-indexed cover position table.
     let covers: Vec<(ItemId, Bitset)> = item_covers(transactions);
@@ -74,63 +42,30 @@ pub(crate) fn apriori_run(
     }
     let cover_of = |item: ItemId| -> &Bitset { &covers[cover_pos[item.index()] as usize].1 };
 
-    let mut out: Vec<FrequentItemset>;
-    let mut level: Vec<Itemset>;
-    let mut k: usize;
-    if let Some(progress) = resume {
-        // Restart from a level boundary: `emitted` is exact and `frontier`
-        // is the completed level's survivors, so the join/count loop below
-        // continues as if the interruption never happened.
-        out = progress.emitted.iter().map(restore_itemset).collect();
-        level = progress
-            .frontier
-            .iter()
-            .map(|items| Itemset::from_sorted_unchecked(items.iter().map(|&i| ItemId(i)).collect()))
-            .collect();
-        k = (progress.cursor as usize).max(1);
-    } else {
-        out = Vec::new();
-        level = Vec::new();
-        hdx_obs::counter_add!(MineCandidatesGenerated, covers.len() as u64);
-        for (item, cover) in &covers {
-            let count = cover.count() as u64;
-            if count >= min_count {
-                // Charge each emission before pushing so every emitted itemset
-                // carries its exact accumulator even when truncated.
-                if !governor.keep_going() || !governor.record_itemsets(1) {
-                    break;
-                }
-                let itemset = Itemset::singleton(*item);
-                out.push(FrequentItemset {
-                    itemset: itemset.clone(),
-                    accum: planes.accum(cover.words(), count),
-                });
-                level.push(itemset);
-            } else {
-                hdx_obs::counter_add!(MineCandidatesPrunedSupport, 1);
-            }
-        }
-        level.sort();
-        #[cfg(feature = "obs")]
-        governor.record_obs_snapshot(1);
-        k = 1;
-        // L1 is a boundary only when it completed (a truncated L1 would
-        // resume into a frontier missing surviving singletons).
-        if !governor.is_tripped() {
-            if let Some(ck) = ckpt.as_deref_mut() {
-                ck.at_boundary(progress_snapshot("apriori", 1, n, &out, &level, governor));
-            }
+    let mut out: Vec<FrequentItemset> = Vec::new();
+    let mut level: Vec<Itemset> = Vec::new();
+    hdx_obs::counter_add!(MineCandidatesGenerated, covers.len() as u64);
+    for (item, cover) in &covers {
+        let count = cover.count() as u64;
+        if count >= min_count {
+            let itemset = Itemset::singleton(*item);
+            out.push(FrequentItemset {
+                itemset: itemset.clone(),
+                accum: planes.accum(cover.words(), count),
+            });
+            level.push(itemset);
+        } else {
+            hdx_obs::counter_add!(MineCandidatesPrunedSupport, 1);
         }
     }
+    level.sort();
+    let mut k = 1;
 
     // Reusable per-level scratch: the member-cover list and the joint cover
     // of the frequent candidate being emitted.
     let mut member_covers: Vec<&Bitset> = Vec::new();
     let mut joint = Bitset::new(n);
-    'levels: while !level.is_empty() && config.max_len.is_none_or(|m| k < m) {
-        if !governor.keep_going() {
-            break;
-        }
+    while !level.is_empty() && config.max_len.is_none_or(|m| k < m) {
         k += 1;
         hdx_obs::span!("level", int k);
         #[cfg(feature = "obs")]
@@ -149,9 +84,6 @@ pub(crate) fn apriori_run(
                 j += 1;
             }
             for a in i..j {
-                if !governor.keep_going() {
-                    break 'levels;
-                }
                 for b in (a + 1)..j {
                     let ([.., la], [.., lb]) = (level[a].items(), level[b].items()) else {
                         debug_assert!(false, "level itemsets are non-empty");
@@ -180,23 +112,15 @@ pub(crate) fn apriori_run(
         }
 
         // Count step: fused multi-way intersection count first; only
-        // frequent candidates materialise (and get charged for) a cover.
+        // frequent candidates materialise a joint cover.
         let mut survivors: Vec<Itemset> = Vec::new();
         for candidate in next {
-            if !governor.keep_going() {
-                break 'levels;
-            }
             member_covers.clear();
             member_covers.extend(candidate.items().iter().map(|&item| cover_of(item)));
             let count = Bitset::intersection_count(&member_covers) as u64;
             if count < min_count {
                 hdx_obs::counter_add!(MineCandidatesPrunedSupport, 1);
                 continue;
-            }
-            // Materialising the joint cover for the kernel is the only
-            // per-candidate byte cost.
-            if !governor.record_candidate_bytes(candidate_bytes) {
-                break 'levels;
             }
             let [first, second, rest @ ..] = member_covers.as_slice() else {
                 debug_assert!(false, "candidates have k >= 2 items");
@@ -206,40 +130,22 @@ pub(crate) fn apriori_run(
             for cover in rest {
                 joint.and_assign(cover);
             }
-            let accum = planes.accum(joint.words(), count);
-            if !governor.record_itemsets(1) {
-                break 'levels;
-            }
             out.push(FrequentItemset {
                 itemset: candidate.clone(),
-                accum,
+                accum: planes.accum(joint.words(), count),
             });
             survivors.push(candidate);
         }
         survivors.sort();
         level = survivors;
         #[cfg(feature = "obs")]
-        {
-            governor.record_obs_snapshot(k as u64);
-            hdx_obs::hist_record!(
-                MineLevelLatencyNs,
-                hdx_obs::now_ns().saturating_sub(level_start_ns)
-            );
-        }
-        // A completed level is a checkpoint boundary. Tripped runs exit via
-        // `break 'levels` above; a trip racing in from the cancel token is
-        // still excluded here so a boundary always describes a full level.
-        if governor.is_tripped() {
-            break;
-        }
-        if let Some(ck) = ckpt.as_deref_mut() {
-            ck.at_boundary(progress_snapshot(
-                "apriori", k as u64, n, &out, &level, governor,
-            ));
-        }
+        hdx_obs::hist_record!(
+            MineLevelLatencyNs,
+            hdx_obs::now_ns().saturating_sub(level_start_ns)
+        );
     }
 
-    MiningResult::complete(out, n, transactions.global_accum()).governed_by(governor)
+    MiningResult::complete(out, n, transactions.global_accum())
 }
 
 #[cfg(test)]
@@ -347,34 +253,5 @@ mod tests {
         assert_eq!(a.accum.valid_count(), 2);
         assert_eq!(a.accum.statistic(), Some(15.0));
         assert_eq!(r.termination, hdx_governor::Termination::Complete);
-    }
-
-    #[test]
-    fn candidate_byte_budget_truncates_to_subset() {
-        use hdx_governor::{Governor, RunBudget, Termination};
-        let (catalog, ids) = catalog3();
-        let rows = vec![
-            vec![ids[0], ids[1], ids[2]],
-            vec![ids[0], ids[1], ids[2]],
-            vec![ids[0], ids[1]],
-            vec![ids[2]],
-        ];
-        let t = Transactions::from_rows(rows, vec![Outcome::Bool(true); 4]);
-        let config = MiningConfig {
-            min_support: 0.5,
-            ..MiningConfig::default()
-        };
-        let full = apriori(&t, &catalog, &config);
-        assert_eq!(full.itemsets.len(), 7);
-
-        // Enough bytes for L1 (free) plus one frequent k=2 materialisation.
-        let governor = Governor::new(RunBudget::unbounded().with_max_candidate_bytes(8));
-        let partial = apriori_governed(&t, &catalog, &config, &governor);
-        assert_eq!(partial.termination, Termination::BudgetExhausted);
-        assert!(partial.itemsets.len() < full.itemsets.len());
-        for fi in &partial.itemsets {
-            let reference = full.find(&fi.itemset).expect("subset of unbounded run");
-            assert_eq!(reference.accum.count(), fi.accum.count());
-        }
     }
 }

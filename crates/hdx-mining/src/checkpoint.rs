@@ -2,16 +2,14 @@
 //! plain-data snapshots of [`hdx_checkpoint`], plus the checkpointed mining
 //! entry point.
 //!
-//! The miners checkpoint at **work boundaries** — after a completed Apriori
-//! level, after a fully-explored first-level subtree of the depth-first
-//! miners — because those are the only points where "emitted so far" plus a
-//! small cursor reproduces the interrupted traversal exactly. All three
-//! miners are deterministic, so a resumed run emits the same itemsets in the
-//! same order as an uninterrupted one.
-//!
-//! [`MiningAlgorithm::VerticalParallel`] has no stable boundary order across
-//! thread interleavings; under a checkpointer it dispatches to the serial
-//! vertical miner (same result set, deterministic order).
+//! The miner checkpoints at **work boundaries** — after each fully-explored
+//! first-level subtree — because those are the only points where "emitted
+//! so far" plus a small cursor reproduces the interrupted traversal
+//! exactly. The serial search is deterministic, so a resumed run emits the
+//! same itemsets in the same order as an uninterrupted one. A worker pool
+//! has no stable boundary order across thread interleavings, so
+//! checkpointed mining always runs serially, whatever
+//! [`MiningConfig::threads`] says.
 
 use hdx_checkpoint::{
     AccumSnapshot, CheckpointError, Checkpointer, CounterSnapshot, ItemsetSnapshot, MiningProgress,
@@ -22,7 +20,7 @@ use hdx_stats::StatAccum;
 
 use crate::result::{FrequentItemset, MiningResult};
 use crate::transactions::Transactions;
-use crate::{MiningAlgorithm, MiningConfig};
+use crate::MiningConfig;
 
 /// Snapshots one emitted itemset into plain data (exact: raw accumulator
 /// sums, not derived statistics).
@@ -52,26 +50,19 @@ pub fn restore_itemset(snap: &ItemsetSnapshot) -> FrequentItemset {
     }
 }
 
-/// Builds the boundary progress snapshot the miners hand to the
+/// Builds the boundary progress snapshot the miner hands to the
 /// [`Checkpointer`].
 pub(crate) fn progress_snapshot(
-    algorithm: &str,
     cursor: u64,
     n_rows: usize,
     out: &[FrequentItemset],
-    frontier: &[Itemset],
     governor: &Governor,
 ) -> MiningProgress {
     let c = governor.counters();
     MiningProgress {
-        algorithm: algorithm.to_string(),
         cursor,
         n_rows: n_rows as u64,
         emitted: out.iter().map(snapshot_itemset).collect(),
-        frontier: frontier
-            .iter()
-            .map(|its| its.items().iter().map(|i| i.0).collect())
-            .collect(),
         counters: CounterSnapshot {
             itemsets: c.itemsets,
             candidate_bytes: c.candidate_bytes,
@@ -80,36 +71,15 @@ pub(crate) fn progress_snapshot(
     }
 }
 
-/// The stable progress-algorithm label for `algorithm` under checkpointing
-/// (the parallel vertical miner checkpoints as the serial one).
-pub fn checkpoint_algorithm(algorithm: MiningAlgorithm) -> &'static str {
-    match algorithm {
-        MiningAlgorithm::Apriori => "apriori",
-        MiningAlgorithm::FpGrowth => "fpgrowth",
-        MiningAlgorithm::Vertical | MiningAlgorithm::VerticalParallel => "vertical",
-    }
-}
-
 /// Checks that a loaded [`MiningProgress`] belongs to this run before it is
-/// resumed: same algorithm (modulo the parallel→serial mapping) and the same
-/// transaction count.
+/// resumed: it must cover the same transaction count.
 ///
 /// # Errors
-/// [`CheckpointError::Corrupt`] naming the disagreeing field.
+/// [`CheckpointError::Corrupt`] naming the disagreeing count.
 pub fn validate_resume(
     progress: &MiningProgress,
-    config: &MiningConfig,
     transactions: &Transactions,
 ) -> Result<(), CheckpointError> {
-    let expected = checkpoint_algorithm(config.algorithm);
-    if progress.algorithm != expected {
-        return Err(CheckpointError::Corrupt {
-            message: format!(
-                "checkpoint mined with '{}', this run uses '{expected}'",
-                progress.algorithm
-            ),
-        });
-    }
     if progress.n_rows != transactions.n_rows() as u64 {
         return Err(CheckpointError::Corrupt {
             message: format!(
@@ -123,13 +93,14 @@ pub fn validate_resume(
 }
 
 /// [`mine_governed`](crate::mine_governed) with crash-safe checkpointing:
-/// the selected miner records a boundary into `ckpt` after every completed
-/// work unit and flushes a final checkpoint when it stops — normal
-/// completion and governor trips alike.
+/// the miner records a boundary into `ckpt` after every completed subtree
+/// and flushes a final checkpoint when it stops — normal completion and
+/// governor trips alike. The search runs serially whatever
+/// [`MiningConfig::threads`] says (see the module docs).
 ///
 /// `resume` restarts the traversal from a boundary previously captured by
-/// this function (validate it with [`validate_resume`] first). The miners
-/// are deterministic, so resuming reproduces exactly the itemsets an
+/// this function (validate it with [`validate_resume`] first). The serial
+/// search is deterministic, so resuming reproduces exactly the itemsets an
 /// uninterrupted run would have produced.
 ///
 /// # Panics
@@ -149,51 +120,23 @@ pub fn mine_governed_ckpt(
         "min_support must be in (0, 1]"
     );
     debug_assert!(
-        resume.is_none_or(|p| validate_resume(p, config, transactions).is_ok()),
+        resume.is_none_or(|p| validate_resume(p, transactions).is_ok()),
         "resume progress must be validated against this run"
     );
-    hdx_obs::span!("mine_ckpt", str checkpoint_algorithm(config.algorithm));
+    hdx_obs::span!("mine_ckpt");
     // Guarantee the run leaves a checkpoint even if it trips inside its
     // first work unit: stash the incoming progress (resume) or a
     // zero-progress snapshot (fresh run) for `finalize` to flush. A
     // cursor-0 checkpoint means "mining not yet started", so it resumes as
     // a fresh traversal — the governor counters were preloaded upstream.
-    ckpt.seed(resume.cloned().unwrap_or_else(|| {
-        progress_snapshot(
-            checkpoint_algorithm(config.algorithm),
-            0,
-            transactions.n_rows(),
-            &[],
-            &[],
-            governor,
-        )
-    }));
+    ckpt.seed(
+        resume
+            .cloned()
+            .unwrap_or_else(|| progress_snapshot(0, transactions.n_rows(), &[], governor)),
+    );
     let resume = resume.filter(|p| p.cursor > 0);
-    let result = match config.algorithm {
-        MiningAlgorithm::Apriori => {
-            crate::apriori::apriori_run(transactions, catalog, config, governor, Some(ckpt), resume)
-        }
-        MiningAlgorithm::FpGrowth => crate::fpgrowth::fpgrowth_run(
-            transactions,
-            catalog,
-            config,
-            governor,
-            Some(ckpt),
-            resume,
-        ),
-        // No stable boundary order across thread interleavings: checkpointed
-        // parallel mining runs the serial search (same result set).
-        MiningAlgorithm::Vertical | MiningAlgorithm::VerticalParallel => {
-            crate::vertical::vertical_run(
-                transactions,
-                catalog,
-                config,
-                governor,
-                Some(ckpt),
-                resume,
-            )
-        }
-    };
+    let result =
+        crate::vertical::vertical_run(transactions, catalog, config, governor, Some(ckpt), resume);
     ckpt.finalize();
     #[cfg(feature = "obs")]
     governor.record_obs_snapshot(0);
@@ -241,35 +184,17 @@ mod tests {
         let mut catalog = ItemCatalog::new();
         let a = catalog.intern(Item::cat_eq(AttrId(0), 0, "a", "0"));
         let t = Transactions::from_rows(vec![vec![a]; 4], vec![Outcome::Bool(true); 4]);
-        let config = MiningConfig {
-            algorithm: MiningAlgorithm::Vertical,
-            ..MiningConfig::default()
-        };
         let ok = MiningProgress {
-            algorithm: "vertical".to_string(),
             cursor: 0,
             n_rows: 4,
             emitted: vec![],
-            frontier: vec![],
             counters: CounterSnapshot::default(),
         };
-        assert!(validate_resume(&ok, &config, &t).is_ok());
-        // The parallel variant resumes serial-vertical checkpoints.
-        let parallel = MiningConfig {
-            algorithm: MiningAlgorithm::VerticalParallel,
-            ..config
-        };
-        assert!(validate_resume(&ok, &parallel, &t).is_ok());
-
-        let wrong_algo = MiningProgress {
-            algorithm: "apriori".to_string(),
-            ..ok.clone()
-        };
-        assert!(validate_resume(&wrong_algo, &config, &t).is_err());
+        assert!(validate_resume(&ok, &t).is_ok());
         let wrong_rows = MiningProgress {
             n_rows: 5,
             ..ok.clone()
         };
-        assert!(validate_resume(&wrong_rows, &config, &t).is_err());
+        assert!(validate_resume(&wrong_rows, &t).is_err());
     }
 }

@@ -12,21 +12,17 @@
 //! transactions put an item *and its ancestors* on the same path; that
 //! filter keeps ancestor/descendant (and any same-attribute) pairs out of
 //! mined itemsets.
+//!
+//! A differential-test oracle for the production search and the paper's
+//! miner ablation: ungoverned and never checkpointed.
 
-use hdx_checkpoint::{Checkpointer, MiningProgress};
-use hdx_governor::{fail_point, Governor};
 use hdx_items::{ItemCatalog, ItemId, Itemset};
 use hdx_stats::StatAccum;
 
 use crate::attrs::AttrSet;
-use crate::checkpoint::{progress_snapshot, restore_itemset};
 use crate::result::{FrequentItemset, MiningResult};
 use crate::transactions::Transactions;
 use crate::MiningConfig;
-
-/// Approximate heap bytes of one FP-tree node, charged against the
-/// governor's candidate-byte budget as trees are built.
-const FP_NODE_BYTES: u64 = std::mem::size_of::<FpNode>() as u64;
 
 /// Rank sentinel for items below the frequency threshold.
 const NO_RANK: u32 = u32::MAX;
@@ -50,16 +46,7 @@ impl FpTree {
     /// Builds a tree from weighted paths, keeping only items whose summed
     /// count reaches `min_count`. `n_items` bounds every item id in `paths`
     /// and sizes the dense frequency/rank tables.
-    ///
-    /// Polls the governor per path; when it trips mid-build the returned
-    /// tree is *partial* (undercounted accumulators) and must not be mined —
-    /// callers check [`Governor::is_tripped`] before mining.
-    fn build(
-        paths: &[(Vec<ItemId>, StatAccum)],
-        min_count: u64,
-        n_items: usize,
-        governor: &Governor,
-    ) -> FpTree {
+    fn build(paths: &[(Vec<ItemId>, StatAccum)], min_count: u64, n_items: usize) -> FpTree {
         // Pass 1: item frequencies into a dense id-indexed table.
         let mut freq: Vec<u64> = vec![0; n_items];
         for (items, accum) in paths {
@@ -92,9 +79,6 @@ impl FpTree {
         // Pass 2: insert paths.
         let mut sorted_items: Vec<ItemId> = Vec::new();
         for (items, accum) in paths {
-            if !governor.keep_going() {
-                return tree;
-            }
             sorted_items.clear();
             sorted_items.extend(items.iter().copied().filter(|i| rank[i.index()] != NO_RANK));
             sorted_items.sort_by_key(|i| rank[i.index()]);
@@ -103,9 +87,6 @@ impl FpTree {
                 let next = match tree.nodes[cur].children.iter().find(|&&(ci, _)| ci == item) {
                     Some(&(_, idx)) => idx,
                     None => {
-                        if !governor.record_candidate_bytes(FP_NODE_BYTES) {
-                            return tree;
-                        }
                         let idx = tree.nodes.len();
                         tree.nodes.push(FpNode {
                             item,
@@ -147,40 +128,8 @@ pub fn fpgrowth(
     catalog: &ItemCatalog,
     config: &MiningConfig,
 ) -> MiningResult {
-    fpgrowth_governed(transactions, catalog, config, &Governor::unbounded())
-}
-
-/// [`fpgrowth`] under a [`Governor`]. Tree construction charges node bytes
-/// against the candidate-byte budget; a tree whose build was interrupted is
-/// never mined (its accumulators would be undercounted), so every emitted
-/// itemset is exact and a truncated result is a subset of the unbounded one.
-pub fn fpgrowth_governed(
-    transactions: &Transactions,
-    catalog: &ItemCatalog,
-    config: &MiningConfig,
-    governor: &Governor,
-) -> MiningResult {
-    fpgrowth_run(transactions, catalog, config, governor, None, None)
-}
-
-/// The shared FP-Growth driver behind [`fpgrowth_governed`] and
-/// [`crate::mine_governed_ckpt`]: the bottom-up header traversal of the
-/// *initial* tree is driven here so a checkpoint boundary can be recorded
-/// after each fully-mined header subtree (cursor = subtrees completed);
-/// resume rebuilds the deterministic tree and skips the first `cursor`
-/// entries.
-pub(crate) fn fpgrowth_run(
-    transactions: &Transactions,
-    catalog: &ItemCatalog,
-    config: &MiningConfig,
-    governor: &Governor,
-    mut ckpt: Option<&mut Checkpointer>,
-    resume: Option<&MiningProgress>,
-) -> MiningResult {
     let n = transactions.n_rows();
     let min_count = config.min_count(n);
-
-    fail_point!("mining::fpgrowth");
 
     let n_items = transactions
         .max_item_id()
@@ -195,55 +144,18 @@ pub(crate) fn fpgrowth_run(
             (transactions.items(row).to_vec(), acc)
         })
         .collect();
-    let tree = FpTree::build(&paths, min_count, n_items, governor);
+    let tree = FpTree::build(&paths, min_count, n_items);
 
-    let mut out = match resume {
-        Some(progress) => progress.emitted.iter().map(restore_itemset).collect(),
-        None => Vec::new(),
+    let ctx = MineCtx {
+        attr_table: &attr_table,
+        min_count,
+        max_len: config.max_len,
+        n_items,
     };
-    // A tree interrupted mid-build has undercounted accumulators — skip
-    // mining entirely (the empty result is trivially a valid subset).
-    if !governor.is_tripped() {
-        let ctx = MineCtx {
-            attr_table: &attr_table,
-            min_count,
-            max_len: config.max_len,
-            n_items,
-            governor,
-        };
-        let mut suffix: Vec<ItemId> = Vec::new();
-        let mut suffix_attrs = AttrSet::new();
-        // Drive the initial tree's bottom-up header traversal here (instead
-        // of inside `mine_tree`) so each fully-mined top-level subtree is a
-        // checkpoint boundary.
-        let total = tree.header.len();
-        let done = resume.map_or(0, |p| (p.cursor as usize).min(total));
-        for processed in done..total {
-            let entry = total - 1 - processed;
-            if !governor.keep_going()
-                || !mine_header_entry(&ctx, &tree, entry, &mut suffix, &mut suffix_attrs, &mut out)
-            {
-                break;
-            }
-            // A trip inside the recursion leaves this subtree partially
-            // mined; only a clean completion is a boundary.
-            if governor.is_tripped() {
-                break;
-            }
-            if let Some(ck) = ckpt.as_deref_mut() {
-                ck.at_boundary(progress_snapshot(
-                    "fpgrowth",
-                    (processed + 1) as u64,
-                    n,
-                    &out,
-                    &[],
-                    governor,
-                ));
-            }
-        }
-    }
+    let mut out = Vec::new();
+    mine_tree(&ctx, &tree, &mut Vec::new(), &mut AttrSet::new(), &mut out);
 
-    MiningResult::complete(out, n, transactions.global_accum()).governed_by(governor)
+    MiningResult::complete(out, n, transactions.global_accum())
 }
 
 /// Read-only recursion context for [`mine_tree`].
@@ -254,9 +166,10 @@ struct MineCtx<'a> {
     max_len: Option<usize>,
     /// Dense table size for conditional-tree builds.
     n_items: usize,
-    governor: &'a Governor,
 }
 
+/// Mines `tree` bottom-up: each header entry is emitted (with `suffix`)
+/// and its conditional tree recursed into.
 fn mine_tree(
     ctx: &MineCtx<'_>,
     tree: &FpTree,
@@ -265,91 +178,62 @@ fn mine_tree(
     out: &mut Vec<FrequentItemset>,
 ) {
     // Least-frequent first (classic bottom-up header traversal).
-    for entry in (0..tree.header.len()).rev() {
-        if !ctx.governor.keep_going()
-            || !mine_header_entry(ctx, tree, entry, suffix, suffix_attrs, out)
-        {
-            return;
+    for (item, node_indices) in tree.header.iter().rev() {
+        let attr = ctx.attr_table[item.index()];
+        debug_assert!(
+            !suffix_attrs.contains(attr),
+            "conditional base filtering must exclude suffix attributes"
+        );
+        let mut accum = StatAccum::new();
+        for &idx in node_indices {
+            accum.merge(&tree.nodes[idx].accum);
         }
-    }
-}
-
-/// Mines the subtree of one header entry of `tree` (emission + conditional
-/// recursion). Returns `false` when the governor refused further work so
-/// callers stop traversing; `true` covers both "mined" and "pruned".
-fn mine_header_entry(
-    ctx: &MineCtx<'_>,
-    tree: &FpTree,
-    entry: usize,
-    suffix: &mut Vec<ItemId>,
-    suffix_attrs: &mut AttrSet,
-    out: &mut Vec<FrequentItemset>,
-) -> bool {
-    let (item, node_indices) = &tree.header[entry];
-    let attr = ctx.attr_table[item.index()];
-    debug_assert!(
-        !suffix_attrs.contains(attr),
-        "conditional base filtering must exclude suffix attributes"
-    );
-    let mut accum = StatAccum::new();
-    for &idx in node_indices {
-        accum.merge(&tree.nodes[idx].accum);
-    }
-    hdx_obs::counter_add!(MineCandidatesGenerated, 1);
-    if accum.count() < ctx.min_count {
-        hdx_obs::counter_add!(MineCandidatesPrunedSupport, 1);
-        return true;
-    }
-    // Charge before emitting: a refused charge emits nothing, so every
-    // emitted itemset keeps its exact accumulator.
-    if !ctx.governor.record_itemsets(1) {
-        return false;
-    }
-    let mut itemset_items: Vec<ItemId> = suffix.clone();
-    itemset_items.push(*item);
-    itemset_items.sort_unstable();
-    out.push(FrequentItemset {
-        itemset: Itemset::from_sorted_unchecked(itemset_items),
-        accum,
-    });
-
-    if ctx.max_len.is_some_and(|m| suffix.len() + 1 >= m) {
-        return true;
-    }
-
-    // Conditional pattern base, filtered by attribute.
-    let mut paths: Vec<(Vec<ItemId>, StatAccum)> = Vec::new();
-    for &idx in node_indices {
-        let mut path = tree.prefix_path(idx);
-        path.retain(|&p| {
-            let pa = ctx.attr_table[p.index()];
-            let keep = pa != attr && !suffix_attrs.contains(pa);
-            if !keep {
-                hdx_obs::counter_add!(MineCandidatesPrunedAttr, 1);
-            }
-            keep
+        hdx_obs::counter_add!(MineCandidatesGenerated, 1);
+        if accum.count() < ctx.min_count {
+            hdx_obs::counter_add!(MineCandidatesPrunedSupport, 1);
+            continue;
+        }
+        let mut itemset_items: Vec<ItemId> = suffix.clone();
+        itemset_items.push(*item);
+        itemset_items.sort_unstable();
+        out.push(FrequentItemset {
+            itemset: Itemset::from_sorted_unchecked(itemset_items),
+            accum,
         });
-        if !path.is_empty() {
-            paths.push((path, tree.nodes[idx].accum));
+
+        if ctx.max_len.is_some_and(|m| suffix.len() + 1 >= m) {
+            continue;
         }
+
+        // Conditional pattern base, filtered by attribute.
+        let mut paths: Vec<(Vec<ItemId>, StatAccum)> = Vec::new();
+        for &idx in node_indices {
+            let mut path = tree.prefix_path(idx);
+            path.retain(|&p| {
+                let pa = ctx.attr_table[p.index()];
+                let keep = pa != attr && !suffix_attrs.contains(pa);
+                if !keep {
+                    hdx_obs::counter_add!(MineCandidatesPrunedAttr, 1);
+                }
+                keep
+            });
+            if !path.is_empty() {
+                paths.push((path, tree.nodes[idx].accum));
+            }
+        }
+        if paths.is_empty() {
+            continue;
+        }
+        let cond = FpTree::build(&paths, ctx.min_count, ctx.n_items);
+        if cond.is_empty() {
+            continue;
+        }
+        suffix.push(*item);
+        suffix_attrs.insert(attr);
+        mine_tree(ctx, &cond, suffix, suffix_attrs, out);
+        suffix.pop();
+        suffix_attrs.remove(attr);
     }
-    if paths.is_empty() {
-        return true;
-    }
-    let cond = FpTree::build(&paths, ctx.min_count, ctx.n_items, ctx.governor);
-    // Never mine a conditional tree whose build was interrupted.
-    if ctx.governor.is_tripped() {
-        return false;
-    }
-    if cond.is_empty() {
-        return true;
-    }
-    suffix.push(*item);
-    suffix_attrs.insert(attr);
-    mine_tree(ctx, &cond, suffix, suffix_attrs, out);
-    suffix.pop();
-    suffix_attrs.remove(attr);
-    true
 }
 
 #[cfg(test)]
@@ -477,48 +361,5 @@ mod tests {
         let r = fpgrowth(&t, &catalog, &MiningConfig::default());
         assert!(r.itemsets.is_empty());
         assert_eq!(r.termination, hdx_governor::Termination::Complete);
-    }
-
-    #[test]
-    fn itemset_budget_truncates_to_exact_subset() {
-        use hdx_governor::{Governor, RunBudget, Termination};
-        let (catalog, ids) = catalog3();
-        let rows = vec![
-            vec![ids[0], ids[1], ids[2]],
-            vec![ids[0], ids[1]],
-            vec![ids[0], ids[2]],
-            vec![ids[1], ids[2]],
-            vec![ids[0]],
-        ];
-        let t = Transactions::from_rows(rows, vec![Outcome::Bool(true); 5]);
-        let config = MiningConfig {
-            min_support: 0.4,
-            ..MiningConfig::default()
-        };
-        let full = fpgrowth(&t, &catalog, &config);
-        assert_eq!(full.itemsets.len(), 6);
-
-        let governor = Governor::new(RunBudget::unbounded().with_max_itemsets(2));
-        let partial = fpgrowth_governed(&t, &catalog, &config, &governor);
-        assert_eq!(partial.termination, Termination::BudgetExhausted);
-        assert_eq!(partial.itemsets.len(), 2);
-        for fi in &partial.itemsets {
-            let reference = full.find(&fi.itemset).expect("subset of unbounded run");
-            assert_eq!(reference.accum.count(), fi.accum.count());
-        }
-    }
-
-    #[test]
-    fn node_budget_interrupting_build_yields_empty_not_wrong() {
-        use hdx_governor::{Governor, RunBudget, Termination};
-        let (catalog, ids) = catalog3();
-        let rows = vec![vec![ids[0], ids[1], ids[2]]; 8];
-        let t = Transactions::from_rows(rows, vec![Outcome::Bool(true); 8]);
-        // Budget below one FP-node: the initial build trips immediately and
-        // the (partial, undercounted) tree must never be mined.
-        let governor = Governor::new(RunBudget::unbounded().with_max_candidate_bytes(1));
-        let r = fpgrowth_governed(&t, &catalog, &MiningConfig::default(), &governor);
-        assert_eq!(r.termination, Termination::BudgetExhausted);
-        assert!(r.itemsets.is_empty());
     }
 }

@@ -4,15 +4,15 @@
 //! accumulation — the substrate behind DivExplorer and H-DivExplorer
 //! (paper §III-C, §V-B, Algorithm 1).
 //!
-//! Three interchangeable miners produce identical result sets:
+//! [`mine`] runs a depth-first tidset (Eclat-style) search, optionally
+//! fanned out over worker threads ([`MiningConfig::threads`]). Two classic
+//! miners produce identical result sets and serve as differential-test
+//! oracles and for the paper's miner ablation:
 //!
 //! * [`apriori`] — level-wise candidate generation (Agrawal–Srikant) with
 //!   vertical bitset counting;
 //! * [`fpgrowth`] — FP-tree recursion (Han–Pei–Yin) extended to generalized
-//!   transactions in the style of FP-tax;
-//! * [`vertical`] — depth-first tidset (Eclat-style) search, the fastest of
-//!   the three on dense data and used as a cross-checking oracle in tests
-//!   (plus [`vertical_parallel`], the same search fanned out over threads).
+//!   transactions in the style of FP-tax.
 //!
 //! All miners consume [`Transactions`]: per-row item lists which, in
 //! *generalized* mode, contain each attribute's matching leaf item **plus all
@@ -58,7 +58,7 @@
 /// threshold, anti-monotonicity).
 pub mod invariants;
 
-/// Work-stealing scheduler behind [`vertical_parallel`]: injector cursor +
+/// Work-stealing scheduler behind multi-threaded mining: injector cursor +
 /// Chase–Lev-style per-worker deques over DFS subtree roots.
 pub mod sched;
 
@@ -84,49 +84,18 @@ mod result;
 mod transactions;
 mod vertical;
 
-pub use apriori::{apriori, apriori_governed};
-pub use checkpoint::{
-    checkpoint_algorithm, mine_governed_ckpt, restore_itemset, snapshot_itemset, validate_resume,
-};
-pub use fpgrowth::{fpgrowth, fpgrowth_governed};
+pub use apriori::apriori;
+pub use checkpoint::{mine_governed_ckpt, restore_itemset, snapshot_itemset, validate_resume};
+pub use fpgrowth::fpgrowth;
 pub use result::{FrequentItemset, MiningError, MiningResult};
 pub use transactions::Transactions;
-pub use vertical::{
-    accum_scalar, vertical, vertical_governed, vertical_parallel, vertical_parallel_governed,
-};
+pub use vertical::accum_scalar;
 
 // Re-exported so downstream crates can build budgets without depending on
 // `hdx-governor` directly.
 pub use hdx_governor::{CancelToken, Governor, RunBudget, RunCounters, Termination};
 
 use hdx_items::ItemCatalog;
-
-/// Which mining algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MiningAlgorithm {
-    /// Level-wise Apriori with vertical bitset counting.
-    Apriori,
-    /// FP-Growth with per-node statistic accumulation.
-    FpGrowth,
-    /// Depth-first vertical (Eclat-style) search (default).
-    #[default]
-    Vertical,
-    /// [`Vertical`](MiningAlgorithm::Vertical) with the first-level subtrees
-    /// distributed over all available cores.
-    VerticalParallel,
-}
-
-impl MiningAlgorithm {
-    /// A stable lower-case label (used in telemetry spans and reports).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Self::Apriori => "apriori",
-            Self::FpGrowth => "fpgrowth",
-            Self::Vertical => "vertical",
-            Self::VerticalParallel => "vertical_parallel",
-        }
-    }
-}
 
 /// Mining parameters.
 #[derive(Debug, Clone, Copy)]
@@ -135,13 +104,14 @@ pub struct MiningConfig {
     pub min_support: f64,
     /// Optional cap on itemset length (`None` = unbounded).
     pub max_len: Option<usize>,
-    /// Algorithm choice.
-    pub algorithm: MiningAlgorithm,
-    /// Worker-thread count for [`MiningAlgorithm::VerticalParallel`]
-    /// (`None` = all available cores; `Some(0)` is treated as 1). Always
-    /// additionally clamped to the number of subtree roots — see
-    /// [`MiningConfig::n_workers`]. Ignored by the serial algorithms.
-    pub threads: Option<usize>,
+    /// Worker threads for the search (default 1; `0` is treated as 1).
+    /// With more than one, the first-level subtrees are spread over a
+    /// work-stealing pool: the same itemsets, in a different order. A
+    /// budget-truncated run still returns an exact subset, but which subset
+    /// can differ from run to run. Clamped to the number of subtree roots
+    /// (see [`MiningConfig::n_workers`]); checkpointed runs
+    /// ([`mine_governed_ckpt`]) always search serially.
+    pub threads: usize,
 }
 
 impl Default for MiningConfig {
@@ -149,8 +119,7 @@ impl Default for MiningConfig {
         Self {
             min_support: 0.05,
             max_len: None,
-            algorithm: MiningAlgorithm::default(),
-            threads: None,
+            threads: 1,
         }
     }
 }
@@ -162,18 +131,11 @@ impl MiningConfig {
         (self.min_support * n_rows as f64).ceil().max(1.0) as u64
     }
 
-    /// The worker-thread count a parallel mine over `n_roots` subtree roots
-    /// will use: the [`threads`](Self::threads) override when set (floored
-    /// at 1), else `std::thread::available_parallelism()`, in both cases
-    /// clamped to `n_roots` (an idle worker with no root to claim is pure
-    /// overhead).
+    /// The worker-thread count a mine over `n_roots` subtree roots will
+    /// use: [`threads`](Self::threads) floored at 1 and clamped to `n_roots`
+    /// (an idle worker with no root to claim is pure overhead).
     pub fn n_workers(&self, n_roots: usize) -> usize {
-        let requested = self.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZero::get)
-                .unwrap_or(1)
-        });
-        requested.clamp(1, n_roots.max(1))
+        self.threads.clamp(1, n_roots.max(1))
     }
 }
 
@@ -193,7 +155,7 @@ pub fn mine(
     mine_governed(transactions, catalog, config, &Governor::unbounded())
 }
 
-/// [`mine`] under a [`Governor`]: the selected miner polls the governor for
+/// [`mine`] under a [`Governor`]: the search polls the governor for
 /// deadline, budgets and cancellation, and degrades to a partial-but-exact
 /// subset result (see [`MiningResult::termination`]) instead of running away.
 ///
@@ -214,17 +176,10 @@ pub fn mine_governed(
         config.min_support > 0.0 && config.min_support <= 1.0,
         "min_support must be in (0, 1]"
     );
-    hdx_obs::span!("mine", str config.algorithm.as_str());
-    let result = match config.algorithm {
-        MiningAlgorithm::Apriori => apriori_governed(transactions, catalog, config, governor),
-        MiningAlgorithm::FpGrowth => fpgrowth_governed(transactions, catalog, config, governor),
-        MiningAlgorithm::Vertical => vertical_governed(transactions, catalog, config, governor),
-        MiningAlgorithm::VerticalParallel => {
-            vertical_parallel_governed(transactions, catalog, config, governor)
-        }
-    };
+    hdx_obs::span!("mine");
+    let result = vertical::vertical_run(transactions, catalog, config, governor, None, None);
     // End-of-stage budget sample (level 0): where consumption stood when the
-    // selected miner returned.
+    // search returned.
     #[cfg(feature = "obs")]
     governor.record_obs_snapshot(0);
     hdx_obs::counter_add!(MineItemsetsEmitted, result.itemsets.len() as u64);
@@ -237,8 +192,9 @@ pub fn mine_governed(
 
 #[cfg(test)]
 mod cross_tests {
-    //! Cross-algorithm equivalence tests: the three miners must produce the
-    //! same itemsets with the same accumulators.
+    //! Cross-miner equivalence tests: the oracles and the production search
+    //! at every thread count must produce the same itemsets with the same
+    //! accumulators.
 
     use super::*;
     use hdx_data::{DataFrameBuilder, Value};
@@ -319,68 +275,70 @@ mod cross_tests {
         v
     }
 
+    /// Every miner: the two oracles, then the search at 1 and 4 threads.
+    fn all_miners(
+        t: &Transactions,
+        catalog: &ItemCatalog,
+        config: &MiningConfig,
+    ) -> Vec<MiningResult> {
+        vec![
+            apriori(t, catalog, config),
+            fpgrowth(t, catalog, config),
+            mine(
+                t,
+                catalog,
+                &MiningConfig {
+                    threads: 1,
+                    ..*config
+                },
+            ),
+            mine(
+                t,
+                catalog,
+                &MiningConfig {
+                    threads: 4,
+                    ..*config
+                },
+            ),
+        ]
+    }
+
     #[test]
-    fn all_algorithms_agree_base() {
+    fn all_miners_agree_base() {
         let (base, _, catalog) = random_setup(400, 42);
         for support in [0.02, 0.05, 0.2] {
-            let mk = |algorithm| MiningConfig {
+            let config = MiningConfig {
                 min_support: support,
-                max_len: None,
-                algorithm,
-                threads: None,
+                ..MiningConfig::default()
             };
-            let a = mine(&base, &catalog, &mk(MiningAlgorithm::Apriori));
-            let f = mine(&base, &catalog, &mk(MiningAlgorithm::FpGrowth));
-            let v = mine(&base, &catalog, &mk(MiningAlgorithm::Vertical));
-            let vp = mine(&base, &catalog, &mk(MiningAlgorithm::VerticalParallel));
-            assert_eq!(
-                sorted_result(&a),
-                sorted_result(&v),
-                "apriori vs vertical, s={support}"
-            );
-            assert_eq!(
-                sorted_result(&f),
-                sorted_result(&v),
-                "fpgrowth vs vertical, s={support}"
-            );
-            assert_eq!(
-                sorted_result(&vp),
-                sorted_result(&v),
-                "parallel vs vertical, s={support}"
-            );
-            assert!(!a.itemsets.is_empty());
+            let results = all_miners(&base, &catalog, &config);
+            assert!(!results[0].itemsets.is_empty());
+            for (i, r) in results.iter().enumerate() {
+                assert_eq!(
+                    sorted_result(r),
+                    sorted_result(&results[2]),
+                    "miner {i} vs serial search, s={support}"
+                );
+            }
         }
     }
 
     #[test]
-    fn all_algorithms_agree_generalized() {
+    fn all_miners_agree_generalized() {
         let (_, gen, catalog) = random_setup(400, 7);
         for support in [0.05, 0.1] {
-            let mk = |algorithm| MiningConfig {
+            let config = MiningConfig {
                 min_support: support,
-                max_len: None,
-                algorithm,
-                threads: None,
+                ..MiningConfig::default()
             };
-            let a = mine(&gen, &catalog, &mk(MiningAlgorithm::Apriori));
-            let f = mine(&gen, &catalog, &mk(MiningAlgorithm::FpGrowth));
-            let v = mine(&gen, &catalog, &mk(MiningAlgorithm::Vertical));
-            let vp = mine(&gen, &catalog, &mk(MiningAlgorithm::VerticalParallel));
-            assert_eq!(
-                sorted_result(&a),
-                sorted_result(&v),
-                "apriori vs vertical, s={support}"
-            );
-            assert_eq!(
-                sorted_result(&f),
-                sorted_result(&v),
-                "fpgrowth vs vertical, s={support}"
-            );
-            assert_eq!(
-                sorted_result(&vp),
-                sorted_result(&v),
-                "parallel vs vertical, s={support}"
-            );
+            let results = all_miners(&gen, &catalog, &config);
+            for (i, r) in results.iter().enumerate() {
+                assert_eq!(
+                    sorted_result(r),
+                    sorted_result(&results[2]),
+                    "miner {i} vs serial search, s={support}"
+                );
+            }
         }
     }
 
@@ -410,23 +368,9 @@ mod cross_tests {
         let config = MiningConfig {
             min_support: 0.02,
             max_len: Some(2),
-            algorithm: MiningAlgorithm::Vertical,
-            threads: None,
+            threads: 1,
         };
-        for algorithm in [
-            MiningAlgorithm::Apriori,
-            MiningAlgorithm::FpGrowth,
-            MiningAlgorithm::Vertical,
-            MiningAlgorithm::VerticalParallel,
-        ] {
-            let r = mine(
-                &base,
-                &catalog,
-                &MiningConfig {
-                    algorithm,
-                    ..config
-                },
-            );
+        for r in all_miners(&base, &catalog, &config) {
             assert!(r.itemsets.iter().all(|fi| fi.itemset.len() <= 2));
             assert!(r.itemsets.iter().any(|fi| fi.itemset.len() == 2));
         }

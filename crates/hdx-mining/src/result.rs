@@ -19,7 +19,8 @@ pub struct FrequentItemset {
 /// workers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MiningError {
-    /// A worker thread of [`vertical_parallel`](crate::vertical_parallel)
+    /// A pool worker of a multi-threaded mine
+    /// ([`MiningConfig::threads`](crate::MiningConfig::threads) > 1)
     /// panicked; its share of the search space is missing from the result.
     WorkerPanicked {
         /// Index of the panicked worker.

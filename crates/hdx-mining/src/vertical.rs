@@ -1,5 +1,6 @@
 //! Depth-first vertical miner (Eclat-style) with bitset tidsets and
-//! word-level statistic kernels.
+//! word-level statistic kernels: the one production miner behind
+//! [`crate::mine_governed`] and [`crate::mine_governed_ckpt`].
 //!
 //! Enumerates frequent itemsets by extending a prefix with items of strictly
 //! larger id and distinct attribute. The inner loop is engineered to be
@@ -19,16 +20,14 @@
 //!   precomputed per-item attribute table plus an [`AttrSet`] prefix mask,
 //!   not a linear prefix scan through the catalog.
 //!
-//! Both entry points come in governed flavours
-//! ([`vertical_governed`]/[`vertical_parallel_governed`]) that poll a
-//! [`Governor`] for deadlines, budgets and cancellation. A tripped governor
-//! stops the search at emission granularity: every itemset already emitted
-//! carries its exact accumulator, so a truncated result is always a subset of
-//! the unbounded one. Candidate bytes are charged only when a joint cover is
-//! actually materialised — pruned and leaf candidates are free. In the
-//! parallel variant a panicking worker is caught and reported as
-//! [`MiningError::WorkerPanicked`](crate::MiningError) while the remaining
-//! workers finish their share.
+//! The search polls a [`Governor`] for deadlines, budgets and cancellation.
+//! A tripped governor stops it at emission granularity: every itemset
+//! already emitted carries its exact accumulator, so a truncated result is
+//! always a subset of the unbounded one. Candidate bytes are charged only
+//! when a joint cover is actually materialised — pruned and leaf candidates
+//! are free. With more than one worker thread a panicking worker is caught
+//! and reported as [`MiningError::WorkerPanicked`](crate::MiningError)
+//! while the remaining workers finish their share.
 
 use hdx_checkpoint::{Checkpointer, MiningProgress};
 use hdx_governor::{fail_point, Governor};
@@ -78,7 +77,7 @@ pub(crate) fn item_covers(transactions: &Transactions) -> Vec<(ItemId, Bitset)> 
 
 /// Approximate heap bytes of one cover bitset, charged per *materialised*
 /// candidate intersection against the governor's candidate-byte budget.
-pub(crate) fn cover_bytes(n_rows: usize) -> u64 {
+fn cover_bytes(n_rows: usize) -> u64 {
     (n_rows.div_ceil(8) as u64).max(8)
 }
 
@@ -123,14 +122,28 @@ fn scratch_pool(n_rows: usize, frequent: &[FreqItem], max_len: Option<usize>) ->
     (0..depth).map(|_| Bitset::new(n_rows)).collect()
 }
 
-/// Read-only search context shared by the serial DFS and parallel workers.
+/// Read-only search context shared by the serial root loop and the pool
+/// workers.
 struct DfsCtx<'a> {
     frequent: &'a [FreqItem],
     planes: &'a OutcomePlanes,
     min_count: u64,
     max_len: Option<usize>,
     governor: &'a Governor,
+    n_rows: usize,
     cover_bytes: u64,
+}
+
+impl DfsCtx<'_> {
+    /// A fresh [`scratch_pool`] for one searching thread.
+    fn scratch(&self) -> Vec<Bitset> {
+        let scratch = scratch_pool(self.n_rows, self.frequent, self.max_len);
+        hdx_obs::gauge_max!(
+            MineScratchPoolBytes,
+            scratch.len() as u64 * self.cover_bytes
+        );
+        scratch
+    }
 }
 
 /// Depth-first extension of `prefix_items` (whose rows are `prefix_cover`
@@ -244,7 +257,7 @@ fn dfs(
 }
 
 /// Emits the frequent singleton at `idx` and explores its subtree. Shared by
-/// the serial driver and the parallel workers (which stride over `idx`).
+/// the serial root loop and the pool workers.
 /// Returns `false` once the governor refuses further emissions.
 fn explore_root(
     ctx: &DfsCtx<'_>,
@@ -285,38 +298,25 @@ fn explore_root(
     true
 }
 
-/// Mines all frequent itemsets via depth-first vertical search.
-pub fn vertical(
-    transactions: &Transactions,
-    catalog: &ItemCatalog,
-    config: &MiningConfig,
-) -> MiningResult {
-    vertical_governed(transactions, catalog, config, &Governor::unbounded())
-}
-
-/// [`vertical`] under a [`Governor`]: polls for deadline/budget/cancellation
-/// and degrades to a partial (subset) result instead of running away.
-pub fn vertical_governed(
-    transactions: &Transactions,
-    catalog: &ItemCatalog,
-    config: &MiningConfig,
-    governor: &Governor,
-) -> MiningResult {
-    vertical_run(transactions, catalog, config, governor, None, None)
-}
-
-/// The shared serial-DFS driver behind [`vertical_governed`] and
-/// [`crate::mine_governed_ckpt`]: optionally records a checkpoint boundary
-/// after each fully-explored first-level subtree (cursor = roots completed)
-/// and optionally restarts from such a boundary. The frequent-item order is
-/// a deterministic function of the transactions, so a resumed run continues
-/// the exact traversal the interrupted one was on.
+/// Mines every frequent itemset by depth-first vertical search: the driver
+/// behind [`crate::mine_governed`] and [`crate::mine_governed_ckpt`].
+///
+/// The subtrees rooted at each frequent single item are independent. With
+/// one worker ([`MiningConfig::n_workers`]) or a checkpointer attached they
+/// are explored in item order, and `ckpt` records a boundary after each
+/// fully explored subtree (cursor = roots completed); `resume` restarts
+/// from such a boundary. The frequent-item order is a deterministic
+/// function of the transactions, so a resumed run continues the exact
+/// traversal the interrupted one was on. Otherwise the subtrees go to a
+/// pool of workers fed by the work-stealing scheduler in [`crate::sched`]:
+/// the same itemsets, in an order that depends on the thread interleaving
+/// — which is why checkpointed runs stay serial.
 pub(crate) fn vertical_run(
     transactions: &Transactions,
     catalog: &ItemCatalog,
     config: &MiningConfig,
     governor: &Governor,
-    mut ckpt: Option<&mut Checkpointer>,
+    ckpt: Option<&mut Checkpointer>,
     resume: Option<&MiningProgress>,
 ) -> MiningResult {
     let n = transactions.n_rows();
@@ -333,22 +333,41 @@ pub(crate) fn vertical_run(
         min_count,
         max_len: config.max_len,
         governor,
+        n_rows: n,
         cover_bytes: cover_bytes(n),
     };
 
-    let mut scratch = scratch_pool(n, &frequent, config.max_len);
-    hdx_obs::gauge_max!(MineScratchPoolBytes, scratch.len() as u64 * cover_bytes(n));
+    let n_workers = config.n_workers(frequent.len());
+    let (out, errors) = match ckpt {
+        None if n_workers > 1 => explore_pool(&ctx, n_workers),
+        ckpt => (explore_serial(&ctx, ckpt, resume), Vec::new()),
+    };
+    let mut result =
+        MiningResult::complete(out, n, transactions.global_accum()).governed_by(governor);
+    result.errors = errors;
+    result
+}
+
+/// The serial root loop: explores the subtrees in item order from
+/// `resume`'s cursor on, recording a checkpoint boundary after each one
+/// that completes.
+fn explore_serial(
+    ctx: &DfsCtx<'_>,
+    mut ckpt: Option<&mut Checkpointer>,
+    resume: Option<&MiningProgress>,
+) -> Vec<FrequentItemset> {
+    let mut scratch = ctx.scratch();
     let mut out: Vec<FrequentItemset> = match resume {
         Some(progress) => progress.emitted.iter().map(restore_itemset).collect(),
         None => Vec::new(),
     };
-    let start = resume.map_or(0, |p| (p.cursor as usize).min(frequent.len()));
+    let start = resume.map_or(0, |p| (p.cursor as usize).min(ctx.frequent.len()));
     let mut prefix_items: Vec<ItemId> = Vec::new();
     let mut prefix_attrs = AttrSet::new();
-    for idx in start..frequent.len() {
-        if !governor.keep_going()
+    for idx in start..ctx.frequent.len() {
+        if !ctx.governor.keep_going()
             || !explore_root(
-                &ctx,
+                ctx,
                 idx,
                 &mut prefix_items,
                 &mut prefix_attrs,
@@ -361,73 +380,33 @@ pub(crate) fn vertical_run(
         // `explore_root` returns true even when the DFS below it unwound on
         // a trip, so a tripped governor means this subtree may be partial —
         // only a clean completion is a boundary.
-        if governor.is_tripped() {
+        if ctx.governor.is_tripped() {
             break;
         }
         if let Some(ck) = ckpt.as_deref_mut() {
             ck.at_boundary(progress_snapshot(
-                "vertical",
                 (idx + 1) as u64,
-                n,
+                ctx.n_rows,
                 &out,
-                &[],
-                governor,
+                ctx.governor,
             ));
         }
     }
-
-    MiningResult::complete(out, n, transactions.global_accum()).governed_by(governor)
+    out
 }
 
-/// Parallel variant of [`vertical`]: the depth-first subtrees rooted at each
-/// frequent single item are independent, so they are distributed over worker
-/// threads ([`MiningConfig::threads`], default all cores; std scoped threads
-/// — no extra dependencies) by the work-stealing scheduler in
-/// [`crate::sched`]. Produces the same itemset multiset as [`vertical`], in
-/// a different order.
-pub fn vertical_parallel(
-    transactions: &Transactions,
-    catalog: &ItemCatalog,
-    config: &MiningConfig,
-) -> MiningResult {
-    vertical_parallel_governed(transactions, catalog, config, &Governor::unbounded())
-}
-
-/// [`vertical_parallel`] under a [`Governor`]. All workers share the
-/// governor, so a tripped budget stops every subtree cooperatively. A worker
-/// that panics is caught and folded into
-/// [`MiningResult::errors`](crate::MiningResult) as
-/// [`MiningError::WorkerPanicked`](crate::MiningError); the other workers
-/// finish and their itemsets are kept.
-pub fn vertical_parallel_governed(
-    transactions: &Transactions,
-    catalog: &ItemCatalog,
-    config: &MiningConfig,
-    governor: &Governor,
-) -> MiningResult {
-    let n = transactions.n_rows();
-    let min_count = config.min_count(n);
-
-    let frequent = frequent_items(transactions, catalog, min_count);
-    let planes = OutcomePlanes::from_outcomes(transactions.outcomes());
-
-    let n_workers = config.n_workers(frequent.len());
-
-    let ctx = DfsCtx {
-        frequent: &frequent,
-        planes: &planes,
-        min_count,
-        max_len: config.max_len,
-        governor,
-        cover_bytes: cover_bytes(n),
-    };
-
-    let sched = crate::sched::RootScheduler::new(n_workers, frequent.len());
+/// The worker pool: `n_workers` scoped threads claim subtree roots from a
+/// [`RootScheduler`](crate::sched::RootScheduler). All workers share the
+/// governor, so a tripped budget stops every subtree cooperatively. A
+/// worker that panics is caught and reported as
+/// [`MiningError::WorkerPanicked`]; the other workers finish and their
+/// itemsets are kept.
+fn explore_pool(ctx: &DfsCtx<'_>, n_workers: usize) -> (Vec<FrequentItemset>, Vec<MiningError>) {
+    let sched = crate::sched::RootScheduler::new(n_workers, ctx.frequent.len());
 
     let mut out: Vec<FrequentItemset> = Vec::new();
     let mut errors: Vec<MiningError> = Vec::new();
     std::thread::scope(|scope| {
-        let ctx = &ctx;
         let sched = &sched;
         let handles: Vec<_> = (0..n_workers)
             .map(|worker| {
@@ -444,11 +423,7 @@ pub fn vertical_parallel_governed(
                         let mut local: Vec<FrequentItemset> = Vec::new();
                         let mut prefix: Vec<ItemId> = Vec::new();
                         let mut prefix_attrs = AttrSet::new();
-                        let mut scratch = scratch_pool(n, ctx.frequent, ctx.max_len);
-                        hdx_obs::gauge_max!(
-                            MineScratchPoolBytes,
-                            scratch.len() as u64 * cover_bytes(n)
-                        );
+                        let mut scratch = ctx.scratch();
                         // Work-stealing assignment of first-level subtrees:
                         // subtree sizes are heavily skewed (early items have
                         // the largest extension sets), so idle workers steal
@@ -490,11 +465,7 @@ pub fn vertical_parallel_governed(
             }
         }
     });
-
-    let mut result =
-        MiningResult::complete(out, n, transactions.global_accum()).governed_by(governor);
-    result.errors = errors;
-    result
+    (out, errors)
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -511,6 +482,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{mine, mine_governed};
     use hdx_data::AttrId;
     use hdx_governor::{CancelReason, RunBudget, Termination};
     use hdx_items::Item;
@@ -544,7 +516,7 @@ mod tests {
             Outcome::Bool(false),
         ];
         let t = Transactions::from_rows(rows, outcomes);
-        let r = vertical(
+        let r = mine(
             &t,
             &catalog,
             &MiningConfig {
@@ -570,7 +542,7 @@ mod tests {
         // a0 and a1 co-occur in generalized-style rows.
         let rows = vec![vec![ids[0], ids[1], ids[2]]; 4];
         let t = Transactions::from_rows(rows, vec![Outcome::Bool(true); 4]);
-        let r = vertical(
+        let r = mine(
             &t,
             &catalog,
             &MiningConfig {
@@ -602,7 +574,7 @@ mod tests {
     fn empty_database() {
         let (catalog, _) = catalog();
         let t = Transactions::from_rows(vec![], vec![]);
-        let r = vertical(&t, &catalog, &MiningConfig::default());
+        let r = mine(&t, &catalog, &MiningConfig::default());
         assert!(r.itemsets.is_empty());
         assert_eq!(r.n_rows, 0);
         assert_eq!(r.termination, Termination::Complete);
@@ -614,7 +586,7 @@ mod tests {
         let rows = vec![vec![ids[0]], vec![ids[0]], vec![ids[1]], vec![ids[1]]];
         let t = Transactions::from_rows(rows, vec![Outcome::Bool(false); 4]);
         // s = 0.5 → min_count = 2; both items have exactly 2.
-        let r = vertical(
+        let r = mine(
             &t,
             &catalog,
             &MiningConfig {
@@ -624,7 +596,7 @@ mod tests {
         );
         assert_eq!(r.itemsets.len(), 2);
         // s = 0.51 → min_count = 3; nothing qualifies.
-        let r2 = vertical(
+        let r2 = mine(
             &t,
             &catalog,
             &MiningConfig {
@@ -654,7 +626,7 @@ mod tests {
             Outcome::Real(-1.0),
         ];
         let t = Transactions::from_rows(rows, outcomes.clone());
-        let r = vertical(
+        let r = mine(
             &t,
             &catalog,
             &MiningConfig {
@@ -691,11 +663,11 @@ mod tests {
             min_support: 0.25,
             ..MiningConfig::default()
         };
-        let full = vertical(&t, &catalog, &config);
+        let full = mine(&t, &catalog, &config);
         assert!(full.itemsets.len() > 2);
 
         let governor = Governor::new(RunBudget::unbounded().with_max_itemsets(2));
-        let partial = vertical_governed(&t, &catalog, &config, &governor);
+        let partial = mine_governed(&t, &catalog, &config, &governor);
         assert_eq!(partial.termination, Termination::BudgetExhausted);
         assert!(partial.is_partial());
         assert_eq!(partial.itemsets.len(), 2);
@@ -723,7 +695,7 @@ mod tests {
         // Unbounded run on 4 rows: singletons and leaves are free; only
         // extendable joint covers (8 bytes each) hit the byte counter.
         let governor = Governor::unbounded();
-        let full = vertical_governed(&t, &catalog, &config, &governor);
+        let full = mine_governed(&t, &catalog, &config, &governor);
         assert_eq!(full.termination, Termination::Complete);
         let bytes = governor.counters().candidate_bytes;
         assert!(
@@ -733,7 +705,7 @@ mod tests {
 
         // A byte budget still truncates to an exact subset.
         let tight = Governor::new(RunBudget::unbounded().with_max_candidate_bytes(8));
-        let partial = vertical_governed(&t, &catalog, &config, &tight);
+        let partial = mine_governed(&t, &catalog, &config, &tight);
         assert_eq!(partial.termination, Termination::BudgetExhausted);
         assert!(partial.itemsets.len() < full.itemsets.len());
         assert_eq!(
@@ -761,9 +733,17 @@ mod tests {
             min_support: 0.25,
             ..MiningConfig::default()
         };
-        let full = vertical(&t, &catalog, &config);
+        let full = mine(&t, &catalog, &config);
         let governor = Governor::new(RunBudget::unbounded().with_max_itemsets(1));
-        let partial = vertical_parallel_governed(&t, &catalog, &config, &governor);
+        let partial = mine_governed(
+            &t,
+            &catalog,
+            &MiningConfig {
+                threads: 2,
+                ..config
+            },
+            &governor,
+        );
         assert_eq!(partial.termination, Termination::BudgetExhausted);
         assert!(partial.itemsets.len() <= full.itemsets.len());
         assert!(partial.errors.is_empty());
@@ -779,7 +759,7 @@ mod tests {
         let t = Transactions::from_rows(rows, vec![Outcome::Bool(true); 8]);
         let governor = Governor::unbounded();
         governor.cancel_token().cancel();
-        let r = vertical_governed(&t, &catalog, &MiningConfig::default(), &governor);
+        let r = mine_governed(&t, &catalog, &MiningConfig::default(), &governor);
         assert_eq!(r.termination, Termination::Cancelled(CancelReason::User));
     }
 }

@@ -203,9 +203,12 @@ fn family_of<'a>(name: &'a str, families: &HashMap<String, FamilyCheck>) -> &'a 
     name
 }
 
+/// One parsed sample line: metric name, `(label, value)` pairs, value.
+type Sample<'a> = (&'a str, Vec<(String, String)>, f64);
+
 /// Splits a sample line into `(name, labels, value)`; the optional
 /// trailing timestamp is validated and discarded.
-fn parse_sample(line: &str) -> Result<(&str, Vec<(String, String)>, f64), String> {
+fn parse_sample(line: &str) -> Result<Sample<'_>, String> {
     let (name_part, rest) = match line.find(['{', ' ', '\t']) {
         Some(i) => (&line[..i], &line[i..]),
         None => return Err("sample line has no value".into()),

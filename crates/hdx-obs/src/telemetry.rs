@@ -337,10 +337,10 @@ impl RunTelemetry {
             "\n  },\n"
         });
         let rates = self.sched_rates();
-        let _ = write!(
+        let _ = writeln!(
             out,
             "  \"derived\": {{\"sched\": {{\"steals\": {}, \"parks\": {}, \
-             \"steals_per_1k_itemsets\": {:.3}, \"parks_per_1k_itemsets\": {:.3}}}}},\n",
+             \"steals_per_1k_itemsets\": {:.3}, \"parks_per_1k_itemsets\": {:.3}}}}},",
             rates.steals, rates.parks, rates.steals_per_1k_itemsets, rates.parks_per_1k_itemsets
         );
         out.push_str("  \"snapshots\": [");

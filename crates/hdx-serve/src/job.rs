@@ -140,7 +140,9 @@ pub struct JobSpec {
     pub max_itemsets: Option<u64>,
     /// Checkpoint cadence in mining levels.
     pub checkpoint_every: u64,
-    /// Worker-thread cap for the parallel miner (`None` = all cores).
+    /// Parsed and persisted for spec-v2 compatibility, but has no effect:
+    /// service jobs always mine checkpointed, and checkpointed mining is
+    /// serial.
     pub threads: Option<u32>,
 }
 

@@ -167,7 +167,6 @@ fn execute_inner(
             GainCriterion::Divergence
         },
         max_len: spec.max_len.map(|v| v as usize),
-        threads: spec.threads.map(|v| v as usize),
         budget: budget_of(spec),
         ..HDivExplorerConfig::default()
     })

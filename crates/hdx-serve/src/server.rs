@@ -738,7 +738,7 @@ impl JobLease<'_> {
                     self.finish_event(ok, &termination);
                     // Rows appended while this run was folding are durable
                     // but not in the sealed result — re-queue immediately.
-                    requeue_if_rows_pending(&self.shared, &self.job_id);
+                    requeue_if_rows_pending(self.shared, &self.job_id);
                     self.settled = true;
                     return;
                 }

@@ -58,8 +58,7 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
 fn dechunk(body: &str) -> String {
     let mut out = String::new();
     let mut rest = body;
-    loop {
-        let Some(nl) = rest.find("\r\n") else { break };
+    while let Some(nl) = rest.find("\r\n") {
         let size = usize::from_str_radix(rest[..nl].trim(), 16).expect("chunk size");
         if size == 0 {
             break;

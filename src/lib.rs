@@ -44,5 +44,4 @@ pub mod prelude {
     pub use hdx_discretize::{GainCriterion, TreeDiscretizer, TreeDiscretizerConfig};
     pub use hdx_governor::{CancelReason, CancelToken, RunBudget, Termination};
     pub use hdx_items::{Item, ItemCatalog, ItemHierarchy, ItemId, Itemset};
-    pub use hdx_mining::MiningAlgorithm;
 }

@@ -1,13 +1,12 @@
 //! Facade-level checkpoint/resume integration: interrupt a mining run with a
 //! budget trip, resume it from the persisted state, and require the final
-//! report to be identical to an uninterrupted run — for every mining
-//! algorithm — plus corruption fallback on the way.
+//! report to be identical to an uninterrupted run — whatever thread count
+//! the resume asks for — plus corruption fallback on the way.
 
 use h_divexplorer::checkpoint::CheckpointStore;
 use h_divexplorer::core::{ExplorationMode, HDivExplorer, HDivExplorerConfig};
 use h_divexplorer::data::{DataFrame, DataFrameBuilder, Value};
 use h_divexplorer::governor::RunBudget;
-use h_divexplorer::mining::MiningAlgorithm;
 use h_divexplorer::stats::Outcome;
 
 /// Deterministic fixture: errors cluster at x > 55 & g = b.
@@ -32,10 +31,9 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn config(algorithm: MiningAlgorithm, budget: RunBudget) -> HDivExplorerConfig {
+fn config(budget: RunBudget) -> HDivExplorerConfig {
     HDivExplorerConfig {
         min_support: 0.05,
-        algorithm,
         budget,
         ..HDivExplorerConfig::default()
     }
@@ -60,10 +58,11 @@ fn assert_same_report(
 }
 
 /// Budget-trips a checkpointed run two itemsets short of completion, then
-/// resumes it unbounded: the resumed report must equal the uninterrupted one.
-fn interrupted_resume_roundtrip(algorithm: MiningAlgorithm, tag: &str) {
+/// resumes it unbounded with `resume_threads` worker threads: the resumed
+/// report must equal the uninterrupted one.
+fn interrupted_resume_roundtrip(resume_threads: usize, tag: &str) {
     let (df, outcomes) = setup();
-    let plain = HDivExplorer::new(config(algorithm, RunBudget::unbounded())).fit_mode(
+    let plain = HDivExplorer::new(config(RunBudget::unbounded())).fit_mode(
         &df,
         &outcomes,
         ExplorationMode::Generalized,
@@ -74,39 +73,42 @@ fn interrupted_resume_roundtrip(algorithm: MiningAlgorithm, tag: &str) {
 
     let dir = tmp_dir(tag);
     let store = CheckpointStore::create(&dir).unwrap();
-    let capped = HDivExplorer::new(config(
-        algorithm,
-        RunBudget::unbounded().with_max_itemsets(total - 2),
-    ))
-    .fit_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
-    .unwrap();
+    let capped = HDivExplorer::new(config(RunBudget::unbounded().with_max_itemsets(total - 2)))
+        .fit_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
+        .unwrap();
     assert!(capped.result.is_partial(), "cap must trip mid-mining");
     assert!(capped.checkpoint_writes > 0, "boundaries must persist");
     assert!(capped.checkpoint_error.is_none());
 
     let store = CheckpointStore::open(&dir).unwrap();
-    let resumed = HDivExplorer::new(config(algorithm, RunBudget::unbounded()))
-        .resume_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
-        .unwrap();
+    let resumed = HDivExplorer::new(HDivExplorerConfig {
+        threads: resume_threads,
+        ..config(RunBudget::unbounded())
+    })
+    .resume_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
+    .unwrap();
     assert!(!resumed.result.is_partial());
     assert!(resumed.resumed_seq.is_some());
     assert_eq!(resumed.rejected_checkpoints, 0);
     assert_same_report(&plain.report, &resumed.result.report);
-}
-
-#[test]
-fn apriori_interrupt_and_resume_match_uninterrupted() {
-    interrupted_resume_roundtrip(MiningAlgorithm::Apriori, "apriori");
-}
-
-#[test]
-fn fpgrowth_interrupt_and_resume_match_uninterrupted() {
-    interrupted_resume_roundtrip(MiningAlgorithm::FpGrowth, "fpgrowth");
+    // The resume continued the interrupted traversal instead of mining
+    // again from scratch: every itemset was charged exactly once.
+    assert_eq!(
+        resumed.result.counters().itemsets,
+        plain.counters().itemsets
+    );
 }
 
 #[test]
 fn vertical_interrupt_and_resume_match_uninterrupted() {
-    interrupted_resume_roundtrip(MiningAlgorithm::Vertical, "vertical");
+    interrupted_resume_roundtrip(1, "vertical");
+}
+
+/// Checkpointed mining is serial whatever the thread count, so a resume
+/// that asks for four workers continues the interrupted traversal exactly.
+#[test]
+fn resume_with_threads_matches_uninterrupted() {
+    interrupted_resume_roundtrip(4, "threads");
 }
 
 /// Flipping one byte in the newest checkpoint must not break resume: the
@@ -114,18 +116,18 @@ fn vertical_interrupt_and_resume_match_uninterrupted() {
 #[test]
 fn corrupt_newest_checkpoint_falls_back_to_older_one() {
     let (df, outcomes) = setup();
-    let plain = HDivExplorer::new(config(MiningAlgorithm::Vertical, RunBudget::unbounded()))
-        .fit_mode(&df, &outcomes, ExplorationMode::Generalized);
+    let plain = HDivExplorer::new(config(RunBudget::unbounded())).fit_mode(
+        &df,
+        &outcomes,
+        ExplorationMode::Generalized,
+    );
     let total = plain.report.records.len() as u64;
 
     let dir = tmp_dir("corrupt");
     let store = CheckpointStore::create(&dir).unwrap();
-    let capped = HDivExplorer::new(config(
-        MiningAlgorithm::Vertical,
-        RunBudget::unbounded().with_max_itemsets(total - 2),
-    ))
-    .fit_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
-    .unwrap();
+    let capped = HDivExplorer::new(config(RunBudget::unbounded().with_max_itemsets(total - 2)))
+        .fit_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
+        .unwrap();
     assert!(
         capped.checkpoint_writes >= 2,
         "need an older file to fall back to"
@@ -140,7 +142,7 @@ fn corrupt_newest_checkpoint_falls_back_to_older_one() {
     bytes[mid] ^= 0xff;
     std::fs::write(&path, bytes).unwrap();
 
-    let resumed = HDivExplorer::new(config(MiningAlgorithm::Vertical, RunBudget::unbounded()))
+    let resumed = HDivExplorer::new(config(RunBudget::unbounded()))
         .resume_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
         .unwrap();
     assert_eq!(
@@ -156,22 +158,22 @@ fn corrupt_newest_checkpoint_falls_back_to_older_one() {
 #[test]
 fn resume_is_refused_for_a_different_dataset() {
     let (df, mut outcomes) = setup();
-    let plain = HDivExplorer::new(config(MiningAlgorithm::Vertical, RunBudget::unbounded()))
-        .fit_mode(&df, &outcomes, ExplorationMode::Generalized);
+    let plain = HDivExplorer::new(config(RunBudget::unbounded())).fit_mode(
+        &df,
+        &outcomes,
+        ExplorationMode::Generalized,
+    );
     let total = plain.report.records.len() as u64;
 
     let dir = tmp_dir("identity");
     let store = CheckpointStore::create(&dir).unwrap();
-    HDivExplorer::new(config(
-        MiningAlgorithm::Vertical,
-        RunBudget::unbounded().with_max_itemsets(total - 2),
-    ))
-    .fit_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
-    .unwrap();
+    HDivExplorer::new(config(RunBudget::unbounded().with_max_itemsets(total - 2)))
+        .fit_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
+        .unwrap();
 
     outcomes[0] = Outcome::Bool(true);
     let store = CheckpointStore::open(&dir).unwrap();
-    let err = HDivExplorer::new(config(MiningAlgorithm::Vertical, RunBudget::unbounded()))
+    let err = HDivExplorer::new(config(RunBudget::unbounded()))
         .resume_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
         .unwrap_err();
     assert!(

@@ -3,27 +3,40 @@
 //! discretizer and the CSV loader, and assert that every layer degrades
 //! instead of dying.
 //!
-//! The fail-point registry is process-global; each test arms a *distinct*
-//! point name, so the tests can run concurrently.
+//! The fail-point registry is process-global, and the armed points sit on
+//! paths that every pipeline run passes through: each fit hits
+//! `discretize::split` and `mining::vertical`, and several tests arm
+//! `checkpoint::write` or `mining::vertical-worker`. A point armed by one
+//! test would fire inside another test running concurrently, so every test
+//! here holds [`FAILPOINT_LOCK`] for its whole body.
 
 #![cfg(feature = "hdx-fail")]
 
-use h_divexplorer::core::{ExplorationMode, HDivExplorerConfig, OutcomeFn, Termination};
+use h_divexplorer::core::{
+    ExplorationMode, HDivExplorer, HDivExplorerConfig, OutcomeFn, Termination,
+};
 use h_divexplorer::data::{read_csv_str, CsvOptions, DataError};
 use h_divexplorer::datasets::compas;
 use h_divexplorer::governor::failpoint::{self, FailAction};
 use h_divexplorer::governor::{Governor, RunBudget};
 use h_divexplorer::items::{Item, ItemCatalog, ItemId};
 use h_divexplorer::mining::{
-    mine, mine_governed, MiningAlgorithm, MiningConfig, MiningError, Transactions,
+    mine, mine_governed, MiningConfig, MiningError, MiningResult, Transactions,
 };
 use h_divexplorer::stats::Outcome;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// Serialises the tests that arm `discretize::split` (the registry is
-/// process-global, so two tests arming the same point would race).
-static DISCRETIZE_SPLIT_LOCK: Mutex<()> = Mutex::new(());
+/// Serialises the tests of this binary (see the module docs).
+static FAILPOINT_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`FAILPOINT_LOCK`]. A poisoned lock only records that an earlier
+/// test failed; the remaining tests still run and report.
+fn serial() -> MutexGuard<'static, ()> {
+    FAILPOINT_LOCK
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Same deterministic fixture as `tests/governor.rs`.
 fn fixture() -> (Transactions, ItemCatalog) {
@@ -51,17 +64,29 @@ fn fixture() -> (Transactions, ItemCatalog) {
     (Transactions::from_rows(rows, outcomes), catalog)
 }
 
-/// Killing one parallel worker degrades the run: the panic is caught,
-/// reported as a typed [`MiningError::WorkerPanicked`], and the surviving
-/// workers' itemsets — an exact subset of the full answer — are returned.
+/// The itemsets of `result` with their accumulators, in itemset order.
+fn sorted(result: &MiningResult) -> Vec<(Vec<ItemId>, h_divexplorer::stats::StatAccum)> {
+    let mut v: Vec<_> = result
+        .itemsets
+        .iter()
+        .map(|fi| (fi.itemset.items().to_vec(), fi.accum))
+        .collect();
+    v.sort_by(|a, b| a.0.cmp(&b.0));
+    v
+}
+
+/// Killing one pool worker degrades the run instead of killing it: the
+/// panic is caught and reported as a typed [`MiningError::WorkerPanicked`].
+/// The point fires before the worker claims a subtree root, so the
+/// survivor drains every root and the result is the full answer.
 #[test]
 fn killed_worker_degrades_instead_of_dying() {
+    let _guard = serial();
     let (transactions, catalog) = fixture();
     let config = MiningConfig {
         min_support: 0.1,
         max_len: None,
-        algorithm: MiningAlgorithm::VerticalParallel,
-        threads: None,
+        threads: 2,
     };
     let full = mine(&transactions, &catalog, &config);
 
@@ -80,23 +105,47 @@ fn killed_worker_degrades_instead_of_dying() {
         MiningError::WorkerPanicked { .. }
     ));
     assert_eq!(degraded.termination, Termination::Complete);
-    // Whatever the survivors mined is an exact subset of the full answer.
-    for fi in &degraded.itemsets {
-        assert!(
-            full.itemsets
-                .iter()
-                .any(|f| f.itemset == fi.itemset && f.accum.count() == fi.accum.count()),
-            "orphan itemset {:?}",
-            fi.itemset
+    assert!(!full.itemsets.is_empty());
+    assert!(
+        sorted(&degraded) == sorted(&full),
+        "the survivor must mine every subtree"
+    );
+}
+
+/// `HDivExplorerConfig::threads` reaches the miner: a two-thread fit starts
+/// two pool workers, a one-thread fit none.
+#[test]
+fn pipeline_threads_reach_the_worker_pool() {
+    let _guard = serial();
+    let dataset = compas(400, 7);
+    let outcomes = dataset.classification_outcomes(OutcomeFn::Fpr);
+    let worker_hits = |threads| {
+        // Armed to fire on a hit that never comes: the point only counts.
+        failpoint::arm(
+            "mining::vertical-worker",
+            FailAction::Stall(Duration::ZERO),
+            u64::MAX,
         );
-    }
-    assert!(degraded.itemsets.len() < full.itemsets.len());
+        let result = HDivExplorer::new(HDivExplorerConfig {
+            min_support: 0.05,
+            threads,
+            ..HDivExplorerConfig::default()
+        })
+        .fit(&dataset.frame, &outcomes);
+        let hits = failpoint::hit_count("mining::vertical-worker");
+        failpoint::disarm("mining::vertical-worker");
+        assert_eq!(result.termination(), Termination::Complete);
+        hits
+    };
+    assert_eq!(worker_hits(2), 2);
+    assert_eq!(worker_hits(1), 0);
 }
 
 /// An injected CSV-layer fault surfaces as a typed `DataError::Csv`, not a
 /// panic.
 #[test]
 fn csv_read_fault_is_a_typed_error() {
+    let _guard = serial();
     failpoint::arm(
         "data::csv-read",
         FailAction::Error("injected I/O fault".into()),
@@ -117,9 +166,7 @@ fn csv_read_fault_is_a_typed_error() {
 /// hanging.
 #[test]
 fn stalled_discretizer_split_trips_the_deadline() {
-    let _guard = DISCRETIZE_SPLIT_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _guard = serial();
     let dataset = compas(400, 7);
     let outcomes = dataset.classification_outcomes(OutcomeFn::Fpr);
     failpoint::arm(
@@ -132,11 +179,8 @@ fn stalled_discretizer_split_trips_the_deadline() {
         budget: RunBudget::unbounded().with_deadline(Duration::from_millis(10)),
         ..HDivExplorerConfig::default()
     };
-    let result = h_divexplorer::core::HDivExplorer::new(config).fit_mode(
-        &dataset.frame,
-        &outcomes,
-        ExplorationMode::Base,
-    );
+    let result =
+        HDivExplorer::new(config).fit_mode(&dataset.frame, &outcomes, ExplorationMode::Base);
     failpoint::disarm("discretize::split");
     assert_eq!(result.termination(), Termination::DeadlineExceeded);
     assert!(result.is_partial());
@@ -147,9 +191,7 @@ fn stalled_discretizer_split_trips_the_deadline() {
 /// process, fail point disarmed) succeeds from scratch.
 #[test]
 fn discretizer_split_panic_is_a_clean_unwind() {
-    let _guard = DISCRETIZE_SPLIT_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _guard = serial();
     let dataset = compas(300, 11);
     let outcomes = dataset.classification_outcomes(OutcomeFn::Fpr);
     let config = || HDivExplorerConfig {
@@ -161,22 +203,15 @@ fn discretizer_split_panic_is_a_clean_unwind() {
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let outcome = std::panic::catch_unwind(|| {
-        h_divexplorer::core::HDivExplorer::new(config()).fit_mode(
-            &dataset.frame,
-            &outcomes,
-            ExplorationMode::Base,
-        )
+        HDivExplorer::new(config()).fit_mode(&dataset.frame, &outcomes, ExplorationMode::Base)
     });
     std::panic::set_hook(hook);
     failpoint::disarm("discretize::split");
     assert!(outcome.is_err(), "injected panic must propagate");
 
     // The unwind left nothing behind: an immediate retry completes.
-    let retry = h_divexplorer::core::HDivExplorer::new(config()).fit_mode(
-        &dataset.frame,
-        &outcomes,
-        ExplorationMode::Base,
-    );
+    let retry =
+        HDivExplorer::new(config()).fit_mode(&dataset.frame, &outcomes, ExplorationMode::Base);
     assert_eq!(retry.termination(), Termination::Complete);
     assert!(!retry.report.records.is_empty());
 }
@@ -188,6 +223,7 @@ fn discretizer_split_panic_is_a_clean_unwind() {
 fn checkpoint_write_faults_do_not_lose_the_run() {
     use h_divexplorer::checkpoint::CheckpointStore;
     use h_divexplorer::data::{DataFrameBuilder, Value};
+    let _guard = serial();
 
     let mut b = DataFrameBuilder::new();
     b.add_continuous("x").unwrap();
@@ -206,11 +242,7 @@ fn checkpoint_write_faults_do_not_lose_the_run() {
         ..HDivExplorerConfig::default()
     };
 
-    let plain = h_divexplorer::core::HDivExplorer::new(config.clone()).fit_mode(
-        &df,
-        &outcomes,
-        ExplorationMode::Generalized,
-    );
+    let plain = HDivExplorer::new(config).fit_mode(&df, &outcomes, ExplorationMode::Generalized);
 
     let dir = std::env::temp_dir().join(format!("hdx-fp-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -220,7 +252,7 @@ fn checkpoint_write_faults_do_not_lose_the_run() {
         FailAction::Error("injected disk full".into()),
         1,
     );
-    let run = h_divexplorer::core::HDivExplorer::new(config)
+    let run = HDivExplorer::new(config)
         .fit_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
         .unwrap();
     failpoint::disarm("checkpoint::write");
@@ -243,6 +275,7 @@ fn checkpoint_io_faults_preserve_the_previous_checkpoint() {
     use h_divexplorer::checkpoint::CheckpointStore;
     use h_divexplorer::data::{DataFrameBuilder, Value};
     use h_divexplorer::governor::failpoint::IoFault;
+    let _guard = serial();
 
     let mut b = DataFrameBuilder::new();
     b.add_continuous("x").unwrap();
@@ -265,7 +298,7 @@ fn checkpoint_io_faults_preserve_the_previous_checkpoint() {
     let dir = std::env::temp_dir().join(format!("hdx-fp-ckpt-io-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = CheckpointStore::create(&dir).unwrap();
-    h_divexplorer::core::HDivExplorer::new(config)
+    HDivExplorer::new(config)
         .fit_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
         .unwrap();
 
@@ -310,6 +343,7 @@ fn checkpoint_io_faults_preserve_the_previous_checkpoint() {
 /// unwind, not a corrupt result.
 #[test]
 fn single_thread_miner_panics_are_clean_unwinds() {
+    let _guard = serial();
     let (transactions, catalog) = fixture();
     failpoint::arm("mining::vertical", FailAction::Panic, 1);
     let hook = std::panic::take_hook();
@@ -317,9 +351,7 @@ fn single_thread_miner_panics_are_clean_unwinds() {
     let outcome = std::panic::catch_unwind(|| {
         let config = MiningConfig {
             min_support: 0.1,
-            max_len: None,
-            algorithm: MiningAlgorithm::Vertical,
-            threads: None,
+            ..MiningConfig::default()
         };
         mine_governed(
             &transactions,

@@ -1,24 +1,21 @@
 //! Integration tests for the run governor: deadlines, budgets, cooperative
 //! cancellation, and the graceful-degradation guarantee — a truncated run's
-//! itemsets are an *exact subset* of the unbounded run's, across all three
-//! miner families and the full H-DivExplorer pipeline.
+//! itemsets are an *exact subset* of the unbounded run's, for the serial
+//! search, the worker pool and the full H-DivExplorer pipeline.
 
 use h_divexplorer::core::{ExplorationMode, HDivExplorerConfig, OutcomeFn, Termination};
 use h_divexplorer::datasets::{compas, synthetic_peak};
 use h_divexplorer::governor::{CancelReason, CancelToken, Governor, RunBudget};
 use h_divexplorer::items::{Item, ItemCatalog, ItemId, Itemset};
-use h_divexplorer::mining::{mine, mine_governed, MiningAlgorithm, MiningConfig, Transactions};
+use h_divexplorer::mining::{mine, mine_governed, MiningConfig, Transactions};
 use h_divexplorer::stats::Outcome;
 use hdx_bench::experiments::{outcomes_for, pipeline_for};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-const ALGORITHMS: [MiningAlgorithm; 4] = [
-    MiningAlgorithm::Apriori,
-    MiningAlgorithm::FpGrowth,
-    MiningAlgorithm::Vertical,
-    MiningAlgorithm::VerticalParallel,
-];
+/// Thread counts covering both drivers of the search: the serial root loop
+/// and the work-stealing pool.
+const THREADS: [usize; 2] = [1, 4];
 
 /// A small deterministic transaction database with enough co-occurrence
 /// structure to produce a few dozen frequent itemsets at s = 0.1.
@@ -61,22 +58,25 @@ fn counts(itemsets: &[h_divexplorer::mining::FrequentItemset]) -> BTreeMap<Items
         .collect()
 }
 
-/// §ISSUE acceptance: for every miner, a budget-truncated run returns an
-/// exact subset of the unbounded run — same itemsets, same counts.
+/// For the serial search and the worker pool, a budget-truncated run
+/// returns an exact subset of the unbounded run — same itemsets, same
+/// counts.
 #[test]
 fn truncated_results_are_exact_subsets_for_every_miner() {
     let (transactions, catalog) = fixture();
-    for algorithm in ALGORITHMS {
+    for threads in THREADS {
         let config = MiningConfig {
             min_support: 0.1,
             max_len: None,
-            algorithm,
-            threads: None,
+            threads,
         };
         let full = mine(&transactions, &catalog, &config);
-        assert_eq!(full.termination, Termination::Complete, "{algorithm:?}");
+        assert_eq!(full.termination, Termination::Complete, "threads={threads}");
         let full_counts = counts(&full.itemsets);
-        assert!(full_counts.len() > 8, "{algorithm:?}: fixture too sparse");
+        assert!(
+            full_counts.len() > 8,
+            "threads={threads}: fixture too sparse"
+        );
 
         for cap in [1u64, 3, 7, full_counts.len() as u64 - 1] {
             let governor = Governor::new(RunBudget::unbounded().with_max_itemsets(cap));
@@ -84,45 +84,45 @@ fn truncated_results_are_exact_subsets_for_every_miner() {
             assert_eq!(
                 truncated.termination,
                 Termination::BudgetExhausted,
-                "{algorithm:?} cap={cap}"
+                "threads={threads} cap={cap}"
             );
             assert!(
                 truncated.itemsets.len() as u64 <= cap,
-                "{algorithm:?} cap={cap}: {} itemsets",
+                "threads={threads} cap={cap}: {} itemsets",
                 truncated.itemsets.len()
             );
             for (itemset, count) in counts(&truncated.itemsets) {
                 assert_eq!(
                     full_counts.get(&itemset),
                     Some(&count),
-                    "{algorithm:?} cap={cap}: {itemset:?} not an exact subset entry"
+                    "threads={threads} cap={cap}: {itemset:?} not an exact subset entry"
                 );
             }
         }
     }
 }
 
-/// A pre-cancelled token stops every miner before it emits anything.
+/// A pre-cancelled token stops the search before it emits anything, at
+/// every thread count.
 #[test]
 fn cancellation_stops_every_miner() {
     let (transactions, catalog) = fixture();
     let token = CancelToken::new();
     token.cancel();
-    for algorithm in ALGORITHMS {
+    for threads in THREADS {
         let config = MiningConfig {
             min_support: 0.1,
             max_len: None,
-            algorithm,
-            threads: None,
+            threads,
         };
         let governor = Governor::with_token(RunBudget::unbounded(), token.clone());
         let result = mine_governed(&transactions, &catalog, &config, &governor);
         assert_eq!(
             result.termination,
             Termination::Cancelled(CancelReason::User),
-            "{algorithm:?}"
+            "threads={threads}"
         );
-        assert!(result.itemsets.is_empty(), "{algorithm:?}");
+        assert!(result.itemsets.is_empty(), "threads={threads}");
     }
 }
 
@@ -130,19 +130,18 @@ fn cancellation_stops_every_miner() {
 #[test]
 fn expired_deadline_degrades_every_miner() {
     let (transactions, catalog) = fixture();
-    for algorithm in ALGORITHMS {
+    for threads in THREADS {
         let config = MiningConfig {
             min_support: 0.1,
             max_len: None,
-            algorithm,
-            threads: None,
+            threads,
         };
         let governor = Governor::new(RunBudget::unbounded().with_deadline(Duration::ZERO));
         let result = mine_governed(&transactions, &catalog, &config, &governor);
         assert_eq!(
             result.termination,
             Termination::DeadlineExceeded,
-            "{algorithm:?}"
+            "threads={threads}"
         );
     }
 }

@@ -1,10 +1,14 @@
 //! End-to-end integration tests of the full H-DivExplorer pipeline across
 //! datasets, checking the structural guarantees the paper states.
 
-use h_divexplorer::core::{ExplorationMode, HDivExplorer, HDivExplorerConfig};
+use std::time::Duration;
+
+use h_divexplorer::core::{
+    report_to_json, ExplorationMode, HDivExplorer, HDivExplorerConfig, HDivResult,
+};
 use h_divexplorer::datasets::{classification_suite, folktables};
 use h_divexplorer::items::item_cover;
-use h_divexplorer::mining::MiningAlgorithm;
+use h_divexplorer::mining::{apriori, fpgrowth, mine, MiningConfig, MiningResult, Transactions};
 use hdx_bench::experiments::{outcomes_for, pipeline_for, run_exploration};
 
 const SCALE: f64 = 0.04;
@@ -78,39 +82,75 @@ fn hierarchies_partition_on_all_datasets() {
     }
 }
 
-/// The three mining algorithms produce identical reports through the whole
-/// pipeline (not just on toy transactions).
+/// Through the whole pipeline, the worker-thread count changes nothing —
+/// the JSON report is byte-identical at 1, 2 and 4 threads — and the
+/// Apriori and FP-Growth oracles mine exactly what the search mines on the
+/// transactions the pipeline encodes.
 #[test]
-fn mining_algorithms_agree_through_pipeline() {
-    let dataset = &classification_suite(SCALE, 7)[5]; // synthetic-peak
-    let outcomes = outcomes_for(dataset);
-    let reports: Vec<_> = [
-        MiningAlgorithm::Apriori,
-        MiningAlgorithm::FpGrowth,
-        MiningAlgorithm::Vertical,
-    ]
-    .into_iter()
-    .map(|algorithm| {
-        HDivExplorer::new(HDivExplorerConfig {
+fn miners_agree_through_pipeline() {
+    let suite = classification_suite(SCALE, 7);
+    for dataset in [&suite[2], &suite[5]] {
+        // compas, synthetic-peak
+        let outcomes = outcomes_for(dataset);
+        let fit = |threads| {
+            HDivExplorer::new(HDivExplorerConfig {
+                min_support: 0.05,
+                threads,
+                ..HDivExplorerConfig::default()
+            })
+            .fit(&dataset.frame, &outcomes)
+        };
+        let json = |result: &HDivResult| {
+            let mut report = result.report.clone();
+            report.elapsed = Duration::ZERO;
+            report_to_json(&report, &result.catalog)
+        };
+        let result = fit(1);
+        let serial = json(&result);
+        for threads in [2, 4] {
+            assert_eq!(
+                json(&fit(threads)),
+                serial,
+                "{} threads={threads}",
+                dataset.name
+            );
+        }
+
+        let transactions = Transactions::encode_generalized(
+            &dataset.frame,
+            &result.catalog,
+            &result.hierarchies,
+            &outcomes,
+        );
+        let config = MiningConfig {
             min_support: 0.05,
-            algorithm,
-            ..HDivExplorerConfig::default()
-        })
-        .fit(&dataset.frame, &outcomes)
-        .report
-    })
-    .collect();
-    for r in &reports[1..] {
-        assert_eq!(r.records.len(), reports[0].records.len());
-        assert_eq!(r.max_divergence(), reports[0].max_divergence());
-        // Same ranked labels.
-        let a: Vec<&str> = r.records.iter().map(|x| x.label.as_str()).collect();
-        let b: Vec<&str> = reports[0]
-            .records
-            .iter()
-            .map(|x| x.label.as_str())
-            .collect();
-        assert_eq!(a, b);
+            ..MiningConfig::default()
+        };
+        let sorted = |r: MiningResult| {
+            let mut v: Vec<_> = r
+                .itemsets
+                .into_iter()
+                .map(|fi| (fi.itemset, fi.accum))
+                .collect();
+            v.sort_by(|a, b| a.0.cmp(&b.0));
+            v
+        };
+        let reference = sorted(mine(&transactions, &result.catalog, &config));
+        assert_eq!(
+            reference.len(),
+            result.report.records.len(),
+            "{}",
+            dataset.name
+        );
+        for (name, oracle) in [
+            ("apriori", apriori(&transactions, &result.catalog, &config)),
+            (
+                "fpgrowth",
+                fpgrowth(&transactions, &result.catalog, &config),
+            ),
+        ] {
+            assert!(sorted(oracle) == reference, "{}: {name}", dataset.name);
+        }
     }
 }
 

@@ -117,7 +117,7 @@ proptest! {
     ) {
         let a = accum(&xs);
         let b = accum(&ys);
-        let mut round_trip = a.clone();
+        let mut round_trip = a;
         round_trip.merge(&b);
         round_trip.unmerge(&b);
         let (rn, rv, rs, rq) = round_trip.raw_parts();
@@ -140,7 +140,7 @@ proptest! {
     ) {
         let a = accum(&xs);
         let b = accum(&ys);
-        let mut round_trip = a.clone();
+        let mut round_trip = a;
         round_trip.merge(&b);
         round_trip.unmerge(&b);
         let (rn, rv, rs, rq) = round_trip.raw_parts();

@@ -1,4 +1,5 @@
-//! Property-based tests of the mining substrate: the three miners agree on
+//! Property-based tests of the mining substrate: the production search (at
+//! every thread count) and the Apriori and FP-Growth oracles agree on
 //! arbitrary transaction databases, results match a brute-force oracle, and
 //! the classic frequent-itemset invariants hold.
 
@@ -10,7 +11,7 @@ use h_divexplorer::data::AttrId;
 use h_divexplorer::items::invariants as item_invariants;
 use h_divexplorer::items::{Interval, Item, ItemCatalog, ItemId, Itemset};
 use h_divexplorer::mining::invariants as mining_invariants;
-use h_divexplorer::mining::{mine, MiningAlgorithm, MiningConfig, Transactions};
+use h_divexplorer::mining::{apriori, fpgrowth, mine, MiningConfig, MiningResult, Transactions};
 use h_divexplorer::stats::Outcome;
 use proptest::prelude::*;
 
@@ -60,18 +61,7 @@ fn db_strategy() -> impl Strategy<Value = Db> {
     })
 }
 
-fn normalised(
-    db: &Db,
-    algorithm: MiningAlgorithm,
-    min_support: f64,
-) -> Vec<(Itemset, u64, u64, Option<f64>)> {
-    let config = MiningConfig {
-        min_support,
-        max_len: None,
-        algorithm,
-        threads: None,
-    };
-    let result = mine(&db.transactions, &db.catalog, &config);
+fn normalised(result: &MiningResult) -> Vec<(Itemset, u64, u64, Option<f64>)> {
     let mut v: Vec<(Itemset, u64, u64, Option<f64>)> = result
         .itemsets
         .iter()
@@ -86,6 +76,29 @@ fn normalised(
         .collect();
     v.sort_by(|a, b| a.0.cmp(&b.0));
     v
+}
+
+/// Every miner's result on `db`: the two oracles, then the search at 1 and
+/// 4 threads.
+fn all_miners(db: &Db, min_support: f64) -> [MiningResult; 4] {
+    let config = MiningConfig {
+        min_support,
+        ..MiningConfig::default()
+    };
+    let (t, catalog) = (&db.transactions, &db.catalog);
+    [
+        apriori(t, catalog, &config),
+        fpgrowth(t, catalog, &config),
+        mine(t, catalog, &config),
+        mine(
+            t,
+            catalog,
+            &MiningConfig {
+                threads: 4,
+                ..config
+            },
+        ),
+    ]
 }
 
 /// Equality up to floating-point summation order (FP-Growth merges node
@@ -133,17 +146,15 @@ fn brute_force(db: &Db, itemset: &Itemset) -> (u64, u64, f64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Apriori, FP-Growth and the vertical miner return identical itemsets
-    /// with identical accumulators.
+    /// Apriori, FP-Growth and the search at 1 and 4 threads return
+    /// identical itemsets with identical accumulators.
     #[test]
     fn miners_agree(db in db_strategy(), s in 0.02f64..0.6) {
-        let a = normalised(&db, MiningAlgorithm::Apriori, s);
-        let f = normalised(&db, MiningAlgorithm::FpGrowth, s);
-        let v = normalised(&db, MiningAlgorithm::Vertical, s);
-        let vp = normalised(&db, MiningAlgorithm::VerticalParallel, s);
-        assert_equivalent(&a, &v)?;
-        assert_equivalent(&f, &v)?;
-        assert_equivalent(&vp, &v)?;
+        let results = all_miners(&db, s);
+        let serial = normalised(&results[2]);
+        for result in &results {
+            assert_equivalent(&normalised(result), &serial)?;
+        }
     }
 
     /// Every mined itemset's count and statistic match a brute-force scan,
@@ -154,7 +165,7 @@ proptest! {
         let result = mine(
             &db.transactions,
             &db.catalog,
-            &MiningConfig { min_support: s, max_len: None, algorithm: MiningAlgorithm::Vertical, threads: None },
+            &MiningConfig { min_support: s, ..MiningConfig::default() },
         );
         let min_count = (s * db.transactions.n_rows() as f64).ceil().max(1.0) as u64;
         for fi in &result.itemsets {
@@ -177,10 +188,10 @@ proptest! {
     /// with support at least as large.
     #[test]
     fn support_is_anti_monotone(db in db_strategy(), s in 0.05f64..0.5) {
-        let result = mine(
+        let result = fpgrowth(
             &db.transactions,
             &db.catalog,
-            &MiningConfig { min_support: s, max_len: None, algorithm: MiningAlgorithm::FpGrowth, threads: None },
+            &MiningConfig { min_support: s, ..MiningConfig::default() },
         );
         let counts: HashMap<&Itemset, u64> = result
             .itemsets
@@ -206,7 +217,7 @@ proptest! {
         let result = mine(
             &db.transactions,
             &db.catalog,
-            &MiningConfig { min_support: s, max_len: None, algorithm: MiningAlgorithm::Vertical, threads: None },
+            &MiningConfig { min_support: s, ..MiningConfig::default() },
         );
         let min_count = (s * db.transactions.n_rows() as f64).ceil().max(1.0) as u64;
         for (item, acc) in db.transactions.item_stats() {
@@ -224,7 +235,7 @@ proptest! {
     /// the all-same-polarity itemsets (in particular every singleton).
     #[test]
     fn polarity_pruning_is_consistent(db in db_strategy(), s in 0.05f64..0.5) {
-        let config = MiningConfig { min_support: s, max_len: None, algorithm: MiningAlgorithm::Vertical, threads: None };
+        let config = MiningConfig { min_support: s, ..MiningConfig::default() };
         let full = mine(&db.transactions, &db.catalog, &config);
         let pruned = mine_with_polarity(&db.transactions, &db.catalog, &config);
         let full_set: std::collections::HashSet<&Itemset> =
@@ -251,17 +262,11 @@ proptest! {
     /// doubles as a meta-test of the checker on arbitrary databases.
     #[test]
     fn invariant_checker_accepts_miner_output(db in db_strategy(), s in 0.05f64..0.5) {
-        for algorithm in [
-            MiningAlgorithm::Apriori,
-            MiningAlgorithm::FpGrowth,
-            MiningAlgorithm::Vertical,
-            MiningAlgorithm::VerticalParallel,
-        ] {
-            let config = MiningConfig { min_support: s, max_len: None, algorithm, threads: None };
-            let result = mine(&db.transactions, &db.catalog, &config);
-            let min_count = config.min_count(db.transactions.n_rows());
-            let verdict = mining_invariants::validate_result(&result, &db.catalog, min_count);
-            prop_assert!(verdict.is_ok(), "{:?}: {}", algorithm, verdict.unwrap_err());
+        let min_count = MiningConfig { min_support: s, ..MiningConfig::default() }
+            .min_count(db.transactions.n_rows());
+        for (i, result) in all_miners(&db, s).iter().enumerate() {
+            let verdict = mining_invariants::validate_result(result, &db.catalog, min_count);
+            prop_assert!(verdict.is_ok(), "miner {}: {}", i, verdict.unwrap_err());
         }
     }
 
@@ -272,9 +277,7 @@ proptest! {
     fn invariant_checker_accepts_polarity_output(db in db_strategy(), s in 0.05f64..0.5) {
         let config = MiningConfig {
             min_support: s,
-            max_len: None,
-            algorithm: MiningAlgorithm::Vertical,
-            threads: None,
+            ..MiningConfig::default()
         };
         let pruned = mine_with_polarity(&db.transactions, &db.catalog, &config);
         let verdict = validate_sign_homogeneity(&pruned, &db.transactions);
