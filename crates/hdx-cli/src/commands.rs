@@ -4,7 +4,7 @@ use hdx_baselines::{
     CombinedTreeConfig, CombinedTreeExplorer, SliceFinder, SliceFinderConfig, SliceLine,
     SliceLineConfig,
 };
-use hdx_core::checkpoint::{codec, envelope, CheckpointStore};
+use hdx_core::checkpoint::{codec, read_sealed, write_sealed, CheckpointStore, MANIFEST_FILE};
 use hdx_core::{
     real_outcomes, report_to_json, CheckpointedRun, ExplorationMode, HDivExplorer,
     HDivExplorerConfig, HDivResult, OutcomeFn, RunBudget,
@@ -500,7 +500,6 @@ struct Manifest {
     checkpoint_every: u64,
 }
 
-const MANIFEST_FILE: &str = "manifest.hdx";
 const MANIFEST_VERSION: u8 = 1;
 
 fn write_manifest(dir: &str, opts: &ExploreOpts) -> Result<(), CliError> {
@@ -524,19 +523,16 @@ fn write_manifest(dir: &str, opts: &ExploreOpts) -> Result<(), CliError> {
     w.put_opt_f64(opts.fd_tolerance);
     w.put_u64(opts.checkpoint_every);
     let path = std::path::Path::new(dir).join(MANIFEST_FILE);
-    std::fs::write(&path, envelope::seal(&w.into_bytes()))
+    write_sealed(&path, &w.into_bytes())
         .map_err(|e| CliError(format!("cannot write `{}`: {e}", path.display())))
 }
 
 fn load_manifest(dir: &str) -> Result<Manifest, CliError> {
     let path = std::path::Path::new(dir).join(MANIFEST_FILE);
-    let bytes = std::fs::read(&path)
-        .map_err(|e| CliError(format!("cannot read `{}`: {e}", path.display())))?;
-    let payload =
-        envelope::open(&bytes).map_err(|e| CliError(format!("`{}`: {e}", path.display())))?;
-    let mut r = codec::ByteReader::new(&payload);
     let err =
         |e: hdx_core::checkpoint::CheckpointError| CliError(format!("`{}`: {e}", path.display()));
+    let payload = read_sealed(&path).map_err(err)?;
+    let mut r = codec::ByteReader::new(&payload);
     let version = r.u8().map_err(err)?;
     if version != MANIFEST_VERSION {
         return Err(CliError(format!(
@@ -1256,6 +1252,14 @@ mod tests {
         std::fs::write(&path, "{\"schema\": \"bogus\"}").unwrap();
         assert!(run_args(&["validate-telemetry", &path]).is_err());
         assert!(run_args(&["validate-telemetry", "/nonexistent.json"]).is_err());
+    }
+
+    #[test]
+    fn validate_telemetry_rejects_deep_nesting_without_overflowing() {
+        let path = tmp("deep.json");
+        std::fs::write(&path, "[".repeat(1_000_000)).unwrap();
+        let err = run_args(&["validate-telemetry", &path]).unwrap_err();
+        assert!(err.0.contains("nesting"), "{err}");
     }
 
     #[test]

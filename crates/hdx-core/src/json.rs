@@ -2,35 +2,18 @@
 //! hierarchies — for dashboards and downstream tooling.
 //!
 //! Hand-rolled writer (the reproduction mandate keeps dependencies minimal);
-//! emits standards-compliant JSON with proper string escaping and
-//! `null` for undefined statistics.
+//! emits standards-compliant JSON, escaping strings with the workspace's
+//! shared codec ([`hdx_obs::json::escape`]) and writing `null` for undefined
+//! statistics.
 
 use std::fmt::Write as _;
 
 use hdx_discretize::DiscretizationTree;
 use hdx_items::ItemCatalog;
+use hdx_obs::json::escape;
 
 use crate::hdivexplorer::HDivResult;
 use crate::report::DivergenceReport;
-
-/// Escapes a string per RFC 8259.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Formats an `f64` as a JSON number (`null` for non-finite values).
 fn number(x: f64) -> String {
@@ -154,36 +137,6 @@ mod tests {
     use crate::outcome_fn::OutcomeFn;
     use hdx_data::{DataFrameBuilder, Value};
 
-    /// Minimal structural JSON validator: balanced braces/brackets outside
-    /// strings, proper string termination. Catches the classes of bugs a
-    /// hand-rolled writer can introduce.
-    fn check_json(s: &str) {
-        let mut depth: Vec<char> = Vec::new();
-        let mut chars = s.chars().peekable();
-        let mut in_string = false;
-        while let Some(c) = chars.next() {
-            if in_string {
-                match c {
-                    '\\' => {
-                        chars.next();
-                    }
-                    '"' => in_string = false,
-                    _ => {}
-                }
-                continue;
-            }
-            match c {
-                '"' => in_string = true,
-                '{' => depth.push('}'),
-                '[' => depth.push(']'),
-                '}' | ']' => assert_eq!(depth.pop(), Some(c), "mismatched close in {s}"),
-                _ => {}
-            }
-        }
-        assert!(!in_string, "unterminated string");
-        assert!(depth.is_empty(), "unbalanced nesting");
-    }
-
     fn fixture() -> crate::hdivexplorer::HDivResult {
         let mut b = DataFrameBuilder::new();
         b.add_continuous("x").unwrap();
@@ -212,7 +165,7 @@ mod tests {
     fn report_json_is_well_formed() {
         let result = fixture();
         let json = report_to_json(&result.report, &result.catalog);
-        check_json(&json);
+        hdx_obs::json::parse(&json).expect("valid JSON");
         assert!(json.contains("\"subgroups\":["));
         assert!(json.contains("\"divergence\":"));
         assert!(json.contains("\"termination\":\"complete\""));
@@ -225,7 +178,7 @@ mod tests {
     fn tree_json_nests_children() {
         let result = fixture();
         let json = tree_to_json(&result.trees[0], &result.catalog);
-        check_json(&json);
+        hdx_obs::json::parse(&json).expect("valid JSON");
         assert!(json.starts_with("{\"item\":\"root\""));
         assert!(json.contains("\"children\":[{"));
     }
@@ -234,17 +187,9 @@ mod tests {
     fn full_result_json() {
         let result = fixture();
         let json = result_to_json(&result);
-        check_json(&json);
+        hdx_obs::json::parse(&json).expect("valid JSON");
         assert!(json.contains("\"report\":{"));
         assert!(json.contains("\"trees\":[{\"attr\":0"));
-    }
-
-    #[test]
-    fn escaping_covers_control_characters() {
-        assert_eq!(escape("a\"b"), "a\\\"b");
-        assert_eq!(escape("a\\b"), "a\\\\b");
-        assert_eq!(escape("a\nb"), "a\\nb");
-        assert_eq!(escape("a\u{1}b"), "a\\u0001b");
     }
 
     #[test]

@@ -477,22 +477,6 @@ fn apply_allowlist(
     (reported, allowed)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the machine-readable JSON report (hand-rolled: the linter is
 /// deliberately dependency-free so it builds before the workspace does).
 pub(crate) fn render_report(
@@ -513,10 +497,10 @@ pub(crate) fn render_report(
         }
         out.push_str(&format!(
             "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-            json_escape(v.rule),
-            json_escape(&v.file),
+            sarif::escape(v.rule),
+            sarif::escape(&v.file),
             v.line,
-            json_escape(&v.message)
+            sarif::escape(&v.message)
         ));
     }
     if !reported.is_empty() {

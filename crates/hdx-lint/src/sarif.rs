@@ -6,10 +6,12 @@
 //! are emitted: one run, the tool driver with its rule table, and one
 //! result per violation with a physical location.
 //!
-//! The module also carries a tiny JSON reader ([`parse`]) used by the
-//! self-test to round-trip the SARIF output and check it agrees 1:1 with
-//! the JSON report — hand-rolled, like everything in this crate, because
-//! the linter must build with zero dependencies.
+//! The module also carries the crate's JSON string escaper ([`escape`],
+//! shared with the `--format json` report) and a tiny JSON reader
+//! ([`parse`]) used by the self-test to round-trip the SARIF output and
+//! check it agrees 1:1 with the JSON report — hand-rolled, like everything
+//! in this crate, because the linter must build with zero dependencies
+//! (the workspace's shared codec lives in `hdx-obs`, which it cannot use).
 
 use crate::rules::{Violation, RULES};
 
@@ -68,13 +70,16 @@ pub fn render(violations: &[Violation]) -> String {
     s
 }
 
-fn escape(s: &str) -> String {
+/// Escapes `s` as the contents of a JSON string literal, for both the SARIF
+/// log and the `--format json` report.
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),

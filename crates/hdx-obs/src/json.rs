@@ -1,8 +1,17 @@
-//! Dependency-free JSON for the telemetry artifact: a string-escaping
-//! writer helper (mirroring `hdx_core::json`) and a minimal recursive-descent
-//! parser, needed because [`crate::RunTelemetry`] round-trips
-//! (serialize → deserialize → equal) for schema-stability tests and the CI
-//! `validate-telemetry` gate.
+//! The workspace's one dependency-free JSON codec: [`escape`] for every
+//! writer (the telemetry artifact, hdx-core's report export, hdx-serve's
+//! responses and event journal) and [`parse`] for every reader (telemetry
+//! round trips and the CI `validate-telemetry` gate, hdx-serve's job
+//! submissions through its flat-object rule, the tests). Only hdx-lint keeps
+//! a reader of its own, because it must build while the rest of the
+//! workspace is broken (DESIGN.md §8.1).
+//!
+//! The parser takes untrusted request bodies, so it is linear-time (string
+//! contents are copied a run at a time, up to the next quote or escape) and
+//! depth-capped: nesting deeper than 128 arrays and objects is an error, not
+//! a recursion that could overflow the stack. It is strict where strictness
+//! costs nothing: an escaped surrogate pair decodes to one scalar and a lone
+//! surrogate is an error, and a number must start with `-` or a digit.
 //!
 //! Numbers are kept as their raw source text ([`Json::Num`]) so integer
 //! telemetry values survive the round trip exactly, without float
@@ -40,6 +49,23 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(raw) => raw.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The value as `f64`, when it is a number with a finite `f64` value
+    /// (`1e999` overflows to infinity and yields `None`).
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(raw) => raw.parse().ok().filter(|x: &f64| x.is_finite()),
+            _ => None,
+        }
+    }
+
+    /// The value as `bool`, when it is `true` or `false`.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -88,175 +114,228 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Parses a complete JSON document (trailing whitespace allowed).
+/// The deepest array/object nesting [`parse`] accepts. Every document the
+/// workspace writes or reads is single-digit deep; the cap keeps a body of
+/// a million `[` an error instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document (surrounding whitespace allowed).
+///
+/// # Errors
+/// A message naming the first problem and its byte offset, including
+/// nesting deeper than 128 arrays and objects.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at byte {pos}"));
+    let mut p = Parser {
+        text: input,
+        bytes: input.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
+    let value = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(format!("trailing content at byte {}", p.pos));
     }
     Ok(value)
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+struct Parser<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    /// Open arrays and objects around `pos`.
+    depth: usize,
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {}", c as char, *pos))
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
-}
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
     }
-}
 
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    literal: &str,
-    value: Json,
-) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {}", *pos))
+    fn require(&mut self, c: u8) -> Result<(), String> {
+        if self.peek() == Some(c) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected `{}` at byte {}", c as char, self.pos))
+        }
     }
-}
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        match self.peek() {
+            None => Err("unexpected end of input".to_string()),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(_) => Err(format!("unexpected character at byte {}", self.pos)),
+        }
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    let raw = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| format!("invalid utf-8 in number at byte {start}"))?;
-    // Validate by parsing as f64; keep the raw text for exactness.
-    raw.parse::<f64>()
-        .map_err(|_| format!("invalid number `{raw}` at byte {start}"))?;
-    Ok(Json::Num(raw.to_string()))
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
+    /// Runs `container` one nesting level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
+    }
+
+    fn literal(&mut self, literal: &str, value: Json) -> Result<Json, String> {
+        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
+            self.pos += literal.len();
+            Ok(value)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            self.pos += 1;
+        }
+        // Only ASCII was consumed, so both ends are char boundaries.
+        let raw = &self.text[start..self.pos];
+        // Validate by parsing as f64; keep the raw text for exactness.
+        raw.parse::<f64>()
+            .map_err(|_| format!("invalid number `{raw}` at byte {start}"))?;
+        Ok(Json::Num(raw.to_string()))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.require(b'"')?;
+        let mut out = String::new();
+        loop {
+            // Copy the run up to the next quote or backslash in one step.
+            // Both are ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
                 return Ok(out);
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {}", *pos))?;
-                        // Surrogate pairs are not produced by our writer;
-                        // map lone surrogates to the replacement character.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
+            let escape = self.peek().ok_or("unterminated string")?;
+            self.pos += 1;
+            match escape {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => out.push(self.unicode_escape()?),
+                _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
+            }
+        }
+    }
+
+    /// The scalar of a `\u` escape whose `\u` was just consumed: one BMP
+    /// code unit, or a high surrogate followed by an escaped low surrogate.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        let unit = self.hex4()?;
+        let code = match unit {
+            0xd800..=0xdbff => {
+                if !self.bytes[self.pos..].starts_with(b"\\u") {
+                    return Err(format!("lone high surrogate at byte {at}"));
                 }
-                *pos += 1;
+                self.pos += 2;
+                let low = self.hex4()?;
+                if !(0xdc00..=0xdfff).contains(&low) {
+                    return Err(format!("invalid low surrogate at byte {at}"));
+                }
+                0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00)
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass through).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid utf-8 at byte {}", *pos))?;
-                let Some(c) = rest.chars().next() else {
-                    return Err("unterminated string".to_string());
-                };
-                out.push(c);
-                *pos += c.len_utf8();
+            0xdc00..=0xdfff => return Err(format!("lone low surrogate at byte {at}")),
+            unit => unit,
+        };
+        char::from_u32(code).ok_or_else(|| format!("bad \\u escape at byte {at}"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let mut code = 0;
+        for _ in 0..4 {
+            let digit = self
+                .peek()
+                .and_then(|b| (b as char).to_digit(16))
+                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+            code = code * 16 + digit;
+            self.pos += 1;
+        }
+        Ok(code)
+    }
+
+    fn array(&mut self) -> Result<Json, String> {
+        self.require(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
             }
         }
     }
-}
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {}", *pos)),
+    fn object(&mut self) -> Result<Json, String> {
+        self.require(b'{')?;
+        let mut members = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(members));
         }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
-    let mut members = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        members.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(members));
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.require(b':')?;
+            let value = self.value()?;
+            members.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(members));
+                }
+                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
             }
-            _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
         }
     }
 }
@@ -264,6 +343,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars() {
@@ -294,24 +374,94 @@ mod tests {
     }
 
     #[test]
+    fn typed_accessors_reject_other_kinds() {
+        assert_eq!(parse("0.1").unwrap().as_f64(), Some(0.1));
+        assert_eq!(parse("-3").unwrap().as_f64(), Some(-3.0));
+        assert_eq!(parse("1e999").unwrap().as_f64(), None, "not finite");
+        assert_eq!(parse("\"1\"").unwrap().as_f64(), None);
+        assert_eq!(parse("true").unwrap().as_bool(), Some(true));
+        assert_eq!(parse("null").unwrap().as_bool(), None);
+        assert_eq!(parse("1.5").unwrap().as_u64(), None);
+    }
+
+    #[test]
     fn rejects_malformed_documents() {
         for bad in [
             "",
             "{",
             "[1,",
             "{\"a\" 1}",
+            "{\"a\":1,}",
+            "[1,]",
             "tru",
+            "{\"a\":nul}",
             "1 2",
+            "{\"a\":1} extra",
             "\"\\q\"",
+            "\"\\u12g4\"",
+            "\"\\u+123\"",
+            "\"open",
             "{1:2}",
+            "+1",
+            ".5",
+            "1e",
+            "-",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+        assert!(parse("1 2").unwrap_err().contains("trailing"));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_fail() {
+        assert_eq!(
+            parse(r#""q\"\\\n\t\u00e9\ud83d\ude00""#).unwrap(),
+            Json::Str("q\"\\\n\té😀".into())
+        );
+        assert_eq!(
+            parse(r#""\uD83D\uDE00""#).unwrap(),
+            Json::Str("\u{1F600}".into())
+        );
+        for bad in [
+            r#""\ud800x""#,
+            r#""\ud800""#,
+            r#""\ud800\u0041""#,
+            r#""\ude00""#,
+            r#""\ud83d\ud83d""#,
+        ] {
+            assert!(parse(bad).unwrap_err().contains("surrogate"), "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&deep).unwrap_err().contains("nesting"));
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).unwrap_err().contains("nesting"));
+        // A quarter of hdx-serve's default body cap: an error, not an abort.
+        assert!(parse(&"[".repeat(1 << 20)).unwrap_err().contains("nesting"));
+    }
+
+    #[test]
+    fn a_4_mib_string_parses_in_linear_time() {
+        // 4 MiB of CSV text with an escaped newline every fifth byte.
+        let value = "a,b\\n1,2\\n".repeat((4 << 20) / 10);
+        let doc = format!("{{\"csv\":\"{value}\"}}");
+        let start = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        let csv = parsed.get("csv").and_then(Json::as_str).unwrap();
+        assert_eq!(csv.len(), value.len() - value.matches("\\n").count());
+        assert!(elapsed.as_secs() < 5, "4 MiB string took {elapsed:?}");
     }
 
     #[test]
     fn escape_handles_specials_and_controls() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\r"), "\\r");
         assert_eq!(escape("\u{1}"), "\\u0001");
         // And the parser inverts it.
         let original = "quote\" back\\ nl\n tab\t ctl\u{2} done";
@@ -325,5 +475,57 @@ mod tests {
         let obj = v.as_obj().unwrap();
         assert_eq!(obj[0].0, "z");
         assert_eq!(obj[1].0, "a");
+    }
+
+    /// Characters weighted toward the ones the codec treats specially.
+    fn any_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            Just('"'),
+            Just('\\'),
+            Just('/'),
+            (0u32..0x20).prop_map(|c| char::from_u32(c).unwrap()),
+            (0x20u32..0x80).prop_map(|c| char::from_u32(c).unwrap()),
+            (0x80u32..0xd800).prop_map(|c| char::from_u32(c).unwrap()),
+            (0xe000u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap()),
+        ]
+    }
+
+    /// Fragments that steer random input toward the parser's edge cases.
+    fn fragment() -> impl Strategy<Value = String> {
+        prop_oneof![
+            any_char().prop_map(String::from),
+            prop_oneof![
+                Just("{"),
+                Just("}"),
+                Just("["),
+                Just("]"),
+                Just(":"),
+                Just(","),
+                Just("\""),
+                Just("\\u"),
+                Just("\\ud83d"),
+                Just("\\ude00"),
+                Just("d800"),
+                Just("-1.5e3"),
+                Just("null"),
+                Just("tru"),
+                Just(" "),
+            ]
+            .prop_map(String::from),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn escape_then_parse_is_the_identity(chars in proptest::collection::vec(any_char(), 0..48)) {
+            let s: String = chars.into_iter().collect();
+            prop_assert_eq!(parse(&format!("\"{}\"", escape(&s))), Ok(Json::Str(s)));
+        }
+
+        #[test]
+        fn arbitrary_input_never_panics(parts in proptest::collection::vec(fragment(), 0..64)) {
+            let input: String = parts.concat();
+            let _ = parse(&input);
+        }
     }
 }

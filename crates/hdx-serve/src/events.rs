@@ -18,7 +18,7 @@
 //! only the *recording* of events is gated behind `obs` (see
 //! [`crate::live`]).
 
-use crate::json::{self, JsonValue};
+use hdx_obs::json::{self, Json};
 use hdx_obs::SnapshotSample;
 
 /// One job lifecycle or progress event. Fields carry the exact strings the
@@ -152,17 +152,17 @@ pub fn encode_line(seq: u64, event: &JobEvent) -> String {
 /// reader is not the place to crash a status request).
 pub fn last_level_sample(ndjson: &str) -> Option<SnapshotSample> {
     ndjson.lines().rev().find_map(|line| {
-        let map = json::parse_object(line).ok()?;
-        if map.get("event")?.as_str()? != "level" {
+        let event = json::parse(line).ok()?;
+        if event.get("event")?.as_str()? != "level" {
             return None;
         }
-        let num = |key: &str| map.get(key).and_then(JsonValue::as_num).map(|n| n as u64);
+        let num = |key: &str| event.get(key).and_then(Json::as_u64);
         Some(SnapshotSample {
             level: num("level")?,
             elapsed_ns: num("elapsed_ns")?,
-            deadline_remaining_ns: match map.get("deadline_remaining_ns") {
-                None | Some(JsonValue::Null) => None,
-                Some(v) => Some(v.as_num()? as u64),
+            deadline_remaining_ns: match event.get("deadline_remaining_ns") {
+                None | Some(Json::Null) => None,
+                Some(v) => Some(v.as_u64()?),
             },
             itemsets: num("itemsets")?,
             candidate_bytes: num("candidate_bytes")?,
@@ -224,12 +224,8 @@ mod tests {
             let line = encode_line(seq as u64, event);
             assert!(line.ends_with('\n'), "{line:?}");
             assert_eq!(line.matches('\n').count(), 1, "one line per event");
-            let map = json::parse_object(&line).expect("flat JSON");
-            assert_eq!(
-                map["seq"].as_num().map(|n| n as u64),
-                Some(seq as u64),
-                "{line:?}"
-            );
+            let map = crate::json::parse_object(&line).expect("flat JSON");
+            assert_eq!(map["seq"].as_u64(), Some(seq as u64), "{line:?}");
             assert!(map.contains_key("event"));
         }
     }

@@ -153,7 +153,7 @@ pub fn respond_json(stream: &mut TcpStream, status: u16, reason: &str, body: &st
 
 /// Writes a JSON error object: `{"error":"..."}`.
 pub fn respond_error(stream: &mut TcpStream, status: u16, reason: &str, message: &str) {
-    let body = format!("{{\"error\":\"{}\"}}", crate::json::escape(message));
+    let body = format!("{{\"error\":\"{}\"}}", hdx_obs::json::escape(message));
     respond_json(stream, status, reason, &body);
 }
 

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use hdx_checkpoint::codec::{ByteReader, ByteWriter};
 use hdx_checkpoint::CheckpointError;
 
-use crate::json::JsonValue;
+use hdx_obs::json::Json;
 
 /// Manifest codec version (bump on layout change).
 const SPEC_VERSION: u8 = 2;
@@ -226,12 +226,12 @@ impl JobSpec {
 
 /// Pulls a required/defaulted field out of a submission object.
 fn str_field(
-    map: &BTreeMap<String, JsonValue>,
+    map: &BTreeMap<String, Json>,
     key: &str,
     default: Option<&str>,
 ) -> Result<Option<String>, String> {
     match map.get(key) {
-        None | Some(JsonValue::Null) => Ok(default.map(str::to_string)),
+        None | Some(Json::Null) => Ok(default.map(str::to_string)),
         Some(v) => Ok(Some(
             v.as_str()
                 .ok_or_else(|| format!("`{key}` must be a string"))?
@@ -240,30 +240,26 @@ fn str_field(
     }
 }
 
-fn num_field(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<Option<f64>, String> {
+fn num_field(map: &BTreeMap<String, Json>, key: &str) -> Result<Option<f64>, String> {
     match map.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
+        None | Some(Json::Null) => Ok(None),
         Some(v) => Ok(Some(
-            v.as_num()
+            v.as_f64()
                 .ok_or_else(|| format!("`{key}` must be a number"))?,
         )),
     }
 }
 
-fn bool_field(map: &BTreeMap<String, JsonValue>, key: &str, default: bool) -> Result<bool, String> {
+fn bool_field(map: &BTreeMap<String, Json>, key: &str, default: bool) -> Result<bool, String> {
     match map.get(key) {
-        None | Some(JsonValue::Null) => Ok(default),
+        None | Some(Json::Null) => Ok(default),
         Some(v) => v
             .as_bool()
             .ok_or_else(|| format!("`{key}` must be a boolean")),
     }
 }
 
-fn uint_field(
-    map: &BTreeMap<String, JsonValue>,
-    key: &str,
-    max: u64,
-) -> Result<Option<u64>, String> {
+fn uint_field(map: &BTreeMap<String, Json>, key: &str, max: u64) -> Result<Option<u64>, String> {
     match num_field(map, key)? {
         None => Ok(None),
         Some(n) => {
@@ -282,7 +278,7 @@ fn uint_field(
 ///
 /// # Errors
 /// Returns a client-facing message (the service answers 400 with it).
-pub fn parse_submission(map: &BTreeMap<String, JsonValue>) -> Result<(JobSpec, String), String> {
+pub fn parse_submission(map: &BTreeMap<String, Json>) -> Result<(JobSpec, String), String> {
     const KNOWN: [&str; 16] = [
         "tenant",
         "csv",
@@ -419,7 +415,7 @@ mod tests {
     use super::*;
     use crate::json::parse_object;
 
-    fn submission(extra: &str) -> BTreeMap<String, JsonValue> {
+    fn submission(extra: &str) -> BTreeMap<String, Json> {
         parse_object(&format!(
             r#"{{"csv":"class,pred,a\n1,0,x\n0,0,y\n"{}{extra}}}"#,
             if extra.is_empty() { "" } else { "," }

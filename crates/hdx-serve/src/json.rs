@@ -1,261 +1,56 @@
-//! Minimal JSON support for the service wire format.
+//! The job wire format over the workspace's one JSON codec
+//! ([`hdx_obs::json`]).
 //!
-//! The workspace builds offline with no third-party crates, so the service
-//! parses its own request bodies. Job submissions are deliberately *flat*
-//! JSON objects (string / number / boolean / null values only); nested
+//! Responses are written with [`escape`], the escaper every JSON writer in
+//! the workspace shares. Submissions are read by [`parse_object`]: the
+//! shared parser (linear-time and depth-capped, so a hostile body is a 400,
+//! never a stack overflow) plus the wire format's *flat-object* rule. A job
+//! object holds only strings, numbers, booleans and `null`; nested
 //! containers are rejected with a clear error rather than half-supported.
-//! Responses are emitted with the same hand-rolled escaping the rest of the
-//! workspace uses (`hdx-core`'s report JSON).
 
 use std::collections::BTreeMap;
 
-/// One scalar value in a submitted job object.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// A JSON string (fully unescaped, including surrogate pairs).
-    Str(String),
-    /// A JSON number.
-    Num(f64),
-    /// A JSON boolean.
-    Bool(bool),
-    /// JSON `null`.
-    Null,
-}
+pub use hdx_obs::json::escape;
+use hdx_obs::json::Json;
 
-impl JsonValue {
-    /// The value as a string, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a finite number, if it is one.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a boolean, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Parses a flat JSON object into a key → scalar map.
+/// Parses a submission body into a key → value map under the flat-object
+/// rule: the top level is an object, no member is an array or object, and
+/// every number is finite. Duplicate keys are last-wins.
 ///
-/// Supported value types: string (with full escape handling), number,
-/// `true`/`false`, `null`. Nested objects and arrays are rejected —
-/// the job wire format has no use for them and silently mis-parsing a
-/// config is worse than a 400.
+/// Silently mis-parsing a config is worse than a 400, so anything else is
+/// an error.
 ///
 /// # Errors
-/// Returns a human-readable message describing the first syntax problem.
-pub fn parse_object(text: &str) -> Result<BTreeMap<String, JsonValue>, String> {
-    let mut p = Parser {
-        chars: text.char_indices().peekable(),
-        text,
+/// Returns a human-readable message describing the first problem.
+pub fn parse_object(text: &str) -> Result<BTreeMap<String, Json>, String> {
+    let Json::Obj(members) = hdx_obs::json::parse(text)? else {
+        return Err("a job submission must be a JSON object".to_string());
     };
-    p.skip_ws();
-    p.require('{')?;
     let mut map = BTreeMap::new();
-    p.skip_ws();
-    if p.eat('}') {
-        p.skip_ws();
-        return p.finish(map);
-    }
-    loop {
-        p.skip_ws();
-        let key = p.string()?;
-        p.skip_ws();
-        p.require(':')?;
-        p.skip_ws();
-        let value = p.value()?;
+    for (key, value) in members {
+        match &value {
+            Json::Arr(_) | Json::Obj(_) => {
+                return Err(format!(
+                    "`{key}`: nested objects/arrays are not part of the job wire format"
+                ))
+            }
+            Json::Num(raw) if value.as_f64().is_none() => {
+                return Err(format!("`{key}`: non-finite number `{raw}`"))
+            }
+            _ => {}
+        }
         map.insert(key, value);
-        p.skip_ws();
-        if p.eat(',') {
-            continue;
-        }
-        p.require('}')?;
-        p.skip_ws();
-        return p.finish(map);
     }
-}
-
-struct Parser<'a> {
-    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
-    text: &'a str,
-}
-
-impl Parser<'_> {
-    fn finish(
-        mut self,
-        map: BTreeMap<String, JsonValue>,
-    ) -> Result<BTreeMap<String, JsonValue>, String> {
-        match self.chars.next() {
-            None => Ok(map),
-            Some((i, c)) => Err(format!("trailing content `{c}` at byte {i}")),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.chars.peek(), Some((_, ' ' | '\t' | '\n' | '\r'))) {
-            self.chars.next();
-        }
-    }
-
-    fn eat(&mut self, want: char) -> bool {
-        if matches!(self.chars.peek(), Some((_, c)) if *c == want) {
-            self.chars.next();
-            return true;
-        }
-        false
-    }
-
-    fn require(&mut self, want: char) -> Result<(), String> {
-        match self.chars.next() {
-            Some((_, c)) if c == want => Ok(()),
-            Some((i, c)) => Err(format!("expected `{want}` at byte {i}, found `{c}`")),
-            None => Err(format!("expected `{want}`, found end of input")),
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.chars.peek() {
-            Some((_, '"')) => Ok(JsonValue::Str(self.string()?)),
-            Some((_, 't')) => self.keyword("true", JsonValue::Bool(true)),
-            Some((_, 'f')) => self.keyword("false", JsonValue::Bool(false)),
-            Some((_, 'n')) => self.keyword("null", JsonValue::Null),
-            Some((_, '{' | '[')) => {
-                Err("nested objects/arrays are not part of the job wire format".to_string())
-            }
-            Some((_, c)) if *c == '-' || c.is_ascii_digit() => self.number(),
-            Some((i, c)) => Err(format!("unexpected `{c}` at byte {i}")),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        for want in word.chars() {
-            match self.chars.next() {
-                Some((_, c)) if c == want => {}
-                _ => return Err(format!("malformed literal (expected `{word}`)")),
-            }
-        }
-        Ok(value)
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = match self.chars.peek() {
-            Some((i, _)) => *i,
-            None => return Err("unexpected end of input".to_string()),
-        };
-        let mut end = start;
-        while let Some((i, c)) = self.chars.peek() {
-            if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                end = i + c.len_utf8();
-                self.chars.next();
-            } else {
-                break;
-            }
-        }
-        let lexeme = &self.text[start..end];
-        let n: f64 = lexeme
-            .parse()
-            .map_err(|_| format!("malformed number `{lexeme}`"))?;
-        if !n.is_finite() {
-            return Err(format!("non-finite number `{lexeme}`"));
-        }
-        Ok(JsonValue::Num(n))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.require('"')?;
-        let mut out = String::new();
-        loop {
-            match self.chars.next() {
-                None => return Err("unterminated string".to_string()),
-                Some((_, '"')) => return Ok(out),
-                Some((_, '\\')) => match self.chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, '/')) => out.push('/'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 'b')) => out.push('\u{0008}'),
-                    Some((_, 'f')) => out.push('\u{000c}'),
-                    Some((_, 'u')) => {
-                        let unit = self.hex4()?;
-                        let c = if (0xd800..0xdc00).contains(&unit) {
-                            // High surrogate: a `\uXXXX` low surrogate must
-                            // follow to form one code point.
-                            if !(self.eat('\\') && self.eat('u')) {
-                                return Err("lone high surrogate in string".to_string());
-                            }
-                            let low = self.hex4()?;
-                            if !(0xdc00..0xe000).contains(&low) {
-                                return Err("invalid low surrogate in string".to_string());
-                            }
-                            let cp = 0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00);
-                            char::from_u32(cp)
-                        } else {
-                            char::from_u32(unit)
-                        };
-                        match c {
-                            Some(c) => out.push(c),
-                            None => return Err("invalid \\u escape in string".to_string()),
-                        }
-                    }
-                    Some((i, c)) => return Err(format!("bad escape `\\{c}` at byte {i}")),
-                    None => return Err("unterminated escape".to_string()),
-                },
-                Some((_, c)) => out.push(c),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let d = match self.chars.next() {
-                Some((_, c)) => c
-                    .to_digit(16)
-                    .ok_or_else(|| format!("bad hex digit `{c}` in \\u escape"))?,
-                None => return Err("truncated \\u escape".to_string()),
-            };
-            v = v * 16 + d;
-        }
-        Ok(v)
-    }
+    Ok(map)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn num(raw: &str) -> Json {
+        Json::Num(raw.into())
+    }
 
     #[test]
     fn parses_a_flat_job_object() {
@@ -264,47 +59,34 @@ mod tests {
                 "csv":"a,b\n1,2\n"}"#,
         )
         .expect("valid object");
-        assert_eq!(map["tenant"], JsonValue::Str("acme".into()));
-        assert_eq!(map["support"], JsonValue::Num(0.1));
-        assert_eq!(map["entropy"], JsonValue::Bool(true));
-        assert_eq!(map["max_len"], JsonValue::Null);
-        assert_eq!(map["csv"], JsonValue::Str("a,b\n1,2\n".into()));
+        assert_eq!(map["tenant"], Json::Str("acme".into()));
+        assert_eq!(map["support"], num("0.1"));
+        assert_eq!(map["entropy"], Json::Bool(true));
+        assert_eq!(map["max_len"], Json::Null);
+        assert_eq!(map["csv"], Json::Str("a,b\n1,2\n".into()));
     }
 
     #[test]
-    fn unescapes_strings_including_surrogate_pairs() {
-        let map = parse_object(r#"{"s":"q\"\\\n\t\u00e9\ud83d\ude00"}"#).expect("valid");
-        assert_eq!(map["s"], JsonValue::Str("q\"\\\n\té😀".into()));
-    }
-
-    #[test]
-    fn rejects_nested_containers_and_syntax_errors() {
+    fn enforces_the_flat_object_rule() {
         assert!(parse_object(r#"{"a":{"b":1}}"#)
             .unwrap_err()
             .contains("nested"));
         assert!(parse_object(r#"{"a":[1]}"#).unwrap_err().contains("nested"));
-        assert!(parse_object(r#"{"a":1,}"#).is_err());
-        assert!(parse_object(r#"{"a" 1}"#).is_err());
-        assert!(parse_object(r#"{"a":1} extra"#)
-            .unwrap_err()
-            .contains("trailing"));
-        assert!(parse_object(r#"{"a":nul}"#).is_err());
         assert!(parse_object(r#"{"a":1e999}"#)
             .unwrap_err()
             .contains("non-finite"));
-        assert!(parse_object(r#"{"a":"\ud800x"}"#).is_err());
+        assert!(parse_object(r#"[{"a":1}]"#).unwrap_err().contains("object"));
+        assert!(parse_object(r#""a""#).unwrap_err().contains("object"));
+    }
+
+    #[test]
+    fn duplicate_keys_are_last_wins() {
+        let map = parse_object(r#"{"a":1,"a":"two"}"#).expect("valid");
+        assert_eq!(map["a"], Json::Str("two".into()));
     }
 
     #[test]
     fn empty_object_and_whitespace_are_fine() {
         assert!(parse_object("  { }  ").expect("valid").is_empty());
-    }
-
-    #[test]
-    fn escape_round_trips_through_parse() {
-        let original = "line1\nline2\t\"quoted\" \\slash\u{0001}";
-        let doc = format!("{{\"v\":\"{}\"}}", escape(original));
-        let map = parse_object(&doc).expect("escaped doc parses");
-        assert_eq!(map["v"], JsonValue::Str(original.to_string()));
     }
 }

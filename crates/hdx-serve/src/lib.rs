@@ -66,7 +66,7 @@ pub mod http;
 pub mod job;
 /// The durable per-job event journal (`events.ndjson`, atomic appends).
 pub mod journal;
-/// A flat JSON parser/escaper for the submission wire format.
+/// The submission wire format: the flat-object rule over `hdx_obs::json`.
 pub mod json;
 /// The live plane: job channels, the snapshot tap, the flight recorder.
 pub mod live;

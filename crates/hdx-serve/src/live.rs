@@ -60,7 +60,7 @@ pub enum EventsSource {
 fn write_flight(job_dir: &std::path::Path, reason: &str, lines: &[String]) {
     let mut out = format!(
         "{{\"flight_reason\":\"{}\",\"lines\":{}}}\n",
-        crate::json::escape(reason),
+        hdx_obs::json::escape(reason),
         lines.len()
     );
     for line in lines {

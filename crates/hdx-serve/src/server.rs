@@ -31,11 +31,11 @@ use hdx_obs::{counter_add, flush_thread, gauge_max, job_span, RunTelemetry};
 use crate::events::JobEvent;
 use crate::http::{read_request, respond, respond_error, respond_json, HttpError, Request};
 use crate::job::{parse_submission, DoneRecord, JobSpec};
-use crate::json::escape;
 use crate::live::{EventsSource, LivePlane};
 use crate::queue::{AdmissionQueue, Shed};
 use crate::runner::{self, JobRunOutcome};
 use crate::DATA_FILE;
+use hdx_obs::json::escape;
 
 /// How long a worker parks on an empty queue before re-checking drain state.
 const POP_WAIT: Duration = Duration::from_millis(100);

@@ -4,55 +4,12 @@
 //! summary embedded in `GET /jobs/<id>`.
 #![cfg(feature = "obs")]
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::io::Write;
+use std::net::TcpStream;
 
-use hdx_serve::{ServeConfig, Server};
+mod common;
 
-struct Response {
-    status: u16,
-    headers: String,
-    body: String,
-}
-
-/// One HTTP exchange; reads until the server closes the connection, so a
-/// chunked event stream is consumed to its terminator.
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .expect("timeout");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("write");
-    let mut raw = Vec::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => raw.extend_from_slice(&buf[..n]),
-            Err(_) if !raw.is_empty() => break,
-            Err(e) => panic!("read: {e}"),
-        }
-    }
-    let raw = String::from_utf8_lossy(&raw).into_owned();
-    let (head, payload) = raw.split_once("\r\n\r\n").expect("blank line");
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status code");
-    Response {
-        status,
-        headers: head.to_string(),
-        body: payload.to_string(),
-    }
-}
+use common::*;
 
 /// Decodes a `Transfer-Encoding: chunked` payload back into its bytes.
 fn dechunk(body: &str) -> String {
@@ -80,84 +37,13 @@ fn event_bytes(response: &Response) -> String {
     }
 }
 
-fn tmp_state_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hdx-serve-ev-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn sample_csv(rows: usize) -> String {
-    let mut csv = String::from("class,pred,age,income,grp\n");
-    for r in 0..rows {
-        csv.push_str(&format!(
-            "{},{},{},{},{}\n",
-            u8::from(r % 3 == 0),
-            u8::from(r % 4 == 0),
-            r % 23,
-            (r * 37) % 101,
-            ["a", "b", "c", "d"][r % 4],
-        ));
-    }
-    csv
-}
-
-fn submission(csv: &str, tenant: &str) -> String {
-    format!(
-        r#"{{"csv":"{}","tenant":"{tenant}","stat":"fpr","support":0.02,"checkpoint_every":1}}"#,
-        hdx_serve::json::escape(csv)
-    )
-}
-
-fn config(state_dir: PathBuf) -> ServeConfig {
-    ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        state_dir,
-        workers: 1,
-        ..ServeConfig::default()
-    }
-}
-
-fn start(config: ServeConfig) -> (SocketAddr, thread::JoinHandle<()>) {
-    let server = Server::bind(config).expect("bind");
-    let addr = server.local_addr();
-    let handle = thread::spawn(move || server.run().expect("serve"));
-    (addr, handle)
-}
-
-fn json_str_field(body: &str, key: &str) -> String {
-    let marker = format!("\"{key}\":\"");
-    let start = body
-        .find(&marker)
-        .unwrap_or_else(|| panic!("no `{key}` in {body}"))
-        + marker.len();
-    let rest = &body[start..];
-    rest[..rest.find('"').expect("closing quote")].to_string()
-}
-
-fn await_terminal(addr: SocketAddr, job_id: &str) -> String {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let status = http(addr, "GET", &format!("/jobs/{job_id}"), "");
-        assert_eq!(status.status, 200, "{}", status.body);
-        let state = json_str_field(&status.body, "state");
-        if !matches!(state.as_str(), "queued" | "running" | "backoff") {
-            return state;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "job `{job_id}` stuck in `{state}`"
-        );
-        thread::sleep(Duration::from_millis(20));
-    }
-}
-
 #[test]
 fn live_stream_and_replay_serve_identical_bytes() {
     let state = tmp_state_dir("stream");
     let (addr, handle) = start(config(state.clone()));
     let accepted = http(addr, "POST", "/jobs", &submission(&sample_csv(400), "acme"));
     assert_eq!(accepted.status, 202, "{}", accepted.body);
-    let job_id = json_str_field(&accepted.body, "job_id");
+    let job_id = extract_job_id(&accepted.body);
 
     // Follow the stream to its end: the server closes the response at the
     // job's terminal event, so this blocks until the run finishes.
@@ -208,7 +94,7 @@ fn stalled_stream_consumer_never_blocks_the_miner() {
         &submission(&sample_csv(3000), "acme"),
     );
     assert_eq!(accepted.status, 202, "{}", accepted.body);
-    let job_id = json_str_field(&accepted.body, "job_id");
+    let job_id = extract_job_id(&accepted.body);
 
     // A consumer that subscribes and then never reads a single byte. The
     // worker must keep mining regardless: event pushes land in the bounded
@@ -250,7 +136,7 @@ fn completed_job_replays_byte_identically_after_restart() {
     let (addr, handle) = start(config(state.clone()));
     let accepted = http(addr, "POST", "/jobs", &submission(&sample_csv(200), "acme"));
     assert_eq!(accepted.status, 202, "{}", accepted.body);
-    let job_id = json_str_field(&accepted.body, "job_id");
+    let job_id = extract_job_id(&accepted.body);
     assert_eq!(await_terminal(addr, &job_id), "done");
     let before = event_bytes(&http(addr, "GET", &format!("/jobs/{job_id}/events"), ""));
     assert_eq!(http(addr, "POST", "/shutdown", "").status, 202);
@@ -278,7 +164,7 @@ fn job_status_embeds_latest_progress() {
     let (addr, handle) = start(config(state.clone()));
     let accepted = http(addr, "POST", "/jobs", &submission(&sample_csv(300), "acme"));
     assert_eq!(accepted.status, 202, "{}", accepted.body);
-    let job_id = json_str_field(&accepted.body, "job_id");
+    let job_id = extract_job_id(&accepted.body);
     assert_eq!(await_terminal(addr, &job_id), "done");
 
     let status = http(addr, "GET", &format!("/jobs/{job_id}"), "");

@@ -5,141 +5,32 @@
 //! WAL tail is quarantined into the status document instead of failing
 //! recovery.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::net::SocketAddr;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use hdx_serve::{ServeConfig, Server};
+use hdx_serve::Server;
 
-struct Response {
-    status: u16,
-    headers: String,
-    body: String,
+mod common;
+
+use common::*;
+use hdx_obs::json::{parse, Json};
+
+/// The top-level integer member `key` of a JSON body.
+fn top_level_u64(body: &str, key: &str) -> u64 {
+    let doc = parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    doc.get(key)
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("no integer `{key}` in {body}"))
 }
 
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("write");
-    let mut raw = Vec::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => raw.extend_from_slice(&buf[..n]),
-            Err(_) if !raw.is_empty() => break,
-            Err(e) => panic!("read: {e}"),
-        }
-    }
-    let raw = String::from_utf8_lossy(&raw).into_owned();
-    let (head, payload) = raw.split_once("\r\n\r\n").expect("blank line");
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status code");
-    Response {
-        status,
-        headers: head.to_string(),
-        body: payload.to_string(),
-    }
-}
-
-fn tmp_state_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hdx-ingest-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn sample_rows(range: std::ops::Range<usize>) -> String {
-    let mut csv = String::new();
-    for r in range {
-        csv.push_str(&format!(
-            "{},{},{},{},{}\n",
-            u8::from(r % 3 == 0),
-            u8::from(r % 4 == 0),
-            r % 23,
-            (r * 37) % 101,
-            ["a", "b", "c", "d"][r % 4],
-        ));
-    }
-    csv
-}
-
-fn sample_csv(rows: usize) -> String {
-    format!("class,pred,age,income,grp\n{}", sample_rows(0..rows))
-}
-
-fn submission(csv: &str, tenant: &str) -> String {
-    format!(
-        r#"{{"csv":"{}","tenant":"{tenant}","stat":"fpr","support":0.02,"checkpoint_every":1}}"#,
-        hdx_serve::json::escape(csv)
-    )
-}
-
-fn config(state_dir: PathBuf) -> ServeConfig {
-    ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        state_dir,
-        workers: 1,
-        ..ServeConfig::default()
-    }
-}
-
-fn start(config: ServeConfig) -> (SocketAddr, thread::JoinHandle<()>) {
-    let server = Server::bind(config).expect("bind");
-    let addr = server.local_addr();
-    let handle = thread::spawn(move || server.run().expect("serve"));
-    (addr, handle)
-}
-
-fn json_str_field(body: &str, key: &str) -> String {
-    let marker = format!("\"{key}\":\"");
-    let start = body
-        .find(&marker)
-        .unwrap_or_else(|| panic!("no `{key}` in {body}"))
-        + marker.len();
-    let rest = &body[start..];
-    rest[..rest.find('"').expect("closing quote")].to_string()
-}
-
-fn json_u64_field(body: &str, key: &str) -> u64 {
-    let marker = format!("\"{key}\":");
-    let start = body
-        .find(&marker)
-        .unwrap_or_else(|| panic!("no `{key}` in {body}"))
-        + marker.len();
-    body[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|e| panic!("`{key}` not a number in {body}: {e}"))
-}
-
-fn await_terminal(addr: SocketAddr, job_id: &str) -> String {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let status = http(addr, "GET", &format!("/jobs/{job_id}"), "");
-        assert_eq!(status.status, 200, "{}", status.body);
-        let state = json_str_field(&status.body, "state");
-        if !matches!(state.as_str(), "queued" | "running" | "backoff") {
-            return state;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "job `{job_id}` stuck in `{state}`"
-        );
-        thread::sleep(Duration::from_millis(20));
-    }
+/// The integer member `key` of a status document's `ingest` block.
+fn ingest_u64(status: &str, key: &str) -> u64 {
+    let doc = parse(status).unwrap_or_else(|e| panic!("{e}: {status}"));
+    doc.get("ingest")
+        .and_then(|ingest| ingest.get(key))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("no `ingest.{key}` in {status}"))
 }
 
 /// Polls until the job's sealed result covers every durable WAL row (the
@@ -150,8 +41,8 @@ fn await_folded(addr: SocketAddr, job_id: &str) -> String {
     loop {
         let state = await_terminal(addr, job_id);
         let status = http(addr, "GET", &format!("/jobs/{job_id}"), "");
-        if !status.body.contains("\"ingest\"") || json_u64_field(&status.body, "pending_rows") == 0
-        {
+        let no_ingest = parse(&status.body).is_ok_and(|doc| doc.get("ingest").is_none());
+        if no_ingest || ingest_u64(&status.body, "pending_rows") == 0 {
             return state;
         }
         assert!(
@@ -161,10 +52,6 @@ fn await_folded(addr: SocketAddr, job_id: &str) -> String {
         );
         thread::sleep(Duration::from_millis(20));
     }
-}
-
-fn extract_job_id(body: &str) -> String {
-    json_str_field(body, "job_id")
 }
 
 /// The acceptance bar for the whole ingestion pipeline: a job that grows by
@@ -186,20 +73,20 @@ fn appended_rows_remine_to_the_cold_run_bytes() {
     let batch_a = sample_rows(300..360);
     let appended = http(addr, "POST", &format!("/jobs/{job_id}/append"), &batch_a);
     assert_eq!(appended.status, 202, "{}", appended.body);
-    assert_eq!(json_u64_field(&appended.body, "durable_rows"), 60);
+    assert_eq!(top_level_u64(&appended.body, "durable_rows"), 60);
     let batch_b = sample_rows(360..400);
     let appended = http(addr, "POST", &format!("/jobs/{job_id}/append"), &batch_b);
     assert_eq!(appended.status, 202, "{}", appended.body);
-    assert_eq!(json_u64_field(&appended.body, "durable_rows"), 100);
+    assert_eq!(top_level_u64(&appended.body, "durable_rows"), 100);
 
     assert_eq!(await_folded(addr, &job_id), "done");
     let streamed = http(addr, "GET", &format!("/jobs/{job_id}/result"), "");
     assert_eq!(streamed.status, 200, "{}", streamed.body);
 
     let status = http(addr, "GET", &format!("/jobs/{job_id}"), "");
-    assert_eq!(json_u64_field(&status.body, "durable_rows"), 100);
-    assert_eq!(json_u64_field(&status.body, "folded_rows"), 100);
-    assert_eq!(json_u64_field(&status.body, "pending_rows"), 0);
+    assert_eq!(ingest_u64(&status.body, "durable_rows"), 100);
+    assert_eq!(ingest_u64(&status.body, "folded_rows"), 100);
+    assert_eq!(ingest_u64(&status.body, "pending_rows"), 0);
     assert_eq!(http(addr, "POST", "/shutdown", "").status, 202);
     handle.join().expect("drain");
 
@@ -249,7 +136,7 @@ fn append_backlog_sheds_with_jittered_retry_guidance() {
         shed.headers
     );
     assert!(
-        json_u64_field(&shed.body, "retry_after_ms") >= 1,
+        top_level_u64(&shed.body, "retry_after_ms") >= 1,
         "{}",
         shed.body
     );
@@ -257,7 +144,7 @@ fn append_backlog_sheds_with_jittered_retry_guidance() {
     // Nothing landed: the WAL directory stays absent or empty of rows.
     let status = http(addr, "GET", &format!("/jobs/{job_id}"), "");
     assert!(
-        !status.body.contains("\"ingest\""),
+        parse(&status.body).is_ok_and(|doc| doc.get("ingest").is_none()),
         "a fully-shed append must not create durable rows: {}",
         status.body
     );
@@ -324,7 +211,7 @@ fn appended_rows_are_split_like_the_loader_splits_them() {
     }
     let status = http(addr, "GET", &format!("/jobs/{job_id}"), "");
     assert!(
-        !status.body.contains("\"ingest\""),
+        parse(&status.body).is_ok_and(|doc| doc.get("ingest").is_none()),
         "a refused append must not create durable rows: {}",
         status.body
     );
@@ -332,11 +219,11 @@ fn appended_rows_are_split_like_the_loader_splits_them() {
     let quoted = "1,0,3,4,\"Smith, J\"\n0,1,5,6,\"say \"\"hi\"\"\"\n";
     let appended = http(addr, "POST", &format!("/jobs/{job_id}/append"), quoted);
     assert_eq!(appended.status, 202, "{}", appended.body);
-    assert_eq!(json_u64_field(&appended.body, "durable_rows"), 2);
+    assert_eq!(top_level_u64(&appended.body, "durable_rows"), 2);
     assert_eq!(await_folded(addr, &job_id), "done");
     let status = http(addr, "GET", &format!("/jobs/{job_id}"), "");
     assert_eq!(
-        json_u64_field(&status.body, "folded_rows"),
+        ingest_u64(&status.body, "folded_rows"),
         2,
         "{}",
         status.body
@@ -405,16 +292,16 @@ fn torn_wal_tail_is_quarantined_into_the_status_document() {
     assert_eq!(await_folded(addr, &job_id), "done");
     let status = http(addr, "GET", &format!("/jobs/{job_id}"), "");
     assert!(
-        json_u64_field(&status.body, "quarantined_frames") >= 1,
+        ingest_u64(&status.body, "quarantined_frames") >= 1,
         "{}",
         status.body
     );
     assert!(
-        json_u64_field(&status.body, "quarantined_bytes") >= 6,
+        ingest_u64(&status.body, "quarantined_bytes") >= 6,
         "{}",
         status.body
     );
-    assert_eq!(json_u64_field(&status.body, "durable_rows"), 20);
+    assert_eq!(ingest_u64(&status.body, "durable_rows"), 20);
     let after = http(addr, "GET", &format!("/jobs/{job_id}/result"), "");
     assert_eq!(after.status, 200);
     assert_eq!(

@@ -3,139 +3,13 @@
 //! (a second server over the same state directory resumes the orphaned job
 //! and serves the byte-identical result an uninterrupted server produces).
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::thread;
-use std::time::{Duration, Instant};
 
-use hdx_serve::{ServeConfig, Server};
+use hdx_serve::Server;
 
-/// One HTTP exchange (the service closes the connection per request).
-struct Response {
-    status: u16,
-    headers: String,
-    body: String,
-}
+mod common;
 
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("write");
-    let mut raw = Vec::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => raw.extend_from_slice(&buf[..n]),
-            // A reset after the response arrived is expected when the
-            // service refuses a body without reading it (413).
-            Err(_) if !raw.is_empty() => break,
-            Err(e) => panic!("read: {e}"),
-        }
-    }
-    let raw = String::from_utf8_lossy(&raw).into_owned();
-    let (head, payload) = raw.split_once("\r\n\r\n").expect("blank line");
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status code");
-    Response {
-        status,
-        headers: head.to_string(),
-        body: payload.to_string(),
-    }
-}
-
-fn tmp_state_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hdx-serve-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// A dataset large enough that a job does not finish between two
-/// back-to-back HTTP requests, small enough to complete in well under the
-/// poll deadline.
-fn sample_csv(rows: usize) -> String {
-    let mut csv = String::from("class,pred,age,income,grp\n");
-    for r in 0..rows {
-        csv.push_str(&format!(
-            "{},{},{},{},{}\n",
-            u8::from(r % 3 == 0),
-            u8::from(r % 4 == 0),
-            r % 23,
-            (r * 37) % 101,
-            ["a", "b", "c", "d"][r % 4],
-        ));
-    }
-    csv
-}
-
-fn submission(csv: &str, tenant: &str) -> String {
-    format!(
-        r#"{{"csv":"{}","tenant":"{tenant}","stat":"fpr","support":0.02,"checkpoint_every":1}}"#,
-        hdx_serve::json::escape(csv)
-    )
-}
-
-fn config(state_dir: PathBuf) -> ServeConfig {
-    ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        state_dir,
-        workers: 1,
-        ..ServeConfig::default()
-    }
-}
-
-/// Binds and runs a server on a background thread, returning its address
-/// and the join handle (the thread exits when the server drains).
-fn start(config: ServeConfig) -> (SocketAddr, thread::JoinHandle<()>) {
-    let server = Server::bind(config).expect("bind");
-    let addr = server.local_addr();
-    let handle = thread::spawn(move || server.run().expect("serve"));
-    (addr, handle)
-}
-
-/// Extracts a top-level string field from a JSON body (the status document
-/// can contain arrays, which the flat submission parser rejects).
-fn json_str_field(body: &str, key: &str) -> String {
-    let marker = format!("\"{key}\":\"");
-    let start = body
-        .find(&marker)
-        .unwrap_or_else(|| panic!("no `{key}` in {body}"))
-        + marker.len();
-    let rest = &body[start..];
-    rest[..rest.find('"').expect("closing quote")].to_string()
-}
-
-/// Polls a job until it leaves the active states, returning its final state.
-fn await_terminal(addr: SocketAddr, job_id: &str) -> String {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let status = http(addr, "GET", &format!("/jobs/{job_id}"), "");
-        assert_eq!(status.status, 200, "{}", status.body);
-        let state = json_str_field(&status.body, "state");
-        if !matches!(state.as_str(), "queued" | "running" | "backoff") {
-            return state;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "job `{job_id}` stuck in `{state}`"
-        );
-        thread::sleep(Duration::from_millis(20));
-    }
-}
-
-fn extract_job_id(body: &str) -> String {
-    json_str_field(body, "job_id")
-}
+use common::*;
 
 #[test]
 fn submit_poll_result_lifecycle() {
@@ -170,6 +44,22 @@ fn submit_poll_result_lifecycle() {
         "malformed submissions are rejected"
     );
 
+    assert_eq!(http(addr, "POST", "/shutdown", "").status, 202);
+    handle.join().expect("drain");
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// A submission nested a million levels deep is a 400, not a stack
+/// overflow that takes the whole service down.
+#[test]
+fn deeply_nested_submission_is_rejected_and_the_service_stays_up() {
+    let state = tmp_state_dir("deep");
+    let (addr, handle) = start(config(state.clone()));
+    let body = format!("{{\"csv\":{}", "[".repeat(1_000_000));
+    let rejected = http(addr, "POST", "/jobs", &body);
+    assert_eq!(rejected.status, 400, "{}", rejected.body);
+    assert!(rejected.body.contains("invalid JSON"), "{}", rejected.body);
+    assert_eq!(http(addr, "GET", "/healthz", "").status, 200);
     assert_eq!(http(addr, "POST", "/shutdown", "").status, 202);
     handle.join().expect("drain");
     let _ = std::fs::remove_dir_all(&state);

@@ -10,15 +10,17 @@
 
 #![cfg(feature = "hdx-fail")]
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::thread;
-use std::time::{Duration, Instant};
 
 use h_divexplorer::governor::failpoint::{self, FailAction};
 use h_divexplorer::serve::{ServeConfig, Server};
+
+mod common;
+
+use common::{await_terminal, http, shutdown, top_level_str};
 
 /// Serialises the chaos tests (see the module docs).
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
@@ -43,44 +45,6 @@ impl Drop for ChaosGuard<'_> {
     }
 }
 
-struct Response {
-    status: u16,
-    body: String,
-}
-
-fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("write");
-    let mut raw = Vec::new();
-    let mut buf = [0u8; 4096];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => raw.extend_from_slice(&buf[..n]),
-            Err(_) if !raw.is_empty() => break,
-            Err(e) => panic!("read: {e}"),
-        }
-    }
-    let raw = String::from_utf8_lossy(&raw).into_owned();
-    let (head, payload) = raw.split_once("\r\n\r\n").expect("blank line");
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status code");
-    Response {
-        status,
-        body: payload.to_string(),
-    }
-}
-
 fn tmp_state_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hdx-serve-chaos-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -102,17 +66,10 @@ fn sample_csv(rows: usize) -> String {
 }
 
 fn submission(csv: &str) -> String {
-    let escaped: String = csv
-        .chars()
-        .map(|c| {
-            if c == '\n' {
-                "\\n".to_string()
-            } else {
-                c.to_string()
-            }
-        })
-        .collect();
-    format!(r#"{{"csv":"{escaped}","stat":"fpr","support":0.05,"checkpoint_every":1}}"#)
+    format!(
+        r#"{{"csv":"{}","stat":"fpr","support":0.05,"checkpoint_every":1}}"#,
+        hdx_obs::json::escape(csv)
+    )
 }
 
 fn start(state_dir: PathBuf) -> (SocketAddr, thread::JoinHandle<()>) {
@@ -129,45 +86,10 @@ fn start(state_dir: PathBuf) -> (SocketAddr, thread::JoinHandle<()>) {
     (addr, handle)
 }
 
-/// Extracts a top-level string field from a JSON body (the status document
-/// can contain arrays, which the flat submission parser rejects).
-fn json_str_field(body: &str, key: &str) -> String {
-    let marker = format!("\"{key}\":\"");
-    let start = body
-        .find(&marker)
-        .unwrap_or_else(|| panic!("no `{key}` in {body}"))
-        + marker.len();
-    let rest = &body[start..];
-    rest[..rest.find('"').expect("closing quote")].to_string()
-}
-
 fn submit(addr: SocketAddr, rows: usize) -> String {
     let accepted = http(addr, "POST", "/jobs", &submission(&sample_csv(rows)));
     assert_eq!(accepted.status, 202, "{}", accepted.body);
-    json_str_field(&accepted.body, "job_id")
-}
-
-/// Polls until the job leaves its active states; returns the final state.
-fn await_terminal(addr: SocketAddr, job_id: &str) -> String {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let status = http(addr, "GET", &format!("/jobs/{job_id}"), "");
-        assert_eq!(status.status, 200, "{}", status.body);
-        let state = json_str_field(&status.body, "state");
-        if !matches!(state.as_str(), "queued" | "running" | "backoff") {
-            return state;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "job `{job_id}` stuck in `{state}`"
-        );
-        thread::sleep(Duration::from_millis(10));
-    }
-}
-
-fn shutdown(addr: SocketAddr, handle: thread::JoinHandle<()>) {
-    assert_eq!(http(addr, "POST", "/shutdown", "").status, 202);
-    handle.join().expect("drain");
+    top_level_str(&accepted.body, "job_id")
 }
 
 /// A panic in the mining kernel mid-level fails that job — and only that
