@@ -12,7 +12,8 @@
 //! * every file is a [`envelope`] (`hdx-ckpt/v1`): magic + length + CRC-32
 //!   over a hand-rolled little-endian payload ([`codec`]);
 //! * writes are atomic: temp file → fsync → rename → directory fsync
-//!   ([`store`]); a crash never damages the previous checkpoint;
+//!   ([`durable::write_atomic`], the one routine behind every sealed file
+//!   in the workspace); a crash never damages the previous checkpoint;
 //! * loads fall back: the newest file failing magic/length/CRC is skipped
 //!   (and counted) and the next-newest valid one wins;
 //! * resume verifies [`fingerprint`]s of the dataset, the configuration and
@@ -28,6 +29,8 @@
 pub mod codec;
 /// CRC-32 (IEEE) checksums guarding the envelope.
 pub mod crc;
+/// The one durable-write routine and the shared file-name conventions.
+pub mod durable;
 /// The sealed on-disk container: magic, length, CRC, payload.
 pub mod envelope;
 mod error;

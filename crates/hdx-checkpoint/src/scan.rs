@@ -16,44 +16,28 @@
 //! newest-valid-wins exactly like resume itself would.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use crate::durable;
 use crate::envelope;
 use crate::error::CheckpointError;
 use crate::store::CheckpointStore;
+
+pub use crate::durable::QUARANTINE_SUFFIX;
 
 /// File name of the sealed run manifest inside a run directory.
 pub const MANIFEST_FILE: &str = "manifest.hdx";
 /// File name of the sealed completion marker inside a run directory.
 pub const COMPLETE_FILE: &str = "done.hdx";
-/// Suffix appended to a quarantined (corrupt) sealed file.
-pub const QUARANTINE_SUFFIX: &str = "corrupt";
 
-/// Atomically writes `payload` sealed in an [`envelope`] at `path`:
-/// temp file → fsync → rename → best-effort directory fsync, the same
-/// durability protocol as checkpoint writes. A crash leaves either the old
-/// file or the new one, never a torn mix.
+/// Atomically writes `payload` sealed in an [`envelope`] at `path`, through
+/// [`durable::write_atomic`]. A crash leaves either the old file or the new
+/// one, never a torn mix.
 ///
 /// # Errors
 /// [`CheckpointError::Io`] on any filesystem failure.
 pub fn write_sealed(path: &Path, payload: &[u8]) -> Result<(), CheckpointError> {
-    let dir = path.parent().map(Path::to_path_buf).unwrap_or_default();
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let sealed = envelope::seal(payload);
-    {
-        let mut file = fs::File::create(&tmp).map_err(|e| CheckpointError::io(&tmp, &e))?;
-        file.write_all(&sealed)
-            .map_err(|e| CheckpointError::io(&tmp, &e))?;
-        file.sync_all().map_err(|e| CheckpointError::io(&tmp, &e))?;
-    }
-    fs::rename(&tmp, path).map_err(|e| CheckpointError::io(path, &e))?;
-    if let Ok(dirf) = fs::File::open(&dir) {
-        let _ = dirf.sync_all();
-    }
-    Ok(())
+    durable::write_atomic(path, &envelope::seal(payload))
 }
 
 /// Reads and verifies a sealed file written by [`write_sealed`], returning
@@ -184,10 +168,7 @@ pub fn list_manifests(dir: &Path) -> Result<ManifestListing, CheckpointError> {
 /// Renames a corrupt sealed file aside (best-effort) and renders the
 /// warning line reported for it.
 fn quarantine(path: &Path, err: &CheckpointError) -> String {
-    let mut aside = path.as_os_str().to_owned();
-    aside.push(".");
-    aside.push(QUARANTINE_SUFFIX);
-    let moved = fs::rename(path, PathBuf::from(&aside)).is_ok();
+    let moved = durable::quarantine(path);
     format!(
         "quarantined corrupt `{}`{}: {err}",
         path.display(),

@@ -1,35 +1,27 @@
 //! The on-disk checkpoint store: sequence-numbered files, atomic writes,
 //! newest-valid-wins loading, and bounded retention.
 //!
-//! Write protocol (crash-safe on POSIX filesystems):
-//!
-//! 1. encode + seal the state into `ckpt.tmp` in the checkpoint directory;
-//! 2. `fsync` the temp file (data durable before it becomes visible);
-//! 3. `rename` to `ckpt-<seq>.hdx` (atomic within one filesystem);
-//! 4. `fsync` the directory (the rename itself durable).
-//!
-//! A crash at any point leaves either the previous checkpoint intact or a
-//! stray temp file the next writer overwrites. The loader scans sequence
+//! Each checkpoint is sealed and written to `ckpt-<seq>.hdx` by
+//! [`durable::write_atomic`] (temp file → fsync → rename → directory
+//! fsync). A crash at any point leaves either the previous checkpoint
+//! intact or a stray `ckpt-<seq>.hdx.tmp` that the scan ignores and the
+//! next write of that sequence overwrites. The loader scans sequence
 //! numbers descending and returns the first file that passes the envelope's
 //! magic + length + CRC checks, so a torn or bit-rotted newest file falls
 //! back to its predecessor instead of resurrecting corrupt state.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use hdx_governor::fail_point;
 
+use crate::durable;
 use crate::envelope;
 use crate::error::CheckpointError;
 use crate::state::CheckpointState;
 
 /// File-name prefix of a sealed checkpoint.
 const FILE_PREFIX: &str = "ckpt-";
-/// File-name extension of a sealed checkpoint.
-const FILE_EXT: &str = "hdx";
-/// Scratch name used during the atomic write.
-const TMP_NAME: &str = "ckpt.tmp";
 /// Valid checkpoints retained after a successful write (newest first).
 const KEEP: usize = 3;
 
@@ -85,21 +77,12 @@ impl CheckpointStore {
     /// Sequence numbers of all checkpoint-named files, ascending (the files
     /// are not validated — corrupt ones are only detected on load).
     pub fn sequences(&self) -> Result<Vec<u64>, CheckpointError> {
-        let entries = fs::read_dir(&self.dir).map_err(|e| CheckpointError::io(&self.dir, &e))?;
-        let mut seqs = Vec::new();
-        for entry in entries {
-            let entry = entry.map_err(|e| CheckpointError::io(&self.dir, &e))?;
-            if let Some(seq) = parse_seq(&entry.file_name().to_string_lossy()) {
-                seqs.push(seq);
-            }
-        }
-        seqs.sort_unstable();
-        Ok(seqs)
+        durable::list_seqs(&self.dir, FILE_PREFIX)
     }
 
     /// Path of the checkpoint file with sequence number `seq`.
     pub fn path_of(&self, seq: u64) -> PathBuf {
-        self.dir.join(format!("{FILE_PREFIX}{seq:010}.{FILE_EXT}"))
+        durable::seq_path(&self.dir, FILE_PREFIX, seq)
     }
 
     /// Atomically writes `state` as the next checkpoint and prunes old ones.
@@ -110,43 +93,15 @@ impl CheckpointStore {
     /// checkpoint is untouched in that case.
     pub fn write(&self, state: &CheckpointState) -> Result<u64, CheckpointError> {
         hdx_obs::span!("checkpoint_write");
+        // Faults checkpoint writes alone; `durable::write` faults them
+        // together with every other sealed file.
         fail_point!("checkpoint::write", |message: String| CheckpointError::Io {
             path: self.dir.clone(),
             message,
         });
-        #[cfg(feature = "hdx-fail")]
-        if let Some(fault) = hdx_governor::failpoint::io_hit("checkpoint::write") {
-            if matches!(fault, hdx_governor::failpoint::IoFault::ShortWrite) {
-                // Enact the torn write: a prefix of the sealed bytes lands
-                // in the scratch file, exactly what a crash mid-write
-                // leaves behind. The rename never happens, so the previous
-                // checkpoint stays intact — which is what the recovery
-                // tests assert.
-                let sealed = envelope::seal(&state.encode());
-                let _ = fs::write(self.dir.join(TMP_NAME), &sealed[..sealed.len() / 2]);
-            }
-            return Err(CheckpointError::Io {
-                path: self.dir.clone(),
-                message: fault.to_error().to_string(),
-            });
-        }
         let seq = self.sequences()?.last().map_or(0, |s| s + 1);
         let sealed = envelope::seal(&state.encode());
-
-        let tmp = self.dir.join(TMP_NAME);
-        {
-            let mut file = fs::File::create(&tmp).map_err(|e| CheckpointError::io(&tmp, &e))?;
-            file.write_all(&sealed)
-                .map_err(|e| CheckpointError::io(&tmp, &e))?;
-            file.sync_all().map_err(|e| CheckpointError::io(&tmp, &e))?;
-        }
-        let dest = self.path_of(seq);
-        fs::rename(&tmp, &dest).map_err(|e| CheckpointError::io(&dest, &e))?;
-        // Make the rename itself durable. Directory fsync is best-effort:
-        // some filesystems refuse it, and the data file is already synced.
-        if let Ok(dirf) = fs::File::open(&self.dir) {
-            let _ = dirf.sync_all();
-        }
+        durable::write_atomic(&self.path_of(seq), &sealed)?;
         hdx_obs::counter_add!(CheckpointWrites, 1);
         hdx_obs::counter_add!(CheckpointWriteBytes, sealed.len() as u64);
         self.prune(seq);
@@ -208,13 +163,6 @@ impl CheckpointStore {
             }
         }
     }
-}
-
-fn parse_seq(name: &str) -> Option<u64> {
-    let stem = name
-        .strip_prefix(FILE_PREFIX)?
-        .strip_suffix(&format!(".{FILE_EXT}"))?;
-    stem.parse().ok()
 }
 
 #[cfg(test)]
@@ -327,7 +275,7 @@ mod tests {
         }
         assert_eq!(store.sequences().unwrap(), vec![3, 4, 5]);
         // Stray temp files from a crash mid-write are ignored by the scan.
-        fs::write(dir.join(TMP_NAME), b"torn write").unwrap();
+        fs::write(durable::tmp_path(&store.path_of(6)), b"torn write").unwrap();
         assert_eq!(store.sequences().unwrap(), vec![3, 4, 5]);
         assert_eq!(store.load_latest().unwrap().state.progress.cursor, 5);
         let _ = fs::remove_dir_all(&dir);

@@ -95,26 +95,6 @@ macro_rules! fail_point {
     };
 }
 
-/// Marks a named *io-channel* fail-point trigger site (see
-/// [`failpoint::io_hit`]): an armed [`failpoint::FailAction::Io`] makes the
-/// enclosing function `return Err(($to_err)(io_error))`, where `io_error`
-/// is the fault's `std::io::Error`. Sites that can *enact* a fault (e.g.
-/// really leave a torn prefix on disk for a short write) should call
-/// [`failpoint::io_hit`] directly instead and branch on the
-/// [`failpoint::IoFault`]. Expands to nothing unless the calling crate
-/// enables its own `hdx-fail` feature.
-#[macro_export]
-macro_rules! fail_point_io {
-    ($name:expr, $to_err:expr) => {
-        #[cfg(feature = "hdx-fail")]
-        {
-            if let Some(fault) = $crate::failpoint::io_hit($name) {
-                return Err(($to_err)(fault.to_error()));
-            }
-        }
-    };
-}
-
 /// How often (in [`Governor::keep_going`] calls) the deadline and the cancel
 /// token are actually polled. Between polls the cost of a check is a single
 /// relaxed atomic load, so governed hot loops stay hot.

@@ -79,17 +79,15 @@ impl IngestCursor {
         })
     }
 
-    /// Seals the cursor to `path` with the checkpoint envelope discipline
-    /// (temp file → fsync → rename → directory fsync).
+    /// Seals the cursor to `path` through
+    /// [`hdx_checkpoint::durable::write_atomic`] (temp file → fsync →
+    /// rename → directory fsync).
     ///
     /// # Errors
     /// [`IngestError::Io`] when the write fails; the previous cursor file,
     /// if any, is left intact in that case.
     pub fn save(&self, path: &Path) -> Result<(), IngestError> {
-        write_sealed(path, &self.encode()).map_err(|e| IngestError::Io {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        })
+        Ok(write_sealed(path, &self.encode())?)
     }
 
     /// Loads a sealed cursor. `Ok(None)` when the file does not exist — a

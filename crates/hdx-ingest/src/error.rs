@@ -2,6 +2,8 @@
 
 use std::path::{Path, PathBuf};
 
+use hdx_checkpoint::CheckpointError;
+
 /// Why an ingestion operation failed.
 ///
 /// Corruption found *at rest* (torn tails, bad checksums) is deliberately
@@ -32,6 +34,19 @@ impl IngestError {
         IngestError::Io {
             path: path.to_path_buf(),
             message: err.to_string(),
+        }
+    }
+}
+
+/// A durable-write or scan failure from the shared `hdx_checkpoint`
+/// routines: I/O keeps its path and message, anything else is corruption.
+impl From<CheckpointError> for IngestError {
+    fn from(err: CheckpointError) -> Self {
+        match err {
+            CheckpointError::Io { path, message } => IngestError::Io { path, message },
+            other => IngestError::Corrupt {
+                message: other.to_string(),
+            },
         }
     }
 }

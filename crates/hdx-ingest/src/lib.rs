@@ -8,8 +8,9 @@
 //! * [`Wal`] — a CRC-framed, segmented write-ahead log. Rows land in an
 //!   open segment (one checksummed frame per row, `fsync` before any row
 //!   is acknowledged via [`Wal::commit`]); full segments are sealed into
-//!   the hdx-checkpoint envelope format (`hdx-ckpt/v1`, temp file → fsync
-//!   → rename), so a sealed segment is tamper-evident end to end.
+//!   the hdx-checkpoint envelope format (`hdx-ckpt/v1`) and written by
+//!   [`hdx_checkpoint::durable::write_atomic`], so a sealed segment is
+//!   tamper-evident end to end.
 //! * **Degrade-not-die recovery** — [`Wal::open`] scans segments
 //!   newest-valid-wins: a corrupt sealed segment or a torn open-segment
 //!   tail is *quarantined* (moved aside, counted in an [`IngestReport`])
@@ -29,9 +30,10 @@
 //!   the kernel contract: counts and integer-valued sums bitwise, reals
 //!   ULP-bounded.
 //!
-//! Under `hdx-fail` the `ingest::wal::append`, `ingest::wal::fsync`,
-//! `ingest::wal::seal` and `ingest::fold` fail points inject fsync
-//! failures, torn tails, ENOSPC and fold panics for chaos tests.
+//! Under `hdx-fail` the `ingest::wal::append`, `ingest::wal::fsync` and
+//! `ingest::fold` fail points inject torn tails, fsync failures, ENOSPC
+//! and fold panics for chaos tests; segment seals and cursor saves fail
+//! through hdx-checkpoint's `durable::write`.
 
 mod cursor;
 mod error;

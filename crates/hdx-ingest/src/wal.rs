@@ -12,10 +12,11 @@
 //! [`Wal::append_row`] writes the frame; [`Wal::commit`] fsyncs the open
 //! segment — only then may the caller acknowledge the rows. When the open
 //! segment outgrows [`WalConfig::segment_max_bytes`] it is *sealed*: its
-//! bytes become the payload of a checkpoint envelope written with the
-//! temp-file → fsync → rename discipline, and the open segment restarts
-//! empty. Sealed segments are immutable and verified wholesale by their
-//! envelope CRC; the open segment is verified frame by frame.
+//! bytes become the payload of a checkpoint envelope written by
+//! [`durable::write_atomic`] (temp file → fsync → rename), and the open
+//! segment restarts empty. Sealed segments are immutable and verified
+//! wholesale by their envelope CRC; the open segment is verified frame by
+//! frame.
 //!
 //! Recovery ([`Wal::open`]) is degrade-not-die: a sealed segment failing
 //! envelope validation, or a torn/corrupt open-segment tail, is moved
@@ -28,7 +29,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use hdx_checkpoint::envelope;
+use hdx_checkpoint::{durable, envelope};
 use hdx_governor::fail_point;
 
 use crate::error::IngestError;
@@ -38,10 +39,6 @@ use crate::report::IngestReport;
 pub const OPEN_FILE: &str = "wal-open.log";
 /// File-name prefix of a sealed segment.
 const SEG_PREFIX: &str = "seg-";
-/// File-name extension of a sealed segment.
-const SEG_EXT: &str = "hdx";
-/// Scratch name used while sealing a segment.
-const SEG_TMP: &str = "seg.tmp";
 /// Bytes of frame header (`len` + `crc`).
 const FRAME_HEADER: usize = 8;
 /// Upper bound on a single frame's payload; a declared length above this
@@ -114,16 +111,7 @@ impl Wal {
         fs::create_dir_all(&dir).map_err(|e| IngestError::io(&dir, &e))?;
         let mut report = IngestReport::default();
 
-        let mut seqs: Vec<u64> = Vec::new();
-        let entries = fs::read_dir(&dir).map_err(|e| IngestError::io(&dir, &e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| IngestError::io(&dir, &e))?;
-            if let Some(seq) = parse_seg_seq(&entry.file_name().to_string_lossy()) {
-                seqs.push(seq);
-            }
-        }
-        seqs.sort_unstable();
-
+        let seqs = durable::list_seqs(&dir, SEG_PREFIX)?;
         let mut sealed = Vec::new();
         for seq in seqs {
             let path = seg_path(&dir, seq);
@@ -148,7 +136,7 @@ impl Wal {
                 Err(err) => Some(err.to_string()),
             };
             if let Some(why) = quarantined {
-                quarantine_aside(&path);
+                durable::quarantine(&path);
                 report.quarantined_segments += 1;
                 report.quarantined_bytes += bytes.len() as u64;
                 report.note(format!(
@@ -329,8 +317,8 @@ impl Wal {
     }
 
     /// Seals the open segment (no-op when it is empty): its frame stream
-    /// becomes the payload of a new `seg-<seq>.hdx` envelope written
-    /// temp-file → fsync → rename, and the open segment restarts empty.
+    /// becomes the payload of a new `seg-<seq>.hdx` envelope written by
+    /// [`durable::write_atomic`], and the open segment restarts empty.
     ///
     /// # Errors
     /// [`IngestError::Io`] on any filesystem failure; the open segment is
@@ -339,36 +327,13 @@ impl Wal {
         if self.open_rows == 0 {
             return Ok(());
         }
-        fail_point!("ingest::wal::seal", |message: String| IngestError::Io {
-            path: self.dir.clone(),
-            message,
-        });
-        #[cfg(feature = "hdx-fail")]
-        if let Some(fault) = hdx_governor::failpoint::io_hit("ingest::wal::seal") {
-            return Err(IngestError::Io {
-                path: self.dir.clone(),
-                message: fault.to_error().to_string(),
-            });
-        }
         let open_path = self.dir.join(OPEN_FILE);
         let payload = fs::read(&open_path).map_err(|e| IngestError::io(&open_path, &e))?;
         // Only the validated prefix is sealed (equal to the whole file in
         // every non-faulted execution).
         let payload = payload.get(..self.open_bytes as usize).unwrap_or_default();
         let seq = self.sealed.last().map_or(0, |s| s.seq + 1);
-        let sealed_bytes = envelope::seal(payload);
-        let tmp = self.dir.join(SEG_TMP);
-        {
-            let mut file = File::create(&tmp).map_err(|e| IngestError::io(&tmp, &e))?;
-            file.write_all(&sealed_bytes)
-                .map_err(|e| IngestError::io(&tmp, &e))?;
-            file.sync_all().map_err(|e| IngestError::io(&tmp, &e))?;
-        }
-        let dest = seg_path(&self.dir, seq);
-        fs::rename(&tmp, &dest).map_err(|e| IngestError::io(&dest, &e))?;
-        if let Ok(dirf) = File::open(&self.dir) {
-            let _ = dirf.sync_all();
-        }
+        durable::write_atomic(&seg_path(&self.dir, seq), &envelope::seal(payload))?;
         // The segment is durable; restart the open segment.
         if let Some(handle) = self.handle.as_mut() {
             handle
@@ -467,17 +432,8 @@ pub fn replay_dir(dir: &Path) -> Result<(Vec<Vec<u8>>, IngestReport), IngestErro
     if !dir.is_dir() {
         return Ok((Vec::new(), report));
     }
-    let mut seqs: Vec<u64> = Vec::new();
-    let entries = fs::read_dir(dir).map_err(|e| IngestError::io(dir, &e))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| IngestError::io(dir, &e))?;
-        if let Some(seq) = parse_seg_seq(&entry.file_name().to_string_lossy()) {
-            seqs.push(seq);
-        }
-    }
-    seqs.sort_unstable();
     let mut out = Vec::new();
-    for seq in seqs {
+    for seq in durable::list_seqs(dir, SEG_PREFIX)? {
         let path = seg_path(dir, seq);
         let bytes = fs::read(&path).map_err(|e| IngestError::io(&path, &e))?;
         match envelope::open(&bytes) {
@@ -583,22 +539,7 @@ fn frames_of(bytes: &[u8]) -> Vec<Vec<u8>> {
 
 /// Path of sealed segment `seq` inside `dir`.
 fn seg_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("{SEG_PREFIX}{seq:010}.{SEG_EXT}"))
-}
-
-/// Parses a sealed segment file name back to its sequence number.
-fn parse_seg_seq(name: &str) -> Option<u64> {
-    let stem = name
-        .strip_prefix(SEG_PREFIX)?
-        .strip_suffix(&format!(".{SEG_EXT}"))?;
-    stem.parse().ok()
-}
-
-/// Renames a corrupt file aside with a `.corrupt` suffix (best-effort).
-fn quarantine_aside(path: &Path) {
-    let mut aside = path.as_os_str().to_owned();
-    aside.push(".corrupt");
-    let _ = fs::rename(path, PathBuf::from(aside));
+    durable::seq_path(dir, SEG_PREFIX, seq)
 }
 
 #[cfg(test)]
@@ -816,87 +757,6 @@ mod tests {
         assert!(wal.retire_oldest().unwrap().is_none());
         wal.seal().unwrap(); // no-op
         assert!(wal.sealed_segments().is_empty());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// An injected ENOSPC at the fsync boundary surfaces as a typed error
-    /// and costs nothing: the rows were never acknowledged, and the next
-    /// commit (device "freed") lands them all.
-    #[test]
-    #[cfg(feature = "hdx-fail")]
-    fn enospc_on_commit_is_a_typed_retryable_error() {
-        use hdx_governor::failpoint::{self, FailAction, IoFault};
-        let dir = tmp_dir("enospc");
-        let (mut wal, _) = Wal::open(&dir, WalConfig::default()).unwrap();
-        wal.append_row(&row(0)).unwrap();
-        wal.append_row(&row(1)).unwrap();
-        failpoint::arm("ingest::wal::fsync", FailAction::Io(IoFault::Enospc), 1);
-        let err = wal.commit().expect_err("injected ENOSPC must surface");
-        failpoint::disarm("ingest::wal::fsync");
-        assert!(err.to_string().contains("no space left"), "{err}");
-        // Retry without the fault: both rows become durable.
-        assert_eq!(wal.commit().unwrap(), 2);
-        let (wal2, report) = Wal::open(&dir, WalConfig::default()).unwrap();
-        assert!(report.is_clean(), "{report:?}");
-        assert_eq!(wal2.total_rows(), 2);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// An injected short write really tears the open segment: half a frame
-    /// lands on disk, the handle refuses further work, and the next open
-    /// quarantines exactly the torn bytes while every committed row
-    /// survives.
-    #[test]
-    #[cfg(feature = "hdx-fail")]
-    fn short_write_tears_the_tail_and_recovery_quarantines_it() {
-        use hdx_governor::failpoint::{self, FailAction, IoFault};
-        let dir = tmp_dir("shortwrite");
-        let (mut wal, _) = Wal::open(&dir, WalConfig::default()).unwrap();
-        wal.append_row(&row(0)).unwrap();
-        wal.append_row(&row(1)).unwrap();
-        wal.commit().unwrap();
-
-        failpoint::arm(
-            "ingest::wal::append",
-            FailAction::Io(IoFault::ShortWrite),
-            1,
-        );
-        let err = wal.append_row(&row(2)).expect_err("short write must fail");
-        failpoint::disarm("ingest::wal::append");
-        assert!(err.to_string().contains("short write"), "{err}");
-        // The torn handle refuses appends and commits until reopened.
-        assert!(wal.append_row(&row(3)).is_err());
-        assert!(wal.commit().is_err());
-        drop(wal);
-
-        let (wal2, report) = Wal::open(&dir, WalConfig::default()).unwrap();
-        assert!(!report.is_clean(), "the torn tail must be quarantined");
-        assert!(report.quarantined_bytes > 0, "{report:?}");
-        assert_eq!(wal2.total_rows(), 2, "committed rows survive");
-        assert_eq!(wal2.rows().unwrap(), vec![row(0), row(1)]);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// An injected seal failure (e.g. ENOSPC while writing the envelope)
-    /// leaves the open segment fully intact: nothing is lost, and a retry
-    /// seals the same rows.
-    #[test]
-    #[cfg(feature = "hdx-fail")]
-    fn failed_seal_loses_no_rows() {
-        use hdx_governor::failpoint::{self, FailAction, IoFault};
-        let dir = tmp_dir("sealfail");
-        let (mut wal, _) = Wal::open(&dir, WalConfig::default()).unwrap();
-        for i in 0..5 {
-            wal.append_row(&row(i)).unwrap();
-        }
-        wal.commit().unwrap();
-        failpoint::arm("ingest::wal::seal", FailAction::Io(IoFault::Enospc), 1);
-        assert!(wal.seal().is_err(), "injected seal fault must surface");
-        failpoint::disarm("ingest::wal::seal");
-        assert_eq!(wal.open_rows(), 5, "open segment untouched");
-        wal.seal().expect("retry seals cleanly");
-        assert_eq!(wal.sealed_segments().len(), 1);
-        assert_eq!(wal.total_rows(), 5);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,13 +1,13 @@
 //! The durable per-job event journal (`events.ndjson` in the job dir).
 //!
-//! Every emitted event line is persisted with the same atomic discipline as
-//! hdx-checkpoint envelopes — write a temp file, `fsync`, rename over the
-//! destination, best-effort directory fsync — so the file on disk is always
-//! a complete prefix of the stream: a `kill -9` can lose the tail, never
-//! corrupt the middle. Sequence numbers are the line index, so reopening a
-//! journal after a restart continues the monotonic numbering exactly where
-//! the durable prefix ends, and serving the file verbatim replays the
-//! stream byte-identically.
+//! Every emitted event line is persisted through
+//! [`hdx_checkpoint::durable::write_atomic`] — temp file, `fsync`, rename
+//! over the destination, best-effort directory fsync — so the file on disk
+//! is always a complete prefix of the stream: a `kill -9` can lose the
+//! tail, never corrupt the middle. Sequence numbers are the line index, so
+//! reopening a journal after a restart continues the monotonic numbering
+//! exactly where the durable prefix ends, and serving the file verbatim
+//! replays the stream byte-identically.
 //!
 //! Each append rewrites the whole file. Jobs emit tens of events (a handful
 //! of lifecycle transitions plus one line per mining level), so the rewrite
@@ -15,9 +15,11 @@
 //! format, mirroring the KEEP=3 checkpoint store's simplicity-over-
 //! throughput call.
 
-use std::fs::{self, File};
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
+
+use hdx_checkpoint::durable;
 
 /// The journal file name inside a job directory.
 pub const EVENTS_FILE: &str = "events.ndjson";
@@ -28,7 +30,6 @@ pub const EVENTS_FILE: &str = "events.ndjson";
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    tmp: PathBuf,
     /// Every durable line, trailing `\n` included, in sequence order.
     lines: Vec<String>,
 }
@@ -46,11 +47,7 @@ impl Journal {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
-        Ok(Self {
-            tmp: job_dir.join(format!("{EVENTS_FILE}.tmp")),
-            path,
-            lines,
-        })
+        Ok(Self { path, lines })
     }
 
     /// The sequence number the next appended event must carry.
@@ -72,22 +69,9 @@ impl Journal {
     /// failure, so a retry re-appends the same sequence number.
     pub fn append(&mut self, line: &str) -> io::Result<()> {
         debug_assert!(line.ends_with('\n'), "journal lines are newline-framed");
-        {
-            let mut f = File::create(&self.tmp)?;
-            for existing in &self.lines {
-                f.write_all(existing.as_bytes())?;
-            }
-            f.write_all(line.as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&self.tmp, &self.path)?;
-        // Durability of the rename itself: fsync the directory, best-effort
-        // (not all filesystems support opening a directory for sync).
-        if let Some(dir) = self.path.parent() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
+        let mut bytes = self.contents();
+        bytes.push_str(line);
+        durable::write_atomic(&self.path, bytes.as_bytes()).map_err(io::Error::other)?;
         self.lines.push(line.to_string());
         Ok(())
     }
@@ -172,7 +156,7 @@ mod tests {
         let mut j = Journal::open(&dir).expect("open");
         j.append("{\"seq\":0}\n").expect("append");
         assert!(
-            !dir.join(format!("{EVENTS_FILE}.tmp")).exists(),
+            !durable::tmp_path(&dir.join(EVENTS_FILE)).exists(),
             "tmp is always renamed away"
         );
         let _ = fs::remove_dir_all(&dir);

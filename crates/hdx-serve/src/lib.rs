@@ -15,8 +15,9 @@
 //!   watchdog. Transient failures retry with jittered exponential backoff
 //!   under a retry budget; permanent failures are recorded, not retried.
 //! * **Crash recovery** — a job is acknowledged only after its dataset and
-//!   sealed manifest are durable. Every run checkpoints through
-//!   `hdx-checkpoint`; on startup the service scans its state directory
+//!   sealed manifest are durable. Every file in a job directory is written
+//!   by `hdx_checkpoint::durable::write_atomic`, and every run checkpoints
+//!   through `hdx-checkpoint`; on startup the service scans its state directory
 //!   ([`hdx_checkpoint::list_manifests`]) and resumes orphans to the
 //!   byte-identical result an uninterrupted run would have produced.
 //! * **Graceful degradation** — `POST /shutdown` stops admission, cancels
@@ -55,8 +56,9 @@
 //! Under the `obs` feature the service records `hdx.serve.*` counters and
 //! gauges and tags per-job work with `tenant`/`job` spans; under
 //! `hdx-fail` the `serve::accept`, `serve::queue`, `serve::worker`,
-//! `serve::job`, `serve::done`, `serve::ingest::append`, and
-//! `serve::ingest::fold` fail points inject faults for chaos tests.
+//! `serve::job`, `serve::ingest::append`, and `serve::ingest::fold` fail
+//! points inject faults for chaos tests, and hdx-checkpoint's
+//! `durable::write` faults every file the service seals.
 
 /// The per-job event vocabulary and its deterministic NDJSON encoding.
 pub mod events;

@@ -38,7 +38,7 @@ pub enum JobRunOutcome {
     Permanent(String),
 }
 
-/// A `serve::job` / `serve::done` fail-point error (tests only).
+/// A `serve::job` / `serve::ingest::fold` fail-point error (tests only).
 struct Injected(String);
 
 /// Loads the job's dataset and computes the mining frame + outcomes.
@@ -227,7 +227,6 @@ fn execute_inner(
         // next process; deliberately no completion marker.
         return Ok(JobRunOutcome::Drained);
     }
-    fail_point!("serve::done", Injected);
     // The sealed body is the `/jobs/<id>/result` byte-identity surface: a
     // resumed run must serve the same bytes an uninterrupted run would
     // have. Every report field is deterministic except wall-clock elapsed

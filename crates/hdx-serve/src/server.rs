@@ -24,6 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use hdx_checkpoint::durable::write_atomic;
 use hdx_checkpoint::{list_manifests, write_sealed, CheckpointStore, COMPLETE_FILE, MANIFEST_FILE};
 use hdx_governor::{fail_point, CancelToken, RunBudget};
 use hdx_obs::{counter_add, flush_thread, gauge_max, job_span, RunTelemetry};
@@ -1047,14 +1048,11 @@ fn submit(shared: &Arc<Shared>, stream: &mut TcpStream, body: &[u8]) {
     respond_json(stream, 202, "Accepted", &body);
 }
 
-/// Writes the dataset and seals the manifest. The manifest is last: its
-/// presence commits the admission.
+/// Writes the dataset and seals the manifest, both durably. The manifest
+/// is last: its presence commits the admission.
 fn persist_admission(dir: &std::path::Path, spec: &JobSpec, csv: &str) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    let data_path = dir.join(DATA_FILE);
-    std::fs::write(&data_path, csv).map_err(|e| e.to_string())?;
-    let file = std::fs::File::open(&data_path).map_err(|e| e.to_string())?;
-    file.sync_all().map_err(|e| e.to_string())?;
+    write_atomic(&dir.join(DATA_FILE), csv.as_bytes()).map_err(|e| e.to_string())?;
     write_sealed(&dir.join(MANIFEST_FILE), &spec.encode()).map_err(|e| e.to_string())
 }
 

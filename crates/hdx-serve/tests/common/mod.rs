@@ -21,7 +21,16 @@ pub struct Response {
 /// Sends one request and reads until the server closes the connection, so
 /// a chunked event stream is consumed to its terminator.
 pub fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    exchange(
+        TcpStream::connect(addr).expect("connect"),
+        method,
+        path,
+        body,
+    )
+}
+
+/// [`http`] over a connection the caller opened earlier.
+pub fn exchange(mut stream: TcpStream, method: &str, path: &str, body: &str) -> Response {
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .expect("timeout");

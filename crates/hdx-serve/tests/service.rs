@@ -3,6 +3,7 @@
 //! (a second server over the same state directory resumes the orphaned job
 //! and serves the byte-identical result an uninterrupted server produces).
 
+use std::net::TcpStream;
 use std::thread;
 
 use hdx_serve::Server;
@@ -96,9 +97,13 @@ fn overload_sheds_with_retry_after_and_draining_refuses_work() {
 
     assert_eq!(await_terminal(addr, &first_id), "done");
 
-    // Draining: readiness flips and submissions shed with 503.
+    // Draining: readiness flips and submissions shed with 503. The late
+    // connection opens before the drain, so a handler already holds it
+    // when the request arrives; one still in the listen backlog when the
+    // drain completes would be reset as the listener drops.
+    let late = TcpStream::connect(addr).expect("connect");
     assert_eq!(http(addr, "POST", "/shutdown", "").status, 202);
-    let late = http(addr, "POST", "/jobs", &submission(&sample_csv(10), "acme"));
+    let late = exchange(late, "POST", "/jobs", &submission(&sample_csv(10), "acme"));
     assert_eq!(late.status, 503, "{}", late.body);
     handle.join().expect("drain");
     let _ = std::fs::remove_dir_all(&state);

@@ -1,29 +1,37 @@
 //! Fault-injection integration tests (compiled only with
 //! `--features hdx-fail`): arm named fail points in the miners, the tree
-//! discretizer and the CSV loader, and assert that every layer degrades
-//! instead of dying.
+//! discretizer, the CSV loader, the ingest WAL and the durable-write
+//! routine, and assert that every layer degrades instead of dying.
 //!
 //! The fail-point registry is process-global, and the armed points sit on
-//! paths that every pipeline run passes through: each fit hits
-//! `discretize::split` and `mining::vertical`, and several tests arm
-//! `checkpoint::write` or `mining::vertical-worker`. A point armed by one
+//! paths that many tests pass through: each fit hits `discretize::split`
+//! and `mining::vertical`, every sealed file passes `durable::write`, and
+//! every WAL append passes `ingest::wal::append`. A point armed by one
 //! test would fire inside another test running concurrently, so every test
 //! here holds [`FAILPOINT_LOCK`] for its whole body.
 
 #![cfg(feature = "hdx-fail")]
 
+use h_divexplorer::checkpoint::durable::tmp_path;
+use h_divexplorer::checkpoint::{
+    envelope, write_sealed, CheckpointState, CheckpointStore, CounterSnapshot, MiningProgress,
+};
 use h_divexplorer::core::{
     ExplorationMode, HDivExplorer, HDivExplorerConfig, OutcomeFn, Termination,
 };
 use h_divexplorer::data::{read_csv_str, CsvOptions, DataError};
 use h_divexplorer::datasets::compas;
-use h_divexplorer::governor::failpoint::{self, FailAction};
+use h_divexplorer::governor::failpoint::{self, FailAction, IoFault};
 use h_divexplorer::governor::{Governor, RunBudget};
+use h_divexplorer::ingest::{IngestCursor, Wal, WalConfig, CURSOR_FILE, OPEN_FILE};
 use h_divexplorer::items::{Item, ItemCatalog, ItemId};
 use h_divexplorer::mining::{
     mine, mine_governed, MiningConfig, MiningError, MiningResult, Transactions,
 };
+use h_divexplorer::serve::journal::Journal;
+use h_divexplorer::serve::EVENTS_FILE;
 use h_divexplorer::stats::Outcome;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -62,6 +70,19 @@ fn fixture() -> (Transactions, ItemCatalog) {
         outcomes.push(Outcome::Bool(r % 3 == 0));
     }
     (Transactions::from_rows(rows, outcomes), catalog)
+}
+
+/// A fresh scratch directory for one test.
+fn tmp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("hdx-fp-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// The payload of WAL row `i`.
+fn row(i: u64) -> Vec<u8> {
+    format!("row-{i},a,{}", i % 7).into_bytes()
 }
 
 /// The itemsets of `result` with their accumulators, in itemset order.
@@ -221,7 +242,6 @@ fn discretizer_split_panic_is_a_clean_unwind() {
 /// write failure out-of-band.
 #[test]
 fn checkpoint_write_faults_do_not_lose_the_run() {
-    use h_divexplorer::checkpoint::CheckpointStore;
     use h_divexplorer::data::{DataFrameBuilder, Value};
     let _guard = serial();
 
@@ -265,16 +285,14 @@ fn checkpoint_write_faults_do_not_lose_the_run() {
     assert_eq!(run.result.report.records.len(), plain.report.records.len());
 }
 
-/// Injected *I/O* faults at the checkpoint-write fail point — ENOSPC and a
-/// torn (short) write, not just clean typed errors — degrade persistence
-/// only: the previous checkpoint stays loadable, the torn scratch file is
-/// ignored by recovery, and a retry after the "device recovers" advances
-/// the sequence normally.
+/// Injected *I/O* faults at the durable-write fail point under a
+/// checkpoint write — ENOSPC and a torn (short) write, not just clean typed
+/// errors — degrade persistence only: the previous checkpoint stays
+/// loadable, the torn scratch file is ignored by recovery, and a retry
+/// after the "device recovers" advances the sequence normally.
 #[test]
 fn checkpoint_io_faults_preserve_the_previous_checkpoint() {
-    use h_divexplorer::checkpoint::CheckpointStore;
     use h_divexplorer::data::{DataFrameBuilder, Value};
-    use h_divexplorer::governor::failpoint::IoFault;
     let _guard = serial();
 
     let mut b = DataFrameBuilder::new();
@@ -309,21 +327,26 @@ fn checkpoint_io_faults_preserve_the_previous_checkpoint() {
     let state = loaded.state;
 
     // ENOSPC: fails before a byte lands; nothing on disk changes.
-    failpoint::arm("checkpoint::write", FailAction::Io(IoFault::Enospc), 1);
+    failpoint::arm("durable::write", FailAction::Io(IoFault::Enospc), 1);
     let err = store.write(&state).expect_err("injected ENOSPC");
-    failpoint::disarm("checkpoint::write");
+    failpoint::disarm("durable::write");
     assert!(err.to_string().contains("no space left"), "{err}");
     assert_eq!(store.sequences().unwrap(), seqs);
 
     // Short write: half the sealed bytes land in the scratch file — the
     // crash-mid-write artifact — and recovery must skip it.
-    failpoint::arm("checkpoint::write", FailAction::Io(IoFault::ShortWrite), 1);
+    failpoint::arm("durable::write", FailAction::Io(IoFault::ShortWrite), 1);
     let err = store.write(&state).expect_err("injected short write");
-    failpoint::disarm("checkpoint::write");
+    failpoint::disarm("durable::write");
     assert!(err.to_string().contains("short write"), "{err}");
-    let tmp = dir.join("ckpt.tmp");
+    let tmp = tmp_path(&store.path_of(seqs.last().unwrap() + 1));
     assert!(tmp.exists(), "the torn scratch file must really exist");
-    assert!(std::fs::metadata(&tmp).unwrap().len() > 0);
+    let torn = std::fs::read(&tmp).unwrap();
+    let sealed = envelope::seal(&state.encode());
+    assert!(
+        !torn.is_empty() && torn.len() < sealed.len() && sealed.starts_with(&torn),
+        "the scratch file holds a strict prefix of the sealed bytes"
+    );
     assert_eq!(store.sequences().unwrap(), seqs, "no sequence consumed");
     let reloaded = store.load_latest().unwrap();
     assert_eq!(
@@ -363,4 +386,223 @@ fn single_thread_miner_panics_are_clean_unwinds() {
     std::panic::set_hook(hook);
     failpoint::disarm("mining::vertical");
     assert!(outcome.is_err(), "injected panic must propagate");
+}
+
+/// An injected ENOSPC at the fsync boundary surfaces as a typed error
+/// and costs nothing: the rows were never acknowledged, and the next
+/// commit (device "freed") lands them all.
+#[test]
+fn enospc_on_commit_is_a_typed_retryable_error() {
+    let _guard = serial();
+    let dir = tmp_dir("wal-enospc");
+    let (mut wal, _) = Wal::open(&dir, WalConfig::default()).unwrap();
+    wal.append_row(&row(0)).unwrap();
+    wal.append_row(&row(1)).unwrap();
+    failpoint::arm("ingest::wal::fsync", FailAction::Io(IoFault::Enospc), 1);
+    let err = wal.commit().expect_err("injected ENOSPC must surface");
+    failpoint::disarm("ingest::wal::fsync");
+    assert!(err.to_string().contains("no space left"), "{err}");
+    // Retry without the fault: both rows become durable.
+    assert_eq!(wal.commit().unwrap(), 2);
+    let (wal2, report) = Wal::open(&dir, WalConfig::default()).unwrap();
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(wal2.total_rows(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An injected short write really tears the open segment: half a frame
+/// lands on disk, the handle refuses further work, and the next open
+/// quarantines exactly the torn bytes while every committed row
+/// survives.
+#[test]
+fn short_write_tears_the_tail_and_recovery_quarantines_it() {
+    let _guard = serial();
+    let dir = tmp_dir("wal-shortwrite");
+    let (mut wal, _) = Wal::open(&dir, WalConfig::default()).unwrap();
+    wal.append_row(&row(0)).unwrap();
+    wal.append_row(&row(1)).unwrap();
+    wal.commit().unwrap();
+
+    failpoint::arm(
+        "ingest::wal::append",
+        FailAction::Io(IoFault::ShortWrite),
+        1,
+    );
+    let err = wal.append_row(&row(2)).expect_err("short write must fail");
+    failpoint::disarm("ingest::wal::append");
+    assert!(err.to_string().contains("short write"), "{err}");
+    // The torn handle refuses appends and commits until reopened.
+    assert!(wal.append_row(&row(3)).is_err());
+    assert!(wal.commit().is_err());
+    drop(wal);
+
+    let (wal2, report) = Wal::open(&dir, WalConfig::default()).unwrap();
+    assert!(!report.is_clean(), "the torn tail must be quarantined");
+    assert!(report.quarantined_bytes > 0, "{report:?}");
+    assert_eq!(wal2.total_rows(), 2, "committed rows survive");
+    assert_eq!(wal2.rows().unwrap(), vec![row(0), row(1)]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An injected seal failure (ENOSPC while writing the envelope) leaves the
+/// open segment fully intact: nothing is lost, and a retry seals the same
+/// rows.
+#[test]
+fn failed_seal_loses_no_rows() {
+    let _guard = serial();
+    let dir = tmp_dir("wal-sealfail");
+    let (mut wal, _) = Wal::open(&dir, WalConfig::default()).unwrap();
+    for i in 0..5 {
+        wal.append_row(&row(i)).unwrap();
+    }
+    wal.commit().unwrap();
+    failpoint::arm("durable::write", FailAction::Io(IoFault::Enospc), 1);
+    assert!(wal.seal().is_err(), "injected seal fault must surface");
+    failpoint::disarm("durable::write");
+    assert_eq!(wal.open_rows(), 5, "open segment untouched");
+    wal.seal().expect("retry seals cleanly");
+    assert_eq!(wal.sealed_segments().len(), 1);
+    assert_eq!(wal.total_rows(), 5);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Drives one durable writer through an injected `Error`, ENOSPC and short
+/// write at `durable::write`, then a clean retry. `attempt` performs the
+/// write; on success it must land exactly `new_bytes` at `dest`.
+fn assert_faults_then_retry(
+    writer: &str,
+    dest: &Path,
+    new_bytes: &[u8],
+    mut attempt: impl FnMut() -> Result<(), String>,
+) {
+    let tmp = tmp_path(dest);
+    for action in [
+        FailAction::Error("injected".into()),
+        FailAction::Io(IoFault::Enospc),
+        FailAction::Io(IoFault::ShortWrite),
+    ] {
+        let before = std::fs::read(dest).ok();
+        let _ = std::fs::remove_file(&tmp);
+        let torn = matches!(action, FailAction::Io(IoFault::ShortWrite));
+        failpoint::arm("durable::write", action.clone(), 1);
+        let result = attempt();
+        failpoint::disarm("durable::write");
+        assert!(result.is_err(), "{writer}: {action:?} must surface");
+        assert_eq!(
+            std::fs::read(dest).ok(),
+            before,
+            "{writer}: {action:?} must leave the destination as it was"
+        );
+        if torn {
+            let prefix = std::fs::read(&tmp).expect("the torn scratch file exists");
+            assert!(
+                prefix.len() < new_bytes.len() && new_bytes.starts_with(&prefix),
+                "{writer}: the scratch file holds a strict prefix of the new bytes"
+            );
+        } else {
+            assert!(!tmp.exists(), "{writer}: {action:?} writes no byte");
+        }
+    }
+    attempt().unwrap_or_else(|e| panic!("{writer}: retry after disarm: {e}"));
+    assert_eq!(
+        std::fs::read(dest).expect("destination written"),
+        new_bytes,
+        "{writer}: the retry lands the new bytes"
+    );
+    assert!(
+        !tmp.exists(),
+        "{writer}: the retry renames its scratch away"
+    );
+}
+
+/// Every whole-file writer goes through `durable::write`, so one armed
+/// point faults each of them the same way: the call fails, the destination
+/// keeps its old bytes (or stays absent), a short write leaves only a torn
+/// `<dest>.tmp`, and a retry lands the new bytes.
+#[test]
+fn durable_write_faults_every_sealed_file_writer() {
+    let _guard = serial();
+    let dir = tmp_dir("durable");
+
+    let store = CheckpointStore::create(dir.join("ckpt")).unwrap();
+    let state = CheckpointState {
+        dataset_fingerprint: 1,
+        config_fingerprint: 2,
+        trees: vec![],
+        progress: MiningProgress {
+            cursor: 3,
+            n_rows: 4,
+            emitted: vec![],
+            counters: CounterSnapshot::default(),
+        },
+    };
+    store.write(&state).unwrap();
+    assert_faults_then_retry(
+        "CheckpointStore::write",
+        &store.path_of(1),
+        &envelope::seal(&state.encode()),
+        || store.write(&state).map(drop).map_err(|e| e.to_string()),
+    );
+    assert_eq!(store.sequences().unwrap(), vec![0, 1]);
+
+    let sealed = dir.join("manifest.hdx");
+    write_sealed(&sealed, b"old manifest").unwrap();
+    assert_faults_then_retry(
+        "write_sealed",
+        &sealed,
+        &envelope::seal(b"new manifest"),
+        || write_sealed(&sealed, b"new manifest").map_err(|e| e.to_string()),
+    );
+
+    let wal_dir = dir.join("wal");
+    let (mut wal, _) = Wal::open(&wal_dir, WalConfig::default()).unwrap();
+    for i in 0..3 {
+        wal.append_row(&row(i)).unwrap();
+    }
+    wal.commit().unwrap();
+    let frames = std::fs::read(wal_dir.join(OPEN_FILE)).unwrap();
+    assert_faults_then_retry(
+        "Wal::seal",
+        &wal_dir.join("seg-0000000000.hdx"),
+        &envelope::seal(&frames),
+        || {
+            let result = wal.seal().map_err(|e| e.to_string());
+            if result.is_err() {
+                assert_eq!(wal.open_rows(), 3, "a failed seal keeps the open segment");
+            }
+            result
+        },
+    );
+    assert_eq!(wal.open_rows(), 0);
+    assert_eq!(wal.rows().unwrap(), vec![row(0), row(1), row(2)]);
+
+    let mut journal = Journal::open(&dir).unwrap();
+    journal.append("{\"seq\":0}\n").unwrap();
+    assert_faults_then_retry(
+        "Journal::append",
+        &dir.join(EVENTS_FILE),
+        b"{\"seq\":0}\n{\"seq\":1}\n",
+        || {
+            let result = journal.append("{\"seq\":1}\n").map_err(|e| e.to_string());
+            if result.is_err() {
+                assert_eq!(journal.next_seq(), 1, "a failed append takes no seq");
+            }
+            result
+        },
+    );
+    assert_eq!(journal.next_seq(), 2);
+
+    let cursor_path = dir.join(CURSOR_FILE);
+    IngestCursor::default().save(&cursor_path).unwrap();
+    let cursor = IngestCursor {
+        rows_folded: 3,
+        ..IngestCursor::default()
+    };
+    assert_faults_then_retry(
+        "IngestCursor::save",
+        &cursor_path,
+        &envelope::seal(&cursor.encode()),
+        || cursor.save(&cursor_path).map_err(|e| e.to_string()),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
