@@ -20,13 +20,14 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use hdx_checkpoint::durable::write_atomic;
 use hdx_checkpoint::{list_manifests, write_sealed, CheckpointStore, COMPLETE_FILE, MANIFEST_FILE};
 use hdx_governor::{fail_point, CancelToken, RunBudget};
+use hdx_ingest::{IngestReport, Wal, WalConfig};
 use hdx_obs::{counter_add, flush_thread, gauge_max, job_span, RunTelemetry};
 
 use crate::events::JobEvent;
@@ -158,6 +159,18 @@ impl IngestState {
     }
 }
 
+/// One job's open ingest WAL, behind the lock that serializes its
+/// appends. Empty until the first append opens (and heals) the WAL, after
+/// any append or commit error, and once the job is no longer queued or
+/// running.
+type WalSlot = Arc<Mutex<Option<Wal>>>;
+
+/// Locks a WAL slot. A holder that panicked dropped the `Wal` it had
+/// taken out of the slot, so a poisoned slot is merely empty.
+fn lock_slot(slot: &Mutex<Option<Wal>>) -> MutexGuard<'_, Option<Wal>> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One job's in-memory state. The durable twin lives in its state dir.
 struct JobRecord {
     spec: JobSpec,
@@ -169,9 +182,20 @@ struct JobRecord {
     retry_log: Vec<String>,
     /// Streaming-append bookkeeping (zero for jobs never appended to).
     ingest: IngestState,
+    /// The job's open WAL. Lock order: a slot lock is taken before the
+    /// registry lock, never while holding it.
+    wal: WalSlot,
 }
 
 /// State shared by the accept loop, connection handlers, and workers.
+///
+/// Each job's registry record holds one open ingest WAL (a [`WalSlot`]).
+/// It is healed on the first append and after any append or commit error,
+/// and closed when the job reaches a terminal state (or is drained), so
+/// open WAL files are bounded by queued and running jobs. Appends to one
+/// job serialize on its slot. The mining runner never takes a slot: it
+/// reads the WAL through the read-only `replay_dir`, which is safe beside
+/// a live appender.
 struct Shared {
     config: ServeConfig,
     jobs_dir: PathBuf,
@@ -188,20 +212,13 @@ struct Shared {
     /// scrape drains the worker pool's thread-local sinks into it, so
     /// counters are cumulative across scrapes as Prometheus expects.
     telemetry: Mutex<RunTelemetry>,
-    /// Per-job append serialization: WAL healing-open, append, and commit
-    /// must not interleave across connection handlers. (The mining runner
-    /// never takes these — it reads the WAL through the read-only
-    /// `replay_dir`, which is safe against concurrent atomic appends.)
-    append_locks: Mutex<HashMap<String, Arc<Mutex<()>>>>,
 }
 
 impl Shared {
-    fn lock_registry(&self) -> std::sync::MutexGuard<'_, HashMap<String, JobRecord>> {
+    fn lock_registry(&self) -> MutexGuard<'_, HashMap<String, JobRecord>> {
         // Registry updates are single-statement map edits; a panicking
         // holder cannot leave them half-done, so serving beats wedging.
-        self.registry
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.registry.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn draining(&self) -> bool {
@@ -223,15 +240,34 @@ impl Shared {
             // job instead of remembering the failure, which is safe.
             let _ = write_sealed(&self.job_dir(job_id).join(COMPLETE_FILE), &record.encode());
         }
-        let tenant = {
-            let mut registry = self.lock_registry();
-            let Some(job) = registry.get_mut(job_id) else {
-                return;
-            };
-            job.phase = JobPhase::Finished(record);
-            job.spec.tenant.clone()
-        };
-        self.queue.release(&tenant);
+        if let Some(tenant) = self.settle(job_id, JobPhase::Finished(record)) {
+            self.queue.release(&tenant);
+        }
+    }
+
+    /// Parks a job the drain stopped; its durable state is left for the
+    /// next start's orphan scan.
+    fn mark_drained(&self, job_id: &str) {
+        self.settle(job_id, JobPhase::Drained);
+        self.plane.finish(job_id, &JobEvent::Drained);
+    }
+
+    /// Moves a job out of the queued/running phases and closes its WAL.
+    /// The slot is emptied under its own lock before the phase flips, so
+    /// a concurrent append either lands first (the post-run hook then
+    /// re-queues the job) or sees the new phase (and re-queues it itself,
+    /// reopening the WAL). Returns the job's tenant.
+    fn settle(&self, job_id: &str, phase: JobPhase) -> Option<String> {
+        let slot = self
+            .lock_registry()
+            .get(job_id)
+            .map(|job| Arc::clone(&job.wal))?;
+        let mut wal = lock_slot(&slot);
+        *wal = None;
+        let mut registry = self.lock_registry();
+        let job = registry.get_mut(job_id)?;
+        job.phase = phase;
+        Some(job.spec.tenant.clone())
     }
 }
 
@@ -268,7 +304,6 @@ impl Server {
             active_connections: AtomicUsize::new(0),
             started: Instant::now(),
             telemetry: Mutex::new(RunTelemetry::empty()),
-            append_locks: Mutex::new(HashMap::new()),
         });
         let recovery_notes = recover(&shared).map_err(io::Error::other)?;
         Ok(Self {
@@ -413,6 +448,7 @@ fn recover(shared: &Arc<Shared>) -> Result<Vec<String>, String> {
                                 resumed: false,
                                 retry_log: Vec::new(),
                                 ingest,
+                                wal: WalSlot::default(),
                             },
                         );
                     }
@@ -513,6 +549,7 @@ fn resume_orphan(shared: &Arc<Shared>, job_id: &str, spec: JobSpec, notes: &mut 
             resumed: true,
             retry_log: Vec::new(),
             ingest: IngestState::default(),
+            wal: WalSlot::default(),
         },
     );
     // Reopening the journal continues the previous process's sequence
@@ -585,10 +622,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                     // draining. The job is already durable (dataset +
                     // manifest, no completion marker), so the next start's
                     // orphan scan re-queues it — drain loses no accepted job.
-                    if let Some(job) = shared.lock_registry().get_mut(&job_id) {
-                        job.phase = JobPhase::Drained;
-                    }
-                    shared.plane.finish(&job_id, &JobEvent::Drained);
+                    shared.mark_drained(&job_id);
                     continue;
                 }
                 let lease = JobLease {
@@ -744,10 +778,7 @@ impl JobLease<'_> {
                     return;
                 }
                 Ok(JobRunOutcome::Drained) => {
-                    if let Some(job) = self.shared.lock_registry().get_mut(&self.job_id) {
-                        job.phase = JobPhase::Drained;
-                    }
-                    self.shared.plane.finish(&self.job_id, &JobEvent::Drained);
+                    self.shared.mark_drained(&self.job_id);
                     self.settled = true;
                     return;
                 }
@@ -803,10 +834,7 @@ impl JobLease<'_> {
                     if self.shared.draining() {
                         // Don't start another attempt mid-drain; the job is
                         // durable and the next start will pick it up.
-                        if let Some(job) = self.shared.lock_registry().get_mut(&self.job_id) {
-                            job.phase = JobPhase::Drained;
-                        }
-                        self.shared.plane.finish(&self.job_id, &JobEvent::Drained);
+                        self.shared.mark_drained(&self.job_id);
                         self.settled = true;
                         return;
                     }
@@ -1036,6 +1064,7 @@ fn submit(shared: &Arc<Shared>, stream: &mut TcpStream, body: &[u8]) {
             resumed: false,
             retry_log: Vec::new(),
             ingest: IngestState::default(),
+            wal: WalSlot::default(),
         },
     );
     shared
@@ -1207,11 +1236,11 @@ fn job_append(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str, body: 
         return;
     }
     // Snapshot the job under the registry lock; hold nothing across I/O.
-    let Some((separator, ingest)) = ({
+    let Some((separator, slot)) = ({
         let registry = shared.lock_registry();
         registry
             .get(job_id)
-            .map(|job| (job.spec.separator as char, job.ingest))
+            .map(|job| (job.spec.separator as char, Arc::clone(&job.wal)))
     }) else {
         respond_error(stream, 404, "Not Found", "unknown job");
         return;
@@ -1237,47 +1266,48 @@ fn job_append(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str, body: 
         respond_error(stream, 400, "Bad Request", &refusal);
         return;
     }
-    // Backpressure: durable-but-unfolded rows are bounded. 429 is the
-    // degrade-not-die answer — the WAL never grows past what re-mining can
-    // absorb, and the client gets explicit, jittered retry guidance.
-    let pending = ingest.pending_rows() + rows.len() as u64;
-    if pending > shared.config.append_backlog_max_rows {
-        counter_add!(ServeIngestShed, 1);
-        let base_ms = shared.config.retry_after_secs.saturating_mul(1000).max(1);
-        let jitter = splitmix64(seed_of(job_id) ^ pending) % base_ms;
-        let body = format!(
-            "{{\"error\":\"append backlog full ({} unfolded rows)\",\
-             \"retry_after_ms\":{},\"retry\":\"jittered exponential backoff\"}}",
-            ingest.pending_rows(),
-            base_ms + jitter,
-        );
-        respond(
-            stream,
-            429,
-            "Too Many Requests",
-            "application/json",
-            &body,
-            &[("Retry-After", shared.config.retry_after_secs.to_string())],
-        );
-        return;
-    }
-    // Serialize WAL access per job: healing-open + append + commit must not
-    // interleave across handler threads.
-    let lock = {
-        let mut locks = shared
-            .append_locks
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        Arc::clone(locks.entry(job_id.to_string()).or_default())
+    let (appended, quarantined) = append_locked(shared, job_id, &slot, &rows);
+    // A heal's findings are announced whatever became of the batch (after
+    // a re-queue reopened the finished job's channel, on success).
+    let announce_quarantine = || {
+        if let Some((frames, bytes)) = quarantined {
+            shared
+                .plane
+                .emit(job_id, &JobEvent::IngestQuarantined { frames, bytes });
+        }
     };
-    let guard = lock
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let appended = append_to_wal(&dir, &rows);
-    drop(guard);
-    let (durable_rows, report) = match appended {
-        Ok(v) => v,
-        Err(e) => {
+    let (durable_rows, requeued) = match appended {
+        Appended::Durable {
+            durable_rows,
+            requeued,
+        } => (durable_rows, requeued),
+        Appended::Shed { backlog } => {
+            announce_quarantine();
+            // Backpressure: durable-but-unfolded rows are bounded. 429 is
+            // the degrade-not-die answer — the WAL never grows past what
+            // re-mining can absorb, and the client gets explicit, jittered
+            // retry guidance.
+            counter_add!(ServeIngestShed, 1);
+            let pending = backlog + rows.len() as u64;
+            let base_ms = shared.config.retry_after_secs.saturating_mul(1000).max(1);
+            let jitter = splitmix64(seed_of(job_id) ^ pending) % base_ms;
+            let body = format!(
+                "{{\"error\":\"append backlog full ({backlog} unfolded rows)\",\
+                 \"retry_after_ms\":{},\"retry\":\"jittered exponential backoff\"}}",
+                base_ms + jitter,
+            );
+            respond(
+                stream,
+                429,
+                "Too Many Requests",
+                "application/json",
+                &body,
+                &[("Retry-After", shared.config.retry_after_secs.to_string())],
+            );
+            return;
+        }
+        Appended::Failed(e) => {
+            announce_quarantine();
             respond_error(
                 stream,
                 500,
@@ -1286,35 +1316,16 @@ fn job_append(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str, body: 
             );
             return;
         }
-    };
-    counter_add!(ServeIngestAppends, rows.len() as u64);
-    // Update the in-memory shadow and decide whether to re-queue: only a
-    // terminal job needs a fresh slot; queued/running jobs will observe the
-    // new rows at their next (or post-finish) WAL comparison.
-    let (requeue, tenant, quarantined) = {
-        let mut registry = shared.lock_registry();
-        let Some(job) = registry.get_mut(job_id) else {
+        Appended::Vanished => {
             respond_error(stream, 404, "Not Found", "job vanished");
             return;
-        };
-        job.ingest.durable_rows = durable_rows;
-        job.ingest.quarantined_frames += report.quarantined_frames;
-        job.ingest.quarantined_bytes += report.quarantined_bytes;
-        let requeue = matches!(job.phase, JobPhase::Finished(_));
-        if requeue {
-            job.phase = JobPhase::Queued;
-            job.cancel = CancelToken::new();
         }
-        (
-            requeue,
-            job.spec.tenant.clone(),
-            (job.ingest.quarantined_frames, job.ingest.quarantined_bytes),
-        )
     };
-    if requeue {
+    counter_add!(ServeIngestAppends, rows.len() as u64);
+    if let Some(tenant) = &requeued {
         // The finished job's event channel was retired; reopen it so the
         // re-mine's events extend the same journal.
-        shared.plane.open_job(job_id, &dir, &tenant, true);
+        shared.plane.open_job(job_id, &dir, tenant, true);
     }
     shared.plane.emit(
         job_id,
@@ -1323,25 +1334,116 @@ fn job_append(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str, body: 
             durable_rows,
         },
     );
-    if !report.is_clean() {
-        shared.plane.emit(
-            job_id,
-            &JobEvent::IngestQuarantined {
-                frames: quarantined.0,
-                bytes: quarantined.1,
-            },
-        );
-    }
-    if requeue {
-        shared.queue.reserve_slot(&tenant);
+    announce_quarantine();
+    if let Some(tenant) = &requeued {
+        shared.queue.reserve_slot(tenant);
         shared.queue.enqueue(job_id);
     }
     let body = format!(
         "{{\"job_id\":\"{job_id}\",\"appended\":{},\"durable_rows\":{durable_rows},\
-         \"requeued\":{requeue}}}",
-        rows.len()
+         \"requeued\":{}}}",
+        rows.len(),
+        requeued.is_some()
     );
     respond_json(stream, 202, "Accepted", &body);
+}
+
+/// What one append did, decided under the job's WAL slot lock.
+enum Appended {
+    /// The batch is durable. `requeued` holds the tenant of a finished job
+    /// the append re-queued.
+    Durable {
+        durable_rows: u64,
+        requeued: Option<String>,
+    },
+    /// Shed by backpressure: `backlog` unfolded rows were already durable.
+    Shed { backlog: u64 },
+    /// The WAL could not be opened, appended to, or committed.
+    Failed(String),
+    /// The job left the registry.
+    Vanished,
+}
+
+/// Appends one validated batch to the job's open WAL, holding its slot
+/// lock throughout, so concurrent appends to one job serialize and each
+/// checks the backlog against the rows of the ones before it:
+///
+/// 1. an empty slot opens (and heals) the WAL;
+/// 2. the batch sheds if it would push the WAL's unfolded rows past
+///    `append_backlog_max_rows`;
+/// 3. the rows are appended and committed;
+/// 4. the registry learns the durable total, and a finished job is
+///    re-queued.
+///
+/// The `Wal` is taken out of the slot and put back only while it is
+/// sound: after any error the slot stays empty, and the next append
+/// reopens, and so heals, the WAL. Lock order: the slot, then the
+/// registry. Also returns the job's lifetime quarantine totals when the
+/// heal quarantined anything.
+fn append_locked(
+    shared: &Shared,
+    job_id: &str,
+    slot: &Mutex<Option<Wal>>,
+    rows: &[&str],
+) -> (Appended, Option<(u64, u64)>) {
+    let mut slot = lock_slot(slot);
+    let (mut wal, healed) = match slot.take() {
+        Some(wal) => (wal, IngestReport::default()),
+        None => match Wal::open(
+            shared.job_dir(job_id).join(crate::WAL_DIR),
+            WalConfig::default(),
+        ) {
+            Ok(opened) => opened,
+            Err(e) => return (Appended::Failed(e.to_string()), None),
+        },
+    };
+    let (folded_rows, quarantined) = {
+        let mut registry = shared.lock_registry();
+        let Some(job) = registry.get_mut(job_id) else {
+            return (Appended::Vanished, None);
+        };
+        job.ingest.quarantined_frames += healed.quarantined_frames;
+        job.ingest.quarantined_bytes += healed.quarantined_bytes;
+        let totals = (job.ingest.quarantined_frames, job.ingest.quarantined_bytes);
+        (
+            job.ingest.folded_rows,
+            (!healed.is_clean()).then_some(totals),
+        )
+    };
+    let backlog = wal.total_rows().saturating_sub(folded_rows);
+    if backlog + rows.len() as u64 > shared.config.append_backlog_max_rows {
+        *slot = Some(wal);
+        return (Appended::Shed { backlog }, quarantined);
+    }
+    let committed = rows
+        .iter()
+        .try_for_each(|row| wal.append_row(row.as_bytes()))
+        .and_then(|()| wal.commit());
+    let durable_rows = match committed {
+        Ok(durable_rows) => durable_rows,
+        Err(e) => return (Appended::Failed(e.to_string()), quarantined),
+    };
+    *slot = Some(wal);
+    // Update the in-memory shadow and decide whether to re-queue: only a
+    // terminal job needs a fresh slot; queued/running jobs will observe the
+    // new rows at their next (or post-finish) WAL comparison.
+    let mut registry = shared.lock_registry();
+    let Some(job) = registry.get_mut(job_id) else {
+        return (Appended::Vanished, quarantined);
+    };
+    job.ingest.durable_rows = durable_rows;
+    let requeued = matches!(job.phase, JobPhase::Finished(_)).then(|| {
+        job.phase = JobPhase::Queued;
+        job.cancel = CancelToken::new();
+        job.spec.tenant.clone()
+    });
+    (
+        Appended::Durable {
+            durable_rows,
+            requeued,
+        },
+        quarantined,
+    )
 }
 
 /// Column count of the admitted dataset: its header (first non-blank line)
@@ -1357,21 +1459,6 @@ fn expected_fields(dir: &std::path::Path, separator: char) -> Result<usize, Stri
         }
     }
     Err("cannot read dataset header: no header row".to_string())
-}
-
-/// Opens (healing), appends, and commits one batch into a job's WAL.
-/// Returns the durable row total and the recovery report of the open.
-fn append_to_wal(
-    dir: &std::path::Path,
-    rows: &[&str],
-) -> Result<(u64, hdx_ingest::IngestReport), hdx_ingest::IngestError> {
-    let (mut wal, report) =
-        hdx_ingest::Wal::open(dir.join(crate::WAL_DIR), hdx_ingest::WalConfig::default())?;
-    for row in rows {
-        wal.append_row(row.as_bytes())?;
-    }
-    let durable = wal.commit()?;
-    Ok((durable, report))
 }
 
 /// After a job finishes, compare the WAL's durable extent against the

@@ -1,8 +1,9 @@
 //! Chaos tests for the job service (compiled only with `--features
 //! hdx-fail`): inject worker panics, worker-thread deaths, checkpoint-write
-//! failures, transient job faults, and admission faults, and assert the
-//! robustness contract — the process stays up, overload sheds cleanly, and
-//! injected faults never corrupt a job's result.
+//! failures, transient job faults, admission faults, and torn or stalled
+//! appends, and assert the robustness contract — the process stays up,
+//! overload sheds cleanly, and injected faults never corrupt a job's
+//! result.
 //!
 //! The fail-point registry is process-global and several of these points
 //! sit on the shared job path, so every test serialises on one lock and
@@ -12,11 +13,13 @@
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
+use std::time::{Duration, Instant};
 
-use h_divexplorer::governor::failpoint::{self, FailAction};
+use h_divexplorer::governor::failpoint::{self, FailAction, IoFault};
 use h_divexplorer::serve::{ServeConfig, Server};
+use hdx_obs::json::{parse, Json};
 
 mod common;
 
@@ -51,9 +54,10 @@ fn tmp_state_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn sample_csv(rows: usize) -> String {
-    let mut csv = String::from("class,pred,age,grp\n");
-    for r in 0..rows {
+/// Data rows `range` of the sample dataset, without the header.
+fn sample_rows(range: std::ops::Range<usize>) -> String {
+    let mut csv = String::new();
+    for r in range {
         csv.push_str(&format!(
             "{},{},{},{}\n",
             u8::from(r % 3 == 0),
@@ -65,6 +69,10 @@ fn sample_csv(rows: usize) -> String {
     csv
 }
 
+fn sample_csv(rows: usize) -> String {
+    format!("class,pred,age,grp\n{}", sample_rows(0..rows))
+}
+
 fn submission(csv: &str) -> String {
     format!(
         r#"{{"csv":"{}","stat":"fpr","support":0.05,"checkpoint_every":1}}"#,
@@ -72,15 +80,23 @@ fn submission(csv: &str) -> String {
     )
 }
 
-fn start(state_dir: PathBuf) -> (SocketAddr, thread::JoinHandle<()>) {
-    let server = Server::bind(ServeConfig {
+/// The one-worker loopback configuration the chaos tests run.
+fn chaos_config(state_dir: PathBuf) -> ServeConfig {
+    ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         state_dir,
         workers: 1,
         retry_base_ms: 5,
         ..ServeConfig::default()
-    })
-    .expect("bind");
+    }
+}
+
+fn start(state_dir: PathBuf) -> (SocketAddr, thread::JoinHandle<()>) {
+    start_with(chaos_config(state_dir))
+}
+
+fn start_with(config: ServeConfig) -> (SocketAddr, thread::JoinHandle<()>) {
+    let server = Server::bind(config).expect("bind");
     let addr = server.local_addr();
     let handle = thread::spawn(move || server.run().expect("serve"));
     (addr, handle)
@@ -254,6 +270,189 @@ fn exhausted_retries_settle_as_failure() {
     failpoint::disarm("serve::job");
 
     assert_eq!(http(addr, "GET", "/healthz", "").status, 200);
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// The integer member `ingest.<key>` of a status document (0 when absent).
+fn ingest_u64(status: &str, key: &str) -> u64 {
+    let doc = parse(status).unwrap_or_else(|e| panic!("{e}: {status}"));
+    doc.get("ingest")
+        .and_then(|ingest| ingest.get(key))
+        .and_then(Json::as_u64)
+        .unwrap_or(0)
+}
+
+/// Polls until the job is `done` with `rows` WAL rows folded into its
+/// sealed result; returns that status document.
+fn await_folded(addr: SocketAddr, job_id: &str, rows: u64) -> String {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let state = await_terminal(addr, job_id);
+        let status = http(addr, "GET", &format!("/jobs/{job_id}"), "").body;
+        if state == "done" && ingest_u64(&status, "folded_rows") == rows {
+            return status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "job `{job_id}` never folded {rows} rows: {status}"
+        );
+        thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Concurrent appends cannot overrun the backlog bound together: each one
+/// checks it under the job's WAL slot lock, against the rows the appends
+/// before it made durable. With folding disabled, the first 60-row batch
+/// fits under a 100-row bound and every other one sheds.
+#[test]
+fn concurrent_appends_cannot_overrun_the_backlog_bound() {
+    let _guard = ChaosGuard::acquire();
+    let state = tmp_state_dir("backlog-race");
+    let (addr, handle) = start_with(ServeConfig {
+        append_backlog_max_rows: 100,
+        ..chaos_config(state.clone())
+    });
+    let job_id = submit(addr, 120);
+    assert_eq!(await_terminal(addr, &job_id), "done");
+    failpoint::arm(
+        "serve::ingest::fold",
+        FailAction::Error("no fold".into()),
+        1,
+    );
+
+    let batch = Arc::new(sample_rows(120..180));
+    let path = Arc::new(format!("/jobs/{job_id}/append"));
+    let start_line = Arc::new(Barrier::new(8));
+    let clients: Vec<_> = (0..8)
+        .map(|_| {
+            let (batch, path, start_line) = (
+                Arc::clone(&batch),
+                Arc::clone(&path),
+                Arc::clone(&start_line),
+            );
+            thread::spawn(move || {
+                start_line.wait();
+                http(addr, "POST", &path, &batch).status
+            })
+        })
+        .collect();
+    let statuses: Vec<u16> = clients
+        .into_iter()
+        .map(|client| client.join().expect("client"))
+        .collect();
+    let count = |code| statuses.iter().filter(|&&s| s == code).count();
+    assert_eq!((count(202), count(429)), (1, 7), "{statuses:?}");
+
+    // The one accepted batch re-queued the job; its re-mine cannot fold.
+    assert_eq!(await_terminal(addr, &job_id), "failed");
+    let status = http(addr, "GET", &format!("/jobs/{job_id}"), "").body;
+    assert_eq!(ingest_u64(&status, "durable_rows"), 60, "{status}");
+    let wal_dir = state.join("jobs").join(&job_id).join("wal");
+    let (rows, _) = h_divexplorer::ingest::replay_dir(&wal_dir).expect("replay the WAL");
+    assert_eq!(rows.len(), 60);
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// A torn append costs only itself. The short write answers 500 and leaves
+/// the job's WAL slot empty, so the next append reopens the WAL and
+/// quarantines the torn bytes into the status document, and the re-mine
+/// matches a cold run over the acknowledged rows.
+#[test]
+fn torn_append_is_healed_by_the_next_append() {
+    let _guard = ChaosGuard::acquire();
+    let state = tmp_state_dir("torn-append");
+    let (addr, handle) = start(state.clone());
+    let job_id = submit(addr, 120);
+    assert_eq!(await_terminal(addr, &job_id), "done");
+    let path = format!("/jobs/{job_id}/append");
+
+    failpoint::arm_once(
+        "ingest::wal::append",
+        FailAction::Io(IoFault::ShortWrite),
+        1,
+    );
+    let torn = http(addr, "POST", &path, &sample_rows(120..150));
+    assert_eq!(torn.status, 500, "{}", torn.body);
+    let healed = http(addr, "POST", &path, &sample_rows(150..180));
+    assert_eq!(healed.status, 202, "{}", healed.body);
+
+    let status = await_folded(addr, &job_id, 30);
+    assert!(ingest_u64(&status, "quarantined_frames") >= 1, "{status}");
+    assert_eq!(ingest_u64(&status, "durable_rows"), 30, "{status}");
+    shutdown(addr, handle);
+
+    // Control: a cold run over the base rows and the acknowledged batch.
+    let streamed = http_result_body(&state, &job_id);
+    let control_state = tmp_state_dir("torn-append-control");
+    let (addr, handle) = start(control_state.clone());
+    let cold_csv = format!("{}{}", sample_csv(120), sample_rows(150..180));
+    let accepted = http(addr, "POST", "/jobs", &submission(&cold_csv));
+    assert_eq!(accepted.status, 202, "{}", accepted.body);
+    let control_id = top_level_str(&accepted.body, "job_id");
+    assert_eq!(await_terminal(addr, &control_id), "done");
+    let control = http(addr, "GET", &format!("/jobs/{control_id}/result"), "");
+    shutdown(addr, handle);
+    assert_eq!(
+        streamed, control.body,
+        "healing a torn append must not change the result"
+    );
+    let _ = std::fs::remove_dir_all(&state);
+    let _ = std::fs::remove_dir_all(&control_state);
+}
+
+/// The `wal-open.log` files this process holds open under `root`.
+#[cfg(target_os = "linux")]
+fn open_wal_files(root: &std::path::Path) -> Vec<PathBuf> {
+    std::fs::read_dir("/proc/self/fd")
+        .expect("list /proc/self/fd")
+        .filter_map(|entry| std::fs::read_link(entry.ok()?.path()).ok())
+        .filter(|target| {
+            target.starts_with(root)
+                && target.file_name() == Some(h_divexplorer::ingest::OPEN_FILE.as_ref())
+        })
+        .collect()
+}
+
+/// A job's WAL stays open only while the job is queued or running. Stalled
+/// re-mines keep the appended jobs' WAL files open; once every job has
+/// re-mined to `done`, none is.
+#[cfg(target_os = "linux")]
+#[test]
+fn settled_jobs_hold_no_open_wal() {
+    let _guard = ChaosGuard::acquire();
+    let state = tmp_state_dir("wal-fds");
+    let (addr, handle) = start(state.clone());
+    let root = state.canonicalize().expect("state dir");
+    // One at a time: the tenant may hold two jobs in flight.
+    let jobs: Vec<String> = (0..3)
+        .map(|_| {
+            let job_id = submit(addr, 120);
+            assert_eq!(await_terminal(addr, &job_id), "done");
+            job_id
+        })
+        .collect();
+    failpoint::arm(
+        "serve::ingest::fold",
+        FailAction::Stall(Duration::from_millis(200)),
+        1,
+    );
+    for (i, job_id) in jobs.iter().enumerate() {
+        let rows = sample_rows(120 + 10 * i..130 + 10 * i);
+        let appended = http(addr, "POST", &format!("/jobs/{job_id}/append"), &rows);
+        assert_eq!(appended.status, 202, "{}", appended.body);
+    }
+    // One worker re-mines the jobs in turn, each stalled at its fold: the
+    // last job's WAL is still open.
+    assert!(
+        !open_wal_files(&root).is_empty(),
+        "appends keep the WAL open"
+    );
+    for job_id in &jobs {
+        await_folded(addr, job_id, 10);
+    }
+    assert_eq!(open_wal_files(&root), Vec::<PathBuf>::new());
     shutdown(addr, handle);
     let _ = std::fs::remove_dir_all(&state);
 }
