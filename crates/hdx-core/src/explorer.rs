@@ -108,35 +108,6 @@ impl DivExplorer {
         self.explore_transactions(&transactions, catalog)
     }
 
-    /// [`explore_generalized`](Self::explore_generalized) under an external
-    /// [`Governor`] (used by the hierarchical pipeline to share one budget
-    /// across stages). The governor's limits apply *instead of* the
-    /// config's own [`budget`](ExplorationConfig::budget).
-    pub fn explore_generalized_governed(
-        &self,
-        df: &DataFrame,
-        catalog: &ItemCatalog,
-        hierarchies: &HierarchySet,
-        outcomes: &[Outcome],
-        governor: &Governor,
-    ) -> DivergenceReport {
-        let transactions = Transactions::encode_generalized(df, catalog, hierarchies, outcomes);
-        self.explore_transactions_governed(&transactions, catalog, governor)
-    }
-
-    /// [`explore`](Self::explore) under an external [`Governor`].
-    pub fn explore_governed(
-        &self,
-        df: &DataFrame,
-        catalog: &ItemCatalog,
-        hierarchies: &HierarchySet,
-        outcomes: &[Outcome],
-        governor: &Governor,
-    ) -> DivergenceReport {
-        let transactions = Transactions::encode_base(df, catalog, hierarchies, outcomes);
-        self.explore_transactions_governed(&transactions, catalog, governor)
-    }
-
     /// Explores pre-encoded transactions under the config's own budget and
     /// the explorer's cancellation token.
     pub fn explore_transactions(

@@ -14,6 +14,7 @@ use hdx_data::{AttributeKind, DataFrame};
 use hdx_discretize::{DiscretizationTree, GainCriterion, TreeDiscretizer, TreeDiscretizerConfig};
 use hdx_governor::{CancelToken, Governor, RunBudget, RunCounters, Termination};
 use hdx_items::{HierarchySet, Item, ItemCatalog, ItemHierarchy, Taxonomy};
+use hdx_mining::Transactions;
 use hdx_stats::Outcome;
 
 use crate::error::CoreError;
@@ -28,6 +29,26 @@ pub enum ExplorationMode {
     /// All hierarchy levels ("Tree discretization, generalized"; default).
     #[default]
     Generalized,
+}
+
+impl ExplorationMode {
+    /// Encodes the transactions this mode mines. The encoding does not
+    /// depend on the support threshold, so a fit encodes once and reuses
+    /// the transactions across its adaptive-support retries.
+    pub(crate) fn encode(
+        self,
+        df: &DataFrame,
+        catalog: &ItemCatalog,
+        hierarchies: &HierarchySet,
+        outcomes: &[Outcome],
+    ) -> Transactions {
+        match self {
+            Self::Base => Transactions::encode_base(df, catalog, hierarchies, outcomes),
+            Self::Generalized => {
+                Transactions::encode_generalized(df, catalog, hierarchies, outcomes)
+            }
+        }
+    }
 }
 
 /// Configuration of the H-DivExplorer pipeline.
@@ -362,23 +383,13 @@ impl HDivExplorer {
             deadline: budget.deadline.map(|d| d.saturating_sub(start.elapsed())),
             ..budget
         };
+        let transactions = mode.encode(df, &catalog, &hierarchies, outcomes);
         let mut min_support = self.config.min_support;
         let mut adaptive_retries = 0;
         let (mut report, mine_governor) = loop {
             let governor = Governor::with_token(remaining_deadline(budget), self.cancel.clone());
             let explorer = DivExplorer::new(self.config.exploration(min_support));
-            let report = match mode {
-                ExplorationMode::Base => {
-                    explorer.explore_governed(df, &catalog, &hierarchies, outcomes, &governor)
-                }
-                ExplorationMode::Generalized => explorer.explore_generalized_governed(
-                    df,
-                    &catalog,
-                    &hierarchies,
-                    outcomes,
-                    &governor,
-                ),
-            };
+            let report = explorer.explore_transactions_governed(&transactions, &catalog, &governor);
             // Adaptive degradation: trade granularity for completeness by
             // re-mining at doubled support. Only budget trips qualify — a
             // deadline or cancellation would cut the retry short too.

@@ -60,7 +60,7 @@ pub fn mine_with_polarity_governed(
     let (positive, negative) = split_by_polarity(transactions);
     #[cfg(feature = "obs")]
     {
-        let n_items = transactions.item_stats().len() as u64;
+        let n_items = transactions.covers().len() as u64;
         hdx_obs::counter_add!(
             PolarityItemsPruned,
             n_items.saturating_sub(positive.len() as u64)

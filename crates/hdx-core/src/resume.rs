@@ -26,7 +26,7 @@ use hdx_checkpoint::{
 use hdx_data::{AttributeKind, DataFrame};
 use hdx_discretize::{DiscretizationTree, GainCriterion};
 use hdx_governor::{Governor, RunBudget, RunCounters, Termination};
-use hdx_mining::{mine_governed_ckpt, validate_resume, MiningConfig, Transactions};
+use hdx_mining::{mine_governed_ckpt, validate_resume, MiningConfig};
 use hdx_stats::Outcome;
 
 use crate::error::CoreError;
@@ -273,6 +273,7 @@ impl HDivExplorer {
             deadline: budget.deadline.map(|d| d.saturating_sub(start.elapsed())),
             ..budget
         };
+        let transactions = mode.encode(df, &catalog, &hierarchies, outcomes);
         let mut checkpoint_writes = 0;
         let mut checkpoint_error: Option<String> = None;
         let (mut report, mine_governor) = loop {
@@ -284,14 +285,6 @@ impl HDivExplorer {
                 fingerprint_config(&self.config, mode, min_support),
                 tree_snaps.clone(),
             );
-            let transactions = match mode {
-                ExplorationMode::Base => {
-                    Transactions::encode_base(df, &catalog, &hierarchies, outcomes)
-                }
-                ExplorationMode::Generalized => {
-                    Transactions::encode_generalized(df, &catalog, &hierarchies, outcomes)
-                }
-            };
             let mining = MiningConfig {
                 min_support,
                 max_len: self.config.max_len,

@@ -20,7 +20,6 @@ use hdx_stats::OutcomePlanes;
 
 use crate::result::{FrequentItemset, MiningResult};
 use crate::transactions::Transactions;
-use crate::vertical::item_covers;
 use crate::MiningConfig;
 
 /// Mines all frequent itemsets level by level.
@@ -34,7 +33,7 @@ pub fn apriori(
     let planes = OutcomePlanes::from_outcomes(transactions.outcomes());
 
     // L1 and the dense ItemId-indexed cover position table.
-    let covers: Vec<(ItemId, Bitset)> = item_covers(transactions);
+    let covers = transactions.covers();
     let table_len = covers.last().map_or(0, |(item, _)| item.index() + 1);
     let mut cover_pos: Vec<u32> = vec![u32::MAX; table_len];
     for (pos, (item, _)) in covers.iter().enumerate() {
@@ -45,7 +44,7 @@ pub fn apriori(
     let mut out: Vec<FrequentItemset> = Vec::new();
     let mut level: Vec<Itemset> = Vec::new();
     hdx_obs::counter_add!(MineCandidatesGenerated, covers.len() as u64);
-    for (item, cover) in &covers {
+    for (item, cover) in covers {
         let count = cover.count() as u64;
         if count >= min_count {
             let itemset = Itemset::singleton(*item);

@@ -137,11 +137,14 @@ pub fn fpgrowth(
         .max(catalog.len());
     let attr_table: Vec<u16> = catalog.attr_table().iter().map(|a| a.0).collect();
 
-    let paths: Vec<(Vec<ItemId>, StatAccum)> = (0..n)
-        .map(|row| {
+    let paths: Vec<(Vec<ItemId>, StatAccum)> = transactions
+        .rows()
+        .into_iter()
+        .zip(transactions.outcomes())
+        .map(|(items, &outcome)| {
             let mut acc = StatAccum::new();
-            acc.push(transactions.outcome(row));
-            (transactions.items(row).to_vec(), acc)
+            acc.push(outcome);
+            (items, acc)
         })
         .collect();
     let tree = FpTree::build(&paths, min_count, n_items);

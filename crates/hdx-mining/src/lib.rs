@@ -14,11 +14,14 @@
 //! * [`fpgrowth`] — FP-tree recursion (Han–Pei–Yin) extended to generalized
 //!   transactions in the style of FP-tax.
 //!
-//! All miners consume [`Transactions`]: per-row item lists which, in
-//! *generalized* mode, contain each attribute's matching leaf item **plus all
-//! of its hierarchy ancestors** (Srikant–Agrawal extended transactions).
-//! Itemsets never contain two items of the same attribute, which subsumes
-//! the classic "no item together with its ancestor" generalized-mining rule.
+//! All miners consume [`Transactions`]: one cover bitset per item, built
+//! straight from the data columns. In *generalized* mode each row holds its
+//! attribute's matching leaf item **plus all of its hierarchy ancestors**
+//! (Srikant–Agrawal extended transactions): an ancestor's cover is the union
+//! of its leaves' covers. The search and Apriori read the covers directly;
+//! FP-Growth reads the row view [`Transactions::rows`]. Itemsets never
+//! contain two items of the same attribute, which subsumes the classic "no
+//! item together with its ancestor" generalized-mining rule.
 //!
 //! Every frequent itemset carries a [`StatAccum`](hdx_stats::StatAccum)
 //! folded in during counting, so support, the statistic `f`, divergence and

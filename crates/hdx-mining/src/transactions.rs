@@ -1,21 +1,30 @@
-//! Transaction encoding: rows → sorted item-id lists (+ outcome payloads).
+//! Transaction encoding: data columns → one cover bitset per item (+ outcome
+//! payloads).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use hdx_data::{AttributeKind, DataFrame, NULL_CODE};
-use hdx_items::{HierarchySet, ItemCatalog, ItemId, Predicate};
+use hdx_data::{AttrId, AttributeKind, DataFrame};
+use hdx_items::{Bitset, HierarchySet, ItemCatalog, ItemId, Predicate};
 use hdx_stats::{Outcome, StatAccum};
 
-/// An encoded transaction database: per row, the sorted ids of the items the
-/// row satisfies, plus the row's outcome.
+use crate::vertical::accum_scalar;
+
+/// Leaf-position sentinel for category codes no leaf claims.
+const NO_LEAF: u32 = u32::MAX;
+
+/// An encoded transaction database, stored vertically: for each item some
+/// row satisfies, the cover bitset of those rows (ascending by item id,
+/// never empty), plus every row's outcome.
 ///
 /// *Base* encoding uses only hierarchy leaves (one item per attribute, the
 /// classic DivExplorer / Slice Finder / SliceLine setting). *Generalized*
 /// encoding adds every ancestor of the matching leaf (Srikant–Agrawal
-/// extended transactions), enabling generalized itemset mining.
+/// extended transactions), enabling generalized itemset mining: an
+/// ancestor's cover is the union of its leaves' covers, which is exactly the
+/// set of rows whose extended transaction holds it.
 #[derive(Debug, Clone)]
 pub struct Transactions {
-    rows: Vec<Vec<ItemId>>,
+    covers: Vec<(ItemId, Bitset)>,
     outcomes: Vec<Outcome>,
 }
 
@@ -40,6 +49,9 @@ impl Transactions {
         Self::encode(df, catalog, hierarchies, outcomes, true)
     }
 
+    /// One pass per attribute sets each row's bit in its leaf's cover; in
+    /// generalized mode every ancestor's cover is then the union of its
+    /// leaves' covers. No per-row item list is ever built.
     fn encode(
         df: &DataFrame,
         catalog: &ItemCatalog,
@@ -47,112 +59,91 @@ impl Transactions {
         outcomes: &[Outcome],
         generalized: bool,
     ) -> Self {
+        hdx_obs::span!("encode");
         assert_eq!(outcomes.len(), df.n_rows(), "outcomes not parallel to rows");
-        let n = df.n_rows();
-        let mut rows: Vec<Vec<ItemId>> = vec![Vec::new(); n];
-
+        let table_len = hierarchies
+            .iter()
+            .flat_map(|h| h.items())
+            .map(|i| i.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut slots: Vec<Option<Bitset>> = vec![None; table_len];
         for hierarchy in hierarchies.iter() {
-            let attr = hierarchy.attr();
-            // Chain of items to add per matching leaf.
-            let chain: HashMap<ItemId, Vec<ItemId>> = hierarchy
-                .leaves()
-                .into_iter()
-                .map(|leaf| {
-                    let items = if generalized {
-                        hierarchy.self_and_ancestors(leaf)
-                    } else {
-                        vec![leaf]
-                    };
-                    (leaf, items)
-                })
-                .collect();
-
-            match df.schema().kind(attr) {
-                AttributeKind::Categorical => {
-                    // code → leaf lookup.
-                    let mut by_code: HashMap<u32, ItemId> = HashMap::new();
-                    for leaf in hierarchy.leaves() {
-                        if let Predicate::CatEq(code) = catalog.item(leaf).predicate() {
-                            by_code.insert(*code, leaf);
-                        }
-                    }
-                    let codes = df.categorical(attr).codes();
-                    for (row, &code) in codes.iter().enumerate() {
-                        if code == NULL_CODE {
-                            continue;
-                        }
-                        if let Some(leaf) = by_code.get(&code) {
-                            rows[row].extend_from_slice(&chain[leaf]);
+            let leaves = hierarchy.leaves();
+            let covers = leaf_covers(df, catalog, hierarchy.attr(), &leaves);
+            for (leaf, cover) in leaves.into_iter().zip(covers) {
+                if generalized {
+                    for ancestor in hierarchy.ancestors(leaf) {
+                        match &mut slots[ancestor.index()] {
+                            Some(acc) => acc.or_assign(&cover),
+                            slot => *slot = Some(cover.clone()),
                         }
                     }
                 }
-                AttributeKind::Continuous => {
-                    // Leaves are disjoint (lo, hi] intervals; sort by hi and
-                    // binary-search each value.
-                    let mut leaves: Vec<(f64, f64, ItemId)> = hierarchy
-                        .leaves()
-                        .into_iter()
-                        .filter_map(|leaf| {
-                            catalog.item(leaf).interval().map(|j| (j.lo, j.hi, leaf))
-                        })
-                        .collect();
-                    leaves.sort_by(|a, b| a.1.total_cmp(&b.1));
-                    let values = df.continuous(attr).values();
-                    for (row, &v) in values.iter().enumerate() {
-                        if v.is_nan() {
-                            continue;
-                        }
-                        // First leaf with hi >= v.
-                        let pos = leaves.partition_point(|&(_, hi, _)| hi < v);
-                        if let Some(&(lo, hi, leaf)) = leaves.get(pos) {
-                            if v > lo && v <= hi {
-                                rows[row].extend_from_slice(&chain[&leaf]);
-                            }
-                        }
-                    }
+                match &mut slots[leaf.index()] {
+                    Some(acc) => acc.or_assign(&cover),
+                    slot => *slot = Some(cover),
                 }
             }
         }
-        for items in &mut rows {
-            items.sort_unstable();
-            items.dedup();
-        }
         Self {
-            rows,
+            covers: nonempty_covers(slots),
             outcomes: outcomes.to_vec(),
         }
     }
 
-    /// Builds transactions directly from item lists (tests, ablations).
+    /// Builds transactions from per-row item lists (tests, ablations, and
+    /// the row-major oracles). Duplicate items within a row collapse.
     ///
     /// # Panics
     /// Panics when rows and outcomes lengths differ.
     pub fn from_rows(rows: Vec<Vec<ItemId>>, outcomes: Vec<Outcome>) -> Self {
         assert_eq!(rows.len(), outcomes.len(), "rows/outcomes length mismatch");
-        let mut rows = rows;
-        for items in &mut rows {
-            items.sort_unstable();
-            items.dedup();
+        let n = rows.len();
+        let table_len = rows
+            .iter()
+            .flatten()
+            .map(|i| i.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut slots: Vec<Option<Bitset>> = vec![None; table_len];
+        for (row, items) in rows.iter().enumerate() {
+            for item in items {
+                slots[item.index()]
+                    .get_or_insert_with(|| Bitset::new(n))
+                    .set(row);
+            }
         }
-        Self { rows, outcomes }
+        Self {
+            covers: nonempty_covers(slots),
+            outcomes,
+        }
     }
 
     /// Number of transactions (dataset rows).
     #[inline]
     pub fn n_rows(&self) -> usize {
-        self.rows.len()
+        self.outcomes.len()
     }
 
-    /// The item list of row `row` (sorted, unique).
+    /// The cover of every item some row satisfies, ascending by item id.
+    /// Every cover is non-empty and spans [`n_rows`](Self::n_rows) bits.
     #[inline]
-    pub fn items(&self, row: usize) -> &[ItemId] {
-        &self.rows[row]
+    pub fn covers(&self) -> &[(ItemId, Bitset)] {
+        &self.covers
     }
 
-    /// The outcome of row `row`.
-    #[inline]
-    pub fn outcome(&self, row: usize) -> Outcome {
-        self.outcomes[row]
+    /// The row-major view: per row, its items ascending. Built on demand
+    /// from the covers for the row-walking oracles (FP-Growth, brute-force
+    /// recounts); the miner never needs it.
+    pub fn rows(&self) -> Vec<Vec<ItemId>> {
+        let mut rows: Vec<Vec<ItemId>> = vec![Vec::new(); self.n_rows()];
+        for (item, cover) in &self.covers {
+            for row in cover.iter_ones() {
+                rows[row].push(*item);
+            }
+        }
+        rows
     }
 
     /// All outcomes.
@@ -168,64 +159,128 @@ impl Transactions {
 
     /// Per-item statistics over the database: for each distinct item, the
     /// accumulator of the rows containing it (the single-item "L1" pass used
-    /// by polarity pruning, §V-C).
+    /// by polarity pruning, §V-C). Each cover is folded in ascending row
+    /// order, so real-valued sums are reproducible bit for bit.
     pub fn item_stats(&self) -> Vec<(ItemId, StatAccum)> {
-        let table_len = self.max_item_id().map_or(0, |i| i.index() + 1);
-        let mut accums: Vec<StatAccum> = vec![StatAccum::new(); table_len];
-        for (row, items) in self.rows.iter().enumerate() {
-            let outcome = self.outcomes[row];
-            for &item in items {
-                accums[item.index()].push(outcome);
-            }
-        }
-        accums
-            .into_iter()
-            .enumerate()
-            .filter(|(_, acc)| acc.count() > 0)
-            .map(|(i, acc)| (ItemId(i as u32), acc))
+        self.covers
+            .iter()
+            .map(|(item, cover)| (*item, accum_scalar(cover, &self.outcomes)))
             .collect()
     }
 
     /// The distinct items appearing in any transaction, ascending.
     pub fn distinct_items(&self) -> Vec<ItemId> {
-        let table_len = self.max_item_id().map_or(0, |i| i.index() + 1);
-        let mut present = vec![false; table_len];
-        for row in &self.rows {
-            for &item in row {
-                present[item.index()] = true;
-            }
-        }
-        present
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, p)| p)
-            .map(|(i, _)| ItemId(i as u32))
-            .collect()
+        self.covers.iter().map(|(item, _)| *item).collect()
     }
 
     /// The largest item id in any transaction, or `None` when no row has
     /// items. Sizes the miners' dense `ItemId`-indexed tables.
     pub fn max_item_id(&self) -> Option<ItemId> {
-        // Rows are sorted, so each row's maximum is its last element.
-        self.rows.iter().filter_map(|r| r.last()).copied().max()
+        self.covers.last().map(|(item, _)| *item)
     }
 
     /// A copy keeping only the items in `allowed` (used by polarity
     /// pruning).
     pub fn restrict(&self, allowed: &HashSet<ItemId>) -> Self {
         Self {
-            rows: self
-                .rows
+            covers: self
+                .covers
                 .iter()
-                .map(|items| {
-                    items
-                        .iter()
-                        .copied()
-                        .filter(|i| allowed.contains(i))
-                        .collect()
-                })
+                .filter(|(item, _)| allowed.contains(item))
+                .cloned()
                 .collect(),
             outcomes: self.outcomes.clone(),
+        }
+    }
+}
+
+/// The filled, non-empty slots of an `ItemId`-indexed cover table, ascending
+/// by id.
+fn nonempty_covers(slots: Vec<Option<Bitset>>) -> Vec<(ItemId, Bitset)> {
+    slots
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, slot)| {
+            slot.filter(|cover| cover.count() > 0)
+                .map(|cover| (ItemId(i as u32), cover))
+        })
+        .collect()
+}
+
+/// The covers of `leaves` (the leaf items of `attr`'s hierarchy), in the
+/// same order. A row sets at most one leaf bit: leaves partition the
+/// attribute's domain, and null cells set none.
+fn leaf_covers(
+    df: &DataFrame,
+    catalog: &ItemCatalog,
+    attr: AttrId,
+    leaves: &[ItemId],
+) -> Vec<Bitset> {
+    let mut covers = vec![Bitset::new(df.n_rows()); leaves.len()];
+    match df.schema().kind(attr) {
+        AttributeKind::Categorical => {
+            // Dense code → leaf-position table; codes no leaf claims (and
+            // codes past the column's levels) stay unmapped.
+            let column = df.categorical(attr);
+            let mut leaf_of_code = vec![NO_LEAF; column.n_levels()];
+            for (pos, &leaf) in leaves.iter().enumerate() {
+                if let Predicate::CatEq(code) = catalog.item(leaf).predicate() {
+                    if let Some(slot) = leaf_of_code.get_mut(*code as usize) {
+                        *slot = pos as u32;
+                    }
+                }
+            }
+            categorical_leaf_bits(column.codes(), &leaf_of_code, &mut covers);
+        }
+        AttributeKind::Continuous => {
+            // Leaves are disjoint (lo, hi] intervals; sort by hi and
+            // binary-search each value.
+            let mut bounds: Vec<(f64, f64, u32)> = leaves
+                .iter()
+                .enumerate()
+                .filter_map(|(pos, &leaf)| {
+                    catalog
+                        .item(leaf)
+                        .interval()
+                        .map(|j| (j.lo, j.hi, pos as u32))
+                })
+                .collect();
+            bounds.sort_by(|a, b| a.1.total_cmp(&b.1));
+            continuous_leaf_bits(df.continuous(attr).values(), &bounds, &mut covers);
+        }
+    }
+    covers
+}
+
+/// Sets each row's bit in the cover of the leaf its category code maps to.
+/// A null code ([`hdx_data::NULL_CODE`], `u32::MAX`) lies past the table and
+/// an unclaimed code maps to [`NO_LEAF`], past `covers`: neither sets a bit.
+fn categorical_leaf_bits(codes: &[u32], leaf_of_code: &[u32], covers: &mut [Bitset]) {
+    for (row, &code) in codes.iter().enumerate() {
+        if let Some(&pos) = leaf_of_code.get(code as usize) {
+            if let Some(cover) = covers.get_mut(pos as usize) {
+                cover.set(row);
+            }
+        }
+    }
+}
+
+/// Sets each row's bit in the cover of the leaf interval holding its value.
+/// `bounds` holds `(lo, hi, leaf position)` sorted by `hi`; NaN (null) and
+/// values outside every leaf set no bit.
+fn continuous_leaf_bits(values: &[f64], bounds: &[(f64, f64, u32)], covers: &mut [Bitset]) {
+    for (row, &v) in values.iter().enumerate() {
+        if v.is_nan() {
+            continue;
+        }
+        // First leaf with hi >= v.
+        let at = bounds.partition_point(|&(_, hi, _)| hi < v);
+        if let Some(&(lo, hi, pos)) = bounds.get(at) {
+            if v > lo && v <= hi {
+                if let Some(cover) = covers.get_mut(pos as usize) {
+                    cover.set(row);
+                }
+            }
         }
     }
 }
@@ -286,18 +341,19 @@ mod tests {
         let (df, catalog, hs, outcomes) = setup();
         let t = Transactions::encode_base(&df, &catalog, &hs, &outcomes);
         assert_eq!(t.n_rows(), 5);
+        let rows = t.rows();
         // Row 0: x=10 → leaf x<=20; s=a.
-        let labels: Vec<&str> = t.items(0).iter().map(|&i| catalog.label(i)).collect();
+        let labels: Vec<&str> = rows[0].iter().map(|&i| catalog.label(i)).collect();
         assert!(labels.contains(&"x<=20"));
         assert!(labels.contains(&"s=a"));
         assert_eq!(labels.len(), 2);
         // Row 2: x=60 → leaf x>50 (an unrefined root is its own leaf).
-        let labels2: Vec<&str> = t.items(2).iter().map(|&i| catalog.label(i)).collect();
+        let labels2: Vec<&str> = rows[2].iter().map(|&i| catalog.label(i)).collect();
         assert!(labels2.contains(&"x>50"));
         // Row 3: null x → only categorical item.
-        assert_eq!(t.items(3).len(), 1);
+        assert_eq!(rows[3].len(), 1);
         // Row 4: null s → only continuous item.
-        let labels4: Vec<&str> = t.items(4).iter().map(|&i| catalog.label(i)).collect();
+        let labels4: Vec<&str> = rows[4].iter().map(|&i| catalog.label(i)).collect();
         assert_eq!(labels4, vec!["x>50"]);
     }
 
@@ -305,14 +361,15 @@ mod tests {
     fn generalized_encoding_adds_ancestors() {
         let (df, catalog, hs, outcomes) = setup();
         let t = Transactions::encode_generalized(&df, &catalog, &hs, &outcomes);
+        let rows = t.rows();
         // Row 0: x=10 → x<=20 and its ancestor x<=50.
-        let labels: Vec<&str> = t.items(0).iter().map(|&i| catalog.label(i)).collect();
+        let labels: Vec<&str> = rows[0].iter().map(|&i| catalog.label(i)).collect();
         assert!(labels.contains(&"x<=20"));
         assert!(labels.contains(&"x<=50"));
         assert!(labels.contains(&"s=a"));
         assert_eq!(labels.len(), 3);
         // Items are sorted and unique.
-        let ids = t.items(0);
+        let ids = &rows[0];
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
     }
 
@@ -336,11 +393,8 @@ mod tests {
             .collect();
         let r = t.restrict(&keep);
         assert_eq!(r.n_rows(), t.n_rows());
-        for row in 0..r.n_rows() {
-            assert!(r
-                .items(row)
-                .iter()
-                .all(|&i| catalog.label(i).starts_with("s=")));
+        for items in r.rows() {
+            assert!(items.iter().all(|&i| catalog.label(i).starts_with("s=")));
         }
         assert_eq!(r.outcomes(), t.outcomes());
     }
@@ -374,7 +428,7 @@ mod tests {
     fn from_rows_normalises() {
         let rows = vec![vec![ItemId(3), ItemId(1), ItemId(3)]];
         let t = Transactions::from_rows(rows, vec![Outcome::Bool(true)]);
-        assert_eq!(t.items(0), &[ItemId(1), ItemId(3)]);
+        assert_eq!(t.rows(), vec![vec![ItemId(1), ItemId(3)]]);
     }
 
     #[test]

@@ -46,7 +46,9 @@ use crate::MiningConfig;
 /// This is the scalar *reference* path: the word-level kernels
 /// ([`OutcomePlanes`]) are required to reproduce it bit for bit, which the
 /// property tests in `tests/property_kernel.rs` and the bench harness's
-/// scalar baseline both rely on. The miners themselves use the kernels.
+/// scalar baseline both rely on. The miners themselves use the kernels;
+/// [`Transactions::item_stats`], polarity pruning's once-per-fit
+/// single-item pass, folds through this path.
 pub fn accum_scalar(cover: &Bitset, outcomes: &[Outcome]) -> StatAccum {
     let mut acc = StatAccum::new();
     for row in cover.iter_ones() {
@@ -55,54 +57,36 @@ pub fn accum_scalar(cover: &Bitset, outcomes: &[Outcome]) -> StatAccum {
     acc
 }
 
-/// Builds the per-item cover bitsets of a transaction database, ascending by
-/// item id. Items are located through a dense `ItemId`-indexed position
-/// table rather than a hash map — this runs once per mining call.
-pub(crate) fn item_covers(transactions: &Transactions) -> Vec<(ItemId, Bitset)> {
-    let n = transactions.n_rows();
-    let items = transactions.distinct_items();
-    let table_len = items.last().map_or(0, |i| i.index() + 1);
-    let mut pos: Vec<u32> = vec![u32::MAX; table_len];
-    for (p, item) in items.iter().enumerate() {
-        pos[item.index()] = p as u32;
-    }
-    let mut covers: Vec<Bitset> = items.iter().map(|_| Bitset::new(n)).collect();
-    for row in 0..n {
-        for &item in transactions.items(row) {
-            covers[pos[item.index()] as usize].set(row);
-        }
-    }
-    items.into_iter().zip(covers).collect()
-}
-
 /// Approximate heap bytes of one cover bitset, charged per *materialised*
 /// candidate intersection against the governor's candidate-byte budget.
 fn cover_bytes(n_rows: usize) -> u64 {
     (n_rows.div_ceil(8) as u64).max(8)
 }
 
-/// A frequent single item: its id, raw attribute, support and cover.
-struct FreqItem {
+/// A frequent single item: its id, raw attribute, support and (borrowed)
+/// cover.
+struct FreqItem<'a> {
     item: ItemId,
     attr: u16,
     count: u64,
-    cover: Bitset,
+    cover: &'a Bitset,
 }
 
 /// The frequent single items of `transactions`, ascending by id, with their
 /// attribute and support precomputed for the DFS inner loop.
-fn frequent_items(
-    transactions: &Transactions,
+fn frequent_items<'a>(
+    transactions: &'a Transactions,
     catalog: &ItemCatalog,
     min_count: u64,
-) -> Vec<FreqItem> {
-    item_covers(transactions)
-        .into_iter()
+) -> Vec<FreqItem<'a>> {
+    transactions
+        .covers()
+        .iter()
         .filter_map(|(item, cover)| {
             let count = cover.count() as u64;
             (count >= min_count).then(|| FreqItem {
-                item,
-                attr: catalog.attr_of(item).0,
+                item: *item,
+                attr: catalog.attr_of(*item).0,
                 count,
                 cover,
             })
@@ -125,7 +109,7 @@ fn scratch_pool(n_rows: usize, frequent: &[FreqItem], max_len: Option<usize>) ->
 /// Read-only search context shared by the serial root loop and the pool
 /// workers.
 struct DfsCtx<'a> {
-    frequent: &'a [FreqItem],
+    frequent: &'a [FreqItem<'a>],
     planes: &'a OutcomePlanes,
     min_count: u64,
     max_len: Option<usize>,
@@ -174,7 +158,7 @@ fn dfs(
         }
         // Count-first pruning: infrequent candidates cost one fused
         // AND+popcount and nothing else.
-        let count = prefix_cover.and_count(&cand.cover) as u64;
+        let count = prefix_cover.and_count(cand.cover) as u64;
         if count < ctx.min_count {
             hdx_obs::counter_add!(MineCandidatesPrunedSupport, 1);
             continue;
@@ -287,7 +271,7 @@ fn explore_root(
             ctx,
             prefix_items,
             prefix_attrs,
-            &root.cover,
+            root.cover,
             idx + 1,
             scratch,
             out,
@@ -635,11 +619,11 @@ mod tests {
             },
         );
         assert!(!r.itemsets.is_empty());
-        let covers = item_covers(&t);
         for fi in &r.itemsets {
             let mut joint = Bitset::all_set(t.n_rows());
             for &item in fi.itemset.items() {
-                let (_, cover) = covers
+                let (_, cover) = t
+                    .covers()
                     .iter()
                     .find(|(i, _)| *i == item)
                     .expect("mined item has a cover");

@@ -129,11 +129,10 @@ fn brute_force(db: &Db, itemset: &Itemset) -> (u64, u64, f64) {
     let t = &db.transactions;
     let mut count = 0u64;
     let mut acc = h_divexplorer::stats::StatAccum::new();
-    for row in 0..t.n_rows() {
-        let items = t.items(row);
+    for (items, &outcome) in t.rows().iter().zip(t.outcomes()) {
         if itemset.items().iter().all(|i| items.contains(i)) {
             count += 1;
-            acc.push(t.outcome(row));
+            acc.push(outcome);
         }
     }
     (
