@@ -226,8 +226,6 @@ pub struct AppendOpts {
     pub wal_dir: String,
     /// Seal the open segment after the append.
     pub seal: bool,
-    /// Sliding window: retire oldest sealed segments beyond this count.
-    pub window: Option<usize>,
 }
 
 /// `hdx validate-telemetry` options.
@@ -540,29 +538,16 @@ pub fn parse(args: Vec<String>) -> Result<Command, CliError> {
                 rows_path,
                 wal_dir: String::new(),
                 seal: false,
-                window: None,
             };
             while let Some(flag) = cur.args.next() {
                 match flag.as_str() {
                     "--wal" => opts.wal_dir = cur.value(&flag)?,
                     "--seal" => opts.seal = true,
-                    "--window" => {
-                        let n: usize = cur.parse_value(&flag)?;
-                        if n == 0 {
-                            return Err(CliError::new("--window must be at least 1"));
-                        }
-                        opts.window = Some(n);
-                    }
                     other => return Err(CliError::new(format!("unknown flag `{other}`"))),
                 }
             }
             if opts.wal_dir.is_empty() {
                 return Err(CliError::new("hdx append requires --wal <dir>"));
-            }
-            if opts.window.is_some() && !opts.seal {
-                // A window is counted in sealed segments; without sealing
-                // the open segment the count never moves.
-                return Err(CliError::new("--window requires --seal"));
             }
             Ok(Command::Append(opts))
         }
@@ -931,39 +916,23 @@ mod tests {
 
     #[test]
     fn append_options() {
-        let Command::Append(o) = parse(v(&[
-            "append", "rows.csv", "--wal", "w", "--seal", "--window", "4",
-        ]))
-        .unwrap() else {
+        let Command::Append(o) = parse(v(&["append", "rows.csv", "--wal", "w", "--seal"])).unwrap()
+        else {
             panic!("wrong command");
         };
         assert_eq!(o.rows_path, "rows.csv");
         assert_eq!(o.wal_dir, "w");
         assert!(o.seal);
-        assert_eq!(o.window, Some(4));
         // Defaults.
         let Command::Append(o) = parse(v(&["append", "rows.csv", "--wal", "w"])).unwrap() else {
             panic!("wrong command");
         };
         assert!(!o.seal);
-        assert_eq!(o.window, None);
         assert!(parse(v(&["append", "rows.csv"]))
             .unwrap_err()
             .0
             .contains("--wal"));
         assert!(parse(v(&["append"])).unwrap_err().0.contains("CSV path"));
-        assert!(
-            parse(v(&["append", "r.csv", "--wal", "w", "--window", "0"]))
-                .unwrap_err()
-                .0
-                .contains("at least 1")
-        );
-        assert!(
-            parse(v(&["append", "r.csv", "--wal", "w", "--window", "2"]))
-                .unwrap_err()
-                .0
-                .contains("requires --seal")
-        );
         assert!(parse(v(&["append", "r.csv", "--wal", "w", "--bogus"])).is_err());
     }
 

@@ -120,7 +120,7 @@ fn serve(opts: &ServeOpts) -> Result<RunOutput, CliError> {
 /// and reported as a *partial* outcome — exit code 3, stderr notes — while
 /// the new rows still land.
 fn append(opts: &AppendOpts) -> Result<RunOutput, CliError> {
-    use hdx_core::ingest::{Wal, WalConfig};
+    use hdx_ingest::{Wal, WalConfig};
     let raw = std::fs::read_to_string(&opts.rows_path)
         .map_err(|e| CliError(format!("cannot read `{}`: {e}", opts.rows_path)))?;
     let rows: Vec<&str> = raw.lines().filter(|l| !l.trim().is_empty()).collect();
@@ -139,16 +139,6 @@ fn append(opts: &AppendOpts) -> Result<RunOutput, CliError> {
         wal.seal()
             .map_err(|e| CliError(format!("seal failed: {e}")))?;
     }
-    let mut retired_rows = 0u64;
-    if let Some(window) = opts.window {
-        while wal.sealed_segments().len() > window {
-            match wal.retire_oldest() {
-                Ok(Some((segment, _rows))) => retired_rows += segment.rows,
-                Ok(None) => break,
-                Err(e) => return Err(CliError(format!("cannot retire segment: {e}"))),
-            }
-        }
-    }
     let mut notes = Vec::new();
     let partial = if report.is_clean() {
         None
@@ -158,19 +148,13 @@ fn append(opts: &AppendOpts) -> Result<RunOutput, CliError> {
         }
         report.summary()
     };
-    let mut text = format!(
+    let text = format!(
         "appended {} row(s); {} durable ({} sealed segment(s), {} open row(s))\n",
         rows.len(),
         wal.total_rows(),
         wal.sealed_segments().len(),
         wal.open_rows(),
     );
-    if retired_rows > 0 {
-        text.push_str(&format!(
-            "retired {retired_rows} row(s) past the {}-segment window\n",
-            opts.window.unwrap_or_default(),
-        ));
-    }
     Ok(RunOutput {
         text,
         partial,
@@ -798,7 +782,7 @@ mod tests {
     }
 
     #[test]
-    fn append_lands_rows_and_windows_segments() {
+    fn append_lands_rows_and_seals_segments() {
         let rows = tmp("append-rows.csv");
         std::fs::write(&rows, "1,0,61,b\n0,0,30,a\n\n1,1,70,b\n").unwrap();
         let wal = tmp("append-wal");
@@ -809,14 +793,14 @@ mod tests {
         assert!(out.text.contains("appended 3 row(s)"), "{}", out.text);
         assert!(out.text.contains("3 durable"), "{}", out.text);
 
-        // Sealed appends accumulate segments; the window retires the oldest.
+        // Each sealed append seals the open segment into one more segment.
         for _ in 0..3 {
             run_full(&["append", &rows, "--wal", &wal, "--seal"]).expect("sealed append");
         }
-        let out = run_full(&["append", &rows, "--wal", &wal, "--seal", "--window", "2"])
-            .expect("windowed append");
-        assert!(out.text.contains("2 sealed segment(s)"), "{}", out.text);
-        assert!(out.text.contains("retired"), "{}", out.text);
+        let out = run_full(&["append", &rows, "--wal", &wal, "--seal"]).expect("sealed append");
+        assert!(out.text.contains("15 durable"), "{}", out.text);
+        assert!(out.text.contains("4 sealed segment(s)"), "{}", out.text);
+        assert!(out.text.contains("0 open row(s)"), "{}", out.text);
 
         assert!(run_full(&["append", &tmp("no-such-rows.csv"), "--wal", &wal]).is_err());
         let empty = tmp("append-empty.csv");
@@ -839,7 +823,7 @@ mod tests {
 
         // A frame header promising more bytes than the file holds — what an
         // interrupted append leaves behind.
-        let open_log = std::path::Path::new(&wal).join(hdx_core::ingest::OPEN_FILE);
+        let open_log = std::path::Path::new(&wal).join(hdx_ingest::OPEN_FILE);
         let mut f = std::fs::OpenOptions::new()
             .append(true)
             .open(&open_log)

@@ -84,8 +84,6 @@ success; torn or corrupt bytes found from an earlier crash are quarantined
 with a stderr note and exit code 3 — the valid rows still land):
   --wal <dir>            WAL directory (created on first append; required)
   --seal                 seal the open segment into an immutable envelope
-  --window <n>           keep at most n sealed segments, retiring the oldest
-                         (sliding-window ingestion; requires --seal)
 
 DISCRETIZE OPTIONS:
   --st <f>, --criterion <...> as above

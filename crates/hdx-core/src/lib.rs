@@ -76,12 +76,6 @@ pub use shapley::{global_item_contributions, item_contributions};
 /// [`HDivExplorer::resume_checkpointed`] and DESIGN.md §12.
 pub use hdx_checkpoint as checkpoint;
 
-/// The incremental-ingestion subsystem (re-exported from `hdx-ingest`):
-/// a durable CRC-framed row WAL with degrade-not-die recovery, the sealed
-/// fold cursor, and the mergeable/subtractable lattice view used for
-/// streaming re-mining. See DESIGN.md §17.
-pub use hdx_ingest as ingest;
-
 /// The observability subsystem (re-exported from `hdx-obs`): hierarchical
 /// spans, typed metrics and the machine-readable [`RunTelemetry`]
 /// (`obs::RunTelemetry`) artifact. Zero-cost unless the `obs` feature is

@@ -1,4 +1,4 @@
-//! Crash-safe incremental ingestion (`hdx_core::ingest`).
+//! Crash-safe incremental ingestion (`h_divexplorer::ingest`).
 //!
 //! Batch mining answers "what diverges in this dataset"; continuous model
 //! monitoring needs the same answer under heavy write traffic, without
@@ -22,28 +22,24 @@
 //!   base data plus the WAL's durable prefix, so replay after a crash
 //!   mid-fold is idempotent by construction: the cursor only tells the
 //!   scheduler whether a re-mine is *needed*, never what to add.
-//! * [`LatticeView`] — the incremental fold: mined itemsets with
-//!   mergeable/subtractable [`hdx_stats::StatAccum`]s. An appended row
-//!   only re-touches the itemsets its items cover ([`LatticeView::apply`]);
-//!   a sliding window retires a sealed segment by subtracting its delta
-//!   ([`LatticeView::retract`], [`Wal::retire_oldest`]). Exactness matches
-//!   the kernel contract: counts and integer-valued sums bitwise, reals
-//!   ULP-bounded.
 //!
-//! Under `hdx-fail` the `ingest::wal::append`, `ingest::wal::fsync` and
-//! `ingest::fold` fail points inject torn tails, fsync failures, ENOSPC
-//! and fold panics for chaos tests; segment seals and cursor saves fail
-//! through hdx-checkpoint's `durable::write`.
+//! There is no incremental fold of rows into a mined lattice: each
+//! attribute's discretization tree is grown from every row, so one
+//! appended row can move a split, and the service re-mines the base data
+//! plus the WAL cold (DESIGN.md §17.2).
+//!
+//! Under `hdx-fail` the `ingest::wal::append` and `ingest::wal::fsync`
+//! fail points inject torn tails, fsync failures and ENOSPC for chaos
+//! tests; segment seals and cursor saves fail through hdx-checkpoint's
+//! `durable::write`.
 
 mod cursor;
 mod error;
-mod fold;
 mod report;
 /// The CRC-framed segmented write-ahead log (see the crate docs).
 pub mod wal;
 
 pub use cursor::{IngestCursor, CURSOR_FILE};
 pub use error::IngestError;
-pub use fold::LatticeView;
 pub use report::IngestReport;
-pub use wal::{replay_dir, RetiredSegment, SealedSegment, Wal, WalConfig, OPEN_FILE};
+pub use wal::{replay_dir, SealedSegment, Wal, WalConfig, OPEN_FILE};

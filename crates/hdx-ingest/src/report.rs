@@ -32,15 +32,6 @@ impl IngestReport {
         self.notes.push(line.into());
     }
 
-    /// Folds another report into this one (recovery merges the per-segment
-    /// findings into one job-level report).
-    pub fn merge(&mut self, other: &IngestReport) {
-        self.quarantined_frames += other.quarantined_frames;
-        self.quarantined_bytes += other.quarantined_bytes;
-        self.quarantined_segments += other.quarantined_segments;
-        self.notes.extend(other.notes.iter().cloned());
-    }
-
     /// A one-line operator summary, or `None` when the report is clean.
     pub fn summary(&self) -> Option<String> {
         if self.is_clean() {
@@ -65,27 +56,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates_and_summary_renders() {
-        let mut a = IngestReport {
-            quarantined_frames: 1,
-            quarantined_bytes: 10,
-            quarantined_segments: 0,
-            notes: vec!["torn tail".into()],
-        };
-        let b = IngestReport {
-            quarantined_frames: 2,
-            quarantined_bytes: 90,
+    fn dirty_report_summary_renders() {
+        let r = IngestReport {
+            quarantined_frames: 3,
+            quarantined_bytes: 100,
             quarantined_segments: 1,
-            notes: vec!["bad segment".into()],
+            notes: vec!["torn tail".into(), "bad segment".into()],
         };
-        a.merge(&b);
-        assert!(!a.is_clean());
-        assert_eq!(a.quarantined_frames, 3);
-        assert_eq!(a.quarantined_bytes, 100);
-        assert_eq!(a.quarantined_segments, 1);
-        assert_eq!(a.notes.len(), 2);
-        let s = a.summary().expect("dirty report summarises");
+        assert!(!r.is_clean());
+        let s = r.summary().expect("dirty report summarises");
         assert!(s.contains("3 frame(s)"), "{s}");
         assert!(s.contains("100 byte(s)"), "{s}");
+        assert!(s.contains("1 sealed segment(s)"), "{s}");
     }
 }

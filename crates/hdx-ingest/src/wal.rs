@@ -73,10 +73,6 @@ pub struct SealedSegment {
     pub bytes: u64,
 }
 
-/// A segment removed by [`Wal::retire_oldest`]: its descriptor and the raw
-/// rows it held.
-pub type RetiredSegment = (SealedSegment, Vec<Vec<u8>>);
-
 /// A durable, segmented row log. See the module docs for the format and
 /// the recovery rules.
 #[derive(Debug)]
@@ -87,9 +83,10 @@ pub struct Wal {
     open_rows: u64,
     open_bytes: u64,
     handle: Option<File>,
-    /// Set when an injected short write left garbage after `open_bytes`;
-    /// further appends would interleave with the torn tail, so they are
-    /// refused until the WAL is reopened (which quarantines the tail).
+    /// Set when a frame write failed and may have left part of a frame
+    /// after `open_bytes`. Rows appended behind those bytes would be
+    /// quarantined by the next open, so appends and commits are refused
+    /// until the WAL is reopened (which quarantines the tail).
     torn: bool,
 }
 
@@ -198,11 +195,6 @@ impl Wal {
         ))
     }
 
-    /// The WAL directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Total rows currently on disk: sealed segments plus the open
     /// segment (including rows appended since the last [`Wal::commit`] —
     /// callers must not acknowledge those until `commit` returns).
@@ -225,7 +217,10 @@ impl Wal {
     ///
     /// # Errors
     /// [`IngestError::Io`] when the write fails; the in-memory counters
-    /// are unchanged on failure.
+    /// are unchanged on failure. A failed write may leave part of a frame
+    /// on disk, so from then on this handle refuses every `append_row`
+    /// and [`Wal::commit`] until the WAL is reopened, which quarantines the
+    /// torn tail.
     pub fn append_row(&mut self, payload: &[u8]) -> Result<(), IngestError> {
         let open_path = self.dir.join(OPEN_FILE);
         fail_point!("ingest::wal::append", |message: String| IngestError::Io {
@@ -243,8 +238,9 @@ impl Wal {
                     let _ = handle.write_all(half);
                     let _ = handle.sync_data();
                 }
-                self.torn = true;
             }
+            // ENOSPC, too, can strike after part of the frame landed.
+            self.torn = true;
             return Err(IngestError::Io {
                 path: open_path,
                 message: fault.to_error().to_string(),
@@ -263,9 +259,11 @@ impl Wal {
             });
         };
         let frame = encode_frame(payload);
-        handle
-            .write_all(&frame)
-            .map_err(|e| IngestError::io(&open_path, &e))?;
+        if let Err(e) = handle.write_all(&frame) {
+            // `write_all` may have landed part of the frame before failing.
+            self.torn = true;
+            return Err(IngestError::io(&open_path, &e));
+        }
         self.open_rows += 1;
         self.open_bytes += frame.len() as u64;
         hdx_obs::counter_add!(IngestRowsAppended, 1);
@@ -379,42 +377,13 @@ impl Wal {
     /// # Errors
     /// [`IngestError::Io`] when the file cannot be read;
     /// [`IngestError::Corrupt`] when it no longer passes validation.
-    pub fn segment_rows(&self, seq: u64) -> Result<Vec<Vec<u8>>, IngestError> {
+    fn segment_rows(&self, seq: u64) -> Result<Vec<Vec<u8>>, IngestError> {
         let path = seg_path(&self.dir, seq);
         let bytes = fs::read(&path).map_err(|e| IngestError::io(&path, &e))?;
         let payload = envelope::open(&bytes).map_err(|e| IngestError::Corrupt {
             message: format!("sealed segment `{}`: {e}", path.display()),
         })?;
         Ok(frames_of(&payload))
-    }
-
-    /// Sliding-window retirement: removes the *oldest* sealed segment,
-    /// returning its descriptor and rows so the caller can subtract their
-    /// contribution (e.g. [`crate::LatticeView::retract`]). `None` when no
-    /// sealed segment exists.
-    ///
-    /// # Errors
-    /// The errors of [`Wal::segment_rows`], plus [`IngestError::Io`] when
-    /// the file cannot be removed.
-    pub fn retire_oldest(&mut self) -> Result<Option<RetiredSegment>, IngestError> {
-        if self.sealed.is_empty() {
-            return Ok(None);
-        }
-        let seg = self.sealed.remove(0);
-        let rows = match self.segment_rows(seg.seq) {
-            Ok(rows) => rows,
-            Err(e) => {
-                // Put the descriptor back: retirement failed, nothing changed.
-                self.sealed.insert(0, seg);
-                return Err(e);
-            }
-        };
-        let path = seg_path(&self.dir, seg.seq);
-        if let Err(e) = fs::remove_file(&path) {
-            self.sealed.insert(0, seg);
-            return Err(IngestError::io(&path, &e));
-        }
-        Ok(Some((seg, rows)))
     }
 }
 
@@ -693,26 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn retire_oldest_returns_the_segment_rows() {
-        let dir = tmp_dir("retire");
-        let config = WalConfig {
-            segment_max_bytes: 32,
-        };
-        let (mut wal, _) = Wal::open(&dir, config).unwrap();
-        for i in 0..9 {
-            wal.append_row(&row(i)).unwrap();
-            wal.commit().unwrap();
-        }
-        let total = wal.total_rows();
-        let (seg, rows) = wal.retire_oldest().unwrap().expect("has sealed segments");
-        assert_eq!(seg.rows as usize, rows.len());
-        assert_eq!(rows[0], row(0), "oldest segment holds the oldest rows");
-        assert_eq!(wal.total_rows(), total - seg.rows);
-        assert!(!seg_path(&dir, seg.seq).exists());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn replay_dir_matches_the_healing_open_without_mutating() {
         let dir = tmp_dir("replaydir");
         let config = WalConfig {
@@ -748,13 +697,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_wal_retires_nothing() {
+    fn empty_wal_replays_and_seals_nothing() {
         let dir = tmp_dir("empty");
         let (mut wal, report) = Wal::open(&dir, WalConfig::default()).unwrap();
         assert!(report.is_clean());
         assert_eq!(wal.total_rows(), 0);
         assert_eq!(wal.rows().unwrap(), Vec::<Vec<u8>>::new());
-        assert!(wal.retire_oldest().unwrap().is_none());
         wal.seal().unwrap(); // no-op
         assert!(wal.sealed_segments().is_empty());
         let _ = fs::remove_dir_all(&dir);

@@ -21,7 +21,7 @@
 //! 6. `atomics-ordering`  — `// ORDERING:` justification for every
 //!    `Ordering::Relaxed`.
 //! 7. `no-alloc-hot-path` — functions in `crates/hdx-lint/hotpaths.toml`
-//!    do not allocate.
+//!    do not allocate, and every pin names an existing file and function.
 //! 8. `no-panic-path`     — `panic_free` files avoid unchecked indexing
 //!    and panicking calls.
 //! 9. `doc-coverage`      — per-crate coverage floors from
@@ -53,6 +53,10 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+/// Workspace-relative path of the hot-path manifest; stale pins are
+/// reported against it.
+pub(crate) const HOTPATHS_TOML: &str = "crates/hdx-lint/hotpaths.toml";
 
 /// Library crates subject to rules 1–3. Binary/tooling crates (`hdx-cli`,
 /// `hdx-bench`, `hdx-lint` itself) and the facade crate are exempt from
@@ -156,6 +160,7 @@ fn main() -> ExitCode {
     let files = collect_sources(&root);
     let mut violations = Vec::new();
     let mut doc_counts: BTreeMap<String, semantic::DocCounts> = BTreeMap::new();
+    let mut scanned = Vec::with_capacity(files.len());
     for file in &files {
         let Ok(src) = fs::read_to_string(file) else {
             eprintln!("hdx-lint: warning: cannot read {}", file.display());
@@ -167,7 +172,14 @@ fn main() -> ExitCode {
             .to_string_lossy()
             .replace('\\', "/");
         check_file(&rel, &src, &manifests, &mut doc_counts, &mut violations);
+        scanned.push(rel);
     }
+    semantic::rule_hot_path_files_exist(
+        &manifests.hotpaths,
+        &scanned,
+        HOTPATHS_TOML,
+        &mut violations,
+    );
     semantic::rule_doc_coverage(
         &doc_counts,
         &manifests.ratchet,
@@ -266,7 +278,7 @@ fn parse_args() -> Result<Options, String> {
 /// Loads the three semantic-rule manifests relative to the workspace root.
 fn load_manifests(root: &Path) -> Result<Manifests, String> {
     Ok(Manifests {
-        hotpaths: manifest::load_hotpaths(&root.join("crates/hdx-lint/hotpaths.toml"))?,
+        hotpaths: manifest::load_hotpaths(&root.join(HOTPATHS_TOML))?,
         ledger: manifest::load_unsafe_ledger(&root.join("UNSAFE_LEDGER.md"))?,
         ratchet: manifest::load_doc_ratchet(&root.join("crates/hdx-lint/doc_ratchet.toml"))?,
     })
@@ -377,6 +389,7 @@ pub(crate) fn check_file(
     semantic::rule_atomics_ordering(&toks, &mask, &comment_index, rel, out);
     if let Some(hotpath) = manifests.hotpaths.for_file(rel) {
         semantic::rule_no_alloc_hot_path(&toks, &tree, &mask, &comment_index, hotpath, rel, out);
+        semantic::rule_hot_path_pins_resolve(&tree, hotpath, HOTPATHS_TOML, out);
         if hotpath.panic_free {
             semantic::rule_no_panic_path(&toks, &mask, &comment_index, rel, out);
         }

@@ -31,6 +31,9 @@ pub struct Hotpath {
     /// When true, the file's whole non-test body is checked by
     /// `no-panic-path` (unchecked indexing / `expect` / `panic!`).
     pub panic_free: bool,
+    /// Manifest line of the entry's `[[hotpath]]` header, where a stale
+    /// pin is reported.
+    pub line: u32,
 }
 
 /// The parsed `hotpaths.toml`.
@@ -54,7 +57,10 @@ pub fn parse_hotpaths(text: &str) -> Result<Hotpaths, String> {
     let mut entries: Vec<Hotpath> = Vec::new();
     for (key, value, lineno) in toml_subset_items(text, "hotpath")? {
         if key.is_empty() {
-            entries.push(Hotpath::default());
+            entries.push(Hotpath {
+                line: lineno,
+                ..Hotpath::default()
+            });
             continue;
         }
         let Some(entry) = entries.last_mut() else {

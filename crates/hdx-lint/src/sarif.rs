@@ -23,7 +23,7 @@ const RULE_DESCRIPTIONS: &[&str] = &[
     "No `std::process::exit` outside hdx-cli",
     "Every `unsafe` has a `// SAFETY:` comment and an UNSAFE_LEDGER.md row",
     "Every `Ordering::Relaxed` has an `// ORDERING:` justification",
-    "Hot-path functions (hotpaths.toml) do not allocate",
+    "Hot-path functions (hotpaths.toml) exist and do not allocate",
     "Panic-free kernel modules avoid unchecked indexing and panics",
     "Per-crate doc coverage stays at or above the doc_ratchet.toml floor",
 ];

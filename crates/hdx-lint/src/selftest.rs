@@ -30,17 +30,32 @@ struct Fixture {
 }
 
 /// Hotpath manifest used by the fixtures (also exercises the TOML parser).
+/// The `stale.rs` entry, at line [`STALE_PIN_LINE`], pins a function its
+/// fixture does not define.
 const FIXTURE_HOTPATHS: &str = "\
 # fixture manifest\n\
 [[hotpath]]\n\
 file = \"crates/hdx-bench/src/hot.rs\"\n\
-functions = [\"dfs\", \"Planes::accum\"]\n\
+functions = [\"dfs\"]\n\
+panic_free = false\n\
+\n\
+[[hotpath]]\n\
+file = \"crates/hdx-bench/src/hot_impl.rs\"\n\
+functions = [\"Planes::accum\"]\n\
 panic_free = false\n\
 \n\
 [[hotpath]]\n\
 file = \"crates/hdx-bench/src/kernel.rs\"\n\
 functions = []\n\
-panic_free = true\n";
+panic_free = true\n\
+\n\
+[[hotpath]]\n\
+file = \"crates/hdx-bench/src/stale.rs\"\n\
+functions = [\"present\", \"renamed_away\"]\n\
+panic_free = false\n";
+
+/// Manifest line of the `stale.rs` entry in [`FIXTURE_HOTPATHS`].
+const STALE_PIN_LINE: u32 = 17;
 
 /// Unsafe ledger used by the fixtures.
 const FIXTURE_LEDGER: &str = "\
@@ -257,7 +272,7 @@ const FIXTURES: &[Fixture] = &[
     },
     Fixture {
         name: "impl-qualified hot function; ALLOC justification is honored",
-        path: "crates/hdx-bench/src/hot.rs",
+        path: "crates/hdx-bench/src/hot_impl.rs",
         src: "pub struct Planes;\n\
               impl Planes {\n\
               \x20   pub fn accum(&self, out: &mut Vec<u32>) {\n\
@@ -267,6 +282,17 @@ const FIXTURES: &[Fixture] = &[
               \x20   }\n\
               }\n",
         expect: &[],
+    },
+    Fixture {
+        name: "a pin naming a function the file no longer has is stale",
+        path: "crates/hdx-bench/src/stale.rs",
+        src: "pub fn present(xs: &[u32]) -> u32 {\n\
+              \x20   xs.iter().sum()\n\
+              }\n\
+              pub fn renamed(xs: &[u32]) -> u32 {\n\
+              \x20   xs.len() as u32\n\
+              }\n",
+        expect: &[("no-alloc-hot-path", STALE_PIN_LINE)],
     },
     // ---- no-panic-path --------------------------------------------------
     Fixture {
@@ -342,6 +368,10 @@ pub fn run() -> ExitCode {
             check_doc_coverage,
         ),
         (
+            "a pin on a file that is not scanned is stale",
+            check_stale_pin_files,
+        ),
+        (
             "SARIF output round-trips and agrees with JSON",
             check_sarif_roundtrip,
         ),
@@ -369,9 +399,9 @@ pub fn run() -> ExitCode {
 /// Parses the embedded fixture manifests (this is itself a parser test).
 fn fixture_manifests() -> Result<Manifests, String> {
     let hotpaths = manifest::parse_hotpaths(FIXTURE_HOTPATHS)?;
-    if hotpaths.entries.len() != 2 {
+    if hotpaths.entries.len() != 4 {
         return Err(format!(
-            "expected 2 hotpath entries, parsed {}",
+            "expected 4 hotpath entries, parsed {}",
             hotpaths.entries.len()
         ));
     }
@@ -413,6 +443,35 @@ fn check_doc_coverage() -> Result<(), String> {
     }
     if !out[0].message.contains("50.0%") || !out[0].message.contains("90%") {
         return Err(format!("unexpected message: {}", out[0].message));
+    }
+    Ok(())
+}
+
+/// The file side of the stale-pin check: with every pinned file scanned
+/// nothing is reported; drop one and exactly its entry is flagged, at the
+/// entry's manifest line, naming the file.
+fn check_stale_pin_files() -> Result<(), String> {
+    let hotpaths = manifest::parse_hotpaths(FIXTURE_HOTPATHS)?;
+    let mut scanned: Vec<String> = hotpaths.entries.iter().map(|e| e.file.clone()).collect();
+    let mut out = Vec::new();
+    semantic::rule_hot_path_files_exist(&hotpaths, &scanned, crate::HOTPATHS_TOML, &mut out);
+    if !out.is_empty() {
+        return Err(format!("every pinned file is scanned, yet got {out:?}"));
+    }
+    scanned.retain(|f| !f.ends_with("/stale.rs"));
+    semantic::rule_hot_path_files_exist(&hotpaths, &scanned, crate::HOTPATHS_TOML, &mut out);
+    let got: Vec<(&str, &str, u32)> = out
+        .iter()
+        .map(|v| (v.rule, v.file.as_str(), v.line))
+        .collect();
+    if got != [("no-alloc-hot-path", crate::HOTPATHS_TOML, STALE_PIN_LINE)] {
+        return Err(format!(
+            "expected [(no-alloc-hot-path, {}, {STALE_PIN_LINE})], got {got:?}",
+            crate::HOTPATHS_TOML
+        ));
+    }
+    if !out[0].message.contains("crates/hdx-bench/src/stale.rs") {
+        return Err(format!("message does not name the pin: {}", out[0].message));
     }
     Ok(())
 }

@@ -11,7 +11,8 @@
 //!   `// ORDERING:` justification comment (or an allowlist entry).
 //! * `no-alloc-hot-path` — functions listed in `hotpaths.toml` may not
 //!   allocate (`.push`/`.collect`/`format!`/`vec!`/`Box::new`/...) unless
-//!   the site carries an `// ALLOC:` justification.
+//!   the site carries an `// ALLOC:` justification; a pin naming a missing
+//!   file or function is itself a violation, since it checks nothing.
 //! * `no-panic-path` — files marked `panic_free` may not use unchecked
 //!   indexing/slicing, `.unwrap`/`.expect`, or panicking macros; a
 //!   pre-verified bound can be justified with `// BOUND:`.
@@ -24,9 +25,9 @@
 //! contiguous comment block's immediate successor — i.e. write the comment
 //! directly above (or at the end of) the line it justifies.
 
-use crate::ast::{self, ItemTree};
+use crate::ast::{self, FnItem, ItemTree};
 use crate::lexer::{Comment, Tok, TokKind};
-use crate::manifest::{DocRatchet, Hotpath, UnsafeLedger};
+use crate::manifest::{DocRatchet, Hotpath, Hotpaths, UnsafeLedger};
 use crate::rules::Violation;
 
 /// Per-line index of the plain comments of one file, answering "is the token
@@ -168,11 +169,7 @@ pub fn rule_no_alloc_hot_path(
     out: &mut Vec<Violation>,
 ) {
     for func in &tree.functions {
-        let listed = hotpath
-            .functions
-            .iter()
-            .any(|f| *f == func.name || *f == func.path || func.path.ends_with(&format!("::{f}")));
-        if !listed {
+        if !hotpath.functions.iter().any(|pin| pins(pin, func)) {
             continue;
         }
         let Some((lo, hi)) = func.body else { continue };
@@ -209,6 +206,64 @@ pub fn rule_no_alloc_hot_path(
                     ),
                 });
             }
+        }
+    }
+}
+
+/// Whether the `hotpaths.toml` function entry `pin` (bare, or a
+/// `::`-qualified path suffix) names `func`.
+fn pins(pin: &str, func: &FnItem) -> bool {
+    pin == func.name || pin == func.path || func.path.ends_with(&format!("::{pin}"))
+}
+
+/// `no-alloc-hot-path`, pin side: every function a `hotpaths.toml` entry
+/// lists must exist in its file. A pin that names nothing — the function
+/// was renamed or deleted — would silently drop its zero-allocation
+/// check, so it is reported at the entry's manifest line.
+pub fn rule_hot_path_pins_resolve(
+    tree: &ItemTree,
+    hotpath: &Hotpath,
+    manifest_file: &str,
+    out: &mut Vec<Violation>,
+) {
+    for pin in &hotpath.functions {
+        if !tree.functions.iter().any(|func| pins(pin, func)) {
+            out.push(Violation {
+                rule: "no-alloc-hot-path",
+                file: manifest_file.to_string(),
+                line: hotpath.line,
+                message: format!(
+                    "stale hot-path pin `{}::{pin}`: no such function in the file, so \
+                     nothing is checked (update or remove the pin)",
+                    hotpath.file
+                ),
+            });
+        }
+    }
+}
+
+/// `no-alloc-hot-path`, file side: every `hotpaths.toml` entry must name a
+/// scanned source file (`scanned` holds their workspace-relative paths). A
+/// pin on a deleted or moved file checks nothing, so it is reported at the
+/// entry's manifest line.
+pub fn rule_hot_path_files_exist(
+    hotpaths: &Hotpaths,
+    scanned: &[String],
+    manifest_file: &str,
+    out: &mut Vec<Violation>,
+) {
+    for entry in &hotpaths.entries {
+        if !scanned.contains(&entry.file) {
+            out.push(Violation {
+                rule: "no-alloc-hot-path",
+                file: manifest_file.to_string(),
+                line: entry.line,
+                message: format!(
+                    "stale hot-path pin: `{}` is not a scanned source file, so nothing \
+                     is checked (update or remove the entry)",
+                    entry.file
+                ),
+            });
         }
     }
 }

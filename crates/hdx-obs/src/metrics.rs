@@ -97,11 +97,6 @@ pub enum CounterId {
     /// Bytes moved aside by WAL recovery quarantine:
     /// `hdx.ingest.recover.bytes_quarantined`.
     IngestBytesQuarantined,
-    /// Rows folded into a live lattice view: `hdx.ingest.fold.rows_applied`.
-    IngestFoldRowsApplied,
-    /// Itemset accumulators touched by single-row folds:
-    /// `hdx.ingest.fold.itemsets_touched`.
-    IngestFoldItemsetsTouched,
     /// Rows accepted by `POST /jobs/<id>/append`: `hdx.serve.ingest.appends`.
     ServeIngestAppends,
     /// Append requests shed by ingest backpressure (429 + `Retry-After`):
@@ -113,7 +108,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every registered counter, in telemetry order.
-    pub const ALL: [CounterId; 43] = [
+    pub const ALL: [CounterId; 41] = [
         CounterId::MineCandidatesGenerated,
         CounterId::MineCandidatesPrunedSupport,
         CounterId::MineCandidatesPrunedAttr,
@@ -152,8 +147,6 @@ impl CounterId {
         CounterId::IngestSegmentsSealed,
         CounterId::IngestFramesQuarantined,
         CounterId::IngestBytesQuarantined,
-        CounterId::IngestFoldRowsApplied,
-        CounterId::IngestFoldItemsetsTouched,
         CounterId::ServeIngestAppends,
         CounterId::ServeIngestShed,
         CounterId::ServeIngestRemines,
@@ -203,8 +196,6 @@ impl CounterId {
             CounterId::IngestSegmentsSealed => "hdx.ingest.wal.segments_sealed",
             CounterId::IngestFramesQuarantined => "hdx.ingest.recover.frames_quarantined",
             CounterId::IngestBytesQuarantined => "hdx.ingest.recover.bytes_quarantined",
-            CounterId::IngestFoldRowsApplied => "hdx.ingest.fold.rows_applied",
-            CounterId::IngestFoldItemsetsTouched => "hdx.ingest.fold.itemsets_touched",
             CounterId::ServeIngestAppends => "hdx.serve.ingest.appends",
             CounterId::ServeIngestShed => "hdx.serve.ingest.shed",
             CounterId::ServeIngestRemines => "hdx.serve.ingest.remines",
@@ -285,10 +276,6 @@ impl CounterId {
                 "Torn or corrupt frames quarantined by WAL recovery."
             }
             CounterId::IngestBytesQuarantined => "Bytes moved aside by WAL recovery quarantine.",
-            CounterId::IngestFoldRowsApplied => "Rows folded into a live lattice view.",
-            CounterId::IngestFoldItemsetsTouched => {
-                "Itemset accumulators touched by single-row folds."
-            }
             CounterId::ServeIngestAppends => "Rows accepted by POST /jobs/<id>/append.",
             CounterId::ServeIngestShed => "Append requests shed by ingest backpressure (429).",
             CounterId::ServeIngestRemines => "Incremental re-mines triggered by appended rows.",

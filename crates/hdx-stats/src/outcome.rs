@@ -120,30 +120,6 @@ impl StatAccum {
         self.sum_sq += other.sum_sq;
     }
 
-    /// Subtracts a previously merged accumulator — the inverse of
-    /// [`StatAccum::merge`], used by streaming ingestion to retire a
-    /// sliding-window segment's contribution without re-accumulating.
-    ///
-    /// Exactness contract (mirrors [`StatAccum::from_counts`]): the counts
-    /// are integers, so `unmerge(merge(a, b), b) == a` is **bitwise** on
-    /// `n`/`n_valid` always, and on `sum`/`sum_sq` whenever the sums are
-    /// integer-valued below 2⁵³ (every boolean-outcome accumulator). For
-    /// real-valued outcomes the round-trip is ULP-bounded, not bitwise —
-    /// the same contract the SIMD kernel layer documents for reassociated
-    /// sums. `other` must describe a subset of `self`'s instances; counts
-    /// saturate at zero if it does not (checked in debug builds).
-    #[inline]
-    pub fn unmerge(&mut self, other: &StatAccum) {
-        debug_assert!(
-            other.n <= self.n && other.n_valid <= self.n_valid,
-            "unmerge of a non-subset accumulator"
-        );
-        self.n = self.n.saturating_sub(other.n);
-        self.n_valid = self.n_valid.saturating_sub(other.n_valid);
-        self.sum -= other.sum;
-        self.sum_sq -= other.sum_sq;
-    }
-
     /// Number of instances (the support count `#D_I`).
     #[inline]
     pub fn count(&self) -> u64 {
@@ -334,50 +310,6 @@ mod tests {
         let right = StatAccum::from_outcomes(&outcomes[2..]);
         left.merge(&right);
         assert_eq!(left, whole);
-    }
-
-    #[test]
-    fn unmerge_inverts_merge_bitwise_for_boolean_outcomes() {
-        // Boolean outcomes: sums are small integers, so the round trip is
-        // exact on every field, not just the counts.
-        let a = StatAccum::from_counts(100, 90, 37);
-        let b = StatAccum::from_counts(50, 48, 11);
-        let mut merged = a;
-        merged.merge(&b);
-        merged.unmerge(&b);
-        let (n, v, s, q) = merged.raw_parts();
-        let (an, av, as_, aq) = a.raw_parts();
-        assert_eq!((n, v), (an, av));
-        assert_eq!(s.to_bits(), as_.to_bits(), "integer-valued sum: bitwise");
-        assert_eq!(q.to_bits(), aq.to_bits());
-    }
-
-    #[test]
-    fn unmerge_to_empty_is_exactly_empty() {
-        let b = StatAccum::from_outcomes(&[Outcome::Real(2.5), Outcome::Real(-1.0)]);
-        let mut acc = StatAccum::new();
-        acc.merge(&b);
-        acc.unmerge(&b);
-        let (n, v, s, q) = acc.raw_parts();
-        assert_eq!((n, v), (0, 0));
-        // x - x == 0.0 exactly in IEEE 754 for finite x.
-        assert_eq!(s, 0.0);
-        assert_eq!(q, 0.0);
-    }
-
-    #[test]
-    fn unmerge_saturates_counts_on_non_subset() {
-        let mut a = StatAccum::from_counts(2, 2, 1);
-        let b = StatAccum::from_counts(5, 5, 2);
-        // Release builds: counts saturate rather than wrap.
-        if cfg!(debug_assertions) {
-            let err = std::panic::catch_unwind(move || a.unmerge(&b));
-            assert!(err.is_err(), "debug builds assert the subset contract");
-        } else {
-            a.unmerge(&b);
-            assert_eq!(a.count(), 0);
-            assert_eq!(a.valid_count(), 0);
-        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! * [`baselines`] — Slice Finder and SliceLine;
 //! * [`governor`] — run budgets, deadlines and cooperative cancellation;
 //! * [`checkpoint`] — crash-safe checkpoint/resume for mining runs;
-//! * [`ingest`] — crash-safe streaming row ingestion (durable WAL, fold).
+//! * [`ingest`] — crash-safe streaming row ingestion (durable WAL, fold
+//!   cursor, quarantine report).
 
 pub use hdx_baselines as baselines;
 pub use hdx_checkpoint as checkpoint;

@@ -444,6 +444,36 @@ fn short_write_tears_the_tail_and_recovery_quarantines_it() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Any failed frame write poisons the handle, not only a short one: ENOSPC
+/// can strike after part of a frame landed, and rows appended behind those
+/// bytes would be acknowledged only to be quarantined by the next open. So
+/// the handle refuses appends and commits until a reopen heals the tail.
+#[test]
+fn any_failed_append_refuses_work_until_reopen() {
+    let _guard = serial();
+    let dir = tmp_dir("wal-append-enospc");
+    let (mut wal, _) = Wal::open(&dir, WalConfig::default()).unwrap();
+    wal.append_row(&row(0)).unwrap();
+    wal.commit().unwrap();
+
+    failpoint::arm("ingest::wal::append", FailAction::Io(IoFault::Enospc), 1);
+    let err = wal
+        .append_row(&row(1))
+        .expect_err("injected ENOSPC must surface");
+    failpoint::disarm("ingest::wal::append");
+    assert!(err.to_string().contains("no space left"), "{err}");
+    assert!(
+        wal.append_row(&row(2)).is_err(),
+        "append after a failed write"
+    );
+    assert!(wal.commit().is_err(), "commit after a failed write");
+    drop(wal);
+
+    let (wal2, _) = Wal::open(&dir, WalConfig::default()).unwrap();
+    assert_eq!(wal2.rows().unwrap(), vec![row(0)]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// An injected seal failure (ENOSPC while writing the envelope) leaves the
 /// open segment fully intact: nothing is lost, and a retry seals the same
 /// rows.

@@ -1,10 +1,10 @@
-//! Property-based tests of the [`StatAccum`] merge algebra that streaming
-//! ingestion leans on: folding a batch into the lattice is `merge` with a
-//! delta accumulator, retiring a sliding-window segment is `unmerge`. The
-//! properties pin the exactness contract: `merge(a, b)` equals accumulating
-//! the concatenated stream from scratch, and `unmerge` is the exact inverse
-//! of `merge` — bitwise for the integer fields, and for the float sums
-//! bitwise on integer-valued (boolean) outcomes, ULP-bounded on reals.
+//! Property-based tests of the [`StatAccum`] merge algebra. The FP-Growth
+//! oracle (`hdx-mining`'s `fpgrowth.rs`) builds every itemset's statistics
+//! by merging FP-tree node accumulators, so its agreement with the
+//! production miner rests on `merge(a, b)` equalling accumulation of the
+//! concatenated stream from scratch: bitwise for the integer fields, and
+//! for the float sums bitwise on integer-valued (boolean) outcomes,
+//! ULP-bounded on reals, however the stream is split.
 
 use h_divexplorer::stats::{Outcome, StatAccum};
 use proptest::prelude::*;
@@ -106,53 +106,9 @@ proptest! {
         }
     }
 
-    /// `unmerge(merge(a, b), b)` restores `a`: counts exactly, sums to
-    /// within rounding at the magnitude of the merged intermediate —
-    /// `(a + b) - b` incurs one rounding in each direction, so the error is
-    /// bounded by ε·(|a| + |b|), never by the (possibly cancelled) result.
-    #[test]
-    fn unmerge_inverts_merge(
-        xs in proptest::collection::vec(outcome(), 0..200),
-        ys in proptest::collection::vec(outcome(), 0..200),
-    ) {
-        let a = accum(&xs);
-        let b = accum(&ys);
-        let mut round_trip = a;
-        round_trip.merge(&b);
-        round_trip.unmerge(&b);
-        let (rn, rv, rs, rq) = round_trip.raw_parts();
-        let (an, av, a_sum, a_sq) = a.raw_parts();
-        let (_, _, b_sum, b_sq) = b.raw_parts();
-        prop_assert_eq!((rn, rv), (an, av));
-        prop_assert!(
-            close(rs, a_sum, a_sum.abs() + b_sum.abs()),
-            "sum: {rs} vs {a_sum}"
-        );
-        prop_assert!(close(rq, a_sq, a_sq + b_sq), "sum_sq: {rq} vs {a_sq}");
-    }
-
-    /// Boolean-stream unmerge is exactly bitwise (the WAL fold path for
-    /// classification statistics).
-    #[test]
-    fn boolean_unmerge_is_bitwise(
-        xs in proptest::collection::vec(bool_outcome(), 0..300),
-        ys in proptest::collection::vec(bool_outcome(), 0..300),
-    ) {
-        let a = accum(&xs);
-        let b = accum(&ys);
-        let mut round_trip = a;
-        round_trip.merge(&b);
-        round_trip.unmerge(&b);
-        let (rn, rv, rs, rq) = round_trip.raw_parts();
-        let (an, av, a_sum, a_sq) = a.raw_parts();
-        prop_assert_eq!((rn, rv), (an, av));
-        prop_assert_eq!(rs.to_bits(), a_sum.to_bits());
-        prop_assert_eq!(rq.to_bits(), a_sq.to_bits());
-    }
-
     /// Merge is associative on the integer fields and ULP-stable on the
-    /// float fields regardless of batching — appending rows one WAL segment
-    /// at a time lands where one big batch lands.
+    /// float fields regardless of batching — merging the stream in two
+    /// pieces lands where one pass over it lands.
     #[test]
     fn merge_batching_is_immaterial(
         xs in proptest::collection::vec(outcome(), 1..120),
