@@ -7,6 +7,11 @@ use crate::value::Value;
 /// Sentinel code marking a null cell in a categorical column.
 pub const NULL_CODE: u32 = u32::MAX;
 
+/// The most levels a [`CategoricalColumn`] looks a level up in by scanning
+/// its level table. A column with more levels keeps a hash map, whose
+/// keyed hash also bounds the cost of adversarial input.
+const SCAN_LEVELS: usize = 16;
+
 /// Dictionary-encoded categorical column.
 ///
 /// Each distinct level is assigned a dense code `0..n_levels`; cells store
@@ -16,6 +21,8 @@ pub const NULL_CODE: u32 = u32::MAX;
 pub struct CategoricalColumn {
     codes: Vec<u32>,
     levels: Vec<String>,
+    /// Level → code, built once there are more than [`SCAN_LEVELS`]
+    /// levels; empty until then.
     level_ids: HashMap<String, u32>,
 }
 
@@ -45,13 +52,19 @@ impl CategoricalColumn {
 
     /// Registers a level (if new) and returns its code.
     pub fn intern(&mut self, level: &str) -> u32 {
-        if let Some(&id) = self.level_ids.get(level) {
+        if let Some(id) = self.code_of(level) {
             return id;
         }
         let id = u32::try_from(self.levels.len()).expect("too many categorical levels");
         assert_ne!(id, NULL_CODE, "categorical level count overflow");
         self.levels.push(level.to_string());
-        self.level_ids.insert(level.to_string(), id);
+        if self.levels.len() > SCAN_LEVELS {
+            if self.level_ids.is_empty() {
+                self.level_ids = self.levels.iter().cloned().zip(0..).collect();
+            } else {
+                self.level_ids.insert(level.to_string(), id);
+            }
+        }
         id
     }
 
@@ -119,7 +132,12 @@ impl CategoricalColumn {
 
     /// The code of a level, if registered.
     pub fn code_of(&self, level: &str) -> Option<u32> {
-        self.level_ids.get(level).copied()
+        if self.levels.len() > SCAN_LEVELS {
+            return self.level_ids.get(level).copied();
+        }
+        let code = self.levels.iter().position(|l| l == level)?;
+        // At most `SCAN_LEVELS` levels: the index fits.
+        Some(code as u32)
     }
 
     /// All registered levels, in code order.
@@ -313,6 +331,26 @@ mod tests {
         let c = CategoricalColumn::from_values(["b", "a", "b", "c"]);
         assert_eq!(c.levels(), &["b".to_string(), "a".into(), "c".into()]);
         assert_eq!(c.level(0), "b");
+    }
+
+    #[test]
+    fn lookup_is_the_same_past_the_scan_limit() {
+        let names: Vec<String> = (0..3 * SCAN_LEVELS).map(|i| format!("v{i}")).collect();
+        let mut c = CategoricalColumn::new();
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(c.intern(name), i as u32);
+            // Every level so far, re-interned, keeps its code.
+            for (k, seen) in names.iter().take(i + 1).enumerate() {
+                assert_eq!(c.intern(seen), k as u32);
+                assert_eq!(c.code_of(seen), Some(k as u32));
+            }
+            assert_eq!(c.code_of("absent"), None);
+        }
+        assert_eq!(c.n_levels(), names.len());
+        assert_eq!(
+            c,
+            CategoricalColumn::with_levels(names.iter().map(String::as_str))
+        );
     }
 
     #[test]

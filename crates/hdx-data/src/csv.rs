@@ -9,7 +9,7 @@
 //! each record is split into borrowed fields ([`split_record`]) and every
 //! cell goes straight into its typed column. A column starts numeric and
 //! turns categorical at its first non-numeric cell, when its earlier cells
-//! are re-read from the kept records' lines.
+//! are re-read from the text.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -69,6 +69,7 @@ pub fn split_record<'a>(
 ) -> Result<usize, &'static str> {
     let mut sep_buf = [0u8; 4];
     let sep = separator.encode_utf8(&mut sep_buf).as_bytes();
+    let lead = sep.first().copied().unwrap_or_default();
     let bytes = line.as_bytes();
     let mut count = 0;
     let mut start = 0;
@@ -82,7 +83,7 @@ pub fn split_record<'a>(
         let end = loop {
             let Some(k) = bytes
                 .get(at..)
-                .and_then(|rest| rest.iter().position(|&b| b == b'"' || b == sep[0]))
+                .and_then(|rest| find_either(rest, b'"', lead))
             else {
                 break None;
             };
@@ -90,7 +91,9 @@ pub fn split_record<'a>(
             if bytes.get(k) == Some(&b'"') {
                 return Err("quote in the middle of an unquoted field");
             }
-            if bytes.get(k..).is_some_and(|rest| rest.starts_with(sep)) {
+            // A one-byte separator is its lead byte; a longer one must
+            // match in full (its lead byte also starts other characters).
+            if sep.len() == 1 || bytes.get(k..).is_some_and(|rest| rest.starts_with(sep)) {
                 break Some(k);
             }
             at = k + 1;
@@ -112,12 +115,51 @@ pub fn split_record<'a>(
 /// the first `"` not doubled. `None` when the field never closes.
 fn closing_quote(bytes: &[u8], mut from: usize) -> Option<usize> {
     loop {
-        let q = from + bytes.get(from..)?.iter().position(|&b| b == b'"')?;
+        let q = from + find_either(bytes.get(from..)?, b'"', b'"')?;
         if bytes.get(q + 1) != Some(&b'"') {
             return Some(q);
         }
         from = q + 2;
     }
+}
+
+/// Index of the first byte of `bytes` that is `a` or `b`, found eight bytes
+/// at a time.
+///
+/// Each word is read as a little-endian `u64` and XORed with `a` (and `b`)
+/// broadcast to every byte, which zeroes exactly the matching bytes; then
+/// `(x - 0x01…01) & !x & 0x80…80` flags the zero bytes of `x`. A flag can
+/// be spurious only above a real zero byte (a borrow runs upwards), so the
+/// lowest flag of either comparison marks the first match. The last,
+/// partial word is zero-padded, and a match in the padding is no match.
+fn find_either(bytes: &[u8], a: u8, b: u8) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let (fill_a, fill_b) = (ONES * u64::from(a), ONES * u64::from(b));
+    let first_match = |word: [u8; 8]| {
+        let word = u64::from_le_bytes(word);
+        let (x, y) = (word ^ fill_a, word ^ fill_b);
+        let flags = (x.wrapping_sub(ONES) & !x | y.wrapping_sub(ONES) & !y) & HIGHS;
+        (flags != 0).then_some(flags.trailing_zeros() as usize / 8)
+    };
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for chunk in &mut words {
+        let mut word = [0; 8];
+        word.copy_from_slice(chunk);
+        if let Some(k) = first_match(word) {
+            return Some(at + k);
+        }
+        at += 8;
+    }
+    let tail = words.remainder();
+    let mut word = [0; 8];
+    for (byte, &t) in word.iter_mut().zip(tail) {
+        *byte = t;
+    }
+    first_match(word)
+        .filter(|&k| k < tail.len())
+        .map(|k| at + k)
 }
 
 /// The text of a raw field from [`split_record`]: an unquoted field as it
@@ -212,6 +254,8 @@ pub fn read_csv_str_with_quality(
     });
     let sep = options.separator;
     let mut quality = DataQualityReport::default();
+    // A UTF-8 byte-order mark is not part of the first column's name.
+    let text = text.strip_prefix('\u{feff}').unwrap_or(text);
     let mut lines = text
         .lines()
         .enumerate()
@@ -247,10 +291,9 @@ pub fn read_csv_str_with_quality(
             }
         })
         .collect();
-    // The lines of the rows kept so far, for re-reading a column that turns
-    // categorical.
-    let mut kept: Vec<&str> = Vec::new();
-    for (idx, line) in lines {
+    // `lines` stays at the first data line: a column that turns
+    // categorical re-reads its earlier cells from there.
+    for (idx, line) in lines.clone() {
         let malformed = match split_record(line, sep, &mut fields) {
             Ok(n) if n == n_cols => None,
             Ok(n) => Some(format!("expected {n_cols} fields, found {n}")),
@@ -277,7 +320,9 @@ pub fn read_csv_str_with_quality(
                         quality.count_cell(&names[j], false);
                     }
                     Err(_) => {
-                        let mut levels = reread_categorical(&kept, sep, j);
+                        let earlier = lines.clone().take_while(|&(i, _)| i < idx);
+                        let earlier = earlier.map(|(_, line)| line);
+                        let mut levels = reread_categorical(earlier, sep, n_cols, j);
                         levels.push(cell);
                         quality.columns.retain(|c| c.name != names[j]);
                         *column = Column::Categorical(levels);
@@ -287,7 +332,6 @@ pub fn read_csv_str_with_quality(
                 Column::Categorical(levels) => levels.push(cell),
             }
         }
-        kept.push(line);
     }
 
     let mut schema = Schema::new();
@@ -304,15 +348,25 @@ pub fn read_csv_str_with_quality(
     Ok((frame, quality))
 }
 
-/// Field `j` of every kept line, as a categorical column: the cells of a
-/// numeric column that has just met its first non-numeric cell.
-fn reread_categorical(kept: &[&str], sep: char, j: usize) -> CategoricalColumn {
+/// Field `j` of the rows of `lines`, as a categorical column: the cells of
+/// a numeric column that has just met its first non-numeric cell.
+///
+/// `lines` are the non-blank data lines read so far. A line that does not
+/// split into `n_cols` fields is one the reader quarantined, and is skipped
+/// as the reader skipped it.
+fn reread_categorical<'a>(
+    lines: impl Iterator<Item = &'a str>,
+    sep: char,
+    n_cols: usize,
+    j: usize,
+) -> CategoricalColumn {
     let mut fields = vec![""; j + 1];
     let mut scratch = String::new();
     let mut levels = CategoricalColumn::new();
-    for line in kept {
-        // Kept lines split cleanly the first time.
-        let _ = split_record(line, sep, &mut fields);
+    for line in lines {
+        if split_record(line, sep, &mut fields) != Ok(n_cols) {
+            continue;
+        }
         let cell = unquote_field(fields[j], &mut scratch).trim();
         if cell.is_empty() {
             levels.push_null();
@@ -589,6 +643,37 @@ mod tests {
         assert_eq!(quality.columns.len(), 1);
         assert_eq!(quality.columns[0].name, "y");
         assert_eq!(quality.columns[0].non_finite, 2);
+    }
+
+    #[test]
+    fn a_byte_order_mark_is_not_part_of_the_header() {
+        let (df, quality) =
+            read_csv_str_with_quality("\u{feff}age,sex\n31,M\n", &CsvOptions::default()).unwrap();
+        let age = df.schema().id("age").expect("the first column is `age`");
+        assert_eq!(df.schema().kind(age), AttributeKind::Continuous);
+        assert_eq!(df.continuous(age).get(0), Some(31.0));
+        assert!(quality.is_clean());
+        // Only a leading mark is stripped: one inside a cell is text.
+        let df = read_csv_str("a\n\u{feff}1\n", &CsvOptions::default()).unwrap();
+        let a = df.schema().id("a").unwrap();
+        assert_eq!(df.categorical(a).get(0), Some("\u{feff}1"));
+    }
+
+    #[test]
+    fn find_either_agrees_with_a_byte_scan() {
+        let text = "ab\"cd,ef€gh\"\"ij;kl\tmn…op,qr\"\0";
+        for start in 0..text.len() {
+            for end in start..=text.len() {
+                let bytes = &text.as_bytes()[start..end];
+                for (a, b) in [(b'"', b','), (b'"', b'"'), (b'"', 0xe2), (b';', 0)] {
+                    assert_eq!(
+                        find_either(bytes, a, b),
+                        bytes.iter().position(|&x| x == a || x == b),
+                        "{start}..{end} {a} {b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -79,9 +79,17 @@ pub fn parse_hotpaths(text: &str) -> Result<Hotpaths, String> {
             }
         }
     }
-    for e in &entries {
+    for (i, e) in entries.iter().enumerate() {
         if e.file.is_empty() {
             return Err("hotpaths.toml: [[hotpath]] entry without `file`".to_string());
+        }
+        // `Hotpaths::for_file` returns the first entry for a file, so a
+        // second one would never be checked.
+        if let Some(first) = entries.iter().take(i).find(|f| f.file == e.file) {
+            return Err(format!(
+                "hotpaths.toml line {}: duplicate entry for `{}` (first at line {})",
+                e.line, e.file, first.line
+            ));
         }
     }
     Ok(Hotpaths { entries })
@@ -273,4 +281,35 @@ fn toml_subset_items(text: &str, header: &str) -> Result<Vec<(String, TomlValue,
         items.push((key, parsed, lineno));
     }
     Ok(items)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_second_entry_for_a_file_is_rejected_at_its_line() {
+        let manifest = "\
+[[hotpath]]
+file = \"crates/a/src/x.rs\"
+functions = [\"f\"]
+
+[[hotpath]]
+file = \"crates/a/src/y.rs\"
+
+[[hotpath]]
+file = \"crates/a/src/x.rs\"
+panic_free = true
+";
+        let err = parse_hotpaths(manifest).unwrap_err();
+        assert_eq!(
+            err,
+            "hotpaths.toml line 8: duplicate entry for `crates/a/src/x.rs` (first at line 1)"
+        );
+        // Without the duplicate the same entries parse.
+        let distinct = manifest.replacen("x.rs\"\npanic_free", "z.rs\"\npanic_free", 1);
+        let hotpaths = parse_hotpaths(&distinct).unwrap();
+        assert_eq!(hotpaths.entries.len(), 3);
+        assert!(hotpaths.for_file("crates/a/src/z.rs").unwrap().panic_free);
+    }
 }

@@ -372,6 +372,10 @@ pub fn run() -> ExitCode {
             check_stale_pin_files,
         ),
         (
+            "a second [[hotpath]] entry for a file is rejected",
+            check_duplicate_hotpath,
+        ),
+        (
             "SARIF output round-trips and agrees with JSON",
             check_sarif_roundtrip,
         ),
@@ -474,6 +478,24 @@ fn check_stale_pin_files() -> Result<(), String> {
         return Err(format!("message does not name the pin: {}", out[0].message));
     }
     Ok(())
+}
+
+/// A manifest naming one file in two `[[hotpath]]` entries does not load,
+/// and the error names the second entry's line: only the first entry for a
+/// file would ever be checked.
+fn check_duplicate_hotpath() -> Result<(), String> {
+    let duplicate = format!(
+        "{FIXTURE_HOTPATHS}\n[[hotpath]]\nfile = \"crates/hdx-bench/src/hot.rs\"\n\
+         functions = [\"other\"]\n"
+    );
+    let line = FIXTURE_HOTPATHS.lines().count() + 2;
+    match manifest::parse_hotpaths(&duplicate) {
+        Ok(_) => Err("a duplicate entry for hot.rs parsed".to_string()),
+        Err(e) if e.contains(&format!("line {line}:")) && e.contains("hot.rs") => Ok(()),
+        Err(e) => Err(format!(
+            "the error does not name line {line} and hot.rs: {e}"
+        )),
+    }
 }
 
 /// Renders a violation list as both JSON and SARIF, parses both back with

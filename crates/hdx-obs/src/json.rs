@@ -1,6 +1,7 @@
-//! The workspace's one dependency-free JSON codec: [`escape`] for every
+//! The workspace's one dependency-free JSON codec: [`escape_into`] for every
 //! writer (the telemetry artifact, hdx-core's report export, hdx-serve's
-//! responses and event journal) and [`parse`] for every reader (telemetry
+//! responses and event journal), directly or through its [`escape`]
+//! wrapper, and [`parse`] for every reader (telemetry
 //! round trips and the CI `validate-telemetry` gate, hdx-serve's job
 //! submissions through its flat-object rule, the tests). Only hdx-lint keeps
 //! a reader of its own, because it must build while the rest of the
@@ -16,8 +17,6 @@
 //! Numbers are kept as their raw source text ([`Json::Num`]) so integer
 //! telemetry values survive the round trip exactly, without float
 //! conversion.
-
-use std::fmt::Write as _;
 
 /// A parsed JSON value. Object member order is preserved.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,20 +97,44 @@ impl Json {
 /// Escapes `s` as the *contents* of a JSON string literal (RFC 8259).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// The escape of each control character U+0000–U+001F: `\n`, `\r` and `\t`
+/// by name, every other one as `\u00XX`.
+#[rustfmt::skip]
+const CONTROL_ESCAPES: [&str; 0x20] = [
+    "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005", "\\u0006", "\\u0007",
+    "\\u0008", "\\t",     "\\n",     "\\u000b", "\\u000c", "\\r",     "\\u000e", "\\u000f",
+    "\\u0010", "\\u0011", "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017",
+    "\\u0018", "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d", "\\u001e", "\\u001f",
+];
+
+/// Appends `s` to `out`, escaped as the *contents* of a JSON string literal
+/// (RFC 8259): the text between escapes is copied a run at a time.
+pub fn escape_into(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| b < 0x20 || b == b'"' || b == b'\\')
+    {
+        // Every byte that needs an escape is ASCII, so `at` and `at + 1`
+        // are char boundaries.
+        let (run, tail) = rest.split_at(at);
+        out.push_str(run);
+        let byte = tail.as_bytes().first().copied().unwrap_or_default();
+        out.push_str(match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            control => CONTROL_ESCAPES
+                .get(usize::from(control))
+                .copied()
+                .unwrap_or_default(),
+        });
+        rest = tail.get(1..).unwrap_or_default();
+    }
+    out.push_str(rest);
 }
 
 /// The deepest array/object nesting [`parse`] accepts. Every document the
@@ -515,7 +538,48 @@ mod tests {
         ]
     }
 
+    /// The char-by-char escaper `escape_into` replaced, kept as its oracle.
+    fn escape_by_char(s: &str) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn escape_into_matches_the_char_by_char_escaper_on_every_control() {
+        let all: String = (0u32..0x80).filter_map(char::from_u32).collect();
+        let mut out = String::from("kept ");
+        escape_into(&mut out, &all);
+        assert_eq!(out, format!("kept {}", escape_by_char(&all)));
+    }
+
     proptest! {
+        #[test]
+        fn escape_into_appends_what_the_char_by_char_escaper_writes(
+            prefix in proptest::collection::vec(any_char(), 0..8),
+            chars in proptest::collection::vec(any_char(), 0..48),
+        ) {
+            let prefix: String = prefix.into_iter().collect();
+            let s: String = chars.into_iter().collect();
+            let mut out = prefix.clone();
+            escape_into(&mut out, &s);
+            prop_assert_eq!(out, format!("{prefix}{}", escape_by_char(&s)));
+            prop_assert_eq!(escape(&s), escape_by_char(&s));
+        }
+
         #[test]
         fn escape_then_parse_is_the_identity(chars in proptest::collection::vec(any_char(), 0..48)) {
             let s: String = chars.into_iter().collect();

@@ -9,11 +9,13 @@
 //! duplicate header names and non-comma separators. The generated datasets
 //! the pipeline runs on are covered at reduced row counts. Both readers
 //! must return bit-identical frames and equal quality reports, or equal
-//! errors (line and message).
+//! errors (line and message). The record splitter is also checked on its
+//! own against the oracle's, with separators and quotes at every offset
+//! of the 8-byte words it scans.
 
 use h_divexplorer::data::{
-    read_csv_str_with_quality, write_csv_string, Column, CsvOptions, DataError, DataFrame,
-    DataFrameBuilder, Value,
+    read_csv_str_with_quality, split_record, write_csv_string, AttributeKind, Column, CsvOptions,
+    DataError, DataFrame, DataFrameBuilder, Value,
 };
 use h_divexplorer::datasets::{compas, folktables, inject_nulls, synthetic_peak};
 use proptest::prelude::*;
@@ -59,7 +61,7 @@ mod oracle {
     }
 
     /// Splits one CSV record honouring quotes. Returns the fields.
-    fn split_record(line: &str, sep: char) -> Result<Vec<String>, String> {
+    pub fn split_record(line: &str, sep: char) -> Result<Vec<String>, String> {
         let mut fields = Vec::new();
         let mut cur = String::new();
         let mut chars = line.chars().peekable();
@@ -601,4 +603,128 @@ fn edge_cases_match_the_oracle() {
             }
         }
     }
+}
+
+/// The text of a raw field from [`split_record`], which leaves the quotes
+/// in: a quoted field without its quotes, `""` read as `"`, followed by any
+/// text after the closing quote. The oracle's splitter returns fields in
+/// this form.
+fn unquote(raw: &str) -> String {
+    let Some(body) = raw.strip_prefix('"') else {
+        return raw.to_string();
+    };
+    let mut text = String::new();
+    let mut chars = body.chars();
+    while let Some(c) = chars.next() {
+        if c != '"' {
+            text.push(c);
+        } else if chars.clone().next() == Some('"') {
+            chars.next();
+            text.push('"');
+        } else {
+            text.extend(chars);
+            break;
+        }
+    }
+    text
+}
+
+/// Separators, quotes and doubled quotes at every byte offset 0..=17 of a
+/// line, so inside and across each of the 8-byte words the splitter scans
+/// at once, split exactly as the oracle splits them: field for field, and
+/// error for error. Every pair of offsets is tried, so quoted fields open
+/// and close in every word position. The `…` filler shares its lead byte
+/// with the `€` separator.
+#[test]
+fn splitter_matches_the_oracle_at_every_word_offset() {
+    const FILLERS: [&str; 2] = ["abcdefghijklmnopqrstuvwxyz", "a…b…c…d…e…f…g…h…i…"];
+    let mut lines = 0;
+    for sep in [',', ';', '\t', '€'] {
+        let tokens = [
+            sep.to_string(),
+            "\"".to_string(),
+            "\"\"".to_string(),
+            format!("{sep}\""),
+            format!("\"{sep}"),
+        ];
+        for filler in FILLERS {
+            for first in 0..=17 {
+                for second in first..=17 {
+                    if !filler.is_char_boundary(first) || !filler.is_char_boundary(second) {
+                        continue;
+                    }
+                    for a in &tokens {
+                        for b in &tokens {
+                            // `a` starts at byte `first`, `b` at byte
+                            // `second` plus the length of `a`.
+                            let line = format!(
+                                "{}{a}{}{b}{}",
+                                &filler[..first],
+                                &filler[first..second],
+                                &filler[second..]
+                            );
+                            let mut fields = [""; 16];
+                            let ours = split_record(&line, sep, &mut fields)
+                                .map(|n| fields[..n].iter().map(|f| unquote(f)).collect())
+                                .map_err(str::to_string);
+                            let theirs: Result<Vec<String>, String> =
+                                oracle::split_record(&line, sep);
+                            assert_eq!(ours, theirs, "separator {sep:?}, line {line:?}");
+                            lines += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(lines > 10_000, "only {lines} lines were split");
+}
+
+/// A numeric column that turns categorical re-reads its earlier cells from
+/// the text. That re-read must skip what the reader skipped: blank and
+/// whitespace-only lines, and the ragged or badly quoted lines it
+/// quarantined. The first text cell is tried at every position.
+#[test]
+fn a_late_flip_rereads_past_blank_and_quarantined_lines() {
+    let rows = [
+        "1,a", "", " 2 ,b", "  \t ", "3", "\"4,c", "\"5\",d", "6,7,8", "\t", "\"\",e", "9,f",
+    ];
+    for at in 0..=rows.len() {
+        let mut lines = rows.to_vec();
+        lines.insert(at, "six,g");
+        let text = format!("x,y\n{}\n", lines.join("\n"));
+        for quarantine_malformed_rows in [true, false] {
+            let options = CsvOptions {
+                quarantine_malformed_rows,
+                ..CsvOptions::default()
+            };
+            if let Err(why) = agree(&text, &options) {
+                panic!("{text:?} (quarantine {quarantine_malformed_rows}): {why}");
+            }
+        }
+    }
+    // Spelled out for the flip on the last row.
+    let text = format!("x,y\n{}\nsix,g\n", rows.join("\n"));
+    let options = CsvOptions {
+        quarantine_malformed_rows: true,
+        ..CsvOptions::default()
+    };
+    let (df, quality) = read_csv_str_with_quality(&text, &options).unwrap();
+    let x = df.schema().id("x").unwrap();
+    assert_eq!(df.schema().kind(x), AttributeKind::Categorical);
+    let column = df.categorical(x);
+    let cells: Vec<Option<&str>> = (0..df.n_rows()).map(|r| column.get(r)).collect();
+    assert_eq!(
+        cells,
+        [
+            Some("1"),
+            Some("2"),
+            Some("5"),
+            None,
+            Some("9"),
+            Some("six")
+        ]
+    );
+    assert_eq!(quality.rows_quarantined, 3);
+    assert_eq!(quality.quarantined_lines, [6, 7, 9]);
 }
