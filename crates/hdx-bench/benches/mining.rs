@@ -4,10 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdx_bench::experiments::{outcomes_for, pipeline_for};
+use hdx_bench::{apriori, fpgrowth};
 use hdx_core::HDivExplorerConfig;
 use hdx_datasets::{compas, synthetic_peak};
 use hdx_items::ItemCatalog;
-use hdx_mining::{apriori, fpgrowth, mine, MiningConfig, MiningResult, Transactions};
+use hdx_mining::{mine, MiningConfig, MiningResult, Transactions};
 use std::hint::black_box;
 
 /// A miner under the ablation.

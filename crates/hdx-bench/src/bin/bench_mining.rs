@@ -38,12 +38,12 @@
 //! has CPUs, since such a cell measures time-slicing, not scaling.
 
 use hdx_bench::experiments::{outcomes_for, pipeline_for};
-use hdx_bench::splitmix64;
+use hdx_bench::{apriori, fpgrowth, splitmix64};
 use hdx_core::HDivExplorerConfig;
 use hdx_data::AttrId;
 use hdx_datasets::{compas, synthetic_peak};
 use hdx_items::{Bitset, Item, ItemCatalog};
-use hdx_mining::{accum_scalar, apriori, fpgrowth, mine, MiningConfig, MiningResult, Transactions};
+use hdx_mining::{accum_scalar, mine, MiningConfig, MiningResult, Transactions};
 use hdx_obs::timing::median_ns;
 use hdx_stats::{active_kernel, Outcome, OutcomePlanes};
 use std::fmt::Write as _;

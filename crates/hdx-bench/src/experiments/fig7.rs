@@ -8,10 +8,11 @@
 
 use hdx_core::{DivExplorer, ExplorationConfig, ExplorationMode, HDivExplorerConfig, OutcomeFn};
 use hdx_datasets::{default_rows, synthetic_peak};
-use hdx_discretize::{mdlp_hierarchy, quantile_hierarchy};
+use hdx_discretize::quantile_hierarchy;
 use hdx_items::{HierarchySet, ItemCatalog};
 
 use crate::experiments::common::run_exploration;
+use crate::mdlp::mdlp_hierarchy;
 use crate::plot::line_chart;
 use crate::util::{fmt_table, Args};
 

@@ -15,6 +15,11 @@
 //! (Table II); `--seed` changes the generator seed. Absolute numbers shift
 //! with scale, but the comparisons the paper makes (hierarchical ≥ base,
 //! polarity pruning lossless, …) hold at any scale.
+//!
+//! The crate also holds the code only the experiments and tests run: the
+//! paper's generalized Apriori and FP-Growth miners (§V-B), which the
+//! library's search replaced and which stay as its differential-test
+//! oracles and for the miner ablation, and the MDLP discretizer of Fig. 7.
 
 /// Experiment runners, one submodule per paper table/figure.
 pub mod experiments;
@@ -23,4 +28,10 @@ pub mod plot;
 /// Shared CLI argument parsing, RNG, and table formatting.
 pub mod util;
 
+mod apriori;
+mod fpgrowth;
+mod mdlp;
+
+pub use apriori::apriori;
+pub use fpgrowth::fpgrowth;
 pub use util::{fmt_table, splitmix64, Args};

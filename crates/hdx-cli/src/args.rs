@@ -473,7 +473,13 @@ pub fn parse(args: Vec<String>) -> Result<Command, CliError> {
                     }
                     "--top" => opts.top = cur.parse_value(&flag)?,
                     "--non-redundant" => opts.non_redundant = true,
-                    "--fd" => opts.fd_tolerance = Some(cur.parse_value(&flag)?),
+                    "--fd" => {
+                        let tolerance: f64 = cur.parse_value(&flag)?;
+                        if !(0.0..1.0).contains(&tolerance) {
+                            return Err(CliError::new("--fd must be in [0, 1)"));
+                        }
+                        opts.fd_tolerance = Some(tolerance);
+                    }
                     "--json" => opts.json = true,
                     "--timeout" => opts.timeout = Some(parse_duration(&cur.value(&flag)?)?),
                     "--max-itemsets" => opts.max_itemsets = Some(cur.parse_value(&flag)?),
@@ -593,6 +599,9 @@ pub fn parse(args: Vec<String>) -> Result<Command, CliError> {
                 }
             }
             check_tree_support(opts.tree_support)?;
+            if !(opts.sl_alpha > 0.0 && opts.sl_alpha <= 1.0) {
+                return Err(CliError::new("--sl-alpha must be in (0, 1]"));
+            }
             Ok(Command::Baselines(opts))
         }
         "generate" => {
@@ -791,6 +800,21 @@ mod tests {
         assert!(parse(v(&["baselines", "d.csv", "--st", "2"])).is_err());
         // s = 1.0 is legal (everything is one subgroup).
         assert!(parse(v(&["explore", "d.csv", "-s", "1.0"])).is_ok());
+        // The FD tolerance lies in [0, 1), SliceLine's alpha in (0, 1].
+        for fd in ["1", "2", "-0.1", "NaN"] {
+            assert!(parse(v(&["explore", "d.csv", "--fd", fd]))
+                .unwrap_err()
+                .0
+                .contains("--fd must be in [0, 1)"));
+        }
+        assert!(parse(v(&["explore", "d.csv", "--fd", "0"])).is_ok());
+        for alpha in ["0", "1.5", "-0.5", "NaN"] {
+            assert!(parse(v(&["baselines", "d.csv", "--sl-alpha", alpha]))
+                .unwrap_err()
+                .0
+                .contains("--sl-alpha must be in (0, 1]"));
+        }
+        assert!(parse(v(&["baselines", "d.csv", "--sl-alpha", "1"])).is_ok());
     }
 
     #[test]

@@ -60,6 +60,7 @@ EXPLORE OPTIONS:
   --top <k>              rows to print [10]
   --non-redundant        drop subgroups explained by a sub-pattern
   --fd <tolerance>       discover taxonomies from functional dependencies
+                         violated by at most this share of rows, in [0, 1)
   --json                 emit the full report as JSON
   --timeout <dur>        wall-clock budget (500ms, 30s, 5m; bare = seconds);
                          on expiry the partial results print and exit code is 3
@@ -92,7 +93,7 @@ DISCRETIZE OPTIONS:
 BASELINES OPTIONS:
   --st <f>               leaf discretization support [0.1]
   --sf-threshold <f>     Slice Finder effect-size threshold [0.4]
-  --sl-alpha <f>         SliceLine α [0.95]
+  --sl-alpha <f>         SliceLine α, in (0, 1] [0.95]
   --min-size <n>         SliceLine minimum slice size [32]
 
 GENERATE OPTIONS:

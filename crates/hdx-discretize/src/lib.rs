@@ -10,10 +10,10 @@
 //!   yielding an item hierarchy for hierarchical exploration.
 //! * [`quantile_hierarchy`], [`uniform_hierarchy`], [`manual_hierarchy`] —
 //!   flat (non-hierarchical) baselines used in the paper's comparisons
-//!   (§VI-B manual discretization, §VI-D quantile discretization);
-//! * [`mdlp_hierarchy`] — the classic Fayyad–Irani MDLP supervised
-//!   discretizer the related work discusses (§II, ref. 23), as a further
-//!   flat baseline.
+//!   (§VI-B manual discretization, §VI-D quantile discretization).
+//!
+//! The Fayyad–Irani MDLP discretizer that Fig. 7 adds as a supervised flat
+//! baseline lives with that experiment in `hdx-bench`.
 //!
 //! ```
 //! use hdx_data::{DataFrameBuilder, Value};
@@ -45,11 +45,9 @@
 pub mod invariants;
 
 mod flat;
-mod mdlp;
 mod tree;
 
 pub use flat::{cuts_to_hierarchy, manual_hierarchy, quantile_hierarchy, uniform_hierarchy};
-pub use mdlp::mdlp_hierarchy;
 pub use tree::{
     DiscretizationTree, GainCriterion, TreeDiscretizer, TreeDiscretizerConfig, TreeNode,
 };

@@ -5,23 +5,19 @@
 //! (paper §III-C, §V-B, Algorithm 1).
 //!
 //! [`mine`] runs a depth-first tidset (Eclat-style) search, optionally
-//! fanned out over worker threads ([`MiningConfig::threads`]). Two classic
-//! miners produce identical result sets and serve as differential-test
-//! oracles and for the paper's miner ablation:
+//! fanned out over worker threads ([`MiningConfig::threads`]). The paper's
+//! generalized Apriori and FP-Growth (§V-B) find the same itemsets; they
+//! live in `hdx-bench` as differential-test oracles and for the paper's
+//! miner ablation.
 //!
-//! * [`apriori`] — level-wise candidate generation (Agrawal–Srikant) with
-//!   vertical bitset counting;
-//! * [`fpgrowth`] — FP-tree recursion (Han–Pei–Yin) extended to generalized
-//!   transactions in the style of FP-tax.
-//!
-//! All miners consume [`Transactions`]: one cover bitset per item, built
+//! The search consumes [`Transactions`]: one cover bitset per item, built
 //! straight from the data columns. In *generalized* mode each row holds its
 //! attribute's matching leaf item **plus all of its hierarchy ancestors**
 //! (Srikant–Agrawal extended transactions): an ancestor's cover is the union
-//! of its leaves' covers. The search and Apriori read the covers directly;
-//! FP-Growth reads the row view [`Transactions::rows`]. Itemsets never
-//! contain two items of the same attribute, which subsumes the classic "no
-//! item together with its ancestor" generalized-mining rule.
+//! of its leaves' covers. The row view [`Transactions::rows`] serves
+//! row-oriented miners and brute-force recounts. Itemsets never contain two
+//! items of the same attribute, which subsumes the classic "no item
+//! together with its ancestor" generalized-mining rule.
 //!
 //! Every frequent itemset carries a [`StatAccum`](hdx_stats::StatAccum)
 //! folded in during counting, so support, the statistic `f`, divergence and
@@ -79,17 +75,13 @@ pub(crate) mod sync {
     pub(crate) use hdx_loom::sync::atomic;
 }
 
-mod apriori;
 mod attrs;
 mod checkpoint;
-mod fpgrowth;
 mod result;
 mod transactions;
 mod vertical;
 
-pub use apriori::apriori;
 pub use checkpoint::{mine_governed_ckpt, restore_itemset, snapshot_itemset, validate_resume};
-pub use fpgrowth::fpgrowth;
 pub use result::{FrequentItemset, MiningError, MiningResult};
 pub use transactions::Transactions;
 pub use vertical::accum_scalar;
@@ -195,9 +187,10 @@ pub fn mine_governed(
 
 #[cfg(test)]
 mod cross_tests {
-    //! Cross-miner equivalence tests: the oracles and the production search
-    //! at every thread count must produce the same itemsets with the same
-    //! accumulators.
+    //! Thread-count equivalence tests: the search at 1 and at 4 threads must
+    //! produce the same itemsets with the same accumulators. (The
+    //! Apriori and FP-Growth oracles are checked against it in
+    //! `tests/property_mining.rs`.)
 
     use super::*;
     use hdx_data::{DataFrameBuilder, Value};
@@ -278,32 +271,13 @@ mod cross_tests {
         v
     }
 
-    /// Every miner: the two oracles, then the search at 1 and 4 threads.
-    fn all_miners(
+    /// The search at 1 and at 4 threads.
+    fn serial_and_parallel(
         t: &Transactions,
         catalog: &ItemCatalog,
         config: &MiningConfig,
-    ) -> Vec<MiningResult> {
-        vec![
-            apriori(t, catalog, config),
-            fpgrowth(t, catalog, config),
-            mine(
-                t,
-                catalog,
-                &MiningConfig {
-                    threads: 1,
-                    ..*config
-                },
-            ),
-            mine(
-                t,
-                catalog,
-                &MiningConfig {
-                    threads: 4,
-                    ..*config
-                },
-            ),
-        ]
+    ) -> [MiningResult; 2] {
+        [1, 4].map(|threads| mine(t, catalog, &MiningConfig { threads, ..*config }))
     }
 
     #[test]
@@ -314,15 +288,13 @@ mod cross_tests {
                 min_support: support,
                 ..MiningConfig::default()
             };
-            let results = all_miners(&base, &catalog, &config);
-            assert!(!results[0].itemsets.is_empty());
-            for (i, r) in results.iter().enumerate() {
-                assert_eq!(
-                    sorted_result(r),
-                    sorted_result(&results[2]),
-                    "miner {i} vs serial search, s={support}"
-                );
-            }
+            let [serial, parallel] = serial_and_parallel(&base, &catalog, &config);
+            assert!(!serial.itemsets.is_empty());
+            assert_eq!(
+                sorted_result(&parallel),
+                sorted_result(&serial),
+                "4 threads vs 1, s={support}"
+            );
         }
     }
 
@@ -334,14 +306,12 @@ mod cross_tests {
                 min_support: support,
                 ..MiningConfig::default()
             };
-            let results = all_miners(&gen, &catalog, &config);
-            for (i, r) in results.iter().enumerate() {
-                assert_eq!(
-                    sorted_result(r),
-                    sorted_result(&results[2]),
-                    "miner {i} vs serial search, s={support}"
-                );
-            }
+            let [serial, parallel] = serial_and_parallel(&gen, &catalog, &config);
+            assert_eq!(
+                sorted_result(&parallel),
+                sorted_result(&serial),
+                "4 threads vs 1, s={support}"
+            );
         }
     }
 
@@ -373,7 +343,7 @@ mod cross_tests {
             max_len: Some(2),
             threads: 1,
         };
-        for r in all_miners(&base, &catalog, &config) {
+        for r in serial_and_parallel(&base, &catalog, &config) {
             assert!(r.itemsets.iter().all(|fi| fi.itemset.len() <= 2));
             assert!(r.itemsets.iter().any(|fi| fi.itemset.len() == 2));
         }

@@ -173,12 +173,6 @@ impl Transactions {
         self.covers.iter().map(|(item, _)| *item).collect()
     }
 
-    /// The largest item id in any transaction, or `None` when no row has
-    /// items. Sizes the miners' dense `ItemId`-indexed tables.
-    pub fn max_item_id(&self) -> Option<ItemId> {
-        self.covers.last().map(|(item, _)| *item)
-    }
-
     /// A copy keeping only the items in `allowed` (used by polarity
     /// pruning).
     pub fn restrict(&self, allowed: &HashSet<ItemId>) -> Self {

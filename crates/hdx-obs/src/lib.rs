@@ -57,10 +57,6 @@ pub mod telemetry;
 /// hand-rolled grammar self-check.
 pub mod expo;
 
-/// Bridge forwarding recorded spans/events to a `tracing` subscriber.
-#[cfg(feature = "obs-tracing")]
-pub mod bridge;
-
 pub use metrics::{CounterId, GaugeId, HistId, HistStat, HIST_BUCKETS};
 pub use telemetry::{RunTelemetry, SchedRates, SnapshotSample, SpanStat, TELEMETRY_SCHEMA};
 
@@ -293,7 +289,7 @@ macro_rules! gauge_max {
 }
 
 /// Records one value into a registered histogram:
-/// `hist_record!(MineLevelLatencyNs, ns)`. Zero-cost without the calling
+/// `hist_record!(DiscretizeSplitGainNs, ns)`. Zero-cost without the calling
 /// crate's `obs`.
 #[macro_export]
 macro_rules! hist_record {
@@ -358,7 +354,7 @@ mod disabled_tests {
         crate::event!("trip", str "budget");
         crate::counter_add!(MineCandidatesGenerated, 1);
         crate::gauge_max!(MineScratchPoolBytes, 100);
-        crate::hist_record!(MineLevelLatencyNs, 5);
+        crate::hist_record!(DiscretizeSplitGainNs, 5);
         crate::flush_thread!();
         let three = crate::time_hist!(BenchIterNs, 1 + 2);
         assert_eq!(three, 3);

@@ -128,14 +128,6 @@ fn with_sink(f: impl FnOnce(&LocalSink)) {
 }
 
 fn push_event(kind: EventKind, label: &'static str, arg: SpanArg) {
-    #[cfg(feature = "obs-tracing")]
-    if let Some(observer) = crate::bridge::observer() {
-        match kind {
-            EventKind::Begin => observer.on_enter(label, &arg),
-            EventKind::End => observer.on_exit(),
-            EventKind::Instant => observer.on_instant(label, &arg),
-        }
-    }
     let t_ns = now_ns();
     with_sink(|s| {
         s.events.borrow_mut().push(Event {
@@ -226,7 +218,7 @@ fn snapshot_observer() -> &'static OnceLock<Box<dyn crate::SnapshotObserver>> {
 
 /// Installs the process-global live snapshot tap ([`crate::SnapshotObserver`]).
 /// Returns `false` (dropping `observer`) if a tap is already installed —
-/// same first-install-wins contract as the `obs-tracing` bridge.
+/// observers cannot be swapped mid-run without racing recorders.
 pub fn set_snapshot_observer(observer: Box<dyn crate::SnapshotObserver>) -> bool {
     snapshot_observer().set(observer).is_ok()
 }
@@ -476,13 +468,13 @@ mod tests {
         reset();
         counter_add(CounterId::MineCandidatesGenerated, 2);
         gauge_max(GaugeId::MineScratchPoolBytes, 10);
-        hist_record(HistId::MineLevelLatencyNs, 5);
+        hist_record(HistId::DiscretizeSplitGainNs, 5);
         std::thread::scope(|scope| {
             for i in 0..2u64 {
                 scope.spawn(move || {
                     counter_add(CounterId::MineCandidatesGenerated, 3 + i);
                     gauge_max(GaugeId::MineScratchPoolBytes, 100 * (i + 1));
-                    hist_record(HistId::MineLevelLatencyNs, 50);
+                    hist_record(HistId::DiscretizeSplitGainNs, 50);
                     flush_thread();
                 });
             }
@@ -491,7 +483,7 @@ mod tests {
         assert_eq!(t.counter(CounterId::MineCandidatesGenerated), 2 + 3 + 4);
         assert_eq!(t.gauge(GaugeId::MineScratchPoolBytes), 200);
         let h = t
-            .histogram(HistId::MineLevelLatencyNs)
+            .histogram(HistId::DiscretizeSplitGainNs)
             .cloned()
             .unwrap_or_default();
         assert_eq!(h.count, 3);

@@ -220,7 +220,7 @@ fn metrics_scrape_is_valid_exposition_in_every_build() {
         "hdx_serve_live_queue_depth",
         "hdx_serve_live_worker_utilization",
         "hdx_mining_sched_steals_per_1k_itemsets",
-        "hdx_mining_level_latency_ns_bucket",
+        "hdx_discretize_split_gain_eval_ns_bucket",
     ] {
         assert!(scrape.body.contains(family), "missing `{family}`");
     }

@@ -1,4 +1,3 @@
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 //! # hdx-stats
 //!
 //! Statistics substrate for the H-DivExplorer reproduction:
@@ -18,12 +17,12 @@
 //!   same pass as support;
 //! * [`OutcomePlanes`] — word-level bitplane kernels that fold a cover bitset
 //!   into a [`StatAccum`] with fused popcounts / vectorized masked sums
-//!   (exact counts everywhere; sums bitwise identical to the scalar path for
-//!   integer-valued outcomes — see [`simd`] for the dispatch table and the
-//!   full exactness contract);
-//! * [`simd`] — the masked-sum kernel layer: portable lane kernel, optional
-//!   `std::simd` / AVX2 / NEON paths, runtime dispatch
-//!   ([`simd::active_kernel`]) and the `HDX_FORCE_SCALAR` escape hatch;
+//!   (exact counts everywhere; sums bitwise identical to a row-by-row walk
+//!   for integer-valued outcomes — see [`simd`] for the dispatch table and
+//!   the full exactness contract);
+//! * [`simd`] — the masked-sum kernel layer: the portable lane kernel, the
+//!   AVX-512 / AVX2 / NEON paths and their runtime dispatch
+//!   ([`simd::active_kernel`]);
 //! * [`approx`] — epsilon-aware float comparisons (the only sanctioned way
 //!   to compare divergences/t-values for equality; see `hdx-lint`'s
 //!   `no-float-eq` rule).
@@ -31,8 +30,8 @@
 /// Tolerance-based floating-point comparison helpers.
 pub mod approx;
 
-/// Vectorized masked-sum kernels (portable / `std::simd` / AVX2 / NEON)
-/// behind one runtime dispatcher; see the module docs for the exactness
+/// Vectorized masked-sum kernels (portable / AVX-512 / AVX2 / NEON) behind
+/// one runtime dispatcher; see the module docs for the exactness
 /// contract.
 #[allow(unsafe_code)] // Audited intrinsics: see UNSAFE_LEDGER.md.
 pub mod simd;

@@ -35,9 +35,9 @@
 //! kernel path; numeric sums are bitwise identical to the scalar path for
 //! *integer-valued* outcomes (every partial sum below 2⁵³ is exactly
 //! representable, so association doesn't matter), and within the 16-lane
-//! reassociation bound for arbitrary reals. All vector paths are bitwise
-//! identical *to each other*, and `HDX_FORCE_SCALAR` restores the historical
-//! ascending-order scalar reduction exactly.
+//! reassociation bound for arbitrary reals. Every kernel path is bitwise
+//! identical *to every other*, so the result depends on neither the CPU nor
+//! the build's `simd-arch` feature.
 //!
 //! The planes operate on raw `&[u64]` word slices (least-significant bit =
 //! lowest row index, tail bits beyond the last row zero) so `hdx-stats`

@@ -10,10 +10,10 @@
 //! sum_sq  = Σ values[r]²       over set bits r of cover ∧ valid
 //! ```
 //!
-//! The historical implementation drained each word's set bits with
-//! `trailing_zeros` — a serial, branchy loop that leaves the vector units
-//! idle. The kernels here instead *expand* each mask bit into an all-ones /
-//! all-zero `f64` lane selector and accumulate **16 independent lanes**:
+//! Rather than drain each word's set bits with `trailing_zeros` — a serial,
+//! branchy loop that leaves the vector units idle — the kernels *expand*
+//! each mask bit into an all-ones / all-zero `f64` lane selector and
+//! accumulate **16 independent lanes**:
 //! within every 64-row word, lane `j` sums the rows `≡ j (mod 16)`, in
 //! ascending order. Because lane partials only ever combine element-wise,
 //! every vector path — whatever its register width groups lanes into —
@@ -22,39 +22,36 @@
 //!
 //! ## Dispatch
 //!
-//! [`active_kernel`] picks the best compiled-in path once per process:
+//! [`active_kernel`] picks the best compiled-in path once per process, from
+//! the CPU and the build alone:
 //!
 //! | path | gate | notes |
 //! |------|------|-------|
 //! | [`KernelPath::Avx512`] | `simd-arch`, x86-64, runtime `avx512f` | native 8-lane mask loads |
 //! | [`KernelPath::Avx2`] | `simd-arch`, x86-64, runtime `avx2` | compare-expanded masks |
 //! | [`KernelPath::Neon`] | `simd-arch`, aarch64 | NEON is baseline on aarch64 |
-//! | [`KernelPath::Simd`] | `simd` feature (nightly `portable_simd`) | `std::simd` |
 //! | [`KernelPath::Portable`] | always compiled | safe branch-free lane loop (autovectorizable) |
-//! | [`KernelPath::Scalar`] | `HDX_FORCE_SCALAR` env override | the historical per-bit loop |
 //!
-//! Setting `HDX_FORCE_SCALAR` to any value other than `0`/empty forces the
-//! scalar path — the escape hatch for A/B debugging and for CI legs that
-//! exercise the fallback.
+//! Building without `simd-arch` (`--no-default-features`) leaves only the
+//! portable path, which gives the same bits as every other path.
 //!
 //! ## Exactness contract
 //!
 //! * `n_valid` is a popcount: **exact on every path**.
-//! * All vector paths share the 16-lane accumulation order and [`reduce16`],
-//!   so they are **bitwise identical to each other** (no FMA anywhere —
+//! * Every path shares the 16-lane accumulation order and [`reduce16`], so
+//!   all paths are **bitwise identical to each other** (no FMA anywhere —
 //!   products round before accumulation on every path).
-//! * The scalar path sums rows in ascending order with one accumulator; the
-//!   lane paths reassociate. For **integer-valued** outcomes (booleans,
-//!   counts, labels), as long as every partial sum stays below 2⁵³, each
-//!   partial is exactly representable and scalar and vector paths agree
-//!   **bit for bit**. For arbitrary reals the paths agree within the
-//!   reassociation error bound property-tested in
-//!   `tests/property_kernel.rs`.
+//! * Against a row-walking sum (ascending rows, one accumulator) the lanes
+//!   reassociate. For **integer-valued** outcomes (booleans, counts,
+//!   labels), as long as every partial sum stays below 2⁵³, each partial is
+//!   exactly representable and the two agree **bit for bit**. For arbitrary
+//!   reals they agree within the reassociation error bound property-tested
+//!   in `tests/property_kernel.rs`.
 //!
 //! Masking is a bitwise AND of the value with an expanded mask (or a
 //! zero-masked load — never a multiply), so masked-out `inf`/`NaN` rows
-//! contribute `+0.0` instead of poisoning the sum, exactly like the scalar
-//! path that never visits them.
+//! contribute `+0.0` instead of poisoning the sum, exactly like a row walk
+//! that never visits them.
 
 use std::sync::OnceLock;
 
@@ -73,16 +70,10 @@ pub const LANES: usize = 16;
 /// A masked-sum kernel implementation, selected by [`active_kernel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelPath {
-    /// The historical per-bit `trailing_zeros` drain loop (single
-    /// accumulator, ascending row order). Forced by `HDX_FORCE_SCALAR`.
-    Scalar,
     /// Safe branch-free 16-lane loop; the compiler autovectorizes it on any
     /// target. Always compiled; the default when no explicit SIMD path is
     /// available.
     Portable,
-    /// `std::simd` lanes (nightly `portable_simd`, behind the `simd`
-    /// feature).
-    Simd,
     /// AVX2 `core::arch` intrinsics (behind `simd-arch`, runtime-detected).
     Avx2,
     /// AVX-512 `core::arch` intrinsics with native mask-register loads
@@ -96,9 +87,7 @@ impl KernelPath {
     /// Stable lower-case label (telemetry, bench JSON, logs).
     pub fn as_str(self) -> &'static str {
         match self {
-            Self::Scalar => "scalar",
             Self::Portable => "portable",
-            Self::Simd => "simd",
             Self::Avx2 => "avx2",
             Self::Avx512 => "avx512",
             Self::Neon => "neon",
@@ -108,8 +97,7 @@ impl KernelPath {
     /// Whether this path is compiled in *and* usable on the running CPU.
     pub fn is_available(self) -> bool {
         match self {
-            Self::Scalar | Self::Portable => true,
-            Self::Simd => cfg!(feature = "simd"),
+            Self::Portable => true,
             Self::Avx2 => avx2_available(),
             Self::Avx512 => avx512_available(),
             Self::Neon => cfg!(all(feature = "simd-arch", target_arch = "aarch64")),
@@ -138,49 +126,32 @@ fn avx512_available() -> bool {
 }
 
 /// The kernel path every [`OutcomePlanes`](crate::OutcomePlanes) reduction
-/// dispatches to, selected once per process: the `HDX_FORCE_SCALAR`
-/// environment override, else the best available path in the order
-/// AVX-512 → AVX2 / NEON → portable-`std::simd` → portable lanes.
+/// dispatches to, selected once per process: the first of
+/// [`available_kernels`], i.e. the best path in the order
+/// AVX-512 → AVX2 → NEON → portable lanes.
 pub fn active_kernel() -> KernelPath {
     static ACTIVE: OnceLock<KernelPath> = OnceLock::new();
-    *ACTIVE.get_or_init(select_kernel)
+    *ACTIVE.get_or_init(|| {
+        available_kernels()
+            .first()
+            .copied()
+            .unwrap_or(KernelPath::Portable)
+    })
 }
 
-/// Every path usable in this build on this CPU, best-first. `Scalar` and
-/// `Portable` are always present; property tests iterate this to prove
-/// cross-path equivalence on whatever hardware runs them.
+/// Every path usable in this build on this CPU, best-first. `Portable` is
+/// always present; property tests iterate this to prove cross-path
+/// equivalence on whatever hardware runs them.
 pub fn available_kernels() -> Vec<KernelPath> {
     [
         KernelPath::Avx512,
         KernelPath::Avx2,
         KernelPath::Neon,
-        KernelPath::Simd,
         KernelPath::Portable,
-        KernelPath::Scalar,
     ]
     .into_iter()
     .filter(|p| p.is_available())
     .collect()
-}
-
-fn select_kernel() -> KernelPath {
-    let forced = std::env::var_os("HDX_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0");
-    if forced {
-        return KernelPath::Scalar;
-    }
-    if avx512_available() {
-        return KernelPath::Avx512;
-    }
-    if avx2_available() {
-        return KernelPath::Avx2;
-    }
-    if cfg!(all(feature = "simd-arch", target_arch = "aarch64")) {
-        return KernelPath::Neon;
-    }
-    if cfg!(feature = "simd") {
-        return KernelPath::Simd;
-    }
-    KernelPath::Portable
 }
 
 /// Folds the 16 lane accumulators in the fixed order every vector path
@@ -251,10 +222,6 @@ impl SumsKernel {
             values.len() <= masked.len() * 64,
             "values overrun masked words"
         );
-        if self.path == KernelPath::Scalar {
-            self.update_scalar(masked, values);
-            return;
-        }
         let full = values.len() / 64;
         let head_words = full.min(masked.len());
         let (head_m, tail_m) = masked.split_at(head_words);
@@ -277,10 +244,6 @@ impl SumsKernel {
                 unsafe {
                     avx2_update(&mut self.n_valid, &mut self.s, &mut self.s2, head_m, head_v);
                 }
-            }
-            #[cfg(feature = "simd")]
-            KernelPath::Simd => {
-                simd_update(&mut self.n_valid, &mut self.s, &mut self.s2, head_m, head_v);
             }
             #[cfg(all(feature = "simd-arch", target_arch = "aarch64"))]
             KernelPath::Neon => {
@@ -306,35 +269,7 @@ impl SumsKernel {
 
     /// Final `(n_valid, sum, sum_sq)`.
     pub fn finish(self) -> (u64, f64, f64) {
-        match self.path {
-            KernelPath::Scalar => {
-                let (&[s0, ..], &[q0, ..]) = (&self.s, &self.s2);
-                (self.n_valid, s0, q0)
-            }
-            _ => (self.n_valid, reduce16(&self.s), reduce16(&self.s2)),
-        }
-    }
-
-    /// The historical per-bit drain loop: ascending rows, one accumulator
-    /// (lane 0; streamed across `update` calls, so block boundaries never
-    /// change the association).
-    fn update_scalar(&mut self, masked: &[u64], values: &[f64]) {
-        let (&mut [ref mut s0, ..], &mut [ref mut q0, ..]) = (&mut self.s, &mut self.s2);
-        let mut n_valid = 0u64;
-        for (&m, chunk) in masked.iter().zip(values.chunks(64)) {
-            let mut bits = m;
-            n_valid += u64::from(bits.count_ones());
-            while bits != 0 {
-                let tz = bits.trailing_zeros() as usize;
-                debug_assert!(tz < chunk.len(), "masked bit beyond encoded rows");
-                if let Some(&x) = chunk.get(tz) {
-                    *s0 += x;
-                    *q0 += x * x;
-                }
-                bits &= bits - 1;
-            }
-        }
-        self.n_valid += n_valid;
+        (self.n_valid, reduce16(&self.s), reduce16(&self.s2))
     }
 
     /// Branch-free lane accumulation of one (possibly partial) 64-row word:
@@ -559,46 +494,6 @@ unsafe fn avx2_update(
     _mm256_storeu_pd(s2.as_mut_ptr().add(12), sq3);
 }
 
-/// `std::simd` masked-sum block body (nightly `portable_simd`): two 8-lane
-/// registers covering the canonical 16-lane layout, with masks decoded from
-/// the cover bits via `Mask::from_bitmask`. Whole 64-row words only.
-#[cfg(feature = "simd")]
-fn simd_update(
-    n_valid: &mut u64,
-    s: &mut [f64; LANES],
-    s2: &mut [f64; LANES],
-    masked: &[u64],
-    values: &[f64],
-) {
-    use std::simd::{f64x8, Mask, Select as _};
-    debug_assert_eq!(values.len(), masked.len() * 64);
-    let (s_lo, s_hi) = s.split_at_mut(8);
-    let (q_lo, q_hi) = s2.split_at_mut(8);
-    let mut acc_a = f64x8::from_slice(s_lo);
-    let mut acc_b = f64x8::from_slice(s_hi);
-    let mut sq_a = f64x8::from_slice(q_lo);
-    let mut sq_b = f64x8::from_slice(q_hi);
-    let zero = f64x8::splat(0.0);
-    for (&m, chunk) in masked.iter().zip(values.chunks_exact(64)) {
-        *n_valid += u64::from(m.count_ones());
-        for (g, group) in chunk.chunks_exact(LANES).enumerate() {
-            let (lo, hi) = group.split_at(8);
-            let keep_a: Mask<i64, 8> = Mask::from_bitmask((m >> (g * 16)) & 0xff);
-            let keep_b: Mask<i64, 8> = Mask::from_bitmask((m >> (g * 16 + 8)) & 0xff);
-            let x_a = keep_a.select(f64x8::from_slice(lo), zero);
-            let x_b = keep_b.select(f64x8::from_slice(hi), zero);
-            acc_a += x_a;
-            acc_b += x_b;
-            sq_a += x_a * x_a;
-            sq_b += x_b * x_b;
-        }
-    }
-    s_lo.copy_from_slice(&acc_a.to_array());
-    s_hi.copy_from_slice(&acc_b.to_array());
-    q_lo.copy_from_slice(&sq_a.to_array());
-    q_hi.copy_from_slice(&sq_b.to_array());
-}
-
 /// NEON masked-sum block body: eight 2-lane accumulator pairs covering the
 /// canonical 16-lane layout. Whole 64-row words only.
 ///
@@ -710,9 +605,6 @@ mod tests {
         let cover = words_of(n, |r| r % 2 == 0);
         let portable = masked_sums_on(KernelPath::Portable, &values, &valid, &cover);
         for path in available_kernels() {
-            if path == KernelPath::Scalar {
-                continue;
-            }
             let got = masked_sums_on(path, &values, &valid, &cover);
             assert_eq!(got.0, portable.0, "{path:?} n_valid");
             assert_eq!(got.1.to_bits(), portable.1.to_bits(), "{path:?} sum");

@@ -8,8 +8,9 @@ use h_divexplorer::core::{
 };
 use h_divexplorer::datasets::{classification_suite, folktables};
 use h_divexplorer::items::item_cover;
-use h_divexplorer::mining::{apriori, fpgrowth, mine, MiningConfig, MiningResult, Transactions};
+use h_divexplorer::mining::{mine, MiningConfig, MiningResult, Transactions};
 use hdx_bench::experiments::{outcomes_for, pipeline_for, run_exploration};
+use hdx_bench::{apriori, fpgrowth};
 
 const SCALE: f64 = 0.04;
 

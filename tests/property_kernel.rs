@@ -1,8 +1,7 @@
 //! Property-based tests of the word-level outcome kernels, over **every**
-//! dispatch path the host can run ([`available_kernels`] — scalar, portable,
-//! and whichever of AVX2/AVX-512/NEON the CPU offers; the `HDX_FORCE_SCALAR`
-//! environment override is the same [`KernelPath::Scalar`] the CI dispatch
-//! matrix pins). The equivalence contract under test:
+//! dispatch path the host can run ([`available_kernels`] — portable, and
+//! whichever of AVX-512/AVX2/NEON the build and the CPU offer). The
+//! equivalence contract under test:
 //!
 //! * **counts** (rows, valid rows) are exact on every path;
 //! * **integer-valued** outcome sums are *bitwise identical* across all
@@ -11,12 +10,10 @@
 //! * **arbitrary real** sums agree within the reassociation bound of the
 //!   16-lane canonical layout (each row participates in one of ≤ 17
 //!   accumulation chains, so the error is `O(n · eps · Σ|x|)`), and all
-//!   vector paths agree with each other *bitwise* (shared lane layout and
+//!   paths agree with each other *bitwise* (shared lane layout and
 //!   fixed-order reduction);
 //! * the **boolean** popcount fast path and the **fused pair** kernel are
 //!   exact accumulator-for-accumulator.
-//!
-//! [`KernelPath::Scalar`]: h_divexplorer::stats::KernelPath::Scalar
 
 use h_divexplorer::items::Bitset;
 use h_divexplorer::mining::accum_scalar;
@@ -137,8 +134,8 @@ proptest! {
     }
 
     /// Arbitrary-real sums: counts exact on every path; sums agree with the
-    /// reference within the reassociation bound; and all vector paths agree
-    /// with each other bitwise.
+    /// reference within the reassociation bound; and every path agrees with
+    /// every other bit for bit.
     #[test]
     fn real_sums_ulp_bounded_across_paths(
         data in rows(false, 300),
@@ -153,7 +150,7 @@ proptest! {
             .map(|&(v, _)| v.abs())
             .sum();
         let tol = tolerance(data.len(), abs.max(abs * abs));
-        let mut vector_results: Vec<(KernelPath, u64, u64)> = Vec::new();
+        let mut path_results: Vec<(KernelPath, u64, u64)> = Vec::new();
         for path in available_kernels() {
             let (count, sum, sum_sq) = masked_sums_on(path, &values, &valid, &cover);
             prop_assert_eq!(count, ref_count, "count on {:?}", path);
@@ -165,12 +162,10 @@ proptest! {
                 (sum_sq - ref_sq).abs() <= tol,
                 "sum_sq on {:?}: {} vs {}", path, sum_sq, ref_sq
             );
-            if path != KernelPath::Scalar {
-                vector_results.push((path, sum.to_bits(), sum_sq.to_bits()));
-            }
+            path_results.push((path, sum.to_bits(), sum_sq.to_bits()));
         }
-        if let Some(&(first_path, first_sum, first_sq)) = vector_results.first() {
-            for &(path, sum, sum_sq) in &vector_results[1..] {
+        if let Some(&(first_path, first_sum, first_sq)) = path_results.first() {
+            for &(path, sum, sum_sq) in &path_results[1..] {
                 prop_assert_eq!(sum, first_sum, "{:?} vs {:?}", path, first_path);
                 prop_assert_eq!(sum_sq, first_sq, "{:?} vs {:?}", path, first_path);
             }

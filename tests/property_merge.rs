@@ -1,5 +1,5 @@
 //! Property-based tests of the [`StatAccum`] merge algebra. The FP-Growth
-//! oracle (`hdx-mining`'s `fpgrowth.rs`) builds every itemset's statistics
+//! oracle (`hdx_bench::fpgrowth`) builds every itemset's statistics
 //! by merging FP-tree node accumulators, so its agreement with the
 //! production miner rests on `merge(a, b)` equalling accumulation of the
 //! concatenated stream from scratch: bitwise for the integer fields, and

@@ -11,8 +11,9 @@ use h_divexplorer::data::AttrId;
 use h_divexplorer::items::invariants as item_invariants;
 use h_divexplorer::items::{Interval, Item, ItemCatalog, ItemId, Itemset};
 use h_divexplorer::mining::invariants as mining_invariants;
-use h_divexplorer::mining::{apriori, fpgrowth, mine, MiningConfig, MiningResult, Transactions};
+use h_divexplorer::mining::{mine, MiningConfig, MiningResult, Transactions};
 use h_divexplorer::stats::Outcome;
+use hdx_bench::{apriori, fpgrowth};
 use proptest::prelude::*;
 
 /// A random transaction database over `n_attrs` attributes with up to
@@ -80,9 +81,10 @@ fn normalised(result: &MiningResult) -> Vec<(Itemset, u64, u64, Option<f64>)> {
 
 /// Every miner's result on `db`: the two oracles, then the search at 1 and
 /// 4 threads.
-fn all_miners(db: &Db, min_support: f64) -> [MiningResult; 4] {
+fn all_miners(db: &Db, min_support: f64, max_len: Option<usize>) -> [MiningResult; 4] {
     let config = MiningConfig {
         min_support,
+        max_len,
         ..MiningConfig::default()
     };
     let (t, catalog) = (&db.transactions, &db.catalog);
@@ -146,10 +148,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Apriori, FP-Growth and the search at 1 and 4 threads return
-    /// identical itemsets with identical accumulators.
+    /// identical itemsets with identical accumulators, with and without a
+    /// cap on the itemset length.
     #[test]
-    fn miners_agree(db in db_strategy(), s in 0.02f64..0.6) {
-        let results = all_miners(&db, s);
+    fn miners_agree(
+        db in db_strategy(),
+        s in 0.02f64..0.6,
+        max_len in proptest::option::of(1usize..4),
+    ) {
+        let results = all_miners(&db, s, max_len);
         let serial = normalised(&results[2]);
         for result in &results {
             assert_equivalent(&normalised(result), &serial)?;
@@ -263,7 +270,7 @@ proptest! {
     fn invariant_checker_accepts_miner_output(db in db_strategy(), s in 0.05f64..0.5) {
         let min_count = MiningConfig { min_support: s, ..MiningConfig::default() }
             .min_count(db.transactions.n_rows());
-        for (i, result) in all_miners(&db, s).iter().enumerate() {
+        for (i, result) in all_miners(&db, s, None).iter().enumerate() {
             let verdict = mining_invariants::validate_result(result, &db.catalog, min_count);
             prop_assert!(verdict.is_ok(), "miner {}: {}", i, verdict.unwrap_err());
         }
