@@ -3,6 +3,8 @@
 use std::fmt;
 use std::time::Duration;
 
+use hdx_core::Statistic;
+
 /// CLI failure: a message shown to the user (exit code 2).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliError(pub String);
@@ -21,71 +23,19 @@ impl CliError {
     }
 }
 
-/// The statistic to analyse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Stat {
-    /// False-positive rate.
-    Fpr,
-    /// False-negative rate.
-    Fnr,
-    /// True-positive rate.
-    Tpr,
-    /// True-negative rate.
-    Tnr,
-    /// Error rate (default).
-    #[default]
-    Error,
-    /// Accuracy.
-    Accuracy,
-    /// Positive prediction rate.
-    PositiveRate,
-    /// A real-valued target column.
-    Target,
-}
-
-impl Stat {
-    /// Stable wire code for the checkpoint manifest.
-    pub(crate) fn code(self) -> u8 {
-        match self {
-            Stat::Fpr => 0,
-            Stat::Fnr => 1,
-            Stat::Tpr => 2,
-            Stat::Tnr => 3,
-            Stat::Error => 4,
-            Stat::Accuracy => 5,
-            Stat::PositiveRate => 6,
-            Stat::Target => 7,
-        }
-    }
-
-    /// Inverse of [`Stat::code`].
-    pub(crate) fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => Stat::Fpr,
-            1 => Stat::Fnr,
-            2 => Stat::Tpr,
-            3 => Stat::Tnr,
-            4 => Stat::Error,
-            5 => Stat::Accuracy,
-            6 => Stat::PositiveRate,
-            7 => Stat::Target,
-            _ => return None,
-        })
-    }
-
-    fn parse(s: &str) -> Result<Self, CliError> {
-        Ok(match s {
-            "fpr" => Stat::Fpr,
-            "fnr" => Stat::Fnr,
-            "tpr" => Stat::Tpr,
-            "tnr" => Stat::Tnr,
-            "error" => Stat::Error,
-            "accuracy" => Stat::Accuracy,
-            "positive-rate" => Stat::PositiveRate,
-            "target" => Stat::Target,
-            other => return Err(CliError::new(format!("unknown --stat `{other}`"))),
-        })
-    }
+/// Parses a `--stat` value.
+fn parse_stat(s: &str) -> Result<Statistic, CliError> {
+    Ok(match s {
+        "fpr" => Statistic::Fpr,
+        "fnr" => Statistic::Fnr,
+        "tpr" => Statistic::Tpr,
+        "tnr" => Statistic::Tnr,
+        "error" => Statistic::Error,
+        "accuracy" => Statistic::Accuracy,
+        "positive-rate" => Statistic::PositiveRate,
+        "target" => Statistic::Target,
+        other => return Err(CliError::new(format!("unknown --stat `{other}`"))),
+    })
 }
 
 /// Options shared by the CSV-consuming commands.
@@ -94,12 +44,12 @@ pub struct InputOpts {
     /// CSV path.
     pub path: String,
     /// Statistic.
-    pub stat: Stat,
+    pub stat: Statistic,
     /// Ground-truth column name.
     pub label_col: String,
     /// Prediction column name.
     pub pred_col: String,
-    /// Target column (for [`Stat::Target`]).
+    /// Target column (for [`Statistic::Target`]).
     pub target_col: Option<String>,
     /// CSV separator.
     pub separator: char,
@@ -109,7 +59,7 @@ impl InputOpts {
     fn new(path: String) -> Self {
         Self {
             path,
-            stat: Stat::default(),
+            stat: Statistic::Error,
             label_col: "y_true".into(),
             pred_col: "y_pred".into(),
             target_col: None,
@@ -339,7 +289,7 @@ impl Cursor {
 /// input option.
 fn apply_input_flag(input: &mut InputOpts, flag: &str, cur: &mut Cursor) -> Result<bool, CliError> {
     match flag {
-        "--stat" => input.stat = Stat::parse(&cur.value(flag)?)?,
+        "--stat" => input.stat = parse_stat(&cur.value(flag)?)?,
         "--label-col" => input.label_col = cur.value(flag)?,
         "--pred-col" => input.pred_col = cur.value(flag)?,
         "--target-col" => input.target_col = Some(cur.value(flag)?),
@@ -463,7 +413,13 @@ pub fn parse(args: Vec<String>) -> Result<Command, CliError> {
                         other => return Err(CliError::new(format!("unknown --mode `{other}`"))),
                     },
                     "--polarity" => opts.polarity = true,
-                    "--max-len" => opts.max_len = Some(cur.parse_value(&flag)?),
+                    "--max-len" => {
+                        let n: usize = cur.parse_value(&flag)?;
+                        if n == 0 {
+                            return Err(CliError::new("--max-len must be at least 1"));
+                        }
+                        opts.max_len = Some(n);
+                    }
                     "--threads" => {
                         let n: usize = cur.parse_value(&flag)?;
                         if n == 0 {
@@ -599,6 +555,9 @@ pub fn parse(args: Vec<String>) -> Result<Command, CliError> {
                 }
             }
             check_tree_support(opts.tree_support)?;
+            if !(opts.sf_threshold.is_finite() && opts.sf_threshold >= 0.0) {
+                return Err(CliError::new("--sf-threshold must be a finite number >= 0"));
+            }
             if !(opts.sl_alpha > 0.0 && opts.sl_alpha <= 1.0) {
                 return Err(CliError::new("--sl-alpha must be in (0, 1]"));
             }
@@ -711,7 +670,7 @@ mod tests {
         };
         assert_eq!(o.input.path, "d.csv");
         assert_eq!(o.support, 0.05);
-        assert_eq!(o.input.stat, Stat::Error);
+        assert_eq!(o.input.stat, Statistic::Error);
         assert!(!o.base_mode && !o.polarity && !o.json);
 
         let Command::Explore(o) = parse(v(&[
@@ -742,7 +701,7 @@ mod tests {
         .unwrap() else {
             panic!("wrong command");
         };
-        assert_eq!(o.input.stat, Stat::Fpr);
+        assert_eq!(o.input.stat, Statistic::Fpr);
         assert_eq!(o.support, 0.02);
         assert_eq!(o.tree_support, 0.2);
         assert!(o.base_mode && o.polarity && o.json && o.entropy && o.non_redundant);
@@ -815,6 +774,23 @@ mod tests {
                 .contains("--sl-alpha must be in (0, 1]"));
         }
         assert!(parse(v(&["baselines", "d.csv", "--sl-alpha", "1"])).is_ok());
+        // A pattern holds at least one item.
+        assert!(parse(v(&["explore", "d.csv", "--max-len", "0"]))
+            .unwrap_err()
+            .0
+            .contains("--max-len must be at least 1"));
+        // Slice Finder's effect-size threshold is a finite T >= 0.
+        for threshold in ["NaN", "inf", "-1"] {
+            assert!(
+                parse(v(&["baselines", "d.csv", "--sf-threshold", threshold]))
+                    .unwrap_err()
+                    .0
+                    .contains("--sf-threshold must be a finite number >= 0")
+            );
+        }
+        for threshold in ["0", "2"] {
+            assert!(parse(v(&["baselines", "d.csv", "--sf-threshold", threshold])).is_ok());
+        }
     }
 
     #[test]
@@ -962,19 +938,23 @@ mod tests {
 
     #[test]
     fn stat_codes_round_trip() {
-        for stat in [
-            Stat::Fpr,
-            Stat::Fnr,
-            Stat::Tpr,
-            Stat::Tnr,
-            Stat::Error,
-            Stat::Accuracy,
-            Stat::PositiveRate,
-            Stat::Target,
-        ] {
-            assert_eq!(Stat::from_code(stat.code()), Some(stat));
+        // Every `--stat` name reaches the statistic stored under its code.
+        let names = [
+            "fpr",
+            "fnr",
+            "tpr",
+            "tnr",
+            "error",
+            "accuracy",
+            "positive-rate",
+            "target",
+        ];
+        for (code, name) in (0u8..).zip(names) {
+            let stat = parse_stat(name).unwrap();
+            assert_eq!(stat.code(), code, "{name}");
+            assert_eq!(Statistic::from_code(code), Some(stat));
         }
-        assert_eq!(Stat::from_code(200), None);
+        assert!(parse_stat("positive_rate").is_err());
     }
 
     #[test]

@@ -6,16 +6,16 @@ use hdx_baselines::{
 };
 use hdx_core::checkpoint::{codec, read_sealed, write_sealed, CheckpointStore, MANIFEST_FILE};
 use hdx_core::{
-    real_outcomes, report_to_json, CheckpointedRun, ExplorationMode, HDivExplorer,
-    HDivExplorerConfig, HDivResult, OutcomeFn, RunBudget,
+    job_budget, mining_input, report_to_json, CheckpointedRun, ExplorationMode, HDivExplorer,
+    HDivExplorerConfig, HDivResult, InputError, Statistic,
 };
-use hdx_data::{read_csv, AttributeKind, CsvOptions, DataFrame};
+use hdx_data::{read_csv, CsvOptions, DataFrame};
 use hdx_discretize::GainCriterion;
 use hdx_stats::Outcome;
 
 use crate::args::{
     AppendOpts, BaselinesOpts, CliError, Command, DiscretizeOpts, ExploreOpts, GenerateOpts,
-    InputOpts, ResumeOpts, ServeOpts, Stat, ValidateTelemetryOpts,
+    InputOpts, ResumeOpts, ServeOpts, ValidateTelemetryOpts,
 };
 use crate::USAGE;
 
@@ -163,61 +163,30 @@ fn append(opts: &AppendOpts) -> Result<RunOutput, CliError> {
     })
 }
 
-/// Loads the CSV and computes (mining frame, outcomes, ingestion quality).
-fn load(
-    input: &InputOpts,
-) -> Result<(DataFrame, Vec<Outcome>, hdx_data::DataQualityReport), CliError> {
+/// Reads the input CSV and hands it to the shared loader: (mining frame,
+/// outcomes, stderr notes on quarantined cells).
+fn read_input(input: &InputOpts) -> Result<(DataFrame, Vec<Outcome>, Vec<String>), CliError> {
     let options = CsvOptions {
         separator: input.separator,
         ..CsvOptions::default()
     };
     let (df, quality) = hdx_data::read_csv_with_quality(&input.path, &options)
         .map_err(|e| CliError(format!("cannot read `{}`: {e}", input.path)))?;
-
-    let (outcomes, drop): (Vec<Outcome>, Vec<String>) = match input.stat {
-        Stat::Target => {
-            let name = input
-                .target_col
-                .clone()
-                .ok_or_else(|| CliError("--stat target requires --target-col".into()))?;
-            let attr = df
-                .schema()
-                .require(&name)
-                .map_err(|e| CliError(e.to_string()))?;
-            if df.schema().kind(attr) != AttributeKind::Continuous {
-                return Err(CliError(format!("target column `{name}` is not numeric")));
-            }
-            let outcomes = real_outcomes(df.continuous(attr).values());
-            (outcomes, vec![name])
-        }
-        stat => {
-            let labels = |name: &str| df.bool_column(name).map_err(|e| CliError(e.to_string()));
-            let y_true = labels(&input.label_col)?;
-            let y_pred = labels(&input.pred_col)?;
-            let f = match stat {
-                Stat::Fpr => OutcomeFn::Fpr,
-                Stat::Fnr => OutcomeFn::Fnr,
-                Stat::Tpr => OutcomeFn::Tpr,
-                Stat::Tnr => OutcomeFn::Tnr,
-                Stat::Error => OutcomeFn::ErrorRate,
-                Stat::Accuracy => OutcomeFn::Accuracy,
-                Stat::PositiveRate => OutcomeFn::PositiveRate,
-                Stat::Target => unreachable!("handled above"),
-            };
-            (
-                f.compute(&y_true, &y_pred),
-                vec![input.label_col.clone(), input.pred_col.clone()],
-            )
-        }
-    };
-    let drop_refs: Vec<&str> = drop.iter().map(String::as_str).collect();
-    let frame = df
-        .drop_columns(&drop_refs)
-        .map_err(|e| CliError(e.to_string()))?;
-    if frame.n_attributes() == 0 {
-        return Err(CliError("no attributes left to mine".into()));
-    }
-    Ok((frame, outcomes, quality))
+    let (frame, outcomes) = mining_input(
+        &df,
+        input.stat,
+        &input.label_col,
+        &input.pred_col,
+        input.target_col.as_deref(),
+    )
+    .map_err(|e| match e {
+        InputError::NoTargetColumn => CliError("--stat target requires --target-col".into()),
+        InputError::Invalid(message) => CliError(message),
+    })?;
+    let notes = quality
+        .summary()
+        .map(|s| format!("ingestion quarantine: {s}"));
+    Ok((frame, outcomes, notes.into_iter().collect()))
 }
 
 fn pipeline_config(
@@ -239,17 +208,6 @@ fn pipeline_config(
         max_len,
         ..HDivExplorerConfig::default()
     }
-}
-
-fn build_budget(timeout: Option<std::time::Duration>, max_itemsets: Option<u64>) -> RunBudget {
-    let mut budget = RunBudget::unbounded();
-    if let Some(timeout) = timeout {
-        budget = budget.with_deadline(timeout);
-    }
-    if let Some(max) = max_itemsets {
-        budget = budget.with_max_itemsets(max);
-    }
-    budget
 }
 
 /// Renders a result as (stdout text, partial-run reason). Shared by `explore`
@@ -360,13 +318,9 @@ fn explore(opts: &ExploreOpts) -> Result<RunOutput, CliError> {
     // Fresh telemetry per run, so `--metrics-out` describes this exploration
     // only (a no-op unless the `obs` feature is enabled).
     hdx_core::obs::reset();
-    let (frame, outcomes, quality) = load(&opts.input)?;
-    let mut notes = Vec::new();
-    if let Some(summary) = quality.summary() {
-        notes.push(format!("ingestion quarantine: {summary}"));
-    }
+    let (frame, outcomes, mut notes) = read_input(&opts.input)?;
     let mut pipeline = HDivExplorer::new(HDivExplorerConfig {
-        budget: build_budget(opts.timeout, opts.max_itemsets),
+        budget: job_budget(opts.timeout, opts.max_itemsets),
         adaptive_support: opts.adaptive_support,
         threads: opts.threads,
         ..pipeline_config(
@@ -418,15 +372,11 @@ fn explore(opts: &ExploreOpts) -> Result<RunOutput, CliError> {
 fn resume(opts: &ResumeOpts) -> Result<RunOutput, CliError> {
     hdx_core::obs::reset();
     let manifest = load_manifest(&opts.dir)?;
-    let (frame, outcomes, quality) = load(&manifest.input)?;
-    let mut notes = Vec::new();
-    if let Some(summary) = quality.summary() {
-        notes.push(format!("ingestion quarantine: {summary}"));
-    }
+    let (frame, outcomes, mut notes) = read_input(&manifest.input)?;
     // Budgets are per-invocation: the interrupted run's budget is exactly
     // what it tripped on, so only flags given to `resume` itself apply.
     let mut pipeline = HDivExplorer::new(HDivExplorerConfig {
-        budget: build_budget(opts.timeout, opts.max_itemsets),
+        budget: job_budget(opts.timeout, opts.max_itemsets),
         adaptive_support: manifest.adaptive_support,
         ..pipeline_config(
             manifest.support,
@@ -525,7 +475,7 @@ fn load_manifest(dir: &str) -> Result<Manifest, CliError> {
         )));
     }
     let input_path = r.str().map_err(err)?;
-    let stat = Stat::from_code(r.u8().map_err(err)?)
+    let stat = Statistic::from_code(r.u8().map_err(err)?)
         .ok_or_else(|| CliError(format!("`{}`: unknown statistic code", path.display())))?;
     let label_col = r.str().map_err(err)?;
     let pred_col = r.str().map_err(err)?;
@@ -606,7 +556,7 @@ fn validate_metrics(path: &str) -> Result<String, CliError> {
 }
 
 fn discretize(opts: &DiscretizeOpts) -> Result<String, CliError> {
-    let (frame, outcomes, _) = load(&opts.input)?;
+    let (frame, outcomes, _) = read_input(&opts.input)?;
     let pipeline = HDivExplorer::new(pipeline_config(
         0.05,
         opts.tree_support,
@@ -633,7 +583,7 @@ fn discretize(opts: &DiscretizeOpts) -> Result<String, CliError> {
 }
 
 fn baselines(opts: &BaselinesOpts) -> Result<String, CliError> {
-    let (frame, outcomes, _) = load(&opts.input)?;
+    let (frame, outcomes, _) = read_input(&opts.input)?;
     let losses: Vec<f64> = outcomes.iter().map(|o| o.value().unwrap_or(0.0)).collect();
     let pipeline = HDivExplorer::new(pipeline_config(0.05, opts.tree_support, false, false, None));
     let (catalog, hierarchies, _) = pipeline.discretize(&frame, &outcomes);

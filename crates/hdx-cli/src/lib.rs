@@ -19,7 +19,7 @@ mod commands;
 
 pub use args::{
     parse, AppendOpts, BaselinesOpts, CliError, Command, DiscretizeOpts, ExploreOpts, GenerateOpts,
-    InputOpts, ResumeOpts, ServeOpts, Stat, ValidateTelemetryOpts,
+    InputOpts, ResumeOpts, ServeOpts, ValidateTelemetryOpts,
 };
 pub use commands::{run, RunOutput};
 
@@ -54,7 +54,7 @@ EXPLORE OPTIONS:
   --criterion <divergence|entropy>  split gain criterion [divergence]
   --mode <base|hierarchical>        exploration mode [hierarchical]
   --polarity             enable polarity pruning
-  --max-len <n>          cap pattern length
+  --max-len <n>          cap pattern length, at least 1
   --threads <n>          mining worker threads [1]; --checkpoint-dir runs
                          stay serial
   --top <k>              rows to print [10]
@@ -92,7 +92,8 @@ DISCRETIZE OPTIONS:
 
 BASELINES OPTIONS:
   --st <f>               leaf discretization support [0.1]
-  --sf-threshold <f>     Slice Finder effect-size threshold [0.4]
+  --sf-threshold <f>     Slice Finder effect-size threshold, a finite number
+                         >= 0 [0.4]
   --sl-alpha <f>         SliceLine α, in (0, 1] [0.95]
   --min-size <n>         SliceLine minimum slice size [32]
 

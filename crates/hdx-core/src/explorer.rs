@@ -115,24 +115,14 @@ impl DivExplorer {
         transactions: &Transactions,
         catalog: &ItemCatalog,
     ) -> DivergenceReport {
-        let governor = Governor::with_token(self.config.budget, self.cancel.clone());
-        self.explore_transactions_governed(transactions, catalog, &governor)
-    }
-
-    /// Explores pre-encoded transactions under an external [`Governor`].
-    pub fn explore_transactions_governed(
-        &self,
-        transactions: &Transactions,
-        catalog: &ItemCatalog,
-        governor: &Governor,
-    ) -> DivergenceReport {
         hdx_obs::span!("explore");
+        let governor = Governor::with_token(self.config.budget, self.cancel.clone());
         let start = Instant::now();
         let mining = self.config.mining_config();
         let result = if self.config.polarity_pruning {
-            mine_with_polarity_governed(transactions, catalog, &mining, governor)
+            mine_with_polarity_governed(transactions, catalog, &mining, &governor)
         } else {
-            mine_governed(transactions, catalog, &mining, governor)
+            mine_governed(transactions, catalog, &mining, &governor)
         };
         DivergenceReport::from_mining(&result, catalog, start.elapsed())
     }

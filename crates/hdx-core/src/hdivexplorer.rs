@@ -7,6 +7,10 @@
 //! 2. **Generalized divergence subgroup extraction** — generalized frequent
 //!    itemset mining over items at *all* granularity levels, with divergence
 //!    accumulated during mining, optionally polarity-pruned.
+//!
+//! Every fit runs one stage sequence: `discretize_and_encode`, then
+//! `mine_ladder`. The checkpointed runs (`resume.rs`) differ only in the
+//! mining call of each adaptive-support rung.
 
 use std::time::{Duration, Instant};
 
@@ -14,12 +18,13 @@ use hdx_data::{AttributeKind, DataFrame};
 use hdx_discretize::{DiscretizationTree, GainCriterion, TreeDiscretizer, TreeDiscretizerConfig};
 use hdx_governor::{CancelToken, Governor, RunBudget, RunCounters, Termination};
 use hdx_items::{HierarchySet, Item, ItemCatalog, ItemHierarchy, Taxonomy};
-use hdx_mining::Transactions;
+use hdx_mining::{mine_governed, MiningConfig, Transactions};
 use hdx_stats::Outcome;
 
 use crate::error::CoreError;
-use crate::explorer::{DivExplorer, ExplorationConfig};
+use crate::polarity::mine_with_polarity_governed;
 use crate::report::DivergenceReport;
+use crate::resume::Checkpointing;
 
 /// Whether to explore leaf items only (prior work) or the full hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -29,26 +34,6 @@ pub enum ExplorationMode {
     /// All hierarchy levels ("Tree discretization, generalized"; default).
     #[default]
     Generalized,
-}
-
-impl ExplorationMode {
-    /// Encodes the transactions this mode mines. The encoding does not
-    /// depend on the support threshold, so a fit encodes once and reuses
-    /// the transactions across its adaptive-support retries.
-    pub(crate) fn encode(
-        self,
-        df: &DataFrame,
-        catalog: &ItemCatalog,
-        hierarchies: &HierarchySet,
-        outcomes: &[Outcome],
-    ) -> Transactions {
-        match self {
-            Self::Base => Transactions::encode_base(df, catalog, hierarchies, outcomes),
-            Self::Generalized => {
-                Transactions::encode_generalized(df, catalog, hierarchies, outcomes)
-            }
-        }
-    }
 }
 
 /// Configuration of the H-DivExplorer pipeline.
@@ -104,16 +89,21 @@ impl Default for HDivExplorerConfig {
 }
 
 impl HDivExplorerConfig {
-    fn exploration(&self, min_support: f64) -> ExplorationConfig {
-        ExplorationConfig {
-            min_support,
-            max_len: self.max_len,
-            threads: self.threads,
-            polarity_pruning: self.polarity_pruning,
-            // The pipeline drives the governed explorer entry points
-            // directly; the per-stage governors carry the limits.
-            budget: RunBudget::unbounded(),
-        }
+    /// The adaptive-support ladder: rung `r` is the minimum support after
+    /// `r` retries, each doubling the last up to [`ADAPTIVE_MAX_SUPPORT`].
+    /// Without [`adaptive_support`](Self::adaptive_support) the ladder is
+    /// the configured support alone.
+    fn support_ladder(&self) -> Vec<f64> {
+        let retries = if self.adaptive_support {
+            ADAPTIVE_MAX_RETRIES as usize
+        } else {
+            0
+        };
+        std::iter::successors(Some(self.min_support), |&s| {
+            (s < ADAPTIVE_MAX_SUPPORT).then(|| (s * 2.0).min(ADAPTIVE_MAX_SUPPORT))
+        })
+        .take(1 + retries)
+        .collect()
     }
 
     fn tree(&self) -> TreeDiscretizerConfig {
@@ -318,7 +308,7 @@ impl HDivExplorer {
         mode: ExplorationMode,
     ) -> HDivResult {
         assert_eq!(outcomes.len(), df.n_rows(), "outcomes not parallel to rows");
-        self.fit_mode_checked(df, outcomes, mode)
+        self.mine_ladder(self.discretize_and_encode(df, outcomes, mode), 0, None)
     }
 
     /// Fallible variant of [`Self::fit_mode`]: returns a typed error instead
@@ -330,7 +320,7 @@ impl HDivExplorer {
         mode: ExplorationMode,
     ) -> Result<HDivResult, CoreError> {
         self.validate_inputs(df, outcomes)?;
-        Ok(self.fit_mode_checked(df, outcomes, mode))
+        Ok(self.fit_mode(df, outcomes, mode))
     }
 
     /// The shared input validation of the fallible entry points
@@ -361,64 +351,135 @@ impl HDivExplorer {
         Ok(())
     }
 
-    /// Pipeline body; `outcomes` has already been validated against `df`.
-    ///
-    /// Each stage runs under its own [`Governor`] so that a budget trip in
-    /// one stage (say, the tree-node cap) degrades *that* stage without
-    /// starving the next: a coarser discretization is still worth mining.
-    /// The wall-clock deadline and the cancel token span the whole run.
-    fn fit_mode_checked(
+    /// The stages before mining, shared by every fit: discretization under
+    /// its own [`Governor`], then one encode. `outcomes` has already been
+    /// validated against `df`.
+    pub(crate) fn discretize_and_encode(
         &self,
         df: &DataFrame,
         outcomes: &[Outcome],
         mode: ExplorationMode,
-    ) -> HDivResult {
+    ) -> Encoded {
         let start = Instant::now();
-        let budget = self.config.budget;
-        let disc_governor = Governor::with_token(budget, self.cancel.clone());
+        let disc_governor = Governor::with_token(self.config.budget, self.cancel.clone());
         let (catalog, hierarchies, trees) = self.discretize_governed(df, outcomes, &disc_governor);
         let discretization_time = start.elapsed();
-
-        let remaining_deadline = |budget: RunBudget| RunBudget {
-            deadline: budget.deadline.map(|d| d.saturating_sub(start.elapsed())),
-            ..budget
+        // The encoding does not depend on the support threshold, so every
+        // rung of the ladder mines these transactions.
+        let transactions = match mode {
+            ExplorationMode::Base => {
+                Transactions::encode_base(df, &catalog, &hierarchies, outcomes)
+            }
+            ExplorationMode::Generalized => {
+                Transactions::encode_generalized(df, &catalog, &hierarchies, outcomes)
+            }
         };
-        let transactions = mode.encode(df, &catalog, &hierarchies, outcomes);
-        let mut min_support = self.config.min_support;
-        let mut adaptive_retries = 0;
+        Encoded {
+            start,
+            disc_governor,
+            catalog,
+            hierarchies,
+            trees,
+            discretization_time,
+            transactions,
+            ladder: self.config.support_ladder(),
+        }
+    }
+
+    /// Mines the support ladder from `first_rung` and assembles the result:
+    /// the second half of every fit, after
+    /// [`discretize_and_encode`](Self::discretize_and_encode).
+    ///
+    /// Each rung mines under a governor of its own, apart from the
+    /// discretizer's, so that a budget trip in one stage (say, the
+    /// tree-node cap) degrades *that* stage without starving the next: a
+    /// coarser discretization is still worth mining. The wall-clock
+    /// deadline and the cancel token span the whole run. `ckpt` picks how a
+    /// rung is mined: in memory, or serially with checkpoints (see
+    /// [`fit_checkpointed`](Self::fit_checkpointed)).
+    pub(crate) fn mine_ladder(
+        &self,
+        fit: Encoded,
+        first_rung: usize,
+        mut ckpt: Option<&mut Checkpointing>,
+    ) -> HDivResult {
+        let budget = self.config.budget;
+        let (transactions, catalog) = (&fit.transactions, &fit.catalog);
+        let mut rung = first_rung;
         let (mut report, mine_governor) = loop {
-            let governor = Governor::with_token(remaining_deadline(budget), self.cancel.clone());
-            let explorer = DivExplorer::new(self.config.exploration(min_support));
-            let report = explorer.explore_transactions_governed(&transactions, &catalog, &governor);
+            hdx_obs::span!("explore");
+            let elapsed = fit.start.elapsed();
+            let rung_budget = RunBudget {
+                deadline: budget.deadline.map(|d| d.saturating_sub(elapsed)),
+                ..budget
+            };
+            let mining = MiningConfig {
+                min_support: fit.ladder[rung],
+                max_len: self.config.max_len,
+                threads: self.config.threads,
+            };
+            let mine_start = Instant::now();
+            let (mined, governor) = match ckpt.as_deref_mut() {
+                None => {
+                    let governor = Governor::with_token(rung_budget, self.cancel.clone());
+                    let mined = if self.config.polarity_pruning {
+                        mine_with_polarity_governed(transactions, catalog, &mining, &governor)
+                    } else {
+                        mine_governed(transactions, catalog, &mining, &governor)
+                    };
+                    (mined, governor)
+                }
+                Some(ckpt) => ckpt.mine_rung(
+                    rung,
+                    transactions,
+                    catalog,
+                    &mining,
+                    rung_budget,
+                    &self.cancel,
+                ),
+            };
+            let report = DivergenceReport::from_mining(&mined, catalog, mine_start.elapsed());
             // Adaptive degradation: trade granularity for completeness by
-            // re-mining at doubled support. Only budget trips qualify — a
+            // climbing to the next rung (the ladder has one rung unless
+            // `adaptive_support` is set). Only budget trips qualify — a
             // deadline or cancellation would cut the retry short too.
-            let exhausted = report.termination == Termination::BudgetExhausted;
-            if self.config.adaptive_support
-                && exhausted
-                && adaptive_retries < ADAPTIVE_MAX_RETRIES
-                && min_support < ADAPTIVE_MAX_SUPPORT
-            {
-                min_support = (min_support * 2.0).min(ADAPTIVE_MAX_SUPPORT);
-                adaptive_retries += 1;
+            if report.termination == Termination::BudgetExhausted && rung + 1 < fit.ladder.len() {
+                rung += 1;
                 continue;
             }
             break (report, governor);
         };
         // The report speaks for the whole run: worst stage outcome, summed
         // stage counters.
-        report.termination = report.termination.worst(disc_governor.termination());
-        report.counters = mine_governor.counters().merged(disc_governor.counters());
+        let disc = &fit.disc_governor;
+        report.termination = report.termination.worst(disc.termination());
+        report.counters = mine_governor.counters().merged(disc.counters());
         HDivResult {
             report,
-            catalog,
-            hierarchies,
-            trees,
-            discretization_time,
-            adaptive_retries,
-            effective_min_support: min_support,
+            catalog: fit.catalog,
+            hierarchies: fit.hierarchies,
+            trees: fit.trees,
+            discretization_time: fit.discretization_time,
+            adaptive_retries: rung as u32,
+            effective_min_support: fit.ladder[rung],
         }
     }
+}
+
+/// A fit after discretization and encoding: everything the support ladder
+/// mines over.
+pub(crate) struct Encoded {
+    /// When the fit started; each rung gets what remains of the deadline.
+    start: Instant,
+    disc_governor: Governor,
+    catalog: ItemCatalog,
+    hierarchies: HierarchySet,
+    pub(crate) trees: Vec<DiscretizationTree>,
+    discretization_time: Duration,
+    pub(crate) transactions: Transactions,
+    /// The minimum support of each rung, from
+    /// [`HDivExplorerConfig::support_ladder`].
+    pub(crate) ladder: Vec<f64>,
 }
 
 #[cfg(test)]

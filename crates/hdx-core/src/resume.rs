@@ -1,10 +1,13 @@
 //! Crash-safe checkpoint/resume for the full pipeline (DESIGN.md §12).
 //!
-//! The checkpointed pipeline persists only the expensive, stateful part of a
-//! run — the mining traversal — and *recomputes* the cheap deterministic
-//! stages on resume: discretization and transaction encoding rerun from the
-//! caller's data frame. Before any persisted state is trusted, three
-//! identities must match the checkpoint:
+//! A checkpointed run is a fit: [`HDivExplorer::fit_checkpointed`] and
+//! [`HDivExplorer::resume_checkpointed`] run the stage sequence of
+//! [`HDivExplorer::fit_mode`] (discretize, encode, the adaptive-support
+//! ladder, the stage-governor merge), and only the mining call of each rung
+//! differs. This module holds the checkpoint work around that call. Only
+//! the mining traversal is persisted; a resume re-runs the cheap
+//! deterministic stages from the caller's data frame. Before any persisted
+//! state is trusted, three identities must match the checkpoint:
 //!
 //! 1. the **dataset fingerprint** (schema, every cell, every outcome);
 //! 2. the **configuration fingerprint** (effective support thresholds,
@@ -17,24 +20,19 @@
 //! deterministic, so a resumed run returns bit-for-bit the report an
 //! uninterrupted run would have produced.
 
-use std::time::Instant;
-
 use hdx_checkpoint::{
     verify_identity, CheckpointError, CheckpointStore, Checkpointer, Fingerprint, MiningProgress,
     TreeNodeSnapshot, TreeSnapshot,
 };
 use hdx_data::{AttributeKind, DataFrame};
 use hdx_discretize::{DiscretizationTree, GainCriterion};
-use hdx_governor::{Governor, RunBudget, RunCounters, Termination};
-use hdx_mining::{mine_governed_ckpt, validate_resume, MiningConfig};
+use hdx_governor::{CancelToken, Governor, RunBudget, RunCounters};
+use hdx_items::ItemCatalog;
+use hdx_mining::{mine_governed_ckpt, validate_resume, MiningConfig, MiningResult, Transactions};
 use hdx_stats::Outcome;
 
 use crate::error::CoreError;
-use crate::hdivexplorer::{
-    ExplorationMode, HDivExplorer, HDivExplorerConfig, HDivResult, ADAPTIVE_MAX_RETRIES,
-    ADAPTIVE_MAX_SUPPORT,
-};
-use crate::report::DivergenceReport;
+use crate::hdivexplorer::{ExplorationMode, HDivExplorer, HDivExplorerConfig, HDivResult};
 
 /// Snapshots a discretization tree into the plain persisted form.
 pub fn snapshot_tree(tree: &DiscretizationTree) -> TreeSnapshot {
@@ -218,139 +216,120 @@ impl HDivExplorer {
                     .into(),
             });
         }
-        let start = Instant::now();
-        let budget = self.config.budget;
-        let disc_governor = Governor::with_token(budget, self.cancel.clone());
-        let (catalog, hierarchies, trees) = self.discretize_governed(df, outcomes, &disc_governor);
-        let discretization_time = start.elapsed();
-        let tree_snaps: Vec<TreeSnapshot> = trees.iter().map(snapshot_tree).collect();
-        let dataset_fingerprint = fingerprint_dataset(df, outcomes);
-
-        // The adaptive-support ladder: rung `r` is the effective support
-        // after `r` retries. Each rung re-fingerprints the config, so a
-        // checkpoint written mid-retry names the rung it belongs to.
-        let mut ladder = vec![self.config.min_support];
-        if self.config.adaptive_support {
-            let mut s = self.config.min_support;
-            for _ in 0..ADAPTIVE_MAX_RETRIES {
-                if s >= ADAPTIVE_MAX_SUPPORT {
-                    break;
-                }
-                s = (s * 2.0).min(ADAPTIVE_MAX_SUPPORT);
-                ladder.push(s);
-            }
-        }
-
-        let mut resume_progress: Option<MiningProgress> = None;
-        let mut resumed_seq = None;
-        let mut rejected_checkpoints = 0;
-        let mut adaptive_retries: u32 = 0;
-        if resume {
-            let loaded = store.load_latest()?;
-            let rung = ladder
+        let fit = self.discretize_and_encode(df, outcomes, mode);
+        let mut checkpointing = Checkpointing {
+            store,
+            every,
+            dataset_fingerprint: fingerprint_dataset(df, outcomes),
+            config_fingerprints: fit
+                .ladder
                 .iter()
-                .position(|&s| {
-                    fingerprint_config(&self.config, mode, s) == loaded.state.config_fingerprint
-                })
+                .map(|&s| fingerprint_config(&self.config, mode, s))
+                .collect(),
+            trees: fit.trees.iter().map(snapshot_tree).collect(),
+            progress: None,
+            writes: 0,
+            last_error: None,
+        };
+        let (mut first_rung, mut resumed_seq, mut rejected_checkpoints) = (0, None, 0);
+        if resume {
+            let loaded = checkpointing.store.load_latest()?;
+            // A checkpoint written mid-retry names its rung through the
+            // config fingerprint.
+            let fingerprints = &checkpointing.config_fingerprints;
+            first_rung = fingerprints
+                .iter()
+                .position(|&fp| fp == loaded.state.config_fingerprint)
                 .ok_or(CheckpointError::FingerprintMismatch {
                     field: "config",
                     expected: loaded.state.config_fingerprint,
-                    found: fingerprint_config(&self.config, mode, self.config.min_support),
+                    found: fingerprints[0],
                 })?;
             verify_identity(
                 &loaded.state,
-                dataset_fingerprint,
-                fingerprint_config(&self.config, mode, ladder[rung]),
-                &tree_snaps,
+                checkpointing.dataset_fingerprint,
+                fingerprints[first_rung],
+                &checkpointing.trees,
             )?;
-            adaptive_retries = rung as u32;
+            validate_resume(&loaded.state.progress, &fit.transactions)?;
+            checkpointing.progress = Some(loaded.state.progress);
             resumed_seq = Some(loaded.seq);
             rejected_checkpoints = loaded.rejected;
-            resume_progress = Some(loaded.state.progress);
         }
-
-        let remaining_deadline = |budget: RunBudget| RunBudget {
-            deadline: budget.deadline.map(|d| d.saturating_sub(start.elapsed())),
-            ..budget
-        };
-        let transactions = mode.encode(df, &catalog, &hierarchies, outcomes);
-        let mut checkpoint_writes = 0;
-        let mut checkpoint_error: Option<String> = None;
-        let (mut report, mine_governor) = loop {
-            let min_support = ladder[adaptive_retries as usize];
-            let mut ckpt = Checkpointer::new(
-                store.clone(),
-                every,
-                dataset_fingerprint,
-                fingerprint_config(&self.config, mode, min_support),
-                tree_snaps.clone(),
-            );
-            let mining = MiningConfig {
-                min_support,
-                max_len: self.config.max_len,
-                threads: self.config.threads,
-            };
-            // The loaded progress applies only to the first pass; adaptive
-            // retries restart mining from scratch at the coarser support.
-            let progress = resume_progress.take();
-            if let Some(p) = &progress {
-                validate_resume(p, &transactions)?;
-            }
-            let governor = match &progress {
-                Some(p) => Governor::resumed_with_token(
-                    remaining_deadline(budget),
-                    self.cancel.clone(),
-                    RunCounters {
-                        itemsets: p.counters.itemsets,
-                        candidate_bytes: p.counters.candidate_bytes,
-                        tree_nodes: p.counters.tree_nodes,
-                        ..RunCounters::default()
-                    },
-                ),
-                None => Governor::with_token(remaining_deadline(budget), self.cancel.clone()),
-            };
-            let mine_start = Instant::now();
-            let result = mine_governed_ckpt(
-                &transactions,
-                &catalog,
-                &mining,
-                &governor,
-                &mut ckpt,
-                progress.as_ref(),
-            );
-            checkpoint_writes += ckpt.writes();
-            if let Some(err) = ckpt.last_error() {
-                checkpoint_error = Some(err.to_string());
-            }
-            let report = DivergenceReport::from_mining(&result, &catalog, mine_start.elapsed());
-            let exhausted = report.termination == Termination::BudgetExhausted;
-            if self.config.adaptive_support
-                && exhausted
-                && (adaptive_retries as usize) + 1 < ladder.len()
-            {
-                adaptive_retries += 1;
-                continue;
-            }
-            break (report, governor);
-        };
-        report.termination = report.termination.worst(disc_governor.termination());
-        report.counters = mine_governor.counters().merged(disc_governor.counters());
-        let effective_min_support = ladder[adaptive_retries as usize];
+        let result = self.mine_ladder(fit, first_rung, Some(&mut checkpointing));
         Ok(CheckpointedRun {
-            result: HDivResult {
-                report,
-                catalog,
-                hierarchies,
-                trees,
-                discretization_time,
-                adaptive_retries,
-                effective_min_support,
-            },
-            checkpoint_writes,
-            checkpoint_error,
+            result,
+            checkpoint_writes: checkpointing.writes,
+            checkpoint_error: checkpointing.last_error,
             resumed_seq,
             rejected_checkpoints,
         })
+    }
+}
+
+/// The checkpoint side of one checkpointed fit: the run's identity, the
+/// progress a resume continues from, and the write bookkeeping.
+pub(crate) struct Checkpointing {
+    store: CheckpointStore,
+    every: u64,
+    dataset_fingerprint: u64,
+    /// The config fingerprint of each rung of the support ladder.
+    config_fingerprints: Vec<u64>,
+    trees: Vec<TreeSnapshot>,
+    /// The loaded progress of a resume, taken by the first rung mined.
+    progress: Option<MiningProgress>,
+    writes: u64,
+    last_error: Option<String>,
+}
+
+impl Checkpointing {
+    /// Mines one rung serially, checkpointing into the store. The first
+    /// rung of a resume continues from the loaded progress, with the
+    /// governor preloaded with its charged counters; adaptive retries
+    /// restart mining from scratch at the coarser support.
+    pub(crate) fn mine_rung(
+        &mut self,
+        rung: usize,
+        transactions: &Transactions,
+        catalog: &ItemCatalog,
+        mining: &MiningConfig,
+        budget: RunBudget,
+        cancel: &CancelToken,
+    ) -> (MiningResult, Governor) {
+        let mut ckpt = Checkpointer::new(
+            self.store.clone(),
+            self.every,
+            self.dataset_fingerprint,
+            self.config_fingerprints[rung],
+            self.trees.clone(),
+        );
+        let progress = self.progress.take();
+        let governor = match &progress {
+            Some(p) => Governor::resumed_with_token(
+                budget,
+                cancel.clone(),
+                RunCounters {
+                    itemsets: p.counters.itemsets,
+                    candidate_bytes: p.counters.candidate_bytes,
+                    tree_nodes: p.counters.tree_nodes,
+                    ..RunCounters::default()
+                },
+            ),
+            None => Governor::with_token(budget, cancel.clone()),
+        };
+        let mined = mine_governed_ckpt(
+            transactions,
+            catalog,
+            mining,
+            &governor,
+            &mut ckpt,
+            progress.as_ref(),
+        );
+        self.writes += ckpt.writes();
+        if let Some(err) = ckpt.last_error() {
+            self.last_error = Some(err.to_string());
+        }
+        (mined, governor)
     }
 }
 
@@ -365,6 +344,7 @@ mod tests {
     use rand::{RngExt as _, SeedableRng};
     use std::fs;
     use std::path::PathBuf;
+    use std::time::Duration;
 
     fn setup(n: usize) -> (DataFrame, Vec<Outcome>) {
         let mut rng = StdRng::seed_from_u64(29);
@@ -393,13 +373,11 @@ mod tests {
         dir
     }
 
-    fn assert_same_report(a: &DivergenceReport, b: &DivergenceReport) {
-        assert_eq!(a.records.len(), b.records.len());
-        for (x, y) in a.records.iter().zip(&b.records) {
-            assert_eq!(x.label, y.label);
-            assert_eq!(x.support, y.support);
-            assert_eq!(x.divergence, y.divergence);
-        }
+    /// The report as JSON, with the wall-clock time pinned to zero.
+    fn json_bytes(result: &HDivResult) -> String {
+        let mut report = result.report.clone();
+        report.elapsed = Duration::ZERO;
+        crate::report_to_json(&report, &result.catalog)
     }
 
     #[test]
@@ -421,95 +399,10 @@ mod tests {
                 1,
             )
             .unwrap();
-        assert_same_report(&plain.report, &run.result.report);
+        assert_eq!(json_bytes(&run.result), json_bytes(&plain));
         assert!(run.checkpoint_writes > 0, "boundaries were persisted");
         assert!(run.checkpoint_error.is_none());
         assert_eq!(run.resumed_seq, None);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn interrupted_run_resumes_to_the_uninterrupted_result() {
-        let (df, outcomes) = setup(800);
-        let dir = tmp_dir("resume");
-        let base = HDivExplorerConfig {
-            min_support: 0.05,
-            ..HDivExplorerConfig::default()
-        };
-        let full = HDivExplorer::new(base).fit_mode(&df, &outcomes, ExplorationMode::Generalized);
-        let total = full.report.records.len() as u64;
-        assert!(total > 4, "fixture must emit enough itemsets");
-
-        // Trip a budget near the end: the last flushed boundary survives.
-        let tripped = HDivExplorer::new(HDivExplorerConfig {
-            budget: RunBudget::unbounded().with_max_itemsets(total - 2),
-            ..base
-        })
-        .fit_checkpointed(
-            &df,
-            &outcomes,
-            ExplorationMode::Generalized,
-            CheckpointStore::create(&dir).unwrap(),
-            1,
-        )
-        .unwrap();
-        assert_eq!(tripped.result.termination(), Termination::BudgetExhausted);
-        assert!(tripped.checkpoint_writes > 0);
-
-        // Resume with the budget lifted: identical to the uninterrupted run.
-        let resumed = HDivExplorer::new(base)
-            .resume_checkpointed(
-                &df,
-                &outcomes,
-                ExplorationMode::Generalized,
-                CheckpointStore::open(&dir).unwrap(),
-                1,
-            )
-            .unwrap();
-        assert!(resumed.resumed_seq.is_some());
-        assert_eq!(resumed.rejected_checkpoints, 0);
-        assert!(resumed.result.termination().is_complete());
-        assert_same_report(&full.report, &resumed.result.report);
-        // The resumed governor kept charging from the checkpoint counters.
-        assert_eq!(resumed.result.counters().itemsets, full.counters().itemsets);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resume_rejects_an_edited_dataset() {
-        let (df, outcomes) = setup(400);
-        let dir = tmp_dir("editeddata");
-        let config = HDivExplorerConfig::default();
-        HDivExplorer::new(config)
-            .fit_checkpointed(
-                &df,
-                &outcomes,
-                ExplorationMode::Generalized,
-                CheckpointStore::create(&dir).unwrap(),
-                1,
-            )
-            .unwrap();
-        // Same frame, one outcome flipped: the dataset fingerprint moves.
-        let mut edited = outcomes.clone();
-        edited[0] = match edited[0].value() {
-            Some(v) if v > 0.5 => Outcome::Bool(false),
-            _ => Outcome::Bool(true),
-        };
-        let err = HDivExplorer::new(config)
-            .resume_checkpointed(
-                &df,
-                &edited,
-                ExplorationMode::Generalized,
-                CheckpointStore::open(&dir).unwrap(),
-                1,
-            )
-            .unwrap_err();
-        match err {
-            CoreError::Checkpoint(CheckpointError::FingerprintMismatch { field, .. }) => {
-                assert_eq!(field, "dataset");
-            }
-            other => panic!("expected dataset fingerprint mismatch, got {other}"),
-        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -574,42 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_newest_checkpoint_falls_back_on_resume() {
-        let (df, outcomes) = setup(600);
-        let dir = tmp_dir("fallback");
-        let base = HDivExplorerConfig::default();
-        let full = HDivExplorer::new(base).fit_mode(&df, &outcomes, ExplorationMode::Generalized);
-        let total = full.report.records.len() as u64;
-        HDivExplorer::new(HDivExplorerConfig {
-            budget: RunBudget::unbounded().with_max_itemsets(total - 1),
-            ..base
-        })
-        .fit_checkpointed(
-            &df,
-            &outcomes,
-            ExplorationMode::Generalized,
-            CheckpointStore::create(&dir).unwrap(),
-            1,
-        )
-        .unwrap();
-        // Flip one byte in the newest checkpoint file.
-        let store = CheckpointStore::open(&dir).unwrap();
-        let newest = *store.sequences().unwrap().last().unwrap();
-        let path = store.path_of(newest);
-        let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        fs::write(&path, &bytes).unwrap();
-
-        let resumed = HDivExplorer::new(base)
-            .resume_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
-            .unwrap();
-        assert_eq!(resumed.rejected_checkpoints, 1, "corrupt newest skipped");
-        assert_same_report(&full.report, &resumed.result.report);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn adaptive_retries_climb_the_ladder_under_checkpointing() {
         let (df, outcomes) = setup(700);
         let dir = tmp_dir("adaptive");
@@ -620,24 +477,29 @@ mod tests {
         .fit(&df, &outcomes);
         let cap = coarse.report.records.len() as u64;
         assert!(cap > 0);
-        let run = HDivExplorer::new(HDivExplorerConfig {
+        let pipeline = HDivExplorer::new(HDivExplorerConfig {
             min_support: 0.025,
             budget: RunBudget::unbounded().with_max_itemsets(cap),
             adaptive_support: true,
             ..HDivExplorerConfig::default()
-        })
-        .fit_checkpointed(
-            &df,
-            &outcomes,
-            ExplorationMode::Generalized,
-            CheckpointStore::create(&dir).unwrap(),
-            1,
-        )
-        .unwrap();
+        });
+        let run = pipeline
+            .fit_checkpointed(
+                &df,
+                &outcomes,
+                ExplorationMode::Generalized,
+                CheckpointStore::create(&dir).unwrap(),
+                1,
+            )
+            .unwrap();
         assert!(run.result.termination().is_complete());
         assert!(run.result.adaptive_retries > 0);
         assert!(run.result.effective_min_support > 0.025);
         assert_eq!(run.result.report.records.len() as u64, cap);
+        // The plain fit climbs the same rungs to the same bytes.
+        let plain = pipeline.fit(&df, &outcomes);
+        assert_eq!(plain.adaptive_retries, run.result.adaptive_retries);
+        assert_eq!(json_bytes(&run.result), json_bytes(&plain));
         let _ = fs::remove_dir_all(&dir);
     }
 

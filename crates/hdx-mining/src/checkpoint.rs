@@ -115,10 +115,6 @@ pub fn mine_governed_ckpt(
     ckpt: &mut Checkpointer,
     resume: Option<&MiningProgress>,
 ) -> MiningResult {
-    assert!(
-        config.min_support > 0.0 && config.min_support <= 1.0,
-        "min_support must be in (0, 1]"
-    );
     debug_assert!(
         resume.is_none_or(|p| validate_resume(p, transactions).is_ok()),
         "resume progress must be validated against this run"
@@ -135,17 +131,7 @@ pub fn mine_governed_ckpt(
             .unwrap_or_else(|| progress_snapshot(0, transactions.n_rows(), &[], governor)),
     );
     let resume = resume.filter(|p| p.cursor > 0);
-    let result =
-        crate::vertical::vertical_run(transactions, catalog, config, governor, Some(ckpt), resume);
-    ckpt.finalize();
-    #[cfg(feature = "obs")]
-    governor.record_obs_snapshot(0);
-    hdx_obs::counter_add!(MineItemsetsEmitted, result.itemsets.len() as u64);
-    #[cfg(feature = "debug-invariants")]
-    if resume.is_none() && result.termination.is_complete() && result.errors.is_empty() {
-        crate::invariants::assert_result(&result, catalog, config.min_count(transactions.n_rows()));
-    }
-    result
+    crate::search(transactions, catalog, config, governor, Some(ckpt), resume)
 }
 
 #[cfg(test)]

@@ -90,6 +90,7 @@ pub use vertical::accum_scalar;
 // `hdx-governor` directly.
 pub use hdx_governor::{CancelToken, Governor, RunBudget, RunCounters, Termination};
 
+use hdx_checkpoint::{Checkpointer, MiningProgress};
 use hdx_items::ItemCatalog;
 
 /// Mining parameters.
@@ -167,19 +168,44 @@ pub fn mine_governed(
     config: &MiningConfig,
     governor: &Governor,
 ) -> MiningResult {
+    hdx_obs::span!("mine");
+    search(transactions, catalog, config, governor, None, None)
+}
+
+/// The body [`mine_governed`] and [`mine_governed_ckpt`] share: the search,
+/// the final checkpoint flush of a checkpointed run, the end-of-stage
+/// accounting and, under `debug-invariants`, the lattice check of a
+/// complete run that started from scratch (`resume` is `None`).
+pub(crate) fn search(
+    transactions: &Transactions,
+    catalog: &ItemCatalog,
+    config: &MiningConfig,
+    governor: &Governor,
+    mut ckpt: Option<&mut Checkpointer>,
+    resume: Option<&MiningProgress>,
+) -> MiningResult {
     assert!(
         config.min_support > 0.0 && config.min_support <= 1.0,
         "min_support must be in (0, 1]"
     );
-    hdx_obs::span!("mine");
-    let result = vertical::vertical_run(transactions, catalog, config, governor, None, None);
+    let result = vertical::vertical_run(
+        transactions,
+        catalog,
+        config,
+        governor,
+        ckpt.as_deref_mut(),
+        resume,
+    );
+    if let Some(ckpt) = ckpt {
+        ckpt.finalize();
+    }
     // End-of-stage budget sample (level 0): where consumption stood when the
     // search returned.
     #[cfg(feature = "obs")]
     governor.record_obs_snapshot(0);
     hdx_obs::counter_add!(MineItemsetsEmitted, result.itemsets.len() as u64);
     #[cfg(feature = "debug-invariants")]
-    if result.termination.is_complete() && result.errors.is_empty() {
+    if resume.is_none() && result.termination.is_complete() && result.errors.is_empty() {
         invariants::assert_result(&result, catalog, config.min_count(transactions.n_rows()));
     }
     result

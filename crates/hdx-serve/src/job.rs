@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 
 use hdx_checkpoint::codec::{ByteReader, ByteWriter};
 use hdx_checkpoint::CheckpointError;
+use hdx_core::Statistic;
 
 use hdx_obs::json::Json;
 
@@ -21,87 +22,19 @@ const SPEC_VERSION: u8 = 2;
 /// Done-record codec version.
 const DONE_VERSION: u8 = 1;
 
-/// Which per-subgroup statistic a job mines divergence of.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StatKind {
-    /// False-positive rate.
-    Fpr,
-    /// False-negative rate.
-    Fnr,
-    /// True-positive rate.
-    Tpr,
-    /// True-negative rate.
-    Tnr,
-    /// Classification error rate.
-    Error,
-    /// Accuracy.
-    Accuracy,
-    /// Predicted-positive rate.
-    PositiveRate,
-    /// Mean of a real-valued target column.
-    Target,
-}
-
-impl StatKind {
-    /// Stable wire name (also the CLI flag value).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StatKind::Fpr => "fpr",
-            StatKind::Fnr => "fnr",
-            StatKind::Tpr => "tpr",
-            StatKind::Tnr => "tnr",
-            StatKind::Error => "error",
-            StatKind::Accuracy => "accuracy",
-            StatKind::PositiveRate => "positive_rate",
-            StatKind::Target => "target",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "fpr" => StatKind::Fpr,
-            "fnr" => StatKind::Fnr,
-            "tpr" => StatKind::Tpr,
-            "tnr" => StatKind::Tnr,
-            "error" => StatKind::Error,
-            "accuracy" => StatKind::Accuracy,
-            "positive_rate" => StatKind::PositiveRate,
-            "target" => StatKind::Target,
-            _ => return None,
-        })
-    }
-
-    fn code(self) -> u8 {
-        match self {
-            StatKind::Fpr => 0,
-            StatKind::Fnr => 1,
-            StatKind::Tpr => 2,
-            StatKind::Tnr => 3,
-            StatKind::Error => 4,
-            StatKind::Accuracy => 5,
-            StatKind::PositiveRate => 6,
-            StatKind::Target => 7,
-        }
-    }
-
-    fn from_code(code: u8) -> Result<Self, CheckpointError> {
-        Ok(match code {
-            0 => StatKind::Fpr,
-            1 => StatKind::Fnr,
-            2 => StatKind::Tpr,
-            3 => StatKind::Tnr,
-            4 => StatKind::Error,
-            5 => StatKind::Accuracy,
-            6 => StatKind::PositiveRate,
-            7 => StatKind::Target,
-            other => {
-                return Err(CheckpointError::Corrupt {
-                    message: format!("unknown stat code {other}"),
-                })
-            }
-        })
-    }
+/// Parses a statistic's wire name.
+fn parse_stat(name: &str) -> Option<Statistic> {
+    Some(match name {
+        "fpr" => Statistic::Fpr,
+        "fnr" => Statistic::Fnr,
+        "tpr" => Statistic::Tpr,
+        "tnr" => Statistic::Tnr,
+        "error" => Statistic::Error,
+        "accuracy" => Statistic::Accuracy,
+        "positive_rate" => Statistic::PositiveRate,
+        "target" => Statistic::Target,
+        _ => return None,
+    })
 }
 
 /// Everything needed to run (or re-run, byte-identically) one mining job.
@@ -115,12 +48,12 @@ pub struct JobSpec {
     /// Owning tenant (admission accounting key and span label).
     pub tenant: String,
     /// Statistic to mine.
-    pub stat: StatKind,
+    pub stat: Statistic,
     /// Ground-truth column for classification statistics.
     pub label_col: String,
     /// Prediction column for classification statistics.
     pub pred_col: String,
-    /// Numeric target column (required iff `stat` is [`StatKind::Target`]).
+    /// Numeric target column (required iff `stat` is [`Statistic::Target`]).
     pub target_col: Option<String>,
     /// CSV field separator.
     pub separator: u8,
@@ -187,7 +120,10 @@ impl JobSpec {
             });
         }
         let tenant = r.str()?;
-        let stat = StatKind::from_code(r.u8()?)?;
+        let code = r.u8()?;
+        let stat = Statistic::from_code(code).ok_or_else(|| CheckpointError::Corrupt {
+            message: format!("unknown stat code {code}"),
+        })?;
         let label_col = r.str()?;
         let pred_col = r.str()?;
         let target_col = if r.bool()? { Some(r.str()?) } else { None };
@@ -316,10 +252,9 @@ pub fn parse_submission(map: &BTreeMap<String, Json>) -> Result<(JobSpec, String
         return Err("`csv` must not be empty".into());
     }
     let stat_name = str_field(map, "stat", Some("fpr"))?.unwrap_or_default();
-    let stat =
-        StatKind::parse(&stat_name).ok_or_else(|| format!("unknown `stat` `{stat_name}`"))?;
+    let stat = parse_stat(&stat_name).ok_or_else(|| format!("unknown `stat` `{stat_name}`"))?;
     let target_col = str_field(map, "target_col", None)?;
-    if stat == StatKind::Target && target_col.is_none() {
+    if stat == Statistic::Target && target_col.is_none() {
         return Err("`stat: target` requires `target_col`".into());
     }
     let separator_str = str_field(map, "separator", Some(","))?.unwrap_or_default();
@@ -332,8 +267,8 @@ pub fn parse_submission(map: &BTreeMap<String, Json>) -> Result<(JobSpec, String
         return Err("`support` must be in (0, 1]".into());
     }
     let tree_support = num_field(map, "tree_support")?.unwrap_or(0.1);
-    if !(0.0..=1.0).contains(&tree_support) || tree_support <= 0.0 {
-        return Err("`tree_support` must be in (0, 1]".into());
+    if !(tree_support > 0.0 && tree_support < 1.0) {
+        return Err("`tree_support` must be in (0, 1)".into());
     }
     let spec = JobSpec {
         tenant,
@@ -346,7 +281,10 @@ pub fn parse_submission(map: &BTreeMap<String, Json>) -> Result<(JobSpec, String
         tree_support,
         entropy: bool_field(map, "entropy", false)?,
         base_mode: bool_field(map, "base_mode", false)?,
-        max_len: uint_field(map, "max_len", u32::MAX as u64)?.map(|v| v as u32),
+        max_len: match uint_field(map, "max_len", u32::MAX as u64)? {
+            Some(0) => return Err("`max_len` must be at least 1".into()),
+            other => other.map(|v| v as u32),
+        },
         deadline_ms: uint_field(map, "deadline_ms", u64::MAX / 2)?,
         max_itemsets: uint_field(map, "max_itemsets", u64::MAX / 2)?,
         checkpoint_every: uint_field(map, "checkpoint_every", 1_000_000)?
@@ -427,7 +365,7 @@ mod tests {
     fn submission_defaults_mirror_the_cli() {
         let (spec, csv) = parse_submission(&submission("")).expect("valid");
         assert_eq!(spec.tenant, "default");
-        assert_eq!(spec.stat, StatKind::Fpr);
+        assert_eq!(spec.stat, Statistic::Fpr);
         assert_eq!(spec.label_col, "class");
         assert_eq!(spec.pred_col, "pred");
         assert_eq!(spec.separator, b',');
@@ -447,6 +385,8 @@ mod tests {
             (r#""separator":"ab""#, "`separator`"),
             (r#""stat":"target""#, "requires `target_col`"),
             (r#""max_len":2.5"#, "`max_len`"),
+            (r#""max_len":0"#, "`max_len` must be at least 1"),
+            (r#""tree_support":1.0"#, "`tree_support`"),
             (r#""deadline_ms":-1"#, "`deadline_ms`"),
             (r#""threads":0"#, "`threads`"),
             (r#""threads":1.5"#, "`threads`"),
@@ -474,6 +414,23 @@ mod tests {
         spec.support = 0.125;
         let decoded = JobSpec::decode(&spec.encode()).expect("round trip");
         assert_eq!(decoded, spec);
+        // Every wire name reaches the statistic stored under its code.
+        let names = [
+            "fpr",
+            "fnr",
+            "tpr",
+            "tnr",
+            "error",
+            "accuracy",
+            "positive_rate",
+            "target",
+        ];
+        for (code, name) in (0u8..).zip(names) {
+            let extra = format!(r#""stat":"{name}","target_col":"a""#);
+            let (spec, _) = parse_submission(&submission(&extra)).expect(name);
+            assert_eq!(spec.stat.code(), code, "{name}");
+            assert_eq!(JobSpec::decode(&spec.encode()).expect(name), spec);
+        }
     }
 
     #[test]

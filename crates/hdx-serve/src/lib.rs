@@ -88,7 +88,7 @@ pub const DATA_FILE: &str = "data.csv";
 pub const WAL_DIR: &str = "wal";
 
 pub use events::JobEvent;
-pub use job::{DoneRecord, JobSpec, StatKind};
+pub use job::{DoneRecord, JobSpec};
 pub use journal::EVENTS_FILE;
 pub use live::{EventsSource, LivePlane};
 pub use queue::{AdmissionQueue, Shed};

@@ -10,18 +10,18 @@
 //! so the next start resumes them to their byte-identical result.
 
 use std::path::Path;
+use std::time::Duration;
 
 use hdx_checkpoint::{write_sealed, CheckpointStore, COMPLETE_FILE};
 use hdx_core::{
-    real_outcomes, report_to_json, ExplorationMode, HDivExplorer, HDivExplorerConfig, OutcomeFn,
-    RunBudget,
+    job_budget, mining_input, report_to_json, ExplorationMode, HDivExplorer, HDivExplorerConfig,
+    InputError,
 };
-use hdx_data::{read_csv_str, AttributeKind, CsvOptions, DataFrame};
+use hdx_data::{read_csv_str, CsvOptions};
 use hdx_discretize::GainCriterion;
 use hdx_governor::{fail_point, CancelReason, CancelToken, Termination};
-use hdx_stats::Outcome;
 
-use crate::job::{DoneRecord, JobSpec, StatKind};
+use crate::job::{DoneRecord, JobSpec};
 
 /// How one execution attempt ended.
 #[derive(Debug)]
@@ -40,64 +40,6 @@ pub enum JobRunOutcome {
 
 /// A `serve::job` / `serve::ingest::fold` fail-point error (tests only).
 struct Injected(String);
-
-/// Loads the job's dataset and computes the mining frame + outcomes.
-fn load(spec: &JobSpec, csv: &str) -> Result<(DataFrame, Vec<Outcome>), String> {
-    let options = CsvOptions {
-        separator: spec.separator as char,
-        ..CsvOptions::default()
-    };
-    let df = read_csv_str(csv, &options).map_err(|e| format!("cannot read dataset: {e}"))?;
-    let (outcomes, drop): (Vec<Outcome>, Vec<String>) = match spec.stat {
-        StatKind::Target => {
-            let name = spec
-                .target_col
-                .clone()
-                .ok_or("`stat: target` requires `target_col`")?;
-            let attr = df.schema().require(&name).map_err(|e| e.to_string())?;
-            if df.schema().kind(attr) != AttributeKind::Continuous {
-                return Err(format!("target column `{name}` is not numeric"));
-            }
-            (real_outcomes(df.continuous(attr).values()), vec![name])
-        }
-        stat => {
-            let labels = |name: &str| df.bool_column(name).map_err(|e| e.to_string());
-            let y_true = labels(&spec.label_col)?;
-            let y_pred = labels(&spec.pred_col)?;
-            let f = match stat {
-                StatKind::Fpr => OutcomeFn::Fpr,
-                StatKind::Fnr => OutcomeFn::Fnr,
-                StatKind::Tpr => OutcomeFn::Tpr,
-                StatKind::Tnr => OutcomeFn::Tnr,
-                StatKind::Error => OutcomeFn::ErrorRate,
-                StatKind::Accuracy => OutcomeFn::Accuracy,
-                StatKind::PositiveRate => OutcomeFn::PositiveRate,
-                StatKind::Target => return Err("unreachable stat".into()),
-            };
-            (
-                f.compute(&y_true, &y_pred),
-                vec![spec.label_col.clone(), spec.pred_col.clone()],
-            )
-        }
-    };
-    let drop_refs: Vec<&str> = drop.iter().map(String::as_str).collect();
-    let frame = df.drop_columns(&drop_refs).map_err(|e| e.to_string())?;
-    if frame.n_attributes() == 0 {
-        return Err("no attributes left to mine".into());
-    }
-    Ok((frame, outcomes))
-}
-
-fn budget_of(spec: &JobSpec) -> RunBudget {
-    let mut budget = RunBudget::unbounded();
-    if let Some(ms) = spec.deadline_ms {
-        budget = budget.with_deadline(std::time::Duration::from_millis(ms));
-    }
-    if let Some(max) = spec.max_itemsets {
-        budget = budget.with_max_itemsets(max);
-    }
-    budget
-}
 
 /// Runs one attempt of `spec` inside `job_dir`.
 ///
@@ -154,7 +96,22 @@ fn execute_inner(
         }
         hdx_obs::counter_add!(ServeIngestRemines, 1);
     }
-    let (frame, outcomes) = match load(spec, &csv) {
+    let options = CsvOptions {
+        separator: spec.separator as char,
+        ..CsvOptions::default()
+    };
+    let input = read_csv_str(&csv, &options)
+        .map_err(|e| format!("cannot read dataset: {e}"))
+        .and_then(|df| {
+            let target = spec.target_col.as_deref();
+            mining_input(&df, spec.stat, &spec.label_col, &spec.pred_col, target).map_err(|e| {
+                match e {
+                    InputError::NoTargetColumn => "`stat: target` requires `target_col`".into(),
+                    InputError::Invalid(message) => message,
+                }
+            })
+        });
+    let (frame, outcomes) = match input {
         Ok(v) => v,
         Err(msg) => return Ok(JobRunOutcome::Permanent(msg)),
     };
@@ -167,7 +124,10 @@ fn execute_inner(
             GainCriterion::Divergence
         },
         max_len: spec.max_len.map(|v| v as usize),
-        budget: budget_of(spec),
+        budget: job_budget(
+            spec.deadline_ms.map(Duration::from_millis),
+            spec.max_itemsets,
+        ),
         ..HDivExplorerConfig::default()
     })
     .with_cancel_token(cancel);

@@ -1,12 +1,17 @@
 //! Facade-level checkpoint/resume integration: interrupt a mining run with a
 //! budget trip, resume it from the persisted state, and require the final
-//! report to be identical to an uninterrupted run — whatever thread count
-//! the resume asks for — plus corruption fallback on the way.
+//! report to be byte-identical to an uninterrupted run — in both
+//! exploration modes, whatever thread count the resume asks for — plus
+//! corruption fallback on the way.
+
+use std::time::Duration;
 
 use h_divexplorer::checkpoint::CheckpointStore;
-use h_divexplorer::core::{ExplorationMode, HDivExplorer, HDivExplorerConfig};
+use h_divexplorer::core::{
+    report_to_json, ExplorationMode, HDivExplorer, HDivExplorerConfig, HDivResult,
+};
 use h_divexplorer::data::{DataFrame, DataFrameBuilder, Value};
-use h_divexplorer::governor::RunBudget;
+use h_divexplorer::governor::{RunBudget, Termination};
 use h_divexplorer::stats::Outcome;
 
 /// Deterministic fixture: errors cluster at x > 55 & g = b.
@@ -39,58 +44,52 @@ fn config(budget: RunBudget) -> HDivExplorerConfig {
     }
 }
 
-/// Asserts two reports describe the same subgroups with the same statistics.
-fn assert_same_report(
-    a: &h_divexplorer::core::DivergenceReport,
-    b: &h_divexplorer::core::DivergenceReport,
-) {
-    assert_eq!(a.records.len(), b.records.len());
-    for (ra, rb) in a.records.iter().zip(&b.records) {
-        assert_eq!(ra.label, rb.label);
-        assert!((ra.support - rb.support).abs() < 1e-12, "{}", ra.label);
-        match (ra.divergence, rb.divergence) {
-            (Some(da), Some(db)) => {
-                assert!((da - db).abs() < 1e-12, "{}: {da} vs {db}", ra.label);
-            }
-            (da, db) => assert_eq!(da, db, "{}", ra.label),
-        }
-    }
+/// The report as JSON, with the wall-clock time (the one field that differs
+/// between runs) pinned to zero, as the service pins it.
+fn json_bytes(result: &HDivResult) -> String {
+    let mut report = result.report.clone();
+    report.elapsed = Duration::ZERO;
+    report_to_json(&report, &result.catalog)
 }
 
 /// Budget-trips a checkpointed run two itemsets short of completion, then
-/// resumes it unbounded with `resume_threads` worker threads: the resumed
-/// report must equal the uninterrupted one.
-fn interrupted_resume_roundtrip(resume_threads: usize, tag: &str) {
+/// resumes it unbounded with `resume_threads` worker threads. The tripped
+/// run must equal a plain fit under the same cap, and the resumed run an
+/// uninterrupted plain fit, byte for byte.
+fn interrupted_resume_roundtrip(mode: ExplorationMode, resume_threads: usize, tag: &str) {
     let (df, outcomes) = setup();
-    let plain = HDivExplorer::new(config(RunBudget::unbounded())).fit_mode(
-        &df,
-        &outcomes,
-        ExplorationMode::Generalized,
-    );
+    let plain = HDivExplorer::new(config(RunBudget::unbounded())).fit_mode(&df, &outcomes, mode);
     assert!(!plain.is_partial());
     let total = plain.report.records.len() as u64;
     assert!(total > 4, "fixture must mine enough itemsets to interrupt");
 
-    let dir = tmp_dir(tag);
+    let cap = RunBudget::unbounded().with_max_itemsets(total - 2);
+    let capped_plain = HDivExplorer::new(config(cap)).fit_mode(&df, &outcomes, mode);
+    let dir = tmp_dir(&format!("{tag}-{mode:?}"));
     let store = CheckpointStore::create(&dir).unwrap();
-    let capped = HDivExplorer::new(config(RunBudget::unbounded().with_max_itemsets(total - 2)))
-        .fit_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
+    let capped = HDivExplorer::new(config(cap))
+        .fit_checkpointed(&df, &outcomes, mode, store, 1)
         .unwrap();
-    assert!(capped.result.is_partial(), "cap must trip mid-mining");
+    assert_eq!(
+        capped.result.termination(),
+        Termination::BudgetExhausted,
+        "cap must trip mid-mining"
+    );
     assert!(capped.checkpoint_writes > 0, "boundaries must persist");
     assert!(capped.checkpoint_error.is_none());
+    assert_eq!(json_bytes(&capped.result), json_bytes(&capped_plain));
 
     let store = CheckpointStore::open(&dir).unwrap();
     let resumed = HDivExplorer::new(HDivExplorerConfig {
         threads: resume_threads,
         ..config(RunBudget::unbounded())
     })
-    .resume_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
+    .resume_checkpointed(&df, &outcomes, mode, store, 1)
     .unwrap();
     assert!(!resumed.result.is_partial());
     assert!(resumed.resumed_seq.is_some());
     assert_eq!(resumed.rejected_checkpoints, 0);
-    assert_same_report(&plain.report, &resumed.result.report);
+    assert_eq!(json_bytes(&resumed.result), json_bytes(&plain));
     // The resume continued the interrupted traversal instead of mining
     // again from scratch: every itemset was charged exactly once.
     assert_eq!(
@@ -99,16 +98,22 @@ fn interrupted_resume_roundtrip(resume_threads: usize, tag: &str) {
     );
 }
 
+const MODES: [ExplorationMode; 2] = [ExplorationMode::Base, ExplorationMode::Generalized];
+
 #[test]
 fn vertical_interrupt_and_resume_match_uninterrupted() {
-    interrupted_resume_roundtrip(1, "vertical");
+    for mode in MODES {
+        interrupted_resume_roundtrip(mode, 1, "vertical");
+    }
 }
 
 /// Checkpointed mining is serial whatever the thread count, so a resume
 /// that asks for four workers continues the interrupted traversal exactly.
 #[test]
 fn resume_with_threads_matches_uninterrupted() {
-    interrupted_resume_roundtrip(4, "threads");
+    for mode in MODES {
+        interrupted_resume_roundtrip(mode, 4, "threads");
+    }
 }
 
 /// Flipping one byte in the newest checkpoint must not break resume: the
@@ -150,7 +155,7 @@ fn corrupt_newest_checkpoint_falls_back_to_older_one() {
         "the flipped byte was detected"
     );
     assert!(!resumed.result.is_partial());
-    assert_same_report(&plain.report, &resumed.result.report);
+    assert_eq!(json_bytes(&resumed.result), json_bytes(&plain));
 }
 
 /// Resuming against a dataset whose cells changed is refused outright — the
