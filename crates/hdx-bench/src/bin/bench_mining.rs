@@ -3,10 +3,9 @@
 //! oracle miners end to end (synthetic-peak and compas; the paper's miner
 //! ablation), and the multi-threaded search's rows × threads scaling curve,
 //! then writes machine-readable results to `BENCH_mining.json`
-//! (`hdx-bench/mining/v5`), with the scheduler steal/park counters
-//! summarised as derived utilization rates under `"sched"` and the run's
-//! hdx-obs telemetry — per-stage spans, pruning counters, the
-//! `hdx.bench.iter.latency_ns` histogram — embedded under `"telemetry"`.
+//! (`hdx-bench/mining/v6`), with the run's hdx-obs telemetry — per-stage
+//! spans, pruning counters, the `hdx.bench.iter.latency_ns` histogram —
+//! embedded under `"telemetry"`.
 //!
 //! Unlike the criterion benches this binary needs no bench runner, finishes
 //! in seconds, and has a CI mode:
@@ -35,7 +34,9 @@
 //! end-to-end row and the serial `threads: 0` scaling row (one thread is
 //! the serial search), and writes `"skipped": "threads > host_cpus"` in
 //! place of the timing of a scaling cell with more threads than the host
-//! has CPUs, since such a cell measures time-slicing, not scaling.
+//! has CPUs, since such a cell measures time-slicing, not scaling. v6 drops
+//! the `"sched"` section with the work-stealing scheduler it described:
+//! the workers share one root cursor, which has nothing to count.
 
 use hdx_bench::experiments::{outcomes_for, pipeline_for};
 use hdx_bench::{apriori, fpgrowth, splitmix64};
@@ -331,7 +332,7 @@ fn render_json(
 ) -> String {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"hdx-bench/mining/v5\",");
+    let _ = writeln!(json, "  \"schema\": \"hdx-bench/mining/v6\",");
     let _ = writeln!(json, "  \"mode\": \"{mode}\",");
     let _ = writeln!(json, "  \"kernel_path\": \"{}\",", active_kernel().as_str());
     let _ = writeln!(json, "  \"host_cpus\": {},", host_cpus());
@@ -377,16 +378,6 @@ fn render_json(
         );
     }
     let _ = writeln!(json, "  ],");
-    // The work-stealing scheduler's health at a glance: raw steal/park
-    // counts plus utilization rates normalized per thousand emitted
-    // itemsets, so runs of different sizes compare directly.
-    let sched = telemetry.sched_rates();
-    let _ = writeln!(
-        json,
-        "  \"sched\": {{\"steals\": {}, \"parks\": {}, \
-         \"steals_per_1k_itemsets\": {:.3}, \"parks_per_1k_itemsets\": {:.3}}},",
-        sched.steals, sched.parks, sched.steals_per_1k_itemsets, sched.parks_per_1k_itemsets,
-    );
     // Embed the run telemetry verbatim (re-indented) so one artifact carries
     // both the headline numbers and the per-stage breakdown behind them.
     let nested = telemetry.to_json();

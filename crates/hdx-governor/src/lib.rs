@@ -394,11 +394,11 @@ impl CancelToken {
 /// A point-in-time view of one governor's budget consumption: what is
 /// spent, what wall clock remains, and whether anything has tripped yet.
 ///
-/// Sampled by the miners at every lattice level (under the `obs` feature,
-/// via [`Governor::record_obs_snapshot`]) so run telemetry shows budget
-/// consumption over time; all spend fields are monotonically non-decreasing
-/// across consecutive snapshots of the same governor, and
-/// `deadline_remaining` is non-increasing.
+/// Sampled by the miner once as each mining call returns (under the `obs`
+/// feature, via [`Governor::record_obs_snapshot`]) so run telemetry shows
+/// where budget consumption stood at the end of each search; all spend
+/// fields are monotonically non-decreasing across consecutive snapshots of
+/// the same governor, and `deadline_remaining` is non-increasing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GovernorSnapshot {
     /// Time since the governor was created.
@@ -762,10 +762,11 @@ impl Governor {
     }
 
     /// Records the current [`GovernorSnapshot`] into the hdx-obs recorder
-    /// (see [`Self::obs_sample`]). The miners call it once per lattice level
-    /// so telemetry shows budget consumption over time; samples also flow
+    /// (see [`Self::obs_sample`]). The miner calls it once, with level 0,
+    /// as each mining call returns — one sample per adaptive-support rung
+    /// or polarity half, none while a search runs; samples also flow
     /// through the live tap (`hdx_obs::SnapshotObserver`) when one is
-    /// installed, which is how hdx-serve streams per-level progress.
+    /// installed, which is how they reach hdx-serve's event stream.
     #[cfg(feature = "obs")]
     pub fn record_obs_snapshot(&self, level: u64) {
         hdx_obs::record_snapshot(self.obs_sample(level));

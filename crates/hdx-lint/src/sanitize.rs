@@ -6,16 +6,19 @@
 //!
 //! * **loom** — the `hdx-loom` exhaustive-interleaving models for
 //!   `CancelToken`, governor counter merging and the `hdx-obs` buffer
-//!   hand-off, compiled with `--cfg hdx_loom`. Needs only stable Rust, so
+//!   hand-off, compiled with `--cfg hdx_loom`, then the checker's own
+//!   self-checks (`cargo test -p hdx-loom`). Needs only stable Rust, so
 //!   it always runs.
 //! * **miri** — the kernel property tests under Miri's UB checker. Needs
 //!   the nightly `miri` component; skipped (with a note) when absent.
 //! * **tsan** — governor/obs concurrency tests under ThreadSanitizer.
 //!   Needs nightly + `rust-src` (for `-Zbuild-std`); skipped when absent.
 //!
-//! Skips are ordinary on dev machines without the nightly components; CI
-//! installs them and passes `--strict`, which turns any skip into a
-//! failure so the dynamic tiers can never silently stop running.
+//! Skips are ordinary on dev machines without the nightly components;
+//! `--strict` turns any skip into a failure, so a run that must cover
+//! every tier cannot pass with one missing. CI does not call this harness:
+//! its `loom`, `miri-smoke` and `tsan-smoke` jobs run the same commands,
+//! one job per tool, on a pinned nightly.
 
 use std::path::Path;
 use std::process::Command;
@@ -63,6 +66,13 @@ pub fn run(root: &Path, strict: bool) -> i32 {
             outcome: if ok { Outcome::Pass } else { Outcome::Fail },
         });
     }
+    // The checker's self-checks build without the cfg, like any other test.
+    eprintln!("sanitize: running loom (hdx-loom self-checks) ...");
+    let ok = run_cargo(root, &["test", "-p", "hdx-loom", "--quiet"], &[]);
+    steps.push(Step {
+        name: "loom (hdx-loom self-checks)",
+        outcome: if ok { Outcome::Pass } else { Outcome::Fail },
+    });
 
     // -- miri: kernel property tests under the UB checker. ----------------
     if probe(root, "cargo", &["+nightly", "miri", "--version"]) {
@@ -93,7 +103,7 @@ pub fn run(root: &Path, strict: bool) -> i32 {
                 "--quiet",
             ],
             &[
-                ("PROPTEST_CASES", "4"),
+                ("PROPTEST_CASES", "8"),
                 ("MIRIFLAGS", "-Zmiri-strict-provenance"),
             ],
         );
@@ -132,6 +142,7 @@ pub fn run(root: &Path, strict: bool) -> i32 {
                 &[
                     ("RUSTFLAGS", "-Zsanitizer=thread"),
                     ("CARGO_TARGET_DIR", "target/sanitize-tsan"),
+                    ("PROPTEST_CASES", "8"),
                 ],
             ) && run_cargo(
                 root,

@@ -57,24 +57,6 @@
 /// threshold, anti-monotonicity).
 pub mod invariants;
 
-/// Work-stealing scheduler behind multi-threaded mining: injector cursor +
-/// Chase–Lev-style per-worker deques over DFS subtree roots.
-pub mod sched;
-
-/// The atomics behind the work-stealing scheduler, swapped for the
-/// `hdx-loom` modeled twins under `--cfg hdx_loom` so the models in
-/// `tests/loom_models.rs` drive the *real* push/pop/steal code through
-/// every interleaving (see DESIGN.md §13 and `cargo xtask sanitize`).
-#[cfg(not(hdx_loom))]
-pub(crate) mod sync {
-    pub(crate) use std::sync::atomic;
-}
-/// `hdx-loom` twin of the `sync` facade (active under `--cfg hdx_loom`).
-#[cfg(hdx_loom)]
-pub(crate) mod sync {
-    pub(crate) use hdx_loom::sync::atomic;
-}
-
 mod attrs;
 mod checkpoint;
 mod result;
@@ -101,12 +83,14 @@ pub struct MiningConfig {
     /// Optional cap on itemset length (`None` = unbounded).
     pub max_len: Option<usize>,
     /// Worker threads for the search (default 1; `0` is treated as 1).
-    /// With more than one, the first-level subtrees are spread over a
-    /// work-stealing pool: the same itemsets, in a different order. A
-    /// budget-truncated run still returns an exact subset, but which subset
-    /// can differ from run to run. Clamped to the number of subtree roots
-    /// (see [`MiningConfig::n_workers`]); checkpointed runs
-    /// ([`mine_governed_ckpt`]) always search serially.
+    /// With more than one, that many workers claim the first-level
+    /// subtrees from one shared cursor, lowest root first: the same
+    /// itemsets, in a different order. A budget-truncated run still returns
+    /// an exact subset, but which subset can differ from run to run.
+    /// Clamped to the number of subtree roots (see
+    /// [`MiningConfig::n_workers`]); a one-worker mine starts no thread, and
+    /// checkpointed runs ([`mine_governed_ckpt`]) always search serially on
+    /// the calling thread.
     pub threads: usize,
 }
 

@@ -1,7 +1,7 @@
 //! Mining results: frequent itemsets with their accumulated statistics.
 
 use hdx_governor::{Governor, RunCounters, Termination};
-use hdx_items::{ItemCatalog, Itemset};
+use hdx_items::Itemset;
 use hdx_stats::StatAccum;
 
 /// One frequent itemset together with the statistics accumulated over its
@@ -107,30 +107,16 @@ impl MiningResult {
         self.itemsets.iter().find(|fi| &fi.itemset == itemset)
     }
 
-    /// The frequent itemset with the highest divergence (ties → first),
-    /// optionally restricted by a predicate.
-    pub fn max_divergence_by(
-        &self,
-        mut keep: impl FnMut(&FrequentItemset) -> bool,
-    ) -> Option<(&FrequentItemset, f64)> {
-        let mut best: Option<(&FrequentItemset, f64)> = None;
-        for fi in &self.itemsets {
-            if !keep(fi) {
-                continue;
-            }
-            let Some(d) = self.divergence(fi) else {
-                continue;
-            };
-            if best.is_none_or(|(_, bd)| d > bd) {
-                best = Some((fi, d));
+    /// The maximum divergence over all itemsets (`None` when none has a
+    /// defined divergence).
+    pub fn max_divergence(&self) -> Option<f64> {
+        let mut best: Option<f64> = None;
+        for d in self.itemsets.iter().filter_map(|fi| self.divergence(fi)) {
+            if best.is_none_or(|b| d > b) {
+                best = Some(d);
             }
         }
         best
-    }
-
-    /// The maximum divergence over all itemsets (`None` when empty).
-    pub fn max_divergence(&self) -> Option<f64> {
-        self.max_divergence_by(|_| true).map(|(_, d)| d)
     }
 
     /// The maximum |divergence| over all itemsets.
@@ -143,71 +129,12 @@ impl MiningResult {
                 Some(acc.map_or(d, |a| a.max(d)))
             })
     }
-
-    /// Itemsets sorted by descending divergence.
-    pub fn ranked_by_divergence(&self) -> Vec<&FrequentItemset> {
-        let mut v: Vec<(&FrequentItemset, f64)> = self
-            .itemsets
-            .iter()
-            .filter_map(|fi| self.divergence(fi).map(|d| (fi, d)))
-            .collect();
-        v.sort_by(|(_, a), (_, b)| b.total_cmp(a));
-        v.into_iter().map(|(fi, _)| fi).collect()
-    }
-
-    /// The *closed* frequent itemsets: those with no frequent superset of
-    /// equal support. Closed itemsets losslessly summarise the support
-    /// structure (every frequent itemset's support is recoverable as the
-    /// maximum over closed supersets).
-    pub fn closed(&self) -> Vec<&FrequentItemset> {
-        self.itemsets
-            .iter()
-            .filter(|fi| {
-                !self.itemsets.iter().any(|other| {
-                    other.itemset.len() == fi.itemset.len() + 1
-                        && other.accum.count() == fi.accum.count()
-                        && other.itemset.is_superset_of(&fi.itemset)
-                })
-            })
-            .collect()
-    }
-
-    /// The *maximal* frequent itemsets: those with no frequent superset at
-    /// all (the border of the frequent lattice).
-    pub fn maximal(&self) -> Vec<&FrequentItemset> {
-        self.itemsets
-            .iter()
-            .filter(|fi| {
-                !self.itemsets.iter().any(|other| {
-                    other.itemset.len() == fi.itemset.len() + 1
-                        && other.itemset.is_superset_of(&fi.itemset)
-                })
-            })
-            .collect()
-    }
-
-    /// Renders the top `k` itemsets by divergence as an aligned text table.
-    pub fn top_k_table(&self, k: usize, catalog: &ItemCatalog) -> String {
-        let mut out = String::from("itemset | sup | f | div | t\n");
-        for fi in self.ranked_by_divergence().into_iter().take(k) {
-            out.push_str(&format!(
-                "{} | {:.3} | {:.3} | {:+.3} | {:.1}\n",
-                fi.itemset.display(catalog),
-                self.support(fi),
-                fi.accum.statistic().unwrap_or(f64::NAN),
-                self.divergence(fi).unwrap_or(f64::NAN),
-                self.t_value(fi),
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdx_data::AttrId;
-    use hdx_items::{Item, ItemId};
+    use hdx_items::ItemId;
     use hdx_stats::Outcome;
 
     fn fi(items: &[u32], outcomes: &[Outcome]) -> FrequentItemset {
@@ -250,21 +177,10 @@ mod tests {
         let r = result();
         assert_eq!(r.max_divergence(), Some(0.75));
         assert_eq!(r.max_abs_divergence(), Some(0.75));
-        // Restrict to length-1 itemsets with negative divergence.
-        let (best, d) = r
-            .max_divergence_by(|fi| fi.itemset.len() == 1 && r.divergence(fi).unwrap_or(0.0) < 0.0)
-            .unwrap();
-        assert_eq!(best.itemset.items(), &[ItemId(1)]);
-        assert_eq!(d, -0.25);
-    }
-
-    #[test]
-    fn ranking_descends() {
-        let r = result();
-        let ranked = r.ranked_by_divergence();
-        assert_eq!(ranked.len(), 3, "undefined-divergence itemset excluded");
-        let divs: Vec<f64> = ranked.iter().map(|fi| r.divergence(fi).unwrap()).collect();
-        assert!(divs.windows(2).all(|w| w[0] >= w[1]));
+        // Undefined divergences are skipped, not treated as the maximum.
+        let undefined_only =
+            MiningResult::complete(vec![fi(&[2], &[Outcome::Undefined])], 4, r.global);
+        assert_eq!(undefined_only.max_divergence(), None);
     }
 
     #[test]
@@ -274,41 +190,5 @@ mod tests {
         assert!(r.find(&target).is_some());
         let missing = Itemset::from_sorted_unchecked(vec![ItemId(9)]);
         assert!(r.find(&missing).is_none());
-    }
-
-    #[test]
-    fn closed_and_maximal_selection() {
-        // Lattice: a(3), b(2), ab(2). ab closed+maximal; b NOT closed
-        // (ab has equal support); a closed but not maximal.
-        let global = StatAccum::from_outcomes(&[Outcome::Bool(false); 3]);
-        let mk = |items: &[u32], n: usize| FrequentItemset {
-            itemset: Itemset::from_sorted_unchecked(items.iter().map(|&i| ItemId(i)).collect()),
-            accum: StatAccum::from_outcomes(&vec![Outcome::Bool(true); n]),
-        };
-        let r = MiningResult::complete(vec![mk(&[0], 3), mk(&[1], 2), mk(&[0, 1], 2)], 3, global);
-        let closed: Vec<Vec<u32>> = r
-            .closed()
-            .iter()
-            .map(|fi| fi.itemset.items().iter().map(|i| i.0).collect())
-            .collect();
-        assert_eq!(closed, vec![vec![0], vec![0, 1]]);
-        let maximal: Vec<Vec<u32>> = r
-            .maximal()
-            .iter()
-            .map(|fi| fi.itemset.items().iter().map(|i| i.0).collect())
-            .collect();
-        assert_eq!(maximal, vec![vec![0, 1]]);
-    }
-
-    #[test]
-    fn table_renders() {
-        let r = result();
-        let mut catalog = ItemCatalog::new();
-        for (code, name) in [(0, "a"), (1, "b"), (2, "c")] {
-            catalog.intern(Item::cat_eq(AttrId(code as u16), code, "attr", name));
-        }
-        let table = r.top_k_table(2, &catalog);
-        assert!(table.contains("attr=a"));
-        assert!(table.lines().count() <= 3);
     }
 }

@@ -27,12 +27,13 @@
 //! when a joint cover is actually materialised — pruned and leaf candidates
 //! are free. With more than one worker thread a panicking worker is caught
 //! and reported as [`MiningError::WorkerPanicked`](crate::MiningError)
-//! while the remaining workers finish their share.
+//! while the remaining workers claim the roots it never reached.
 
 use hdx_checkpoint::{Checkpointer, MiningProgress};
 use hdx_governor::{fail_point, Governor};
 use hdx_items::{Bitset, ItemCatalog, ItemId, Itemset};
 use hdx_stats::{Outcome, OutcomePlanes, StatAccum};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::attrs::AttrSet;
 use crate::checkpoint::{progress_snapshot, restore_itemset};
@@ -106,8 +107,8 @@ fn scratch_pool(n_rows: usize, frequent: &[FreqItem], max_len: Option<usize>) ->
     (0..depth).map(|_| Bitset::new(n_rows)).collect()
 }
 
-/// Read-only search context shared by the serial root loop and the pool
-/// workers.
+/// Read-only search context shared by every [`explore_roots`] call of a
+/// run.
 struct DfsCtx<'a> {
     frequent: &'a [FreqItem<'a>],
     planes: &'a OutcomePlanes,
@@ -240,9 +241,9 @@ fn dfs(
     }
 }
 
-/// Emits the frequent singleton at `idx` and explores its subtree. Shared by
-/// the serial root loop and the pool workers.
-/// Returns `false` once the governor refuses further emissions.
+/// Emits the frequent singleton at `idx` and explores its subtree: one turn
+/// of [`explore_roots`]. Returns `false` once the governor refuses further
+/// emissions.
 fn explore_root(
     ctx: &DfsCtx<'_>,
     idx: usize,
@@ -285,16 +286,17 @@ fn explore_root(
 /// Mines every frequent itemset by depth-first vertical search: the driver
 /// behind [`crate::mine_governed`] and [`crate::mine_governed_ckpt`].
 ///
-/// The subtrees rooted at each frequent single item are independent. With
-/// one worker ([`MiningConfig::n_workers`]) or a checkpointer attached they
-/// are explored in item order, and `ckpt` records a boundary after each
-/// fully explored subtree (cursor = roots completed); `resume` restarts
-/// from such a boundary. The frequent-item order is a deterministic
-/// function of the transactions, so a resumed run continues the exact
-/// traversal the interrupted one was on. Otherwise the subtrees go to a
-/// pool of workers fed by the work-stealing scheduler in [`crate::sched`]:
-/// the same itemsets, in an order that depends on the thread interleaving
-/// — which is why checkpointed runs stay serial.
+/// The subtrees rooted at each frequent single item are independent, and
+/// one shared cursor hands them out lowest root first ([`explore_roots`]).
+/// With one worker ([`MiningConfig::n_workers`]) or a checkpointer attached
+/// the calling thread runs the loop alone: the subtrees are explored in
+/// item order, and `ckpt` records a boundary after each fully explored one
+/// (cursor = roots completed); `resume` restarts from such a boundary. The
+/// frequent-item order is a deterministic function of the transactions, so
+/// a resumed run continues the exact traversal the interrupted one was on.
+/// Otherwise a pool of workers runs the same loop over the same cursor
+/// ([`explore_pool`]): the same itemsets, in an order that depends on the
+/// thread interleaving — which is why checkpointed runs stay serial.
 pub(crate) fn vertical_run(
     transactions: &Transactions,
     catalog: &ItemCatalog,
@@ -321,10 +323,18 @@ pub(crate) fn vertical_run(
         cover_bytes: cover_bytes(n),
     };
 
+    let mut out: Vec<FrequentItemset> = match resume {
+        Some(progress) => progress.emitted.iter().map(restore_itemset).collect(),
+        None => Vec::new(),
+    };
+    let next = AtomicUsize::new(resume.map_or(0, |p| (p.cursor as usize).min(frequent.len())));
     let n_workers = config.n_workers(frequent.len());
-    let (out, errors) = match ckpt {
-        None if n_workers > 1 => explore_pool(&ctx, n_workers),
-        ckpt => (explore_serial(&ctx, ckpt, resume), Vec::new()),
+    let errors = match ckpt {
+        None if n_workers > 1 => explore_pool(&ctx, &next, n_workers, &mut out),
+        ckpt => {
+            explore_roots(&ctx, &next, ckpt, &mut out);
+            Vec::new()
+        }
     };
     let mut result =
         MiningResult::complete(out, n, transactions.global_accum()).governed_by(governor);
@@ -332,101 +342,83 @@ pub(crate) fn vertical_run(
     result
 }
 
-/// The serial root loop: explores the subtrees in item order from
-/// `resume`'s cursor on, recording a checkpoint boundary after each one
-/// that completes.
-fn explore_serial(
+/// The root loop every search runs: claims the lowest unexplored subtree
+/// root from `next` and explores it, until the roots run out or the
+/// governor trips. With `ckpt` attached (a serial run) it records a
+/// boundary after each root that completes.
+fn explore_roots(
     ctx: &DfsCtx<'_>,
+    next: &AtomicUsize,
     mut ckpt: Option<&mut Checkpointer>,
-    resume: Option<&MiningProgress>,
-) -> Vec<FrequentItemset> {
+    out: &mut Vec<FrequentItemset>,
+) {
     let mut scratch = ctx.scratch();
-    let mut out: Vec<FrequentItemset> = match resume {
-        Some(progress) => progress.emitted.iter().map(restore_itemset).collect(),
-        None => Vec::new(),
-    };
-    let start = resume.map_or(0, |p| (p.cursor as usize).min(ctx.frequent.len()));
+    // ALLOC: per-call setup, not per root — the prefix buffer grows at most
+    // once per depth and is reused for every root this call claims.
     let mut prefix_items: Vec<ItemId> = Vec::new();
     let mut prefix_attrs = AttrSet::new();
-    for idx in start..ctx.frequent.len() {
-        if !ctx.governor.keep_going()
+    loop {
+        // ORDERING: the cursor only has to hand each index out once, which
+        // the read-modify-write guarantees in any ordering; the roots it
+        // indexes are read-only and were built before the loop started.
+        let idx = next.fetch_add(1, Ordering::Relaxed);
+        // `explore_root` returns true even when the DFS below it unwound on
+        // a trip, so a tripped governor means this subtree may be partial —
+        // only a clean completion is a boundary.
+        if idx >= ctx.frequent.len()
+            || !ctx.governor.keep_going()
             || !explore_root(
                 ctx,
                 idx,
                 &mut prefix_items,
                 &mut prefix_attrs,
                 &mut scratch,
-                &mut out,
+                out,
             )
+            || ctx.governor.is_tripped()
         {
-            break;
-        }
-        // `explore_root` returns true even when the DFS below it unwound on
-        // a trip, so a tripped governor means this subtree may be partial —
-        // only a clean completion is a boundary.
-        if ctx.governor.is_tripped() {
             break;
         }
         if let Some(ck) = ckpt.as_deref_mut() {
             ck.at_boundary(progress_snapshot(
                 (idx + 1) as u64,
                 ctx.n_rows,
-                &out,
+                out,
                 ctx.governor,
             ));
         }
     }
-    out
 }
 
-/// The worker pool: `n_workers` scoped threads claim subtree roots from a
-/// [`RootScheduler`](crate::sched::RootScheduler). All workers share the
-/// governor, so a tripped budget stops every subtree cooperatively. A
-/// worker that panics is caught and reported as
-/// [`MiningError::WorkerPanicked`]; the other workers finish and their
-/// itemsets are kept.
-fn explore_pool(ctx: &DfsCtx<'_>, n_workers: usize) -> (Vec<FrequentItemset>, Vec<MiningError>) {
-    let sched = crate::sched::RootScheduler::new(n_workers, ctx.frequent.len());
-
-    let mut out: Vec<FrequentItemset> = Vec::new();
+/// The worker pool: `n_workers` scoped threads run [`explore_roots`] over
+/// the shared cursor `next`, and their itemsets are appended to `out` in
+/// worker order. All workers share the governor, so a tripped budget stops
+/// every subtree cooperatively. A worker that panics is caught and
+/// reported as [`MiningError::WorkerPanicked`]; the other workers finish
+/// the remaining roots and their itemsets are kept.
+fn explore_pool(
+    ctx: &DfsCtx<'_>,
+    next: &AtomicUsize,
+    n_workers: usize,
+    out: &mut Vec<FrequentItemset>,
+) -> Vec<MiningError> {
     let mut errors: Vec<MiningError> = Vec::new();
     std::thread::scope(|scope| {
-        let sched = &sched;
         let handles: Vec<_> = (0..n_workers)
             .map(|worker| {
+                // Only the `obs` span below reads the worker index.
+                #[cfg(not(feature = "obs"))]
+                let _ = worker;
                 scope.spawn(move || {
                     // Catch panics inside the worker so one crashing subtree
                     // degrades the run instead of killing it. The closure
                     // only reads shared state and writes a thread-local vec,
-                    // so unwinding cannot leave broken invariants behind
-                    // (roots left in the panicking worker's deque are
-                    // stolen by the survivors' exit sweeps).
+                    // so unwinding cannot leave broken invariants behind.
                     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         fail_point!("mining::vertical-worker");
                         hdx_obs::span!("worker", int worker);
                         let mut local: Vec<FrequentItemset> = Vec::new();
-                        let mut prefix: Vec<ItemId> = Vec::new();
-                        let mut prefix_attrs = AttrSet::new();
-                        let mut scratch = ctx.scratch();
-                        // Work-stealing assignment of first-level subtrees:
-                        // subtree sizes are heavily skewed (early items have
-                        // the largest extension sets), so idle workers steal
-                        // queued roots instead of waiting out a static
-                        // stride.
-                        while let Some(idx) = sched.next_root(worker) {
-                            if !ctx.governor.keep_going()
-                                || !explore_root(
-                                    ctx,
-                                    idx,
-                                    &mut prefix,
-                                    &mut prefix_attrs,
-                                    &mut scratch,
-                                    &mut local,
-                                )
-                            {
-                                break;
-                            }
-                        }
+                        explore_roots(ctx, next, None, &mut local);
                         local
                     }));
                     // Make this worker's recordings visible to the spawning
@@ -449,7 +441,7 @@ fn explore_pool(ctx: &DfsCtx<'_>, n_workers: usize) -> (Vec<FrequentItemset>, Ve
             }
         }
     });
-    (out, errors)
+    errors
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -466,7 +458,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{mine, mine_governed};
+    use crate::{mine, mine_governed, mine_governed_ckpt};
+    use hdx_checkpoint::CheckpointStore;
     use hdx_data::AttrId;
     use hdx_governor::{CancelReason, RunBudget, Termination};
     use hdx_items::Item;
@@ -734,6 +727,97 @@ mod tests {
         for fi in &partial.itemsets {
             assert!(full.find(&fi.itemset).is_some());
         }
+    }
+
+    /// `n` single-level attributes whose one item is in every row, so each
+    /// item is a frequent root and, at `max_len` 1, its own only itemset.
+    fn singleton_roots(n: u16) -> (ItemCatalog, Vec<ItemId>, Transactions) {
+        let mut catalog = ItemCatalog::new();
+        let ids: Vec<ItemId> = (0..n)
+            .map(|a| catalog.intern(Item::cat_eq(AttrId(a), 0, &format!("a{a}"), "x")))
+            .collect();
+        let t = Transactions::from_rows(vec![ids.clone(); 4], vec![Outcome::Bool(true); 4]);
+        (catalog, ids, t)
+    }
+
+    #[test]
+    fn pool_explores_every_root_exactly_once() {
+        let (catalog, ids, t) = singleton_roots(200);
+        for threads in [1, 2, 4] {
+            let config = MiningConfig {
+                min_support: 0.5,
+                max_len: Some(1),
+                threads,
+            };
+            let r = mine(&t, &catalog, &config);
+            let mut roots: Vec<ItemId> =
+                r.itemsets.iter().map(|fi| fi.itemset.items()[0]).collect();
+            roots.sort_unstable();
+            assert_eq!(roots, ids, "threads={threads}: each root exactly once");
+        }
+    }
+
+    #[test]
+    fn root_loop_claims_the_lowest_root_first() {
+        let (catalog, ids, t) = singleton_roots(20);
+        let config = MiningConfig {
+            min_support: 0.5,
+            max_len: Some(1),
+            threads: 1,
+        };
+        let governor = Governor::new(RunBudget::unbounded().with_max_itemsets(7));
+        let r = mine_governed(&t, &catalog, &config, &governor);
+        assert_eq!(r.termination, Termination::BudgetExhausted);
+        let roots: Vec<ItemId> = r.itemsets.iter().map(|fi| fi.itemset.items()[0]).collect();
+        assert_eq!(roots, ids[..7], "the first seven roots, in order");
+    }
+
+    #[test]
+    fn a_trip_inside_a_subtree_records_no_boundary_for_it() {
+        let (catalog, ids) = catalog();
+        let rows = vec![
+            vec![ids[0], ids[2]],
+            vec![ids[0], ids[2]],
+            vec![ids[0], ids[3]],
+            vec![ids[1], ids[2]],
+        ];
+        let t = Transactions::from_rows(rows, vec![Outcome::Bool(true); 4]);
+        let config = MiningConfig {
+            min_support: 0.25,
+            ..MiningConfig::default()
+        };
+        let dir = std::env::temp_dir().join(format!("hdx-mining-trip-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::create(&dir).expect("checkpoint store");
+        // {a0} and {a0,b0} fit the budget; {a0,b1}, still inside a0's
+        // subtree, trips it.
+        let governor = Governor::new(RunBudget::unbounded().with_max_itemsets(2));
+        let mut ckpt = Checkpointer::new(store.clone(), 1, 0, 0, Vec::new());
+        let partial = mine_governed_ckpt(&t, &catalog, &config, &governor, &mut ckpt, None);
+        assert_eq!(partial.termination, Termination::BudgetExhausted);
+        let progress = store.load_latest().expect("a checkpoint").state.progress;
+        assert_eq!(progress.cursor, 0, "the tripped root is not a boundary");
+
+        let mut ckpt = Checkpointer::new(store, 1, 0, 0, Vec::new());
+        let resumed = mine_governed_ckpt(
+            &t,
+            &catalog,
+            &config,
+            &Governor::unbounded(),
+            &mut ckpt,
+            Some(&progress),
+        );
+        let items = |r: &MiningResult| {
+            let mut v: Vec<(Vec<ItemId>, u64)> = r
+                .itemsets
+                .iter()
+                .map(|fi| (fi.itemset.items().to_vec(), fi.accum.count()))
+                .collect();
+            v.sort();
+            v
+        };
+        assert_eq!(items(&resumed), items(&mine(&t, &catalog, &config)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

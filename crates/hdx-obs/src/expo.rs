@@ -13,7 +13,7 @@
 //!
 //! Metric names translate from the registry's dotted convention by
 //! replacing every non-alphanumeric byte with `_`:
-//! `hdx.mining.sched.steals` → `hdx_mining_sched_steals_total`.
+//! `hdx.mining.itemsets.emitted` → `hdx_mining_itemsets_emitted_total`.
 
 use crate::metrics::{CounterId, GaugeId, HistId, HistStat};
 use crate::telemetry::RunTelemetry;

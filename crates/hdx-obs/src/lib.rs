@@ -58,15 +58,15 @@ pub mod telemetry;
 pub mod expo;
 
 pub use metrics::{CounterId, GaugeId, HistId, HistStat, HIST_BUCKETS};
-pub use telemetry::{RunTelemetry, SchedRates, SnapshotSample, SpanStat, TELEMETRY_SCHEMA};
+pub use telemetry::{RunTelemetry, SnapshotSample, SpanStat, TELEMETRY_SCHEMA};
 
 /// A live tap over governor budget samples, called synchronously from
 /// [`record_snapshot`] on the recording thread *before* the sample lands in
 /// the thread-local sink. Installed process-globally (at most once) via
-/// [`set_snapshot_observer`]; hdx-serve uses it to stream per-level
-/// progress to `GET /jobs/<id>/events` while a mine is still running.
-/// Implementations must be cheap and non-blocking — they run inside the
-/// miner's level loop.
+/// [`set_snapshot_observer`]; hdx-serve uses it to put each governor
+/// sample on `GET /jobs/<id>/events` while the job runs (the miner records
+/// one as each mining call returns). Implementations must be cheap and
+/// non-blocking — they run on the recording thread, inside the run.
 pub trait SnapshotObserver: Send + Sync {
     /// Called for every recorded sample, on the thread that recorded it.
     fn on_snapshot(&self, sample: &SnapshotSample);

@@ -18,12 +18,6 @@ pub enum CounterId {
     MineCandidatesPrunedAttr,
     /// Frequent itemsets emitted into results: `hdx.mining.itemsets.emitted`.
     MineItemsetsEmitted,
-    /// Subtree roots stolen from another worker's deque by the parallel
-    /// miner's work-stealing scheduler: `hdx.mining.sched.steals`.
-    MineSchedSteals,
-    /// Idle parks (yield-and-resweep passes) of parallel-miner workers that
-    /// found no local, injected, or stealable work: `hdx.mining.sched.parks`.
-    MineSchedParks,
     /// Items excluded from a polarity-restricted mine (§V-C): `hdx.core.polarity.pruned_items`.
     PolarityItemsPruned,
     /// Itemsets found by both polarity mines and deduplicated: `hdx.core.polarity.deduped_itemsets`.
@@ -106,13 +100,11 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every registered counter, in telemetry order.
-    pub const ALL: [CounterId; 40] = [
+    pub const ALL: [CounterId; 38] = [
         CounterId::MineCandidatesGenerated,
         CounterId::MineCandidatesPrunedSupport,
         CounterId::MineCandidatesPrunedAttr,
         CounterId::MineItemsetsEmitted,
-        CounterId::MineSchedSteals,
-        CounterId::MineSchedParks,
         CounterId::PolarityItemsPruned,
         CounterId::PolarityItemsetsDeduped,
         CounterId::DiscretizeSplitsAccepted,
@@ -159,8 +151,6 @@ impl CounterId {
             CounterId::MineCandidatesPrunedSupport => "hdx.mining.candidates.pruned_support",
             CounterId::MineCandidatesPrunedAttr => "hdx.mining.candidates.pruned_attr",
             CounterId::MineItemsetsEmitted => "hdx.mining.itemsets.emitted",
-            CounterId::MineSchedSteals => "hdx.mining.sched.steals",
-            CounterId::MineSchedParks => "hdx.mining.sched.parks",
             CounterId::PolarityItemsPruned => "hdx.core.polarity.pruned_items",
             CounterId::PolarityItemsetsDeduped => "hdx.core.polarity.deduped_itemsets",
             CounterId::DiscretizeSplitsAccepted => "hdx.discretize.split.accepted",
@@ -210,12 +200,6 @@ impl CounterId {
                 "Candidates discarded by the one-item-per-attribute rule."
             }
             CounterId::MineItemsetsEmitted => "Frequent itemsets emitted into results.",
-            CounterId::MineSchedSteals => {
-                "Subtree roots stolen from another worker's deque by the parallel miner."
-            }
-            CounterId::MineSchedParks => {
-                "Idle parks of parallel-miner workers that found no work to claim or steal."
-            }
             CounterId::PolarityItemsPruned => "Items excluded from a polarity-restricted mine.",
             CounterId::PolarityItemsetsDeduped => {
                 "Itemsets found by both polarity mines and deduplicated."

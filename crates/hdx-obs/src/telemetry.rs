@@ -43,23 +43,6 @@ pub struct SnapshotSample {
     pub tree_nodes: u64,
 }
 
-/// Scheduler-utilization rates derived from the work-stealing counters
-/// (`hdx.mining.sched.*`), normalized per thousand emitted itemsets so runs
-/// of different sizes compare. Computed on demand — never stored in the
-/// artifact — and written into JSON under the additive `derived` key, which
-/// parsers ignore (schema policy), keeping the round-trip identity intact.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SchedRates {
-    /// Raw `hdx.mining.sched.steals` count.
-    pub steals: u64,
-    /// Raw `hdx.mining.sched.parks` count.
-    pub parks: u64,
-    /// Steals per 1000 emitted itemsets (0.0 when nothing was emitted).
-    pub steals_per_1k_itemsets: f64,
-    /// Parks per 1000 emitted itemsets (0.0 when nothing was emitted).
-    pub parks_per_1k_itemsets: f64,
-}
-
 /// Everything one run recorded, ready to serialize. Counters, gauges, and
 /// histograms always carry **every** registered metric (zeros included) so
 /// downstream gates can tell "not recorded" from "dropped from the schema".
@@ -135,26 +118,6 @@ impl RunTelemetry {
             .iter()
             .find(|(n, _)| n == id.name())
             .map(|(_, h)| h)
-    }
-
-    /// The derived scheduler rates ([`SchedRates`]) for this artifact.
-    pub fn sched_rates(&self) -> SchedRates {
-        let steals = self.counter(CounterId::MineSchedSteals);
-        let parks = self.counter(CounterId::MineSchedParks);
-        let emitted = self.counter(CounterId::MineItemsetsEmitted);
-        let per_1k = |n: u64| {
-            if emitted == 0 {
-                0.0
-            } else {
-                n as f64 * 1000.0 / emitted as f64
-            }
-        };
-        SchedRates {
-            steals,
-            parks,
-            steals_per_1k_itemsets: per_1k(steals),
-            parks_per_1k_itemsets: per_1k(parks),
-        }
     }
 
     /// Folds another artifact into this one, the cross-*collection* analogue
@@ -336,13 +299,6 @@ impl RunTelemetry {
         } else {
             "\n  },\n"
         });
-        let rates = self.sched_rates();
-        let _ = writeln!(
-            out,
-            "  \"derived\": {{\"sched\": {{\"steals\": {}, \"parks\": {}, \
-             \"steals_per_1k_itemsets\": {:.3}, \"parks_per_1k_itemsets\": {:.3}}}}},",
-            rates.steals, rates.parks, rates.steals_per_1k_itemsets, rates.parks_per_1k_itemsets
-        );
         out.push_str("  \"snapshots\": [");
         for (i, s) in self.snapshots.iter().enumerate() {
             let comma = if i + 1 < self.snapshots.len() {
@@ -654,25 +610,6 @@ mod tests {
         );
         let empty = RunTelemetry::empty().summary_table();
         assert!(empty.contains("(no spans recorded)"));
-    }
-
-    #[test]
-    fn sched_rates_normalize_per_thousand_itemsets() {
-        let mut t = RunTelemetry::empty();
-        let idx = |id: CounterId| id as usize;
-        t.counters[idx(CounterId::MineSchedSteals)].1 = 6;
-        t.counters[idx(CounterId::MineSchedParks)].1 = 3;
-        t.counters[idx(CounterId::MineItemsetsEmitted)].1 = 2000;
-        let rates = t.sched_rates();
-        assert_eq!(rates.steals, 6);
-        assert!((rates.steals_per_1k_itemsets - 3.0).abs() < 1e-9);
-        assert!((rates.parks_per_1k_itemsets - 1.5).abs() < 1e-9);
-        // Nothing emitted: rates pin to zero rather than dividing by zero.
-        let zero = RunTelemetry::empty().sched_rates();
-        assert!(zero.steals_per_1k_itemsets.abs() < 1e-9);
-        // The derived block is serialized but never parsed back (round-trip
-        // identity over the stored fields is covered above).
-        assert!(t.to_json().contains("\"steals_per_1k_itemsets\": 3.000"));
     }
 
     #[test]

@@ -9,16 +9,30 @@
 //! retired-sink registry lock for the modeled twin, so these tests drive
 //! the *real* `flush_thread` / `collect` code through every interleaving
 //! of the hand-off. The retired registry is process-global, so each model
-//! closure starts with `reset()` (schedules are replayed many times).
-//! Built as an empty test crate without the cfg.
+//! closure starts with `reset()` (schedules are replayed many times), and
+//! each test holds [`MODEL_LOCK`] for its whole body: the test harness runs
+//! tests on parallel threads, where one model's `reset()` would wipe
+//! another's batches mid-schedule. Built as an empty test crate without
+//! the cfg.
 #![cfg(hdx_loom)]
 
 use hdx_obs::{collect, counter_add, flush_thread, reset, CounterId};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const COUNTER: CounterId = CounterId::MineCandidatesGenerated;
 
+/// Serialises the models of this binary (see the module docs).
+static MODEL_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`MODEL_LOCK`]. A poisoned lock only records that an earlier model
+/// failed; the remaining models still run and report.
+fn serial() -> MutexGuard<'static, ()> {
+    MODEL_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn flush_hand_off_neither_loses_nor_duplicates_a_batch() {
+    let _serial = serial();
     hdx_loom::model(|| {
         reset();
         let h = hdx_loom::thread::spawn(|| {
@@ -41,6 +55,7 @@ fn flush_hand_off_neither_loses_nor_duplicates_a_batch() {
 
 #[test]
 fn concurrent_flushes_merge_every_batch() {
+    let _serial = serial();
     hdx_loom::model(|| {
         reset();
         let a = hdx_loom::thread::spawn(|| {
@@ -59,6 +74,7 @@ fn concurrent_flushes_merge_every_batch() {
 
 #[test]
 fn repeated_flushes_do_not_duplicate_drained_data() {
+    let _serial = serial();
     hdx_loom::model(|| {
         reset();
         let h = hdx_loom::thread::spawn(|| {
@@ -74,6 +90,7 @@ fn repeated_flushes_do_not_duplicate_drained_data() {
 
 #[test]
 fn drop_flush_backstop_preserves_unflushed_batches() {
+    let _serial = serial();
     hdx_loom::model(|| {
         reset();
         let h = hdx_loom::thread::spawn(|| {

@@ -37,7 +37,9 @@ pub enum JobEvent {
         /// 1-based execution attempt.
         attempt: u32,
     },
-    /// A per-level governor snapshot (one mining level completed).
+    /// A governor snapshot: where budget consumption stood when it was
+    /// taken (the miner takes one, with level 0, as each mining call
+    /// returns).
     Level {
         /// The sampled budget consumption.
         sample: SnapshotSample,

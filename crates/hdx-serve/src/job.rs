@@ -71,7 +71,8 @@ pub struct JobSpec {
     pub deadline_ms: Option<u64>,
     /// Itemset work cap (`None` = unbounded).
     pub max_itemsets: Option<u64>,
-    /// Checkpoint cadence in mining levels.
+    /// Checkpoint cadence: a checkpoint after every `checkpoint_every`
+    /// completed search roots (first-level subtrees), at least 1.
     pub checkpoint_every: u64,
     /// Parsed and persisted for spec-v2 compatibility, but has no effect:
     /// service jobs always mine checkpointed, and checkpointed mining is
@@ -287,9 +288,10 @@ pub fn parse_submission(map: &BTreeMap<String, Json>) -> Result<(JobSpec, String
         },
         deadline_ms: uint_field(map, "deadline_ms", u64::MAX / 2)?,
         max_itemsets: uint_field(map, "max_itemsets", u64::MAX / 2)?,
-        checkpoint_every: uint_field(map, "checkpoint_every", 1_000_000)?
-            .unwrap_or(1)
-            .max(1),
+        checkpoint_every: match uint_field(map, "checkpoint_every", 1_000_000)? {
+            Some(0) => return Err("`checkpoint_every` must be at least 1".into()),
+            other => other.unwrap_or(1),
+        },
         threads: match uint_field(map, "threads", u32::MAX as u64)? {
             Some(0) => return Err("`threads` must be at least 1".into()),
             other => other.map(|v| v as u32),
@@ -389,6 +391,10 @@ mod tests {
             (r#""tree_support":1.0"#, "`tree_support`"),
             (r#""deadline_ms":-1"#, "`deadline_ms`"),
             (r#""threads":0"#, "`threads`"),
+            (
+                r#""checkpoint_every":0"#,
+                "`checkpoint_every` must be at least 1",
+            ),
             (r#""threads":1.5"#, "`threads`"),
             (r#""bogus_knob":1"#, "unknown field"),
         ];

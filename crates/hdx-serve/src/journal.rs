@@ -9,10 +9,10 @@
 //! exactly where the durable prefix ends, and serving the file verbatim
 //! replays the stream byte-identically.
 //!
-//! Each append rewrites the whole file. Jobs emit tens of events (a handful
-//! of lifecycle transitions plus one line per mining level), so the rewrite
-//! is a few KiB per level — the price of rename-atomicity without a segment
-//! format, mirroring the KEEP=3 checkpoint store's simplicity-over-
+//! Each append rewrites the whole file. Jobs emit a handful of events
+//! (lifecycle transitions plus one snapshot line per mining call), so each
+//! rewrite is a few KiB at most — the price of rename-atomicity without a
+//! segment format, mirroring the KEEP=3 checkpoint store's simplicity-over-
 //! throughput call.
 
 use std::fs;

@@ -7,11 +7,12 @@
 //! * every open job owns a [`JobChannel`] — a durable [`crate::journal`]
 //!   (sequence authority) plus a [`crate::ring`] broadcast ring fanning the
 //!   same lines out to live stream consumers;
-//! * a process-global `hdx_obs::SnapshotObserver` tap routes per-level
-//!   governor samples, via a thread-local "current job" set by
-//!   [`LivePlane::job_scope`] around the runner, into that job's channel —
-//!   which is how mid-run progress reaches `GET /jobs/<id>/events` without
-//!   the miners knowing the service exists;
+//! * a process-global `hdx_obs::SnapshotObserver` tap routes governor
+//!   samples (the miner records one as each mining call returns), via a
+//!   thread-local "current job" set by [`LivePlane::job_scope`] around the
+//!   runner, into that job's channel — which is how a running job's
+//!   progress reaches `GET /jobs/<id>/events` without the miners knowing
+//!   the service exists;
 //! * a thread-local flight recorder keeps the last [`FLIGHT_CAP`] event
 //!   lines each worker emitted (across jobs), dumped to `flight.ndjson` on
 //!   panic or exit-3 degradation so post-mortems start with context.
@@ -293,7 +294,7 @@ mod enabled {
             }
         }
 
-        /// The most recent per-level snapshot for a job: the live channel's
+        /// The most recent governor snapshot for a job: the live channel's
         /// last sample, falling back to the journal on disk (covers retired
         /// jobs and freshly resumed ones that have not sampled yet).
         pub fn latest(&self, job_id: &str, job_dir: &Path) -> Option<SnapshotSample> {

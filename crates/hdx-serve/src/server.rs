@@ -1123,9 +1123,9 @@ fn job_status(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str) {
             .map_or("null".to_string(), u64::to_string),
     );
     // The latest governor snapshot (live channel first, journal fallback):
-    // mining level reached, itemsets emitted so far, and what remains of
-    // the deadline budget. Absent until the first level completes or when
-    // the build has observability compiled out.
+    // itemsets charged and what remained of the deadline budget when the
+    // last mining call returned. Absent until the first mining call returns
+    // or when the build has observability compiled out.
     if let Some(sample) = shared.plane.latest(job_id, &shared.job_dir(job_id)) {
         body.push_str(&format!(
             ",\"progress\":{{\"level\":{},\"itemsets\":{},\"elapsed_ns\":{},\
@@ -1510,11 +1510,10 @@ fn job_cancel(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str) {
 /// process-lifetime accumulator (so counters are cumulative, the way
 /// Prometheus models them), renders the full typed registry, and appends
 /// instantaneous serve-level gauges the registry's high-water gauges can't
-/// express: live queue depth, per-tenant in-flight jobs, worker-pool
-/// utilization, and the scheduler steal/park rates derived from the PR 8
-/// work-stealing counters. With `obs` compiled out the registry collects
-/// as all-zero, which is still a valid exposition — the endpoint never
-/// disappears, it just flatlines.
+/// express: live queue depth, per-tenant in-flight jobs and worker-pool
+/// utilization. With `obs` compiled out the registry collects as all-zero,
+/// which is still a valid exposition — the endpoint never disappears, it
+/// just flatlines.
 fn metrics(shared: &Arc<Shared>, stream: &mut TcpStream) {
     gauge_max!(ServeUptimeMs, shared.started.elapsed().as_millis() as u64);
     gauge_max!(ServeQueueDepth, shared.queue.depth() as u64);
@@ -1566,17 +1565,6 @@ fn metrics(shared: &Arc<Shared>, stream: &mut TcpStream) {
         "hdx_serve_live_worker_utilization",
         "Busy workers as a fraction of the pool size.",
         busy as f64 / pool as f64,
-    );
-    let rates = scraped.sched_rates();
-    page.gauge(
-        "hdx_mining_sched_steals_per_1k_itemsets",
-        "Work-stealing scheduler steals per thousand emitted itemsets.",
-        rates.steals_per_1k_itemsets,
-    );
-    page.gauge(
-        "hdx_mining_sched_parks_per_1k_itemsets",
-        "Work-stealing scheduler parks per thousand emitted itemsets.",
-        rates.parks_per_1k_itemsets,
     );
     let body = page.finish();
     debug_assert!(

@@ -13,8 +13,8 @@ use hdx_bench::experiments::{outcomes_for, pipeline_for};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// Thread counts covering both drivers of the search: the serial root loop
-/// and the work-stealing pool.
+/// Thread counts covering both ways the search runs its root loop: on the
+/// calling thread alone and in the worker pool.
 const THREADS: [usize; 2] = [1, 4];
 
 /// A small deterministic transaction database with enough co-occurrence
