@@ -12,8 +12,8 @@
 //! [`list_manifests`] enumerates every run directory under a state
 //! directory. It never fails on bad entries: a corrupt manifest or
 //! completion marker is quarantined (renamed aside with a `.corrupt`
-//! suffix) and reported as a warning, and checkpoint health is probed
-//! newest-valid-wins exactly like resume itself would.
+//! suffix) and reported as a warning. It reads no checkpoint: resume
+//! itself picks the newest valid one.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -21,7 +21,6 @@ use std::path::{Path, PathBuf};
 use crate::durable;
 use crate::envelope;
 use crate::error::CheckpointError;
-use crate::store::CheckpointStore;
 
 pub use crate::durable::QUARANTINE_SUFFIX;
 
@@ -61,20 +60,6 @@ pub struct RunManifest {
     /// The verified payload of its sealed `done.hdx`, when the run
     /// completed. `None` flags an incomplete (orphaned) run.
     pub completion: Option<Vec<u8>>,
-    /// Sequence number of the newest checkpoint that passes validation
-    /// (newest-valid-wins, exactly the file resume would load), or `None`
-    /// when the directory holds no loadable checkpoint.
-    pub resumable_seq: Option<u64>,
-    /// Checkpoint files newer than `resumable_seq` rejected as corrupt.
-    pub rejected_checkpoints: u64,
-}
-
-impl RunManifest {
-    /// `true` when the run never sealed its completion marker and should be
-    /// resumed by an orphan scan.
-    pub fn is_incomplete(&self) -> bool {
-        self.completion.is_none()
-    }
 }
 
 /// What [`list_manifests`] found: the healthy runs plus one warning line
@@ -88,17 +73,10 @@ pub struct ManifestListing {
     pub warnings: Vec<String>,
 }
 
-impl ManifestListing {
-    /// The incomplete (orphaned) runs, in scan order.
-    pub fn incomplete(&self) -> impl Iterator<Item = &RunManifest> {
-        self.runs.iter().filter(|r| r.is_incomplete())
-    }
-}
-
 /// Enumerates the run directories under `dir` (one level deep): every
 /// subdirectory holding a sealed [`MANIFEST_FILE`] becomes a
 /// [`RunManifest`], flagged incomplete when no valid [`COMPLETE_FILE`] is
-/// present, with its checkpoints probed newest-valid-wins.
+/// present.
 ///
 /// Corrupt manifests and completion markers are *quarantined, not fatal*:
 /// the file is renamed aside (`<name>.corrupt`) so it cannot shadow a
@@ -146,20 +124,10 @@ pub fn list_manifests(dir: &Path) -> Result<ManifestListing, CheckpointError> {
         } else {
             None
         };
-        let (resumable_seq, rejected_checkpoints) = match CheckpointStore::open(&run_dir) {
-            Ok(store) => match store.load_latest() {
-                Ok(loaded) => (Some(loaded.seq), loaded.rejected),
-                Err(CheckpointError::NoValidCheckpoint { rejected, .. }) => (None, rejected),
-                Err(_) => (None, 0),
-            },
-            Err(_) => (None, 0),
-        };
         listing.runs.push(RunManifest {
             dir: run_dir,
             manifest,
             completion,
-            resumable_seq,
-            rejected_checkpoints,
         });
     }
     Ok(listing)
@@ -184,6 +152,7 @@ fn quarantine(path: &Path, err: &CheckpointError) -> String {
 mod tests {
     use super::*;
     use crate::state::{CheckpointState, CounterSnapshot, MiningProgress};
+    use crate::store::CheckpointStore;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hdx-scan-test-{tag}-{}", std::process::id()));
@@ -243,12 +212,9 @@ mod tests {
         let a = &listing.runs[0];
         assert_eq!(a.manifest, b"ma");
         assert_eq!(a.completion.as_deref(), Some(&b"result-a"[..]));
-        assert!(!a.is_incomplete());
         let b = &listing.runs[1];
         assert_eq!(b.manifest, b"mb");
-        assert!(b.is_incomplete());
-        assert_eq!(b.resumable_seq, Some(0));
-        assert_eq!(listing.incomplete().count(), 1);
+        assert_eq!(b.completion, None, "incomplete");
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -283,27 +249,8 @@ mod tests {
         fs::write(run.join(COMPLETE_FILE), b"torn").unwrap();
         let listing = list_manifests(&root).unwrap();
         assert_eq!(listing.runs.len(), 1);
-        assert!(listing.runs[0].is_incomplete(), "treated as orphaned");
+        assert_eq!(listing.runs[0].completion, None, "treated as orphaned");
         assert_eq!(listing.warnings.len(), 1);
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn newest_valid_checkpoint_wins_in_the_probe() {
-        let root = tmp_dir("probe");
-        let run = make_run(&root, "job", b"m");
-        let store = CheckpointStore::create(&run).unwrap();
-        store.write(&state(1)).unwrap();
-        let newest = store.write(&state(2)).unwrap();
-        let path = store.path_of(newest);
-        let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        fs::write(&path, &bytes).unwrap();
-
-        let listing = list_manifests(&root).unwrap();
-        assert_eq!(listing.runs[0].resumable_seq, Some(0));
-        assert_eq!(listing.runs[0].rejected_checkpoints, 1);
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -4,6 +4,7 @@ use std::fmt;
 use std::time::Duration;
 
 use hdx_core::Statistic;
+use hdx_serve::ServeConfig;
 
 /// CLI failure: a message shown to the user (exit code 2).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,36 +138,6 @@ pub struct ResumeOpts {
     pub trace_summary: bool,
 }
 
-/// `hdx serve` options. Mirrors `hdx_serve::ServeConfig`; defaults are the
-/// service's defaults except the listen address, which is pinned so the
-/// printed URL is stable.
-#[derive(Debug, Clone)]
-pub struct ServeOpts {
-    /// Listen address (`host:port`; port 0 picks an ephemeral port).
-    pub addr: String,
-    /// Root state directory for job persistence and crash recovery.
-    pub state_dir: String,
-    /// Mining worker threads.
-    pub workers: usize,
-    /// Global queued-job cap.
-    pub queue_depth: usize,
-    /// Per-tenant in-flight job cap.
-    pub tenant_max_jobs: usize,
-    /// Request-body byte cap.
-    pub max_body_bytes: usize,
-    /// Concurrent connection cap.
-    pub max_connections: usize,
-    /// Retries before a transient job failure becomes final.
-    pub retry_max: u32,
-    /// Per-tenant wall-clock deadline shared across a tenant's job slots.
-    pub timeout: Option<Duration>,
-    /// Per-tenant itemset budget shared across a tenant's job slots.
-    pub max_itemsets: Option<u64>,
-    /// Per-job event broadcast ring capacity (slow-stream-consumer lag
-    /// bound before drop-oldest kicks in).
-    pub events_ring_cap: usize,
-}
-
 /// `hdx append` options: durable local ingestion into a row WAL.
 #[derive(Debug, Clone)]
 pub struct AppendOpts {
@@ -261,7 +232,7 @@ pub enum Command {
         path: String,
     },
     /// Run the fault-tolerant mining job server.
-    Serve(ServeOpts),
+    Serve(ServeConfig),
     /// Print usage.
     Help,
 }
@@ -582,42 +553,34 @@ pub fn parse(args: Vec<String>) -> Result<Command, CliError> {
             Ok(Command::Generate(opts))
         }
         "serve" => {
-            let mut opts = ServeOpts {
+            // The service's defaults, except the listen address, which is
+            // pinned so the printed URL is stable.
+            let mut config = ServeConfig {
                 addr: "127.0.0.1:8373".into(),
-                state_dir: "hdx-serve-state".into(),
-                workers: 2,
-                queue_depth: 16,
-                tenant_max_jobs: 2,
-                max_body_bytes: 4 * 1024 * 1024,
-                max_connections: 32,
-                retry_max: 2,
-                timeout: None,
-                max_itemsets: None,
-                events_ring_cap: 256,
+                ..ServeConfig::default()
             };
             while let Some(flag) = cur.args.next() {
                 match flag.as_str() {
-                    "--addr" => opts.addr = cur.value(&flag)?,
-                    "--state-dir" => opts.state_dir = cur.value(&flag)?,
-                    "--workers" => opts.workers = cur.parse_value(&flag)?,
-                    "--queue-depth" => opts.queue_depth = cur.parse_value(&flag)?,
-                    "--tenant-max-jobs" => opts.tenant_max_jobs = cur.parse_value(&flag)?,
-                    "--max-body-bytes" => opts.max_body_bytes = cur.parse_value(&flag)?,
-                    "--max-connections" => opts.max_connections = cur.parse_value(&flag)?,
-                    "--retry-max" => opts.retry_max = cur.parse_value(&flag)?,
-                    "--timeout" => opts.timeout = Some(parse_duration(&cur.value(&flag)?)?),
-                    "--max-itemsets" => opts.max_itemsets = Some(cur.parse_value(&flag)?),
-                    "--events-ring-cap" => opts.events_ring_cap = cur.parse_value(&flag)?,
+                    "--addr" => config.addr = cur.value(&flag)?,
+                    "--state-dir" => config.state_dir = cur.value(&flag)?.into(),
+                    "--workers" => config.workers = cur.parse_value(&flag)?,
+                    "--queue-depth" => config.queue_depth = cur.parse_value(&flag)?,
+                    "--tenant-max-jobs" => config.tenant_max_jobs = cur.parse_value(&flag)?,
+                    "--max-body-bytes" => config.max_body_bytes = cur.parse_value(&flag)?,
+                    "--max-connections" => config.max_connections = cur.parse_value(&flag)?,
+                    "--retry-max" => config.retry_max = cur.parse_value(&flag)?,
+                    "--timeout" => {
+                        let timeout = parse_duration(&cur.value(&flag)?)?;
+                        config.tenant_deadline_ms = Some(timeout.as_millis() as u64);
+                    }
+                    "--max-itemsets" => config.tenant_max_itemsets = Some(cur.parse_value(&flag)?),
                     other => return Err(CliError::new(format!("unknown flag `{other}`"))),
                 }
             }
-            if opts.workers == 0 {
+            if config.workers == 0 {
                 return Err(CliError::new("--workers must be at least 1"));
             }
-            if opts.events_ring_cap == 0 {
-                return Err(CliError::new("--events-ring-cap must be at least 1"));
-            }
-            Ok(Command::Serve(opts))
+            Ok(Command::Serve(config))
         }
         "validate-metrics" => {
             let path = require_path(&mut cur, "validate-metrics")?;
@@ -1021,39 +984,35 @@ mod tests {
             "30s",
             "--max-itemsets",
             "1000",
-            "--events-ring-cap",
-            "32",
         ]))
         .unwrap() else {
             panic!("wrong command");
         };
         assert_eq!(o.addr, "127.0.0.1:0");
-        assert_eq!(o.state_dir, "st");
+        assert_eq!(o.state_dir, std::path::PathBuf::from("st"));
         assert_eq!(o.workers, 4);
         assert_eq!(o.queue_depth, 5);
         assert_eq!(o.tenant_max_jobs, 1);
         assert_eq!(o.max_body_bytes, 1024);
         assert_eq!(o.max_connections, 7);
         assert_eq!(o.retry_max, 3);
-        assert_eq!(o.timeout, Some(Duration::from_secs(30)));
-        assert_eq!(o.max_itemsets, Some(1000));
-        assert_eq!(o.events_ring_cap, 32);
+        assert_eq!(o.tenant_deadline_ms, Some(30_000));
+        assert_eq!(o.tenant_max_itemsets, Some(1000));
         // Defaults.
         let Command::Serve(o) = parse(v(&["serve"])).unwrap() else {
             panic!("wrong command");
         };
         assert_eq!(o.addr, "127.0.0.1:8373");
         assert_eq!(o.workers, 2);
-        assert_eq!(o.timeout, None);
-        assert_eq!(o.events_ring_cap, 256);
+        assert_eq!(o.tenant_deadline_ms, None);
         assert!(parse(v(&["serve", "--workers", "0"]))
             .unwrap_err()
             .0
             .contains("at least 1"));
-        assert!(parse(v(&["serve", "--events-ring-cap", "0"]))
+        assert!(parse(v(&["serve", "--events-ring-cap", "32"]))
             .unwrap_err()
             .0
-            .contains("at least 1"));
+            .contains("unknown flag"));
         assert!(parse(v(&["serve", "--bogus"])).is_err());
     }
 

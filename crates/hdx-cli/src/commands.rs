@@ -15,7 +15,7 @@ use hdx_stats::Outcome;
 
 use crate::args::{
     AppendOpts, BaselinesOpts, CliError, Command, DiscretizeOpts, ExploreOpts, GenerateOpts,
-    InputOpts, ResumeOpts, ServeOpts, ValidateTelemetryOpts,
+    InputOpts, ResumeOpts, ValidateTelemetryOpts,
 };
 use crate::USAGE;
 
@@ -73,7 +73,7 @@ pub fn run(command: Command) -> Result<RunOutput, CliError> {
         Command::Generate(opts) => generate(&opts).map(RunOutput::complete),
         Command::ValidateTelemetry(opts) => validate_telemetry(&opts).map(RunOutput::complete),
         Command::ValidateMetrics { path } => validate_metrics(&path).map(RunOutput::complete),
-        Command::Serve(opts) => serve(&opts),
+        Command::Serve(config) => serve(config),
     }
 }
 
@@ -82,22 +82,8 @@ pub fn run(command: Command) -> Result<RunOutput, CliError> {
 /// The listening line goes straight to stdout *before* the blocking accept
 /// loop so callers (and the CI smoke test) can discover the bound port; the
 /// returned [`RunOutput`] only carries the post-drain summary.
-fn serve(opts: &ServeOpts) -> Result<RunOutput, CliError> {
+fn serve(config: hdx_serve::ServeConfig) -> Result<RunOutput, CliError> {
     use std::io::Write as _;
-    let config = hdx_serve::ServeConfig {
-        addr: opts.addr.clone(),
-        state_dir: std::path::PathBuf::from(&opts.state_dir),
-        workers: opts.workers,
-        queue_depth: opts.queue_depth,
-        tenant_max_jobs: opts.tenant_max_jobs,
-        max_body_bytes: opts.max_body_bytes,
-        max_connections: opts.max_connections,
-        retry_max: opts.retry_max,
-        tenant_deadline_ms: opts.timeout.map(|d| d.as_millis() as u64),
-        tenant_max_itemsets: opts.max_itemsets,
-        events_ring_cap: opts.events_ring_cap,
-        ..hdx_serve::ServeConfig::default()
-    };
     let server = hdx_serve::Server::bind(config)
         .map_err(|e| CliError(format!("cannot start server: {e}")))?;
     for note in &server.recovery_notes {

@@ -19,7 +19,7 @@ mod commands;
 
 pub use args::{
     parse, AppendOpts, BaselinesOpts, CliError, Command, DiscretizeOpts, ExploreOpts, GenerateOpts,
-    InputOpts, ResumeOpts, ServeOpts, ValidateTelemetryOpts,
+    InputOpts, ResumeOpts, ValidateTelemetryOpts,
 };
 pub use commands::{run, RunOutput};
 
@@ -118,9 +118,6 @@ SERVE OPTIONS (submit jobs with POST /jobs; stop with POST /shutdown):
   --timeout <dur>        per-tenant wall-clock budget, split across the
                          tenant's job slots at admission [unbounded]
   --max-itemsets <n>     per-tenant itemset budget, split likewise [unbounded]
-  --events-ring-cap <n>  per-job event broadcast ring size: how many lines a
-                         slow GET /jobs/<id>/events consumer may lag before
-                         drop-oldest backpressure skips it ahead [256]
 
 VALIDATE-TELEMETRY OPTIONS:
   --require-stage <name>    fail unless the stage recorded non-zero time

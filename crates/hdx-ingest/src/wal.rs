@@ -152,11 +152,19 @@ impl Wal {
         };
         let scan = scan_frames(&open_bytes_on_disk);
         if scan.valid_len < open_bytes_on_disk.len() {
-            // Torn or corrupt tail: preserve the dropped bytes aside, then
-            // truncate the open segment back to its last valid frame.
+            // Torn or corrupt tail: append the dropped bytes to the
+            // quarantine file, which keeps every earlier heal's bytes too,
+            // then truncate the open segment back to its last valid frame.
             let torn = open_bytes_on_disk.get(scan.valid_len..).unwrap_or_default();
             let aside = dir.join(format!("{OPEN_FILE}.quarantine"));
-            let _ = fs::write(&aside, torn);
+            let _ = OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(&aside)
+                .and_then(|mut file| {
+                    file.write_all(torn)?;
+                    file.sync_all()
+                });
             let file = OpenOptions::new()
                 .write(true)
                 .open(&open_path)
@@ -604,6 +612,34 @@ mod tests {
         let (wal3, report3) = Wal::open(&dir, WalConfig::default()).unwrap();
         assert!(report3.is_clean(), "{report3:?}");
         assert_eq!(wal3.total_rows(), 5);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_healed_tail_is_kept_in_the_quarantine_file() {
+        let dir = tmp_dir("two-heals");
+        let open = dir.join(OPEN_FILE);
+        let mut quarantined = Vec::new();
+        let mut reported = 0;
+        for (i, tail) in [&[0x21, 0, 0, 0, 0xDE][..], &[9, 0, 0, 0, 1, 2, 3]]
+            .into_iter()
+            .enumerate()
+        {
+            let (mut wal, _) = Wal::open(&dir, WalConfig::default()).unwrap();
+            wal.append_row(&row(i as u64)).unwrap();
+            wal.commit().unwrap();
+            drop(wal);
+            let mut bytes = fs::read(&open).unwrap();
+            bytes.extend_from_slice(tail);
+            fs::write(&open, &bytes).unwrap();
+            let (_, report) = Wal::open(&dir, WalConfig::default()).unwrap();
+            reported += report.quarantined_bytes;
+            quarantined.extend_from_slice(tail);
+        }
+        assert_eq!(reported, 12, "tails of 5 and 7 bytes");
+        let aside = fs::read(dir.join(format!("{OPEN_FILE}.quarantine"))).unwrap();
+        assert_eq!(aside.len() as u64, reported, "both heals' bytes are kept");
+        assert_eq!(aside, quarantined);
         let _ = fs::remove_dir_all(&dir);
     }
 

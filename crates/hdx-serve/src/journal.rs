@@ -7,7 +7,9 @@
 //! tail, never corrupt the middle. Sequence numbers are the line index, so
 //! reopening a journal after a restart continues the monotonic numbering
 //! exactly where the durable prefix ends, and serving the file verbatim
-//! replays the stream byte-identically.
+//! replays the stream byte-identically. An open journal is also its live
+//! job's only in-memory event log: followers read `Journal::lines`, so a
+//! line reaches them only once it is durable.
 //!
 //! Each append rewrites the whole file. Jobs emit a handful of events
 //! (lifecycle transitions plus one snapshot line per mining call), so each
@@ -25,8 +27,8 @@ use hdx_checkpoint::durable;
 pub const EVENTS_FILE: &str = "events.ndjson";
 
 /// An open per-job journal. One writer at a time (the live plane holds it
-/// behind a mutex); readers go through [`read_journal`] and never touch the
-/// writer's state.
+/// behind a mutex, and live followers read [`Journal::lines`] under that
+/// mutex); retired jobs are read through [`read_journal`].
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
@@ -55,8 +57,13 @@ impl Journal {
         self.lines.len() as u64
     }
 
-    /// The full stream so far (concatenated lines) — the catch-up bytes a
-    /// new stream consumer is sent before following the live ring.
+    /// Every durable line so far, in sequence order — what a live
+    /// `GET /jobs/<id>/events` follower reads.
+    pub fn lines(&self) -> &[String] {
+        &self.lines
+    }
+
+    /// The full stream so far (concatenated lines): the file's bytes.
     pub fn contents(&self) -> String {
         self.lines.concat()
     }

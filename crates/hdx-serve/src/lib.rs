@@ -74,8 +74,6 @@ pub mod json;
 pub mod live;
 /// Bounded admission queue with per-tenant caps and shed decisions.
 pub mod queue;
-/// Bounded broadcast ring with drop-oldest backpressure for event streams.
-pub mod ring;
 /// The worker-side job runner: mining, checkpointing, and sealing results.
 pub mod runner;
 /// The TCP accept loop, request routing, supervisor, and drain protocol.
@@ -92,6 +90,5 @@ pub use job::{DoneRecord, JobSpec};
 pub use journal::EVENTS_FILE;
 pub use live::{EventsSource, LivePlane};
 pub use queue::{AdmissionQueue, Shed};
-pub use ring::{BroadcastRing, RingUpdate};
 pub use runner::JobRunOutcome;
 pub use server::{ServeConfig, Server};

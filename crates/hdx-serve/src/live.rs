@@ -4,9 +4,10 @@
 //! One [`LivePlane`] per server wires three pieces together (DESIGN.md
 //! §16):
 //!
-//! * every open job owns a [`JobChannel`] — a durable [`crate::journal`]
-//!   (sequence authority) plus a [`crate::ring`] broadcast ring fanning the
-//!   same lines out to live stream consumers;
+//! * every open job owns a [`JobChannel`]: its durable [`crate::journal`],
+//!   which is also the only in-memory copy of the job's event lines, plus
+//!   a condvar that wakes the `GET /jobs/<id>/events` followers reading
+//!   those lines;
 //! * a process-global `hdx_obs::SnapshotObserver` tap routes governor
 //!   samples (the miner records one as each mining call returns), via a
 //!   thread-local "current job" set by [`LivePlane::job_scope`] around the
@@ -18,7 +19,7 @@
 //!   panic or exit-3 degradation so post-mortems start with context.
 //!
 //! With the `obs` feature off this module compiles to the no-op twin at the
-//! bottom of the file: no journal is written, no ring allocated, no tap
+//! bottom of the file: no journal is written, no channel kept, no tap
 //! installed — the zero-cost-when-disabled contract of hdx-obs extended to
 //! the service.
 
@@ -36,17 +37,9 @@ pub const FLIGHT_FILE: &str = "flight.ndjson";
 
 /// Where a `GET /jobs/<id>/events` response comes from.
 pub enum EventsSource {
-    /// The job is live: send `catchup` (the durable prefix), then follow
-    /// the channel's ring from `cursor`.
+    /// The job is live: follow its journal from the first line.
     #[cfg(feature = "obs")]
-    Live {
-        /// Journal bytes at subscription time.
-        catchup: String,
-        /// The channel to follow for lines with `seq >= cursor`.
-        channel: std::sync::Arc<JobChannel>,
-        /// First sequence number not covered by `catchup`.
-        cursor: u64,
-    },
+    Live(std::sync::Arc<JobChannel>),
     /// The job is terminal: its journal bytes, served verbatim and closed.
     Replay(String),
     /// No event stream exists (obs disabled, or nothing was journaled).
@@ -80,12 +73,11 @@ mod enabled {
     use super::{EventsSource, FLIGHT_CAP};
     use crate::events::{self, JobEvent};
     use crate::journal::{self, Journal};
-    use crate::ring::{BroadcastRing, RingUpdate};
     use hdx_obs::SnapshotSample;
     use std::cell::RefCell;
     use std::collections::{HashMap, VecDeque};
     use std::path::Path;
-    use std::sync::{Arc, Mutex, Once, PoisonError};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
     use std::time::Duration;
 
     thread_local! {
@@ -123,41 +115,69 @@ mod enabled {
         }
     }
 
-    /// One live job's event channel: the durable journal (which owns
-    /// sequence numbering) and the broadcast ring fed in lockstep.
+    /// What a channel's lock guards: the journal, whose lines are the
+    /// job's one event log, and whether the job's terminal event has been
+    /// emitted.
+    struct Log {
+        journal: Journal,
+        closed: bool,
+    }
+
+    /// One live job's event channel: its journal (which owns sequence
+    /// numbering and every line) and the condvar its followers wait on.
     pub struct JobChannel {
         job_id: String,
-        ring: BroadcastRing,
-        journal: Mutex<Journal>,
-        latest: Mutex<Option<SnapshotSample>>,
+        log: Mutex<Log>,
+        appended: Condvar,
     }
 
     impl JobChannel {
-        /// Journals and broadcasts one event. The ring push happens under
-        /// the journal lock so consumers observe sequence order; both sides
-        /// are non-blocking beyond that lock, which only event emission
-        /// takes. A journal write failure degrades durability (reported to
-        /// stderr), not liveness: the line is still broadcast.
+        fn lock(&self) -> MutexGuard<'_, Log> {
+            // A holder that panicked left the journal at a line boundary
+            // (lines are pushed only after their write), so keep serving.
+            self.log.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Journals one event and wakes the followers. A journal write
+        /// failure degrades durability (reported to stderr), not liveness:
+        /// the line is in no log, so no follower sees it and the next
+        /// event takes its sequence number.
         fn emit(&self, event: &JobEvent) {
-            let mut journal = self.journal.lock().unwrap_or_else(PoisonError::into_inner);
-            let seq = journal.next_seq();
-            let line = events::encode_line(seq, event);
-            if let Err(e) = journal.append(&line) {
-                eprintln!("hdx-serve: event journal for {} failed: {e}", self.job_id);
+            let mut log = self.lock();
+            let line = events::encode_line(log.journal.next_seq(), event);
+            match log.journal.append(&line) {
+                Ok(()) => self.appended.notify_all(),
+                Err(e) => eprintln!("hdx-serve: event journal for {} failed: {e}", self.job_id),
             }
-            self.ring.push(seq, line.clone());
-            drop(journal);
-            if let JobEvent::Level { sample } = event {
-                *self.latest.lock().unwrap_or_else(PoisonError::into_inner) = Some(sample.clone());
-            }
+            drop(log);
             flight_push(&line);
         }
 
-        /// Blocks up to `wait` for lines with `seq >= cursor` (see
-        /// [`BroadcastRing::wait_next`]) — the streaming handler's follow
-        /// loop.
-        pub fn wait_next(&self, cursor: u64, wait: Duration) -> RingUpdate {
-            self.ring.wait_next(cursor, wait)
+        /// Marks the log complete and wakes the followers so they finish.
+        fn close(&self) {
+            self.lock().closed = true;
+            self.appended.notify_all();
+        }
+
+        /// The streaming handler's follow step: waits up to `wait` for
+        /// journal lines past `*cursor`, returns them concatenated and
+        /// advances the cursor. An empty string means nothing arrived in
+        /// time; `None` means the log is closed and fully read.
+        pub fn next_lines(&self, cursor: &mut usize, wait: Duration) -> Option<String> {
+            let mut log = self.lock();
+            if log.journal.lines().len() <= *cursor && !log.closed {
+                log = self
+                    .appended
+                    .wait_timeout(log, wait)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
+            let lines = log.journal.lines().get(*cursor..).unwrap_or_default();
+            if lines.is_empty() && log.closed {
+                return None;
+            }
+            *cursor += lines.len();
+            Some(lines.concat())
         }
     }
 
@@ -178,13 +198,18 @@ mod enabled {
     /// The server's live observability plane. See the module docs.
     pub struct LivePlane {
         channels: Mutex<HashMap<String, Arc<JobChannel>>>,
-        ring_cap: usize,
+    }
+
+    impl Default for LivePlane {
+        fn default() -> Self {
+            Self::new()
+        }
     }
 
     impl LivePlane {
-        /// A plane whose per-job rings hold `ring_cap` lines. Installs the
-        /// process-global snapshot tap on first construction.
-        pub fn new(ring_cap: usize) -> Self {
+        /// An empty plane. Installs the process-global snapshot tap on
+        /// first construction.
+        pub fn new() -> Self {
             static INSTALL: Once = Once::new();
             INSTALL.call_once(|| {
                 // First-install-wins is fine: the tap routes through
@@ -193,7 +218,6 @@ mod enabled {
             });
             Self {
                 channels: Mutex::new(HashMap::new()),
-                ring_cap,
             }
         }
 
@@ -205,11 +229,11 @@ mod enabled {
                 .cloned()
         }
 
-        /// Opens a job's channel (journal + ring) and emits its `admitted`
-        /// event. For resumed orphans the reloaded journal keeps the prior
-        /// process's lines, so numbering and replay continue seamlessly. A
-        /// journal that cannot be opened leaves the job without a channel
-        /// — status and results still work, only the stream is missing.
+        /// Opens a job's channel and emits its `admitted` event. For
+        /// resumed orphans the reloaded journal keeps the prior process's
+        /// lines, so numbering and replay continue seamlessly. A journal
+        /// that cannot be opened leaves the job without a channel — status
+        /// and results still work, only the stream is missing.
         pub fn open_job(&self, job_id: &str, job_dir: &Path, tenant: &str, resumed: bool) {
             let journal = match Journal::open(job_dir) {
                 Ok(j) => j,
@@ -220,9 +244,11 @@ mod enabled {
             };
             let channel = Arc::new(JobChannel {
                 job_id: job_id.to_string(),
-                ring: BroadcastRing::new(self.ring_cap),
-                journal: Mutex::new(journal),
-                latest: Mutex::new(None),
+                log: Mutex::new(Log {
+                    journal,
+                    closed: false,
+                }),
+                appended: Condvar::new(),
             });
             channel.emit(&JobEvent::Admitted {
                 tenant: tenant.to_string(),
@@ -242,9 +268,9 @@ mod enabled {
             }
         }
 
-        /// Emits a job's terminal event, closes its ring (stream consumers
-        /// drain and finish), and retires the channel — replay for this job
-        /// is served from the journal file from now on, keeping the channel
+        /// Emits a job's terminal event, closes its log (followers drain
+        /// and finish), and retires the channel — replay for this job is
+        /// served from the journal file from now on, keeping the channel
         /// map bounded by *live* jobs only.
         pub fn finish(&self, job_id: &str, event: &JobEvent) {
             let Some(channel) = self
@@ -256,7 +282,7 @@ mod enabled {
                 return;
             };
             channel.emit(event);
-            channel.ring.close();
+            channel.close();
         }
 
         /// Marks the calling thread as executing `job_id` for the guard's
@@ -268,24 +294,12 @@ mod enabled {
             JobScope { prev }
         }
 
-        /// Resolves a `GET /jobs/<id>/events` request: a live subscription
-        /// (durable catch-up + ring cursor, taken under the journal lock so
-        /// no line is missed or doubled), a verbatim replay for a retired
-        /// job, or unavailable.
+        /// Resolves a `GET /jobs/<id>/events` request: the live channel to
+        /// follow from its first line, a verbatim replay for a retired job,
+        /// or unavailable.
         pub fn subscribe(&self, job_id: &str, job_dir: &Path) -> EventsSource {
             if let Some(channel) = self.channel(job_id) {
-                let journal = channel
-                    .journal
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let catchup = journal.contents();
-                let cursor = journal.next_seq();
-                drop(journal);
-                return EventsSource::Live {
-                    catchup,
-                    channel: Arc::clone(&channel),
-                    cursor,
-                };
+                return EventsSource::Live(channel);
             }
             match journal::read_journal(job_dir) {
                 Ok(Some(bytes)) => EventsSource::Replay(bytes),
@@ -294,24 +308,23 @@ mod enabled {
             }
         }
 
-        /// The most recent governor snapshot for a job: the live channel's
-        /// last sample, falling back to the journal on disk (covers retired
-        /// jobs and freshly resumed ones that have not sampled yet).
+        /// The most recent governor snapshot for a job: the last `level`
+        /// line of its live journal, or of the journal file once the job
+        /// is retired.
         pub fn latest(&self, job_id: &str, job_dir: &Path) -> Option<SnapshotSample> {
-            if let Some(channel) = self.channel(job_id) {
-                let latest = channel
-                    .latest
+            match self.channel(job_id) {
+                Some(channel) => channel
                     .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone();
-                if latest.is_some() {
-                    return latest;
-                }
+                    .journal
+                    .lines()
+                    .iter()
+                    .rev()
+                    .find_map(|line| events::last_level_sample(line)),
+                None => journal::read_journal(job_dir)
+                    .ok()
+                    .flatten()
+                    .and_then(|text| events::last_level_sample(&text)),
             }
-            journal::read_journal(job_dir)
-                .ok()
-                .flatten()
-                .and_then(|text| events::last_level_sample(&text))
         }
 
         /// Dumps the calling worker's flight ring next to the job's
@@ -335,7 +348,7 @@ mod stub {
     use std::path::Path;
 
     /// Zero-sized disabled twin of the live plane.
-    #[derive(Debug)]
+    #[derive(Debug, Default)]
     pub struct LivePlane;
 
     /// Zero-sized disabled twin of the per-job scope guard.
@@ -345,7 +358,7 @@ mod stub {
     impl LivePlane {
         /// Does nothing; holds nothing.
         #[inline(always)]
-        pub fn new(_ring_cap: usize) -> Self {
+        pub fn new() -> Self {
             Self
         }
 
@@ -389,7 +402,6 @@ mod stub {
 mod tests {
     use super::*;
     use crate::events::JobEvent;
-    use crate::ring::RingUpdate;
     use hdx_obs::SnapshotSample;
     use std::fs;
     use std::path::PathBuf;
@@ -417,9 +429,27 @@ mod tests {
         }
     }
 
+    fn done() -> JobEvent {
+        JobEvent::Done {
+            ok: true,
+            state: "done".into(),
+            termination: "complete".into(),
+        }
+    }
+
+    /// Everything a follower of `channel` reads until the log closes.
+    fn follow_to_close(channel: &JobChannel) -> String {
+        let mut cursor = 0;
+        let mut streamed = String::new();
+        while let Some(lines) = channel.next_lines(&mut cursor, Duration::from_secs(1)) {
+            streamed.push_str(&lines);
+        }
+        streamed
+    }
+
     #[test]
     fn snapshot_tap_routes_to_the_scoped_job_only() {
-        let plane = LivePlane::new(16);
+        let plane = LivePlane::new();
         let dir_a = tmp_dir("route-a");
         let dir_b = tmp_dir("route-b");
         plane.open_job("j-a", &dir_a, "acme", false);
@@ -442,36 +472,33 @@ mod tests {
 
     #[test]
     fn subscribe_live_then_finish_then_replay_byte_identical() {
-        let plane = LivePlane::new(16);
+        let plane = LivePlane::new();
         let dir = tmp_dir("replay");
         plane.open_job("j-1", &dir, "acme", false);
         plane.emit("j-1", &JobEvent::Started { attempt: 1 });
-        let EventsSource::Live {
-            catchup,
-            channel,
-            cursor,
-        } = plane.subscribe("j-1", &dir)
-        else {
+        let EventsSource::Live(channel) = plane.subscribe("j-1", &dir) else {
             panic!("expected a live subscription");
         };
+        let mut cursor = 0;
+        let caught_up = channel
+            .next_lines(&mut cursor, Duration::from_secs(1))
+            .expect("the log is open");
         assert_eq!(cursor, 2, "admitted + started are caught up");
-        plane.finish(
-            "j-1",
-            &JobEvent::Done {
-                ok: true,
-                state: "done".into(),
-                termination: "complete".into(),
-            },
+        assert_eq!(
+            channel.next_lines(&mut cursor, Duration::from_millis(10)),
+            Some(String::new()),
+            "nothing new times out empty"
         );
-        let tail = match channel.wait_next(cursor, Duration::from_secs(1)) {
-            RingUpdate::Lines(lines) => lines.into_iter().map(|(_, l)| l).collect::<String>(),
-            other => panic!("expected the done line, got {other:?}"),
-        };
-        assert!(matches!(
-            channel.wait_next(cursor + 1, Duration::from_millis(10)),
-            RingUpdate::Closed
-        ));
-        let streamed = format!("{catchup}{tail}");
+        plane.finish("j-1", &done());
+        let tail = channel
+            .next_lines(&mut cursor, Duration::from_secs(1))
+            .expect("the done line");
+        assert_eq!(
+            channel.next_lines(&mut cursor, Duration::from_millis(10)),
+            None,
+            "closed and fully read"
+        );
+        let streamed = format!("{caught_up}{tail}");
         let EventsSource::Replay(replayed) = plane.subscribe("j-1", &dir) else {
             panic!("retired job must replay from its journal");
         };
@@ -481,8 +508,43 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_journal_write_reaches_no_follower() {
+        let plane = LivePlane::new();
+        let dir = tmp_dir("failed-write");
+        plane.open_job("j-w", &dir, "acme", false);
+        let EventsSource::Live(channel) = plane.subscribe("j-w", &dir) else {
+            panic!("expected a live subscription");
+        };
+        // A directory where the journal's temp file goes fails exactly the
+        // writes made while it stands.
+        let blocker = hdx_checkpoint::durable::tmp_path(&dir.join(crate::EVENTS_FILE));
+        fs::create_dir(&blocker).expect("block the journal's temp file");
+        plane.emit("j-w", &JobEvent::Started { attempt: 1 });
+        fs::remove_dir(&blocker).expect("unblock");
+        plane.emit(
+            "j-w",
+            &JobEvent::Retry {
+                attempt: 1,
+                error: "blip".into(),
+            },
+        );
+        plane.finish("j-w", &done());
+        let streamed = follow_to_close(&channel);
+        let EventsSource::Replay(replayed) = plane.subscribe("j-w", &dir) else {
+            panic!("retired job must replay from its journal");
+        };
+        assert_eq!(streamed, replayed, "the follower saw exactly the journal");
+        assert!(!replayed.contains("\"event\":\"started\""), "{replayed}");
+        assert!(
+            replayed.contains("{\"seq\":1,\"event\":\"retry\""),
+            "{replayed}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn flight_dump_holds_recent_lines_for_this_worker() {
-        let plane = LivePlane::new(16);
+        let plane = LivePlane::new();
         let dir = tmp_dir("flight");
         plane.open_job("j-f", &dir, "acme", false);
         {
@@ -502,7 +564,7 @@ mod tests {
 
     #[test]
     fn unknown_jobs_are_unavailable() {
-        let plane = LivePlane::new(4);
+        let plane = LivePlane::new();
         let dir = tmp_dir("unknown");
         assert!(matches!(
             plane.subscribe("j-x", &dir),

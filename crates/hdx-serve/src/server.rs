@@ -77,10 +77,6 @@ pub struct ServeConfig {
     /// Per-tenant itemset budget, split evenly across the tenant's
     /// concurrent job slots at admission.
     pub tenant_max_itemsets: Option<u64>,
-    /// Per-job event broadcast ring capacity: how many recent event lines
-    /// a slow `GET /jobs/<id>/events` consumer may lag before it observes
-    /// a sequence gap (drop-oldest backpressure).
-    pub events_ring_cap: usize,
     /// Ingest backpressure: maximum durable-but-unfolded WAL rows a job may
     /// accumulate before `POST /jobs/<id>/append` sheds with
     /// `429 Retry-After` and a jittered `retry_after_ms` hint.
@@ -103,7 +99,6 @@ impl Default for ServeConfig {
             retry_after_secs: 1,
             tenant_deadline_ms: None,
             tenant_max_itemsets: None,
-            events_ring_cap: 256,
             append_backlog_max_rows: 100_000,
         }
     }
@@ -295,7 +290,7 @@ impl Server {
         listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             queue: AdmissionQueue::new(config.queue_depth, config.tenant_max_jobs),
-            plane: LivePlane::new(config.events_ring_cap),
+            plane: LivePlane::new(),
             config,
             jobs_dir,
             registry: Mutex::new(HashMap::new()),
@@ -442,8 +437,8 @@ fn recover(shared: &Arc<Shared>) -> Result<Vec<String>, String> {
                             job_id,
                             JobRecord {
                                 spec,
+                                attempts: record.attempts,
                                 phase: JobPhase::Finished(record),
-                                attempts: 0,
                                 cancel: CancelToken::new(),
                                 resumed: false,
                                 retry_log: Vec::new(),
@@ -498,11 +493,7 @@ fn recover_ingest(job_dir: &std::path::Path, job_id: &str, notes: &mut Vec<Strin
             return IngestState::default();
         }
     };
-    let cursor_path = job_dir.join(hdx_ingest::CURSOR_FILE);
-    let cursor = hdx_ingest::IngestCursor::load(&cursor_path)
-        .ok()
-        .flatten()
-        .unwrap_or_default();
+    let cursor = load_cursor(job_dir);
     let state = IngestState {
         durable_rows: wal.total_rows(),
         folded_rows: cursor.rows_folded,
@@ -514,14 +505,30 @@ fn recover_ingest(job_dir: &std::path::Path, job_id: &str, notes: &mut Vec<Strin
             notes.push(format!("`{job_id}`: {line}"));
         }
         // Persist the new lifetime totals so they survive the next crash.
-        let _ = hdx_ingest::IngestCursor {
-            rows_folded: cursor.rows_folded,
-            quarantined_frames: state.quarantined_frames,
-            quarantined_bytes: state.quarantined_bytes,
-        }
-        .save(&cursor_path);
+        save_quarantine_totals(job_dir, state.quarantined_frames, state.quarantined_bytes);
     }
     state
+}
+
+/// A job's ingest cursor; a missing or unreadable one reads as the zero
+/// cursor (it is scheduling metadata: the worst a lost one costs is a
+/// redundant re-mine).
+fn load_cursor(job_dir: &std::path::Path) -> hdx_ingest::IngestCursor {
+    hdx_ingest::IngestCursor::load(&job_dir.join(hdx_ingest::CURSOR_FILE))
+        .ok()
+        .flatten()
+        .unwrap_or_default()
+}
+
+/// Stores a job's lifetime quarantine totals in its ingest cursor, keeping
+/// the fold count. Best-effort, like every cursor write.
+fn save_quarantine_totals(job_dir: &std::path::Path, frames: u64, bytes: u64) {
+    let _ = hdx_ingest::IngestCursor {
+        quarantined_frames: frames,
+        quarantined_bytes: bytes,
+        ..load_cursor(job_dir)
+    }
+    .save(&job_dir.join(hdx_ingest::CURSOR_FILE));
 }
 
 /// Stamps a recovered ingest shadow onto a just-registered job.
@@ -1106,26 +1113,22 @@ fn job_status(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str) {
         respond_error(stream, 404, "Not Found", "unknown job");
         return;
     };
-    // Progress that survives crashes: every sealed checkpoint is one mining
-    // level the governor sampled (`hdx.governor` snapshots land in the run
-    // telemetry; the sequence numbers are their durable shadow).
+    // The newest sealed checkpoint: where a restart would resume the run.
     let checkpoints = CheckpointStore::open(shared.job_dir(job_id))
         .and_then(|store| store.sequences())
         .unwrap_or_default();
     let mut body = format!(
         "{{\"job_id\":\"{job_id}\",\"tenant\":\"{}\",\"state\":\"{phase}\",\
-         \"attempts\":{attempts},\"resumed\":{resumed},\
-         \"checkpointed_levels\":{},\"latest_checkpoint_seq\":{}",
+         \"attempts\":{attempts},\"resumed\":{resumed},\"latest_checkpoint_seq\":{}",
         escape(&tenant),
-        checkpoints.len(),
         checkpoints
             .last()
             .map_or("null".to_string(), u64::to_string),
     );
-    // The latest governor snapshot (live channel first, journal fallback):
-    // itemsets charged and what remained of the deadline budget when the
-    // last mining call returned. Absent until the first mining call returns
-    // or when the build has observability compiled out.
+    // The latest governor snapshot, the last `level` line of the job's
+    // journal: itemsets charged and what remained of the deadline budget
+    // when the last mining call returned. Absent until the first mining
+    // call returns or when the build has observability compiled out.
     if let Some(sample) = shared.plane.latest(job_id, &shared.job_dir(job_id)) {
         body.push_str(&format!(
             ",\"progress\":{{\"level\":{},\"itemsets\":{},\"elapsed_ns\":{},\
@@ -1378,8 +1381,8 @@ enum Appended {
 /// The `Wal` is taken out of the slot and put back only while it is
 /// sound: after any error the slot stays empty, and the next append
 /// reopens, and so heals, the WAL. Lock order: the slot, then the
-/// registry. Also returns the job's lifetime quarantine totals when the
-/// heal quarantined anything.
+/// registry. When the heal quarantined anything, the job's new lifetime
+/// quarantine totals are persisted in its ingest cursor and returned.
 fn append_locked(
     shared: &Shared,
     job_id: &str,
@@ -1410,6 +1413,12 @@ fn append_locked(
             (!healed.is_clean()).then_some(totals),
         )
     };
+    if let Some((frames, bytes)) = quarantined {
+        // Under the slot lock, so no other heal interleaves. A re-mine
+        // that rewrites the cursor with older totals is undone by the
+        // post-run hook.
+        save_quarantine_totals(&shared.job_dir(job_id), frames, bytes);
+    }
     let backlog = wal.total_rows().saturating_sub(folded_rows);
     if backlog + rows.len() as u64 > shared.config.append_backlog_max_rows {
         *slot = Some(wal);
@@ -1464,14 +1473,21 @@ fn expected_fields(dir: &std::path::Path, separator: char) -> Result<usize, Stri
 /// After a job finishes, compare the WAL's durable extent against the
 /// freshly sealed cursor: rows that arrived *during* the run re-queue the
 /// job immediately, so clients never wait on an append that landed in the
-/// window between fold and seal.
+/// window between fold and seal. The run wrote the cursor with the
+/// quarantine totals it loaded before it mined; totals a heal persisted
+/// since are put back, under the slot lock that orders heals.
 fn requeue_if_rows_pending(shared: &Arc<Shared>, job_id: &str) {
-    let cursor_path = shared.job_dir(job_id).join(hdx_ingest::CURSOR_FILE);
-    let cursor = hdx_ingest::IngestCursor::load(&cursor_path)
-        .ok()
-        .flatten()
-        .unwrap_or_default();
-    let (requeue, tenant) = {
+    let Some(slot) = shared
+        .lock_registry()
+        .get(job_id)
+        .map(|job| Arc::clone(&job.wal))
+    else {
+        return;
+    };
+    let dir = shared.job_dir(job_id);
+    let slot_guard = lock_slot(&slot);
+    let cursor = load_cursor(&dir);
+    let (requeue, tenant, totals) = {
         let mut registry = shared.lock_registry();
         let Some(job) = registry.get_mut(job_id) else {
             return;
@@ -1482,12 +1498,15 @@ fn requeue_if_rows_pending(shared: &Arc<Shared>, job_id: &str) {
             job.phase = JobPhase::Queued;
             job.cancel = CancelToken::new();
         }
-        (requeue, job.spec.tenant.clone())
+        let totals = (job.ingest.quarantined_frames, job.ingest.quarantined_bytes);
+        (requeue, job.spec.tenant.clone(), totals)
     };
+    if totals != (cursor.quarantined_frames, cursor.quarantined_bytes) {
+        save_quarantine_totals(&dir, totals.0, totals.1);
+    }
+    drop(slot_guard);
     if requeue {
-        shared
-            .plane
-            .open_job(job_id, &shared.job_dir(job_id), &tenant, true);
+        shared.plane.open_job(job_id, &dir, &tenant, true);
         shared.queue.reserve_slot(&tenant);
         shared.queue.enqueue(job_id);
     }
@@ -1584,12 +1603,12 @@ fn metrics(shared: &Arc<Shared>, stream: &mut TcpStream) {
 
 /// `GET /jobs/<id>/events`: the job's NDJSON event stream.
 ///
-/// Live jobs get a chunked response — the durable journal as catch-up,
-/// then new lines as they happen until the job reaches a terminal state.
-/// Terminal jobs replay their journal verbatim (the byte-identity
-/// surface). The handler writes with the connection's 5s write timeout, so
-/// a consumer that stops reading costs this handler thread, never a miner:
-/// the producer side only ever pushes into the bounded drop-oldest ring.
+/// Live jobs get a chunked response that follows the job's journal from
+/// its first line until the job reaches a terminal state. Terminal jobs
+/// replay their journal verbatim (the byte-identity surface). The handler
+/// writes with the connection's 5s write timeout, so a consumer that stops
+/// reading costs this handler thread, never a miner: emitting an event
+/// only appends to the journal, whoever is or is not reading it.
 fn job_events(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str) {
     if !shared.lock_registry().contains_key(job_id) {
         respond_error(stream, 404, "Not Found", "unknown job");
@@ -1597,11 +1616,7 @@ fn job_events(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str) {
     }
     match shared.plane.subscribe(job_id, &shared.job_dir(job_id)) {
         #[cfg(feature = "obs")]
-        EventsSource::Live {
-            catchup,
-            channel,
-            cursor,
-        } => stream_live(shared, stream, &catchup, &channel, cursor),
+        EventsSource::Live(channel) => stream_live(shared, stream, &channel),
         EventsSource::Replay(bytes) => {
             respond(stream, 200, "OK", "application/x-ndjson", &bytes, &[]);
         }
@@ -1611,43 +1626,24 @@ fn job_events(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str) {
     }
 }
 
-/// Follows a live job's ring after sending the journal catch-up, chunk by
-/// chunk, until the stream closes (terminal event), the consumer goes away
-/// (write error — including the 5s write timeout for stalled readers), or
-/// a drain ends the show.
+/// Streams a live job's journal lines, chunk by chunk, until its log
+/// closes (terminal event), the consumer goes away (write error — including
+/// the 5s write timeout for stalled readers), or a drain ends the show.
 #[cfg(feature = "obs")]
-fn stream_live(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
-    catchup: &str,
-    channel: &crate::live::JobChannel,
-    mut cursor: u64,
-) {
-    use crate::ring::RingUpdate;
+fn stream_live(shared: &Arc<Shared>, stream: &mut TcpStream, channel: &crate::live::JobChannel) {
     let Ok(mut response) =
         crate::http::ChunkedResponse::begin(stream, 200, "OK", "application/x-ndjson")
     else {
         return;
     };
-    if response.chunk(catchup.as_bytes()).is_err() {
-        return;
-    }
-    loop {
-        match channel.wait_next(cursor, Duration::from_millis(250)) {
-            RingUpdate::Lines(lines) => {
-                for (seq, line) in lines {
-                    if response.chunk(line.as_bytes()).is_err() {
-                        return;
-                    }
-                    cursor = seq + 1;
-                }
-            }
-            RingUpdate::TimedOut => {
-                if shared.draining() {
-                    break;
-                }
-            }
-            RingUpdate::Closed => break,
+    let mut cursor = 0;
+    while let Some(lines) = channel.next_lines(&mut cursor, Duration::from_millis(250)) {
+        // An empty chunk writes nothing: the wait timed out.
+        if response.chunk(lines.as_bytes()).is_err() {
+            return;
+        }
+        if lines.is_empty() && shared.draining() {
+            break;
         }
     }
     let _ = response.finish();

@@ -82,10 +82,7 @@ fn live_stream_and_replay_serve_identical_bytes() {
 #[test]
 fn stalled_stream_consumer_never_blocks_the_miner() {
     let state = tmp_state_dir("slow");
-    let mut cfg = config(state.clone());
-    // A tiny ring forces drop-oldest almost immediately once the consumer
-    // stops draining its socket.
-    cfg.events_ring_cap = 2;
+    let cfg = config(state.clone());
     let (addr, handle) = start(cfg);
     let accepted = http(
         addr,

@@ -355,15 +355,11 @@ fn concurrent_appends_cannot_overrun_the_backlog_bound() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
-/// A torn append costs only itself. The short write answers 500 and leaves
-/// the job's WAL slot empty, so the next append reopens the WAL and
-/// quarantines the torn bytes into the status document, and the re-mine
-/// matches a cold run over the acknowledged rows.
-#[test]
-fn torn_append_is_healed_by_the_next_append() {
-    let _guard = ChaosGuard::acquire();
-    let state = tmp_state_dir("torn-append");
-    let (addr, handle) = start(state.clone());
+/// Submits a job, tears one append with a short write and lands the next,
+/// and waits for the re-mine to fold the landed batch. With
+/// `fail_heal_save`, the ingest-cursor write that persists the heal's
+/// quarantine totals fails. Returns the job id and its status document.
+fn heal_a_torn_append(addr: SocketAddr, fail_heal_save: bool) -> (String, String) {
     let job_id = submit(addr, 120);
     assert_eq!(await_terminal(addr, &job_id), "done");
     let path = format!("/jobs/{job_id}/append");
@@ -375,12 +371,29 @@ fn torn_append_is_healed_by_the_next_append() {
     );
     let torn = http(addr, "POST", &path, &sample_rows(120..150));
     assert_eq!(torn.status, 500, "{}", torn.body);
+    if fail_heal_save {
+        // The heal's cursor save is the next sealed-file write.
+        failpoint::arm_once("durable::write", FailAction::Error("disk full".into()), 1);
+    }
     let healed = http(addr, "POST", &path, &sample_rows(150..180));
     assert_eq!(healed.status, 202, "{}", healed.body);
 
     let status = await_folded(addr, &job_id, 30);
     assert!(ingest_u64(&status, "quarantined_frames") >= 1, "{status}");
     assert_eq!(ingest_u64(&status, "durable_rows"), 30, "{status}");
+    (job_id, status)
+}
+
+/// A torn append costs only itself. The short write answers 500 and leaves
+/// the job's WAL slot empty, so the next append reopens the WAL and
+/// quarantines the torn bytes into the status document, and the re-mine
+/// matches a cold run over the acknowledged rows.
+#[test]
+fn torn_append_is_healed_by_the_next_append() {
+    let _guard = ChaosGuard::acquire();
+    let state = tmp_state_dir("torn-append");
+    let (addr, handle) = start(state.clone());
+    let (job_id, _) = heal_a_torn_append(addr, false);
     shutdown(addr, handle);
 
     // Control: a cold run over the base rows and the acknowledged batch.
@@ -400,6 +413,81 @@ fn torn_append_is_healed_by_the_next_append() {
     );
     let _ = std::fs::remove_dir_all(&state);
     let _ = std::fs::remove_dir_all(&control_state);
+}
+
+/// A restart leaves a finished job's status document as it was: the
+/// attempts come from the sealed record, and the quarantine totals of a
+/// heal made at append time from the job's ingest cursor. When the heal's
+/// own cursor write is lost, the post-run hook writes the totals back.
+#[test]
+fn a_restart_leaves_a_finished_jobs_status_unchanged() {
+    let _guard = ChaosGuard::acquire();
+    for fail_heal_save in [false, true] {
+        let state = tmp_state_dir(&format!("restart-status-{fail_heal_save}"));
+        let (addr, handle) = start(state.clone());
+        let (job_id, before) = heal_a_torn_append(addr, fail_heal_save);
+        assert!(before.contains("\"attempts\":2"), "{before}");
+        shutdown(addr, handle);
+
+        let (addr, handle) = start(state.clone());
+        let after = http(addr, "GET", &format!("/jobs/{job_id}"), "").body;
+        shutdown(addr, handle);
+        assert_eq!(after, before, "a restart must not change the status");
+        let _ = std::fs::remove_dir_all(&state);
+    }
+}
+
+/// An append whose WAL open heals something persists the job's new
+/// quarantine totals before it answers, so they survive a crash even when
+/// no re-mine finishes: here every re-mine fails at its fold, and the
+/// post-run hook never runs.
+#[test]
+fn a_heal_persists_its_totals_before_the_append_answers() {
+    let _guard = ChaosGuard::acquire();
+    let state = tmp_state_dir("heal-persist");
+    let (addr, handle) = start(state.clone());
+    let job_id = submit(addr, 120);
+    assert_eq!(await_terminal(addr, &job_id), "done");
+    failpoint::arm(
+        "serve::ingest::fold",
+        FailAction::Error("no fold".into()),
+        1,
+    );
+    failpoint::arm_once(
+        "ingest::wal::append",
+        FailAction::Io(IoFault::ShortWrite),
+        1,
+    );
+    let path = format!("/jobs/{job_id}/append");
+    assert_eq!(
+        http(addr, "POST", &path, &sample_rows(120..150)).status,
+        500
+    );
+    assert_eq!(
+        http(addr, "POST", &path, &sample_rows(150..180)).status,
+        202
+    );
+
+    let status = http(addr, "GET", &format!("/jobs/{job_id}"), "").body;
+    let cursor_path = state
+        .join("jobs")
+        .join(&job_id)
+        .join(h_divexplorer::ingest::CURSOR_FILE);
+    let cursor = h_divexplorer::ingest::IngestCursor::load(&cursor_path)
+        .expect("cursor readable")
+        .expect("cursor present");
+    assert!(cursor.quarantined_frames >= 1, "{cursor:?}");
+    assert_eq!(
+        (cursor.quarantined_frames, cursor.quarantined_bytes),
+        (
+            ingest_u64(&status, "quarantined_frames"),
+            ingest_u64(&status, "quarantined_bytes")
+        ),
+        "{status}"
+    );
+    assert_eq!(await_terminal(addr, &job_id), "failed");
+    shutdown(addr, handle);
+    let _ = std::fs::remove_dir_all(&state);
 }
 
 /// The `wal-open.log` files this process holds open under `root`.
