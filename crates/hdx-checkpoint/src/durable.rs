@@ -20,6 +20,8 @@
 //! fails before any byte lands; `Io(ShortWrite)` leaves the first half of
 //! the bytes in `<path>.tmp` and never renames — the debris a crash
 //! mid-write leaves behind.
+//!
+//! [`write_atomic`]: crate::durable::write_atomic
 
 use std::fs;
 use std::io::Write as _;

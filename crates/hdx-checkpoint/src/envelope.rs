@@ -13,6 +13,8 @@
 //! [`open`] verifies magic, declared length, and checksum before returning a
 //! single byte of payload; any mismatch is a typed corruption error the
 //! store treats as "skip this file and fall back to an older one".
+//!
+//! [`open`]: crate::envelope::open
 
 use crate::crc::crc32;
 use crate::error::CheckpointError;

@@ -59,6 +59,14 @@ impl Fingerprint {
         self.write_u64(bits)
     }
 
+    /// Mixes an optional `f64`: a presence byte, then the value if any.
+    pub fn write_opt_f64(&mut self, v: Option<f64>) -> &mut Self {
+        match v {
+            Some(x) => self.write_u8(1).write_f64(x),
+            None => self.write_u8(0),
+        }
+    }
+
     /// Mixes a string, length-prefixed so `("ab", "c")` and `("a", "bc")`
     /// fingerprint differently.
     pub fn write_str(&mut self, v: &str) -> &mut Self {

@@ -165,7 +165,7 @@ mod tests {
         CheckpointState {
             dataset_fingerprint: 1,
             config_fingerprint: 2,
-            trees: vec![],
+            trees_fingerprint: 0,
             progress: MiningProgress {
                 cursor,
                 n_rows: 4,

@@ -1,14 +1,13 @@
 //! The checkpointed run state: what is persisted, in plain-data form.
 //!
 //! Everything here is deliberately *untyped* with respect to the rest of the
-//! workspace — item ids are `u32`, attributes `u16`, accumulators raw sums —
-//! so the checkpoint crate sits below the mining/discretize crates in the
-//! dependency graph. The conversion to and from the real `Itemset` /
-//! `StatAccum` / `DiscretizationTree` types lives next to those types.
+//! workspace — item ids are `u32`, accumulators raw sums, the discretization
+//! trees a 64-bit fingerprint — so the checkpoint crate sits below the
+//! mining/discretize crates in the dependency graph. The conversion to and
+//! from the real `Itemset` / `StatAccum` types lives next to those types.
 
 use crate::codec::{ByteReader, ByteWriter};
 use crate::error::CheckpointError;
-use crate::fingerprint::Fingerprint;
 
 /// Raw `StatAccum` sums of one itemset: enough to rebuild the accumulator
 /// exactly (`StatAccum::from_sums`).
@@ -51,7 +50,7 @@ pub struct CounterSnapshot {
 /// subtrees (root items) of the depth-first search fully explored. The
 /// search is deterministic, so `emitted[..]` + `cursor` reproduce the
 /// uninterrupted run exactly.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MiningProgress {
     /// Completed-work cursor (see type docs).
     pub cursor: u64,
@@ -63,39 +62,8 @@ pub struct MiningProgress {
     pub counters: CounterSnapshot,
 }
 
-/// One node of a persisted discretization tree (creation order, index 0 is
-/// the root).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TreeNodeSnapshot {
-    /// Interval lower bound (exclusive; `-inf` at the left edge).
-    pub lo: f64,
-    /// Interval upper bound (inclusive; `+inf` at the right edge).
-    pub hi: f64,
-    /// Interned item id (`None` only for the root).
-    pub item: Option<u32>,
-    /// Node support as a fraction of the dataset.
-    pub support: f64,
-    /// Node statistic (`None` when all outcomes undefined).
-    pub statistic: Option<f64>,
-    /// Node divergence from the global statistic.
-    pub divergence: Option<f64>,
-    /// Child node indices.
-    pub children: Vec<u32>,
-    /// Depth (root = 0).
-    pub depth: u32,
-}
-
-/// A persisted discretization tree for one continuous attribute.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TreeSnapshot {
-    /// The raw attribute id.
-    pub attr: u16,
-    /// Nodes in creation order.
-    pub nodes: Vec<TreeNodeSnapshot>,
-}
-
-/// The complete persisted state of a run: identity fingerprints, the
-/// discretization trees, and the mining progress.
+/// The complete persisted state of a run: three identity fingerprints and
+/// the mining progress.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointState {
     /// Fingerprint of the dataset + outcome vector the run was started on.
@@ -103,8 +71,10 @@ pub struct CheckpointState {
     /// Fingerprint of the effective configuration (support thresholds,
     /// exploration mode, …).
     pub config_fingerprint: u64,
-    /// The discretization trees the item catalog was built from.
-    pub trees: Vec<TreeSnapshot>,
+    /// Fingerprint of the discretization trees the item catalog was built
+    /// from. The trees are a deterministic function of the data and the
+    /// configuration, so a resume grows them again and only checks this.
+    pub trees_fingerprint: u64,
     /// Mining traversal state.
     pub progress: MiningProgress,
 }
@@ -115,10 +85,7 @@ impl CheckpointState {
         let mut w = ByteWriter::new();
         w.put_u64(self.dataset_fingerprint);
         w.put_u64(self.config_fingerprint);
-        w.put_u64(self.trees.len() as u64);
-        for tree in &self.trees {
-            encode_tree(&mut w, tree);
-        }
+        w.put_u64(self.trees_fingerprint);
         encode_progress(&mut w, &self.progress);
         w.into_bytes()
     }
@@ -132,70 +99,16 @@ impl CheckpointState {
         let mut r = ByteReader::new(payload);
         let dataset_fingerprint = r.u64()?;
         let config_fingerprint = r.u64()?;
-        let n_trees = r.len_prefix()?;
-        let mut trees = Vec::with_capacity(n_trees.min(1024));
-        for _ in 0..n_trees {
-            trees.push(decode_tree(&mut r)?);
-        }
+        let trees_fingerprint = r.u64()?;
         let progress = decode_progress(&mut r)?;
         r.finish()?;
         Ok(Self {
             dataset_fingerprint,
             config_fingerprint,
-            trees,
+            trees_fingerprint,
             progress,
         })
     }
-}
-
-/// Content fingerprint of a set of trees (used to verify that resume-time
-/// re-discretization reproduced the checkpointed trees exactly).
-pub fn fingerprint_trees(trees: &[TreeSnapshot]) -> u64 {
-    let mut w = ByteWriter::new();
-    w.put_u64(trees.len() as u64);
-    for tree in trees {
-        encode_tree(&mut w, tree);
-    }
-    let mut f = Fingerprint::new();
-    f.write_bytes(&w.into_bytes());
-    f.finish()
-}
-
-fn encode_tree(w: &mut ByteWriter, tree: &TreeSnapshot) {
-    w.put_u32(tree.attr as u32);
-    w.put_u64(tree.nodes.len() as u64);
-    for node in &tree.nodes {
-        w.put_f64(node.lo);
-        w.put_f64(node.hi);
-        w.put_opt_u32(node.item);
-        w.put_f64(node.support);
-        w.put_opt_f64(node.statistic);
-        w.put_opt_f64(node.divergence);
-        w.put_u32_list(&node.children);
-        w.put_u32(node.depth);
-    }
-}
-
-fn decode_tree(r: &mut ByteReader<'_>) -> Result<TreeSnapshot, CheckpointError> {
-    let attr_raw = r.u32()?;
-    let attr = u16::try_from(attr_raw).map_err(|_| CheckpointError::Corrupt {
-        message: format!("attribute id {attr_raw} out of range"),
-    })?;
-    let n_nodes = r.len_prefix()?;
-    let mut nodes = Vec::with_capacity(n_nodes.min(65_536));
-    for _ in 0..n_nodes {
-        nodes.push(TreeNodeSnapshot {
-            lo: r.f64()?,
-            hi: r.f64()?,
-            item: r.opt_u32()?,
-            support: r.f64()?,
-            statistic: r.opt_f64()?,
-            divergence: r.opt_f64()?,
-            children: r.u32_list()?,
-            depth: r.u32()?,
-        });
-    }
-    Ok(TreeSnapshot { attr, nodes })
 }
 
 fn encode_progress(w: &mut ByteWriter, p: &MiningProgress) {
@@ -251,41 +164,7 @@ mod tests {
         CheckpointState {
             dataset_fingerprint: 0x1122_3344_5566_7788,
             config_fingerprint: 0x99aa_bbcc_ddee_ff00,
-            trees: vec![TreeSnapshot {
-                attr: 3,
-                nodes: vec![
-                    TreeNodeSnapshot {
-                        lo: f64::NEG_INFINITY,
-                        hi: f64::INFINITY,
-                        item: None,
-                        support: 1.0,
-                        statistic: Some(0.25),
-                        divergence: Some(0.0),
-                        children: vec![1, 2],
-                        depth: 0,
-                    },
-                    TreeNodeSnapshot {
-                        lo: f64::NEG_INFINITY,
-                        hi: 40.0,
-                        item: Some(7),
-                        support: 0.5,
-                        statistic: Some(0.1),
-                        divergence: Some(-0.15),
-                        children: vec![],
-                        depth: 1,
-                    },
-                    TreeNodeSnapshot {
-                        lo: 40.0,
-                        hi: f64::INFINITY,
-                        item: Some(8),
-                        support: 0.5,
-                        statistic: None,
-                        divergence: None,
-                        children: vec![],
-                        depth: 1,
-                    },
-                ],
-            }],
+            trees_fingerprint: 0x0f1e_2d3c_4b5a_6978,
             progress: MiningProgress {
                 cursor: 2,
                 n_rows: 1000,
@@ -319,13 +198,8 @@ mod tests {
         let state = CheckpointState {
             dataset_fingerprint: 0,
             config_fingerprint: 0,
-            trees: vec![],
-            progress: MiningProgress {
-                cursor: 0,
-                n_rows: 0,
-                emitted: vec![],
-                counters: CounterSnapshot::default(),
-            },
+            trees_fingerprint: 0,
+            progress: MiningProgress::default(),
         };
         assert_eq!(CheckpointState::decode(&state.encode()).unwrap(), state);
     }
@@ -339,16 +213,5 @@ mod tests {
                 "cut at {cut} must not decode"
             );
         }
-    }
-
-    #[test]
-    fn tree_fingerprint_is_content_sensitive() {
-        let state = demo_state();
-        let base = fingerprint_trees(&state.trees);
-        assert_eq!(base, fingerprint_trees(&state.trees.clone()));
-        let mut tweaked = state.trees.clone();
-        tweaked[0].nodes[1].hi = 41.0;
-        assert_ne!(base, fingerprint_trees(&tweaked));
-        assert_ne!(base, fingerprint_trees(&[]));
     }
 }

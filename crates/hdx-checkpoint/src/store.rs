@@ -146,7 +146,7 @@ impl CheckpointStore {
     ///
     /// # Errors
     /// I/O errors, or any envelope/payload corruption error.
-    pub fn load_seq(&self, seq: u64) -> Result<CheckpointState, CheckpointError> {
+    fn load_seq(&self, seq: u64) -> Result<CheckpointState, CheckpointError> {
         let path = self.path_of(seq);
         let bytes = fs::read(&path).map_err(|e| CheckpointError::io(&path, &e))?;
         let payload = envelope::open(&bytes)?;
@@ -174,7 +174,7 @@ mod tests {
         CheckpointState {
             dataset_fingerprint: 0xABCD,
             config_fingerprint: 0x1234,
-            trees: vec![],
+            trees_fingerprint: 0,
             progress: MiningProgress {
                 cursor,
                 n_rows: 10,

@@ -110,7 +110,7 @@ pub struct ExploreOpts {
     pub trace_summary: bool,
     /// Directory for crash-safe mining checkpoints (enables `hdx resume`).
     pub checkpoint_dir: Option<String>,
-    /// Write a checkpoint every N mining boundaries [1].
+    /// Write a checkpoint every N mining boundaries (default 1).
     pub checkpoint_every: u64,
 }
 

@@ -46,8 +46,6 @@ pub struct HDivExplorerConfig {
     pub tree_min_support: f64,
     /// Split gain criterion for the discretization trees.
     pub criterion: GainCriterion,
-    /// Optional cap on tree depth.
-    pub max_tree_depth: Option<usize>,
     /// Optional cap on pattern length.
     pub max_len: Option<usize>,
     /// Mining worker threads (default 1); see
@@ -78,7 +76,6 @@ impl Default for HDivExplorerConfig {
             min_support: 0.05,
             tree_min_support: 0.1,
             criterion: GainCriterion::Divergence,
-            max_tree_depth: None,
             max_len: None,
             threads: 1,
             polarity_pruning: false,
@@ -93,7 +90,7 @@ impl HDivExplorerConfig {
     /// `r` retries, each doubling the last up to [`ADAPTIVE_MAX_SUPPORT`].
     /// Without [`adaptive_support`](Self::adaptive_support) the ladder is
     /// the configured support alone.
-    fn support_ladder(&self) -> Vec<f64> {
+    pub(crate) fn support_ladder(&self) -> Vec<f64> {
         let retries = if self.adaptive_support {
             ADAPTIVE_MAX_RETRIES as usize
         } else {
@@ -110,7 +107,6 @@ impl HDivExplorerConfig {
         TreeDiscretizerConfig {
             min_support: self.tree_min_support,
             criterion: self.criterion,
-            max_depth: self.max_tree_depth,
         }
     }
 }
@@ -364,8 +360,6 @@ impl HDivExplorer {
         let disc_governor = Governor::with_token(self.config.budget, self.cancel.clone());
         let (catalog, hierarchies, trees) = self.discretize_governed(df, outcomes, &disc_governor);
         let discretization_time = start.elapsed();
-        // The encoding does not depend on the support threshold, so every
-        // rung of the ladder mines these transactions.
         let transactions = match mode {
             ExplorationMode::Base => {
                 Transactions::encode_base(df, &catalog, &hierarchies, outcomes)
@@ -382,7 +376,6 @@ impl HDivExplorer {
             trees,
             discretization_time,
             transactions,
-            ladder: self.config.support_ladder(),
         }
     }
 
@@ -405,6 +398,9 @@ impl HDivExplorer {
     ) -> HDivResult {
         let budget = self.config.budget;
         let (transactions, catalog) = (&fit.transactions, &fit.catalog);
+        // The encoding does not depend on the support threshold, so every
+        // rung of the ladder mines these transactions.
+        let ladder = self.config.support_ladder();
         let mut rung = first_rung;
         let (mut report, mine_governor) = loop {
             hdx_obs::span!("explore");
@@ -414,7 +410,7 @@ impl HDivExplorer {
                 ..budget
             };
             let mining = MiningConfig {
-                min_support: fit.ladder[rung],
+                min_support: ladder[rung],
                 max_len: self.config.max_len,
                 threads: self.config.threads,
             };
@@ -443,7 +439,7 @@ impl HDivExplorer {
             // climbing to the next rung (the ladder has one rung unless
             // `adaptive_support` is set). Only budget trips qualify — a
             // deadline or cancellation would cut the retry short too.
-            if report.termination == Termination::BudgetExhausted && rung + 1 < fit.ladder.len() {
+            if report.termination == Termination::BudgetExhausted && rung + 1 < ladder.len() {
                 rung += 1;
                 continue;
             }
@@ -461,7 +457,7 @@ impl HDivExplorer {
             trees: fit.trees,
             discretization_time: fit.discretization_time,
             adaptive_retries: rung as u32,
-            effective_min_support: fit.ladder[rung],
+            effective_min_support: ladder[rung],
         }
     }
 }
@@ -477,9 +473,6 @@ pub(crate) struct Encoded {
     pub(crate) trees: Vec<DiscretizationTree>,
     discretization_time: Duration,
     pub(crate) transactions: Transactions,
-    /// The minimum support of each rung, from
-    /// [`HDivExplorerConfig::support_ladder`].
-    pub(crate) ladder: Vec<f64>,
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ impl std::error::Error for PolarityViolation {}
 /// Validates sign-homogeneity of a polarity-pruned mining result: every
 /// itemset is entirely contained in the positive item class or entirely in
 /// the negative one (as computed by
-/// [`split_by_polarity`](crate::split_by_polarity) on `transactions`).
+/// [`split_by_polarity`] on `transactions`).
 pub fn validate_sign_homogeneity(
     result: &MiningResult,
     transactions: &Transactions,

@@ -71,7 +71,7 @@ pub use outcome_fn::{
 };
 pub use polarity::{mine_with_polarity, mine_with_polarity_governed, split_by_polarity};
 pub use report::{DivergenceReport, SubgroupRecord};
-pub use resume::{fingerprint_config, fingerprint_dataset, snapshot_tree, CheckpointedRun};
+pub use resume::{fingerprint_config, fingerprint_dataset, fingerprint_trees, CheckpointedRun};
 pub use shapley::{global_item_contributions, item_contributions};
 
 /// The checkpoint subsystem (re-exported from `hdx-checkpoint`): crash-safe
@@ -81,9 +81,8 @@ pub use shapley::{global_item_contributions, item_contributions};
 pub use hdx_checkpoint as checkpoint;
 
 /// The observability subsystem (re-exported from `hdx-obs`): hierarchical
-/// spans, typed metrics and the machine-readable [`RunTelemetry`]
-/// (`obs::RunTelemetry`) artifact. Zero-cost unless the `obs` feature is
-/// enabled.
+/// spans, typed metrics and the machine-readable [`obs::RunTelemetry`]
+/// artifact. Zero-cost unless the `obs` feature is enabled.
 pub use hdx_obs as obs;
 
 /// The run-governor subsystem (re-exported from `hdx-governor`): budgets,

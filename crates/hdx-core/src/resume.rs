@@ -13,16 +13,18 @@
 //! 2. the **configuration fingerprint** (effective support thresholds,
 //!    criterion, exploration mode — *not* the budget, since resuming with a
 //!    different budget is the whole point);
-//! 3. a content hash of the **re-derived discretization trees**, proving the
-//!    recomputation reproduced the item catalog the checkpoint was built on.
+//! 3. the **trees fingerprint** of the regrown discretization trees,
+//!    proving the recomputation reproduced the item catalog the checkpoint
+//!    was built on.
 //!
-//! Checkpointed mining always runs the serial search, which is
-//! deterministic, so a resumed run returns bit-for-bit the report an
-//! uninterrupted run would have produced.
+//! The first two are checked before the fit, so a refused resume costs no
+//! discretization; the third after it. Checkpointed mining always runs the
+//! serial search, which is deterministic, so a resumed run returns
+//! bit-for-bit the report an uninterrupted run would have produced.
 
 use hdx_checkpoint::{
-    verify_identity, CheckpointError, CheckpointStore, Checkpointer, Fingerprint, MiningProgress,
-    TreeNodeSnapshot, TreeSnapshot,
+    verify_identity, CheckpointError, CheckpointStore, Checkpointer, Fingerprint, LoadedCheckpoint,
+    MiningProgress,
 };
 use hdx_data::{AttributeKind, DataFrame};
 use hdx_discretize::{DiscretizationTree, GainCriterion};
@@ -33,27 +35,6 @@ use hdx_stats::Outcome;
 
 use crate::error::CoreError;
 use crate::hdivexplorer::{ExplorationMode, HDivExplorer, HDivExplorerConfig, HDivResult};
-
-/// Snapshots a discretization tree into the plain persisted form.
-pub fn snapshot_tree(tree: &DiscretizationTree) -> TreeSnapshot {
-    TreeSnapshot {
-        attr: tree.attr.0,
-        nodes: tree
-            .nodes
-            .iter()
-            .map(|n| TreeNodeSnapshot {
-                lo: n.interval.lo,
-                hi: n.interval.hi,
-                item: n.item.map(|i| i.0),
-                support: n.support,
-                statistic: n.statistic,
-                divergence: n.divergence,
-                children: n.children.iter().map(|&c| c as u32).collect(),
-                depth: n.depth as u32,
-            })
-            .collect(),
-    }
-}
 
 /// Content fingerprint of a dataset + outcome vector: schema (names and
 /// kinds), every cell (NaN-canonicalised), every outcome. A single edited
@@ -86,14 +67,33 @@ pub fn fingerprint_dataset(df: &DataFrame, outcomes: &[Outcome]) -> u64 {
     }
     f.write_u64(outcomes.len() as u64);
     for outcome in outcomes {
-        match outcome.value() {
-            Some(v) => {
-                f.write_u8(1);
-                f.write_f64(v);
+        f.write_opt_f64(outcome.value());
+    }
+    f.finish()
+}
+
+/// Content fingerprint of the discretization trees: each tree's attribute
+/// and every field of every node, in creation order. A resume regrows the
+/// trees and compares this against the checkpoint's, so the item ids its
+/// emitted itemsets name are the ids this run interned.
+pub fn fingerprint_trees(trees: &[DiscretizationTree]) -> u64 {
+    let mut f = Fingerprint::new();
+    f.write_u64(trees.len() as u64);
+    for tree in trees {
+        f.write_u64(u64::from(tree.attr.0));
+        f.write_u64(tree.nodes.len() as u64);
+        for node in &tree.nodes {
+            f.write_f64(node.interval.lo).write_f64(node.interval.hi);
+            // Item ids are `u32`, so `u64::MAX` is no item's id.
+            f.write_u64(node.item.map_or(u64::MAX, |i| u64::from(i.0)));
+            f.write_f64(node.support);
+            f.write_opt_f64(node.statistic)
+                .write_opt_f64(node.divergence);
+            f.write_u64(node.children.len() as u64);
+            for &child in &node.children {
+                f.write_u64(child as u64);
             }
-            None => {
-                f.write_u8(0);
-            }
+            f.write_u64(node.depth as u64);
         }
     }
     f.finish()
@@ -120,7 +120,9 @@ pub fn fingerprint_config(
         GainCriterion::Entropy => 0,
         GainCriterion::Divergence => 1,
     });
-    f.write_u64(config.max_tree_depth.map_or(u64::MAX, |d| d as u64));
+    // The slot of the tree-depth cap, which was always unset: kept, so
+    // that config fingerprints (and checkpoint headers) stay the same.
+    f.write_u64(u64::MAX);
     f.write_u64(config.max_len.map_or(u64::MAX, |l| l as u64));
     f.write_u8(match mode {
         ExplorationMode::Base => 0,
@@ -176,12 +178,12 @@ impl HDivExplorer {
     /// Resumes a run persisted by [`fit_checkpointed`](Self::fit_checkpointed)
     /// from the newest valid checkpoint in `store`.
     ///
-    /// The cheap stages (discretization, transaction encoding) are recomputed
-    /// from `df`/`outcomes`; the checkpoint's dataset and configuration
-    /// fingerprints and the re-derived trees are verified before any mining
-    /// state is trusted. Budget work counters continue from the checkpoint;
-    /// the deadline clock restarts (a dead process's wall time is not billed
-    /// to its successor).
+    /// The checkpoint's dataset and configuration fingerprints are checked
+    /// first; the cheap stages (discretization, transaction encoding) are
+    /// then recomputed from `df`/`outcomes`, and the regrown trees checked,
+    /// before any mining state is trusted. Budget work counters continue
+    /// from the checkpoint; the deadline clock restarts (a dead process's
+    /// wall time is not billed to its successor).
     ///
     /// # Errors
     /// Everything [`fit_checkpointed`](Self::fit_checkpointed) returns, plus
@@ -216,77 +218,77 @@ impl HDivExplorer {
                     .into(),
             });
         }
-        let fit = self.discretize_and_encode(df, outcomes, mode);
-        let mut checkpointing = Checkpointing {
-            store,
-            every,
-            dataset_fingerprint: fingerprint_dataset(df, outcomes),
-            config_fingerprints: fit
-                .ladder
-                .iter()
-                .map(|&s| fingerprint_config(&self.config, mode, s))
-                .collect(),
-            trees: fit.trees.iter().map(snapshot_tree).collect(),
-            progress: None,
-            writes: 0,
-            last_error: None,
-        };
-        let (mut first_rung, mut resumed_seq, mut rejected_checkpoints) = (0, None, 0);
-        if resume {
-            let loaded = checkpointing.store.load_latest()?;
+        let dataset_fingerprint = fingerprint_dataset(df, outcomes);
+        let config_fingerprints: Vec<u64> = self
+            .config
+            .support_ladder()
+            .iter()
+            .map(|&s| fingerprint_config(&self.config, mode, s))
+            .collect();
+        let mut first_rung = 0;
+        let loaded = if resume {
+            let loaded = store.load_latest()?;
+            let state = &loaded.state;
             // A checkpoint written mid-retry names its rung through the
             // config fingerprint.
-            let fingerprints = &checkpointing.config_fingerprints;
-            first_rung = fingerprints
+            first_rung = config_fingerprints
                 .iter()
-                .position(|&fp| fp == loaded.state.config_fingerprint)
+                .position(|&fp| fp == state.config_fingerprint)
                 .ok_or(CheckpointError::FingerprintMismatch {
                     field: "config",
-                    expected: loaded.state.config_fingerprint,
-                    found: fingerprints[0],
+                    expected: state.config_fingerprint,
+                    found: config_fingerprints[0],
                 })?;
-            verify_identity(
-                &loaded.state,
-                checkpointing.dataset_fingerprint,
-                fingerprints[first_rung],
-                &checkpointing.trees,
-            )?;
-            validate_resume(&loaded.state.progress, &fit.transactions)?;
-            checkpointing.progress = Some(loaded.state.progress);
-            resumed_seq = Some(loaded.seq);
-            rejected_checkpoints = loaded.rejected;
+            // Refuse other data before the fit; the trees it regrows are
+            // checked after it.
+            let (config, trees) = (state.config_fingerprint, state.trees_fingerprint);
+            verify_identity(state, dataset_fingerprint, config, trees)?;
+            Some(loaded)
+        } else {
+            None
+        };
+        let fit = self.discretize_and_encode(df, outcomes, mode);
+        let trees_fingerprint = fingerprint_trees(&fit.trees);
+        if let Some(LoadedCheckpoint { state, .. }) = &loaded {
+            let config = state.config_fingerprint;
+            verify_identity(state, dataset_fingerprint, config, trees_fingerprint)?;
+            validate_resume(&state.progress, &fit.transactions)?;
         }
+        let (resumed_seq, rejected_checkpoints) = loaded
+            .as_ref()
+            .map_or((None, 0), |l| (Some(l.seq), l.rejected));
+        let mut checkpointing = Checkpointing {
+            ckpt: Checkpointer::new(store, every, dataset_fingerprint, trees_fingerprint),
+            config_fingerprints,
+            progress: loaded.map(|l| l.state.progress),
+        };
         let result = self.mine_ladder(fit, first_rung, Some(&mut checkpointing));
+        let ckpt = checkpointing.ckpt;
         Ok(CheckpointedRun {
             result,
-            checkpoint_writes: checkpointing.writes,
-            checkpoint_error: checkpointing.last_error,
+            checkpoint_writes: ckpt.writes(),
+            checkpoint_error: ckpt.last_error().map(ToString::to_string),
             resumed_seq,
             rejected_checkpoints,
         })
     }
 }
 
-/// The checkpoint side of one checkpointed fit: the run's identity, the
-/// progress a resume continues from, and the write bookkeeping.
+/// The checkpoint side of one checkpointed fit: its one checkpointer, the
+/// config fingerprint of each rung of the support ladder, and the progress
+/// a resume continues from.
 pub(crate) struct Checkpointing {
-    store: CheckpointStore,
-    every: u64,
-    dataset_fingerprint: u64,
-    /// The config fingerprint of each rung of the support ladder.
+    ckpt: Checkpointer,
     config_fingerprints: Vec<u64>,
-    trees: Vec<TreeSnapshot>,
     /// The loaded progress of a resume, taken by the first rung mined.
     progress: Option<MiningProgress>,
-    writes: u64,
-    last_error: Option<String>,
 }
 
 impl Checkpointing {
-    /// Mines one rung serially, checkpointing into the store. The first
-    /// rung of a resume continues from the loaded progress, with the
-    /// governor preloaded with its charged counters; adaptive retries
-    /// restart mining from scratch at the coarser support.
+    /// Mines one rung serially, checkpointing under the rung's config
+    /// fingerprint. The first rung of a resume continues from the loaded
+    /// progress, with the governor preloaded with its charged counters;
+    /// adaptive retries restart mining from scratch at the coarser support.
     pub(crate) fn mine_rung(
         &mut self,
         rung: usize,
@@ -296,13 +298,7 @@ impl Checkpointing {
         budget: RunBudget,
         cancel: &CancelToken,
     ) -> (MiningResult, Governor) {
-        let mut ckpt = Checkpointer::new(
-            self.store.clone(),
-            self.every,
-            self.dataset_fingerprint,
-            self.config_fingerprints[rung],
-            self.trees.clone(),
-        );
+        self.ckpt.arm(self.config_fingerprints[rung]);
         let progress = self.progress.take();
         let governor = match &progress {
             Some(p) => Governor::resumed_with_token(
@@ -322,13 +318,9 @@ impl Checkpointing {
             catalog,
             mining,
             &governor,
-            &mut ckpt,
+            &mut self.ckpt,
             progress.as_ref(),
         );
-        self.writes += ckpt.writes();
-        if let Some(err) = ckpt.last_error() {
-            self.last_error = Some(err.to_string());
-        }
         (mined, governor)
     }
 }
@@ -546,30 +538,39 @@ mod tests {
         );
     }
 
-    /// Encodes `state` in the payload layout of checkpoints written before
-    /// the miner label was dropped: a label string ahead of the cursor and
-    /// an Apriori frontier (a list of itemsets) ahead of the counters.
-    fn labelled_payload(state: &CheckpointState, label: &str, frontier: &[Vec<u32>]) -> Vec<u8> {
+    /// Encodes `state` in an older payload layout: the discretization
+    /// trees in full where the trees fingerprint now sits and, when
+    /// `labelled` is given, the layout from before the miner label was
+    /// dropped (a label string ahead of the cursor and an Apriori frontier,
+    /// a list of itemsets, ahead of the counters).
+    fn legacy_payload(
+        state: &CheckpointState,
+        trees: &[DiscretizationTree],
+        labelled: Option<(&str, &[Vec<u32>])>,
+    ) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u64(state.dataset_fingerprint);
         w.put_u64(state.config_fingerprint);
-        w.put_u64(state.trees.len() as u64);
-        for tree in &state.trees {
-            w.put_u32(u32::from(tree.attr));
+        w.put_u64(trees.len() as u64);
+        for tree in trees {
+            w.put_u32(u32::from(tree.attr.0));
             w.put_u64(tree.nodes.len() as u64);
             for node in &tree.nodes {
-                w.put_f64(node.lo);
-                w.put_f64(node.hi);
-                w.put_opt_u32(node.item);
+                w.put_f64(node.interval.lo);
+                w.put_f64(node.interval.hi);
+                w.put_opt_u32(node.item.map(|i| i.0));
                 w.put_f64(node.support);
                 w.put_opt_f64(node.statistic);
                 w.put_opt_f64(node.divergence);
-                w.put_u32_list(&node.children);
-                w.put_u32(node.depth);
+                let children: Vec<u32> = node.children.iter().map(|&c| c as u32).collect();
+                w.put_u32_list(&children);
+                w.put_u32(node.depth as u32);
             }
         }
         let p = &state.progress;
-        w.put_str(label);
+        if let Some((label, _)) = labelled {
+            w.put_str(label);
+        }
         w.put_u64(p.cursor);
         w.put_u64(p.n_rows);
         w.put_u64(p.emitted.len() as u64);
@@ -580,9 +581,11 @@ mod tests {
             w.put_f64(fi.accum.sum);
             w.put_f64(fi.accum.sum_sq);
         }
-        w.put_u64(frontier.len() as u64);
-        for itemset in frontier {
-            w.put_u32_list(itemset);
+        if let Some((_, frontier)) = labelled {
+            w.put_u64(frontier.len() as u64);
+            for itemset in frontier {
+                w.put_u32_list(itemset);
+            }
         }
         w.put_u64(p.counters.itemsets);
         w.put_u64(p.counters.candidate_bytes);
@@ -590,14 +593,14 @@ mod tests {
         w.into_bytes()
     }
 
-    #[test]
-    fn resume_refuses_a_checkpoint_in_the_labelled_layout() {
+    /// A real mid-run checkpoint state of a `setup(600)` fit, whose
+    /// fingerprints all match that fit, and the fit's trees.
+    fn mid_run_state(tag: &str) -> (CheckpointState, Vec<DiscretizationTree>) {
         let (df, outcomes) = setup(600);
         let config = HDivExplorerConfig::default();
         let full = HDivExplorer::new(config).fit_mode(&df, &outcomes, ExplorationMode::Generalized);
         let total = full.report.records.len() as u64;
-        // A real mid-run state, whose fingerprints all match this run.
-        let dir = tmp_dir("labelled");
+        let dir = tmp_dir(tag);
         HDivExplorer::new(HDivExplorerConfig {
             budget: RunBudget::unbounded().with_max_itemsets(total - 2),
             ..config
@@ -615,24 +618,159 @@ mod tests {
             .load_latest()
             .unwrap()
             .state;
+        let _ = fs::remove_dir_all(&dir);
+        (state, full.trees)
+    }
+
+    /// Resumes a `setup(600)` fit from a store holding only `payload`.
+    fn resume_from(tag: &str, payload: &[u8]) -> Result<CheckpointedRun, CoreError> {
+        let (df, outcomes) = setup(600);
+        let dir = tmp_dir(tag);
+        let store = CheckpointStore::create(&dir).unwrap();
+        fs::write(store.path_of(1), envelope::seal(payload)).unwrap();
+        let run = HDivExplorer::new(HDivExplorerConfig::default()).resume_checkpointed(
+            &df,
+            &outcomes,
+            ExplorationMode::Generalized,
+            store,
+            1,
+        );
+        let _ = fs::remove_dir_all(&dir);
+        run
+    }
+
+    #[test]
+    fn resume_refuses_a_checkpoint_in_the_labelled_layout() {
+        let (state, trees) = mid_run_state("labelled");
         let pair = state.progress.emitted[0].items.clone();
         // Written in the old layout with this run's own fingerprints, so
         // only the layout can refuse it. (The old config fingerprint also
         // hashed the label, which alone refuses a real old checkpoint.)
         for (label, frontier) in [("vertical", vec![]), ("apriori", vec![pair])] {
-            let dir = tmp_dir(&format!("labelled-{label}"));
-            let store = CheckpointStore::create(&dir).unwrap();
-            let sealed = envelope::seal(&labelled_payload(&state, label, &frontier));
-            fs::write(store.path_of(1), sealed).unwrap();
-            let err = HDivExplorer::new(config)
-                .resume_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
-                .unwrap_err();
+            let payload = legacy_payload(&state, &trees, Some((label, &frontier)));
+            let err = resume_from(&format!("labelled-{label}"), &payload).unwrap_err();
             assert!(
                 matches!(err, CoreError::Checkpoint(_)),
                 "{label}: expected a checkpoint refusal, got {err}"
             );
-            let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    #[test]
+    fn resume_refuses_a_checkpoint_that_carries_full_trees() {
+        // This run's own fingerprints and trees, in the layout that stored
+        // the trees in full: only the layout can refuse it.
+        let (state, trees) = mid_run_state("full-trees");
+        let err = resume_from("full-trees", &legacy_payload(&state, &trees, None)).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Checkpoint(_)),
+            "expected a checkpoint refusal, got {err}"
+        );
+
+        // Without continuous attributes the old payload decodes: its tree
+        // count, 0, lands in the trees fingerprint slot, and no set of
+        // trees fingerprints to 0.
+        let mut b = DataFrameBuilder::new();
+        b.add_categorical("g").unwrap();
+        let groups = ["a", "b", "c"];
+        let rows = (0..300).map(|i| groups[i % 3]);
+        for g in rows.clone() {
+            b.push_row(vec![Value::Cat(g.into())]).unwrap();
+        }
+        let df = b.finish();
+        let outcomes: Vec<Outcome> = rows.map(|g| Outcome::Bool(g == "b")).collect();
+        let dir = tmp_dir("no-trees");
+        let pipeline = HDivExplorer::new(HDivExplorerConfig::default());
+        let mode = ExplorationMode::Generalized;
+        let store = CheckpointStore::create(&dir).unwrap();
+        let run = pipeline.fit_checkpointed(&df, &outcomes, mode, store.clone(), 1);
+        assert!(run.unwrap().result.trees.is_empty());
+        let state = store.load_latest().unwrap().state;
+        let newest = store.sequences().unwrap().last().copied().unwrap();
+        let payload = legacy_payload(&state, &[], None);
+        fs::write(store.path_of(newest + 1), envelope::seal(&payload)).unwrap();
+        match pipeline.resume_checkpointed(&df, &outcomes, mode, store, 1) {
+            Err(CoreError::Checkpoint(CheckpointError::FingerprintMismatch {
+                field,
+                expected,
+                ..
+            })) => assert_eq!((field, expected), ("trees", 0)),
+            other => panic!("expected a trees mismatch, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn trees_fingerprint_moves_with_the_attribute_and_every_node_field() {
+        let (df, outcomes) = setup(400);
+        let trees = HDivExplorer::new(HDivExplorerConfig::default())
+            .fit(&df, &outcomes)
+            .trees;
+        let node = &trees[0].nodes[1];
+        assert!(node.item.is_some() && node.statistic.is_some() && node.divergence.is_some());
+        let base = fingerprint_trees(&trees);
+        assert_eq!(base, fingerprint_trees(&trees.clone()));
+        assert_ne!(base, fingerprint_trees(&[]));
+        let moves = |edit: fn(&mut DiscretizationTree)| {
+            let mut edited = trees.clone();
+            edit(&mut edited[0]);
+            fingerprint_trees(&edited) != base
+        };
+        assert!(moves(|t| t.attr.0 += 1), "attr");
+        assert!(moves(|t| t.nodes[1].interval.lo = -1234.5), "lo");
+        assert!(moves(|t| t.nodes[1].interval.hi = 1234.5), "hi");
+        assert!(moves(|t| t.nodes[1].item = None), "item");
+        assert!(moves(|t| t.nodes[1].support += 0.125), "support");
+        assert!(moves(|t| t.nodes[1].statistic = None), "statistic");
+        assert!(
+            moves(|t| t.nodes[1].divergence = t.nodes[1].divergence.map(|d| d + 0.125)),
+            "divergence"
+        );
+        assert!(moves(|t| t.nodes[0].children.push(0)), "children");
+        assert!(moves(|t| t.nodes[1].depth += 1), "depth");
+    }
+
+    #[test]
+    fn resume_on_a_higher_rung_matches_the_plain_adaptive_fit() {
+        let (df, outcomes) = setup(700);
+        let coarse = HDivExplorer::new(HDivExplorerConfig {
+            min_support: 0.2,
+            ..HDivExplorerConfig::default()
+        })
+        .fit(&df, &outcomes);
+        let config = HDivExplorerConfig {
+            min_support: 0.025,
+            budget: RunBudget::unbounded().with_max_itemsets(coarse.report.records.len() as u64),
+            adaptive_support: true,
+            ..HDivExplorerConfig::default()
+        };
+        let mode = ExplorationMode::Generalized;
+        let plain = HDivExplorer::new(config).fit_mode(&df, &outcomes, mode);
+        assert!(plain.termination().is_complete());
+        assert!(plain.adaptive_retries > 0, "the first rung trips the cap");
+
+        let dir = tmp_dir("higher-rung");
+        let store = CheckpointStore::create(&dir).unwrap();
+        HDivExplorer::new(config)
+            .fit_checkpointed(&df, &outcomes, mode, store.clone(), 1)
+            .unwrap();
+        // Drop the final checkpoint: the newest left is one the last rung
+        // wrote before its last root was explored.
+        let last_rung = fingerprint_config(&config, mode, plain.effective_min_support);
+        let done = store.load_latest().unwrap();
+        assert_eq!(done.state.config_fingerprint, last_rung);
+        fs::remove_file(store.path_of(done.seq)).unwrap();
+        let mid = store.load_latest().unwrap();
+        assert_eq!(mid.state.config_fingerprint, last_rung);
+        assert!(mid.state.progress.cursor > 0);
+        assert!(mid.state.progress.cursor < done.state.progress.cursor);
+
+        let resumed = HDivExplorer::new(config)
+            .resume_checkpointed(&df, &outcomes, mode, store, 1)
+            .unwrap();
+        assert_eq!(resumed.resumed_seq, Some(mid.seq));
+        assert_eq!(resumed.result.adaptive_retries, plain.adaptive_retries);
+        assert_eq!(json_bytes(&resumed.result), json_bytes(&plain));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -31,8 +31,6 @@ pub struct TreeDiscretizerConfig {
     pub min_support: f64,
     /// Split gain criterion.
     pub criterion: GainCriterion,
-    /// Optional depth cap (root has depth 0). `None` = unlimited.
-    pub max_depth: Option<usize>,
 }
 
 impl Default for TreeDiscretizerConfig {
@@ -40,7 +38,6 @@ impl Default for TreeDiscretizerConfig {
         Self {
             min_support: 0.1,
             criterion: GainCriterion::Divergence,
-            max_depth: None,
         }
     }
 }
@@ -167,7 +164,6 @@ impl TreeDiscretizer {
         Self::new(TreeDiscretizerConfig {
             min_support,
             criterion,
-            ..TreeDiscretizerConfig::default()
         })
     }
 
@@ -256,11 +252,6 @@ impl TreeDiscretizer {
             fail_point!("discretize::split");
             hdx_obs::span!("split");
             let depth = tree.nodes[node_idx].depth;
-            if let Some(max) = self.config.max_depth {
-                if depth >= max {
-                    continue;
-                }
-            }
             let Some(cut) = hdx_obs::time_hist!(
                 DiscretizeSplitGainNs,
                 self.best_split(&sorted_vals, &prefix, lo, hi, min_count, n_total)
@@ -502,24 +493,6 @@ mod tests {
         let disc = TreeDiscretizer::with_support(0.6, GainCriterion::Divergence);
         let (h, _) = disc.discretize_attribute(&df, x, &outcomes, &mut catalog);
         assert!(h.is_empty());
-    }
-
-    #[test]
-    fn max_depth_caps_refinement() {
-        let (df, outcomes, x) = step_frame(1000, 130.0);
-        let mut catalog = ItemCatalog::new();
-        let disc = TreeDiscretizer::new(TreeDiscretizerConfig {
-            min_support: 0.01,
-            criterion: GainCriterion::Divergence,
-            max_depth: Some(2),
-        });
-        let (h, tree) = disc.discretize_attribute(&df, x, &outcomes, &mut catalog);
-        assert!(tree.nodes.iter().all(|n| n.depth <= 2));
-        // Hierarchy depth ≤ 1 (tree depth 2 = hierarchy depth 1, since the
-        // tree root is not an item).
-        for &item in h.items() {
-            assert!(h.depth(item) <= 1);
-        }
     }
 
     #[test]

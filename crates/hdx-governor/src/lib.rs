@@ -27,7 +27,7 @@
 //! completed before the itemset is charged — so a truncated result is always
 //! a valid subset of the unbounded result.
 //!
-//! Under the `hdx-fail` feature the [`failpoint`] module adds a
+//! Under the `hdx-fail` feature the `failpoint` module adds a
 //! dependency-free fault-injection registry with named trigger points
 //! (armable from tests to panic, stall, or return errors on the Nth hit).
 //!
@@ -65,14 +65,14 @@ pub(crate) mod sync {
 #[cfg(feature = "hdx-fail")]
 pub mod failpoint;
 
-/// Marks a named fail-point trigger site (see [`failpoint`]).
+/// Marks a named fail-point trigger site (see the `failpoint` module).
 ///
 /// Expands to nothing unless the *calling* crate enables its own `hdx-fail`
 /// feature (which must forward to `hdx-governor/hdx-fail`). Two forms:
 ///
-/// * `fail_point!("name")` — an armed [`failpoint::FailAction::Error`]
+/// * `fail_point!("name")` — an armed `failpoint::FailAction::Error`
 ///   panics with its message (alongside `Panic`/`Stall`, which behave as
-///   documented on [`failpoint::hit`]);
+///   documented on `failpoint::hit`);
 /// * `fail_point!("name", |msg| MyError::from(msg))` — an armed `Error`
 ///   makes the enclosing function `return Err(...)` instead.
 #[macro_export]

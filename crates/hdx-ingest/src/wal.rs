@@ -24,6 +24,8 @@
 //! [`IngestReport`], and the scan continues with everything that remains
 //! valid. Rows are never silently dropped — every quarantined byte is
 //! reported — and recovery never fails on corrupt data.
+//!
+//! [`durable::write_atomic`]: hdx_checkpoint::durable::write_atomic
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;

@@ -6,6 +6,8 @@
 //! feature additionally wires [`assert_canonical_order`] into
 //! [`Itemset::from_sorted_unchecked`], turning every unchecked construction
 //! site in the miners into a checked one.
+//!
+//! [`assert_canonical_order`]: crate::invariants::assert_canonical_order
 
 use std::fmt;
 

@@ -18,6 +18,10 @@
 //! runs all three on every result it returns (an O(Σ k·|result|) pass with
 //! a hash index — fine for debugging, too slow to leave on in release
 //! serving builds, hence the feature gate).
+//!
+//! [`validate_itemsets`]: crate::invariants::validate_itemsets
+//! [`validate_min_support`]: crate::invariants::validate_min_support
+//! [`validate_anti_monotone`]: crate::invariants::validate_anti_monotone
 
 use std::collections::HashMap;
 

@@ -792,13 +792,13 @@ mod tests {
         // {a0} and {a0,b0} fit the budget; {a0,b1}, still inside a0's
         // subtree, trips it.
         let governor = Governor::new(RunBudget::unbounded().with_max_itemsets(2));
-        let mut ckpt = Checkpointer::new(store.clone(), 1, 0, 0, Vec::new());
+        let mut ckpt = Checkpointer::new(store.clone(), 1, 0, 0);
         let partial = mine_governed_ckpt(&t, &catalog, &config, &governor, &mut ckpt, None);
         assert_eq!(partial.termination, Termination::BudgetExhausted);
         let progress = store.load_latest().expect("a checkpoint").state.progress;
         assert_eq!(progress.cursor, 0, "the tripped root is not a boundary");
 
-        let mut ckpt = Checkpointer::new(store, 1, 0, 0, Vec::new());
+        let mut ckpt = Checkpointer::new(store, 1, 0, 0);
         let resumed = mine_governed_ckpt(
             &t,
             &catalog,

@@ -14,6 +14,10 @@
 //! Metric names translate from the registry's dotted convention by
 //! replacing every non-alphanumeric byte with `_`:
 //! `hdx.mining.itemsets.emitted` → `hdx_mining_itemsets_emitted_total`.
+//!
+//! [`Exposition`]: crate::expo::Exposition
+//! [`render_registry`]: crate::expo::render_registry
+//! [`check_grammar`]: crate::expo::check_grammar
 
 use crate::metrics::{CounterId, GaugeId, HistId, HistStat};
 use crate::telemetry::RunTelemetry;

@@ -17,6 +17,11 @@
 //! Numbers are kept as their raw source text ([`Json::Num`]) so integer
 //! telemetry values survive the round trip exactly, without float
 //! conversion.
+//!
+//! [`escape_into`]: crate::json::escape_into
+//! [`escape`]: crate::json::escape
+//! [`parse`]: crate::json::parse
+//! [`Json::Num`]: crate::json::Json::Num
 
 /// A parsed JSON value. Object member order is preserved.
 #[derive(Debug, Clone, PartialEq)]

@@ -7,6 +7,9 @@
 //! never a stack overflow) plus the wire format's *flat-object* rule. A job
 //! object holds only strings, numbers, booleans and `null`; nested
 //! containers are rejected with a clear error rather than half-supported.
+//!
+//! [`escape`]: crate::json::escape
+//! [`parse_object`]: crate::json::parse_object
 
 use std::collections::BTreeMap;
 

@@ -4,7 +4,7 @@
 //! One [`LivePlane`] per server wires three pieces together (DESIGN.md
 //! §16):
 //!
-//! * every open job owns a [`JobChannel`]: its durable [`crate::journal`],
+//! * every open job owns a `JobChannel`: its durable [`crate::journal`],
 //!   which is also the only in-memory copy of the job's event lines, plus
 //!   a condvar that wakes the `GET /jobs/<id>/events` followers reading
 //!   those lines;
@@ -22,6 +22,8 @@
 //! bottom of the file: no journal is written, no channel kept, no tap
 //! installed — the zero-cost-when-disabled contract of hdx-obs extended to
 //! the service.
+//!
+//! [`FLIGHT_CAP`]: crate::live::FLIGHT_CAP
 
 #[cfg(feature = "obs")]
 pub use enabled::{JobChannel, JobScope, LivePlane};

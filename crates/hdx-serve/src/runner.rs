@@ -163,12 +163,13 @@ fn execute_inner(
             spec.checkpoint_every,
         ) {
             Ok(run) => Ok(run),
-            // The dataset and spec are immutable after admission, so a
-            // resume refusal (fingerprint mismatch, unreadable file) can
-            // only mean the checkpoints themselves are unusable — e.g. a
-            // drain that interrupted discretization sealed truncated
-            // trees. Recovery must never brick a job on a stale
-            // checkpoint: quarantine them and redo the work from scratch.
+            // A resume refusal (fingerprint mismatch, unreadable file)
+            // means the checkpoints cannot continue this run: appended
+            // rows moved the dataset fingerprint (refused before any
+            // discretization), a drain that interrupted discretization
+            // sealed the fingerprint of truncated trees, or a file is in
+            // an older layout. Recovery must never brick a job on a stale
+            // checkpoint: delete them and redo the work from scratch.
             Err(_) => {
                 for seq in &sequences {
                     let _ = std::fs::remove_file(store.path_of(*seq));

@@ -41,13 +41,19 @@ use hdx_obs::json::escape;
 
 /// How long a worker parks on an empty queue before re-checking drain state.
 const POP_WAIT: Duration = Duration::from_millis(100);
+/// Ceiling of the backoff between retries of a transient failure.
+const RETRY_CAP_MS: u64 = 2_000;
+/// `Retry-After` seconds suggested to shed clients.
+const RETRY_AFTER_SECS: u64 = 1;
 /// Accept-loop poll interval while the listener has no pending connection.
 const ACCEPT_WAIT: Duration = Duration::from_millis(10);
 /// Supervisor poll interval for dead-worker detection.
 const WATCHDOG_WAIT: Duration = Duration::from_millis(50);
 
 /// Tunables for one service instance. `Default` is a small, safe local
-/// deployment; every field maps onto an `hdx serve` flag.
+/// deployment. Every field but `retry_base_ms` and
+/// `append_backlog_max_rows` maps onto an `hdx serve` flag; those two are
+/// set by embedders and tests.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Listen address (`127.0.0.1:0` picks an ephemeral port).
@@ -66,12 +72,9 @@ pub struct ServeConfig {
     pub max_connections: usize,
     /// Retries after the first attempt before a transient failure is final.
     pub retry_max: u32,
-    /// Base backoff between retries (doubles per attempt, plus jitter).
+    /// Base backoff between retries (doubles per attempt, plus jitter, up
+    /// to a 2 s ceiling).
     pub retry_base_ms: u64,
-    /// Backoff ceiling.
-    pub retry_cap_ms: u64,
-    /// `Retry-After` seconds suggested to shed clients.
-    pub retry_after_secs: u64,
     /// Per-tenant wall-clock deadline; each admitted job gets at most this.
     pub tenant_deadline_ms: Option<u64>,
     /// Per-tenant itemset budget, split evenly across the tenant's
@@ -95,8 +98,6 @@ impl Default for ServeConfig {
             max_connections: 32,
             retry_max: 2,
             retry_base_ms: 50,
-            retry_cap_ms: 2_000,
-            retry_after_secs: 1,
             tenant_deadline_ms: None,
             tenant_max_itemsets: None,
             append_backlog_max_rows: 100_000,
@@ -667,7 +668,6 @@ struct JobLease<'a> {
 impl Drop for JobLease<'_> {
     fn drop(&mut self) {
         if !self.settled {
-            counter_add!(ServeJobsFailed, 1);
             // This Drop runs while the worker thread unwinds from a panic
             // that escaped per-job isolation: dump the thread's flight ring
             // next to the job it was holding, then settle the job.
@@ -681,24 +681,7 @@ impl Drop for JobLease<'_> {
             self.shared
                 .plane
                 .dump_flight(&self.shared.job_dir(&self.job_id), reason);
-            self.shared.finish(
-                &self.job_id,
-                DoneRecord {
-                    ok: false,
-                    termination: "failed".to_string(),
-                    attempts: 0,
-                    body: reason.to_string(),
-                },
-                true,
-            );
-            self.shared.plane.finish(
-                &self.job_id,
-                &JobEvent::Done {
-                    ok: false,
-                    state: "failed".to_string(),
-                    termination: "failed".to_string(),
-                },
-            );
+            self.fail(reason.to_string());
         }
     }
 }
@@ -738,25 +721,12 @@ impl JobLease<'_> {
                 Err(panic) => {
                     // Isolated: the job fails, the worker survives.
                     let msg = panic_message(&panic);
-                    counter_add!(ServeJobsFailed, 1);
                     self.shared
                         .plane
                         .emit(&self.job_id, &JobEvent::Panicked { error: msg.clone() });
-                    self.shared
-                        .plane
-                        .dump_flight(&dir, &format!("worker panicked: {msg}"));
-                    self.shared.finish(
-                        &self.job_id,
-                        DoneRecord {
-                            ok: false,
-                            termination: "failed".to_string(),
-                            attempts: attempt,
-                            body: format!("worker panicked: {msg}"),
-                        },
-                        true,
-                    );
-                    self.finish_event(false, "failed");
-                    self.settled = true;
+                    let reason = format!("worker panicked: {msg}");
+                    self.shared.plane.dump_flight(&dir, &reason);
+                    self.fail(reason);
                     return;
                 }
                 Ok(JobRunOutcome::Done(record)) => {
@@ -790,19 +760,7 @@ impl JobLease<'_> {
                     return;
                 }
                 Ok(JobRunOutcome::Permanent(msg)) => {
-                    counter_add!(ServeJobsFailed, 1);
-                    self.shared.finish(
-                        &self.job_id,
-                        DoneRecord {
-                            ok: false,
-                            termination: "failed".to_string(),
-                            attempts: attempt,
-                            body: msg,
-                        },
-                        true,
-                    );
-                    self.finish_event(false, "failed");
-                    self.settled = true;
+                    self.fail(msg);
                     return;
                 }
                 Ok(JobRunOutcome::Transient(msg)) => {
@@ -814,19 +772,7 @@ impl JobLease<'_> {
                         }
                     }
                     if !retries_left {
-                        counter_add!(ServeJobsFailed, 1);
-                        self.shared.finish(
-                            &self.job_id,
-                            DoneRecord {
-                                ok: false,
-                                termination: "failed".to_string(),
-                                attempts: attempt,
-                                body: format!("retries exhausted: {msg}"),
-                            },
-                            true,
-                        );
-                        self.finish_event(false, "failed");
-                        self.settled = true;
+                        self.fail(format!("retries exhausted: {msg}"));
                         return;
                     }
                     counter_add!(ServeJobsRetried, 1);
@@ -850,6 +796,27 @@ impl JobLease<'_> {
         }
     }
 
+    /// Settles the job as failed with `body` as its error: seals a failed
+    /// completion record carrying the registry's attempt count, counts the
+    /// failure and emits the `done` event.
+    fn fail(&mut self, body: String) {
+        counter_add!(ServeJobsFailed, 1);
+        let attempts = self
+            .shared
+            .lock_registry()
+            .get(&self.job_id)
+            .map_or(0, |job| job.attempts);
+        let record = DoneRecord {
+            ok: false,
+            termination: "failed".to_string(),
+            attempts,
+            body,
+        };
+        self.shared.finish(&self.job_id, record, true);
+        self.finish_event(false, "failed");
+        self.settled = true;
+    }
+
     /// Emits the terminal `done` event and retires the job's channel.
     /// Runs after [`Shared::finish`] so a consumer that sees the `done`
     /// line can immediately fetch the result.
@@ -871,7 +838,7 @@ impl JobLease<'_> {
         let exp = config.retry_base_ms.saturating_mul(1u64 << attempt.min(16)) / 2;
         let jitter =
             splitmix64(seed_of(&self.job_id) ^ u64::from(attempt)) % config.retry_base_ms.max(1);
-        let total = Duration::from_millis(exp.saturating_add(jitter).min(config.retry_cap_ms));
+        let total = Duration::from_millis(exp.saturating_add(jitter).min(RETRY_CAP_MS));
         let slice = Duration::from_millis(20);
         let deadline = Instant::now() + total;
         while Instant::now() < deadline && !self.shared.draining() {
@@ -1028,7 +995,7 @@ fn submit(shared: &Arc<Shared>, stream: &mut TcpStream, body: &[u8]) {
     resolve_budget(&shared.config, &mut spec);
     if let Err(shed) = shared.queue.admit(&spec.tenant) {
         counter_add!(ServeRequestsShed, 1);
-        let retry_after = ("Retry-After", shared.config.retry_after_secs.to_string());
+        let retry_after = ("Retry-After", RETRY_AFTER_SECS.to_string());
         let (status, reason) = match shed {
             Shed::Draining => (503, "Service Unavailable"),
             _ => (429, "Too Many Requests"),
@@ -1292,7 +1259,7 @@ fn job_append(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str, body: 
             // retry guidance.
             counter_add!(ServeIngestShed, 1);
             let pending = backlog + rows.len() as u64;
-            let base_ms = shared.config.retry_after_secs.saturating_mul(1000).max(1);
+            let base_ms = RETRY_AFTER_SECS * 1000;
             let jitter = splitmix64(seed_of(job_id) ^ pending) % base_ms;
             let body = format!(
                 "{{\"error\":\"append backlog full ({backlog} unfolded rows)\",\
@@ -1305,7 +1272,7 @@ fn job_append(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str, body: 
                 "Too Many Requests",
                 "application/json",
                 &body,
-                &[("Retry-After", shared.config.retry_after_secs.to_string())],
+                &[("Retry-After", RETRY_AFTER_SECS.to_string())],
             );
             return;
         }

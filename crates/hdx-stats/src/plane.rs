@@ -47,7 +47,7 @@
 use crate::outcome::{Outcome, StatAccum};
 use crate::simd::{self, SumsKernel, BLOCK_WORDS};
 
-/// Bitplane encoding of an outcome vector (see the [module docs](self)).
+/// Bitplane encoding of an outcome vector (DESIGN.md §10.1).
 ///
 /// Build once per mining run with [`OutcomePlanes::from_outcomes`], then fold
 /// covers into accumulators with [`accum`](OutcomePlanes::accum) (cover

@@ -18,7 +18,7 @@
 //! ascending order. Because lane partials only ever combine element-wise,
 //! every vector path — whatever its register width groups lanes into —
 //! produces identical per-lane values, and one shared fixed-order reduction
-//! ([`reduce16`]) folds them, so all vector paths agree **bit for bit**.
+//! (`reduce16`) folds them, so all vector paths agree **bit for bit**.
 //!
 //! ## Dispatch
 //!
@@ -38,7 +38,7 @@
 //! ## Exactness contract
 //!
 //! * `n_valid` is a popcount: **exact on every path**.
-//! * Every path shares the 16-lane accumulation order and [`reduce16`], so
+//! * Every path shares the 16-lane accumulation order and `reduce16`, so
 //!   all paths are **bitwise identical to each other** (no FMA anywhere —
 //!   products round before accumulation on every path).
 //! * Against a row-walking sum (ascending rows, one accumulator) the lanes

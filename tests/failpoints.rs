@@ -14,12 +14,13 @@
 
 use h_divexplorer::checkpoint::durable::tmp_path;
 use h_divexplorer::checkpoint::{
-    envelope, write_sealed, CheckpointState, CheckpointStore, CounterSnapshot, MiningProgress,
+    envelope, write_sealed, CheckpointError, CheckpointState, CheckpointStore, CounterSnapshot,
+    MiningProgress,
 };
 use h_divexplorer::core::{
-    ExplorationMode, HDivExplorer, HDivExplorerConfig, OutcomeFn, Termination,
+    CoreError, ExplorationMode, HDivExplorer, HDivExplorerConfig, OutcomeFn, Termination,
 };
-use h_divexplorer::data::{read_csv_str, CsvOptions, DataError};
+use h_divexplorer::data::{read_csv_str, write_csv_string, CsvOptions, DataError};
 use h_divexplorer::datasets::compas;
 use h_divexplorer::governor::failpoint::{self, FailAction, IoFault};
 use h_divexplorer::governor::{Governor, RunBudget};
@@ -235,6 +236,52 @@ fn discretizer_split_panic_is_a_clean_unwind() {
         HDivExplorer::new(config()).fit_mode(&dataset.frame, &outcomes, ExplorationMode::Base);
     assert_eq!(retry.termination(), Termination::Complete);
     assert!(!retry.report.records.is_empty());
+}
+
+/// A resume against an edited dataset is refused before the fit runs: with
+/// the discretizer's split search armed to panic, the refusal still comes
+/// back as a typed dataset mismatch.
+#[test]
+fn a_refused_resume_stops_before_the_fit() {
+    let _guard = serial();
+    let dataset = compas(300, 11);
+    let outcomes = dataset.classification_outcomes(OutcomeFn::Fpr);
+    let csv = write_csv_string(&dataset.frame, ',');
+    let frame = read_csv_str(&csv, &CsvOptions::default()).expect("parse");
+    // Same schema and row count; the last row becomes a copy of the first.
+    let lines: Vec<&str> = csv.lines().collect();
+    let edited = format!("{}\n{}\n", lines[..lines.len() - 1].join("\n"), lines[1]);
+    let edited = read_csv_str(&edited, &CsvOptions::default()).expect("parse edited");
+    assert_eq!(edited.n_rows(), frame.n_rows());
+
+    let config = HDivExplorerConfig {
+        min_support: 0.05,
+        ..HDivExplorerConfig::default()
+    };
+    let mode = ExplorationMode::Generalized;
+    let dir = tmp_dir("refused-resume");
+    let store = CheckpointStore::create(&dir).unwrap();
+    HDivExplorer::new(config)
+        .fit_checkpointed(&frame, &outcomes, mode, store, 1)
+        .unwrap();
+
+    failpoint::arm("discretize::split", FailAction::Panic, 1);
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let resumed = std::panic::catch_unwind(|| {
+        let store = CheckpointStore::open(&dir).unwrap();
+        HDivExplorer::new(config).resume_checkpointed(&edited, &outcomes, mode, store, 1)
+    });
+    std::panic::set_hook(hook);
+    failpoint::disarm("discretize::split");
+    match resumed {
+        Ok(Err(CoreError::Checkpoint(CheckpointError::FingerprintMismatch { field, .. }))) => {
+            assert_eq!(field, "dataset");
+        }
+        Ok(other) => panic!("expected a dataset mismatch, got {other:?}"),
+        Err(_) => panic!("the refused resume ran the discretizer"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Checkpoint-write faults (disk full, permission loss) degrade persistence
@@ -558,7 +605,7 @@ fn durable_write_faults_every_sealed_file_writer() {
     let state = CheckpointState {
         dataset_fingerprint: 1,
         config_fingerprint: 2,
-        trees: vec![],
+        trees_fingerprint: 0,
         progress: MiningProgress {
             cursor: 3,
             n_rows: 4,
