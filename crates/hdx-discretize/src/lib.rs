@@ -45,6 +45,7 @@
 pub mod invariants;
 
 mod flat;
+mod runs;
 mod tree;
 
 pub use flat::{cuts_to_hierarchy, manual_hierarchy, quantile_hierarchy, uniform_hierarchy};

@@ -12,6 +12,8 @@ use hdx_governor::{fail_point, Governor};
 use hdx_items::{Interval, Item, ItemCatalog, ItemHierarchy, ItemId};
 use hdx_stats::{binary_entropy, Outcome, StatAccum};
 
+use crate::runs::{Boundary, Runs};
+
 /// Split gain criterion (paper §V-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum GainCriterion {
@@ -120,39 +122,6 @@ pub struct TreeDiscretizer {
     config: TreeDiscretizerConfig,
 }
 
-/// Per-sorted-position prefix aggregates enabling O(1) gain evaluation.
-struct Prefix {
-    /// `valid[i]` = number of defined outcomes among the first `i` sorted rows.
-    valid: Vec<f64>,
-    /// Sum of defined outcome values among the first `i` sorted rows.
-    sum: Vec<f64>,
-}
-
-impl Prefix {
-    fn build(outcomes: &[Outcome], order: &[usize]) -> Self {
-        let mut valid = Vec::with_capacity(order.len() + 1);
-        let mut sum = Vec::with_capacity(order.len() + 1);
-        let (mut running_valid, mut running_sum) = (0.0, 0.0);
-        valid.push(running_valid);
-        sum.push(running_sum);
-        for &row in order {
-            if let Some(v) = outcomes[row].value() {
-                running_valid += 1.0;
-                running_sum += v;
-            }
-            valid.push(running_valid);
-            sum.push(running_sum);
-        }
-        Self { valid, sum }
-    }
-
-    /// Mean of defined outcomes over sorted positions `[lo, hi)`.
-    fn mean(&self, lo: usize, hi: usize) -> Option<f64> {
-        let nv = self.valid[hi] - self.valid[lo];
-        (nv > 0.0).then(|| (self.sum[hi] - self.sum[lo]) / nv)
-    }
-}
-
 impl TreeDiscretizer {
     /// Creates a discretizer with the given configuration.
     pub fn new(config: TreeDiscretizerConfig) -> Self {
@@ -212,14 +181,10 @@ impl TreeDiscretizer {
         );
         let attr_name = df.schema().name(attr).to_string();
         hdx_obs::span!("attr", owned attr_name.clone());
-        let values = df.continuous(attr).values();
         let n_total = df.n_rows();
-
-        // Sort non-null row indices by attribute value.
-        let mut order: Vec<usize> = (0..n_total).filter(|&r| !values[r].is_nan()).collect();
-        order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
-        let sorted_vals: Vec<f64> = order.iter().map(|&r| values[r]).collect();
-        let prefix = Prefix::build(outcomes, &order);
+        let runs = Runs::build(df.continuous(attr).values(), outcomes);
+        let all = runs.count();
+        let (first, last) = (runs.bound(0), runs.bound(all));
 
         let global = StatAccum::from_outcomes(outcomes);
         let global_stat = global.statistic();
@@ -231,20 +196,18 @@ impl TreeDiscretizer {
             nodes: vec![TreeNode {
                 interval: Interval::all(),
                 item: None,
-                support: order.len() as f64 / n_total.max(1) as f64,
-                statistic: prefix.mean(0, order.len()),
-                divergence: prefix
-                    .mean(0, order.len())
-                    .zip(global_stat)
-                    .map(|(s, g)| s - g),
+                support: first.rows_to(last) as f64 / n_total.max(1) as f64,
+                statistic: first.mean_to(last),
+                divergence: first.mean_to(last).zip(global_stat).map(|(s, g)| s - g),
                 children: Vec::new(),
                 depth: 0,
             }],
         };
         let mut hierarchy = ItemHierarchy::new(attr);
 
-        // Work queue of (node index, lo, hi) sorted-ranges to try splitting.
-        let mut queue = vec![(DiscretizationTree::ROOT, 0usize, order.len())];
+        // Work queue of (node index, lo, hi) run-boundary ranges to try
+        // splitting.
+        let mut queue = vec![(DiscretizationTree::ROOT, 0, all)];
         while let Some((node_idx, lo, hi)) = queue.pop() {
             if !governor.keep_going() {
                 break;
@@ -254,7 +217,7 @@ impl TreeDiscretizer {
             let depth = tree.nodes[node_idx].depth;
             let Some(cut) = hdx_obs::time_hist!(
                 DiscretizeSplitGainNs,
-                self.best_split(&sorted_vals, &prefix, lo, hi, min_count, n_total)
+                self.best_split(&runs, lo, hi, min_count, n_total)
             ) else {
                 hdx_obs::counter_add!(DiscretizeSplitsRejected, 1);
                 continue;
@@ -264,7 +227,7 @@ impl TreeDiscretizer {
             if !governor.record_tree_nodes(2) {
                 break;
             }
-            let split_value = sorted_vals[cut - 1];
+            let split_value = runs.value_before(cut);
             let parent_interval = tree.nodes[node_idx].interval;
             let (left_iv, right_iv) = parent_interval.split_at(split_value);
 
@@ -274,11 +237,12 @@ impl TreeDiscretizer {
                     Some(parent_item) => hierarchy.add_child(parent_item, item),
                     None => hierarchy.add_root(item),
                 }
-                let stat = prefix.mean(range.start, range.end);
+                let (start, end) = (runs.bound(range.start), runs.bound(range.end));
+                let stat = start.mean_to(end);
                 let child = TreeNode {
                     interval: iv,
                     item: Some(item),
-                    support: (range.end - range.start) as f64 / n_total as f64,
+                    support: start.rows_to(end) as f64 / n_total as f64,
                     statistic: stat,
                     divergence: stat.zip(global_stat).map(|(s, g)| s - g),
                     children: Vec::new(),
@@ -297,40 +261,43 @@ impl TreeDiscretizer {
         (hierarchy, tree)
     }
 
-    /// Finds the best admissible cut position in `[lo, hi)`, returning the
-    /// index `k` such that the split is `[lo, k) | [k, hi)`, or `None`.
+    /// Finds the best admissible cut in the run-boundary range `[lo, hi)`,
+    /// returning the boundary `k` such that the split is `[lo, k) | [k, hi)`,
+    /// or `None`.
     ///
-    /// Admissibility: both sides ≥ `min_count` rows and the cut falls on a
-    /// value change. Among (near-)equal gains the most balanced split wins,
-    /// which keeps zero-information regions from degenerating into chains.
+    /// Admissibility: both sides ≥ `min_count` rows; a cut falls between
+    /// runs, so always on a value change. The candidates are visited in
+    /// ascending position, from the first admissible one. Among
+    /// (near-)equal gains the most balanced split wins, which keeps
+    /// zero-information regions from degenerating into chains.
     fn best_split(
         &self,
-        sorted_vals: &[f64],
-        prefix: &Prefix,
+        runs: &Runs,
         lo: usize,
         hi: usize,
         min_count: usize,
         n_total: usize,
     ) -> Option<usize> {
-        if hi - lo < 2 * min_count {
+        let (first, last) = (runs.bound(lo), runs.bound(hi));
+        if first.rows_to(last) < 2 * min_count {
             return None;
         }
-        let parent_mean = prefix.mean(lo, hi);
+        let parent_mean = first.mean_to(last);
         let nd = n_total as f64;
         let mut best: Option<(f64, usize, usize)> = None; // (gain, balance, k)
-        let k_min = lo + min_count;
-        let k_max = hi - min_count; // inclusive upper bound for k
-        for k in k_min..=k_max {
-            if sorted_vals[k - 1] >= sorted_vals[k] {
-                continue; // not a value boundary
+        let last_cut = last.end - min_count; // inclusive bound on a cut's position
+        let from = runs.first_at_least(lo, hi, min_count);
+        for (k, cut) in (from..).zip(runs.bounds(from, hi)) {
+            if cut.end > last_cut {
+                break;
             }
             let gain = match self.config.criterion {
-                GainCriterion::Entropy => entropy_gain(prefix, lo, k, hi, nd),
-                GainCriterion::Divergence => divergence_gain(prefix, parent_mean, lo, k, hi, nd),
+                GainCriterion::Entropy => entropy_gain(first, cut, last, nd),
+                GainCriterion::Divergence => divergence_gain(parent_mean, first, cut, last, nd),
             };
             // Balance tiebreak: prefer the split whose smaller side is
             // largest.
-            let balance = (k - lo).min(hi - k);
+            let balance = first.rows_to(cut).min(cut.rows_to(last));
             let better = match best {
                 None => true,
                 Some((bg, bb, _)) => {
@@ -345,29 +312,28 @@ impl TreeDiscretizer {
     }
 }
 
-/// Entropy gain of splitting sorted range `[lo, hi)` at `k` (paper §V-A,
-/// weighted by node sizes over the dataset size).
-fn entropy_gain(prefix: &Prefix, lo: usize, k: usize, hi: usize, n_dataset: f64) -> f64 {
-    let h = |a: usize, b: usize| prefix.mean(a, b).map_or(0.0, binary_entropy);
-    let w = |a: usize, b: usize| (b - a) as f64 / n_dataset;
+/// Entropy gain of splitting the rows between boundaries `lo` and `hi` at
+/// boundary `k` (paper §V-A, weighted by node sizes over the dataset size).
+fn entropy_gain(lo: &Boundary, k: &Boundary, hi: &Boundary, n_dataset: f64) -> f64 {
+    let h = |a: &Boundary, b: &Boundary| a.mean_to(b).map_or(0.0, binary_entropy);
+    let w = |a: &Boundary, b: &Boundary| a.rows_to(b) as f64 / n_dataset;
     w(lo, hi) * h(lo, hi) - w(lo, k) * h(lo, k) - w(k, hi) * h(k, hi)
 }
 
-/// Divergence gain of splitting sorted range `[lo, hi)` at `k` (paper §V-A):
-/// size-weighted absolute deviation of child statistics from the parent's.
+/// Divergence gain of splitting the rows between boundaries `lo` and `hi`
+/// at boundary `k` (paper §V-A): size-weighted absolute deviation of child
+/// statistics from the parent's.
 fn divergence_gain(
-    prefix: &Prefix,
     parent_mean: Option<f64>,
-    lo: usize,
-    k: usize,
-    hi: usize,
+    lo: &Boundary,
+    k: &Boundary,
+    hi: &Boundary,
     n_dataset: f64,
 ) -> f64 {
     let Some(p) = parent_mean else { return 0.0 };
-    let term = |a: usize, b: usize| {
-        prefix
-            .mean(a, b)
-            .map_or(0.0, |m| (b - a) as f64 / n_dataset * (m - p).abs())
+    let term = |a: &Boundary, b: &Boundary| {
+        a.mean_to(b)
+            .map_or(0.0, |m| a.rows_to(b) as f64 / n_dataset * (m - p).abs())
     };
     term(lo, k) + term(k, hi)
 }

@@ -120,16 +120,15 @@ pub fn mine_governed_ckpt(
         "resume progress must be validated against this run"
     );
     hdx_obs::span!("mine_ckpt");
-    // Guarantee the run leaves a checkpoint even if it trips inside its
-    // first work unit: stash the incoming progress (resume) or a
-    // zero-progress snapshot (fresh run) for `finalize` to flush. A
-    // cursor-0 checkpoint means "mining not yet started", so it resumes as
-    // a fresh traversal — the governor counters were preloaded upstream.
-    ckpt.seed(
-        resume
-            .cloned()
-            .unwrap_or_else(|| progress_snapshot(0, transactions.n_rows(), &[], governor)),
-    );
+    // Guarantee a fresh pass leaves a checkpoint even if it trips inside
+    // its first work unit: stash a zero-progress snapshot for `finalize` to
+    // flush. A cursor-0 checkpoint means "mining not yet started", so it
+    // resumes as a fresh traversal. A resume stashes nothing: the
+    // checkpoint it loaded is already durable, and writing it again under a
+    // new sequence would add no progress.
+    if resume.is_none() {
+        ckpt.seed(progress_snapshot(0, transactions.n_rows(), &[], governor));
+    }
     let resume = resume.filter(|p| p.cursor > 0);
     crate::search(transactions, catalog, config, governor, Some(ckpt), resume)
 }

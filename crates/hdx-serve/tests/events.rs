@@ -1,7 +1,8 @@
 //! End-to-end tests for the live observability plane (`obs` feature):
-//! chunked event streaming, drop-oldest backpressure under a stalled
-//! consumer, byte-identical replay across a restart, and the progress
-//! summary embedded in `GET /jobs/<id>`.
+//! chunked event streaming, a stalled consumer that never holds up the
+//! worker (events land in the job's journal, not on its socket),
+//! byte-identical replay across a restart, and the progress summary
+//! embedded in `GET /jobs/<id>`.
 #![cfg(feature = "obs")]
 
 use std::io::Write;
@@ -94,8 +95,9 @@ fn stalled_stream_consumer_never_blocks_the_miner() {
     let job_id = extract_job_id(&accepted.body);
 
     // A consumer that subscribes and then never reads a single byte. The
-    // worker must keep mining regardless: event pushes land in the bounded
-    // ring (dropping the oldest), never on this socket.
+    // worker must keep mining regardless: events are appended to the job's
+    // journal, and only this follower's connection thread, reading that
+    // journal, writes to the socket.
     let mut stalled = TcpStream::connect(addr).expect("connect");
     stalled
         .write_all(format!("GET /jobs/{job_id}/events HTTP/1.1\r\nHost: test\r\n\r\n").as_bytes())

@@ -116,6 +116,37 @@ fn resume_with_threads_matches_uninterrupted() {
     }
 }
 
+/// Resuming from the checkpoint of a finished run mines nothing and writes
+/// nothing: the loaded file is already durable, so the store keeps exactly
+/// the sequences it had, and the result is the uninterrupted run's.
+#[test]
+fn resume_of_a_finished_run_writes_no_checkpoint() {
+    let (df, outcomes) = setup();
+    for mode in MODES {
+        let plain =
+            HDivExplorer::new(config(RunBudget::unbounded())).fit_mode(&df, &outcomes, mode);
+        let dir = tmp_dir(&format!("finished-{mode:?}"));
+        let store = CheckpointStore::create(&dir).unwrap();
+        let finished = HDivExplorer::new(config(RunBudget::unbounded()))
+            .fit_checkpointed(&df, &outcomes, mode, store, 1)
+            .unwrap();
+        assert!(!finished.result.is_partial());
+        assert_eq!(json_bytes(&finished.result), json_bytes(&plain));
+
+        let store = CheckpointStore::open(&dir).unwrap();
+        let before = store.sequences().unwrap();
+        let resumed = HDivExplorer::new(config(RunBudget::unbounded()))
+            .resume_checkpointed(&df, &outcomes, mode, store.clone(), 1)
+            .unwrap();
+        assert_eq!(resumed.resumed_seq, before.last().copied());
+        assert_eq!(resumed.checkpoint_writes, 0, "{mode:?}");
+        assert_eq!(store.sequences().unwrap(), before, "{mode:?}");
+        assert!(!resumed.result.is_partial());
+        assert_eq!(json_bytes(&resumed.result), json_bytes(&plain));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Flipping one byte in the newest checkpoint must not break resume: the
 /// loader detects the damage and falls back to the previous valid file.
 #[test]

@@ -1,11 +1,41 @@
 //! Integration tests asserting the paper's headline experimental claims on
 //! scaled-down data, via the same runners the experiment binaries use.
 
-use hdx_bench::experiments::{fig5, fig6, fig7, fig8, table1, table3, table4};
+use hdx_bench::experiments::{fig1, fig5, fig6, fig7, fig8, table1, table3, table4};
 use hdx_bench::Args;
 
 fn args(scale: f64) -> Args {
     Args { scale, seed: 2 }
+}
+
+/// Fig. 1: the `#prior` tree isolates the high-prior defendants in a
+/// shallow, unbounded-above node with the paper's Δ ≈ +0.3, and its
+/// low-prior side diverges below the dataset (paper: `#prior > 8`, Δ +0.30,
+/// under a first split whose `≤ 3` side has Δ −0.03).
+#[test]
+fn fig1_prior_tree() {
+    for seed in [2, 1, 42] {
+        let (tree, catalog) = fig1::tree(Args { seed, ..args(1.0) });
+        let top = tree.nodes[1..]
+            .iter()
+            .max_by(|a, b| a.divergence.unwrap().total_cmp(&b.divergence.unwrap()))
+            .expect("the root splits");
+        let delta = top.divergence.unwrap();
+        let seen = format!(
+            "seed {seed}: {} at depth {}, support {}, Δ {delta}",
+            catalog.label(top.item.unwrap()),
+            top.depth,
+            top.support
+        );
+        assert_eq!(top.interval.hi, f64::INFINITY, "{seen}");
+        assert!(top.depth <= 2, "{seen}");
+        assert!(top.support >= 0.1, "{seen}");
+        assert!((0.2..=0.4).contains(&delta), "{seen}");
+
+        let low = &tree.nodes[tree.nodes[0].children[0]];
+        assert_eq!(low.interval.lo, f64::NEG_INFINITY);
+        assert!(low.divergence.unwrap() < 0.0, "seed {seed}: {low:?}");
+    }
 }
 
 /// Table I: the FPR divergence ladder of the compas subgroups.
