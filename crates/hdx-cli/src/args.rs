@@ -264,17 +264,23 @@ fn apply_input_flag(input: &mut InputOpts, flag: &str, cur: &mut Cursor) -> Resu
         "--label-col" => input.label_col = cur.value(flag)?,
         "--pred-col" => input.pred_col = cur.value(flag)?,
         "--target-col" => input.target_col = Some(cur.value(flag)?),
-        "--separator" => {
-            let raw = cur.value(flag)?;
-            let mut chars = raw.chars();
-            match (chars.next(), chars.next()) {
-                (Some(c), None) => input.separator = c,
-                _ => return Err(CliError::new("--separator takes a single character")),
-            }
-        }
+        "--separator" => input.separator = parse_separator(&cur.value(flag)?)?,
         _ => return Ok(false),
     }
     Ok(true)
+}
+
+/// Parses a `--separator` value: one character that is not CSV syntax
+/// (a quote or a line break).
+fn parse_separator(raw: &str) -> Result<char, CliError> {
+    let mut chars = raw.chars();
+    match (chars.next(), chars.next()) {
+        (Some('"' | '\n' | '\r'), None) => Err(CliError::new(
+            "--separator cannot be a quote or a line break",
+        )),
+        (Some(c), None) => Ok(c),
+        _ => Err(CliError::new("--separator takes a single character")),
+    }
 }
 
 fn require_path(cur: &mut Cursor, command: &str) -> Result<String, CliError> {
@@ -335,14 +341,7 @@ pub fn parse(args: Vec<String>) -> Result<Command, CliError> {
             let mut separator = ',';
             while let Some(flag) = cur.args.next() {
                 match flag.as_str() {
-                    "--separator" => {
-                        let raw = cur.value(&flag)?;
-                        let mut chars = raw.chars();
-                        match (chars.next(), chars.next()) {
-                            (Some(c), None) => separator = c,
-                            _ => return Err(CliError::new("--separator takes a single character")),
-                        }
-                    }
+                    "--separator" => separator = parse_separator(&cur.value(&flag)?)?,
                     other => return Err(CliError::new(format!("unknown flag `{other}`"))),
                 }
             }
@@ -705,6 +704,25 @@ mod tests {
             .unwrap_err()
             .0
             .contains("single character"));
+    }
+
+    #[test]
+    fn separators_that_are_csv_syntax_are_refused() {
+        for sep in ["\"", "\n", "\r"] {
+            for command in ["explore", "describe", "discretize", "baselines"] {
+                let err = parse(v(&[command, "d.csv", "--separator", sep])).unwrap_err();
+                assert_eq!(
+                    err.0, "--separator cannot be a quote or a line break",
+                    "{command} {sep:?}"
+                );
+            }
+        }
+        assert!(matches!(
+            parse(v(&["describe", "d.csv", "--separator", "€"])),
+            Ok(Command::Describe {
+                separator: '€', ..
+            })
+        ));
     }
 
     #[test]

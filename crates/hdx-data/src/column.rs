@@ -7,10 +7,53 @@ use crate::value::Value;
 /// Sentinel code marking a null cell in a categorical column.
 pub const NULL_CODE: u32 = u32::MAX;
 
-/// The most levels a [`CategoricalColumn`] looks a level up in by scanning
-/// its level table. A column with more levels keeps a hash map, whose
-/// keyed hash also bounds the cost of adversarial input.
-const SCAN_LEVELS: usize = 16;
+/// The most levels a [`CategoricalColumn`] finds through its slot table.
+/// A column with more levels keeps a hash map, whose keyed hash also
+/// bounds the cost of adversarial input.
+const SLOT_LEVELS: usize = 16;
+
+/// Slots in a [`CategoricalColumn`]'s slot table: twice [`SLOT_LEVELS`],
+/// so the table is at most half full and a probe ends at an empty slot.
+const SLOTS: usize = 2 * SLOT_LEVELS;
+
+/// One slot of the table over a column's first [`SLOT_LEVELS`] levels: a
+/// level's key (its first eight bytes and its length) and its code plus
+/// one; `code == 0` marks an empty slot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Slot {
+    head: u64,
+    len: u32,
+    code: u32,
+}
+
+/// The key a level is found by: its first eight bytes, little-endian and
+/// zero-padded, and its length (saturated, so a long level never passes
+/// for a short one). A level of at most eight bytes is its key.
+#[inline]
+fn level_key(level: &str) -> (u64, u32) {
+    let bytes = level.as_bytes();
+    let head = match bytes.first_chunk::<8>() {
+        Some(first) => u64::from_le_bytes(*first),
+        None => {
+            let mut head = [0; 8];
+            for (h, &b) in head.iter_mut().zip(bytes) {
+                *h = b;
+            }
+            u64::from_le_bytes(head)
+        }
+    };
+    (head, u32::try_from(bytes.len()).unwrap_or(u32::MAX))
+}
+
+/// The first slot a key probes: the top bits of a multiplicative hash.
+/// The length goes into the top byte, which a level shorter than eight
+/// bytes leaves zero.
+#[inline]
+fn home_slot(head: u64, len: u32) -> usize {
+    let hash = (head ^ u64::from(len).rotate_right(8)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    // The top five bits: below `SLOTS`.
+    (hash >> (64 - SLOTS.trailing_zeros())) as usize
+}
 
 /// Dictionary-encoded categorical column.
 ///
@@ -21,9 +64,13 @@ const SCAN_LEVELS: usize = 16;
 pub struct CategoricalColumn {
     codes: Vec<u32>,
     levels: Vec<String>,
-    /// Level → code, built once there are more than [`SCAN_LEVELS`]
+    /// Level → code, built once there are more than [`SLOT_LEVELS`]
     /// levels; empty until then.
     level_ids: HashMap<String, u32>,
+    /// Open-addressed (linear probing) table over the first
+    /// [`SLOT_LEVELS`] levels, filled in code order: a pure function of
+    /// the levels, so equal columns hold equal tables.
+    slots: Box<[Slot; SLOTS]>,
 }
 
 impl CategoricalColumn {
@@ -58,12 +105,23 @@ impl CategoricalColumn {
         let id = u32::try_from(self.levels.len()).expect("too many categorical levels");
         assert_ne!(id, NULL_CODE, "categorical level count overflow");
         self.levels.push(level.to_string());
-        if self.levels.len() > SCAN_LEVELS {
-            if self.level_ids.is_empty() {
-                self.level_ids = self.levels.iter().cloned().zip(0..).collect();
-            } else {
-                self.level_ids.insert(level.to_string(), id);
+        if self.levels.len() <= SLOT_LEVELS {
+            let (head, len) = level_key(level);
+            let mut at = home_slot(head, len);
+            // At most `SLOT_LEVELS` of the `SLOTS` slots are taken, so the
+            // probe meets an empty slot.
+            while self.slots[at].code != 0 {
+                at = (at + 1) % SLOTS;
             }
+            self.slots[at] = Slot {
+                head,
+                len,
+                code: id + 1,
+            };
+        } else if self.level_ids.is_empty() {
+            self.level_ids = self.levels.iter().cloned().zip(0..).collect();
+        } else {
+            self.level_ids.insert(level.to_string(), id);
         }
         id
     }
@@ -131,13 +189,30 @@ impl CategoricalColumn {
     }
 
     /// The code of a level, if registered.
+    ///
+    /// Up to 16 levels a slot table finds it, keyed on the level's first
+    /// eight bytes and its length: probing from the key's home slot, a
+    /// slot with an equal key holds the level when the level is at most
+    /// eight bytes long, and otherwise when its full text compares equal.
+    /// Past 16 levels a keyed hash map does.
+    #[inline]
     pub fn code_of(&self, level: &str) -> Option<u32> {
-        if self.levels.len() > SCAN_LEVELS {
+        if self.levels.len() > SLOT_LEVELS {
             return self.level_ids.get(level).copied();
         }
-        let code = self.levels.iter().position(|l| l == level)?;
-        // At most `SCAN_LEVELS` levels: the index fits.
-        Some(code as u32)
+        let (head, len) = level_key(level);
+        let mut at = home_slot(head, len);
+        loop {
+            let slot = self.slots[at];
+            let code = slot.code.checked_sub(1)?;
+            if slot.head == head
+                && slot.len == len
+                && (len <= 8 || self.levels.get(code as usize).is_some_and(|l| l == level))
+            {
+                return Some(code);
+            }
+            at = (at + 1) % SLOTS;
+        }
     }
 
     /// All registered levels, in code order.
@@ -335,7 +410,7 @@ mod tests {
 
     #[test]
     fn lookup_is_the_same_past_the_scan_limit() {
-        let names: Vec<String> = (0..3 * SCAN_LEVELS).map(|i| format!("v{i}")).collect();
+        let names: Vec<String> = (0..3 * SLOT_LEVELS).map(|i| format!("v{i}")).collect();
         let mut c = CategoricalColumn::new();
         for (i, name) in names.iter().enumerate() {
             assert_eq!(c.intern(name), i as u32);
@@ -351,6 +426,32 @@ mod tests {
             c,
             CategoricalColumn::with_levels(names.iter().map(String::as_str))
         );
+    }
+
+    #[test]
+    fn levels_sharing_a_key_keep_distinct_codes() {
+        // Equal first eight bytes and equal length, different tails: every
+        // level has the same slot-table key.
+        let names: Vec<String> = (0..2 * SLOT_LEVELS)
+            .map(|i| format!("category-{i:03}"))
+            .collect();
+        assert!(names.iter().all(|n| level_key(n) == level_key(&names[0])));
+        let mut c = CategoricalColumn::new();
+        for (i, name) in names.iter().enumerate() {
+            c.push(name);
+            // Before and after the switch to the map at level 17.
+            for (k, seen) in names.iter().take(i + 1).enumerate() {
+                assert_eq!(c.code_of(seen), Some(k as u32), "{seen} after {i}");
+            }
+            assert_eq!(c.code_of("category-999"), None);
+            assert_eq!(c.code_of("category-00"), None);
+        }
+        assert_eq!(c.n_levels(), names.len());
+        // Short levels are their key: a zero byte or a shorter length is a
+        // different level.
+        let c = CategoricalColumn::from_values(["a", "a\0", "a\0\0", "", "a"]);
+        assert_eq!(c.levels(), ["a", "a\0", "a\0\0", ""]);
+        assert_eq!(c.codes(), [0, 1, 2, 3, 0]);
     }
 
     #[test]

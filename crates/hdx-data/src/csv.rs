@@ -6,10 +6,11 @@
 //! number are inferred continuous; everything else is categorical.
 //!
 //! The reader makes one streaming pass over the text (DESIGN.md §12.6):
-//! each record is split into borrowed fields ([`split_record`]) and every
-//! cell goes straight into its typed column. A column starts numeric and
-//! turns categorical at its first non-numeric cell, when its earlier cells
-//! are re-read from the text.
+//! one scan finds line feeds, quotes and separators together, a quote-free
+//! record is cut into borrowed fields as they come (a quoted one goes
+//! through [`split_record`]), and every cell goes straight into its typed
+//! column. A column starts numeric and turns categorical at its first
+//! non-numeric cell, when its earlier cells are re-read from the text.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -26,7 +27,7 @@ use crate::schema::{Attribute, AttributeKind, Schema};
 /// Options controlling CSV parsing.
 #[derive(Debug, Clone)]
 pub struct CsvOptions {
-    /// Field separator (default `,`).
+    /// Field separator (default `,`). A quote or a line break is refused.
     pub separator: char,
     /// Attribute names to force categorical even when numeric-looking
     /// (e.g. zip codes).
@@ -71,23 +72,20 @@ pub fn split_record<'a>(
     let sep = separator.encode_utf8(&mut sep_buf).as_bytes();
     let lead = sep.first().copied().unwrap_or_default();
     let bytes = line.as_bytes();
+    // Every `"` and separator lead byte of the line, in order.
+    let mut scan = Scan::new(bytes, [b'"', lead, lead]);
     let mut count = 0;
     let mut start = 0;
     loop {
-        let mut at = start;
-        if bytes.get(at) == Some(&b'"') {
-            at = closing_quote(bytes, at + 1).ok_or("unterminated quoted field")? + 1;
+        if bytes.get(start) == Some(&b'"') {
+            closing_quote(&mut scan, bytes).ok_or("unterminated quoted field")?;
         }
         // Up to the separator the field holds no quote: a `"` here follows
         // unquoted text or the closing quote plus more text.
         let end = loop {
-            let Some(k) = bytes
-                .get(at..)
-                .and_then(|rest| find_either(rest, b'"', lead))
-            else {
+            let Some(k) = scan.next() else {
                 break None;
             };
-            let k = at + k;
             if bytes.get(k) == Some(&b'"') {
                 return Err("quote in the middle of an unquoted field");
             }
@@ -96,7 +94,6 @@ pub fn split_record<'a>(
             if sep.len() == 1 || bytes.get(k..).is_some_and(|rest| rest.starts_with(sep)) {
                 break Some(k);
             }
-            at = k + 1;
         };
         if let Some(slot) = fields.get_mut(count) {
             *slot = line
@@ -111,55 +108,243 @@ pub fn split_record<'a>(
     }
 }
 
-/// Index of the quote closing a quoted field whose text starts at `from`:
-/// the first `"` not doubled. `None` when the field never closes.
-fn closing_quote(bytes: &[u8], mut from: usize) -> Option<usize> {
+/// Moves `scan` past the quote that closes a quoted field, whose opening
+/// quote is the next position `scan` yields: the first `"` after it not
+/// doubled. Separators inside the field are passed over. `None` when the
+/// field never closes.
+fn closing_quote(scan: &mut Scan<'_>, bytes: &[u8]) -> Option<()> {
+    scan.next()?;
     loop {
-        let q = from + find_either(bytes.get(from..)?, b'"', b'"')?;
-        if bytes.get(q + 1) != Some(&b'"') {
-            return Some(q);
+        let q = scan.next()?;
+        if bytes.get(q) != Some(&b'"') {
+            continue;
         }
-        from = q + 2;
+        if bytes.get(q + 1) != Some(&b'"') {
+            return Some(());
+        }
+        // The doubled quote's second half is the next position.
+        scan.next();
     }
 }
 
-/// Index of the first byte of `bytes` that is `a` or `b`, found eight bytes
-/// at a time.
+/// Bit `i` of the result is set when byte `base + i` of `bytes` is one of
+/// `needles`: the structural bytes of one 64-byte block, found eight bytes
+/// at a time in safe Rust.
 ///
-/// Each word is read as a little-endian `u64` and XORed with `a` (and `b`)
-/// broadcast to every byte, which zeroes exactly the matching bytes; then
-/// `(x - 0x01…01) & !x & 0x80…80` flags the zero bytes of `x`. A flag can
-/// be spurious only above a real zero byte (a borrow runs upwards), so the
-/// lowest flag of either comparison marks the first match. The last,
-/// partial word is zero-padded, and a match in the padding is no match.
-fn find_either(bytes: &[u8], a: u8, b: u8) -> Option<usize> {
+/// Each word is read as a little-endian `u64` and XORed with each needle
+/// broadcast to every byte, which zeroes exactly the matching bytes. A
+/// byte `x` is zero exactly when `(x & 0x7f) + 0x7f` and `x` both leave
+/// its high bit clear; no carry crosses bytes, so the flags are exact. A
+/// multiply gathers a word's eight flags into eight adjacent bits. The
+/// block past the end of `bytes` reads as no match.
+fn block_mask(bytes: &[u8], base: usize, needles: [u8; 3]) -> u64 {
     const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const LOW7: u64 = u64::from_le_bytes([0x7f; 8]);
     const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
-    let (fill_a, fill_b) = (ONES * u64::from(a), ONES * u64::from(b));
-    let first_match = |word: [u8; 8]| {
-        let word = u64::from_le_bytes(word);
-        let (x, y) = (word ^ fill_a, word ^ fill_b);
-        let flags = (x.wrapping_sub(ONES) & !x | y.wrapping_sub(ONES) & !y) & HIGHS;
-        (flags != 0).then_some(flags.trailing_zeros() as usize / 8)
-    };
-    let mut words = bytes.chunks_exact(8);
-    let mut at = 0;
-    for chunk in &mut words {
-        let mut word = [0; 8];
-        word.copy_from_slice(chunk);
-        if let Some(k) = first_match(word) {
-            return Some(at + k);
+    /// Moves bit `8k` (byte `k`'s flag, shifted down) to bit `56 + k`.
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let [a, b, c] = needles.map(|n| ONES * u64::from(n));
+    let zero = |x: u64| !(((x & LOW7) + LOW7) | x) & HIGHS;
+    let rest = bytes.get(base..).unwrap_or_default();
+    let mut padded = [0; 64];
+    let (block, valid) = match rest.first_chunk::<64>() {
+        Some(block) => (block, u64::MAX),
+        None => {
+            for (p, &r) in padded.iter_mut().zip(rest) {
+                *p = r;
+            }
+            // Fewer than 64 bytes are left.
+            (&padded, (1u64 << rest.len()) - 1)
         }
-        at += 8;
+    };
+    let mut mask = 0;
+    for (k, word) in block.as_chunks::<8>().0.iter().enumerate() {
+        let word = u64::from_le_bytes(*word);
+        let flags = zero(word ^ a) | zero(word ^ b) | zero(word ^ c);
+        mask |= ((flags >> 7).wrapping_mul(GATHER) >> 56) << (8 * k);
     }
-    let tail = words.remainder();
-    let mut word = [0; 8];
-    for (byte, &t) in word.iter_mut().zip(tail) {
-        *byte = t;
+    mask & valid
+}
+
+/// The positions of the bytes of a text that are one of three needles, in
+/// ascending order, found a 64-byte block at a time ([`block_mask`]).
+#[derive(Clone)]
+struct Scan<'a> {
+    bytes: &'a [u8],
+    needles: [u8; 3],
+    /// Start of the block `mask` covers.
+    base: usize,
+    /// The block's needle positions not yet returned: bit `i` is byte
+    /// `base + i`.
+    mask: u64,
+}
+
+impl<'a> Scan<'a> {
+    fn new(bytes: &'a [u8], needles: [u8; 3]) -> Self {
+        Self {
+            bytes,
+            needles,
+            base: 0,
+            mask: block_mask(bytes, 0, needles),
+        }
     }
-    first_match(word)
-        .filter(|&k| k < tail.len())
-        .map(|k| at + k)
+}
+
+impl Iterator for Scan<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.mask == 0 {
+            self.base += 64;
+            if self.base >= self.bytes.len() {
+                return None;
+            }
+            self.mask = block_mask(self.bytes, self.base, self.needles);
+        }
+        let k = self.mask.trailing_zeros() as usize;
+        self.mask &= self.mask - 1;
+        Some(self.base + k)
+    }
+}
+
+/// One non-blank line of a CSV text, as [`Records`] yields it.
+struct Record<'a> {
+    /// 1-based physical line number.
+    line: usize,
+    /// The line without its terminator.
+    text: &'a str,
+    /// How many fields the line holds, or why it does not split.
+    split: Result<usize, &'static str>,
+    /// Whether the fields are raw [`split_record`] fields, which may be
+    /// quoted; the fields of a quote-free line are their text as is.
+    raw: bool,
+}
+
+/// The records of a CSV text, cut into fields in one scan of the text.
+///
+/// Lines are those of [`str::lines`]: every `\n` ends one, and a `\r`
+/// right before it is dropped. Blank and whitespace-only lines are
+/// skipped but counted. One [`Scan`] finds line feeds, quotes and a
+/// one-byte separator together, and a quote-free line is cut into fields
+/// at its separators as they come; a line with a quote, or every line
+/// under a multi-byte separator, goes to [`split_record`].
+#[derive(Clone)]
+struct Records<'a> {
+    text: &'a str,
+    separator: char,
+    /// Whether the separator is one byte, which the scan then finds.
+    cut: bool,
+    scan: Scan<'a>,
+    /// Start of the next line.
+    pos: usize,
+    /// Lines read so far, blank ones included.
+    line: usize,
+}
+
+impl<'a> Records<'a> {
+    fn new(text: &'a str, separator: char) -> Self {
+        let one_byte = u8::try_from(separator).ok().filter(u8::is_ascii);
+        // A multi-byte separator leaves the third needle to the line feed.
+        let needles = [b'\n', b'"', one_byte.unwrap_or(b'\n')];
+        Self {
+            text,
+            separator,
+            cut: one_byte.is_some(),
+            scan: Scan::new(text.as_bytes(), needles),
+            pos: 0,
+            line: 0,
+        }
+    }
+
+    /// The next non-blank record, its first `fields.len()` fields stored
+    /// in `fields` as [`split_record`] stores them.
+    fn next(&mut self, fields: &mut [&'a str]) -> Option<Record<'a>> {
+        let bytes = self.text.as_bytes();
+        loop {
+            if self.pos >= bytes.len() {
+                return None;
+            }
+            let start = self.pos;
+            self.line += 1;
+            let mut quoted = false;
+            let mut count = 0;
+            let mut field = start;
+            let end = loop {
+                let Some(k) = self.scan.next() else {
+                    break bytes.len();
+                };
+                match bytes.get(k) {
+                    Some(b'\n') => break k,
+                    Some(b'"') => quoted = true,
+                    _ if quoted => {}
+                    _ => {
+                        if let Some(slot) = fields.get_mut(count) {
+                            *slot = self.text.get(field..k).unwrap_or_default();
+                        }
+                        count += 1;
+                        field = k + 1;
+                    }
+                }
+            };
+            self.pos = end + 1;
+            // `\r\n` ends a line as `\n` does; a final `\r` with no `\n`
+            // after it is text.
+            let crlf = end < bytes.len() && end > start && bytes.get(end - 1) == Some(&b'\r');
+            let stop = if crlf { end - 1 } else { end };
+            let text = self.text.get(start..stop).unwrap_or_default();
+            if is_blank(text) {
+                continue;
+            }
+            let (split, raw) = if quoted || !self.cut {
+                (split_record(text, self.separator, fields), true)
+            } else {
+                if let Some(slot) = fields.get_mut(count) {
+                    *slot = self.text.get(field..stop).unwrap_or_default();
+                }
+                (Ok(count + 1), false)
+            };
+            return Some(Record {
+                line: self.line,
+                text,
+                split,
+                raw,
+            });
+        }
+    }
+}
+
+/// Whether a line trims to nothing, checking its first byte before
+/// trimming: a printable ASCII byte cannot start whitespace.
+#[inline]
+fn is_blank(line: &str) -> bool {
+    match line.as_bytes().first() {
+        Some(&b) if !may_be_space(b) => false,
+        _ => line.trim().is_empty(),
+    }
+}
+
+/// Whether a byte can be part of a whitespace character: ASCII spaces and
+/// controls, and every byte of a multi-byte character.
+#[inline]
+fn may_be_space(byte: u8) -> bool {
+    byte <= b' ' || byte >= 0x80
+}
+
+/// The trimmed text of a field: a raw [`split_record`] field is unquoted
+/// first. `trim` runs only when the text's first or last byte can be
+/// whitespace.
+#[inline]
+fn cell_text<'f>(field: &'f str, raw: bool, scratch: &'f mut String) -> &'f str {
+    let text = if raw {
+        unquote_field(field, scratch)
+    } else {
+        field
+    };
+    match (text.as_bytes().first(), text.as_bytes().last()) {
+        (Some(&first), Some(&last)) if !may_be_space(first) && !may_be_space(last) => text,
+        _ => text.trim(),
+    }
 }
 
 /// The text of a raw field from [`split_record`]: an unquoted field as it
@@ -253,14 +438,17 @@ pub fn read_csv_str_with_quality(
         message,
     });
     let sep = options.separator;
+    if matches!(sep, '"' | '\n' | '\r') {
+        return Err(DataError::Csv {
+            line: 1,
+            message: format!("separator {sep:?} cannot be a quote or a line break"),
+        });
+    }
     let mut quality = DataQualityReport::default();
     // A UTF-8 byte-order mark is not part of the first column's name.
     let text = text.strip_prefix('\u{feff}').unwrap_or(text);
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let (_, header) = lines.next().ok_or(DataError::Csv {
+    let mut records = Records::new(text, sep);
+    let header = records.next(&mut []).ok_or(DataError::Csv {
         line: 1,
         message: "missing header row".to_string(),
     })?;
@@ -268,9 +456,9 @@ pub fn read_csv_str_with_quality(
         line: 1,
         message: message.to_string(),
     };
-    let n_cols = split_record(header, sep, &mut []).map_err(header_error)?;
+    let n_cols = split_record(header.text, sep, &mut []).map_err(header_error)?;
     let mut fields = vec![""; n_cols];
-    split_record(header, sep, &mut fields).map_err(header_error)?;
+    split_record(header.text, sep, &mut fields).map_err(header_error)?;
     let mut scratch = String::new();
     let names: Vec<String> = fields
         .iter()
@@ -291,26 +479,27 @@ pub fn read_csv_str_with_quality(
             }
         })
         .collect();
-    // `lines` stays at the first data line: a column that turns
+    // `data` stays at the first data record: a column that turns
     // categorical re-reads its earlier cells from there.
-    for (idx, line) in lines.clone() {
-        let malformed = match split_record(line, sep, &mut fields) {
+    let data = records.clone();
+    while let Some(record) = records.next(&mut fields) {
+        let malformed = match record.split {
             Ok(n) if n == n_cols => None,
             Ok(n) => Some(format!("expected {n_cols} fields, found {n}")),
             Err(message) => Some(message.to_string()),
         };
         if let Some(message) = malformed {
             if options.quarantine_malformed_rows {
-                quality.count_row(idx + 1);
+                quality.count_row(record.line);
                 continue;
             }
             return Err(DataError::Csv {
-                line: idx + 1,
+                line: record.line,
                 message,
             });
         }
         for (j, (field, column)) in fields.iter().zip(&mut columns).enumerate() {
-            let cell = unquote_field(field, &mut scratch).trim();
+            let cell = cell_text(field, record.raw, &mut scratch);
             match column {
                 Column::Continuous(values) if cell.is_empty() => values.push_null(),
                 Column::Continuous(values) => match cell.parse::<f64>() {
@@ -320,9 +509,7 @@ pub fn read_csv_str_with_quality(
                         quality.count_cell(&names[j], false);
                     }
                     Err(_) => {
-                        let earlier = lines.clone().take_while(|&(i, _)| i < idx);
-                        let earlier = earlier.map(|(_, line)| line);
-                        let mut levels = reread_categorical(earlier, sep, n_cols, j);
+                        let mut levels = reread_categorical(data.clone(), record.line, n_cols, j);
                         levels.push(cell);
                         quality.columns.retain(|c| c.name != names[j]);
                         *column = Column::Categorical(levels);
@@ -348,26 +535,30 @@ pub fn read_csv_str_with_quality(
     Ok((frame, quality))
 }
 
-/// Field `j` of the rows of `lines`, as a categorical column: the cells of
-/// a numeric column that has just met its first non-numeric cell.
+/// Field `j` of the records of `records` before line `line`, as a
+/// categorical column: the cells of a numeric column that has just met its
+/// first non-numeric cell.
 ///
-/// `lines` are the non-blank data lines read so far. A line that does not
-/// split into `n_cols` fields is one the reader quarantined, and is skipped
-/// as the reader skipped it.
-fn reread_categorical<'a>(
-    lines: impl Iterator<Item = &'a str>,
-    sep: char,
+/// `records` starts at the first data record, so it walks the records the
+/// reader walked. A record that does not split into `n_cols` fields is one
+/// the reader quarantined, and is skipped as the reader skipped it.
+fn reread_categorical(
+    mut records: Records<'_>,
+    line: usize,
     n_cols: usize,
     j: usize,
 ) -> CategoricalColumn {
     let mut fields = vec![""; j + 1];
     let mut scratch = String::new();
     let mut levels = CategoricalColumn::new();
-    for line in lines {
-        if split_record(line, sep, &mut fields) != Ok(n_cols) {
+    while let Some(record) = records.next(&mut fields) {
+        if record.line >= line {
+            break;
+        }
+        if record.split != Ok(n_cols) {
             continue;
         }
-        let cell = unquote_field(fields[j], &mut scratch).trim();
+        let cell = cell_text(fields[j], record.raw, &mut scratch);
         if cell.is_empty() {
             levels.push_null();
         } else {
@@ -660,19 +851,77 @@ mod tests {
     }
 
     #[test]
-    fn find_either_agrees_with_a_byte_scan() {
-        let text = "ab\"cd,ef€gh\"\"ij;kl\tmn…op,qr\"\0";
+    fn scan_agrees_with_a_byte_scan() {
+        let text = "ab\"cd,ef€gh\"\"ij;kl\tmn…op,qr\"\0".repeat(5);
         for start in 0..text.len() {
-            for end in start..=text.len() {
+            for end in (start..=text.len()).step_by(7).chain([text.len()]) {
                 let bytes = &text.as_bytes()[start..end];
-                for (a, b) in [(b'"', b','), (b'"', b'"'), (b'"', 0xe2), (b';', 0)] {
+                for needles in [*b"\",\n", *b"\"\"\"", [b'"', 0xe2, 0xe2], [b';', 0, b'\t']] {
+                    let want: Vec<usize> = (0..bytes.len())
+                        .filter(|&k| needles.contains(&bytes[k]))
+                        .collect();
                     assert_eq!(
-                        find_either(bytes, a, b),
-                        bytes.iter().position(|&x| x == a || x == b),
-                        "{start}..{end} {a} {b}"
+                        Scan::new(bytes, needles).collect::<Vec<_>>(),
+                        want,
+                        "{start}..{end} {needles:?}"
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn records_follow_str_lines() {
+        let texts = [
+            "",
+            "a",
+            "a\n",
+            "a\n\n",
+            "a\r\nb\r\n",
+            "a\rb\n\r\n\r",
+            "\n\n x \n\t\n\u{a0}\ny\r",
+            "a,b\n\"c\r\n\",d\r",
+        ];
+        for text in texts {
+            for separator in [',', '€'] {
+                let want: Vec<(usize, &str)> = text
+                    .lines()
+                    .enumerate()
+                    .filter(|(_, l)| !l.trim().is_empty())
+                    .map(|(i, l)| (i + 1, l))
+                    .collect();
+                let mut records = Records::new(text, separator);
+                let mut got = Vec::new();
+                let mut fields = [""; 4];
+                while let Some(record) = records.next(&mut fields) {
+                    assert_eq!(
+                        record.split,
+                        split_record(record.text, separator, &mut []),
+                        "{text:?}"
+                    );
+                    got.push((record.line, record.text));
+                }
+                assert_eq!(got, want, "{text:?} {separator:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn separators_that_are_csv_syntax_are_refused() {
+        for separator in ['"', '\n', '\r'] {
+            let options = CsvOptions {
+                separator,
+                ..CsvOptions::default()
+            };
+            let err = read_csv_str("a\nb\n1\n2\n3\nx\n", &options).unwrap_err();
+            let DataError::Csv { line, message } = err else {
+                panic!("{separator:?}: {err:?}");
+            };
+            assert_eq!(line, 1);
+            assert_eq!(
+                message,
+                format!("separator {separator:?} cannot be a quote or a line break")
+            );
         }
     }
 

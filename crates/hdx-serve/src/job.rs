@@ -19,8 +19,9 @@ use hdx_obs::json::Json;
 
 /// Manifest codec version (bump on layout change).
 const SPEC_VERSION: u8 = 2;
-/// Done-record codec version.
-const DONE_VERSION: u8 = 1;
+/// Done-record codec version. Version 1 records (no retries, no resumed
+/// flag) still decode.
+const DONE_VERSION: u8 = 2;
 
 /// Parses a statistic's wire name.
 fn parse_stat(name: &str) -> Option<Statistic> {
@@ -260,6 +261,9 @@ pub fn parse_submission(map: &BTreeMap<String, Json>) -> Result<(JobSpec, String
     }
     let separator_str = str_field(map, "separator", Some(","))?.unwrap_or_default();
     let separator = match separator_str.as_bytes() {
+        [b'"' | b'\n' | b'\r'] => {
+            return Err("`separator` cannot be a quote or a line break".into())
+        }
         [b] if separator_str.is_ascii() => *b,
         _ => return Err("`separator` must be a single ASCII character".into()),
     };
@@ -313,6 +317,10 @@ pub struct DoneRecord {
     pub attempts: u32,
     /// Ranked-results JSON on success; the error message on failure.
     pub body: String,
+    /// The transient-failure messages of the attempts before, in order.
+    pub retries: Vec<String>,
+    /// Whether the run was an orphan a server start resumed.
+    pub resumed: bool,
 }
 
 impl DoneRecord {
@@ -324,6 +332,12 @@ impl DoneRecord {
         w.put_str(&self.termination);
         w.put_u32(self.attempts);
         w.put_str(&self.body);
+        w.put_bool(self.resumed);
+        // A retry per attempt: `attempts` is a `u32`.
+        w.put_u32(self.retries.len() as u32);
+        for retry in &self.retries {
+            w.put_str(retry);
+        }
         w.into_bytes()
     }
 
@@ -334,17 +348,25 @@ impl DoneRecord {
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = ByteReader::new(bytes);
         let version = r.u8()?;
-        if version != DONE_VERSION {
+        if !(1..=DONE_VERSION).contains(&version) {
             return Err(CheckpointError::Corrupt {
                 message: format!("unsupported done-record version {version}"),
             });
         }
-        let record = DoneRecord {
+        let mut record = DoneRecord {
             ok: r.bool()?,
             termination: r.str()?,
             attempts: r.u32()?,
             body: r.str()?,
+            retries: Vec::new(),
+            resumed: false,
         };
+        if version >= 2 {
+            record.resumed = r.bool()?;
+            for _ in 0..r.u32()? {
+                record.retries.push(r.str()?);
+            }
+        }
         r.finish()?;
         Ok(record)
     }
@@ -385,6 +407,18 @@ mod tests {
             (r#""support":1.5"#, "`support`"),
             (r#""tenant":"b@d""#, "`tenant`"),
             (r#""separator":"ab""#, "`separator`"),
+            (
+                r#""separator":"\"""#,
+                "`separator` cannot be a quote or a line break",
+            ),
+            (
+                r#""separator":"\n""#,
+                "`separator` cannot be a quote or a line break",
+            ),
+            (
+                r#""separator":"\r""#,
+                "`separator` cannot be a quote or a line break",
+            ),
             (r#""stat":"target""#, "requires `target_col`"),
             (r#""max_len":2.5"#, "`max_len`"),
             (r#""max_len":0"#, "`max_len` must be at least 1"),
@@ -451,11 +485,13 @@ mod tests {
 
     #[test]
     fn done_record_codec_round_trips() {
-        let record = DoneRecord {
+        let mut record = DoneRecord {
             ok: true,
             termination: "complete".into(),
             attempts: 3,
             body: "{\"records\":[]}".into(),
+            retries: vec!["blip".into(), "disk full".into()],
+            resumed: true,
         };
         assert_eq!(
             DoneRecord::decode(&record.encode()).expect("round trip"),
@@ -464,5 +500,39 @@ mod tests {
         let mut bytes = record.encode();
         bytes[0] = 0;
         assert!(DoneRecord::decode(&bytes).is_err());
+        bytes[0] = DONE_VERSION + 1;
+        assert!(DoneRecord::decode(&bytes).is_err());
+        let bytes = record.encode();
+        assert!(DoneRecord::decode(&bytes[..bytes.len() - 1]).is_err());
+        record.retries.clear();
+        record.resumed = false;
+        assert_eq!(
+            DoneRecord::decode(&record.encode()).expect("round trip"),
+            record
+        );
+    }
+
+    /// A version 1 record (written before retries and the resumed flag
+    /// were sealed) decodes with neither.
+    #[test]
+    fn a_version_1_done_record_decodes_without_retries() {
+        let mut w = ByteWriter::new();
+        w.put_u8(1);
+        w.put_bool(false);
+        w.put_str("failed");
+        w.put_u32(4);
+        w.put_str("retries exhausted: blip");
+        let record = DoneRecord::decode(&w.into_bytes()).expect("v1 decodes");
+        assert_eq!(
+            record,
+            DoneRecord {
+                ok: false,
+                termination: "failed".into(),
+                attempts: 4,
+                body: "retries exhausted: blip".into(),
+                retries: Vec::new(),
+                resumed: false,
+            }
+        );
     }
 }

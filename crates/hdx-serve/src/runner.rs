@@ -41,13 +41,40 @@ pub enum JobRunOutcome {
 /// A `serve::job` / `serve::ingest::fold` fail-point error (tests only).
 struct Injected(String);
 
+/// The supervisor's account of one attempt, sealed into the completion
+/// marker with its result so a restart serves the same status.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Attempt {
+    /// This attempt's number (1 = the first).
+    pub number: u32,
+    /// The transient-failure messages of the attempts before, in order.
+    pub retries: Vec<String>,
+    /// Whether the job is an orphan a server start resumed.
+    pub resumed: bool,
+}
+
+/// Runs attempt number `attempt` of `spec` inside `job_dir`, with no
+/// retries before it: [`execute_attempt`] with that [`Attempt`].
+pub fn execute(spec: &JobSpec, job_dir: &Path, cancel: CancelToken, attempt: u32) -> JobRunOutcome {
+    let attempt = Attempt {
+        number: attempt,
+        ..Attempt::default()
+    };
+    execute_attempt(spec, job_dir, cancel, attempt)
+}
+
 /// Runs one attempt of `spec` inside `job_dir`.
 ///
 /// The directory must already hold `data.csv`; checkpoints accumulate next
 /// to it. Fresh directories run [`HDivExplorer::fit_checkpointed`]; a
 /// directory with checkpoints resumes instead, which the resume layer
 /// guarantees reaches the same bytes an uninterrupted run would have.
-pub fn execute(spec: &JobSpec, job_dir: &Path, cancel: CancelToken, attempt: u32) -> JobRunOutcome {
+pub fn execute_attempt(
+    spec: &JobSpec,
+    job_dir: &Path,
+    cancel: CancelToken,
+    attempt: Attempt,
+) -> JobRunOutcome {
     match execute_inner(spec, job_dir, cancel, attempt) {
         Ok(outcome) => outcome,
         Err(Injected(msg)) => JobRunOutcome::Transient(format!("injected job failure: {msg}")),
@@ -58,7 +85,7 @@ fn execute_inner(
     spec: &JobSpec,
     job_dir: &Path,
     cancel: CancelToken,
-    attempt: u32,
+    attempt: Attempt,
 ) -> Result<JobRunOutcome, Injected> {
     fail_point!("serve::job", Injected);
     let mut csv = match std::fs::read_to_string(job_dir.join(crate::DATA_FILE)) {
@@ -196,8 +223,10 @@ fn execute_inner(
     let record = DoneRecord {
         ok: true,
         termination: termination.as_str().to_string(),
-        attempts: attempt,
+        attempts: attempt.number,
         body: report_to_json(&run.result.report, &run.result.catalog),
+        retries: attempt.retries,
+        resumed: attempt.resumed,
     };
     match write_sealed(&job_dir.join(COMPLETE_FILE), &record.encode()) {
         Ok(()) => {

@@ -35,7 +35,7 @@ use crate::http::{read_request, respond, respond_error, respond_json, HttpError,
 use crate::job::{parse_submission, DoneRecord, JobSpec};
 use crate::live::{EventsSource, LivePlane};
 use crate::queue::{AdmissionQueue, Shed};
-use crate::runner::{self, JobRunOutcome};
+use crate::runner::{self, Attempt, JobRunOutcome};
 use crate::DATA_FILE;
 use hdx_obs::json::escape;
 
@@ -439,10 +439,10 @@ fn recover(shared: &Arc<Shared>) -> Result<Vec<String>, String> {
                             JobRecord {
                                 spec,
                                 attempts: record.attempts,
+                                resumed: record.resumed,
+                                retry_log: record.retries.clone(),
                                 phase: JobPhase::Finished(record),
                                 cancel: CancelToken::new(),
-                                resumed: false,
-                                retry_log: Vec::new(),
                                 ingest,
                                 wal: WalSlot::default(),
                             },
@@ -696,7 +696,12 @@ impl JobLease<'_> {
                 registry.get_mut(&self.job_id).map(|job| {
                     job.phase = JobPhase::Running;
                     job.attempts += 1;
-                    (job.spec.clone(), job.cancel.clone(), job.attempts)
+                    let attempt = Attempt {
+                        number: job.attempts,
+                        retries: job.retry_log.clone(),
+                        resumed: job.resumed,
+                    };
+                    (job.spec.clone(), job.cancel.clone(), attempt)
                 })
             }) else {
                 // Unknown id (stale queue entry); nothing to do.
@@ -704,9 +709,10 @@ impl JobLease<'_> {
                 return;
             };
             job_span!(&self.job_id, tenant & spec.tenant);
+            let number = attempt.number;
             self.shared
                 .plane
-                .emit(&self.job_id, &JobEvent::Started { attempt });
+                .emit(&self.job_id, &JobEvent::Started { attempt: number });
             let dir = self.shared.job_dir(&self.job_id);
             let outcome = {
                 // Scope the snapshot tap to this job for the execution:
@@ -714,7 +720,7 @@ impl JobLease<'_> {
                 // out as a `level` event on the job's channel.
                 let _scope = self.shared.plane.job_scope(&self.job_id);
                 catch_unwind(AssertUnwindSafe(|| {
-                    runner::execute(&spec, &dir, cancel, attempt)
+                    runner::execute_attempt(&spec, &dir, cancel, attempt)
                 }))
             };
             match outcome {
@@ -764,7 +770,7 @@ impl JobLease<'_> {
                     return;
                 }
                 Ok(JobRunOutcome::Transient(msg)) => {
-                    let retries_left = attempt <= self.shared.config.retry_max;
+                    let retries_left = number <= self.shared.config.retry_max;
                     if let Some(job) = self.shared.lock_registry().get_mut(&self.job_id) {
                         job.retry_log.push(msg.clone());
                         if retries_left {
@@ -779,11 +785,11 @@ impl JobLease<'_> {
                     self.shared.plane.emit(
                         &self.job_id,
                         &JobEvent::Retry {
-                            attempt,
+                            attempt: number,
                             error: msg.clone(),
                         },
                     );
-                    self.backoff(attempt);
+                    self.backoff(number);
                     if self.shared.draining() {
                         // Don't start another attempt mid-drain; the job is
                         // durable and the next start will pick it up.
@@ -797,20 +803,24 @@ impl JobLease<'_> {
     }
 
     /// Settles the job as failed with `body` as its error: seals a failed
-    /// completion record carrying the registry's attempt count, counts the
-    /// failure and emits the `done` event.
+    /// completion record carrying the registry's attempt count, retries
+    /// and resumed flag, counts the failure and emits the `done` event.
     fn fail(&mut self, body: String) {
         counter_add!(ServeJobsFailed, 1);
-        let attempts = self
+        let (attempts, retries, resumed) = self
             .shared
             .lock_registry()
             .get(&self.job_id)
-            .map_or(0, |job| job.attempts);
+            .map_or((0, Vec::new(), false), |job| {
+                (job.attempts, job.retry_log.clone(), job.resumed)
+            });
         let record = DoneRecord {
             ok: false,
             termination: "failed".to_string(),
             attempts,
             body,
+            retries,
+            resumed,
         };
         self.shared.finish(&self.job_id, record, true);
         self.finish_event(false, "failed");

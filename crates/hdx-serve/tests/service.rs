@@ -50,6 +50,29 @@ fn submit_poll_result_lifecycle() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
+/// A separator the CSV reader treats as syntax (a quote or a line break)
+/// is refused at submission, before any job is admitted.
+#[test]
+fn a_separator_that_is_csv_syntax_is_a_400() {
+    let state = tmp_state_dir("syntax-separator");
+    let (addr, handle) = start(config(state.clone()));
+    for separator in [r#"\""#, r"\n", r"\r"] {
+        let body = format!(r#"{{"csv":"a\nb\n1\n2\n","separator":"{separator}"}}"#);
+        let rejected = http(addr, "POST", "/jobs", &body);
+        assert_eq!(rejected.status, 400, "{}", rejected.body);
+        assert!(
+            rejected
+                .body
+                .contains("`separator` cannot be a quote or a line break"),
+            "{}",
+            rejected.body
+        );
+    }
+    assert_eq!(http(addr, "POST", "/shutdown", "").status, 202);
+    handle.join().expect("drain");
+    let _ = std::fs::remove_dir_all(&state);
+}
+
 /// A submission nested a million levels deep is a 400, not a stack
 /// overflow that takes the whole service down.
 #[test]

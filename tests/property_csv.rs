@@ -9,9 +9,13 @@
 //! duplicate header names and non-comma separators. The generated datasets
 //! the pipeline runs on are covered at reduced row counts. Both readers
 //! must return bit-identical frames and equal quality reports, or equal
-//! errors (line and message). The record splitter is also checked on its
-//! own against the oracle's, with separators and quotes at every offset
-//! of the 8-byte words it scans.
+//! errors (line and message). Many-level columns (20–40 levels, most
+//! sharing their length and first eight bytes) pass the 16 levels the
+//! slot table holds mid-file, cells carry Unicode whitespace padding, and
+//! records run from under 8 to over 64 bytes. The record splitter is also
+//! checked on its own against the oracle's, with separators and quotes at
+//! every offset of a line, and the reader with separators, quotes and line
+//! breaks at every offset of the first three 64-byte blocks it scans.
 
 use h_divexplorer::data::{
     read_csv_str_with_quality, split_record, write_csv_string, AttributeKind, Column, CsvOptions,
@@ -328,7 +332,23 @@ const NON_FINITE: &[&str] = &["NaN", "nan", "inf", "-inf", "+inf", "infinity", "
 const TEXT: &[&str] = &[
     "a", "b", "x y", "Yes", "M", "F", "0x10", "1,5", "--", "é", "…", "-",
 ];
-const PADDING: &[&str] = &["", "", "", " ", "  ", "\t"];
+/// ASCII and Unicode whitespace (no-break space, next line, ideographic
+/// space): the reader trims a cell only when its first or last byte can be
+/// whitespace, and must agree with `str::trim`.
+const PADDING: &[&str] = &[
+    "",
+    "",
+    "",
+    " ",
+    "  ",
+    "\t",
+    "\u{a0}",
+    "\u{85}",
+    "\u{3000}",
+    " \u{3000}",
+];
+/// Text that makes a record longer than a 64-byte scan block.
+const LONG: &str = "long-abcdefghijklmnopqrstuvwxyz-0123456789-ABCDEFGHIJKLMNOPQRSTUVWXYZ-tail";
 
 /// A cell that parses (when kept) into a numeric column.
 fn numeric_cell(g: &mut Gen, non_finite_percent: usize) -> String {
@@ -341,9 +361,24 @@ fn numeric_cell(g: &mut Gen, non_finite_percent: usize) -> String {
     g.pick(NUMBERS).to_string()
 }
 
-/// A cell that does not parse as a number.
+/// A cell that does not parse as a number; now and then one long enough
+/// to carry its record past a 64-byte scan block.
 fn text_cell(g: &mut Gen) -> String {
+    if g.chance(6) {
+        return LONG[..5 + g.below(LONG.len() - 4)].to_string();
+    }
     g.pick(TEXT).to_string()
+}
+
+/// Level `i` of a many-levels column. Most levels are 11 bytes that share
+/// their first eight (`level-00`), so they share the key the column's slot
+/// table finds its first 16 levels by; every fifth is short.
+fn many_level(i: usize) -> String {
+    if i.is_multiple_of(5) {
+        format!("v{i}")
+    } else {
+        format!("level-{:04}{}", i / 4, char::from(b'a' + (i % 4) as u8))
+    }
 }
 
 /// Wraps a cell in quotes, padding or quote hazards the writer never
@@ -381,6 +416,9 @@ enum Profile {
     Text,
     /// Numeric (with non-finite cells) until `at`, text from there on.
     LateFlip { at: usize },
+    /// One of `levels` levels (20–40) per cell: the column passes 16
+    /// levels mid-file when the file is long enough.
+    ManyLevels { levels: usize },
     /// Any mix.
     Mixed,
 }
@@ -395,7 +433,11 @@ fn generate(seed: u64) -> (String, CsvOptions) {
         _ => '€',
     };
     let n_cols = 1 + g.below(5);
-    let n_rows = g.below(24);
+    let n_rows = if g.chance(20) {
+        24 + g.below(60)
+    } else {
+        g.below(24)
+    };
     let bad_rows = g.chance(35);
     let names: Vec<String> = (0..n_cols)
         .map(|j| {
@@ -412,12 +454,15 @@ fn generate(seed: u64) -> (String, CsvOptions) {
         })
         .collect();
     let profiles: Vec<Profile> = (0..n_cols)
-        .map(|_| match g.below(5) {
+        .map(|_| match g.below(6) {
             0 => Profile::Numeric,
             1 => Profile::Dirty,
             2 => Profile::Text,
             3 => Profile::LateFlip {
                 at: g.below(n_rows + 1),
+            },
+            4 => Profile::ManyLevels {
+                levels: 20 + g.below(21),
             },
             _ => Profile::Mixed,
         })
@@ -439,7 +484,10 @@ fn generate(seed: u64) -> (String, CsvOptions) {
     lines.push(names.join(&sep.to_string()));
     for row in 0..n_rows {
         if g.chance(8) {
-            lines.push(g.pick(&["", " ", "\t", "  "]).to_string());
+            lines.push(
+                g.pick(&["", " ", "\t", "  ", "\u{3000}", "\u{a0} "])
+                    .to_string(),
+            );
         }
         let mut width = n_cols;
         if bad_rows && g.chance(8) {
@@ -458,6 +506,7 @@ fn generate(seed: u64) -> (String, CsvOptions) {
                     Profile::Text => text_cell(&mut g),
                     Profile::LateFlip { at } if row < at => numeric_cell(&mut g, 15),
                     Profile::LateFlip { .. } => text_cell(&mut g),
+                    Profile::ManyLevels { levels } => many_level(g.below(levels)),
                     Profile::Mixed => match g.below(3) {
                         0 => text_cell(&mut g),
                         _ => numeric_cell(&mut g, 10),
@@ -527,6 +576,59 @@ proptest! {
         let options = CsvOptions { separator: sep, ..CsvOptions::default() };
         if let Err(why) = agree(&text, &options) {
             prop_assert!(false, "{why}\n  text: {text:?}");
+        }
+    }
+}
+
+/// The text of every categorical cell the reader keeps, as the oracle's
+/// splitter cuts it: both readers intern through `CategoricalColumn`, so
+/// this is the check that does not trust its level lookup. `None` when the
+/// text does not read.
+fn categorical_cells_as_text(text: &str, options: &CsvOptions) -> Option<Vec<Vec<Option<String>>>> {
+    let (df, _) = read_csv_str_with_quality(text, options).ok()?;
+    let mut cells = vec![Vec::new(); df.n_attributes()];
+    for (id, _) in df.schema().iter() {
+        if let Column::Categorical(column) = df.column(id) {
+            cells[id.index()] = (0..df.n_rows())
+                .map(|r| column.get(r).map(str::to_string))
+                .collect();
+        }
+    }
+    Some(cells)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every categorical cell reads back as its trimmed, unquoted text,
+    /// however many levels its column has and however they collide in the
+    /// slot table's key.
+    #[test]
+    fn categorical_cells_read_back_as_their_text(seed in any::<u64>()) {
+        let (text, mut options) = generate(seed);
+        options.quarantine_malformed_rows = true;
+        let Some(ours) = categorical_cells_as_text(&text, &options) else {
+            return Ok(());
+        };
+        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+        let header = lines.next().unwrap_or_default();
+        let n_cols = oracle::split_record(header, options.separator).map_or(0, |f| f.len());
+        let records: Vec<Vec<String>> = lines
+            .filter_map(|line| oracle::split_record(line, options.separator).ok())
+            .filter(|fields| fields.len() == n_cols)
+            .collect();
+        for (j, column) in ours.iter().enumerate() {
+            if column.is_empty() {
+                continue;
+            }
+            let want: Vec<Option<String>> = records
+                .iter()
+                .map(|record| {
+                    let cell = record[j].trim();
+                    (!cell.is_empty()).then(|| cell.to_string())
+                })
+                .collect();
+            prop_assert_eq!(column, &want, "column {}, text {:?}", j, text);
         }
     }
 }
@@ -678,6 +780,60 @@ fn splitter_matches_the_oracle_at_every_word_offset() {
         }
     }
     assert!(lines > 10_000, "only {lines} lines were split");
+}
+
+/// Separators, quotes, line feeds and carriage returns at every byte offset
+/// 0..=140 of a whole file, so at every position of the first three
+/// 64-byte blocks the reader scans (the header included), alone and in
+/// pairs 1 and 8 bytes apart: both readers agree on every file, under both
+/// quarantine policies. The `€` separator takes the reader's multi-byte
+/// path.
+#[test]
+fn reader_matches_the_oracle_at_every_block_offset() {
+    let mut files = 0;
+    for sep in [',', '€'] {
+        let base = format!("x{sep}y\n{}", format!("7{sep}ab\n").repeat(30));
+        let tokens = [
+            sep.to_string(),
+            "\"".to_string(),
+            "\"\"".to_string(),
+            "\n".to_string(),
+            "\r\n".to_string(),
+            "\r".to_string(),
+        ];
+        for at in (0..=140).filter(|&at| base.is_char_boundary(at)) {
+            for a in &tokens {
+                let mut one = base.clone();
+                one.insert_str(at, a);
+                let mut texts = vec![one.clone()];
+                for gap in [1, 8] {
+                    let to = at + a.len() + gap;
+                    if !one.is_char_boundary(to) {
+                        continue;
+                    }
+                    for b in &tokens {
+                        let mut two = one.clone();
+                        two.insert_str(to, b);
+                        texts.push(two);
+                    }
+                }
+                for text in &texts {
+                    for quarantine_malformed_rows in [true, false] {
+                        let options = CsvOptions {
+                            separator: sep,
+                            quarantine_malformed_rows,
+                            ..CsvOptions::default()
+                        };
+                        if let Err(why) = agree(text, &options) {
+                            panic!("{text:?} (quarantine {quarantine_malformed_rows}): {why}");
+                        }
+                    }
+                    files += 1;
+                }
+            }
+        }
+    }
+    assert!(files > 10_000, "only {files} files were read");
 }
 
 /// A numeric column that turns categorical re-reads its earlier cells from

@@ -9,9 +9,10 @@ use std::path::{Path, PathBuf};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use h_divexplorer::checkpoint::envelope;
 use h_divexplorer::ingest::{Wal, WalConfig};
 use h_divexplorer::serve::journal::Journal;
-use h_divexplorer::serve::{ServeConfig, Server};
+use h_divexplorer::serve::{DoneRecord, ServeConfig, Server};
 use hdx_obs::json::{parse, Json};
 
 mod common;
@@ -165,6 +166,26 @@ fn served_job_directory_matches_golden() {
         golden(&format!("job/{file}"), &bytes);
     }
     let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// The completion marker of the job above as version 1 of its codec
+/// sealed it, before retries and the resumed flag were sealed: it still
+/// decodes, with neither, and re-sealed today it is the job's golden
+/// `done.hdx`.
+#[test]
+fn a_version_1_completion_marker_still_decodes() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/sealed/done-v1.hdx");
+    let sealed = std::fs::read(&path).expect("read the v1 marker");
+    let payload = envelope::open(&sealed).expect("a sound envelope");
+    assert_eq!(payload.first(), Some(&1), "a version 1 payload");
+    let record = DoneRecord::decode(&payload).expect("version 1 decodes");
+    assert!(record.ok);
+    assert_eq!(record.termination, "complete");
+    assert_eq!(record.attempts, 2);
+    assert!(record.body.starts_with("{\"n_rows\":"), "{}", record.body);
+    assert!(record.retries.is_empty());
+    assert!(!record.resumed);
+    golden("job/done.hdx", &envelope::seal(&record.encode()));
 }
 
 /// The first sealed segment of a library WAL that seals every 64 bytes.

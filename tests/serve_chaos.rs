@@ -416,25 +416,43 @@ fn torn_append_is_healed_by_the_next_append() {
 }
 
 /// A restart leaves a finished job's status document as it was: the
-/// attempts come from the sealed record, and the quarantine totals of a
-/// heal made at append time from the job's ingest cursor. When the heal's
-/// own cursor write is lost, the post-run hook writes the totals back.
+/// attempts and the retry log come from the sealed record, and the
+/// quarantine totals of a heal made at append time from the job's ingest
+/// cursor. When the heal's own cursor write is lost, the post-run hook
+/// writes the totals back.
 #[test]
 fn a_restart_leaves_a_finished_jobs_status_unchanged() {
     let _guard = ChaosGuard::acquire();
+    let status_across_a_restart = |state: &PathBuf, job_id: &str, before: String| {
+        let (addr, handle) = start(state.clone());
+        let after = http(addr, "GET", &format!("/jobs/{job_id}"), "").body;
+        shutdown(addr, handle);
+        assert_eq!(after, before, "a restart must not change the status");
+        let _ = std::fs::remove_dir_all(state);
+    };
     for fail_heal_save in [false, true] {
         let state = tmp_state_dir(&format!("restart-status-{fail_heal_save}"));
         let (addr, handle) = start(state.clone());
         let (job_id, before) = heal_a_torn_append(addr, fail_heal_save);
         assert!(before.contains("\"attempts\":2"), "{before}");
         shutdown(addr, handle);
-
-        let (addr, handle) = start(state.clone());
-        let after = http(addr, "GET", &format!("/jobs/{job_id}"), "").body;
-        shutdown(addr, handle);
-        assert_eq!(after, before, "a restart must not change the status");
-        let _ = std::fs::remove_dir_all(&state);
+        status_across_a_restart(&state, &job_id, before);
     }
+
+    // A job whose first attempt hit a transient fault.
+    let state = tmp_state_dir("restart-status-retry");
+    let (addr, handle) = start(state.clone());
+    failpoint::arm_once("serve::job", FailAction::Error("blip".into()), 1);
+    let job_id = submit(addr, 120);
+    assert_eq!(await_terminal(addr, &job_id), "done");
+    let before = http(addr, "GET", &format!("/jobs/{job_id}"), "").body;
+    assert!(
+        before.contains("\"attempts\":2")
+            && before.contains("\"retries\":[\"injected job failure: blip\"]"),
+        "{before}"
+    );
+    shutdown(addr, handle);
+    status_across_a_restart(&state, &job_id, before);
 }
 
 /// An append whose WAL open heals something persists the job's new
