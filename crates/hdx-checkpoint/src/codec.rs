@@ -85,6 +85,15 @@ impl ByteWriter {
         }
     }
 
+    /// Writes a `char` as its UTF-8 bytes: 1 to 4, self-delimiting by the
+    /// lead byte, so an ASCII character is the one byte [`put_u8`](Self::put_u8)
+    /// would write.
+    pub fn put_char(&mut self, v: char) {
+        let mut utf8 = [0u8; 4];
+        self.buf
+            .extend_from_slice(v.encode_utf8(&mut utf8).as_bytes());
+    }
+
     /// Writes a length-prefixed byte slice.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
@@ -204,6 +213,25 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    /// Reads a `char` written by [`ByteWriter::put_char`]; a sequence cut
+    /// short or not valid UTF-8 is [`CheckpointError::Corrupt`].
+    pub fn char(&mut self) -> Result<char, CheckpointError> {
+        let rest = &self.buf[self.pos..];
+        // The lead byte's leading ones count the sequence's bytes (none: ASCII).
+        let width = rest
+            .first()
+            .map_or(1, |lead| lead.leading_ones().max(1) as usize);
+        let decoded = rest
+            .get(..width)
+            .and_then(|seq| std::str::from_utf8(seq).ok())
+            .and_then(|seq| seq.chars().next());
+        let c = decoded.ok_or_else(|| CheckpointError::Corrupt {
+            message: format!("invalid UTF-8 character at byte {}", self.pos),
+        })?;
+        self.pos += width;
+        Ok(c)
+    }
+
     /// Reads a length prefix, rejecting lengths past the sanity cap or the
     /// remaining buffer (so corrupt lengths fail fast, not at alloc time).
     pub fn len_prefix(&mut self) -> Result<usize, CheckpointError> {
@@ -313,6 +341,45 @@ mod tests {
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 1);
         assert!(matches!(r.finish(), Err(CheckpointError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn chars_round_trip_at_every_utf8_width() {
+        for c in [';', '\t', '€', '𝄞'] {
+            let mut w = ByteWriter::new();
+            w.put_char(c);
+            w.put_u8(7);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), c.len_utf8() + 1, "{c:?}");
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(r.char().unwrap(), c);
+            assert_eq!(r.u8().unwrap(), 7);
+            r.finish().unwrap();
+            // Cut anywhere inside the sequence, it is corrupt, not a
+            // shorter character.
+            for cut in 0..c.len_utf8() {
+                let mut r = ByteReader::new(&bytes[..cut]);
+                assert!(
+                    matches!(r.char(), Err(CheckpointError::Corrupt { .. })),
+                    "{c:?} cut at {cut}"
+                );
+            }
+        }
+        // A stray continuation byte, an over-long encoding, a surrogate and
+        // a lead byte no UTF-8 sequence starts with.
+        let invalid: [&[u8]; 4] = [
+            &[0x80],
+            &[0xC0, 0xAC],
+            &[0xED, 0xA0, 0x80],
+            &[0xFF, 0, 0, 0],
+        ];
+        for bytes in invalid {
+            let mut r = ByteReader::new(bytes);
+            assert!(
+                matches!(r.char(), Err(CheckpointError::Corrupt { .. })),
+                "{bytes:x?}"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 use std::fmt;
 use std::time::Duration;
 
-use hdx_core::Statistic;
+use hdx_core::{ExplorationMode, RunSpec, SpecError, Statistic};
+use hdx_discretize::GainCriterion;
 use hdx_serve::ServeConfig;
 
 /// CLI failure: a message shown to the user (exit code 2).
@@ -39,53 +40,32 @@ fn parse_stat(s: &str) -> Result<Statistic, CliError> {
     })
 }
 
-/// Options shared by the CSV-consuming commands.
-#[derive(Debug, Clone)]
-pub struct InputOpts {
-    /// CSV path.
-    pub path: String,
-    /// Statistic.
-    pub stat: Statistic,
-    /// Ground-truth column name.
-    pub label_col: String,
-    /// Prediction column name.
-    pub pred_col: String,
-    /// Target column (for [`Statistic::Target`]).
-    pub target_col: Option<String>,
-    /// CSV separator.
-    pub separator: char,
+/// The CLI's run defaults: `--stat error` over `y_true` and `y_pred`.
+fn default_spec() -> RunSpec {
+    RunSpec::new(Statistic::Error, "y_true", "y_pred")
 }
 
-impl InputOpts {
-    fn new(path: String) -> Self {
-        Self {
-            path,
-            stat: Statistic::Error,
-            label_col: "y_true".into(),
-            pred_col: "y_pred".into(),
-            target_col: None,
-            separator: ',',
-        }
-    }
+/// Words a [`RunSpec`] field error with the CLI's option names.
+pub(crate) fn spec_error(err: SpecError) -> CliError {
+    CliError::new(match err {
+        SpecError::NoTargetColumn => "--stat target requires --target-col",
+        SpecError::Separator => "--separator cannot be a quote or a line break",
+        SpecError::Support => "--support must be in (0, 1]",
+        SpecError::TreeSupport => "--st must be in (0, 1)",
+        SpecError::MaxLen => "--max-len must be at least 1",
+    })
 }
 
 /// `hdx explore` options.
 #[derive(Debug, Clone)]
 pub struct ExploreOpts {
-    /// Input options.
-    pub input: InputOpts,
-    /// Exploration support `s`.
-    pub support: f64,
-    /// Tree support `st`.
-    pub tree_support: f64,
-    /// `true` = entropy criterion.
-    pub entropy: bool,
-    /// `true` = base (leaf-only) exploration.
-    pub base_mode: bool,
+    /// CSV path.
+    pub path: String,
+    /// The run: statistic, columns, separator, supports, criterion, mode
+    /// and length cap.
+    pub spec: RunSpec,
     /// Polarity pruning.
     pub polarity: bool,
-    /// Pattern length cap.
-    pub max_len: Option<usize>,
     /// Mining worker threads (checkpointed runs mine serially).
     pub threads: usize,
     /// Rows to print.
@@ -163,12 +143,10 @@ pub struct ValidateTelemetryOpts {
 /// `hdx discretize` options.
 #[derive(Debug, Clone)]
 pub struct DiscretizeOpts {
-    /// Input options.
-    pub input: InputOpts,
-    /// Tree support `st`.
-    pub tree_support: f64,
-    /// `true` = entropy criterion.
-    pub entropy: bool,
+    /// CSV path.
+    pub path: String,
+    /// The input columns, the tree support and the criterion.
+    pub spec: RunSpec,
     /// Restrict to one attribute.
     pub attr: Option<String>,
 }
@@ -176,10 +154,10 @@ pub struct DiscretizeOpts {
 /// `hdx baselines` options.
 #[derive(Debug, Clone)]
 pub struct BaselinesOpts {
-    /// Input options.
-    pub input: InputOpts,
-    /// Leaf discretization support.
-    pub tree_support: f64,
+    /// CSV path.
+    pub path: String,
+    /// The input columns and the leaf discretization support.
+    pub spec: RunSpec,
     /// Slice Finder effect-size threshold.
     pub sf_threshold: f64,
     /// SliceLine α.
@@ -258,28 +236,24 @@ impl Cursor {
 
 /// Applies a shared input flag; returns `false` when the flag is not an
 /// input option.
-fn apply_input_flag(input: &mut InputOpts, flag: &str, cur: &mut Cursor) -> Result<bool, CliError> {
+fn apply_input_flag(spec: &mut RunSpec, flag: &str, cur: &mut Cursor) -> Result<bool, CliError> {
     match flag {
-        "--stat" => input.stat = parse_stat(&cur.value(flag)?)?,
-        "--label-col" => input.label_col = cur.value(flag)?,
-        "--pred-col" => input.pred_col = cur.value(flag)?,
-        "--target-col" => input.target_col = Some(cur.value(flag)?),
-        "--separator" => input.separator = parse_separator(&cur.value(flag)?)?,
+        "--stat" => spec.stat = parse_stat(&cur.value(flag)?)?,
+        "--label-col" => spec.label_col = cur.value(flag)?,
+        "--pred-col" => spec.pred_col = cur.value(flag)?,
+        "--target-col" => spec.target_col = Some(cur.value(flag)?),
+        "--separator" => spec.separator = parse_separator(&cur.value(flag)?)?,
         _ => return Ok(false),
     }
     Ok(true)
 }
 
-/// Parses a `--separator` value: one character that is not CSV syntax
-/// (a quote or a line break).
+/// Parses a `--separator` value: one character that is not CSV syntax.
 fn parse_separator(raw: &str) -> Result<char, CliError> {
-    let mut chars = raw.chars();
-    match (chars.next(), chars.next()) {
-        (Some('"' | '\n' | '\r'), None) => Err(CliError::new(
-            "--separator cannot be a quote or a line break",
-        )),
-        (Some(c), None) => Ok(c),
-        _ => Err(CliError::new("--separator takes a single character")),
+    match hdx_data::separator_char(raw) {
+        Some(c) if hdx_data::is_csv_syntax(c) => Err(spec_error(SpecError::Separator)),
+        Some(c) => Ok(c),
+        None => Err(CliError::new("--separator takes a single character")),
     }
 }
 
@@ -287,14 +261,6 @@ fn require_path(cur: &mut Cursor, command: &str) -> Result<String, CliError> {
     match cur.args.next() {
         Some(p) if !p.starts_with("--") => Ok(p),
         _ => Err(CliError::new(format!("hdx {command} requires a CSV path"))),
-    }
-}
-
-fn check_tree_support(st: f64) -> Result<(), CliError> {
-    if st > 0.0 && st < 1.0 {
-        Ok(())
-    } else {
-        Err(CliError::new("--st must be in (0, 1)"))
     }
 }
 
@@ -318,10 +284,10 @@ fn parse_duration(raw: &str) -> Result<Duration, CliError> {
     }
 }
 
-fn parse_criterion(cur: &mut Cursor) -> Result<bool, CliError> {
+fn parse_criterion(cur: &mut Cursor) -> Result<GainCriterion, CliError> {
     match cur.value("--criterion")?.as_str() {
-        "divergence" => Ok(false),
-        "entropy" => Ok(true),
+        "divergence" => Ok(GainCriterion::Divergence),
+        "entropy" => Ok(GainCriterion::Entropy),
         other => Err(CliError::new(format!("unknown --criterion `{other}`"))),
     }
 }
@@ -349,13 +315,9 @@ pub fn parse(args: Vec<String>) -> Result<Command, CliError> {
         }
         "explore" => {
             let mut opts = ExploreOpts {
-                input: InputOpts::new(require_path(&mut cur, "explore")?),
-                support: 0.05,
-                tree_support: 0.1,
-                entropy: false,
-                base_mode: false,
+                path: require_path(&mut cur, "explore")?,
+                spec: default_spec(),
                 polarity: false,
-                max_len: None,
                 threads: 1,
                 top: 10,
                 non_redundant: false,
@@ -370,26 +332,24 @@ pub fn parse(args: Vec<String>) -> Result<Command, CliError> {
                 checkpoint_every: 1,
             };
             while let Some(flag) = cur.args.next() {
-                if apply_input_flag(&mut opts.input, &flag, &mut cur)? {
+                if apply_input_flag(&mut opts.spec, &flag, &mut cur)? {
                     continue;
                 }
                 match flag.as_str() {
-                    "-s" | "--support" => opts.support = cur.parse_value(&flag)?,
-                    "--st" => opts.tree_support = cur.parse_value(&flag)?,
-                    "--criterion" => opts.entropy = parse_criterion(&mut cur)?,
-                    "--mode" => match cur.value(&flag)?.as_str() {
-                        "base" => opts.base_mode = true,
-                        "hierarchical" | "hier" => opts.base_mode = false,
-                        other => return Err(CliError::new(format!("unknown --mode `{other}`"))),
-                    },
-                    "--polarity" => opts.polarity = true,
-                    "--max-len" => {
-                        let n: usize = cur.parse_value(&flag)?;
-                        if n == 0 {
-                            return Err(CliError::new("--max-len must be at least 1"));
+                    "-s" | "--support" => opts.spec.support = cur.parse_value(&flag)?,
+                    "--st" => opts.spec.tree_support = cur.parse_value(&flag)?,
+                    "--criterion" => opts.spec.criterion = parse_criterion(&mut cur)?,
+                    "--mode" => {
+                        opts.spec.mode = match cur.value(&flag)?.as_str() {
+                            "base" => ExplorationMode::Base,
+                            "hierarchical" | "hier" => ExplorationMode::Generalized,
+                            other => {
+                                return Err(CliError::new(format!("unknown --mode `{other}`")))
+                            }
                         }
-                        opts.max_len = Some(n);
                     }
+                    "--polarity" => opts.polarity = true,
+                    "--max-len" => opts.spec.max_len = Some(cur.parse_value(&flag)?),
                     "--threads" => {
                         let n: usize = cur.parse_value(&flag)?;
                         if n == 0 {
@@ -422,10 +382,7 @@ pub fn parse(args: Vec<String>) -> Result<Command, CliError> {
                     other => return Err(CliError::new(format!("unknown flag `{other}`"))),
                 }
             }
-            if !(0.0..=1.0).contains(&opts.support) || opts.support == 0.0 {
-                return Err(CliError::new("--support must be in (0, 1]"));
-            }
-            check_tree_support(opts.tree_support)?;
+            opts.spec.validate().map_err(spec_error)?;
             if opts.polarity && opts.checkpoint_dir.is_some() {
                 // Polarity pruning re-mines per polarity class with no single
                 // replayable emission order, so no checkpoint cursor exists.
@@ -485,46 +442,45 @@ pub fn parse(args: Vec<String>) -> Result<Command, CliError> {
         }
         "discretize" => {
             let mut opts = DiscretizeOpts {
-                input: InputOpts::new(require_path(&mut cur, "discretize")?),
-                tree_support: 0.1,
-                entropy: false,
+                path: require_path(&mut cur, "discretize")?,
+                spec: default_spec(),
                 attr: None,
             };
             while let Some(flag) = cur.args.next() {
-                if apply_input_flag(&mut opts.input, &flag, &mut cur)? {
+                if apply_input_flag(&mut opts.spec, &flag, &mut cur)? {
                     continue;
                 }
                 match flag.as_str() {
-                    "--st" => opts.tree_support = cur.parse_value(&flag)?,
-                    "--criterion" => opts.entropy = parse_criterion(&mut cur)?,
+                    "--st" => opts.spec.tree_support = cur.parse_value(&flag)?,
+                    "--criterion" => opts.spec.criterion = parse_criterion(&mut cur)?,
                     "--attr" => opts.attr = Some(cur.value(&flag)?),
                     other => return Err(CliError::new(format!("unknown flag `{other}`"))),
                 }
             }
-            check_tree_support(opts.tree_support)?;
+            opts.spec.validate().map_err(spec_error)?;
             Ok(Command::Discretize(opts))
         }
         "baselines" => {
             let mut opts = BaselinesOpts {
-                input: InputOpts::new(require_path(&mut cur, "baselines")?),
-                tree_support: 0.1,
+                path: require_path(&mut cur, "baselines")?,
+                spec: default_spec(),
                 sf_threshold: 0.4,
                 sl_alpha: 0.95,
                 min_size: 32,
             };
             while let Some(flag) = cur.args.next() {
-                if apply_input_flag(&mut opts.input, &flag, &mut cur)? {
+                if apply_input_flag(&mut opts.spec, &flag, &mut cur)? {
                     continue;
                 }
                 match flag.as_str() {
-                    "--st" => opts.tree_support = cur.parse_value(&flag)?,
+                    "--st" => opts.spec.tree_support = cur.parse_value(&flag)?,
                     "--sf-threshold" => opts.sf_threshold = cur.parse_value(&flag)?,
                     "--sl-alpha" => opts.sl_alpha = cur.parse_value(&flag)?,
                     "--min-size" => opts.min_size = cur.parse_value(&flag)?,
                     other => return Err(CliError::new(format!("unknown flag `{other}`"))),
                 }
             }
-            check_tree_support(opts.tree_support)?;
+            opts.spec.validate().map_err(spec_error)?;
             if !(opts.sf_threshold.is_finite() && opts.sf_threshold >= 0.0) {
                 return Err(CliError::new("--sf-threshold must be a finite number >= 0"));
             }
@@ -630,10 +586,10 @@ mod tests {
         let Command::Explore(o) = parse(v(&["explore", "d.csv"])).unwrap() else {
             panic!("wrong command");
         };
-        assert_eq!(o.input.path, "d.csv");
-        assert_eq!(o.support, 0.05);
-        assert_eq!(o.input.stat, Statistic::Error);
-        assert!(!o.base_mode && !o.polarity && !o.json);
+        assert_eq!(o.path, "d.csv");
+        assert_eq!(o.spec.support, 0.05);
+        assert_eq!(o.spec.stat, Statistic::Error);
+        assert!(o.spec.mode == ExplorationMode::Generalized && !o.polarity && !o.json);
 
         let Command::Explore(o) = parse(v(&[
             "explore",
@@ -663,11 +619,13 @@ mod tests {
         .unwrap() else {
             panic!("wrong command");
         };
-        assert_eq!(o.input.stat, Statistic::Fpr);
-        assert_eq!(o.support, 0.02);
-        assert_eq!(o.tree_support, 0.2);
-        assert!(o.base_mode && o.polarity && o.json && o.entropy && o.non_redundant);
-        assert_eq!(o.max_len, Some(3));
+        assert_eq!(o.spec.stat, Statistic::Fpr);
+        assert_eq!(o.spec.support, 0.02);
+        assert_eq!(o.spec.tree_support, 0.2);
+        assert_eq!(o.spec.mode, ExplorationMode::Base);
+        assert_eq!(o.spec.criterion, GainCriterion::Entropy);
+        assert!(o.polarity && o.json && o.non_redundant);
+        assert_eq!(o.spec.max_len, Some(3));
         assert_eq!(o.threads, 4);
         assert_eq!(o.top, 5);
         assert_eq!(o.fd_tolerance, Some(0.01));
@@ -772,6 +730,24 @@ mod tests {
         for threshold in ["0", "2"] {
             assert!(parse(v(&["baselines", "d.csv", "--sf-threshold", threshold])).is_ok());
         }
+    }
+
+    /// A cap past `u32::MAX` is refused where it is parsed, not truncated
+    /// into the sealed manifest.
+    #[test]
+    fn max_len_beyond_u32_is_refused() {
+        let Command::Explore(o) =
+            parse(v(&["explore", "d.csv", "--max-len", "4294967295"])).unwrap()
+        else {
+            panic!("wrong command");
+        };
+        assert_eq!(o.spec.max_len, Some(u32::MAX));
+        assert_eq!(
+            parse(v(&["explore", "d.csv", "--max-len", "4294967297"]))
+                .unwrap_err()
+                .0,
+            "invalid value `4294967297` for --max-len"
+        );
     }
 
     #[test]

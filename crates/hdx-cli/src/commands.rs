@@ -6,16 +6,15 @@ use hdx_baselines::{
 };
 use hdx_core::checkpoint::{codec, read_sealed, write_sealed, CheckpointStore, MANIFEST_FILE};
 use hdx_core::{
-    job_budget, mining_input, report_to_json, CheckpointedRun, ExplorationMode, HDivExplorer,
-    HDivExplorerConfig, HDivResult, InputError, Statistic,
+    job_budget, mining_input, report_to_json, CheckpointedRun, HDivExplorer, HDivExplorerConfig,
+    HDivResult, InputError, RunSpec,
 };
 use hdx_data::{read_csv, CsvOptions, DataFrame};
-use hdx_discretize::GainCriterion;
 use hdx_stats::Outcome;
 
 use crate::args::{
-    AppendOpts, BaselinesOpts, CliError, Command, DiscretizeOpts, ExploreOpts, GenerateOpts,
-    InputOpts, ResumeOpts, ValidateTelemetryOpts,
+    spec_error, AppendOpts, BaselinesOpts, CliError, Command, DiscretizeOpts, ExploreOpts,
+    GenerateOpts, ResumeOpts, ValidateTelemetryOpts,
 };
 use crate::USAGE;
 
@@ -149,51 +148,26 @@ fn append(opts: &AppendOpts) -> Result<RunOutput, CliError> {
     })
 }
 
-/// Reads the input CSV and hands it to the shared loader: (mining frame,
-/// outcomes, stderr notes on quarantined cells).
-fn read_input(input: &InputOpts) -> Result<(DataFrame, Vec<Outcome>, Vec<String>), CliError> {
+/// Reads the CSV at `path` and hands it to the shared loader: (mining
+/// frame, outcomes, stderr notes on quarantined cells).
+fn read_input(
+    path: &str,
+    spec: &RunSpec,
+) -> Result<(DataFrame, Vec<Outcome>, Vec<String>), CliError> {
     let options = CsvOptions {
-        separator: input.separator,
+        separator: spec.separator,
         ..CsvOptions::default()
     };
-    let (df, quality) = hdx_data::read_csv_with_quality(&input.path, &options)
-        .map_err(|e| CliError(format!("cannot read `{}`: {e}", input.path)))?;
-    let (frame, outcomes) = mining_input(
-        &df,
-        input.stat,
-        &input.label_col,
-        &input.pred_col,
-        input.target_col.as_deref(),
-    )
-    .map_err(|e| match e {
-        InputError::NoTargetColumn => CliError("--stat target requires --target-col".into()),
+    let (df, quality) = hdx_data::read_csv_with_quality(path, &options)
+        .map_err(|e| CliError(format!("cannot read `{path}`: {e}")))?;
+    let (frame, outcomes) = mining_input(&df, spec).map_err(|e| match e {
+        InputError::Spec(err) => spec_error(err),
         InputError::Invalid(message) => CliError(message),
     })?;
     let notes = quality
         .summary()
         .map(|s| format!("ingestion quarantine: {s}"));
     Ok((frame, outcomes, notes.into_iter().collect()))
-}
-
-fn pipeline_config(
-    support: f64,
-    tree_support: f64,
-    entropy: bool,
-    polarity: bool,
-    max_len: Option<usize>,
-) -> HDivExplorerConfig {
-    HDivExplorerConfig {
-        min_support: support,
-        tree_min_support: tree_support,
-        criterion: if entropy {
-            GainCriterion::Entropy
-        } else {
-            GainCriterion::Divergence
-        },
-        polarity_pruning: polarity,
-        max_len,
-        ..HDivExplorerConfig::default()
-    }
 }
 
 /// Renders a result as (stdout text, partial-run reason). Shared by `explore`
@@ -304,33 +278,31 @@ fn explore(opts: &ExploreOpts) -> Result<RunOutput, CliError> {
     // Fresh telemetry per run, so `--metrics-out` describes this exploration
     // only (a no-op unless the `obs` feature is enabled).
     hdx_core::obs::reset();
-    let (frame, outcomes, mut notes) = read_input(&opts.input)?;
+    let (frame, outcomes, mut notes) = read_input(&opts.path, &opts.spec)?;
     let mut pipeline = HDivExplorer::new(HDivExplorerConfig {
         budget: job_budget(opts.timeout, opts.max_itemsets),
         adaptive_support: opts.adaptive_support,
         threads: opts.threads,
-        ..pipeline_config(
-            opts.support,
-            opts.tree_support,
-            opts.entropy,
-            opts.polarity,
-            opts.max_len,
-        )
+        polarity_pruning: opts.polarity,
+        ..opts.spec.config()
     });
     if let Some(tolerance) = opts.fd_tolerance {
         pipeline = pipeline.with_discovered_taxonomies(&frame, tolerance);
     }
-    let mode = if opts.base_mode {
-        ExplorationMode::Base
-    } else {
-        ExplorationMode::Generalized
-    };
+    let mode = opts.spec.mode;
     let result = match &opts.checkpoint_dir {
         None => pipeline.fit_mode(&frame, &outcomes, mode),
         Some(dir) => {
             let store = CheckpointStore::create(dir)
                 .map_err(|e| CliError(format!("cannot create checkpoint dir `{dir}`: {e}")))?;
-            write_manifest(dir, opts)?;
+            Manifest {
+                path: opts.path.clone(),
+                spec: opts.spec.clone(),
+                adaptive_support: opts.adaptive_support,
+                fd_tolerance: opts.fd_tolerance,
+                checkpoint_every: opts.checkpoint_every,
+            }
+            .write(dir)?;
             let run = pipeline
                 .fit_checkpointed(&frame, &outcomes, mode, store, opts.checkpoint_every)
                 .map_err(|e| CliError(e.to_string()))?;
@@ -341,7 +313,7 @@ fn explore(opts: &ExploreOpts) -> Result<RunOutput, CliError> {
     let (text, partial) = render_result(
         &result,
         &frame,
-        opts.support,
+        opts.spec.support,
         opts.top,
         opts.json,
         opts.non_redundant,
@@ -357,33 +329,28 @@ fn explore(opts: &ExploreOpts) -> Result<RunOutput, CliError> {
 
 fn resume(opts: &ResumeOpts) -> Result<RunOutput, CliError> {
     hdx_core::obs::reset();
-    let manifest = load_manifest(&opts.dir)?;
-    let (frame, outcomes, mut notes) = read_input(&manifest.input)?;
+    let manifest = Manifest::load(&opts.dir)?;
+    let (frame, outcomes, mut notes) = read_input(&manifest.path, &manifest.spec)?;
     // Budgets are per-invocation: the interrupted run's budget is exactly
     // what it tripped on, so only flags given to `resume` itself apply.
     let mut pipeline = HDivExplorer::new(HDivExplorerConfig {
         budget: job_budget(opts.timeout, opts.max_itemsets),
         adaptive_support: manifest.adaptive_support,
-        ..pipeline_config(
-            manifest.support,
-            manifest.tree_support,
-            manifest.entropy,
-            false,
-            manifest.max_len,
-        )
+        ..manifest.spec.config()
     });
     if let Some(tolerance) = manifest.fd_tolerance {
         pipeline = pipeline.with_discovered_taxonomies(&frame, tolerance);
     }
-    let mode = if manifest.base_mode {
-        ExplorationMode::Base
-    } else {
-        ExplorationMode::Generalized
-    };
     let store = CheckpointStore::open(&opts.dir)
         .map_err(|e| CliError(format!("cannot open checkpoint dir `{}`: {e}", opts.dir)))?;
     let run = pipeline
-        .resume_checkpointed(&frame, &outcomes, mode, store, manifest.checkpoint_every)
+        .resume_checkpointed(
+            &frame,
+            &outcomes,
+            manifest.spec.mode,
+            store,
+            manifest.checkpoint_every,
+        )
         .map_err(|e| CliError(format!("cannot resume from `{}`: {e}", opts.dir)))?;
     if let Some(seq) = run.resumed_seq {
         notes.push(format!("resumed from checkpoint #{seq} in {}", opts.dir));
@@ -392,7 +359,7 @@ fn resume(opts: &ResumeOpts) -> Result<RunOutput, CliError> {
     let (text, partial) = render_result(
         &run.result,
         &frame,
-        manifest.support,
+        manifest.spec.support,
         opts.top,
         opts.json,
         opts.non_redundant,
@@ -409,96 +376,55 @@ fn resume(opts: &ResumeOpts) -> Result<RunOutput, CliError> {
 /// The manifest sealed into a checkpoint directory: everything `hdx resume`
 /// needs to reconstruct the run without repeating the original flags.
 struct Manifest {
-    input: InputOpts,
-    support: f64,
-    tree_support: f64,
-    entropy: bool,
-    base_mode: bool,
-    max_len: Option<usize>,
+    path: String,
+    spec: RunSpec,
     adaptive_support: bool,
     fd_tolerance: Option<f64>,
     checkpoint_every: u64,
 }
 
-const MANIFEST_VERSION: u8 = 1;
+/// Version 1 sealed the separator as a `u32` code point; version 2 seals
+/// the [`RunSpec`] layout, where it is UTF-8. Version 1 is refused.
+const MANIFEST_VERSION: u8 = 2;
 
-fn write_manifest(dir: &str, opts: &ExploreOpts) -> Result<(), CliError> {
-    let mut w = codec::ByteWriter::new();
-    w.put_u8(MANIFEST_VERSION);
-    w.put_str(&opts.input.path);
-    w.put_u8(opts.input.stat.code());
-    w.put_str(&opts.input.label_col);
-    w.put_str(&opts.input.pred_col);
-    w.put_bool(opts.input.target_col.is_some());
-    if let Some(target) = &opts.input.target_col {
-        w.put_str(target);
+impl Manifest {
+    fn write(&self, dir: &str) -> Result<(), CliError> {
+        let mut w = codec::ByteWriter::new();
+        w.put_u8(MANIFEST_VERSION);
+        w.put_str(&self.path);
+        self.spec.encode(&mut w);
+        w.put_bool(self.adaptive_support);
+        w.put_opt_f64(self.fd_tolerance);
+        w.put_u64(self.checkpoint_every);
+        let path = std::path::Path::new(dir).join(MANIFEST_FILE);
+        write_sealed(&path, &w.into_bytes())
+            .map_err(|e| CliError(format!("cannot write `{}`: {e}", path.display())))
     }
-    w.put_u32(opts.input.separator as u32);
-    w.put_f64(opts.support);
-    w.put_f64(opts.tree_support);
-    w.put_bool(opts.entropy);
-    w.put_bool(opts.base_mode);
-    w.put_opt_u32(opts.max_len.map(|v| v as u32));
-    w.put_bool(opts.adaptive_support);
-    w.put_opt_f64(opts.fd_tolerance);
-    w.put_u64(opts.checkpoint_every);
-    let path = std::path::Path::new(dir).join(MANIFEST_FILE);
-    write_sealed(&path, &w.into_bytes())
-        .map_err(|e| CliError(format!("cannot write `{}`: {e}", path.display())))
-}
 
-fn load_manifest(dir: &str) -> Result<Manifest, CliError> {
-    let path = std::path::Path::new(dir).join(MANIFEST_FILE);
-    let err =
-        |e: hdx_core::checkpoint::CheckpointError| CliError(format!("`{}`: {e}", path.display()));
-    let payload = read_sealed(&path).map_err(err)?;
-    let mut r = codec::ByteReader::new(&payload);
-    let version = r.u8().map_err(err)?;
-    if version != MANIFEST_VERSION {
-        return Err(CliError(format!(
-            "`{}`: unsupported manifest version {version}",
-            path.display()
-        )));
+    fn load(dir: &str) -> Result<Self, CliError> {
+        let path = std::path::Path::new(dir).join(MANIFEST_FILE);
+        let err = |e: hdx_core::checkpoint::CheckpointError| {
+            CliError(format!("`{}`: {e}", path.display()))
+        };
+        let payload = read_sealed(&path).map_err(err)?;
+        let mut r = codec::ByteReader::new(&payload);
+        let version = r.u8().map_err(err)?;
+        if version != MANIFEST_VERSION {
+            return Err(CliError(format!(
+                "`{}`: unsupported manifest version {version}",
+                path.display()
+            )));
+        }
+        let manifest = Self {
+            path: r.str().map_err(err)?,
+            spec: RunSpec::decode(&mut r).map_err(err)?,
+            adaptive_support: r.bool().map_err(err)?,
+            fd_tolerance: r.opt_f64().map_err(err)?,
+            checkpoint_every: r.u64().map_err(err)?,
+        };
+        r.finish().map_err(err)?;
+        Ok(manifest)
     }
-    let input_path = r.str().map_err(err)?;
-    let stat = Statistic::from_code(r.u8().map_err(err)?)
-        .ok_or_else(|| CliError(format!("`{}`: unknown statistic code", path.display())))?;
-    let label_col = r.str().map_err(err)?;
-    let pred_col = r.str().map_err(err)?;
-    let target_col = if r.bool().map_err(err)? {
-        Some(r.str().map_err(err)?)
-    } else {
-        None
-    };
-    let separator = char::from_u32(r.u32().map_err(err)?)
-        .ok_or_else(|| CliError(format!("`{}`: invalid separator", path.display())))?;
-    let support = r.f64().map_err(err)?;
-    let tree_support = r.f64().map_err(err)?;
-    let entropy = r.bool().map_err(err)?;
-    let base_mode = r.bool().map_err(err)?;
-    let max_len = r.opt_u32().map_err(err)?.map(|v| v as usize);
-    let adaptive_support = r.bool().map_err(err)?;
-    let fd_tolerance = r.opt_f64().map_err(err)?;
-    let checkpoint_every = r.u64().map_err(err)?;
-    r.finish().map_err(err)?;
-    Ok(Manifest {
-        input: InputOpts {
-            path: input_path,
-            stat,
-            label_col,
-            pred_col,
-            target_col,
-            separator,
-        },
-        support,
-        tree_support,
-        entropy,
-        base_mode,
-        max_len,
-        adaptive_support,
-        fd_tolerance,
-        checkpoint_every,
-    })
 }
 
 /// Validates a telemetry artifact: schema + registered metrics always; the
@@ -542,14 +468,8 @@ fn validate_metrics(path: &str) -> Result<String, CliError> {
 }
 
 fn discretize(opts: &DiscretizeOpts) -> Result<String, CliError> {
-    let (frame, outcomes, _) = read_input(&opts.input)?;
-    let pipeline = HDivExplorer::new(pipeline_config(
-        0.05,
-        opts.tree_support,
-        opts.entropy,
-        false,
-        None,
-    ));
+    let (frame, outcomes, _) = read_input(&opts.path, &opts.spec)?;
+    let pipeline = HDivExplorer::new(opts.spec.config());
     let (catalog, _, trees) = pipeline.discretize(&frame, &outcomes);
     let mut out = String::new();
     for tree in &trees {
@@ -569,9 +489,9 @@ fn discretize(opts: &DiscretizeOpts) -> Result<String, CliError> {
 }
 
 fn baselines(opts: &BaselinesOpts) -> Result<String, CliError> {
-    let (frame, outcomes, _) = read_input(&opts.input)?;
+    let (frame, outcomes, _) = read_input(&opts.path, &opts.spec)?;
     let losses: Vec<f64> = outcomes.iter().map(|o| o.value().unwrap_or(0.0)).collect();
-    let pipeline = HDivExplorer::new(pipeline_config(0.05, opts.tree_support, false, false, None));
+    let pipeline = HDivExplorer::new(opts.spec.config());
     let (catalog, hierarchies, _) = pipeline.discretize(&frame, &outcomes);
     let leaf_items = hierarchies.leaf_items();
 
@@ -608,7 +528,7 @@ fn baselines(opts: &BaselinesOpts) -> Result<String, CliError> {
 
     out.push_str("\n== Combined tree ==\n");
     let leaves = CombinedTreeExplorer::new(CombinedTreeConfig {
-        min_support: opts.tree_support,
+        min_support: opts.spec.tree_support,
         max_depth: None,
     })
     .explore(&frame, &outcomes);
@@ -972,6 +892,40 @@ mod tests {
         std::fs::write(&path, csv).unwrap();
         let err = run_full(&["resume", &ckpt]).unwrap_err();
         assert!(err.0.contains("dataset fingerprint mismatch"), "{err}");
+    }
+
+    /// A version 1 manifest (its separator a `u32` code point) is refused,
+    /// naming its version, rather than misread as version 2.
+    #[test]
+    fn resume_refuses_a_version_1_manifest() {
+        let path = write_fixture();
+        let dir = tmp("ckpt-v1");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut w = codec::ByteWriter::new();
+        w.put_u8(1);
+        w.put_str(&path);
+        w.put_u8(hdx_core::Statistic::Error.code());
+        w.put_str("y_true");
+        w.put_str("y_pred");
+        w.put_bool(false);
+        w.put_u32(u32::from(','));
+        w.put_f64(0.05);
+        w.put_f64(0.1);
+        w.put_bool(false);
+        w.put_bool(false);
+        w.put_opt_u32(None);
+        w.put_bool(false);
+        w.put_opt_f64(None);
+        w.put_u64(1);
+        let manifest = std::path::Path::new(&dir).join(MANIFEST_FILE);
+        write_sealed(&manifest, &w.into_bytes()).unwrap();
+        let err = run_full(&["resume", &dir]).unwrap_err();
+        assert!(
+            err.0
+                .ends_with("manifest.hdx`: unsupported manifest version 1"),
+            "{err}"
+        );
     }
 
     #[test]

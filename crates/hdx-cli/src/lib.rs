@@ -19,7 +19,7 @@ mod commands;
 
 pub use args::{
     parse, AppendOpts, BaselinesOpts, CliError, Command, DiscretizeOpts, ExploreOpts, GenerateOpts,
-    InputOpts, ResumeOpts, ValidateTelemetryOpts,
+    ResumeOpts, ValidateTelemetryOpts,
 };
 pub use commands::{run, RunOutput};
 

@@ -22,6 +22,7 @@ use hdx_mining::{mine_governed, MiningConfig, Transactions};
 use hdx_stats::Outcome;
 
 use crate::error::CoreError;
+use crate::input::{is_support, is_tree_support};
 use crate::polarity::mine_with_polarity_governed;
 use crate::report::DivergenceReport;
 use crate::resume::Checkpointing;
@@ -332,13 +333,13 @@ impl HDivExplorer {
                 found: outcomes.len(),
             });
         }
-        if !(self.config.min_support > 0.0 && self.config.min_support <= 1.0) {
+        if !is_support(self.config.min_support) {
             return Err(CoreError::InvalidParameter {
                 name: "min_support",
                 message: format!("must be in (0, 1], got {}", self.config.min_support),
             });
         }
-        if !(self.config.tree_min_support > 0.0 && self.config.tree_min_support < 1.0) {
+        if !is_tree_support(self.config.tree_min_support) {
             return Err(CoreError::InvalidParameter {
                 name: "tree_min_support",
                 message: format!("must be in (0, 1), got {}", self.config.tree_min_support),

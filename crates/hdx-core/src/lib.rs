@@ -14,8 +14,12 @@
 //!   discretization of every continuous attribute into item hierarchies,
 //!   categorical taxonomies, generalized itemset mining at every granularity
 //!   (Algorithm 1), and optional polarity pruning (§V-C);
-//! * [`mining_input`] — a parsed table and a [`Statistic`] in, the mining
-//!   frame and its outcomes out: the one loader behind `hdx` and hdx-serve;
+//! * [`RunSpec`] — the values that fix a run's result (statistic, columns,
+//!   separator, supports, criterion, mode, length cap), range-checked by
+//!   one [`RunSpec::validate`] and sealed by one codec for `hdx` and
+//!   hdx-serve alike;
+//! * [`mining_input`] — a parsed table and a [`RunSpec`] in, the mining
+//!   frame and its outcomes out: the one loader behind both front ends;
 //! * [`DivergenceReport`] / [`SubgroupRecord`] — ranked, labelled results;
 //! * [`item_contributions`] / [`global_item_contributions`] — Shapley-value
 //!   attribution of a subgroup's divergence to its items (inherited from
@@ -63,7 +67,7 @@ pub use hdivexplorer::{
     ExplorationMode, HDivExplorer, HDivExplorerConfig, HDivResult, ADAPTIVE_MAX_RETRIES,
     ADAPTIVE_MAX_SUPPORT,
 };
-pub use input::{job_budget, mining_input, InputError, Statistic};
+pub use input::{job_budget, mining_input, InputError, RunSpec, SpecError, Statistic};
 pub use json::{report_to_json, result_to_json, tree_to_json};
 pub use lattice::Lattice;
 pub use outcome_fn::{

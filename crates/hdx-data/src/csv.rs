@@ -47,6 +47,19 @@ impl Default for CsvOptions {
     }
 }
 
+/// Whether `c` is CSV syntax, a quote or a line break, and so cannot be the
+/// field separator.
+pub fn is_csv_syntax(c: char) -> bool {
+    matches!(c, '"' | '\n' | '\r')
+}
+
+/// The separator a text option names: its one character, or `None` when it
+/// holds none or several.
+pub fn separator_char(raw: &str) -> Option<char> {
+    let mut chars = raw.chars();
+    chars.next().filter(|_| chars.next().is_none())
+}
+
 /// Splits one CSV record (a line without its terminator) into raw fields,
 /// honouring double quotes.
 ///
@@ -438,7 +451,7 @@ pub fn read_csv_str_with_quality(
         message,
     });
     let sep = options.separator;
-    if matches!(sep, '"' | '\n' | '\r') {
+    if is_csv_syntax(sep) {
         return Err(DataError::Csv {
             line: 1,
             message: format!("separator {sep:?} cannot be a quote or a line break"),

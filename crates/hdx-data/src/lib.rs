@@ -30,8 +30,8 @@ mod value;
 pub use builder::DataFrameBuilder;
 pub use column::{CategoricalColumn, Column, ContinuousColumn, NULL_CODE};
 pub use csv::{
-    read_csv, read_csv_str, read_csv_str_with_quality, read_csv_with_quality, split_record,
-    write_csv, write_csv_string, CsvOptions,
+    is_csv_syntax, read_csv, read_csv_str, read_csv_str_with_quality, read_csv_with_quality,
+    separator_char, split_record, write_csv, write_csv_string, CsvOptions,
 };
 pub use describe::{describe, AttributeSummary, CategoricalSummary, FrameSummary, NumericSummary};
 pub use error::DataError;

@@ -13,11 +13,13 @@ use std::collections::BTreeMap;
 
 use hdx_checkpoint::codec::{ByteReader, ByteWriter};
 use hdx_checkpoint::CheckpointError;
-use hdx_core::Statistic;
+use hdx_core::{ExplorationMode, RunSpec, SpecError, Statistic};
+use hdx_discretize::GainCriterion;
 
 use hdx_obs::json::Json;
 
-/// Manifest codec version (bump on layout change).
+/// Manifest codec version (bump on layout change). Version 2 wrote the
+/// separator as one byte, which is the [`RunSpec`] layout of an ASCII one.
 const SPEC_VERSION: u8 = 2;
 /// Done-record codec version. Version 1 records (no retries, no resumed
 /// flag) still decode.
@@ -38,7 +40,9 @@ fn parse_stat(name: &str) -> Option<Statistic> {
     })
 }
 
-/// Everything needed to run (or re-run, byte-identically) one mining job.
+/// Everything needed to run (or re-run, byte-identically) one mining job:
+/// its tenant, its [`RunSpec`], its budgets, its checkpoint cadence and a
+/// thread count.
 ///
 /// Budgets are resolved *at admission* — the tenant's fair share, further
 /// tightened by whatever the request asked for — and persisted here, so a
@@ -48,26 +52,9 @@ fn parse_stat(name: &str) -> Option<Statistic> {
 pub struct JobSpec {
     /// Owning tenant (admission accounting key and span label).
     pub tenant: String,
-    /// Statistic to mine.
-    pub stat: Statistic,
-    /// Ground-truth column for classification statistics.
-    pub label_col: String,
-    /// Prediction column for classification statistics.
-    pub pred_col: String,
-    /// Numeric target column (required iff `stat` is [`Statistic::Target`]).
-    pub target_col: Option<String>,
-    /// CSV field separator.
-    pub separator: u8,
-    /// Minimum itemset support.
-    pub support: f64,
-    /// Minimum per-split support for the discretization trees.
-    pub tree_support: f64,
-    /// Entropy gain criterion instead of divergence gain.
-    pub entropy: bool,
-    /// Base-pattern exploration instead of generalized.
-    pub base_mode: bool,
-    /// Maximum itemset length (`None` = unbounded).
-    pub max_len: Option<u32>,
+    /// The run: statistic, columns, separator, supports, criterion, mode
+    /// and length cap.
+    pub run: RunSpec,
     /// Wall-clock deadline in milliseconds (`None` = unbounded).
     pub deadline_ms: Option<u64>,
     /// Itemset work cap (`None` = unbounded).
@@ -87,23 +74,11 @@ impl JobSpec {
         let mut w = ByteWriter::new();
         w.put_u8(SPEC_VERSION);
         w.put_str(&self.tenant);
-        w.put_u8(self.stat.code());
-        w.put_str(&self.label_col);
-        w.put_str(&self.pred_col);
-        w.put_bool(self.target_col.is_some());
-        if let Some(t) = &self.target_col {
-            w.put_str(t);
+        self.run.encode(&mut w);
+        for cap in [self.deadline_ms, self.max_itemsets] {
+            w.put_bool(cap.is_some());
+            w.put_u64(cap.unwrap_or(0));
         }
-        w.put_u8(self.separator);
-        w.put_f64(self.support);
-        w.put_f64(self.tree_support);
-        w.put_bool(self.entropy);
-        w.put_bool(self.base_mode);
-        w.put_opt_u32(self.max_len);
-        w.put_bool(self.deadline_ms.is_some());
-        w.put_u64(self.deadline_ms.unwrap_or(0));
-        w.put_bool(self.max_itemsets.is_some());
-        w.put_u64(self.max_itemsets.unwrap_or(0));
         w.put_u64(self.checkpoint_every);
         w.put_opt_u32(self.threads);
         w.into_bytes()
@@ -121,45 +96,34 @@ impl JobSpec {
                 message: format!("unsupported job manifest version {version}"),
             });
         }
-        let tenant = r.str()?;
-        let code = r.u8()?;
-        let stat = Statistic::from_code(code).ok_or_else(|| CheckpointError::Corrupt {
-            message: format!("unknown stat code {code}"),
-        })?;
-        let label_col = r.str()?;
-        let pred_col = r.str()?;
-        let target_col = if r.bool()? { Some(r.str()?) } else { None };
-        let separator = r.u8()?;
-        let support = r.f64()?;
-        let tree_support = r.f64()?;
-        let entropy = r.bool()?;
-        let base_mode = r.bool()?;
-        let max_len = r.opt_u32()?;
-        let deadline_set = r.bool()?;
-        let deadline_raw = r.u64()?;
-        let itemsets_set = r.bool()?;
-        let itemsets_raw = r.u64()?;
-        let checkpoint_every = r.u64()?;
-        let threads = r.opt_u32()?;
+        let cap = |r: &mut ByteReader<'_>| -> Result<Option<u64>, CheckpointError> {
+            let set = r.bool()?;
+            let value = r.u64()?;
+            Ok(set.then_some(value))
+        };
+        let spec = JobSpec {
+            tenant: r.str()?,
+            run: RunSpec::decode(&mut r)?,
+            deadline_ms: cap(&mut r)?,
+            max_itemsets: cap(&mut r)?,
+            checkpoint_every: r.u64()?,
+            threads: r.opt_u32()?,
+        };
         r.finish()?;
-        Ok(JobSpec {
-            tenant,
-            stat,
-            label_col,
-            pred_col,
-            target_col,
-            separator,
-            support,
-            tree_support,
-            entropy,
-            base_mode,
-            max_len,
-            deadline_ms: deadline_set.then_some(deadline_raw),
-            max_itemsets: itemsets_set.then_some(itemsets_raw),
-            checkpoint_every,
-            threads,
-        })
+        Ok(spec)
     }
+}
+
+/// Words a [`RunSpec`] field error with the submission's field names.
+pub(crate) fn spec_message(err: SpecError) -> String {
+    match err {
+        SpecError::NoTargetColumn => "`stat: target` requires `target_col`",
+        SpecError::Separator => "`separator` cannot be a quote or a line break",
+        SpecError::Support => "`support` must be in (0, 1]",
+        SpecError::TreeSupport => "`tree_support` must be in (0, 1)",
+        SpecError::MaxLen => "`max_len` must be at least 1",
+    }
+    .into()
 }
 
 /// Pulls a required/defaulted field out of a submission object.
@@ -255,41 +219,34 @@ pub fn parse_submission(map: &BTreeMap<String, Json>) -> Result<(JobSpec, String
     }
     let stat_name = str_field(map, "stat", Some("fpr"))?.unwrap_or_default();
     let stat = parse_stat(&stat_name).ok_or_else(|| format!("unknown `stat` `{stat_name}`"))?;
-    let target_col = str_field(map, "target_col", None)?;
-    if stat == Statistic::Target && target_col.is_none() {
-        return Err("`stat: target` requires `target_col`".into());
-    }
-    let separator_str = str_field(map, "separator", Some(","))?.unwrap_or_default();
-    let separator = match separator_str.as_bytes() {
-        [b'"' | b'\n' | b'\r'] => {
-            return Err("`separator` cannot be a quote or a line break".into())
-        }
-        [b] if separator_str.is_ascii() => *b,
-        _ => return Err("`separator` must be a single ASCII character".into()),
+    let separator = str_field(map, "separator", Some(","))?.unwrap_or_default();
+    let separator =
+        hdx_data::separator_char(&separator).ok_or("`separator` must be a single character")?;
+    let label_col = str_field(map, "label_col", Some("class"))?.unwrap_or_default();
+    let pred_col = str_field(map, "pred_col", Some("pred"))?.unwrap_or_default();
+    let defaults = RunSpec::new(stat, &label_col, &pred_col);
+    let run = RunSpec {
+        target_col: str_field(map, "target_col", None)?,
+        separator,
+        support: num_field(map, "support")?.unwrap_or(defaults.support),
+        tree_support: num_field(map, "tree_support")?.unwrap_or(defaults.tree_support),
+        criterion: if bool_field(map, "entropy", false)? {
+            GainCriterion::Entropy
+        } else {
+            GainCriterion::Divergence
+        },
+        mode: if bool_field(map, "base_mode", false)? {
+            ExplorationMode::Base
+        } else {
+            ExplorationMode::Generalized
+        },
+        max_len: uint_field(map, "max_len", u32::MAX.into())?.map(|v| v as u32),
+        ..defaults
     };
-    let support = num_field(map, "support")?.unwrap_or(0.05);
-    if !(0.0..=1.0).contains(&support) || support <= 0.0 {
-        return Err("`support` must be in (0, 1]".into());
-    }
-    let tree_support = num_field(map, "tree_support")?.unwrap_or(0.1);
-    if !(tree_support > 0.0 && tree_support < 1.0) {
-        return Err("`tree_support` must be in (0, 1)".into());
-    }
+    run.validate().map_err(spec_message)?;
     let spec = JobSpec {
         tenant,
-        stat,
-        label_col: str_field(map, "label_col", Some("class"))?.unwrap_or_default(),
-        pred_col: str_field(map, "pred_col", Some("pred"))?.unwrap_or_default(),
-        target_col,
-        separator,
-        support,
-        tree_support,
-        entropy: bool_field(map, "entropy", false)?,
-        base_mode: bool_field(map, "base_mode", false)?,
-        max_len: match uint_field(map, "max_len", u32::MAX as u64)? {
-            Some(0) => return Err("`max_len` must be at least 1".into()),
-            other => other.map(|v| v as u32),
-        },
+        run,
         deadline_ms: uint_field(map, "deadline_ms", u64::MAX / 2)?,
         max_itemsets: uint_field(map, "max_itemsets", u64::MAX / 2)?,
         checkpoint_every: match uint_field(map, "checkpoint_every", 1_000_000)? {
@@ -389,12 +346,12 @@ mod tests {
     fn submission_defaults_mirror_the_cli() {
         let (spec, csv) = parse_submission(&submission("")).expect("valid");
         assert_eq!(spec.tenant, "default");
-        assert_eq!(spec.stat, Statistic::Fpr);
-        assert_eq!(spec.label_col, "class");
-        assert_eq!(spec.pred_col, "pred");
-        assert_eq!(spec.separator, b',');
-        assert!((spec.support - 0.05).abs() < 1e-12);
-        assert!((spec.tree_support - 0.1).abs() < 1e-12);
+        assert_eq!(spec.run.stat, Statistic::Fpr);
+        assert_eq!(spec.run.label_col, "class");
+        assert_eq!(spec.run.pred_col, "pred");
+        assert_eq!(spec.run.separator, ',');
+        assert!((spec.run.support - 0.05).abs() < 1e-12);
+        assert!((spec.run.tree_support - 0.1).abs() < 1e-12);
         assert_eq!(spec.checkpoint_every, 1);
         assert!(csv.starts_with("class,pred"));
     }
@@ -451,7 +408,7 @@ mod tests {
                "entropy":true,"base_mode":true,"separator":";","threads":2"#,
         ))
         .expect("valid");
-        spec.support = 0.125;
+        spec.run.support = 0.125;
         let decoded = JobSpec::decode(&spec.encode()).expect("round trip");
         assert_eq!(decoded, spec);
         // Every wire name reaches the statistic stored under its code.
@@ -468,9 +425,23 @@ mod tests {
         for (code, name) in (0u8..).zip(names) {
             let extra = format!(r#""stat":"{name}","target_col":"a""#);
             let (spec, _) = parse_submission(&submission(&extra)).expect(name);
-            assert_eq!(spec.stat.code(), code, "{name}");
+            assert_eq!(spec.run.stat.code(), code, "{name}");
             assert_eq!(JobSpec::decode(&spec.encode()).expect(name), spec);
         }
+    }
+
+    /// The manifest sealed for the golden served job (`tests/sealed_golden.rs`)
+    /// decodes to the spec its submission parses to, and re-encodes to the
+    /// same bytes: a version 2 manifest already on disk still loads.
+    #[test]
+    fn the_golden_job_manifest_decodes_to_its_submission() {
+        let sealed = include_bytes!("../../../tests/golden/sealed/job/manifest.hdx");
+        let payload = hdx_checkpoint::envelope::open(sealed).expect("sealed manifest");
+        let body =
+            r#"{"csv":"-","tenant":"golden","stat":"fpr","support":0.05,"checkpoint_every":1}"#;
+        let (submitted, _) = parse_submission(&parse_object(body).expect("json")).expect("valid");
+        assert_eq!(JobSpec::decode(&payload).expect("decodes"), submitted);
+        assert_eq!(submitted.encode(), payload);
     }
 
     #[test]

@@ -14,14 +14,12 @@ use std::time::Duration;
 
 use hdx_checkpoint::{write_sealed, CheckpointStore, COMPLETE_FILE};
 use hdx_core::{
-    job_budget, mining_input, report_to_json, ExplorationMode, HDivExplorer, HDivExplorerConfig,
-    InputError,
+    job_budget, mining_input, report_to_json, HDivExplorer, HDivExplorerConfig, InputError,
 };
 use hdx_data::{read_csv_str, CsvOptions};
-use hdx_discretize::GainCriterion;
 use hdx_governor::{fail_point, CancelReason, CancelToken, Termination};
 
-use crate::job::{DoneRecord, JobSpec};
+use crate::job::{spec_message, DoneRecord, JobSpec};
 
 /// How one execution attempt ended.
 #[derive(Debug)]
@@ -124,18 +122,15 @@ fn execute_inner(
         hdx_obs::counter_add!(ServeIngestRemines, 1);
     }
     let options = CsvOptions {
-        separator: spec.separator as char,
+        separator: spec.run.separator,
         ..CsvOptions::default()
     };
     let input = read_csv_str(&csv, &options)
         .map_err(|e| format!("cannot read dataset: {e}"))
         .and_then(|df| {
-            let target = spec.target_col.as_deref();
-            mining_input(&df, spec.stat, &spec.label_col, &spec.pred_col, target).map_err(|e| {
-                match e {
-                    InputError::NoTargetColumn => "`stat: target` requires `target_col`".into(),
-                    InputError::Invalid(message) => message,
-                }
+            mining_input(&df, &spec.run).map_err(|e| match e {
+                InputError::Spec(err) => spec_message(err),
+                InputError::Invalid(message) => message,
             })
         });
     let (frame, outcomes) = match input {
@@ -143,26 +138,14 @@ fn execute_inner(
         Err(msg) => return Ok(JobRunOutcome::Permanent(msg)),
     };
     let pipeline = HDivExplorer::new(HDivExplorerConfig {
-        min_support: spec.support,
-        tree_min_support: spec.tree_support,
-        criterion: if spec.entropy {
-            GainCriterion::Entropy
-        } else {
-            GainCriterion::Divergence
-        },
-        max_len: spec.max_len.map(|v| v as usize),
         budget: job_budget(
             spec.deadline_ms.map(Duration::from_millis),
             spec.max_itemsets,
         ),
-        ..HDivExplorerConfig::default()
+        ..spec.run.config()
     })
     .with_cancel_token(cancel);
-    let mode = if spec.base_mode {
-        ExplorationMode::Base
-    } else {
-        ExplorationMode::Generalized
-    };
+    let mode = spec.run.mode;
     let store = match CheckpointStore::open(job_dir) {
         Ok(store) => store,
         Err(e) => {
@@ -314,7 +297,7 @@ mod tests {
     fn bad_input_is_a_permanent_failure() {
         let dir = tmp_dir("permanent");
         let (mut spec, csv) = spec_and_csv();
-        spec.label_col = "missing".into();
+        spec.run.label_col = "missing".into();
         std::fs::write(dir.join(crate::DATA_FILE), csv).expect("persist csv");
         let outcome = execute(&spec, &dir, CancelToken::new(), 1);
         assert!(

@@ -1220,7 +1220,7 @@ fn job_append(shared: &Arc<Shared>, stream: &mut TcpStream, job_id: &str, body: 
         let registry = shared.lock_registry();
         registry
             .get(job_id)
-            .map(|job| (job.spec.separator as char, Arc::clone(&job.wal)))
+            .map(|job| (job.spec.run.separator, Arc::clone(&job.wal)))
     }) else {
         respond_error(stream, 404, "Not Found", "unknown job");
         return;

@@ -5,6 +5,7 @@
 
 use std::net::TcpStream;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use hdx_serve::Server;
 
@@ -68,6 +69,50 @@ fn a_separator_that_is_csv_syntax_is_a_400() {
             rejected.body
         );
     }
+    assert_eq!(http(addr, "POST", "/shutdown", "").status, 202);
+    handle.join().expect("drain");
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// Any single character that is not CSV syntax separates a served job's
+/// fields: a job whose rows are split by `€`, grown by an append split the
+/// same way, serves the result of the same rows split by `,`.
+#[test]
+fn a_multibyte_separator_serves_the_comma_result() {
+    let state = tmp_state_dir("euro-separator");
+    let (addr, handle) = start(config(state.clone()));
+    let submit = |csv: &str, separator: &str| {
+        let body = format!(
+            r#"{{"csv":"{}","separator":"{separator}","stat":"fpr","support":0.02}}"#,
+            hdx_serve::json::escape(csv)
+        );
+        let accepted = http(addr, "POST", "/jobs", &body);
+        assert_eq!(accepted.status, 202, "{}", accepted.body);
+        extract_job_id(&accepted.body)
+    };
+    let comma = submit(&sample_csv(240), ",");
+    let euro = submit(&sample_csv(200).replace(',', "€"), "€");
+    assert_eq!(await_terminal(addr, &euro), "done");
+    let rows = sample_rows(200..240).replace(',', "€");
+    let appended = http(addr, "POST", &format!("/jobs/{euro}/append"), &rows);
+    assert_eq!(appended.status, 202, "{}", appended.body);
+    // The append re-queues the job; it is settled once no row is pending.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let state = await_terminal(addr, &euro);
+        let status = http(addr, "GET", &format!("/jobs/{euro}"), "");
+        if state == "done" && status.body.contains("\"pending_rows\":0") {
+            break;
+        }
+        assert!(Instant::now() < deadline, "never folded: {}", status.body);
+        thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(await_terminal(addr, &comma), "done");
+    let result = |job_id: &str| http(addr, "GET", &format!("/jobs/{job_id}/result"), "");
+    let (comma, euro) = (result(&comma), result(&euro));
+    assert_eq!(euro.status, 200, "{}", euro.body);
+    assert!(euro.body.contains("\"n_rows\":240"), "{}", euro.body);
+    assert_eq!(euro.body, comma.body);
     assert_eq!(http(addr, "POST", "/shutdown", "").status, 202);
     handle.join().expect("drain");
     let _ = std::fs::remove_dir_all(&state);

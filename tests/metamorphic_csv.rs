@@ -16,7 +16,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use h_divexplorer::core::{mining_input, HDivExplorer, HDivExplorerConfig, HDivResult, Statistic};
+use h_divexplorer::core::{
+    mining_input, HDivExplorer, HDivExplorerConfig, HDivResult, RunSpec, Statistic,
+};
 use h_divexplorer::data::{
     read_csv_str, write_csv_string, Column, CsvOptions, DataFrameBuilder, Value,
 };
@@ -49,8 +51,8 @@ fn to_csv(dataset: &Dataset) -> String {
 /// Fits CSV text the way the CLI and the service do.
 fn fit(csv: &str, stat: Statistic) -> HDivResult {
     let df = read_csv_str(csv, &CsvOptions::default()).expect("the CSV reads");
-    let (frame, outcomes) =
-        mining_input(&df, stat, "y_true", "y_pred", None).expect("boolean outcomes");
+    let spec = RunSpec::new(stat, "y_true", "y_pred");
+    let (frame, outcomes) = mining_input(&df, &spec).expect("boolean outcomes");
     HDivExplorer::new(HDivExplorerConfig {
         min_support: 0.05,
         ..HDivExplorerConfig::default()

@@ -1,7 +1,7 @@
 //! Integration tests asserting the paper's headline experimental claims on
 //! scaled-down data, via the same runners the experiment binaries use.
 
-use hdx_bench::experiments::{fig1, fig5, fig6, fig7, fig8, table1, table3, table4};
+use hdx_bench::experiments::{fig1, fig3, fig5, fig6, fig7, fig8, table1, table3, table4};
 use hdx_bench::Args;
 
 fn args(scale: f64) -> Args {
@@ -124,6 +124,37 @@ fn table4_income_ordering() {
         assert!(find("generalized") >= find("base") - 1e-9, "s={s}");
         assert!(find("base") > 10_000.0, "income divergence is in dollars");
     }
+}
+
+/// Fig. 3b: the divergence and entropy split criteria have "similar
+/// effectiveness". Over the 28 (dataset, support) pairs, the median gap
+/// between their max divergences, |a − b| / ((a + b) / 2), is under 10%,
+/// and neither criterion dominates: each is strictly higher on at least 5
+/// pairs. Single pairs can differ widely (compas at s = 0.15), so no bound
+/// holds pair by pair.
+#[test]
+fn fig3b_criteria_similar() {
+    let points = fig3::criterion_points(args(0.1));
+    assert_eq!(points.len(), 28);
+    let mut gaps: Vec<f64> = points
+        .iter()
+        .map(|p| {
+            let (a, b) = (p.divergence_criterion, p.entropy_criterion);
+            (a - b).abs() / ((a + b) / 2.0)
+        })
+        .collect();
+    gaps.sort_by(f64::total_cmp);
+    let median = (gaps[13] + gaps[14]) / 2.0;
+    assert!(median < 0.10, "median gap {median}: {points:?}");
+    let higher = |first: bool| {
+        points
+            .iter()
+            .filter(|p| (p.divergence_criterion > p.entropy_criterion) == first)
+            .filter(|p| p.divergence_criterion != p.entropy_criterion)
+            .count()
+    };
+    assert!(higher(true) >= 5, "divergence higher on {}", higher(true));
+    assert!(higher(false) >= 5, "entropy higher on {}", higher(false));
 }
 
 /// Fig. 5: at s=0.05, base constrains fewer attributes than generalized and
