@@ -6,8 +6,8 @@ use hdx_baselines::{
 };
 use hdx_core::checkpoint::{codec, read_sealed, write_sealed, CheckpointStore, MANIFEST_FILE};
 use hdx_core::{
-    job_budget, mining_input, report_to_json, CheckpointedRun, HDivExplorer, HDivExplorerConfig,
-    HDivResult, InputError, RunSpec,
+    job_budget, mining_input, report_to_json, CheckpointedRun, DivergenceReport, HDivExplorer,
+    HDivExplorerConfig, HDivResult, InputError, RunSpec,
 };
 use hdx_data::{read_csv, CsvOptions, DataFrame};
 use hdx_stats::Outcome;
@@ -170,6 +170,24 @@ fn read_input(
     Ok((frame, outcomes, notes.into_iter().collect()))
 }
 
+/// The divergence a record must add over each of its sub-itemsets to be
+/// listed under `--non-redundant`.
+const NON_REDUNDANT_EPSILON: f64 = 1e-9;
+
+/// `report` narrowed to its non-redundant records, in rank order: what
+/// `--non-redundant` lists. The counters still count the whole run's work.
+fn non_redundant_report(report: &DivergenceReport) -> DivergenceReport {
+    DivergenceReport {
+        records: report
+            .non_redundant(NON_REDUNDANT_EPSILON)
+            .into_iter()
+            .cloned()
+            .collect(),
+        errors: report.errors.clone(),
+        ..*report
+    }
+}
+
 /// Renders a result as (stdout text, partial-run reason). Shared by `explore`
 /// and `resume` so a resumed run's report is byte-identical to the report an
 /// uninterrupted run would have printed.
@@ -192,7 +210,13 @@ fn render_result(
         reason
     });
     if json {
-        return (report_to_json(&result.report, &result.catalog), partial);
+        // `--non-redundant` narrows the JSON as it narrows the table.
+        let text = if non_redundant {
+            report_to_json(&non_redundant_report(&result.report), &result.catalog)
+        } else {
+            report_to_json(&result.report, &result.catalog)
+        };
+        return (text, partial);
     }
     let mut out = format!(
         "{} rows, {} attributes; global statistic {}\n{} subgroups above support {}\n\n",
@@ -221,7 +245,7 @@ fn render_result(
         ));
     }
     if non_redundant {
-        let filtered = result.report.non_redundant(1e-9);
+        let filtered = result.report.non_redundant(NON_REDUNDANT_EPSILON);
         out.push_str("itemset | sup | f | Δf | t  (non-redundant)\n");
         for r in filtered.iter().take(top) {
             out.push_str(&format!(
@@ -740,6 +764,46 @@ mod tests {
         let out = run_args(&["explore", &path, "--json"]).unwrap();
         assert!(out.starts_with('{'));
         assert!(out.contains("\"subgroups\":["));
+    }
+
+    #[test]
+    fn non_redundant_json_lists_the_rows_the_table_lists() {
+        let path = tmp("compas-nonredundant.csv");
+        run_args(&["generate", "compas", "--rows", "1500", "--out", &path]).unwrap();
+        let explore = |extra: &[&str]| {
+            let mut args = vec!["explore", &path, "--stat", "fpr", "--top", "100000"];
+            args.extend_from_slice(extra);
+            run_args(&args).unwrap()
+        };
+        let subgroups = |json: &str| {
+            let doc = hdx_core::obs::json::parse(json).unwrap();
+            let list = doc.get("subgroups").and_then(|s| s.as_arr()).unwrap();
+            list.iter()
+                .map(|r| r.get("label").and_then(|l| l.as_str()).unwrap().to_string())
+                .collect::<Vec<_>>()
+        };
+        let table = explore(&["--non-redundant"]);
+        let rows: Vec<&str> = table
+            .lines()
+            .skip_while(|l| !l.ends_with("(non-redundant)"))
+            .skip(1)
+            .collect();
+        let narrowed = subgroups(&explore(&["--non-redundant", "--json"]));
+        let all = subgroups(&explore(&["--json"]));
+        assert!(narrowed.len() < all.len(), "the filter drops records");
+        assert_eq!(narrowed.len(), rows.len());
+        // The same records, in rank order.
+        for (label, row) in narrowed.iter().zip(&rows) {
+            assert!(
+                row.starts_with(&format!("{label}  sup=")),
+                "{label} vs {row}"
+            );
+        }
+        let ranks: Vec<usize> = narrowed
+            .iter()
+            .map(|label| all.iter().position(|l| l == label).unwrap())
+            .collect();
+        assert!(ranks.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

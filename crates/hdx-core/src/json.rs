@@ -3,15 +3,17 @@
 //!
 //! Hand-rolled writer (the reproduction mandate keeps dependencies minimal);
 //! emits standards-compliant JSON and writes `null` for undefined
-//! statistics. Each document is written into one pre-sized `String`:
-//! strings are escaped straight into it by the workspace's shared codec
-//! ([`hdx_obs::json::escape_into`]) and numbers are formatted in place.
+//! statistics. Each document is written into one pre-sized `String` by the
+//! workspace's shared codec: strings are escaped straight into it
+//! ([`hdx_obs::json::escape_into`]), each item label once per report, and
+//! numbers are written in place as std's `Display` text
+//! ([`hdx_obs::json::number_into`]).
 
 use std::fmt::Write as _;
 
 use hdx_discretize::DiscretizationTree;
-use hdx_items::ItemCatalog;
-use hdx_obs::json::escape_into;
+use hdx_items::{ItemCatalog, ItemId};
+use hdx_obs::json::{escape_into, number_into};
 
 use crate::hdivexplorer::HDivResult;
 use crate::report::DivergenceReport;
@@ -19,11 +21,43 @@ use crate::report::DivergenceReport;
 /// Appends `x` as a JSON number (`null` when it is absent or not finite).
 fn push_number(out: &mut String, x: Option<f64>) {
     match x {
-        Some(x) if x.is_finite() => {
-            // Writing to a `String` cannot fail.
-            let _ = write!(out, "{x}");
-        }
+        Some(x) if x.is_finite() => number_into(out, x),
         _ => out.push_str("null"),
+    }
+}
+
+/// Each item label of a catalog as a JSON string literal, escaped on first
+/// use: a report names the same few items in many records.
+struct EscapedLabels<'a> {
+    catalog: &'a ItemCatalog,
+    /// The literals, back to back.
+    text: String,
+    /// `spans[id.index()]`: the item's literal in `text`, once escaped.
+    spans: Vec<Option<(usize, usize)>>,
+}
+
+impl<'a> EscapedLabels<'a> {
+    fn new(catalog: &'a ItemCatalog) -> Self {
+        Self {
+            catalog,
+            text: String::new(),
+            spans: vec![None; catalog.len()],
+        }
+    }
+
+    /// Appends the label of `id` to `out` as a JSON string literal.
+    fn push(&mut self, out: &mut String, id: ItemId) {
+        let (start, end) = match self.spans[id.index()] {
+            Some(span) => span,
+            None => {
+                let start = self.text.len();
+                push_string(&mut self.text, self.catalog.label(id));
+                let span = (start, self.text.len());
+                self.spans[id.index()] = Some(span);
+                span
+            }
+        };
+        out.push_str(&self.text[start..end]);
     }
 }
 
@@ -49,6 +83,7 @@ const NODE_CAPACITY: usize = 128;
 /// array (label, items, support, statistic, divergence, t) plus the global
 /// statistic and row count.
 pub fn report_to_json(report: &DivergenceReport, catalog: &ItemCatalog) -> String {
+    hdx_obs::span!("json");
     let mut out = String::with_capacity(report_capacity(report));
     write_report(&mut out, report, catalog);
     out
@@ -79,6 +114,7 @@ fn write_report(out: &mut String, report: &DivergenceReport, catalog: &ItemCatal
         push_string(out, &e.to_string());
     }
     out.push_str("],\"subgroups\":[");
+    let mut items = EscapedLabels::new(catalog);
     for (i, r) in report.records.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -90,7 +126,7 @@ fn write_report(out: &mut String, report: &DivergenceReport, catalog: &ItemCatal
             if k > 0 {
                 out.push(',');
             }
-            push_string(out, catalog.label(id));
+            items.push(out, id);
         }
         out.push_str("],\"support\":");
         push_number(out, Some(r.support));
@@ -139,6 +175,7 @@ fn write_node(out: &mut String, tree: &DiscretizationTree, idx: usize, catalog: 
 /// Serialises a full [`HDivResult`]: the report plus every discretization
 /// tree, keyed by attribute id.
 pub fn result_to_json(result: &HDivResult) -> String {
+    hdx_obs::span!("json");
     let nodes: usize = result.trees.iter().map(|t| t.nodes.len()).sum();
     let mut out = String::with_capacity(report_capacity(&result.report) + NODE_CAPACITY * nodes);
     out.push_str("{\"report\":");

@@ -1,9 +1,10 @@
 //! Ranked, labelled subgroup results.
 
+use std::cmp::Ordering;
 use std::time::Duration;
 
 use hdx_data::AttrId;
-use hdx_items::{ItemCatalog, Itemset};
+use hdx_items::{ItemCatalog, Itemset, LabelRank};
 use hdx_mining::{MiningError, MiningResult, RunCounters, Termination};
 use hdx_stats::StatAccum;
 
@@ -83,29 +84,31 @@ impl DivergenceReport {
 
     /// Builds a report from a mining result, ranking by divergence.
     pub fn from_mining(result: &MiningResult, catalog: &ItemCatalog, elapsed: Duration) -> Self {
+        hdx_obs::span!("rank");
+        let labels = LabelRank::new(catalog);
+        let p_values =
+            StatAccum::p_values(&result.global, result.itemsets.iter().map(|fi| &fi.accum));
         let mut records: Vec<SubgroupRecord> = result
             .itemsets
             .iter()
-            .map(|fi| SubgroupRecord {
-                label: fi.itemset.display(catalog).to_string(),
+            .zip(p_values)
+            .map(|(fi, p_value)| SubgroupRecord {
+                label: labels.label(&fi.itemset),
                 itemset: fi.itemset.clone(),
                 support: result.support(fi),
                 statistic: fi.accum.statistic(),
                 divergence: result.divergence(fi),
                 t_value: result.t_value(fi),
-                p_value: fi.accum.p_value(&result.global),
+                p_value,
                 accum: fi.accum,
             })
             .collect();
-        records.sort_by(|a, b| {
-            match (b.divergence, a.divergence) {
-                (Some(x), Some(y)) => x.total_cmp(&y),
-                (Some(_), None) => std::cmp::Ordering::Greater,
-                (None, Some(_)) => std::cmp::Ordering::Less,
-                (None, None) => std::cmp::Ordering::Equal,
-            }
-            .then_with(|| a.label.cmp(&b.label))
-        });
+        // A stable sort of indices under the records' order is the stable
+        // sort of the records themselves, with 4-byte moves instead of
+        // whole records. (2^32 records would take over 500 GB.)
+        let mut order: Vec<u32> = (0..records.len() as u32).collect();
+        order.sort_by(|&i, &j| rank_order(&records[i as usize], &records[j as usize]));
+        permute(&mut records, &mut order);
         Self {
             records,
             global_statistic: result.global.statistic(),
@@ -293,6 +296,35 @@ impl DivergenceReport {
     }
 }
 
+/// The report's order: descending divergence with undefined divergences
+/// last, then ascending label.
+fn rank_order(a: &SubgroupRecord, b: &SubgroupRecord) -> Ordering {
+    match (b.divergence, a.divergence) {
+        (Some(x), Some(y)) => x.total_cmp(&y),
+        (Some(_), None) => Ordering::Greater,
+        (None, Some(_)) => Ordering::Less,
+        (None, None) => Ordering::Equal,
+    }
+    .then_with(|| a.label.cmp(&b.label))
+}
+
+/// Reorders `items` so that `items[k]` is the old `items[order[k]]`, one
+/// cycle of the permutation at a time; `order` is left as the identity.
+fn permute<T>(items: &mut [T], order: &mut [u32]) {
+    for start in 0..order.len() {
+        let mut at = start;
+        loop {
+            let from = order[at] as usize;
+            order[at] = at as u32;
+            if from == start {
+                break;
+            }
+            items.swap(at, from);
+            at = from;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,6 +498,18 @@ mod tests {
                 .count(),
             0
         );
+    }
+
+    #[test]
+    fn permute_applies_every_cycle() {
+        // order: 0 fixed, (1 3 2) a 3-cycle, (4 5) a swap.
+        let mut items = ['a', 'b', 'c', 'd', 'e', 'f'];
+        let mut order = [0, 3, 1, 2, 5, 4];
+        let want: Vec<char> = order.iter().map(|&k| items[k as usize]).collect();
+        permute(&mut items, &mut order);
+        assert_eq!(items[..], want[..]);
+        assert_eq!(order, [0, 1, 2, 3, 4, 5]);
+        permute::<char>(&mut [], &mut []);
     }
 
     #[test]

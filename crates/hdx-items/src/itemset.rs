@@ -132,9 +132,6 @@ pub struct ItemsetDisplay<'a> {
 
 impl fmt::Display for ItemsetDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.itemset.is_empty() {
-            return write!(f, "{{}}");
-        }
         let mut labels: Vec<&str> = self
             .itemset
             .items()
@@ -142,7 +139,74 @@ impl fmt::Display for ItemsetDisplay<'_> {
             .map(|&i| self.catalog.label(i))
             .collect();
         labels.sort_unstable();
-        write!(f, "{{{}}}", labels.join(", "))
+        write_labels(f, labels)
+    }
+}
+
+/// Writes an itemset's text, `{` then `labels` joined by `, ` then `}`: the
+/// one definition of it, which [`ItemsetDisplay`] and [`LabelRank::label`]
+/// both write through. The caller orders the labels.
+fn write_labels<'l, W: fmt::Write>(
+    out: &mut W,
+    labels: impl IntoIterator<Item = &'l str>,
+) -> fmt::Result {
+    out.write_char('{')?;
+    for (k, label) in labels.into_iter().enumerate() {
+        if k > 0 {
+            out.write_str(", ")?;
+        }
+        out.write_str(label)?;
+    }
+    out.write_char('}')
+}
+
+/// The items of a catalog ranked by label in `str::cmp` order, so that an
+/// itemset's text is written in label order by comparing integers instead
+/// of sorting strings. Build it once and label every itemset of a report.
+#[derive(Debug, Clone)]
+pub struct LabelRank<'a> {
+    catalog: &'a ItemCatalog,
+    /// `rank[id.index()]` is the item's position in label order (equal
+    /// labels, which write the same text, by id).
+    rank: Vec<u32>,
+}
+
+impl<'a> LabelRank<'a> {
+    /// Ranks every item of `catalog` by its label.
+    pub fn new(catalog: &'a ItemCatalog) -> Self {
+        let mut ids: Vec<ItemId> = catalog.ids().collect();
+        ids.sort_by(|&a, &b| catalog.label(a).cmp(catalog.label(b)));
+        let mut rank = vec![0; ids.len()];
+        for (r, id) in (0u32..).zip(&ids) {
+            rank[id.index()] = r;
+        }
+        Self { catalog, rank }
+    }
+
+    /// The text of `itemset`, e.g. `{age<=24, #prior>8}`: exactly what
+    /// [`Itemset::display`] writes, in one exactly sized `String`.
+    ///
+    /// # Panics
+    /// Panics for an item of another catalog.
+    pub fn label(&self, itemset: &Itemset) -> String {
+        let items = itemset.items();
+        let text: usize = items.iter().map(|&i| self.catalog.label(i).len()).sum();
+        let mut out = String::with_capacity(text + 2 * items.len().max(1));
+        // Itemsets are short (≤ #attributes), so picking the next label by
+        // rank each time costs less than sorting a copy of the ids.
+        let mut last = None;
+        let in_order = items.iter().map(|_| {
+            let next = items
+                .iter()
+                .map(|&id| (self.rank[id.index()], id))
+                .filter(|&(rank, _)| last.is_none_or(|last| rank > last))
+                .min();
+            last = next.map(|(rank, _)| rank);
+            next.map_or("", |(_, id)| self.catalog.label(id))
+        });
+        // Writing to a `String` cannot fail.
+        let _ = write_labels(&mut out, in_order);
+        out
     }
 }
 
@@ -223,5 +287,36 @@ mod tests {
         let s = Itemset::new(vec![ids[2], ids[0]], &c).unwrap();
         assert_eq!(s.display(&c).to_string(), "{age<=3, sex=F}");
         assert_eq!(Itemset::empty().display(&c).to_string(), "{}");
+    }
+
+    #[test]
+    fn label_rank_writes_what_display_writes() {
+        let mut c = ItemCatalog::new();
+        // Labels interned out of label order, one of them a prefix of
+        // another and one with a byte above ASCII.
+        let labels = ["sex=M", "age<=3", "Zone=b", "age<=30", "é=1", "#prior>8"];
+        let ids: Vec<ItemId> = labels
+            .iter()
+            .enumerate()
+            .map(|(a, label)| {
+                let (attr, level) = label.split_once('=').unwrap_or((label, ""));
+                c.intern(Item::cat_eq(AttrId(a as u16), 0, attr, level))
+            })
+            .collect();
+        let rank = LabelRank::new(&c);
+        // Every subset of the six items.
+        for mask in 0u32..(1 << ids.len()) {
+            let items: Vec<ItemId> = ids
+                .iter()
+                .enumerate()
+                .filter(|&(k, _)| mask & (1 << k) != 0)
+                .map(|(_, &id)| id)
+                .collect();
+            let s = Itemset::new(items, &c).unwrap();
+            let text = rank.label(&s);
+            assert_eq!(text, s.display(&c).to_string());
+            assert_eq!(text.len(), text.capacity(), "{text}");
+        }
+        assert_eq!(rank.label(&Itemset::empty()), "{}");
     }
 }

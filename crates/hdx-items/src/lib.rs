@@ -42,5 +42,5 @@ pub use fd::{discover_fd_taxonomies, fd_taxonomy};
 pub use hierarchy::{HierarchySet, ItemHierarchy};
 pub use interval::Interval;
 pub use item::{Item, Predicate};
-pub use itemset::Itemset;
+pub use itemset::{Itemset, LabelRank};
 pub use taxonomy::Taxonomy;

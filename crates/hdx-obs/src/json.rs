@@ -1,7 +1,10 @@
 //! The workspace's one dependency-free JSON codec: [`escape_into`] for every
 //! writer (the telemetry artifact, hdx-core's report export, hdx-serve's
 //! responses and event journal), directly or through its [`escape`]
-//! wrapper, and [`parse`] for every reader (telemetry
+//! wrapper; beside it [`number_into`], the shortest round-trip `f64` writer
+//! of hdx-core's report and tree export, which writes exactly std's
+//! `Display` text (halfway cuts rounded up, never an exponent); and
+//! [`parse`] for every reader (telemetry
 //! round trips and the CI `validate-telemetry` gate, hdx-serve's job
 //! submissions through its flat-object rule, the tests). Only hdx-lint keeps
 //! a reader of its own, because it must build while the rest of the
@@ -19,9 +22,14 @@
 //! conversion.
 //!
 //! [`escape_into`]: crate::json::escape_into
+//! [`number_into`]: crate::json::number_into
 //! [`escape`]: crate::json::escape
 //! [`parse`]: crate::json::parse
 //! [`Json::Num`]: crate::json::Json::Num
+
+mod number;
+
+pub use number::number_into;
 
 /// A parsed JSON value. Object member order is preserved.
 #[derive(Debug, Clone, PartialEq)]

@@ -49,7 +49,7 @@ pub use accum::MeanVar;
 pub use approx::{approx_eq, approx_ne, approx_zero, same_sign};
 pub use dist::{cholesky, MultivariateNormal, Normal};
 pub use entropy::{binary_entropy, entropy_of_counts};
-pub use outcome::{Outcome, StatAccum};
+pub use outcome::{Outcome, PValues, StatAccum};
 pub use plane::OutcomePlanes;
 pub use quantile::{quantile, quantiles};
 pub use simd::{active_kernel, available_kernels, KernelPath};

@@ -10,7 +10,7 @@
 //! count — this is the paper's "divergence at essentially no additional
 //! cost" design.
 
-use crate::tdist::{t_quantile, welch_df, welch_p_value};
+use crate::tdist::{t_p_values, t_quantile, welch_df};
 use crate::welch::welch_t;
 
 /// The outcome `o(x)` of a single instance.
@@ -186,18 +186,43 @@ impl StatAccum {
     /// Returns `1.0` when the test is undefined (tiny samples, zero
     /// variance): no evidence against the null.
     pub fn p_value(&self, global: &StatAccum) -> f64 {
+        let [p] = t_p_values([self.welch_test(global)]);
+        p
+    }
+
+    /// The two-sided Welch p-value of each accumulator of `accums` against
+    /// `global`, in order: what [`StatAccum::p_value`] returns, bit for bit.
+    ///
+    /// The records are taken four at a time, and their continued fractions
+    /// run in lockstep, which hides the latency of each one's chain of
+    /// divisions.
+    pub fn p_values<'a, I>(global: &StatAccum, accums: I) -> PValues<I::IntoIter>
+    where
+        I: IntoIterator<Item = &'a StatAccum>,
+    {
+        PValues {
+            global: *global,
+            accums: accums.into_iter(),
+            ready: [0.0; LANES],
+            next: 0,
+            len: 0,
+        }
+    }
+
+    /// The `(t, df)` of the Welch test against `global`, or `None` when the
+    /// test is undefined (t of 0, tiny samples, zero variance).
+    fn welch_test(&self, global: &StatAccum) -> Option<(f64, f64)> {
         let t = self.t_value(global);
         if crate::approx::approx_zero(t) {
-            return 1.0;
+            return None;
         }
-        welch_p_value(
-            t,
+        let df = welch_df(
             self.variance(),
             self.n_valid,
             global.variance(),
             global.n_valid,
-        )
-        .unwrap_or(1.0)
+        )?;
+        Some((t, df))
     }
 
     /// Two-sided `(1 − alpha)` confidence interval for the divergence from
@@ -228,6 +253,50 @@ impl StatAccum {
             acc.push(o);
         }
         acc
+    }
+}
+
+/// Records per lockstep batch of [`StatAccum::p_values`].
+const LANES: usize = 4;
+
+/// The iterator of [`StatAccum::p_values`].
+#[derive(Debug, Clone)]
+pub struct PValues<I> {
+    global: StatAccum,
+    accums: I,
+    /// The p-values of the current batch; `ready[next..len]` are unread.
+    ready: [f64; LANES],
+    next: usize,
+    len: usize,
+}
+
+impl<'a, I: Iterator<Item = &'a StatAccum>> Iterator for PValues<I> {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        if self.next == self.len {
+            let mut batch = [None; LANES];
+            let mut len = 0;
+            for (slot, accum) in batch.iter_mut().zip(&mut self.accums) {
+                *slot = Some(accum.welch_test(&self.global));
+                len += 1;
+            }
+            if len == 0 {
+                return None;
+            }
+            self.ready = t_p_values(batch.map(Option::flatten));
+            self.next = 0;
+            self.len = len;
+        }
+        let p = self.ready.get(self.next).copied();
+        self.next += 1;
+        p
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let (lo, hi) = self.accums.size_hint();
+        let ready = self.len - self.next;
+        (lo + ready, hi.map(|hi| hi + ready))
     }
 }
 
@@ -366,6 +435,35 @@ mod tests {
         // Undefined for tiny samples.
         let tiny = StatAccum::from_outcomes(&[Outcome::Bool(true)]);
         assert!(tiny.divergence_ci(&global, 0.05).is_none());
+    }
+
+    #[test]
+    fn batched_p_values_equal_the_one_record_path() {
+        let mut global = StatAccum::new();
+        for i in 0..1000 {
+            global.push(Outcome::Bool(i % 7 == 0));
+        }
+        // Subgroups of every size from empty to 40 rows: undefined tests
+        // (no valid rows, one row, zero variance) between defined ones.
+        let accums: Vec<StatAccum> = (0..41u64)
+            .map(|n| {
+                let positives = (n * n) % (n + 1);
+                StatAccum::from_counts(n + 3, n, positives)
+            })
+            .collect();
+        // Every partial lane group, and the whole run.
+        for len in (0..10).chain([accums.len()]) {
+            let batch = &accums[..len];
+            let got: Vec<u64> = StatAccum::p_values(&global, batch)
+                .map(f64::to_bits)
+                .collect();
+            let want: Vec<u64> = batch.iter().map(|a| a.p_value(&global).to_bits()).collect();
+            assert_eq!(got, want, "{len} records");
+        }
+        let mut iter = StatAccum::p_values(&global, &accums);
+        assert_eq!(iter.size_hint(), (41, Some(41)));
+        iter.next();
+        assert_eq!(iter.size_hint(), (40, Some(40)));
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! - Duplicating every row doubles each count and leaves every support,
 //!   statistic, divergence and tree node bit-identical (Welch's t and p
 //!   move with n).
+//! - Two constant columns in front (one categorical level, one number)
+//!   shift every item id and leave every record bit-identical; each record
+//!   that uses a constant item equals its twin without it, and the twins'
+//!   tied divergences rank by label.
 //!
 //! Item ids follow first appearance, so records are compared as a map
 //! keyed by their set of item labels. Together these pin the reader's
@@ -252,5 +256,66 @@ fn duplicating_rows_doubles_counts_and_keeps_every_rate_and_tree() {
             }
         }
         assert_eq!(trees(&twice), trees(&base), "{}", dataset.name);
+    }
+}
+
+#[test]
+fn constant_columns_in_front_add_twins_that_rank_by_label() {
+    const CONSTANTS: [&str; 2] = ["const_level", "const_number"];
+    for (dataset, stat) in cases() {
+        let csv = to_csv(&dataset);
+        let base = fit(&csv, stat);
+        let (header, rows) = split(&csv);
+        let widened: Vec<String> = rows.iter().map(|row| format!("k,7.5,{row}")).collect();
+        let widened: Vec<&str> = widened.iter().map(String::as_str).collect();
+        let header = format!("{},{},{header}", CONSTANTS[0], CONSTANTS[1]);
+        let after = fit(&join(&header, &widened), stat);
+
+        let is_constant = |label: &str| CONSTANTS.iter().any(|name| label.starts_with(name));
+        let (base_records, after_records) = (records(&base), records(&after));
+        let mut twins = 0;
+        for (labels, numbers) in &after_records {
+            let twin: BTreeSet<String> = labels
+                .iter()
+                .filter(|label| !is_constant(label))
+                .cloned()
+                .collect();
+            if twin.len() == labels.len() {
+                // No constant item: the record is the base fit's, bit for bit.
+                assert_eq!(base_records.get(labels), Some(numbers), "{labels:?}");
+            } else if twin.is_empty() {
+                // Constant items alone cover every row: no divergence.
+                assert_eq!(f64::from_bits(numbers[0]), 1.0, "{labels:?}");
+                assert_eq!(f64::from_bits(numbers[2]), 0.0, "{labels:?}");
+            } else {
+                // Support, statistic, divergence, t and p of the twin.
+                let want = base_records.get(&twin).expect("the twin is mined");
+                assert_eq!(numbers[..5], want[..5], "{labels:?} vs {twin:?}");
+                twins += 1;
+            }
+        }
+        assert!(
+            twins > 0,
+            "{}: some record uses a constant item",
+            dataset.name
+        );
+        // Every base record is still there.
+        assert!(base_records.keys().all(|k| after_records.contains_key(k)));
+        // Equal divergences rank by label.
+        let ties = after.report.records.windows(2).filter(|pair| {
+            let bits = |r: &h_divexplorer::core::SubgroupRecord| r.divergence.map(f64::to_bits);
+            bits(&pair[0]) == bits(&pair[1])
+        });
+        let mut tied = 0;
+        for pair in ties {
+            assert!(
+                pair[0].label < pair[1].label,
+                "{} before {}",
+                pair[0].label,
+                pair[1].label
+            );
+            tied += 1;
+        }
+        assert!(tied >= twins, "{}: every twin ties", dataset.name);
     }
 }
