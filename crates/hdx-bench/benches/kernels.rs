@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use hdx_bench::splitmix64;
 use hdx_items::Bitset;
 use hdx_mining::accum_scalar;
-use hdx_stats::{Outcome, OutcomePlanes};
+use hdx_stats::{simd, Outcome, OutcomePlanes};
 use std::hint::black_box;
 
 const N_ROWS: usize = 65_536;
@@ -84,7 +84,7 @@ fn bench_kernels(c: &mut Criterion) {
             |b, planes| {
                 b.iter(|| {
                     for pair in cover_set.chunks_exact(2) {
-                        let n = pair[0].and_count(&pair[1]) as u64;
+                        let n = simd::and_count(pair[0].words(), pair[1].words());
                         black_box(planes.accum_pair(pair[0].words(), pair[1].words(), n));
                     }
                 })

@@ -47,7 +47,9 @@ pub struct HDivExplorerConfig {
     pub tree_min_support: f64,
     /// Split gain criterion for the discretization trees.
     pub criterion: GainCriterion,
-    /// Optional cap on pattern length.
+    /// Optional cap on pattern length. `Some(0)` is refused: the fallible
+    /// entry points return [`CoreError::InvalidParameter`], the others
+    /// panic.
     pub max_len: Option<usize>,
     /// Mining worker threads (default 1); see
     /// [`MiningConfig::threads`](hdx_mining::MiningConfig::threads).
@@ -345,6 +347,12 @@ impl HDivExplorer {
                 message: format!("must be in (0, 1), got {}", self.config.tree_min_support),
             });
         }
+        if self.config.max_len == Some(0) {
+            return Err(CoreError::InvalidParameter {
+                name: "max_len",
+                message: "must be at least 1, got 0".to_string(),
+            });
+        }
         Ok(())
     }
 
@@ -546,6 +554,20 @@ mod tests {
                 gen.report.max_divergence() >= base.report.max_divergence(),
                 "hierarchical exploration is a superset (s={s})"
             );
+        }
+    }
+
+    #[test]
+    fn zero_max_len_is_a_typed_error() {
+        let (df, outcomes) = setup(500);
+        let pipeline = HDivExplorer::new(HDivExplorerConfig {
+            min_support: 0.05,
+            max_len: Some(0),
+            ..HDivExplorerConfig::default()
+        });
+        match pipeline.try_fit(&df, &outcomes) {
+            Err(CoreError::InvalidParameter { name, .. }) => assert_eq!(name, "max_len"),
+            other => panic!("expected an invalid max_len, got {other:?}"),
         }
     }
 

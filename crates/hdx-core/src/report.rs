@@ -86,19 +86,18 @@ impl DivergenceReport {
     pub fn from_mining(result: &MiningResult, catalog: &ItemCatalog, elapsed: Duration) -> Self {
         hdx_obs::span!("rank");
         let labels = LabelRank::new(catalog);
-        let p_values =
-            StatAccum::p_values(&result.global, result.itemsets.iter().map(|fi| &fi.accum));
+        let tests = StatAccum::p_values(&result.global, result.itemsets.iter().map(|fi| &fi.accum));
         let mut records: Vec<SubgroupRecord> = result
             .itemsets
             .iter()
-            .zip(p_values)
-            .map(|(fi, p_value)| SubgroupRecord {
+            .zip(tests)
+            .map(|(fi, (t_value, p_value))| SubgroupRecord {
                 label: labels.label(&fi.itemset),
                 itemset: fi.itemset.clone(),
                 support: result.support(fi),
                 statistic: fi.accum.statistic(),
                 divergence: result.divergence(fi),
-                t_value: result.t_value(fi),
+                t_value,
                 p_value,
                 accum: fi.accum,
             })

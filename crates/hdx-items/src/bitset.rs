@@ -115,19 +115,6 @@ impl Bitset {
         }
     }
 
-    /// `|self ∩ other|` without materialising the intersection.
-    ///
-    /// # Panics
-    /// Panics on capacity mismatch.
-    pub fn and_count(&self, other: &Bitset) -> usize {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
     /// The backing word slice (least-significant bit of `words()[0]` is row
     /// 0; bits beyond `len` in the last word are always zero).
     ///
@@ -262,7 +249,7 @@ mod tests {
         let b = Bitset::from_indices(200, [5, 64, 150, 151]);
         let c = a.and(&b);
         assert_eq!(c.iter_ones().collect::<Vec<_>>(), vec![5, 64, 150]);
-        assert_eq!(a.and_count(&b), 3);
+        assert_eq!(Bitset::intersection_count(&[&a, &b]), 3);
         let mut d = a.clone();
         d.and_assign(&b);
         assert_eq!(d, c);
@@ -285,10 +272,10 @@ mod tests {
         // intersection_count over 1, 2, 3 covers
         assert_eq!(Bitset::intersection_count(&[]), 0);
         assert_eq!(Bitset::intersection_count(&[&a]), a.count());
-        assert_eq!(Bitset::intersection_count(&[&a, &b]), a.and_count(&b));
+        assert_eq!(Bitset::intersection_count(&[&a, &b]), a.and(&b).count());
         assert_eq!(
             Bitset::intersection_count(&[&a, &b, &c]),
-            a.and(&b).and_count(&c)
+            a.and(&b).and(&c).count()
         );
         // words() exposes the packed layout with a clean tail
         let tail = Bitset::all_set(70);

@@ -104,9 +104,9 @@ pub fn validate_resume(
 /// uninterrupted run would have produced.
 ///
 /// # Panics
-/// Panics when `config.min_support` is outside `(0, 1]` (and, under
-/// `debug-invariants`, when a complete non-resumed result violates a
-/// lattice invariant).
+/// Panics when `config.min_support` is outside `(0, 1]` or
+/// `config.max_len` is `Some(0)` (and, under `debug-invariants`, when a
+/// complete non-resumed result violates a lattice invariant).
 pub fn mine_governed_ckpt(
     transactions: &Transactions,
     catalog: &ItemCatalog,

@@ -57,7 +57,6 @@
 /// threshold, anti-monotonicity).
 pub mod invariants;
 
-mod attrs;
 mod checkpoint;
 mod result;
 mod transactions;
@@ -80,7 +79,8 @@ use hdx_items::ItemCatalog;
 pub struct MiningConfig {
     /// Minimum support `s` as a fraction of the dataset.
     pub min_support: f64,
-    /// Optional cap on itemset length (`None` = unbounded).
+    /// Optional cap on itemset length (`None` = unbounded; `Some(0)` is
+    /// refused).
     pub max_len: Option<usize>,
     /// Worker threads for the search (default 1; `0` is treated as 1).
     /// With more than one, that many workers claim the first-level
@@ -125,8 +125,9 @@ impl MiningConfig {
 /// the mining-lattice invariants (see [`invariants`]) before it is returned.
 ///
 /// # Panics
-/// Panics when `config.min_support` is outside `(0, 1]` (and, under
-/// `debug-invariants`, when the produced result violates an invariant).
+/// Panics when `config.min_support` is outside `(0, 1]` or
+/// `config.max_len` is `Some(0)` (and, under `debug-invariants`, when the
+/// produced result violates an invariant).
 pub fn mine(
     transactions: &Transactions,
     catalog: &ItemCatalog,
@@ -144,8 +145,9 @@ pub fn mine(
 /// superset can be emitted before a sibling subset's subtree is reached).
 ///
 /// # Panics
-/// Panics when `config.min_support` is outside `(0, 1]` (and, under
-/// `debug-invariants`, when a complete result violates an invariant).
+/// Panics when `config.min_support` is outside `(0, 1]` or
+/// `config.max_len` is `Some(0)` (and, under `debug-invariants`, when a
+/// complete result violates an invariant).
 pub fn mine_governed(
     transactions: &Transactions,
     catalog: &ItemCatalog,
@@ -172,6 +174,7 @@ pub(crate) fn search(
         config.min_support > 0.0 && config.min_support <= 1.0,
         "min_support must be in (0, 1]"
     );
+    assert!(config.max_len != Some(0), "max_len must be at least 1");
     let result = vertical::vertical_run(
         transactions,
         catalog,
@@ -357,6 +360,20 @@ mod cross_tests {
             assert!(r.itemsets.iter().all(|fi| fi.itemset.len() <= 2));
             assert!(r.itemsets.iter().any(|fi| fi.itemset.len() == 2));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "max_len must be at least 1")]
+    fn zero_max_len_rejected() {
+        let (base, _, catalog) = random_setup(10, 1);
+        let _ = mine(
+            &base,
+            &catalog,
+            &MiningConfig {
+                max_len: Some(0),
+                ..MiningConfig::default()
+            },
+        );
     }
 
     #[test]

@@ -6,36 +6,41 @@
 //! larger id and distinct attribute. The inner loop is engineered to be
 //! allocation-free and word-parallel:
 //!
-//! * **count-first pruning** — a candidate's support is a fused
-//!   [`Bitset::and_count`] against the prefix cover, so infrequent
-//!   candidates never allocate anything;
+//! * **count-first pruning** — each prefix counts its candidate list once,
+//!   with a fused AND+popcount against the prefix cover
+//!   ([`simd::and_count`], on the CPU's best popcount path), and keeps the
+//!   frequent ones with their supports before it emits or explores any;
+//! * **extension lists** (Eclat's equivalence classes) — an extension's
+//!   candidates are its parent's frequent later siblings of another
+//!   attribute: a sibling infrequent with the parent is infrequent with
+//!   every extension of it (anti-monotonicity), and dropping the siblings
+//!   that share the extension's attribute enforces the
+//!   one-item-per-attribute constraint, so no prefix attribute set is kept;
 //! * **kernel accumulators** — frequent candidates fold their
 //!   [`StatAccum`] through [`OutcomePlanes`] (fused popcounts / masked
 //!   sums over the cover words) instead of iterating rows;
-//! * **scratch-bitset pool** — one reusable cover buffer per recursion
-//!   depth, so even frequent candidates allocate nothing after setup; leaf
-//!   candidates (which cannot recurse) skip materialisation entirely via the
-//!   fused pair kernel;
-//! * **dense attribute masks** — the one-item-per-attribute constraint is a
-//!   precomputed per-item attribute table plus an [`AttrSet`] prefix mask,
-//!   not a linear prefix scan through the catalog.
+//! * **scratch pool** — one reusable cover buffer and a pair of pre-sized
+//!   lists per recursion depth, so even frequent candidates allocate
+//!   nothing after setup; candidates with nothing left to extend them skip
+//!   materialisation entirely via the fused pair kernel.
 //!
 //! The search polls a [`Governor`] for deadlines, budgets and cancellation.
 //! A tripped governor stops it at emission granularity: every itemset
 //! already emitted carries its exact accumulator, so a truncated result is
-//! always a subset of the unbounded one. Candidate bytes are charged only
-//! when a joint cover is actually materialised — pruned and leaf candidates
-//! are free. With more than one worker thread a panicking worker is caught
-//! and reported as [`MiningError::WorkerPanicked`](crate::MiningError)
-//! while the remaining workers claim the roots it never reached.
+//! always a subset of the unbounded one. Candidate bytes are charged for
+//! each emitted extension that could still grow (`max_len` not reached and
+//! a later frequent item exists), whether or not a sibling is left to
+//! extend it — pruned and leaf candidates are free. With more than one
+//! worker thread a panicking worker is caught and reported as
+//! [`MiningError::WorkerPanicked`](crate::MiningError) while the remaining
+//! workers claim the roots it never reached.
 
 use hdx_checkpoint::{Checkpointer, MiningProgress};
 use hdx_governor::{fail_point, Governor};
 use hdx_items::{Bitset, ItemCatalog, ItemId, Itemset};
-use hdx_stats::{Outcome, OutcomePlanes, StatAccum};
+use hdx_stats::{simd, Outcome, OutcomePlanes, StatAccum};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::attrs::AttrSet;
 use crate::checkpoint::{progress_snapshot, restore_itemset};
 use crate::result::{FrequentItemset, MiningError, MiningResult};
 use crate::transactions::Transactions;
@@ -58,8 +63,9 @@ pub fn accum_scalar(cover: &Bitset, outcomes: &[Outcome]) -> StatAccum {
     acc
 }
 
-/// Approximate heap bytes of one cover bitset, charged per *materialised*
-/// candidate intersection against the governor's candidate-byte budget.
+/// Approximate heap bytes of one cover bitset, charged against the
+/// governor's candidate-byte budget for each emitted extension that could
+/// still grow (the `deeper` rule of [`dfs`]).
 fn cover_bytes(n_rows: usize) -> u64 {
     (n_rows.div_ceil(8) as u64).max(8)
 }
@@ -95,16 +101,37 @@ fn frequent_items<'a>(
         .collect()
 }
 
-/// One reusable cover buffer per attainable recursion depth: prefixes can
-/// grow to `min(max_len, #distinct frequent attributes)` items, and a joint
-/// cover is only materialised for prefixes that can still be extended, so
-/// this pool is never exhausted.
-fn scratch_pool(n_rows: usize, frequent: &[FreqItem], max_len: Option<usize>) -> Vec<Bitset> {
+/// One DFS depth's reusable buffers. A prefix of `k` items reads its
+/// candidate list from depth `k − 1`, counts it into `frequent`, and writes
+/// the joint covers of its extensions into `cover`; each extension's own
+/// candidate list goes into depth `k`.
+struct Depth {
+    /// The joint cover of the extension being explored from this depth.
+    cover: Bitset,
+    /// The candidates of this depth's prefix: indices into
+    /// [`DfsCtx::frequent`], ascending.
+    cands: Vec<usize>,
+    /// The frequent candidates with their supports, in `cands` order.
+    frequent: Vec<(usize, u64)>,
+}
+
+/// One [`Depth`] per attainable recursion depth: prefixes can grow to
+/// `min(max_len, #distinct frequent attributes)` items, and a prefix reads
+/// and writes only its own depth and the next, so this pool is never
+/// exhausted. Each list is sized for every frequent item, so the search
+/// never reallocates one.
+fn scratch_pool(n_rows: usize, frequent: &[FreqItem], max_len: Option<usize>) -> Vec<Depth> {
     let mut attrs: Vec<u16> = frequent.iter().map(|f| f.attr).collect();
     attrs.sort_unstable();
     attrs.dedup();
     let depth = max_len.unwrap_or(usize::MAX).min(attrs.len());
-    (0..depth).map(|_| Bitset::new(n_rows)).collect()
+    (0..depth)
+        .map(|_| Depth {
+            cover: Bitset::new(n_rows),
+            cands: Vec::with_capacity(frequent.len()),
+            frequent: Vec::with_capacity(frequent.len()),
+        })
+        .collect()
 }
 
 /// Read-only search context shared by every [`explore_roots`] call of a
@@ -121,7 +148,7 @@ struct DfsCtx<'a> {
 
 impl DfsCtx<'_> {
     /// A fresh [`scratch_pool`] for one searching thread.
-    fn scratch(&self) -> Vec<Bitset> {
+    fn scratch(&self) -> Vec<Depth> {
         let scratch = scratch_pool(self.n_rows, self.frequent, self.max_len);
         hdx_obs::gauge_max!(
             MineScratchPoolBytes,
@@ -131,39 +158,59 @@ impl DfsCtx<'_> {
     }
 }
 
-/// Depth-first extension of `prefix_items` (whose rows are `prefix_cover`
-/// and whose attributes are `prefix_attrs`) with items from `start` onward.
+/// Depth-first extension of `prefix_items`, whose rows are `prefix_cover`
+/// and whose candidate list is `pool[0].cands`.
 ///
-/// `scratch` holds one joint-cover buffer per remaining depth; the frequent
-/// path writes into `scratch[0]` and recurses with the rest, so the whole
-/// search allocates nothing beyond the cloned item lists of emitted
-/// itemsets. Returns early (with whatever was emitted so far) once the
-/// governor trips.
+/// Two phases. First every candidate is counted once against the prefix
+/// cover and the frequent ones are kept with their supports. Then those
+/// are emitted and explored in order: each one's children are its frequent
+/// later siblings of another attribute, since by anti-monotonicity a
+/// sibling that failed with the prefix fails with every extension of it.
+/// The joint cover of an explored extension goes into `pool[0].cover` and
+/// its list into `pool[1].cands`, so the search allocates nothing beyond
+/// the cloned item lists of emitted itemsets. Returns early (with whatever
+/// was emitted so far) once the governor trips.
 fn dfs(
     ctx: &DfsCtx<'_>,
     prefix_items: &mut Vec<ItemId>,
-    prefix_attrs: &mut AttrSet,
     prefix_cover: &Bitset,
-    start: usize,
-    scratch: &mut [Bitset],
+    pool: &mut [Depth],
     out: &mut Vec<FrequentItemset>,
 ) {
-    for (idx, cand) in ctx.frequent.iter().enumerate().skip(start) {
+    let Some((
+        Depth {
+            cover: joint,
+            cands,
+            frequent,
+        },
+        deeper_pool,
+    )) = pool.split_first_mut()
+    else {
+        debug_assert!(false, "scratch pool exhausted");
+        return;
+    };
+    frequent.clear();
+    for &idx in cands.iter() {
         if !ctx.governor.keep_going() {
             return;
         }
         hdx_obs::counter_add!(MineCandidatesGenerated, 1);
-        if prefix_attrs.contains(cand.attr) {
-            hdx_obs::counter_add!(MineCandidatesPrunedAttr, 1);
-            continue;
-        }
-        // Count-first pruning: infrequent candidates cost one fused
+        // Count-first pruning: an infrequent candidate costs one fused
         // AND+popcount and nothing else.
-        let count = prefix_cover.and_count(cand.cover) as u64;
+        let count = simd::and_count(prefix_cover.words(), ctx.frequent[idx].cover.words());
         if count < ctx.min_count {
             hdx_obs::counter_add!(MineCandidatesPrunedSupport, 1);
             continue;
         }
+        // ALLOC: pre-sized to every frequent item by `scratch_pool`, so
+        // this never reallocates.
+        frequent.push((idx, count));
+    }
+    for (pos, &(idx, count)) in frequent.iter().enumerate() {
+        if !ctx.governor.keep_going() {
+            return;
+        }
+        let cand = &ctx.frequent[idx];
         // Charge the emission *before* pushing: on a refused charge nothing
         // is emitted, so emitted itemsets always have exact accumulators and
         // the itemset counter always equals the number of emissions.
@@ -175,59 +222,56 @@ fn dfs(
         prefix_items.push(cand.item);
         let deeper =
             ctx.max_len.is_none_or(|m| prefix_items.len() < m) && idx + 1 < ctx.frequent.len();
-        if deeper {
-            if let Some((joint, rest)) = scratch.split_first_mut() {
-                // Materialising the joint cover is the only per-candidate
-                // byte cost; charge it now. On refusal, emit the
-                // already-charged itemset through the fused pair kernel
-                // (no materialisation) and unwind.
-                if !ctx.governor.record_candidate_bytes(ctx.cover_bytes) {
-                    // ALLOC: emission — the cloned item list is the
-                    // documented per-result cost, charged to the governor.
-                    out.push(FrequentItemset {
-                        itemset: Itemset::from_sorted_unchecked(prefix_items.clone()),
-                        accum: ctx.planes.accum_pair(
-                            prefix_cover.words(),
-                            cand.cover.words(),
-                            count,
-                        ),
-                    });
-                    prefix_items.pop();
-                    return;
+        // An extension that could still grow is charged one joint cover,
+        // whether or not any sibling is left to extend it with.
+        if deeper && !ctx.governor.record_candidate_bytes(ctx.cover_bytes) {
+            // On refusal, emit the already-charged itemset through the fused
+            // pair kernel (no materialisation) and unwind.
+            // ALLOC: emission — the cloned item list is the documented
+            // per-result cost, charged to the governor.
+            out.push(FrequentItemset {
+                itemset: Itemset::from_sorted_unchecked(prefix_items.clone()),
+                accum: ctx
+                    .planes
+                    .accum_pair(prefix_cover.words(), cand.cover.words(), count),
+            });
+            prefix_items.pop();
+            return;
+        }
+        let children = deeper
+            && match deeper_pool.first_mut() {
+                Some(next) => {
+                    let siblings = frequent[pos + 1..].iter().map(|&(sibling, _)| sibling);
+                    extension_list(ctx, cand.attr, siblings, &mut next.cands);
+                    !next.cands.is_empty()
                 }
-                // Fused intersect-assign-accumulate: the joint cover is
-                // written and folded into the accumulator in one blocked
-                // pass, so each row block is consumed while cache-hot.
-                let accum = ctx.planes.accum_assign_pair(
-                    prefix_cover.words(),
-                    cand.cover.words(),
-                    joint.words_mut(),
-                    count,
-                );
-                // ALLOC: emission — see above; the joint cover itself goes
-                // into the pre-sized scratch pool, not a fresh allocation.
-                out.push(FrequentItemset {
-                    itemset: Itemset::from_sorted_unchecked(prefix_items.clone()),
-                    accum,
-                });
-                prefix_attrs.insert(cand.attr);
-                dfs(ctx, prefix_items, prefix_attrs, joint, idx + 1, rest, out);
-                prefix_attrs.remove(cand.attr);
-            } else {
-                // Unreachable: the pool depth covers every attainable prefix
-                // length. Degrade to a leaf emission rather than crash.
-                debug_assert!(false, "scratch pool exhausted");
-                // ALLOC: emission — degraded leaf path, same per-result cost.
-                out.push(FrequentItemset {
-                    itemset: Itemset::from_sorted_unchecked(prefix_items.clone()),
-                    accum: ctx
-                        .planes
-                        .accum_pair(prefix_cover.words(), cand.cover.words(), count),
-                });
-            }
+                None => {
+                    // Unreachable: the pool depth covers every attainable
+                    // prefix length. Degrade to a leaf emission.
+                    debug_assert!(false, "scratch pool exhausted");
+                    false
+                }
+            };
+        if children {
+            // Fused intersect-assign-accumulate: the joint cover is written
+            // and folded into the accumulator in one blocked pass, so each
+            // row block is consumed while cache-hot.
+            let accum = ctx.planes.accum_assign_pair(
+                prefix_cover.words(),
+                cand.cover.words(),
+                joint.words_mut(),
+                count,
+            );
+            // ALLOC: emission — see above; the joint cover itself goes into
+            // the pre-sized scratch pool, not a fresh allocation.
+            out.push(FrequentItemset {
+                itemset: Itemset::from_sorted_unchecked(prefix_items.clone()),
+                accum,
+            });
+            dfs(ctx, prefix_items, joint, deeper_pool, out);
         } else {
-            // Leaf candidate: fused pair kernel straight off the two parent
-            // covers — no materialisation, no byte charge.
+            // Nothing to extend it with: fused pair kernel straight off the
+            // two parent covers, no materialisation.
             // ALLOC: emission — the cloned item list is the documented
             // per-result cost, charged to the governor.
             out.push(FrequentItemset {
@@ -241,15 +285,36 @@ fn dfs(
     }
 }
 
-/// Emits the frequent singleton at `idx` and explores its subtree: one turn
+/// Fills `list` with the `candidates` (indices into [`DfsCtx::frequent`])
+/// whose attribute is not `attr`: the candidate list of an itemset whose
+/// newest item has attribute `attr`.
+fn extension_list(
+    ctx: &DfsCtx<'_>,
+    attr: u16,
+    candidates: impl Iterator<Item = usize>,
+    list: &mut Vec<usize>,
+) {
+    list.clear();
+    for idx in candidates {
+        if ctx.frequent[idx].attr == attr {
+            hdx_obs::counter_add!(MineCandidatesPrunedAttr, 1);
+        } else {
+            // ALLOC: pre-sized to every frequent item by `scratch_pool`, so
+            // this never reallocates.
+            list.push(idx);
+        }
+    }
+}
+
+/// Emits the frequent singleton at `idx` and explores its subtree, whose
+/// candidates are the later frequent items of another attribute: one turn
 /// of [`explore_roots`]. Returns `false` once the governor refuses further
 /// emissions.
 fn explore_root(
     ctx: &DfsCtx<'_>,
     idx: usize,
     prefix_items: &mut Vec<ItemId>,
-    prefix_attrs: &mut AttrSet,
-    scratch: &mut [Bitset],
+    pool: &mut [Depth],
     out: &mut Vec<FrequentItemset>,
 ) -> bool {
     let Some(root) = ctx.frequent.get(idx) else {
@@ -265,19 +330,19 @@ fn explore_root(
         accum: ctx.planes.accum(root.cover.words(), root.count),
     });
     if ctx.max_len.is_none_or(|m| m > 1) && idx + 1 < ctx.frequent.len() {
+        let Some(first) = pool.first_mut() else {
+            debug_assert!(false, "scratch pool exhausted");
+            return true;
+        };
+        extension_list(
+            ctx,
+            root.attr,
+            idx + 1..ctx.frequent.len(),
+            &mut first.cands,
+        );
         // ALLOC: reusable prefix buffer — grows at most once per depth.
         prefix_items.push(root.item);
-        prefix_attrs.insert(root.attr);
-        dfs(
-            ctx,
-            prefix_items,
-            prefix_attrs,
-            root.cover,
-            idx + 1,
-            scratch,
-            out,
-        );
-        prefix_attrs.remove(root.attr);
+        dfs(ctx, prefix_items, root.cover, pool, out);
         prefix_items.pop();
     }
     true
@@ -356,7 +421,6 @@ fn explore_roots(
     // ALLOC: per-call setup, not per root — the prefix buffer grows at most
     // once per depth and is reused for every root this call claims.
     let mut prefix_items: Vec<ItemId> = Vec::new();
-    let mut prefix_attrs = AttrSet::new();
     loop {
         // ORDERING: the cursor only has to hand each index out once, which
         // the read-modify-write guarantees in any ordering; the roots it
@@ -367,14 +431,7 @@ fn explore_roots(
         // only a clean completion is a boundary.
         if idx >= ctx.frequent.len()
             || !ctx.governor.keep_going()
-            || !explore_root(
-                ctx,
-                idx,
-                &mut prefix_items,
-                &mut prefix_attrs,
-                &mut scratch,
-                out,
-            )
+            || !explore_root(ctx, idx, &mut prefix_items, &mut scratch, out)
             || ctx.governor.is_tripped()
         {
             break;

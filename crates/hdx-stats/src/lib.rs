@@ -20,9 +20,11 @@
 //!   (exact counts everywhere; sums bitwise identical to a row-by-row walk
 //!   for integer-valued outcomes — see [`simd`] for the dispatch table and
 //!   the full exactness contract);
-//! * [`simd`] — the masked-sum kernel layer: the portable lane kernel, the
-//!   AVX-512 / AVX2 / NEON paths and their runtime dispatch
-//!   ([`simd::active_kernel`]);
+//! * [`simd`] — the kernel layer: the masked sums (the portable lane
+//!   kernel, the AVX-512 / AVX2 / NEON paths and their runtime dispatch,
+//!   [`simd::active_kernel`]) and the popcount kernels of the miner's
+//!   support counts and the boolean folds (portable / POPCNT / AVX-512
+//!   VPOPCNTDQ, [`simd::active_count_path`]);
 //! * [`approx`] — epsilon-aware float comparisons (the only sanctioned way
 //!   to compare divergences/t-values for equality; see `hdx-lint`'s
 //!   `no-float-eq` rule).
@@ -30,7 +32,8 @@
 /// Tolerance-based floating-point comparison helpers.
 pub mod approx;
 
-/// Vectorized masked-sum kernels (portable / AVX-512 / AVX2 / NEON) behind
+/// Vectorized masked-sum kernels (portable / AVX-512 / AVX2 / NEON) and
+/// popcount kernels (portable / POPCNT / AVX-512 VPOPCNTDQ), each behind
 /// one runtime dispatcher; see the module docs for the exactness
 /// contract.
 #[allow(unsafe_code)] // Audited intrinsics: see UNSAFE_LEDGER.md.
@@ -52,6 +55,9 @@ pub use entropy::{binary_entropy, entropy_of_counts};
 pub use outcome::{Outcome, PValues, StatAccum};
 pub use plane::OutcomePlanes;
 pub use quantile::{quantile, quantiles};
-pub use simd::{active_kernel, available_kernels, KernelPath};
-pub use tdist::{t_cdf, t_p_value, t_quantile, welch_df, welch_p_value};
+pub use simd::{
+    active_count_path, active_kernel, available_count_paths, available_kernels, CountPath,
+    KernelPath,
+};
+pub use tdist::{t_cdf, t_p_value, t_quantile, welch_df};
 pub use welch::{bernoulli_variance, welch_t, welch_t_from_counts};

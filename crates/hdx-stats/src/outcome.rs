@@ -186,12 +186,14 @@ impl StatAccum {
     /// Returns `1.0` when the test is undefined (tiny samples, zero
     /// variance): no evidence against the null.
     pub fn p_value(&self, global: &StatAccum) -> f64 {
-        let [p] = t_p_values([self.welch_test(global)]);
+        let [p] = t_p_values([self.welch_test(self.t_value(global), global)]);
         p
     }
 
-    /// The two-sided Welch p-value of each accumulator of `accums` against
-    /// `global`, in order: what [`StatAccum::p_value`] returns, bit for bit.
+    /// The Welch t-value and two-sided p-value of each accumulator of
+    /// `accums` against `global`, in order: what [`StatAccum::t_value`] and
+    /// [`StatAccum::p_value`] return, bit for bit, with each t computed
+    /// once.
     ///
     /// The records are taken four at a time, and their continued fractions
     /// run in lockstep, which hides the latency of each one's chain of
@@ -203,16 +205,16 @@ impl StatAccum {
         PValues {
             global: *global,
             accums: accums.into_iter(),
-            ready: [0.0; LANES],
+            ready: [(0.0, 0.0); LANES],
             next: 0,
             len: 0,
         }
     }
 
-    /// The `(t, df)` of the Welch test against `global`, or `None` when the
-    /// test is undefined (t of 0, tiny samples, zero variance).
-    fn welch_test(&self, global: &StatAccum) -> Option<(f64, f64)> {
-        let t = self.t_value(global);
+    /// The `(t, df)` of the Welch test against `global`, whose t-value is
+    /// `t`, or `None` when the test is undefined (t of 0, tiny samples,
+    /// zero variance).
+    fn welch_test(&self, t: f64, global: &StatAccum) -> Option<(f64, f64)> {
         if crate::approx::approx_zero(t) {
             return None;
         }
@@ -259,32 +261,35 @@ impl StatAccum {
 /// Records per lockstep batch of [`StatAccum::p_values`].
 const LANES: usize = 4;
 
-/// The iterator of [`StatAccum::p_values`].
+/// The iterator of [`StatAccum::p_values`]: each record's `(t, p)`.
 #[derive(Debug, Clone)]
 pub struct PValues<I> {
     global: StatAccum,
     accums: I,
-    /// The p-values of the current batch; `ready[next..len]` are unread.
-    ready: [f64; LANES],
+    /// The `(t, p)` of the current batch; `ready[next..len]` are unread.
+    ready: [(f64, f64); LANES],
     next: usize,
     len: usize,
 }
 
 impl<'a, I: Iterator<Item = &'a StatAccum>> Iterator for PValues<I> {
-    type Item = f64;
+    type Item = (f64, f64);
 
-    fn next(&mut self) -> Option<f64> {
+    fn next(&mut self) -> Option<(f64, f64)> {
         if self.next == self.len {
+            let mut ts = [0.0; LANES];
             let mut batch = [None; LANES];
             let mut len = 0;
-            for (slot, accum) in batch.iter_mut().zip(&mut self.accums) {
-                *slot = Some(accum.welch_test(&self.global));
+            for ((t, slot), accum) in ts.iter_mut().zip(batch.iter_mut()).zip(&mut self.accums) {
+                *t = accum.t_value(&self.global);
+                *slot = accum.welch_test(*t, &self.global);
                 len += 1;
             }
             if len == 0 {
                 return None;
             }
-            self.ready = t_p_values(batch.map(Option::flatten));
+            let ps = t_p_values(batch);
+            self.ready = std::array::from_fn(|i| (ts[i], ps[i]));
             self.next = 0;
             self.len = len;
         }
@@ -454,10 +459,13 @@ mod tests {
         // Every partial lane group, and the whole run.
         for len in (0..10).chain([accums.len()]) {
             let batch = &accums[..len];
-            let got: Vec<u64> = StatAccum::p_values(&global, batch)
-                .map(f64::to_bits)
+            let got: Vec<(u64, u64)> = StatAccum::p_values(&global, batch)
+                .map(|(t, p)| (t.to_bits(), p.to_bits()))
                 .collect();
-            let want: Vec<u64> = batch.iter().map(|a| a.p_value(&global).to_bits()).collect();
+            let want: Vec<(u64, u64)> = batch
+                .iter()
+                .map(|a| (a.t_value(&global).to_bits(), a.p_value(&global).to_bits()))
+                .collect();
             assert_eq!(got, want, "{len} records");
         }
         let mut iter = StatAccum::p_values(&global, &accums);

@@ -22,10 +22,12 @@
 //!
 //! and `sum = sum_sq = k⁺` exactly (integer-valued `f64` sums are exact below
 //! 2⁵³), so the kernel result is **bit-for-bit identical** to the scalar
-//! path. For real-valued (or mixed) outcomes the kernel reduces `sum` /
-//! `sum_sq` over `cover ∧ valid` through the vectorized masked-sum kernels
-//! of [`crate::simd`] (dispatched once per process by
-//! [`simd::active_kernel`]): covers stream through in
+//! path. The two popcounts run on the count path of [`crate::simd`]
+//! ([`simd::pair_counts`], dispatched once per process by
+//! [`simd::active_count_path`]). For real-valued (or mixed) outcomes the
+//! kernel reduces `sum` / `sum_sq` over `cover ∧ valid` through the
+//! vectorized masked-sum kernels of [`crate::simd`] (dispatched once per
+//! process by [`simd::active_kernel`]): covers stream through in
 //! [`BLOCK_WORDS`](crate::simd::BLOCK_WORDS)-sized row blocks, each mask bit
 //! expanded into an all-ones/all-zero `f64` lane selector over
 //! [`LANES`](crate::simd::LANES) independent lane accumulators.
@@ -138,12 +140,8 @@ impl OutcomePlanes {
             "cover word-count mismatch against outcome planes"
         );
         if self.all_boolean {
-            let mut n_valid = 0u64;
-            let mut k_pos = 0u64;
-            for ((&c, &v), &p) in cover.iter().zip(&self.valid).zip(&self.pos) {
-                n_valid += u64::from((c & v).count_ones());
-                k_pos += u64::from((c & p).count_ones());
-            }
+            // `cover ∧ cover` is `cover`: the pair fold over one cover.
+            let (n_valid, k_pos) = simd::pair_counts(cover, cover, &self.valid, &self.pos);
             StatAccum::from_counts(n, n_valid, k_pos)
         } else {
             self.numeric_reduce(n, cover.iter().zip(&self.valid).map(|(&c, &v)| c & v))
@@ -163,13 +161,7 @@ impl OutcomePlanes {
         );
         assert_eq!(a.len(), b.len(), "cover word-count mismatch");
         if self.all_boolean {
-            let mut n_valid = 0u64;
-            let mut k_pos = 0u64;
-            for (((&wa, &wb), &v), &p) in a.iter().zip(b).zip(&self.valid).zip(&self.pos) {
-                let c = wa & wb;
-                n_valid += u64::from((c & v).count_ones());
-                k_pos += u64::from((c & p).count_ones());
-            }
+            let (n_valid, k_pos) = simd::pair_counts(a, b, &self.valid, &self.pos);
             StatAccum::from_counts(n, n_valid, k_pos)
         } else {
             self.numeric_reduce(
@@ -206,20 +198,7 @@ impl OutcomePlanes {
         assert_eq!(a.len(), b.len(), "cover word-count mismatch");
         assert_eq!(a.len(), out.len(), "output word-count mismatch");
         if self.all_boolean {
-            let mut n_valid = 0u64;
-            let mut k_pos = 0u64;
-            for ((((&wa, &wb), &v), &p), o) in a
-                .iter()
-                .zip(b)
-                .zip(&self.valid)
-                .zip(&self.pos)
-                .zip(out.iter_mut())
-            {
-                let c = wa & wb;
-                *o = c;
-                n_valid += u64::from((c & v).count_ones());
-                k_pos += u64::from((c & p).count_ones());
-            }
+            let (n_valid, k_pos) = simd::pair_counts_assign(a, b, &self.valid, &self.pos, out);
             StatAccum::from_counts(n, n_valid, k_pos)
         } else {
             self.numeric_reduce(

@@ -52,6 +52,28 @@
 //! zero-masked load — never a multiply), so masked-out `inf`/`NaN` rows
 //! contribute `+0.0` instead of poisoning the sum, exactly like a row walk
 //! that never visits them.
+//!
+//! ## Count kernels
+//!
+//! The miner's support counts ([`and_count`]) and the boolean folds of
+//! [`OutcomePlanes`](crate::OutcomePlanes) ([`pair_counts`],
+//! [`pair_counts_assign`]) are popcounts over zipped cover words. Each has
+//! one body, compiled three ways, and [`active_count_path`] picks one once
+//! per process, from the CPU and the build alone:
+//!
+//! | path | gate | notes |
+//! |------|------|-------|
+//! | [`CountPath::Avx512`] | `simd-arch`, x86-64, runtime `avx512f` + `avx512vpopcntdq` | the loop vectorizes to `vpopcntq` |
+//! | [`CountPath::Popcnt`] | `simd-arch`, x86-64, runtime `popcnt` | one `popcnt` per word |
+//! | [`CountPath::Portable`] | always compiled | `count_ones` on the build's baseline target |
+//!
+//! A popcount is exact, so every path returns the same counts. Without
+//! `simd-arch`, on other targets and under Miri only the portable path is
+//! compiled.
+//!
+//! [`and_count`]: crate::simd::and_count
+//! [`pair_counts`]: crate::simd::pair_counts
+//! [`pair_counts_assign`]: crate::simd::pair_counts_assign
 
 use std::sync::OnceLock;
 
@@ -351,6 +373,295 @@ pub fn masked_sums_on(
         kernel.update(masked, vals);
     }
     kernel.finish()
+}
+
+/// A popcount implementation of the count kernels, selected by
+/// [`active_count_path`]. Every path runs the same loop body, so every path
+/// returns the same (exact) counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum CountPath {
+    /// The loop compiled for the build's baseline target. Always compiled;
+    /// the only path without `simd-arch`, on other targets and under Miri.
+    Portable,
+    /// The loop compiled with the `popcnt` instruction (behind `simd-arch`
+    /// on x86-64, runtime-detected).
+    Popcnt,
+    /// The loop compiled for AVX-512 VPOPCNTDQ, which vectorizes it to
+    /// `vpopcntq` (behind `simd-arch` on x86-64, runtime-detected).
+    Avx512,
+}
+
+impl CountPath {
+    /// Stable lower-case label (bench JSON, logs).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Self::Portable => "portable",
+            Self::Popcnt => "popcnt",
+            Self::Avx512 => "avx512",
+        }
+    }
+
+    /// Whether this path is compiled in *and* usable on the running CPU.
+    pub fn is_available(self) -> bool {
+        match self {
+            Self::Portable => true,
+            Self::Popcnt => popcnt_available(),
+            Self::Avx512 => vpopcntdq_available(),
+        }
+    }
+}
+
+#[cfg(all(feature = "simd-arch", target_arch = "x86_64", not(miri)))]
+fn popcnt_available() -> bool {
+    std::arch::is_x86_feature_detected!("popcnt")
+}
+
+#[cfg(not(all(feature = "simd-arch", target_arch = "x86_64", not(miri))))]
+fn popcnt_available() -> bool {
+    false
+}
+
+#[cfg(all(feature = "simd-arch", target_arch = "x86_64", not(miri)))]
+fn vpopcntdq_available() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
+        && std::arch::is_x86_feature_detected!("popcnt")
+}
+
+#[cfg(not(all(feature = "simd-arch", target_arch = "x86_64", not(miri))))]
+fn vpopcntdq_available() -> bool {
+    false
+}
+
+/// The count path [`and_count`], [`pair_counts`] and [`pair_counts_assign`]
+/// run on, selected once per process: the first of
+/// [`available_count_paths`], i.e. AVX-512 VPOPCNTDQ → POPCNT → portable.
+pub fn active_count_path() -> CountPath {
+    static ACTIVE: OnceLock<CountPath> = OnceLock::new();
+    *ACTIVE.get_or_init(|| {
+        available_count_paths()
+            .first()
+            .copied()
+            .unwrap_or(CountPath::Portable)
+    })
+}
+
+/// Every count path usable in this build on this CPU, best-first.
+/// `Portable` is always present; the equivalence tests iterate this.
+pub fn available_count_paths() -> Vec<CountPath> {
+    [CountPath::Avx512, CountPath::Popcnt, CountPath::Portable]
+        .into_iter()
+        .filter(|p| p.is_available())
+        .collect()
+}
+
+/// `popcount(a ∧ b)` on the [`active_count_path`]: the support of the
+/// intersection of two covers, without writing it.
+///
+/// # Panics
+/// Panics when the word counts differ.
+pub fn and_count(a: &[u64], b: &[u64]) -> u64 {
+    and_count_on(active_count_path(), a, b)
+}
+
+/// [`and_count`] on an explicit path.
+///
+/// # Panics
+/// Panics when the word counts differ or `path` is unavailable.
+pub fn and_count_on(path: CountPath, a: &[u64], b: &[u64]) -> u64 {
+    assert_eq!(a.len(), b.len(), "cover word-count mismatch");
+    assert!(path.is_available(), "count path {path:?} unavailable");
+    match path {
+        #[cfg(all(feature = "simd-arch", target_arch = "x86_64", not(miri)))]
+        // SAFETY: the assert above confirmed `avx512f`, `avx512vpopcntdq`
+        // and `popcnt` at runtime, the features the callee is compiled for.
+        CountPath::Avx512 => unsafe { and_count_avx512(a, b) },
+        #[cfg(all(feature = "simd-arch", target_arch = "x86_64", not(miri)))]
+        // SAFETY: the assert above confirmed `popcnt` at runtime.
+        CountPath::Popcnt => unsafe { and_count_popcnt(a, b) },
+        _ => and_count_body(a, b),
+    }
+}
+
+/// `(popcount(a ∧ b ∧ valid), popcount(a ∧ b ∧ pos))` on the
+/// [`active_count_path`]: a boolean fold's `n_valid` and `k⁺` over an
+/// intersection that is never written.
+///
+/// # Panics
+/// Panics when the word counts differ.
+pub fn pair_counts(a: &[u64], b: &[u64], valid: &[u64], pos: &[u64]) -> (u64, u64) {
+    pair_counts_on(active_count_path(), a, b, valid, pos)
+}
+
+/// [`pair_counts`] on an explicit path.
+///
+/// # Panics
+/// Panics when the word counts differ or `path` is unavailable.
+pub fn pair_counts_on(
+    path: CountPath,
+    a: &[u64],
+    b: &[u64],
+    valid: &[u64],
+    pos: &[u64],
+) -> (u64, u64) {
+    assert!(
+        a.len() == b.len() && a.len() == valid.len() && a.len() == pos.len(),
+        "cover word-count mismatch"
+    );
+    assert!(path.is_available(), "count path {path:?} unavailable");
+    match path {
+        #[cfg(all(feature = "simd-arch", target_arch = "x86_64", not(miri)))]
+        // SAFETY: the assert above confirmed `avx512f`, `avx512vpopcntdq`
+        // and `popcnt` at runtime, the features the callee is compiled for.
+        CountPath::Avx512 => unsafe { pair_counts_avx512(a, b, valid, pos) },
+        #[cfg(all(feature = "simd-arch", target_arch = "x86_64", not(miri)))]
+        // SAFETY: the assert above confirmed `popcnt` at runtime.
+        CountPath::Popcnt => unsafe { pair_counts_popcnt(a, b, valid, pos) },
+        _ => pair_counts_body(a, b, valid, pos),
+    }
+}
+
+/// [`pair_counts`] that also writes `a ∧ b` into `out`, on the
+/// [`active_count_path`].
+///
+/// # Panics
+/// Panics when the word counts differ.
+pub fn pair_counts_assign(
+    a: &[u64],
+    b: &[u64],
+    valid: &[u64],
+    pos: &[u64],
+    out: &mut [u64],
+) -> (u64, u64) {
+    pair_counts_assign_on(active_count_path(), a, b, valid, pos, out)
+}
+
+/// [`pair_counts_assign`] on an explicit path.
+///
+/// # Panics
+/// Panics when the word counts differ or `path` is unavailable.
+pub fn pair_counts_assign_on(
+    path: CountPath,
+    a: &[u64],
+    b: &[u64],
+    valid: &[u64],
+    pos: &[u64],
+    out: &mut [u64],
+) -> (u64, u64) {
+    assert!(
+        a.len() == b.len()
+            && a.len() == valid.len()
+            && a.len() == pos.len()
+            && a.len() == out.len(),
+        "cover word-count mismatch"
+    );
+    assert!(path.is_available(), "count path {path:?} unavailable");
+    match path {
+        #[cfg(all(feature = "simd-arch", target_arch = "x86_64", not(miri)))]
+        // SAFETY: the assert above confirmed `avx512f`, `avx512vpopcntdq`
+        // and `popcnt` at runtime, the features the callee is compiled for.
+        CountPath::Avx512 => unsafe { pair_counts_assign_avx512(a, b, valid, pos, out) },
+        #[cfg(all(feature = "simd-arch", target_arch = "x86_64", not(miri)))]
+        // SAFETY: the assert above confirmed `popcnt` at runtime.
+        CountPath::Popcnt => unsafe { pair_counts_assign_popcnt(a, b, valid, pos, out) },
+        _ => pair_counts_assign_body(a, b, valid, pos, out),
+    }
+}
+
+/// The one body of [`and_count`], inlined into each compiled path.
+#[inline(always)]
+fn and_count_body(a: &[u64], b: &[u64]) -> u64 {
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| u64::from((x & y).count_ones()))
+        .sum()
+}
+
+/// The one body of [`pair_counts`], inlined into each compiled path.
+#[inline(always)]
+fn pair_counts_body(a: &[u64], b: &[u64], valid: &[u64], pos: &[u64]) -> (u64, u64) {
+    let mut n_valid = 0u64;
+    let mut k_pos = 0u64;
+    for (((&x, &y), &v), &p) in a.iter().zip(b).zip(valid).zip(pos) {
+        let c = x & y;
+        n_valid += u64::from((c & v).count_ones());
+        k_pos += u64::from((c & p).count_ones());
+    }
+    (n_valid, k_pos)
+}
+
+/// The one body of [`pair_counts_assign`], inlined into each compiled path.
+#[inline(always)]
+fn pair_counts_assign_body(
+    a: &[u64],
+    b: &[u64],
+    valid: &[u64],
+    pos: &[u64],
+    out: &mut [u64],
+) -> (u64, u64) {
+    let mut n_valid = 0u64;
+    let mut k_pos = 0u64;
+    for ((((&x, &y), &v), &p), o) in a.iter().zip(b).zip(valid).zip(pos).zip(out.iter_mut()) {
+        let c = x & y;
+        *o = c;
+        n_valid += u64::from((c & v).count_ones());
+        k_pos += u64::from((c & p).count_ones());
+    }
+    (n_valid, k_pos)
+}
+
+/// [`and_count_body`] compiled for AVX-512 VPOPCNTDQ.
+#[cfg(all(feature = "simd-arch", target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f,avx512vpopcntdq,popcnt")]
+fn and_count_avx512(a: &[u64], b: &[u64]) -> u64 {
+    and_count_body(a, b)
+}
+
+/// [`and_count_body`] compiled with POPCNT.
+#[cfg(all(feature = "simd-arch", target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "popcnt")]
+fn and_count_popcnt(a: &[u64], b: &[u64]) -> u64 {
+    and_count_body(a, b)
+}
+
+/// [`pair_counts_body`] compiled for AVX-512 VPOPCNTDQ.
+#[cfg(all(feature = "simd-arch", target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f,avx512vpopcntdq,popcnt")]
+fn pair_counts_avx512(a: &[u64], b: &[u64], valid: &[u64], pos: &[u64]) -> (u64, u64) {
+    pair_counts_body(a, b, valid, pos)
+}
+
+/// [`pair_counts_body`] compiled with POPCNT.
+#[cfg(all(feature = "simd-arch", target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "popcnt")]
+fn pair_counts_popcnt(a: &[u64], b: &[u64], valid: &[u64], pos: &[u64]) -> (u64, u64) {
+    pair_counts_body(a, b, valid, pos)
+}
+
+/// [`pair_counts_assign_body`] compiled for AVX-512 VPOPCNTDQ.
+#[cfg(all(feature = "simd-arch", target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512f,avx512vpopcntdq,popcnt")]
+fn pair_counts_assign_avx512(
+    a: &[u64],
+    b: &[u64],
+    valid: &[u64],
+    pos: &[u64],
+    out: &mut [u64],
+) -> (u64, u64) {
+    pair_counts_assign_body(a, b, valid, pos, out)
+}
+
+/// [`pair_counts_assign_body`] compiled with POPCNT.
+#[cfg(all(feature = "simd-arch", target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "popcnt")]
+fn pair_counts_assign_popcnt(
+    a: &[u64],
+    b: &[u64],
+    valid: &[u64],
+    pos: &[u64],
+    out: &mut [u64],
+) -> (u64, u64) {
+    pair_counts_assign_body(a, b, valid, pos, out)
 }
 
 #[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
@@ -658,5 +969,78 @@ mod tests {
     fn active_kernel_is_available() {
         assert!(active_kernel().is_available());
         assert!(available_kernels().contains(&active_kernel()));
+    }
+
+    /// A splitmix64 stream of words with every density from sparse to
+    /// dense, so the popcounts see every bit pattern class.
+    fn random_words(state: &mut u64, len: usize) -> Vec<u64> {
+        (0..len)
+            .map(|_| {
+                let mut next = || {
+                    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    let mut z = *state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                    z ^ (z >> 31)
+                };
+                match next() % 4 {
+                    0 => next() & next(),
+                    1 => next() | next(),
+                    2 => !0,
+                    _ => next(),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn count_paths_agree_at_every_length() {
+        let mut state = 7;
+        for len in 0..=320 {
+            let [a, b, valid, pos] = [(); 4].map(|()| random_words(&mut state, len));
+            let joint: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x & y).collect();
+            let count = |w: &[u64]| w.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+            let n_valid = count(
+                &joint
+                    .iter()
+                    .zip(&valid)
+                    .map(|(c, v)| c & v)
+                    .collect::<Vec<_>>(),
+            );
+            let k_pos = count(
+                &joint
+                    .iter()
+                    .zip(&pos)
+                    .map(|(c, p)| c & p)
+                    .collect::<Vec<_>>(),
+            );
+            for path in available_count_paths() {
+                assert_eq!(
+                    and_count_on(path, &a, &b),
+                    count(&joint),
+                    "{path:?} len {len}"
+                );
+                let got = pair_counts_on(path, &a, &b, &valid, &pos);
+                assert_eq!(got, (n_valid, k_pos), "{path:?} len {len}");
+                let mut out = vec![!0; len];
+                let got = pair_counts_assign_on(path, &a, &b, &valid, &pos, &mut out);
+                assert_eq!(got, (n_valid, k_pos), "{path:?} len {len}");
+                assert_eq!(out, joint, "{path:?} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn active_count_path_is_the_best_available() {
+        let paths = available_count_paths();
+        assert_eq!(paths.last(), Some(&CountPath::Portable));
+        assert_eq!(paths.first(), Some(&active_count_path()));
+        assert_eq!(and_count(&[0b1011, !0], &[0b0110, 1 << 63]), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "word-count mismatch")]
+    fn count_kernels_reject_mismatched_covers() {
+        let _ = and_count(&[0, 0], &[0]);
     }
 }

@@ -55,7 +55,9 @@ enum BetaInc {
 }
 
 impl BetaInc {
-    fn new(a: f64, b: f64, x: f64) -> Self {
+    /// `I_x(a, b)`; the caller passes `ln_gamma(b)`, which every record of
+    /// a `t_cdf` batch shares (`b` is ½ there).
+    fn new(a: f64, b: f64, ln_gamma_b: f64, x: f64) -> Self {
         assert!((0.0..=1.0).contains(&x), "x must be in [0, 1]");
         assert!(a > 0.0 && b > 0.0, "shape parameters must be positive");
         if crate::approx::approx_zero(x) {
@@ -67,8 +69,7 @@ impl BetaInc {
         // `front` is symmetric under (a, b, x) ↔ (b, a, 1−x), so both branches
         // share it; the reflection is computed directly (not via recursion,
         // which would ping-pong forever at the branch boundary).
-        let ln_front =
-            ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln();
+        let ln_front = ln_gamma(a + b) - ln_gamma(a) - ln_gamma_b + a * x.ln() + b * (1.0 - x).ln();
         let front = ln_front.exp();
         let (args, div, reflect) = if x < (a + 1.0) / (a + b + 2.0) {
             ((a, b, x), a, false)
@@ -187,6 +188,7 @@ fn betacf<const N: usize>(lanes: [Option<(f64, f64, f64)>; N]) -> [f64; N] {
 /// [`t_cdf`] of `N` lanes of `(t, df)`, their continued fractions in
 /// lockstep; a `None` lane reads NaN.
 fn t_cdf_lanes<const N: usize>(lanes: [Option<(f64, f64)>; N]) -> [f64; N] {
+    let ln_gamma_half = ln_gamma(0.5);
     let betas = lanes.map(|lane| {
         let (t, df) = lane?;
         assert!(df > 0.0, "degrees of freedom must be positive");
@@ -194,7 +196,7 @@ fn t_cdf_lanes<const N: usize>(lanes: [Option<(f64, f64)>; N]) -> [f64; N] {
             return None;
         }
         let x = df / (df + t * t);
-        Some(BetaInc::new(df / 2.0, 0.5, x))
+        Some(BetaInc::new(df / 2.0, 0.5, ln_gamma_half, x))
     });
     let cf = betacf(betas.each_ref().map(|beta| beta.as_ref()?.fraction()));
     std::array::from_fn(|i| match (&betas[i], lanes[i]) {
@@ -280,12 +282,6 @@ pub fn welch_df(v1: f64, n1: u64, v2: f64, n2: u64) -> Option<f64> {
         return None;
     }
     Some((a + b).powi(2) / denom)
-}
-
-/// Two-sided Welch p-value from two sample summaries (means are folded into
-/// the caller's t; this takes the already-computed t statistic).
-pub fn welch_p_value(t: f64, v1: f64, n1: u64, v2: f64, n2: u64) -> Option<f64> {
-    welch_df(v1, n1, v2, n2).map(|df| t_p_value(t, df))
 }
 
 #[cfg(test)]

@@ -102,6 +102,60 @@ fn truncated_results_are_exact_subsets_for_every_miner() {
     }
 }
 
+/// At one thread a budget-truncated run is an exact *prefix* of the
+/// unbounded run: the same itemsets in the same order, with bit-identical
+/// accumulators, cut where the itemset or candidate-byte cap trips.
+#[test]
+fn capped_serial_runs_are_exact_prefixes_of_the_full_run() {
+    let (transactions, catalog) = fixture();
+    let config = MiningConfig {
+        min_support: 0.02,
+        max_len: None,
+        threads: 1,
+    };
+    let governor = Governor::unbounded();
+    let full = mine_governed(&transactions, &catalog, &config, &governor);
+    let n = full.itemsets.len() as u64;
+    let bytes = governor.counters().candidate_bytes;
+    // Itemsets of three or more items, so caps also trip inside subtrees.
+    assert!(
+        full.itemsets.iter().any(|fi| fi.itemset.len() >= 3) && bytes > 0,
+        "fixture too sparse"
+    );
+    // Every itemset cap, and byte caps spread over the whole run.
+    let itemset_caps = (1..n).map(|cap| RunBudget::unbounded().with_max_itemsets(cap));
+    let byte_caps = (0..32)
+        .map(|i| 1 + i * (bytes - 1) / 32)
+        .map(|cap| RunBudget::unbounded().with_max_candidate_bytes(cap));
+    let bits = |fi: &h_divexplorer::mining::FrequentItemset| {
+        let (n, n_valid, sum, sum_sq) = fi.accum.raw_parts();
+        (
+            fi.itemset.clone(),
+            n,
+            n_valid,
+            sum.to_bits(),
+            sum_sq.to_bits(),
+        )
+    };
+    for budget in itemset_caps.chain(byte_caps) {
+        let capped = mine_governed(&transactions, &catalog, &config, &Governor::new(budget));
+        assert_eq!(
+            capped.termination,
+            Termination::BudgetExhausted,
+            "{budget:?}"
+        );
+        let len = capped.itemsets.len();
+        assert!(
+            len > 0 && len < full.itemsets.len(),
+            "{budget:?}: {len} itemsets"
+        );
+        assert_eq!(capped.counters.itemsets, len as u64, "{budget:?}");
+        let got: Vec<_> = capped.itemsets.iter().map(bits).collect();
+        let want: Vec<_> = full.itemsets[..len].iter().map(bits).collect();
+        assert_eq!(got, want, "{budget:?}: not a prefix of the full run");
+    }
+}
+
 /// A pre-cancelled token stops the search before it emits anything, at
 /// every thread count.
 #[test]

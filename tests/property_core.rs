@@ -5,6 +5,7 @@ use h_divexplorer::data::{AttrId, DataFrameBuilder, Value};
 use h_divexplorer::discretize::invariants as tree_invariants;
 use h_divexplorer::discretize::{GainCriterion, TreeDiscretizer};
 use h_divexplorer::items::{Bitset, Interval, Item, ItemCatalog, Itemset};
+use h_divexplorer::stats::simd::and_count;
 use h_divexplorer::stats::{MeanVar, Outcome, StatAccum};
 use proptest::prelude::*;
 
@@ -30,7 +31,7 @@ proptest! {
             .collect();
         let and = ba.and(&bb);
         prop_assert_eq!(and.iter_ones().collect::<Vec<_>>(), expected.iter().copied().collect::<Vec<_>>());
-        prop_assert_eq!(ba.and_count(&bb), expected.len());
+        prop_assert_eq!(and_count(ba.words(), bb.words()) as usize, expected.len());
         let mut c = ba.clone();
         c.and_assign(&bb);
         prop_assert_eq!(c, and);

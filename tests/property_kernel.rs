@@ -13,11 +13,17 @@
 //!   paths agree with each other *bitwise* (shared lane layout and
 //!   fixed-order reduction);
 //! * the **boolean** popcount fast path and the **fused pair** kernel are
-//!   exact accumulator-for-accumulator.
+//!   exact accumulator-for-accumulator;
+//! * every **count path** ([`available_count_paths`] — portable, and
+//!   whichever of POPCNT/AVX-512 VPOPCNTDQ the build and the CPU offer)
+//!   returns the portable loop's counts on covers of up to 301 words.
 
 use h_divexplorer::items::Bitset;
 use h_divexplorer::mining::accum_scalar;
-use h_divexplorer::stats::simd::masked_sums_on;
+use h_divexplorer::stats::simd::{
+    and_count_on, available_count_paths, masked_sums_on, pair_counts_assign_on, pair_counts_on,
+    CountPath,
+};
 use h_divexplorer::stats::{available_kernels, KernelPath, Outcome, OutcomePlanes, StatAccum};
 use proptest::prelude::*;
 
@@ -103,6 +109,34 @@ fn reference(rows: &[(f64, bool)], cover: &[u64]) -> (u64, f64, f64) {
         }
     }
     (count, sum, sum_sq)
+}
+
+/// A splitmix64 step.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A random cover over `n` rows, each word sparse, dense, full or even.
+fn random_cover(state: &mut u64, n: usize) -> Bitset {
+    let mut cover = Bitset::new(n);
+    for w in cover.words_mut() {
+        *w = match splitmix(state) % 4 {
+            0 => splitmix(state) & splitmix(state),
+            1 => splitmix(state) | splitmix(state),
+            2 => !0,
+            _ => splitmix(state),
+        };
+    }
+    if let Some(last) = cover.words_mut().last_mut() {
+        if !n.is_multiple_of(64) {
+            *last &= (1u64 << (n % 64)) - 1;
+        }
+    }
+    cover
 }
 
 /// Reassociation tolerance for a sum of `n` doubles with magnitude budget
@@ -225,6 +259,54 @@ proptest! {
         let fused = planes.accum_pair(a.words(), b.words(), joint.count() as u64);
         let materialised = planes.accum(joint.words(), joint.count() as u64);
         prop_assert_eq!(fused, materialised);
+    }
+
+    /// Every count path returns the portable loop's counts, and writes
+    /// the same intersection, on covers of 0 to 301 words (every vector
+    /// tail length); the boolean folds of [`OutcomePlanes`] equal the row
+    /// walk of `accum_scalar`.
+    #[test]
+    fn count_paths_equal_the_portable_loop(seed in any::<u64>(), n in 0usize..=301 * 64) {
+        let mut state = seed;
+        let [a, b] = [(); 2].map(|()| random_cover(&mut state, n));
+        let outcomes: Vec<Outcome> = (0..n)
+            .map(|_| match splitmix(&mut state) % 3 {
+                0 => Outcome::Undefined,
+                r => Outcome::Bool(r == 1),
+            })
+            .collect();
+        let mut valid = Bitset::new(n);
+        let mut pos = Bitset::new(n);
+        for (row, o) in outcomes.iter().enumerate() {
+            if o.is_defined() {
+                valid.set(row);
+            }
+            if *o == Outcome::Bool(true) {
+                pos.set(row);
+            }
+        }
+        let (a, b, valid, pos) = (a.words(), b.words(), valid.words(), pos.words());
+        let count = and_count_on(CountPath::Portable, a, b);
+        let folds = pair_counts_on(CountPath::Portable, a, b, valid, pos);
+        let joint: Vec<u64> = a.iter().zip(b).map(|(x, y)| x & y).collect();
+        for path in available_count_paths() {
+            prop_assert_eq!(and_count_on(path, a, b), count, "{:?}", path);
+            prop_assert_eq!(pair_counts_on(path, a, b, valid, pos), folds, "{:?}", path);
+            let mut out = vec![!0u64; joint.len()];
+            let got = pair_counts_assign_on(path, a, b, valid, pos, &mut out);
+            prop_assert_eq!(got, folds, "{:?}", path);
+            prop_assert_eq!(&out, &joint, "{:?}", path);
+        }
+        let mut cover = Bitset::new(n);
+        cover.words_mut().copy_from_slice(&joint);
+        prop_assert_eq!(count, cover.count() as u64);
+        let scalar = accum_scalar(&cover, &outcomes);
+        let planes = OutcomePlanes::from_outcomes(&outcomes);
+        prop_assert_eq!(planes.accum(cover.words(), count), scalar);
+        prop_assert_eq!(planes.accum_pair(a, b, count), scalar);
+        let mut out = vec![0u64; joint.len()];
+        prop_assert_eq!(planes.accum_assign_pair(a, b, &mut out, count), scalar);
+        prop_assert_eq!(out, joint);
     }
 
     /// `StatAccum::from_counts` is bitwise-identical to pushing the same
