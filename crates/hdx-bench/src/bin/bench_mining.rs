@@ -3,7 +3,7 @@
 //! oracle miners end to end (synthetic-peak and compas; the paper's miner
 //! ablation), and the multi-threaded search's rows × threads scaling curve,
 //! then writes machine-readable results to `BENCH_mining.json`
-//! (`hdx-bench/mining/v6`), with the run's hdx-obs telemetry — per-stage
+//! (`hdx-bench/mining/v7`), with the run's hdx-obs telemetry — per-stage
 //! spans, pruning counters, the `hdx.bench.iter.latency_ns` histogram —
 //! embedded under `"telemetry"`.
 //!
@@ -36,7 +36,12 @@
 //! place of the timing of a scaling cell with more threads than the host
 //! has CPUs, since such a cell measures time-slicing, not scaling. v6 drops
 //! the `"sched"` section with the work-stealing scheduler it described:
-//! the workers share one root cursor, which has nothing to count.
+//! the workers share one root cursor, which has nothing to count. v7 adds
+//! `"count_path"`, the popcount path the boolean micro row and the
+//! `vertical` rows run on, and times the scaling cells of one row count
+//! round-robin (each round runs every timed thread count once; full mode
+//! takes each cell's median over 5 rounds), so drift of the host over the
+//! run no longer favours the later thread counts.
 
 use hdx_bench::experiments::{outcomes_for, pipeline_for};
 use hdx_bench::{apriori, fpgrowth, splitmix64};
@@ -45,8 +50,8 @@ use hdx_data::AttrId;
 use hdx_datasets::{compas, synthetic_peak};
 use hdx_items::{Bitset, Item, ItemCatalog};
 use hdx_mining::{accum_scalar, mine, MiningConfig, MiningResult, Transactions};
-use hdx_obs::timing::median_ns;
-use hdx_stats::{active_kernel, Outcome, OutcomePlanes};
+use hdx_obs::timing::{median_ns, sample_ns};
+use hdx_stats::{active_count_path, active_kernel, Outcome, OutcomePlanes};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -280,13 +285,20 @@ fn scaling_input(n_rows: usize) -> (Transactions, ItemCatalog) {
 }
 
 /// Times the search over a rows × threads matrix on the synthetic scaling
-/// input, skipping cells with more threads than the host has CPUs.
+/// input, skipping cells with more threads than the host has CPUs. The
+/// timed thread counts of one row count run round-robin: each round runs
+/// every one of them once, and a cell's time is its median over the rounds.
 fn scaling(quick: bool) -> Vec<ScalingCell> {
-    let (row_sizes, thread_counts, iters): (&[usize], &[usize], usize) = if quick {
+    let (row_sizes, thread_counts, rounds): (&[usize], &[usize], usize) = if quick {
         (&[16_384, 65_536], &[1, 2, 4], 2)
     } else {
-        (&[65_536, 1_048_576], &[1, 2, 4, 8], 3)
+        (&[65_536, 1_048_576], &[1, 2, 4, 8], 5)
     };
+    let timed: Vec<usize> = thread_counts
+        .iter()
+        .copied()
+        .filter(|&k| k <= host_cpus())
+        .collect();
     let mut out = Vec::new();
     for &n_rows in row_sizes {
         hdx_obs::span!("scaling", int n_rows as i64);
@@ -296,22 +308,33 @@ fn scaling(quick: bool) -> Vec<ScalingCell> {
             ..MiningConfig::default()
         };
         let itemsets = mine(&transactions, &catalog, &serial).itemsets.len();
-        let mut one_thread_ms = 0.0f64;
-        for &k in thread_counts {
-            let timing = (k <= host_cpus()).then(|| {
+        let mut samples = vec![Vec::with_capacity(rounds); timed.len()];
+        for _ in 0..rounds {
+            for (&k, cell) in timed.iter().zip(&mut samples) {
                 let config = MiningConfig {
                     threads: k,
                     ..serial
                 };
-                let ns = median_ns(iters, || {
+                cell.push(sample_ns(&mut || {
                     black_box(mine(&transactions, &catalog, &config).itemsets.len());
-                });
-                let ms = ns / 1e6;
-                if k == 1 {
-                    one_thread_ms = ms;
-                }
-                (ms, one_thread_ms / (k as f64 * ms))
-            });
+                }));
+            }
+        }
+        let ms: Vec<f64> = samples
+            .iter_mut()
+            .map(|cell| {
+                cell.sort_unstable();
+                cell[cell.len() / 2] as f64 / 1e6
+            })
+            .collect();
+        // `thread_counts` starts at 1, which every host can time.
+        let one_thread_ms = ms[0];
+        for &k in thread_counts {
+            let timing = timed
+                .iter()
+                .zip(&ms)
+                .find(|&(&t, _)| t == k)
+                .map(|(_, &cell_ms)| (cell_ms, one_thread_ms / (k as f64 * cell_ms)));
             out.push(ScalingCell {
                 rows: n_rows,
                 threads: k,
@@ -332,9 +355,14 @@ fn render_json(
 ) -> String {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"hdx-bench/mining/v6\",");
+    let _ = writeln!(json, "  \"schema\": \"hdx-bench/mining/v7\",");
     let _ = writeln!(json, "  \"mode\": \"{mode}\",");
     let _ = writeln!(json, "  \"kernel_path\": \"{}\",", active_kernel().as_str());
+    let _ = writeln!(
+        json,
+        "  \"count_path\": \"{}\",",
+        active_count_path().as_str()
+    );
     let _ = writeln!(json, "  \"host_cpus\": {},", host_cpus());
     let _ = writeln!(json, "  \"micro\": [");
     for (i, m) in micros.iter().enumerate() {

@@ -26,6 +26,8 @@
 //! end. The mining hot path never blocks on a checkpoint decision either:
 //! [`Checkpointer::at_boundary`] costs a counter bump unless a write is due.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 /// Length-prefixed little-endian binary codec for checkpoint payloads.
 pub mod codec;
 /// CRC-32 (IEEE) checksums guarding the envelope.

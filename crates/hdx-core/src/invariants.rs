@@ -78,6 +78,10 @@ pub fn validate_sign_homogeneity(
 /// [`mine_with_polarity`](crate::mine_with_polarity) under the
 /// `debug-invariants` feature.
 #[cfg(feature = "debug-invariants")]
+#[expect(
+    clippy::panic,
+    reason = "an invariant violation is an internal bug: the assert helpers panic by design"
+)]
 pub(crate) fn assert_sign_homogeneity(result: &MiningResult, transactions: &Transactions) {
     if let Err(v) = validate_sign_homogeneity(result, transactions) {
         // An invariant violation is a search bug, never a user error.

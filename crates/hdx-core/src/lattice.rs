@@ -112,6 +112,10 @@ impl<'a> Lattice<'a> {
         let mut current = Itemset::empty();
         let mut current_div = 0.0;
         loop {
+            #[expect(
+                clippy::expect_used,
+                reason = "divergences of finite outcomes are finite"
+            )]
             let next = self
                 .children(&current)
                 .into_iter()
@@ -136,6 +140,10 @@ impl<'a> Lattice<'a> {
     ///
     /// (As in DivExplorer, the two samples overlap, so this is a heuristic
     /// outstanding-ness score rather than an exact test.)
+    #[expect(
+        clippy::expect_used,
+        reason = "`welch_t` is finite for finite outcomes"
+    )]
     pub fn corner_t(&self, itemset: &Itemset) -> Option<f64> {
         let record = self.record(itemset)?;
         let parents = self.parents(itemset);

@@ -46,6 +46,8 @@
 //! assert!(top.divergence.unwrap() > 0.0);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 /// Runtime validators for the polarity sign-homogeneity invariant (§V-C).
 pub mod invariants;
 

@@ -117,6 +117,10 @@ pub fn topk_exposure_outcomes(ranks: &[Option<u32>], k: u32) -> Vec<Outcome> {
     ranks
         .iter()
         .map(|r| match r {
+            #[expect(
+                clippy::panic,
+                reason = "a rank of 0 is misuse, documented under `# Panics`"
+            )]
             Some(0) => panic!("ranks are 1-based"),
             Some(rank) => Outcome::Bool(*rank <= k),
             None => Outcome::Undefined,
@@ -135,6 +139,10 @@ pub fn discounted_exposure_outcomes(ranks: &[Option<u32>]) -> Vec<Outcome> {
     ranks
         .iter()
         .map(|r| match r {
+            #[expect(
+                clippy::panic,
+                reason = "a rank of 0 is misuse, documented under `# Panics`"
+            )]
             Some(0) => panic!("ranks are 1-based"),
             Some(rank) => Outcome::Real(1.0 / f64::from(rank + 1).log2()),
             None => Outcome::Undefined,

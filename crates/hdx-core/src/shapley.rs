@@ -113,6 +113,10 @@ pub fn global_item_contributions(report: &DivergenceReport) -> Vec<(ItemId, f64)
         .into_iter()
         .map(|(item, (sum, n))| (item, sum / n as f64))
         .collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "contributions of finite divergences are finite"
+    )]
     out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite contributions"));
     out
 }

@@ -133,6 +133,10 @@ impl DataFrameBuilder {
     }
 
     /// Finalises the frame.
+    #[expect(
+        clippy::expect_used,
+        reason = "the builder checks every column as it is added"
+    )]
     pub fn finish(self) -> DataFrame {
         DataFrame::from_columns(self.schema, self.columns)
             .expect("builder maintains frame invariants")

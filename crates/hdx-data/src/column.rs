@@ -102,6 +102,10 @@ impl CategoricalColumn {
         if let Some(id) = self.code_of(level) {
             return id;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "level codes are u32, so a column holds at most 2^32 levels"
+        )]
         let id = u32::try_from(self.levels.len()).expect("too many categorical levels");
         assert_ne!(id, NULL_CODE, "categorical level count overflow");
         self.levels.push(level.to_string());

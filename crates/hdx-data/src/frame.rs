@@ -99,6 +99,10 @@ impl DataFrame {
     /// # Panics
     /// Panics if the attribute is continuous (schema kinds are validated at
     /// construction, so this indicates a caller bug).
+    #[expect(
+        clippy::panic,
+        reason = "a kind mismatch is caller misuse, documented under `# Panics`"
+    )]
     pub fn categorical(&self, id: AttrId) -> &CategoricalColumn {
         self.column(id)
             .as_categorical()
@@ -109,6 +113,10 @@ impl DataFrame {
     ///
     /// # Panics
     /// Panics if the attribute is categorical.
+    #[expect(
+        clippy::panic,
+        reason = "a kind mismatch is caller misuse, documented under `# Panics`"
+    )]
     pub fn continuous(&self, id: AttrId) -> &ContinuousColumn {
         self.column(id)
             .as_continuous()
@@ -181,6 +189,10 @@ impl DataFrame {
     ///
     /// # Panics
     /// Panics if `keep.len() != self.n_rows()`.
+    #[expect(
+        clippy::expect_used,
+        reason = "every column keeps its kind and the new row count"
+    )]
     pub fn filter(&self, keep: &[bool]) -> DataFrame {
         assert_eq!(keep.len(), self.n_rows, "mask length mismatch");
         let columns = self
@@ -227,6 +239,7 @@ impl DataFrame {
             if drop_ids.contains(&id) {
                 continue;
             }
+            #[expect(clippy::expect_used, reason = "the source frame's names are unique")]
             schema.push(attr.clone()).expect("names unique in source");
             columns.push(self.columns[id.index()].clone());
         }
@@ -238,6 +251,10 @@ impl DataFrame {
     ///
     /// # Panics
     /// Panics if an index is out of bounds.
+    #[expect(
+        clippy::expect_used,
+        reason = "every column keeps its kind and the new row count"
+    )]
     pub fn take(&self, indices: &[usize]) -> DataFrame {
         let columns = self
             .columns

@@ -17,6 +17,8 @@
 //! columns sequentially and slices rows by predicate, so we optimise for
 //! cache-friendly columnar scans instead of general relational algebra.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod builder;
 mod column;
 mod csv;

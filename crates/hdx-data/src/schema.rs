@@ -120,6 +120,10 @@ impl Schema {
         if self.by_name.contains_key(attr.name()) {
             return Err(DataError::DuplicateAttribute(attr.name().to_string()));
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "attribute ids are u16, so a schema holds at most 2^16 attributes"
+        )]
         let id = AttrId(u16::try_from(self.attrs.len()).expect("more than u16::MAX attributes"));
         self.by_name.insert(attr.name().to_string(), id);
         self.attrs.push(attr);

@@ -26,6 +26,7 @@ pub fn cuts_to_hierarchy(
         "cut points must be finite"
     );
     let mut cuts: Vec<f64> = cuts.to_vec();
+    #[expect(clippy::expect_used, reason = "cuts are asserted finite above")]
     cuts.sort_by(|a, b| a.partial_cmp(b).expect("finite cuts"));
     cuts.dedup();
     let attr_name = df.schema().name(attr).to_string();

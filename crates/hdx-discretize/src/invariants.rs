@@ -110,6 +110,10 @@ pub fn validate_tree(tree: &DiscretizationTree, min_support: f64) -> Result<(), 
 /// Panicking form of [`validate_tree`], run on every tree produced by the
 /// discretizer under the `debug-invariants` feature.
 #[cfg(feature = "debug-invariants")]
+#[expect(
+    clippy::panic,
+    reason = "an invariant violation is an internal bug: the assert helpers panic by design"
+)]
 pub(crate) fn assert_tree(tree: &DiscretizationTree, min_support: f64) {
     if let Err(v) = validate_tree(tree, min_support) {
         // An invariant violation is a discretizer bug, never a user error.

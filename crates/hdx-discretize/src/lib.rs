@@ -40,6 +40,8 @@
 //! assert_eq!(first_split.interval.hi, 69.0);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 /// Runtime validators for discretization trees (split support,
 /// binary splits, partition property).
 pub mod invariants;

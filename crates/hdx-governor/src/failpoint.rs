@@ -152,6 +152,10 @@ pub fn hit(name: &str) -> Option<String> {
     }
     match fired {
         None => None,
+        #[expect(
+            clippy::panic,
+            reason = "an armed `FailAction::Panic` panics by design: it simulates a worker crash"
+        )]
         Some(FailAction::Panic) => panic!("fail point `{name}` fired: injected panic"),
         Some(FailAction::Stall(d)) => {
             std::thread::sleep(d);

@@ -42,6 +42,8 @@
 //! assert_eq!(governor.counters().itemsets, 2);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use crate::sync::Arc;
 use std::time::{Duration, Instant};

@@ -33,6 +33,8 @@
 //! tests; segment seals and cursor saves fail through hdx-checkpoint's
 //! `durable::write`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod cursor;
 mod error;
 mod report;

@@ -41,6 +41,10 @@ impl ItemCatalog {
         if let Some(&id) = self.ids.get(&item) {
             return id;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "item ids are u32, so a catalog holds at most 2^32 items"
+        )]
         let id = ItemId(u32::try_from(self.items.len()).expect("too many items"));
         self.ids.insert(item.clone(), id);
         self.by_attr.entry(item.attr()).or_default().push(id);

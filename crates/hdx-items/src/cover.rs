@@ -26,6 +26,10 @@ pub fn item_matches(df: &DataFrame, catalog: &ItemCatalog, item: ItemId, row: us
             let v = df.continuous(attr).values()[row];
             j.contains(v)
         }
+        #[expect(
+            clippy::panic,
+            reason = "an item kind mismatch is misuse, documented under `# Panics`"
+        )]
         _ => panic!(
             "item `{}` predicate kind does not match attribute kind",
             it.label()
@@ -62,6 +66,10 @@ pub fn item_cover(df: &DataFrame, catalog: &ItemCatalog, item: ItemId) -> Bitset
                 }
             }
         }
+        #[expect(
+            clippy::panic,
+            reason = "an item kind mismatch is misuse, documented under `# Panics`"
+        )]
         _ => panic!(
             "item `{}` predicate kind does not match attribute kind",
             it.label()

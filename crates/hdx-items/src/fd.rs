@@ -60,6 +60,10 @@ pub fn fd_taxonomy(
     let mut groups: std::collections::HashSet<u32> = std::collections::HashSet::new();
     let mut n_children = 0usize;
     for (c, parents) in &cooc {
+        #[expect(
+            clippy::expect_used,
+            reason = "every co-occurrence entry holds a parent"
+        )]
         let (&majority, &count) = parents
             .iter()
             .max_by_key(|&(_, &n)| n)

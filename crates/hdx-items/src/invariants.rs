@@ -105,8 +105,12 @@ pub fn assert_itemset(itemset: &Itemset, catalog: &ItemCatalog) {
     }
 }
 
-/// Single panic site (carries the `no-unwrap` allowlist entry for this
-/// file): an invariant violation is a library bug, never a user error.
+/// Single panic site: an invariant violation is a library bug, never a
+/// user error.
+#[expect(
+    clippy::panic,
+    reason = "an invariant violation is an internal bug: the assert helpers panic by design"
+)]
 fn invariant_failed(v: &InvariantViolation) -> ! {
     panic!("hdx invariant violated: {v}")
 }

@@ -21,6 +21,8 @@
 //!   automatically from (approximate) functional dependencies between
 //!   categorical attributes (§IV-B).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 /// Runtime validators for itemset well-formedness (canonical order, one
 /// item per attribute).
 pub mod invariants;

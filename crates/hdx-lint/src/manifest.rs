@@ -1,22 +1,18 @@
 //! Checked-in manifests driving the semantic rules.
 //!
-//! Three small files configure where the strictest rules apply and what the
-//! ratchets currently allow:
+//! Two small files configure where the strictest rules apply:
 //!
 //! * `crates/hdx-lint/hotpaths.toml` — the functions locked to the
 //!   zero-allocation invariant (`no-alloc-hot-path`) and the files whose
 //!   whole non-test body must be panic-free (`no-panic-path`).
 //! * `UNSAFE_LEDGER.md` (workspace root) — the audit ledger every `unsafe`
 //!   site must be registered in (`unsafe-audit`).
-//! * `crates/hdx-lint/doc_ratchet.toml` — per-crate documentation-coverage
-//!   floors in percent (`doc-coverage`); floors only ever increase.
 //!
 //! The parsers are hand-rolled over a TOML/markdown subset, consistent with
 //! the linter's no-dependency rule (it must build even when the workspace is
 //! broken). Unknown keys are errors, not ignored — a typo in a manifest must
 //! not silently disable a rule.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
@@ -141,56 +137,6 @@ pub fn load_unsafe_ledger(path: &Path) -> Result<UnsafeLedger, String> {
     match fs::read_to_string(path) {
         Ok(t) => Ok(parse_unsafe_ledger(&t)),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(UnsafeLedger::default()),
-        Err(e) => Err(format!("cannot read {}: {e}", path.display())),
-    }
-}
-
-/// The parsed `doc_ratchet.toml`: crate name → (floor percent, source line).
-#[derive(Debug, Clone, Default)]
-pub struct DocRatchet {
-    /// Coverage floors in percent, with the manifest line that set them
-    /// (used as the violation's reporting location).
-    pub floors: BTreeMap<String, (u32, u32)>,
-}
-
-/// Parses `doc_ratchet.toml`: lines of `crate-name = NN` (percent, 0–100).
-pub fn parse_doc_ratchet(text: &str) -> Result<DocRatchet, String> {
-    let mut floors = BTreeMap::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = (idx + 1) as u32;
-        let line = strip_toml_comment(raw).trim().to_string();
-        if line.is_empty() || line.starts_with('[') {
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(format!(
-                "doc_ratchet.toml line {lineno}: expected `crate = percent`"
-            ));
-        };
-        let key = key.trim().trim_matches('"').to_string();
-        let percent: u32 = value.trim().parse().map_err(|_| {
-            format!(
-                "doc_ratchet.toml line {lineno}: `{}` is not a percent",
-                value.trim()
-            )
-        })?;
-        if percent > 100 {
-            return Err(format!("doc_ratchet.toml line {lineno}: {percent} > 100"));
-        }
-        if floors.insert(key.clone(), (percent, lineno)).is_some() {
-            return Err(format!(
-                "doc_ratchet.toml line {lineno}: duplicate entry for `{key}`"
-            ));
-        }
-    }
-    Ok(DocRatchet { floors })
-}
-
-/// Loads and parses `doc_ratchet.toml`; a missing file means no floors.
-pub fn load_doc_ratchet(path: &Path) -> Result<DocRatchet, String> {
-    match fs::read_to_string(path) {
-        Ok(t) => parse_doc_ratchet(&t),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(DocRatchet::default()),
         Err(e) => Err(format!("cannot read {}: {e}", path.display())),
     }
 }

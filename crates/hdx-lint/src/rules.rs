@@ -1,23 +1,17 @@
-//! The lint rules.
+//! The lexical rule and the test mask every rule shares.
 //!
-//! Every rule is a pure pass over the token stream of one file (see
-//! [`crate::lexer`]), with a precomputed *test mask* excluding tokens that
-//! belong to `#[cfg(test)]` items (or `#[test]` functions). Rules:
-//!
-//! * `no-unwrap` — no `.unwrap()`, `.expect(...)` or `panic!` in library
-//!   crates outside test code.
-//! * `no-float-eq` — no `==`/`!=` against a floating-point literal; use the
-//!   epsilon helpers in `hdx_stats::approx`.
-//! * `missing-docs` — every `pub` item in a library crate carries a doc
-//!   comment (or `#[doc...]` attribute).
-//! * `no-exit` — no `std::process::exit` outside `hdx-cli`.
+//! `no-float-eq` is a pure pass over the token stream of one file (see
+//! [`crate::lexer`]): no `==`/`!=` against a floating-point literal; use the
+//! epsilon helpers in `hdx_stats::approx`. Every rule, this one and the
+//! semantic ones, skips the tokens of the precomputed *test mask*: those
+//! that belong to `#[cfg(test)]` items (or `#[test]` functions).
 
 use crate::lexer::{Tok, TokKind};
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// Rule identifier (e.g. `no-unwrap`).
+    /// Rule identifier (e.g. `no-float-eq`).
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -27,18 +21,14 @@ pub struct Violation {
     pub message: String,
 }
 
-/// Rule identifiers, in reporting order. The first four are the lexical
-/// rules; the rest are the semantic rules (see [`crate::semantic`]).
+/// Rule identifiers, in reporting order: the lexical rule, then the
+/// semantic rules (see [`crate::semantic`]).
 pub const RULES: &[&str] = &[
-    "no-unwrap",
     "no-float-eq",
-    "missing-docs",
-    "no-exit",
     "unsafe-audit",
     "atomics-ordering",
     "no-alloc-hot-path",
     "no-panic-path",
-    "doc-coverage",
 ];
 
 /// Computes a mask marking tokens inside `#[cfg(test)]` / `#[test]` items.
@@ -194,34 +184,6 @@ fn scan_attribute(toks: &[Tok], open: usize) -> (usize, bool) {
     (j.min(toks.len().saturating_sub(1)), is_test)
 }
 
-/// `no-unwrap`: flags `.unwrap(`, `.expect(` and `panic!` outside tests.
-pub fn rule_no_unwrap(toks: &[Tok], mask: &[bool], file: &str, out: &mut Vec<Violation>) {
-    for (i, t) in toks.iter().enumerate() {
-        if mask[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        let prev_dot = i > 0 && toks[i - 1].is_punct(".");
-        let next_paren = matches!(toks.get(i + 1), Some(n) if n.is_punct("("));
-        match t.text.as_str() {
-            "unwrap" | "expect" if prev_dot && next_paren => out.push(Violation {
-                rule: "no-unwrap",
-                file: file.to_string(),
-                line: t.line,
-                message: format!("`.{}(...)` in library crate (use a typed error)", t.text),
-            }),
-            "panic" if matches!(toks.get(i + 1), Some(n) if n.is_punct("!")) => {
-                out.push(Violation {
-                    rule: "no-unwrap",
-                    file: file.to_string(),
-                    line: t.line,
-                    message: "`panic!` in library crate (use a typed error)".to_string(),
-                });
-            }
-            _ => {}
-        }
-    }
-}
-
 /// `no-float-eq`: flags `==`/`!=` whose left or right operand is a
 /// floating-point literal. `f64::INFINITY`-style constant comparisons are
 /// intentionally not matched (exact unboundedness checks are sound).
@@ -247,139 +209,6 @@ pub fn rule_no_float_eq(toks: &[Tok], mask: &[bool], file: &str, out: &mut Vec<V
                     "`{}` against a float literal (use `hdx_stats::approx`)",
                     t.text
                 ),
-            });
-        }
-    }
-}
-
-/// Item keywords that require documentation when `pub`.
-const ITEM_KWS: &[&str] = &[
-    "fn", "struct", "enum", "trait", "type", "mod", "static", "union",
-];
-
-/// `missing-docs`: flags `pub` items in library crates without a preceding
-/// doc comment or `#[doc ...]` attribute. `pub(crate)`/`pub(super)` items
-/// and `pub use` re-exports are exempt; struct fields are not checked.
-pub fn rule_missing_docs(toks: &[Tok], mask: &[bool], file: &str, out: &mut Vec<Violation>) {
-    for (i, t) in toks.iter().enumerate() {
-        if mask[i] || !t.is_ident("pub") {
-            continue;
-        }
-        // `pub(crate)` / `pub(super)` / `pub(in ...)` are not public API.
-        if matches!(toks.get(i + 1), Some(n) if n.is_punct("(")) {
-            continue;
-        }
-        let Some((kind, name)) = item_after_pub(toks, i) else {
-            continue;
-        };
-        if !is_documented(toks, i) {
-            out.push(Violation {
-                rule: "missing-docs",
-                file: file.to_string(),
-                line: t.line,
-                message: format!("public {kind} `{name}` has no doc comment"),
-            });
-        }
-    }
-}
-
-/// Identifies the item declared after a `pub` at index `i`:
-/// `Some((kind, name))` for doc-requiring items, `None` otherwise
-/// (e.g. `pub use`, struct fields).
-pub(crate) fn item_after_pub(toks: &[Tok], i: usize) -> Option<(String, String)> {
-    let mut j = i + 1;
-    loop {
-        let t = toks.get(j)?;
-        match t.kind {
-            TokKind::Str => {
-                // ABI string after `extern`.
-                j += 1;
-            }
-            TokKind::Ident => match t.text.as_str() {
-                "async" | "unsafe" | "extern" | "default" => j += 1,
-                "const" => {
-                    // `pub const fn f` (modifier) vs `pub const NAME` (item).
-                    if matches!(toks.get(j + 1), Some(n) if n.is_ident("fn")) {
-                        j += 1;
-                    } else {
-                        let name = toks.get(j + 1)?.text.clone();
-                        return Some(("const".to_string(), name));
-                    }
-                }
-                kw if ITEM_KWS.contains(&kw) => {
-                    let name = toks.get(j + 1)?.text.clone();
-                    return Some((kw.to_string(), name));
-                }
-                _ => return None, // `pub use`, `pub field: T`, macro output...
-            },
-            _ => return None,
-        }
-    }
-}
-
-/// Walks backwards from the `pub` at index `i` over attributes and doc
-/// comments; true when a doc comment or `#[doc ...]` attribute is found.
-pub(crate) fn is_documented(toks: &[Tok], i: usize) -> bool {
-    let mut k = i;
-    while k > 0 {
-        let prev = &toks[k - 1];
-        if prev.kind == TokKind::Doc {
-            // Outer docs (`///`, `/**`) document the following item; inner
-            // docs (`//!`, `/*!`) document the *enclosing* module and leave
-            // the next item undocumented.
-            return prev.text.starts_with("///") || prev.text.starts_with("/**");
-        }
-        if prev.is_punct("]") {
-            // Walk back to the matching `[`, noting a `doc` ident inside.
-            let mut depth = 0usize;
-            let mut m = k - 1;
-            let mut saw_doc = false;
-            loop {
-                let t = &toks[m];
-                if t.is_punct("]") {
-                    depth += 1;
-                } else if t.is_punct("[") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if t.is_ident("doc") {
-                    saw_doc = true;
-                }
-                if m == 0 {
-                    return false;
-                }
-                m -= 1;
-            }
-            if saw_doc {
-                return true;
-            }
-            // Step over the `#` introducing the attribute.
-            if m > 0 && toks[m - 1].is_punct("#") {
-                k = m - 1;
-            } else {
-                return false;
-            }
-        } else {
-            return false;
-        }
-    }
-    false
-}
-
-/// `no-exit`: flags `process::exit` calls (any path ending in them).
-pub fn rule_no_exit(toks: &[Tok], mask: &[bool], file: &str, out: &mut Vec<Violation>) {
-    for (i, t) in toks.iter().enumerate() {
-        if mask[i] || !t.is_ident("exit") {
-            continue;
-        }
-        if i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].is_ident("process") {
-            out.push(Violation {
-                rule: "no-exit",
-                file: file.to_string(),
-                line: t.line,
-                message: "`std::process::exit` outside hdx-cli (return an exit code instead)"
-                    .to_string(),
             });
         }
     }

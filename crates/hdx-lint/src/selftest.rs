@@ -10,19 +10,18 @@
 //! or a justification marker from real code fails lint exactly like the
 //! corresponding TP fixtures here fail.
 //!
-//! Beyond the per-file fixtures, two cross-cutting checks run: the
-//! doc-coverage ratchet against synthetic per-crate tallies, and a SARIF
-//! round-trip proving `--format sarif` agrees 1:1 with the JSON report.
+//! Beyond the per-file fixtures, three cross-cutting checks run: stale
+//! hot-path files, duplicate hot-path entries, and a SARIF round-trip
+//! proving `--format sarif` agrees 1:1 with the JSON report.
 
 use crate::rules::Violation;
-use crate::semantic::DocCounts;
 use crate::{manifest, sarif, semantic, Manifests};
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 struct Fixture {
     name: &'static str,
-    /// Pretend workspace-relative path (controls which rules apply).
+    /// Pretend workspace-relative path (selects the manifest entries that
+    /// apply).
     path: &'static str,
     src: &'static str,
     /// Expected `(rule, line)` pairs, in any order.
@@ -65,20 +64,7 @@ const FIXTURE_LEDGER: &str = "\
 | crates/hdx-bench/src/unsafe_no_safety.rs | unsafe fn | fixture |\n";
 
 const FIXTURES: &[Fixture] = &[
-    // ---- lexical rules (tier 1) ----------------------------------------
-    Fixture {
-        name: "planted unwrap/expect/panic in a library crate",
-        path: "crates/hdx-mining/src/planted.rs",
-        src: "//! Module docs.\n\
-              /// Docs.\n\
-              pub fn f(x: Option<u32>) -> u32 {\n\
-              \x20   let y = x.unwrap();\n\
-              \x20   let z = x.expect(\"msg\");\n\
-              \x20   if y > z { panic!(\"boom\"); }\n\
-              \x20   y\n\
-              }\n",
-        expect: &[("no-unwrap", 4), ("no-unwrap", 5), ("no-unwrap", 6)],
-    },
+    // ---- no-float-eq (tier 1) ------------------------------------------
     Fixture {
         name: "planted float == in hdx-stats",
         path: "crates/hdx-stats/src/planted.rs",
@@ -90,43 +76,27 @@ const FIXTURES: &[Fixture] = &[
         expect: &[("no-float-eq", 3), ("no-float-eq", 4)],
     },
     Fixture {
-        name: "planted undocumented pub items",
-        path: "crates/hdx-core/src/planted.rs",
-        src: "//! Module docs.\n\
-              pub fn naked() {}\n\
-              /// Documented.\n\
-              pub struct Ok1;\n\
-              #[derive(Debug)]\n\
-              pub struct Naked2;\n\
-              pub(crate) fn internal() {}\n",
-        expect: &[("missing-docs", 2), ("missing-docs", 6)],
+        name: "planted float == in a binary crate",
+        path: "crates/hdx-cli/src/planted.rs",
+        src: "fn is_zero(t: f64) -> bool { t == 0.0 }\n",
+        expect: &[("no-float-eq", 1)],
     },
     Fixture {
-        name: "planted process::exit in a non-cli crate",
-        path: "crates/hdx-data/src/planted.rs",
-        src: "/// Docs.\n\
-              pub fn h() {\n\
-              \x20   std::process::exit(1);\n\
-              }\n",
-        expect: &[("no-exit", 3)],
-    },
-    Fixture {
-        name: "test code, doc examples and unwrap_or are exempt",
+        name: "test code, doc examples and ordered float comparisons are exempt",
         path: "crates/hdx-items/src/clean.rs",
-        src: "//! Module docs with `x.unwrap()` in prose.\n\
+        src: "//! Module docs with `x == 0.0` in prose.\n\
               /// ```\n\
-              /// let v = Some(1).unwrap();\n\
+              /// assert!(0.5 == 0.5);\n\
               /// ```\n\
-              pub fn k(x: Option<f64>) -> f64 {\n\
-              \x20   x.unwrap_or(0.0)\n\
+              pub fn k(x: f64) -> bool {\n\
+              \x20   x <= 0.0 || x >= 1.0\n\
               }\n\
               #[cfg(test)]\n\
               mod tests {\n\
               \x20   #[test]\n\
               \x20   fn t() {\n\
-              \x20       let v: Option<f64> = Some(0.0);\n\
-              \x20       assert!(v.unwrap() == 0.0);\n\
-              \x20       panic!(\"fine in tests\");\n\
+              \x20       let v: f64 = 0.0;\n\
+              \x20       assert!(v == 0.0);\n\
               \x20   }\n\
               }\n",
         expect: &[],
@@ -144,16 +114,10 @@ const FIXTURES: &[Fixture] = &[
         name: "cfg(test) fn followed by more code keeps masking scoped",
         path: "crates/hdx-items/src/clean3.rs",
         src: "#[cfg(test)]\n\
-              fn helper() { let _ = Some(1).unwrap(); }\n\
+              fn helper() -> bool { 0.5 == 0.5 }\n\
               /// Docs.\n\
-              pub fn live(x: Option<u32>) -> u32 { x.unwrap() }\n",
-        expect: &[("no-unwrap", 4)],
-    },
-    Fixture {
-        name: "exit is allowed in hdx-cli",
-        path: "crates/hdx-cli/src/clean.rs",
-        src: "fn bail() { std::process::exit(2); }\n",
-        expect: &[],
+              pub fn live(x: f64) -> bool { x == 0.5 }\n",
+        expect: &[("no-float-eq", 4)],
     },
     // ---- lexer / mask regressions --------------------------------------
     Fixture {
@@ -161,33 +125,33 @@ const FIXTURES: &[Fixture] = &[
         path: "crates/hdx-items/src/not_test.rs",
         src: "/// Docs.\n\
               #[cfg(not(test))]\n\
-              pub fn live(x: Option<u32>) -> u32 { x.unwrap() }\n",
-        expect: &[("no-unwrap", 3)],
+              pub fn live(x: f64) -> bool { x == 0.5 }\n",
+        expect: &[("no-float-eq", 3)],
     },
     Fixture {
         name: "inner #![cfg(test)] masks the whole file",
         path: "crates/hdx-items/src/inner_test.rs",
         src: "#![cfg(test)]\n\
-              fn helper(x: Option<u32>) -> u32 { x.unwrap() }\n\
-              fn more() { panic!(\"still test-only\"); }\n",
+              fn helper(x: f64) -> bool { x == 0.5 }\n\
+              fn more(x: f64) -> bool { x != 1.0 }\n",
         expect: &[],
     },
     Fixture {
         name: "nested test module with a brace-unbalanced raw string",
         path: "crates/hdx-items/src/nested_raw.rs",
         src: "/// Docs.\n\
-              pub fn live(x: Option<u32>) -> u32 { x.unwrap() }\n\
+              pub fn live(x: f64) -> bool { x == 0.5 }\n\
               #[cfg(test)]\n\
               mod tests {\n\
               \x20   mod inner {\n\
               \x20       #[test]\n\
               \x20       fn t() {\n\
               \x20           let s = r#\"unbalanced { brace\"#;\n\
-              \x20           let _ = (s, Some(1).unwrap());\n\
+              \x20           let _ = (s, 1.0 == 1.0);\n\
               \x20       }\n\
               \x20   }\n\
               }\n",
-        expect: &[("no-unwrap", 2)],
+        expect: &[("no-float-eq", 2)],
     },
     // ---- unsafe-audit ---------------------------------------------------
     Fixture {
@@ -343,8 +307,7 @@ pub fn run() -> ExitCode {
     let mut failures = 0usize;
     for fx in FIXTURES {
         let mut got: Vec<Violation> = Vec::new();
-        let mut doc_counts = BTreeMap::new();
-        crate::check_file(fx.path, fx.src, &manifests, &mut doc_counts, &mut got);
+        crate::check_file(fx.path, fx.src, &manifests, &mut got);
         let mut got_pairs: Vec<(&str, u32)> = got.iter().map(|v| (v.rule, v.line)).collect();
         let mut want: Vec<(&str, u32)> = fx.expect.to_vec();
         got_pairs.sort_unstable();
@@ -363,10 +326,6 @@ pub fn run() -> ExitCode {
     }
     type ExtraCheck = fn() -> Result<(), String>;
     let extra: &[(&str, ExtraCheck)] = &[
-        (
-            "doc-coverage ratchet fires below the floor",
-            check_doc_coverage,
-        ),
         (
             "a pin on a file that is not scanned is stale",
             check_stale_pin_files,
@@ -416,39 +375,7 @@ fn fixture_manifests() -> Result<Manifests, String> {
             ledger.files
         ));
     }
-    Ok(Manifests {
-        hotpaths,
-        ledger,
-        ratchet: manifest::DocRatchet::default(),
-    })
-}
-
-/// The doc-coverage ratchet: a crate below its floor is flagged at the
-/// manifest line; a crate at/above it is not.
-fn check_doc_coverage() -> Result<(), String> {
-    let ratchet = manifest::parse_doc_ratchet("# floors\nhdx-bench = 90\nhdx-cli = 50\n")?;
-    let mut per_crate: BTreeMap<String, DocCounts> = BTreeMap::new();
-    // 50% coverage for both crates: hdx-bench (floor 90) must trip,
-    // hdx-cli (floor 50) must not.
-    for krate in ["hdx-bench", "hdx-cli"] {
-        per_crate.insert(
-            krate.to_string(),
-            DocCounts {
-                total: 4,
-                documented: 2,
-            },
-        );
-    }
-    let mut out = Vec::new();
-    semantic::rule_doc_coverage(&per_crate, &ratchet, "doc_ratchet.toml", &mut out);
-    let got: Vec<(&str, u32)> = out.iter().map(|v| (v.rule, v.line)).collect();
-    if got != [("doc-coverage", 2)] {
-        return Err(format!("expected [(doc-coverage, 2)], got {got:?}"));
-    }
-    if !out[0].message.contains("50.0%") || !out[0].message.contains("90%") {
-        return Err(format!("unexpected message: {}", out[0].message));
-    }
-    Ok(())
+    Ok(Manifests { hotpaths, ledger })
 }
 
 /// The file side of the stale-pin check: with every pinned file scanned
@@ -504,10 +431,10 @@ fn check_duplicate_hotpath() -> Result<(), String> {
 fn check_sarif_roundtrip() -> Result<(), String> {
     let violations = vec![
         Violation {
-            rule: "no-unwrap",
+            rule: "no-float-eq",
             file: "crates/hdx-mining/src/x.rs".to_string(),
             line: 42,
-            message: "`.unwrap()` with \"quotes\" and\nnewline".to_string(),
+            message: "`==` with \"quotes\" and\nnewline".to_string(),
         },
         Violation {
             rule: "atomics-ordering",
@@ -519,7 +446,7 @@ fn check_sarif_roundtrip() -> Result<(), String> {
 
     let sarif_doc = sarif::parse(&sarif::render(&violations))
         .map_err(|e| format!("SARIF does not parse: {e}"))?;
-    let json_doc = sarif::parse(&crate::render_report(&violations, 0, 2, 0))
+    let json_doc = sarif::parse(&crate::render_report(&violations, 2))
         .map_err(|e| format!("JSON report does not parse: {e}"))?;
 
     // Structural SARIF 2.1.0 checks.

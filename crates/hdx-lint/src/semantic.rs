@@ -8,7 +8,7 @@
 //! * `unsafe-audit` — every `unsafe` needs a `// SAFETY:` justification
 //!   comment *and* a row in `UNSAFE_LEDGER.md` for its file.
 //! * `atomics-ordering` — every `Ordering::Relaxed` needs an
-//!   `// ORDERING:` justification comment (or an allowlist entry).
+//!   `// ORDERING:` justification comment.
 //! * `no-alloc-hot-path` — functions listed in `hotpaths.toml` may not
 //!   allocate (`.push`/`.collect`/`format!`/`vec!`/`Box::new`/...) unless
 //!   the site carries an `// ALLOC:` justification; a pin naming a missing
@@ -16,8 +16,6 @@
 //! * `no-panic-path` — files marked `panic_free` may not use unchecked
 //!   indexing/slicing, `.unwrap`/`.expect`, or panicking macros; a
 //!   pre-verified bound can be justified with `// BOUND:`.
-//! * `doc-coverage` — per-crate documentation coverage of public items may
-//!   not drop below the `doc_ratchet.toml` floor.
 //!
 //! Justification comments are *plain* comments (`// SAFETY: ...`), never doc
 //! comments: they address the maintainer reading the code, not the API user.
@@ -27,7 +25,7 @@
 
 use crate::ast::{self, FnItem, ItemTree};
 use crate::lexer::{Comment, Tok, TokKind};
-use crate::manifest::{DocRatchet, Hotpath, Hotpaths, UnsafeLedger};
+use crate::manifest::{Hotpath, Hotpaths, UnsafeLedger};
 use crate::rules::Violation;
 
 /// Per-line index of the plain comments of one file, answering "is the token
@@ -332,74 +330,5 @@ pub fn rule_no_panic_path(
                  `get`/iterators/`split_at`, or justify with `// BOUND:`)"
             ),
         });
-    }
-}
-
-/// Documentation-coverage counts for one crate.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DocCounts {
-    /// Public items required to be documented.
-    pub total: usize,
-    /// Of those, items carrying a doc comment or `#[doc]` attribute.
-    pub documented: usize,
-}
-
-impl DocCounts {
-    /// Coverage in percent; an itemless crate counts as fully covered.
-    pub fn percent(&self) -> f64 {
-        if self.total == 0 {
-            100.0
-        } else {
-            self.documented as f64 * 100.0 / self.total as f64
-        }
-    }
-}
-
-/// Tallies documentable public items of one file into `counts` (the same
-/// item definition as the `missing-docs` rule: `pub` fns/structs/enums/
-/// traits/types/mods/statics/consts/unions, excluding `pub(crate)` and
-/// re-exports).
-pub fn tally_doc_coverage(toks: &[Tok], mask: &[bool], counts: &mut DocCounts) {
-    for (i, t) in toks.iter().enumerate() {
-        if mask[i] || !t.is_ident("pub") {
-            continue;
-        }
-        if matches!(toks.get(i + 1), Some(n) if n.is_punct("(")) {
-            continue;
-        }
-        if crate::rules::item_after_pub(toks, i).is_none() {
-            continue;
-        }
-        counts.total += 1;
-        if crate::rules::is_documented(toks, i) {
-            counts.documented += 1;
-        }
-    }
-}
-
-/// `doc-coverage`: compares per-crate coverage against the ratchet floors.
-/// Reported at the floor's own line in `doc_ratchet.toml` so the violation
-/// points at the ratchet being broken.
-pub fn rule_doc_coverage(
-    per_crate: &std::collections::BTreeMap<String, DocCounts>,
-    ratchet: &DocRatchet,
-    ratchet_file: &str,
-    out: &mut Vec<Violation>,
-) {
-    for (krate, &(floor, lineno)) in &ratchet.floors {
-        let counts = per_crate.get(krate).copied().unwrap_or_default();
-        let pct = counts.percent();
-        if pct + 1e-9 < f64::from(floor) {
-            out.push(Violation {
-                rule: "doc-coverage",
-                file: ratchet_file.to_string(),
-                line: lineno,
-                message: format!(
-                    "doc coverage of `{krate}` is {pct:.1}% ({}/{} public items), below \
-                     the ratchet floor of {floor}%",
-                    counts.documented, counts.total
-                ),
-            });
-        }
     }
 }

@@ -169,6 +169,10 @@ pub fn validate_result(
 /// Panicking form of [`validate_result`], run by [`mine`](crate::mine) on
 /// every result under the `debug-invariants` feature.
 #[cfg(feature = "debug-invariants")]
+#[expect(
+    clippy::panic,
+    reason = "an invariant violation is an internal bug: the assert helpers panic by design"
+)]
 pub(crate) fn assert_result(result: &MiningResult, catalog: &ItemCatalog, min_count: u64) {
     if let Err(v) = validate_result(result, catalog, min_count) {
         // An invariant violation is a miner bug, never a user error.

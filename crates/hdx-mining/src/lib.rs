@@ -53,6 +53,8 @@
 //! assert_eq!(result.divergence(joint), Some(0.5));
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 /// Runtime validators for mining results (itemset validity, support
 /// threshold, anti-monotonicity).
 pub mod invariants;

@@ -268,27 +268,32 @@ impl DecisionTree {
         if n_levels < 2 {
             return None;
         }
-        let mut per_level = vec![(0.0f64, 0.0f64); n_levels]; // (pos, count)
-        let mut total_pos = 0.0;
+        let mut per_level = vec![(0usize, 0usize); n_levels]; // (pos, count)
+        let mut total_pos = 0usize;
         for &r in rows {
             let c = codes[r];
             if c != NULL_CODE {
-                per_level[c as usize].1 += 1.0;
+                per_level[c as usize].1 += 1;
                 if y[r] {
-                    per_level[c as usize].0 += 1.0;
+                    per_level[c as usize].0 += 1;
                 }
             }
             if y[r] {
-                total_pos += 1.0;
+                total_pos += 1;
             }
         }
-        let total = rows.len() as f64;
+        let total = rows.len();
         let mut best: Option<(f64, u32)> = None;
         for (code, &(lp, ln)) in per_level.iter().enumerate() {
-            if ln == 0.0 || ln == total {
+            if ln == 0 || ln == total {
                 continue;
             }
-            let g = split_gini(lp, ln - lp, total_pos - lp, (total - ln) - (total_pos - lp));
+            let g = split_gini(
+                lp as f64,
+                (ln - lp) as f64,
+                (total_pos - lp) as f64,
+                ((total - ln) - (total_pos - lp)) as f64,
+            );
             if best.is_none_or(|(bg, _)| g < bg) {
                 best = Some((g, code as u32));
             }

@@ -45,6 +45,8 @@
 //! buffers are visible to a `collect()` on the spawning thread. See
 //! DESIGN.md §11 for the span taxonomy and the schema version policy.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 /// Minimal JSON escaping/parsing helpers for the telemetry artifact.
 pub mod json;
 /// The typed metrics registry: counter / gauge / histogram identifiers.

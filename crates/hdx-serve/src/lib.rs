@@ -60,6 +60,8 @@
 //! points inject faults for chaos tests, and hdx-checkpoint's
 //! `durable::write` faults every file the service seals.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 /// The per-job event vocabulary and its deterministic NDJSON encoding.
 pub mod events;
 /// Minimal HTTP/1.1 request parsing and response writing over `TcpStream`.

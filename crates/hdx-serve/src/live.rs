@@ -400,7 +400,8 @@ mod stub {
     }
 }
 
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
+#[cfg(feature = "obs")]
 mod tests {
     use super::*;
     use crate::events::JobEvent;

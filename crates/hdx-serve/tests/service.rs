@@ -4,6 +4,7 @@
 //! and serves the byte-identical result an uninterrupted server produces).
 
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -210,31 +211,48 @@ fn cancel_is_cooperative_and_keeps_partial_results() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
-#[test]
-fn drain_then_restart_resumes_the_job_to_identical_bytes() {
-    let state = tmp_state_dir("recovery");
-    let csv = sample_csv(600);
+/// Submits a job of `rows` rows to a fresh server and drains it at once,
+/// then binds server #2 over the same state directory. A job that finished
+/// before the drain landed leaves no orphan to recover, so the step is
+/// repeated in a fresh state directory with twice the rows, until server
+/// #2's recovery notes name the orphan (at most 6 attempts). Returns the
+/// state directory, the CSV, the job id and server #2.
+fn drain_an_orphan(mut rows: usize) -> (PathBuf, String, String, Server) {
+    let mut notes = Vec::new();
+    for attempt in 0..6 {
+        let state = tmp_state_dir(&format!("recovery-{attempt}"));
+        let csv = sample_csv(rows);
 
-    // Server #1 accepts the job and is immediately drained: whether the job
-    // was still queued or already mining, it must land on disk incomplete.
-    let (addr, handle) = start(config(state.clone()));
-    let accepted = http(addr, "POST", "/jobs", &submission(&csv, "acme"));
-    assert_eq!(accepted.status, 202, "{}", accepted.body);
-    let job_id = extract_job_id(&accepted.body);
-    assert_eq!(http(addr, "POST", "/shutdown", "").status, 202);
-    handle.join().expect("drain");
+        // Server #1 accepts the job and is immediately drained: whether the
+        // job was still queued or already mining, it must land on disk
+        // incomplete.
+        let (addr, handle) = start(config(state.clone()));
+        let accepted = http(addr, "POST", "/jobs", &submission(&csv, "acme"));
+        assert_eq!(accepted.status, 202, "{}", accepted.body);
+        let job_id = extract_job_id(&accepted.body);
+        assert_eq!(http(addr, "POST", "/shutdown", "").status, 202);
+        handle.join().expect("drain");
 
-    // Server #2 over the same state directory: the orphan scan re-queues
-    // the job and runs it to completion.
-    let server = Server::bind(config(state.clone())).expect("rebind");
-    assert!(
-        server
+        let server = Server::bind(config(state.clone())).expect("rebind");
+        if server
             .recovery_notes
             .iter()
-            .any(|n| n.contains(&job_id) && n.contains("resuming")),
-        "recovery notes must name the orphan: {:?}",
-        server.recovery_notes
-    );
+            .any(|n| n.contains(&job_id) && n.contains("resuming"))
+        {
+            return (state, csv, job_id, server);
+        }
+        notes = server.recovery_notes;
+        let _ = std::fs::remove_dir_all(&state);
+        rows *= 2;
+    }
+    panic!("recovery notes must name the orphan: {notes:?}");
+}
+
+#[test]
+fn drain_then_restart_resumes_the_job_to_identical_bytes() {
+    // Server #2 over the drained state directory: the orphan scan re-queues
+    // the job and runs it to completion.
+    let (state, csv, job_id, server) = drain_an_orphan(600);
     let addr = server.local_addr();
     let handle = thread::spawn(move || server.run().expect("serve"));
     assert_eq!(await_terminal(addr, &job_id), "done");

@@ -139,6 +139,10 @@ impl MultivariateNormal {
     ///
     /// # Panics
     /// Panics if `variance` is not strictly positive.
+    #[expect(
+        clippy::expect_used,
+        reason = "a positive diagonal covariance is positive definite"
+    )]
     pub fn isotropic(mean: Vec<f64>, variance: f64) -> Self {
         assert!(variance > 0.0, "variance must be positive");
         let dim = mean.len();

@@ -29,6 +29,8 @@
 //!   to compare divergences/t-values for equality; see `hdx-lint`'s
 //!   `no-float-eq` rule).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 /// Tolerance-based floating-point comparison helpers.
 pub mod approx;
 

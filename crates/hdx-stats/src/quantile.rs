@@ -13,6 +13,7 @@ pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
     if v.is_empty() {
         return None;
     }
+    #[expect(clippy::expect_used, reason = "NaNs are filtered out above")]
     v.sort_by(|a, b| a.partial_cmp(b).expect("NaNs filtered"));
     let h = q * (v.len() - 1) as f64;
     let lo = h.floor() as usize;
