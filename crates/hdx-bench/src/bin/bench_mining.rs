@@ -3,7 +3,7 @@
 //! oracle miners end to end (synthetic-peak and compas; the paper's miner
 //! ablation), and the multi-threaded search's rows × threads scaling curve,
 //! then writes machine-readable results to `BENCH_mining.json`
-//! (`hdx-bench/mining/v7`), with the run's hdx-obs telemetry — per-stage
+//! (`hdx-bench/mining/v8`), with the run's hdx-obs telemetry — per-stage
 //! spans, pruning counters, the `hdx.bench.iter.latency_ns` histogram —
 //! embedded under `"telemetry"`.
 //!
@@ -18,7 +18,9 @@
 //! `--enforce` exits non-zero when a performance floor is missed (the
 //! regression gate CI runs): the boolean dense kernel must beat the scalar
 //! path, the numeric dense kernel must clear
-//! [`NUMERIC_FLOOR_FULL`]/[`NUMERIC_FLOOR_QUICK`], and — only when the
+//! [`NUMERIC_FLOOR_FULL`]/[`NUMERIC_FLOOR_QUICK`], on the AVX-512 masked-sum
+//! path folding four sibling covers in one pass must cost no more per cover
+//! than folding them one at a time, and — only when the
 //! 4-thread cell on the largest scaling input was timed, which needs a host
 //! with ≥ 4 CPUs — the 4-thread parallel efficiency there must clear
 //! [`EFFICIENCY_FLOOR`]. `--out` overrides the output path (default
@@ -41,7 +43,10 @@
 //! `vertical` rows run on, and times the scaling cells of one row count
 //! round-robin (each round runs every timed thread count once; full mode
 //! takes each cell's median over 5 rounds), so drift of the host over the
-//! run no longer favours the later thread counts.
+//! run no longer favours the later thread counts. v8 adds the micro row
+//! `"numeric_siblings"`: ns per cover of folding four sibling covers of one
+//! prefix in one pass (`OutcomePlanes::accum_siblings`) and one at a time
+//! (`accum_pair`).
 
 use hdx_bench::experiments::{outcomes_for, pipeline_for};
 use hdx_bench::{apriori, fpgrowth, splitmix64};
@@ -51,7 +56,8 @@ use hdx_datasets::{compas, synthetic_peak};
 use hdx_items::{Bitset, Item, ItemCatalog};
 use hdx_mining::{accum_scalar, mine, MiningConfig, MiningResult, Transactions};
 use hdx_obs::timing::{median_ns, sample_ns};
-use hdx_stats::{active_count_path, active_kernel, Outcome, OutcomePlanes};
+use hdx_stats::simd::MAX_COVERS;
+use hdx_stats::{active_count_path, active_kernel, KernelPath, Outcome, OutcomePlanes};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -175,6 +181,57 @@ fn micro(kind: &'static str, quick: bool) -> MicroResult {
         covers: n_covers,
         kernel_ns: kernel_total / n_covers as f64,
         scalar_ns: scalar_total / n_covers as f64,
+    }
+}
+
+/// The `numeric_siblings` micro row: ns per cover of folding the covers of
+/// one prefix [`MAX_COVERS`] at a time in one pass, and one at a time.
+struct SiblingsResult {
+    rows: usize,
+    covers: usize,
+    four_ns: f64,
+    one_ns: f64,
+}
+
+impl SiblingsResult {
+    fn speedup(&self) -> f64 {
+        self.one_ns / self.four_ns
+    }
+}
+
+/// Times `numeric_dense`'s geometry as sibling groups: one half-density
+/// prefix, and its candidates' covers folded in groups of [`MAX_COVERS`]
+/// (the miner's numeric emission loop) or one pair fold each.
+fn micro_siblings(quick: bool) -> SiblingsResult {
+    let (n_rows, n_covers, iters) = if quick {
+        (32_768, 16, 7)
+    } else {
+        (131_072, 32, 15)
+    };
+    let covers = make_covers(n_rows, n_covers, 7);
+    let prefix = make_covers(n_rows, 1, 11).remove(0);
+    let siblings: Vec<(&[u64], u64)> = covers
+        .iter()
+        .map(|c| (c.words(), prefix.and(c).count() as u64))
+        .collect();
+    let planes = OutcomePlanes::from_outcomes(&make_outcomes("numeric_dense", n_rows));
+
+    hdx_obs::span!("bench", str "numeric_siblings");
+    let four_total = median_ns(iters, || {
+        for group in siblings.chunks(MAX_COVERS) {
+            black_box(planes.accum_siblings(prefix.words(), group));
+        }
+    });
+    let one_total = median_ns(iters, || {
+        for &(cover, n) in &siblings {
+            black_box(planes.accum_pair(prefix.words(), cover, n));
+        }
+    });
+    SiblingsResult {
+        rows: n_rows,
+        covers: n_covers,
+        four_ns: four_total / n_covers as f64,
+        one_ns: one_total / n_covers as f64,
     }
 }
 
@@ -349,13 +406,14 @@ fn scaling(quick: bool) -> Vec<ScalingCell> {
 fn render_json(
     mode: &str,
     micros: &[MicroResult],
+    siblings: &SiblingsResult,
     e2e: &[EndToEnd],
     cells: &[ScalingCell],
     telemetry: &hdx_obs::RunTelemetry,
 ) -> String {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"hdx-bench/mining/v7\",");
+    let _ = writeln!(json, "  \"schema\": \"hdx-bench/mining/v8\",");
     let _ = writeln!(json, "  \"mode\": \"{mode}\",");
     let _ = writeln!(json, "  \"kernel_path\": \"{}\",", active_kernel().as_str());
     let _ = writeln!(
@@ -365,13 +423,12 @@ fn render_json(
     );
     let _ = writeln!(json, "  \"host_cpus\": {},", host_cpus());
     let _ = writeln!(json, "  \"micro\": [");
-    for (i, m) in micros.iter().enumerate() {
-        let comma = if i + 1 < micros.len() { "," } else { "" };
+    for m in micros {
         let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"rows\": {}, \"covers\": {}, \
              \"kernel_ns_per_cover\": {:.1}, \"scalar_ns_per_cover\": {:.1}, \
-             \"speedup\": {:.2}}}{comma}",
+             \"speedup\": {:.2}}},",
             m.name,
             m.rows,
             m.covers,
@@ -380,6 +437,17 @@ fn render_json(
             m.speedup(),
         );
     }
+    let _ = writeln!(
+        json,
+        "    {{\"name\": \"numeric_siblings\", \"rows\": {}, \"covers\": {}, \
+         \"fold4_ns_per_cover\": {:.1}, \"fold1_ns_per_cover\": {:.1}, \
+         \"speedup\": {:.2}}}",
+        siblings.rows,
+        siblings.covers,
+        siblings.four_ns,
+        siblings.one_ns,
+        siblings.speedup(),
+    );
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"end_to_end\": [");
     for (i, e) in e2e.iter().enumerate() {
@@ -423,7 +491,12 @@ fn render_json(
 /// timed, i.e. on hosts with enough CPUs to run the measured threads truly
 /// in parallel — a 1-core runner timesharing 4 workers measures
 /// scheduling, not scaling.
-fn enforce(quick: bool, micros: &[MicroResult], cells: &[ScalingCell]) -> Result<(), String> {
+fn enforce(
+    quick: bool,
+    micros: &[MicroResult],
+    siblings: &SiblingsResult,
+    cells: &[ScalingCell],
+) -> Result<(), String> {
     let micro_of = |name: &str| {
         micros
             .iter()
@@ -457,6 +530,21 @@ fn enforce(quick: bool, micros: &[MicroResult], cells: &[ScalingCell]) -> Result
         numeric.speedup(),
         active_kernel().as_str()
     );
+    // Only the AVX-512 path folds siblings in one pass; the others fold
+    // them one at a time, so there the row is recorded but not gated.
+    if active_kernel() == KernelPath::Avx512 {
+        if siblings.four_ns > siblings.one_ns {
+            return Err(format!(
+                "folding {MAX_COVERS} sibling covers in one pass costs {:.1} ns per cover, \
+                 more than the {:.1} ns of folding them one at a time",
+                siblings.four_ns, siblings.one_ns
+            ));
+        }
+        println!(
+            "enforce OK: sibling fold {:.2}x one at a time ({MAX_COVERS} covers per pass)",
+            siblings.speedup()
+        );
+    }
     const GATED_THREADS: usize = 4;
     let largest = cells.iter().map(|c| c.rows).max().unwrap_or(0);
     let gated = cells
@@ -503,6 +591,14 @@ fn main() -> ExitCode {
             m.speedup(),
         );
     }
+    let siblings = micro_siblings(opts.quick);
+    println!(
+        "micro {:>14}: fold {MAX_COVERS} {:>10.1} ns/cover  fold 1 {:>12.1} ns/cover  speedup {:>6.2}x",
+        "numeric_siblings",
+        siblings.four_ns,
+        siblings.one_ns,
+        siblings.speedup(),
+    );
     let e2e = end_to_end(opts.quick);
     for e in &e2e {
         println!(
@@ -522,7 +618,7 @@ fn main() -> ExitCode {
         );
     }
 
-    let json = render_json(mode, &micros, &e2e, &cells, &hdx_obs::collect());
+    let json = render_json(mode, &micros, &siblings, &e2e, &cells, &hdx_obs::collect());
     if let Err(err) = std::fs::write(&opts.out, &json) {
         eprintln!("cannot write {}: {err}", opts.out);
         return ExitCode::FAILURE;
@@ -530,7 +626,7 @@ fn main() -> ExitCode {
     println!("wrote {}", opts.out);
 
     if opts.enforce {
-        if let Err(msg) = enforce(opts.quick, &micros, &cells) {
+        if let Err(msg) = enforce(opts.quick, &micros, &siblings, &cells) {
             eprintln!("REGRESSION: {msg}");
             return ExitCode::FAILURE;
         }

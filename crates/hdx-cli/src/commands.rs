@@ -662,6 +662,18 @@ mod tests {
     }
 
     #[test]
+    fn describe_refuses_more_columns_than_attribute_ids() {
+        let width = hdx_data::Schema::MAX_ATTRIBUTES + 1;
+        let header: Vec<String> = (0..width).map(|i| format!("c{i}")).collect();
+        let path = tmp("too-wide.csv");
+        let text = format!("{}\n{}\n", header.join(","), vec!["1"; width].join(","));
+        std::fs::write(&path, text).unwrap();
+        let err = run_args(&["describe", &path]).unwrap_err();
+        assert!(err.to_string().contains("65536 attributes"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn append_lands_rows_and_seals_segments() {
         let rows = tmp("append-rows.csv");
         std::fs::write(&rows, "1,0,61,b\n0,0,30,a\n\n1,1,70,b\n").unwrap();

@@ -671,6 +671,23 @@ mod tests {
         assert_eq!(df.n_rows(), 2);
     }
 
+    /// One column past what an attribute id can number.
+    fn csv_past_the_attribute_limit() -> String {
+        let width = crate::Schema::MAX_ATTRIBUTES + 1;
+        let header: Vec<String> = (0..width).map(|i| format!("c{i}")).collect();
+        format!("{}\n{}\n", header.join(","), vec!["1"; width].join(","))
+    }
+
+    #[test]
+    fn too_many_columns_is_an_error() {
+        let err =
+            read_csv_str(&csv_past_the_attribute_limit(), &CsvOptions::default()).unwrap_err();
+        assert!(matches!(
+            err,
+            DataError::TooManyAttributes { limit: 65_536 }
+        ));
+    }
+
     #[test]
     fn empty_cells_become_null() {
         let df = read_csv_str("a,b\n1,\n,x\n", &CsvOptions::default()).unwrap();

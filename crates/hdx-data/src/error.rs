@@ -48,6 +48,11 @@ pub enum DataError {
         /// The offending value (a categorical level lower-cased).
         value: String,
     },
+    /// A schema was asked to hold more attributes than its ids can number.
+    TooManyAttributes {
+        /// The most attributes a schema holds (`Schema::MAX_ATTRIBUTES`).
+        limit: usize,
+    },
     /// CSV input could not be parsed.
     Csv {
         /// 1-based line number.
@@ -90,6 +95,12 @@ impl fmt::Display for DataError {
             }
             DataError::NotBoolean { attribute, value } => {
                 write!(f, "column `{attribute}` is not boolean (value `{value}`)")
+            }
+            DataError::TooManyAttributes { limit } => {
+                write!(
+                    f,
+                    "more than {limit} attributes (a schema holds at most {limit})"
+                )
             }
             DataError::Csv { line, message } => {
                 write!(f, "CSV parse error at line {line}: {message}")

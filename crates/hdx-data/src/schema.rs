@@ -94,6 +94,9 @@ pub struct Schema {
 }
 
 impl Schema {
+    /// Most attributes a schema holds: an [`AttrId`] is 16 bits wide.
+    pub const MAX_ATTRIBUTES: usize = 1 << 16;
+
     /// Creates an empty schema.
     pub fn new() -> Self {
         Self::default()
@@ -115,16 +118,19 @@ impl Schema {
     /// Appends an attribute, returning its new id.
     ///
     /// # Errors
-    /// Returns [`DataError::DuplicateAttribute`] when the name already exists.
+    /// Returns [`DataError::DuplicateAttribute`] when the name already exists,
+    /// and [`DataError::TooManyAttributes`] when the schema already holds
+    /// [`MAX_ATTRIBUTES`](Self::MAX_ATTRIBUTES).
     pub fn push(&mut self, attr: Attribute) -> Result<AttrId, DataError> {
         if self.by_name.contains_key(attr.name()) {
             return Err(DataError::DuplicateAttribute(attr.name().to_string()));
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "attribute ids are u16, so a schema holds at most 2^16 attributes"
-        )]
-        let id = AttrId(u16::try_from(self.attrs.len()).expect("more than u16::MAX attributes"));
+        let Ok(id) = u16::try_from(self.attrs.len()) else {
+            return Err(DataError::TooManyAttributes {
+                limit: Self::MAX_ATTRIBUTES,
+            });
+        };
+        let id = AttrId(id);
         self.by_name.insert(attr.name().to_string(), id);
         self.attrs.push(attr);
         Ok(id)
@@ -232,6 +238,23 @@ mod tests {
         ])
         .unwrap_err();
         assert!(matches!(err, DataError::DuplicateAttribute(n) if n == "age"));
+    }
+
+    #[test]
+    fn push_refuses_the_attribute_past_the_id_range() {
+        let mut s = Schema::new();
+        for i in 0..Schema::MAX_ATTRIBUTES {
+            s.push(Attribute::categorical(format!("a{i}"))).unwrap();
+        }
+        assert_eq!(s.id("a65535"), Some(AttrId(u16::MAX)));
+        let err = s.push(Attribute::categorical("one-more")).unwrap_err();
+        assert!(matches!(
+            err,
+            DataError::TooManyAttributes { limit: 65_536 }
+        ));
+        assert!(err.to_string().contains("65536"), "{err}");
+        assert_eq!(s.len(), Schema::MAX_ATTRIBUTES);
+        assert_eq!(s.id("one-more"), None);
     }
 
     #[test]

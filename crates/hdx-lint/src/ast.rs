@@ -178,6 +178,13 @@ pub fn parse(toks: &[Tok]) -> ItemTree {
                     // (negative impls) — the pending declaration has no body.
                     pending = None;
                 }
+                // Angle brackets of an `impl` header delimit generics, which
+                // `impl_type_name` skips.
+                "<" | ">" | ">>" => {
+                    if let Some(Pending::Impl { toks: acc }) = &mut pending {
+                        acc.push(t.text.clone());
+                    }
+                }
                 _ => {}
             },
             _ => {}
@@ -187,14 +194,26 @@ pub fn parse(toks: &[Tok]) -> ItemTree {
     tree
 }
 
-/// Extracts the self-type name from the identifiers of an `impl` header:
-/// `impl Foo` → `Foo`; `impl Trait for Foo` → `Foo`; modifiers, generics
-/// and path qualifiers are skipped. Falls back to `"impl"` when no
-/// identifier is found (e.g. `impl (A, B)`).
-fn impl_type_name(idents: &[String]) -> String {
-    let after_for: Vec<&String> = match idents.iter().position(|s| s == "for") {
-        Some(p) => idents[p + 1..].iter().collect(),
-        None => idents.iter().collect(),
+/// Extracts the self-type name from the identifiers and angle brackets of
+/// an `impl` header: `impl Foo` → `Foo`; `impl Trait for Foo` → `Foo`;
+/// `impl<const K: usize> Foo<K>` → `Foo`; modifiers, generics and path
+/// qualifiers are skipped. Falls back to `"impl"` when no identifier is
+/// found (e.g. `impl (A, B)`).
+fn impl_type_name(toks: &[String]) -> String {
+    let mut depth = 0usize;
+    let mut outside = Vec::new();
+    for t in toks {
+        match t.as_str() {
+            "<" => depth += 1,
+            ">" => depth = depth.saturating_sub(1),
+            ">>" => depth = depth.saturating_sub(2),
+            _ if depth == 0 => outside.push(t),
+            _ => {}
+        }
+    }
+    let after_for = match outside.iter().position(|s| *s == "for") {
+        Some(p) => &outside[p + 1..],
+        None => &outside[..],
     };
     after_for
         .iter()

@@ -235,10 +235,10 @@ const FIXTURES: &[Fixture] = &[
         ],
     },
     Fixture {
-        name: "impl-qualified hot function; ALLOC justification is honored",
+        name: "impl-qualified hot function of a generic impl; ALLOC justification is honored",
         path: "crates/hdx-bench/src/hot_impl.rs",
-        src: "pub struct Planes;\n\
-              impl Planes {\n\
+        src: "pub struct Planes<const K: usize>;\n\
+              impl<const K: usize> Planes<K> {\n\
               \x20   pub fn accum(&self, out: &mut Vec<u32>) {\n\
               \x20       // ALLOC: scratch pool, capacity reserved at setup.\n\
               \x20       out.push(1);\n\

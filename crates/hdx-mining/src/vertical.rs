@@ -18,7 +18,9 @@
 //!   one-item-per-attribute constraint, so no prefix attribute set is kept;
 //! * **kernel accumulators** — frequent candidates fold their
 //!   [`StatAccum`] through [`OutcomePlanes`] (fused popcounts / masked
-//!   sums over the cover words) instead of iterating rows;
+//!   sums over the cover words) instead of iterating rows; on numeric
+//!   outcomes one pass over the values folds up to four sibling candidates
+//!   ([`OutcomePlanes::accum_siblings`]);
 //! * **scratch pool** — one reusable cover buffer and a pair of pre-sized
 //!   lists per recursion depth, so even frequent candidates allocate
 //!   nothing after setup; candidates with nothing left to extend them skip
@@ -38,7 +40,8 @@
 use hdx_checkpoint::{Checkpointer, MiningProgress};
 use hdx_governor::{fail_point, Governor};
 use hdx_items::{Bitset, ItemCatalog, ItemId, Itemset};
-use hdx_stats::{simd, Outcome, OutcomePlanes, StatAccum};
+use hdx_stats::simd::{self, MAX_COVERS};
+use hdx_stats::{Outcome, OutcomePlanes, StatAccum};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::checkpoint::{progress_snapshot, restore_itemset};
@@ -206,11 +209,38 @@ fn dfs(
         // this never reallocates.
         frequent.push((idx, count));
     }
+    // On numeric planes the accumulators of each group of `MAX_COVERS`
+    // frequent candidates come from one pass over the outcome values, taken
+    // when the loop reaches the group's first candidate. A trip inside the
+    // group discards the ones computed ahead of their own poll.
+    let numeric = !ctx.planes.is_boolean();
+    let mut group = [StatAccum::new(); MAX_COVERS];
     for (pos, &(idx, count)) in frequent.iter().enumerate() {
         if !ctx.governor.keep_going() {
             return;
         }
+        if numeric && pos % MAX_COVERS == 0 {
+            let members = &frequent[pos..frequent.len().min(pos + MAX_COVERS)];
+            let mut siblings: [(&[u64], u64); MAX_COVERS] = [(&[], 0); MAX_COVERS];
+            for (sibling, &(member, n)) in siblings.iter_mut().zip(members) {
+                *sibling = (ctx.frequent[member].cover.words(), n);
+            }
+            hdx_obs::counter_add!(MineNumericPasses, 1);
+            hdx_obs::counter_add!(MineNumericCovers, members.len() as u64);
+            group = ctx
+                .planes
+                .accum_siblings(prefix_cover.words(), &siblings[..members.len()]);
+        }
         let cand = &ctx.frequent[idx];
+        // The accumulator of an emission that materialises no cover.
+        let leaf_accum = || {
+            if numeric {
+                group[pos % MAX_COVERS]
+            } else {
+                ctx.planes
+                    .accum_pair(prefix_cover.words(), cand.cover.words(), count)
+            }
+        };
         // Charge the emission *before* pushing: on a refused charge nothing
         // is emitted, so emitted itemsets always have exact accumulators and
         // the itemset counter always equals the number of emissions.
@@ -225,15 +255,13 @@ fn dfs(
         // An extension that could still grow is charged one joint cover,
         // whether or not any sibling is left to extend it with.
         if deeper && !ctx.governor.record_candidate_bytes(ctx.cover_bytes) {
-            // On refusal, emit the already-charged itemset through the fused
-            // pair kernel (no materialisation) and unwind.
+            // On refusal, emit the already-charged itemset without
+            // materialising its cover and unwind.
             // ALLOC: emission — the cloned item list is the documented
             // per-result cost, charged to the governor.
             out.push(FrequentItemset {
                 itemset: Itemset::from_sorted_unchecked(prefix_items.clone()),
-                accum: ctx
-                    .planes
-                    .accum_pair(prefix_cover.words(), cand.cover.words(), count),
+                accum: leaf_accum(),
             });
             prefix_items.pop();
             return;
@@ -253,15 +281,19 @@ fn dfs(
                 }
             };
         if children {
-            // Fused intersect-assign-accumulate: the joint cover is written
-            // and folded into the accumulator in one blocked pass, so each
-            // row block is consumed while cache-hot.
-            let accum = ctx.planes.accum_assign_pair(
-                prefix_cover.words(),
-                cand.cover.words(),
-                joint.words_mut(),
-                count,
-            );
+            let accum = if numeric {
+                joint.assign_and(prefix_cover, cand.cover);
+                group[pos % MAX_COVERS]
+            } else {
+                // Fused intersect-assign-accumulate: the joint cover is
+                // written and folded into the accumulator in one pass.
+                ctx.planes.accum_assign_pair(
+                    prefix_cover.words(),
+                    cand.cover.words(),
+                    joint.words_mut(),
+                    count,
+                )
+            };
             // ALLOC: emission — see above; the joint cover itself goes into
             // the pre-sized scratch pool, not a fresh allocation.
             out.push(FrequentItemset {
@@ -270,15 +302,12 @@ fn dfs(
             });
             dfs(ctx, prefix_items, joint, deeper_pool, out);
         } else {
-            // Nothing to extend it with: fused pair kernel straight off the
-            // two parent covers, no materialisation.
+            // Nothing to extend it with: no materialisation.
             // ALLOC: emission — the cloned item list is the documented
             // per-result cost, charged to the governor.
             out.push(FrequentItemset {
                 itemset: Itemset::from_sorted_unchecked(prefix_items.clone()),
-                accum: ctx
-                    .planes
-                    .accum_pair(prefix_cover.words(), cand.cover.words(), count),
+                accum: leaf_accum(),
             });
         }
         prefix_items.pop();

@@ -18,6 +18,12 @@ pub enum CounterId {
     MineCandidatesPrunedAttr,
     /// Frequent itemsets emitted into results: `hdx.mining.itemsets.emitted`.
     MineItemsetsEmitted,
+    /// Passes over the numeric outcome values that folded a group of
+    /// frequent candidates: `hdx.mining.numeric.passes`.
+    MineNumericPasses,
+    /// Candidate covers those passes folded (covers ÷ passes is the mean
+    /// group fill): `hdx.mining.numeric.covers`.
+    MineNumericCovers,
     /// Items excluded from a polarity-restricted mine (§V-C): `hdx.core.polarity.pruned_items`.
     PolarityItemsPruned,
     /// Itemsets found by both polarity mines and deduplicated: `hdx.core.polarity.deduped_itemsets`.
@@ -100,11 +106,13 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every registered counter, in telemetry order.
-    pub const ALL: [CounterId; 38] = [
+    pub const ALL: [CounterId; 40] = [
         CounterId::MineCandidatesGenerated,
         CounterId::MineCandidatesPrunedSupport,
         CounterId::MineCandidatesPrunedAttr,
         CounterId::MineItemsetsEmitted,
+        CounterId::MineNumericPasses,
+        CounterId::MineNumericCovers,
         CounterId::PolarityItemsPruned,
         CounterId::PolarityItemsetsDeduped,
         CounterId::DiscretizeSplitsAccepted,
@@ -151,6 +159,8 @@ impl CounterId {
             CounterId::MineCandidatesPrunedSupport => "hdx.mining.candidates.pruned_support",
             CounterId::MineCandidatesPrunedAttr => "hdx.mining.candidates.pruned_attr",
             CounterId::MineItemsetsEmitted => "hdx.mining.itemsets.emitted",
+            CounterId::MineNumericPasses => "hdx.mining.numeric.passes",
+            CounterId::MineNumericCovers => "hdx.mining.numeric.covers",
             CounterId::PolarityItemsPruned => "hdx.core.polarity.pruned_items",
             CounterId::PolarityItemsetsDeduped => "hdx.core.polarity.deduped_itemsets",
             CounterId::DiscretizeSplitsAccepted => "hdx.discretize.split.accepted",
@@ -200,6 +210,10 @@ impl CounterId {
                 "Candidates discarded by the one-item-per-attribute rule."
             }
             CounterId::MineItemsetsEmitted => "Frequent itemsets emitted into results.",
+            CounterId::MineNumericPasses => {
+                "Passes over the numeric outcome values that folded a group of candidates."
+            }
+            CounterId::MineNumericCovers => "Candidate covers folded by those passes.",
             CounterId::PolarityItemsPruned => "Items excluded from a polarity-restricted mine.",
             CounterId::PolarityItemsetsDeduped => {
                 "Itemsets found by both polarity mines and deduplicated."

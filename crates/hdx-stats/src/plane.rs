@@ -47,7 +47,7 @@
 //! exactly this layout.
 
 use crate::outcome::{Outcome, StatAccum};
-use crate::simd::{self, SumsKernel, BLOCK_WORDS};
+use crate::simd::{self, KernelPath, SumsKernel, BLOCK_WORDS, MAX_COVERS};
 
 /// Bitplane encoding of an outcome vector (DESIGN.md §10.1).
 ///
@@ -216,13 +216,115 @@ impl OutcomePlanes {
         }
     }
 
-    /// Streams pre-masked words (`cover ∧ valid`, produced lazily by the
-    /// caller's iterator) through the active [`SumsKernel`] in
-    /// [`BLOCK_WORDS`]-sized blocks. Kernel lane state persists across
-    /// blocks, so the result is independent of the blocking geometry.
+    /// The [`StatAccum`]s of the rows in `prefix ∧ cover` for up to
+    /// [`MAX_COVERS`] sibling `(cover, n)` pairs, in order; the entries
+    /// past `siblings.len()` are empty. Each equals
+    /// [`accum_pair(prefix, cover, n)`](Self::accum_pair) bit for bit. On
+    /// numeric planes one pass over the outcome values folds every sibling
+    /// (see [`SumsKernel`]); on boolean planes each takes its own pair
+    /// fold.
+    ///
+    /// # Panics
+    /// Panics when there are more than [`MAX_COVERS`] siblings, or when a
+    /// cover has a different word count than the planes.
+    pub fn accum_siblings(
+        &self,
+        prefix: &[u64],
+        siblings: &[(&[u64], u64)],
+    ) -> [StatAccum; MAX_COVERS] {
+        self.accum_siblings_on(simd::active_kernel(), prefix, siblings)
+    }
+
+    /// [`accum_siblings`](Self::accum_siblings) on an explicit masked-sum
+    /// path — the per-path entry point the equivalence property tests
+    /// drive.
+    ///
+    /// # Panics
+    /// As [`accum_siblings`](Self::accum_siblings), and when `path` is
+    /// unavailable (see [`KernelPath::is_available`]).
+    pub fn accum_siblings_on(
+        &self,
+        path: KernelPath,
+        prefix: &[u64],
+        siblings: &[(&[u64], u64)],
+    ) -> [StatAccum; MAX_COVERS] {
+        assert_eq!(
+            prefix.len(),
+            self.valid.len(),
+            "cover word-count mismatch against outcome planes"
+        );
+        assert!(
+            siblings
+                .iter()
+                .all(|(cover, _)| cover.len() == prefix.len()),
+            "cover word-count mismatch"
+        );
+        assert!(
+            siblings.len() <= MAX_COVERS,
+            "more than MAX_COVERS siblings"
+        );
+        let mut out = [StatAccum::new(); MAX_COVERS];
+        if self.all_boolean {
+            for (accum, &(cover, n)) in out.iter_mut().zip(siblings) {
+                let (n_valid, k_pos) = simd::pair_counts(prefix, cover, &self.valid, &self.pos);
+                *accum = StatAccum::from_counts(n, n_valid, k_pos);
+            }
+            return out;
+        }
+        let folded: &[StatAccum] = match *siblings {
+            [a] => &self.fold_siblings(path, prefix, [a]),
+            [a, b] => &self.fold_siblings(path, prefix, [a, b]),
+            [a, b, c] => &self.fold_siblings(path, prefix, [a, b, c]),
+            [a, b, c, d] => &self.fold_siblings(path, prefix, [a, b, c, d]),
+            _ => &[],
+        };
+        for (accum, folded) in out.iter_mut().zip(folded) {
+            *accum = *folded;
+        }
+        out
+    }
+
+    /// The numeric fold behind [`accum_siblings_on`](Self::accum_siblings_on):
+    /// `K` covers masked by `prefix ∧ valid`, word by word, through one
+    /// `K`-cover kernel.
+    fn fold_siblings<const K: usize>(
+        &self,
+        path: KernelPath,
+        prefix: &[u64],
+        siblings: [(&[u64], u64); K],
+    ) -> [StatAccum; K] {
+        let mut covers = siblings.map(|(cover, _)| cover.iter());
+        self.reduce_covers(
+            path,
+            siblings.map(|(_, n)| n),
+            prefix.iter().zip(&self.valid).map(move |(&p, &v)| {
+                let pv = p & v;
+                covers.each_mut().map(|c| c.next().map_or(0, |&w| w & pv))
+            }),
+        )
+    }
+
+    /// [`reduce_covers`](Self::reduce_covers) of one cover on the active
+    /// path.
     fn numeric_reduce(&self, n: u64, masked_words: impl Iterator<Item = u64>) -> StatAccum {
-        let mut kernel = SumsKernel::new(simd::active_kernel());
-        let mut buf = [0u64; BLOCK_WORDS];
+        let [accum] = self.reduce_covers(simd::active_kernel(), [n], masked_words.map(|m| [m]));
+        accum
+    }
+
+    /// Streams pre-masked words (word `w` of `cover ∧ valid` for each of
+    /// `K` covers, produced lazily by the caller's iterator) through a
+    /// `K`-cover [`SumsKernel`] on `path` in [`BLOCK_WORDS`]-sized blocks,
+    /// and pairs cover `k`'s sums with its row count `counts[k]`. Kernel
+    /// lane state persists across blocks, so the result is independent of
+    /// the blocking geometry.
+    fn reduce_covers<const K: usize>(
+        &self,
+        path: KernelPath,
+        counts: [u64; K],
+        masked_words: impl Iterator<Item = [u64; K]>,
+    ) -> [StatAccum; K] {
+        let mut kernel = SumsKernel::<K>::new(path);
+        let mut buf = [[0u64; K]; BLOCK_WORDS];
         let mut filled = 0usize;
         let mut values_rest = self.values.as_slice();
         for m in masked_words {
@@ -244,8 +346,12 @@ impl OutcomePlanes {
             let (masked, _) = buf.split_at(filled);
             kernel.update(masked, vals);
         }
-        let (n_valid, sum, sum_sq) = kernel.finish();
-        StatAccum::from_sums(n, n_valid, sum, sum_sq)
+        let mut out = [StatAccum::new(); K];
+        for ((accum, n), (n_valid, sum, sum_sq)) in out.iter_mut().zip(counts).zip(kernel.finish())
+        {
+            *accum = StatAccum::from_sums(n, n_valid, sum, sum_sq);
+        }
+        out
     }
 }
 

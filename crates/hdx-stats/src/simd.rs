@@ -27,13 +27,25 @@
 //!
 //! | path | gate | notes |
 //! |------|------|-------|
-//! | [`KernelPath::Avx512`] | `simd-arch`, x86-64, runtime `avx512f` | native 8-lane mask loads |
+//! | [`KernelPath::Avx512`] | `simd-arch`, x86-64, runtime `avx512f` | the cover byte is the mask of a merge-masked add; one pass folds up to [`MAX_COVERS`] covers |
 //! | [`KernelPath::Avx2`] | `simd-arch`, x86-64, runtime `avx2` | compare-expanded masks |
 //! | [`KernelPath::Neon`] | `simd-arch`, aarch64 | NEON is baseline on aarch64 |
 //! | [`KernelPath::Portable`] | always compiled | safe branch-free lane loop (autovectorizable) |
 //!
 //! Building without `simd-arch` (`--no-default-features`) leaves only the
 //! portable path, which gives the same bits as every other path.
+//!
+//! ## Folding sibling covers
+//!
+//! A [`SumsKernel`] folds `K ≤` [`MAX_COVERS`] covers of one value vector
+//! at once (the miner passes the frequent extensions of one prefix). There
+//! is one AVX-512 body, generic over `K`: each cover keeps its own 16 lanes
+//! in four registers, and each 8-row group of values is loaded and squared
+//! once, then added into every cover with a merge-masked add. `K = 1` is
+//! the one-cover kernel behind [`masked_sums`]. The AVX2, NEON and portable
+//! paths fold the covers one at a time through their one-cover bodies.
+//! Either way each cover's lanes see its rows in the same order, so each
+//! cover gets the bits of a one-cover fold.
 //!
 //! ## Exactness contract
 //!
@@ -48,10 +60,13 @@
 //!   reals they agree within the reassociation error bound property-tested
 //!   in `tests/property_kernel.rs`.
 //!
-//! Masking is a bitwise AND of the value with an expanded mask (or a
-//! zero-masked load — never a multiply), so masked-out `inf`/`NaN` rows
-//! contribute `+0.0` instead of poisoning the sum, exactly like a row walk
-//! that never visits them.
+//! Masking is a bitwise AND of the value with an expanded mask (or, on
+//! AVX-512, a merge-masked add that leaves an unselected lane as it was —
+//! never a multiply), so masked-out `inf`/`NaN` rows never poison the sum,
+//! exactly like a row walk that never visits them. The two give the same
+//! bits: a lane starts at `+0.0` and, rounding to nearest, a sum is `−0.0`
+//! only when both addends are, so a lane never holds `−0.0`, and adding
+//! `+0.0` to any other value leaves it unchanged.
 //!
 //! ## Count kernels
 //!
@@ -74,6 +89,9 @@
 //! [`and_count`]: crate::simd::and_count
 //! [`pair_counts`]: crate::simd::pair_counts
 //! [`pair_counts_assign`]: crate::simd::pair_counts_assign
+//! [`SumsKernel`]: crate::simd::SumsKernel
+//! [`MAX_COVERS`]: crate::simd::MAX_COVERS
+//! [`masked_sums`]: crate::simd::masked_sums
 
 use std::sync::OnceLock;
 
@@ -197,109 +215,33 @@ fn reduce16(s: &[f64; LANES]) -> f64 {
     (t0 + t2) + (t1 + t3)
 }
 
-/// Streaming masked-sum kernel state: feed blocks of pre-masked cover words
-/// with [`update`](SumsKernel::update), then [`finish`](SumsKernel::finish).
-///
-/// The streaming shape exists so callers can *fuse* producing the masked
-/// words (e.g. intersecting two covers block by block) with consuming them,
-/// keeping each [`BLOCK_WORDS`] block cache-hot. Feeding the same words in
-/// one call or many produces bitwise-identical results: lane state persists
-/// across calls and blocks are whole words, so each lane sees the same
-/// ascending row sequence either way.
-#[derive(Debug)]
-pub struct SumsKernel {
-    path: KernelPath,
+/// Most covers one [`SumsKernel`] folds in a pass over the values. The
+/// AVX-512 body keeps four registers per cover, so four covers' sixteen
+/// plus the shared loads and squares stay within its 32 registers.
+pub const MAX_COVERS: usize = 4;
+
+/// One cover's running masked sums: its valid-row count and the 16 lane
+/// partials of Σ and Σ².
+#[derive(Debug, Clone, Copy)]
+struct Lanes {
     n_valid: u64,
     s: [f64; LANES],
     s2: [f64; LANES],
 }
 
-impl SumsKernel {
-    /// A fresh kernel on `path`.
-    ///
-    /// # Panics
-    /// Panics when `path` is not compiled in or not supported by the CPU
-    /// (see [`KernelPath::is_available`]).
-    pub fn new(path: KernelPath) -> Self {
-        assert!(
-            path.is_available(),
-            "kernel path {:?} unavailable in this build / on this CPU",
-            path
-        );
-        Self {
-            path,
-            n_valid: 0,
-            s: [0.0; LANES],
-            s2: [0.0; LANES],
-        }
-    }
-
-    /// Accumulates one block. `masked` holds `cover ∧ valid` words; `values`
-    /// holds the corresponding rows' outcome values, `values.len() ≤
-    /// 64 · masked.len()`. All calls but the last must pass whole words
-    /// (`values.len() = 64 · masked.len()`); bits of `masked` at or beyond
-    /// `values.len()` must be clear (the valid plane guarantees this).
-    pub fn update(&mut self, masked: &[u64], values: &[f64]) {
-        debug_assert!(
-            values.len() <= masked.len() * 64,
-            "values overrun masked words"
-        );
-        let full = values.len() / 64;
-        let head_words = full.min(masked.len());
-        let (head_m, tail_m) = masked.split_at(head_words);
-        let (head_v, tail_v) = values.split_at(head_words * 64);
-        match self.path {
-            #[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
-            KernelPath::Avx512 => {
-                // SAFETY: `SumsKernel::new` asserted `Avx512.is_available()`,
-                // i.e. runtime detection confirmed `avx512f`; `head_v` holds
-                // exactly 64 values per word of `head_m`.
-                unsafe {
-                    avx512_update(&mut self.n_valid, &mut self.s, &mut self.s2, head_m, head_v);
-                }
-            }
-            #[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
-            KernelPath::Avx2 => {
-                // SAFETY: `SumsKernel::new` asserted `Avx2.is_available()`,
-                // i.e. runtime detection confirmed AVX2; `head_v` holds
-                // exactly 64 values per word of `head_m`.
-                unsafe {
-                    avx2_update(&mut self.n_valid, &mut self.s, &mut self.s2, head_m, head_v);
-                }
-            }
-            #[cfg(all(feature = "simd-arch", target_arch = "aarch64"))]
-            KernelPath::Neon => {
-                // SAFETY: NEON is baseline on every aarch64 target this
-                // compiles for; `head_v` holds 64 values per `head_m` word.
-                unsafe {
-                    neon_update(&mut self.n_valid, &mut self.s, &mut self.s2, head_m, head_v);
-                }
-            }
-            // `Portable`, plus paths not compiled into this build (which
-            // `new` already proved unreachable by asserting availability).
-            _ => {
-                for (&m, chunk) in head_m.iter().zip(head_v.chunks(64)) {
-                    self.lanes_word(m, chunk);
-                }
-            }
-        }
-        // Shared partial-word tail: the same 16-lane structure, scalar code.
-        for (&m, chunk) in tail_m.iter().zip(tail_v.chunks(64)) {
-            self.lanes_word(m, chunk);
-        }
-    }
-
-    /// Final `(n_valid, sum, sum_sq)`.
-    pub fn finish(self) -> (u64, f64, f64) {
-        (self.n_valid, reduce16(&self.s), reduce16(&self.s2))
-    }
+impl Lanes {
+    const ZERO: Self = Self {
+        n_valid: 0,
+        s: [0.0; LANES],
+        s2: [0.0; LANES],
+    };
 
     /// Branch-free lane accumulation of one (possibly partial) 64-row word:
     /// the portable kernel body, also the shared tail handler of every
     /// vector path. Lane `j` of each 16-row group takes the row's value
     /// ANDed with the expanded mask bit (all-ones or all-zero), so
     /// unselected rows add exactly `+0.0`.
-    fn lanes_word(&mut self, m: u64, chunk: &[f64]) {
+    fn word(&mut self, m: u64, chunk: &[f64]) {
         self.n_valid += u64::from(m.count_ones());
         let mut groups = chunk.chunks_exact(LANES);
         let mut g = 0usize;
@@ -330,6 +272,126 @@ impl SumsKernel {
             *s2 += x * x;
         }
     }
+
+    /// Final `(n_valid, sum, sum_sq)`.
+    fn finish(&self) -> (u64, f64, f64) {
+        (self.n_valid, reduce16(&self.s), reduce16(&self.s2))
+    }
+}
+
+/// Streaming masked-sum kernel state for `K` covers of one value vector
+/// (`1 ≤ K ≤` [`MAX_COVERS`]): feed blocks of pre-masked cover words with
+/// [`update`](SumsKernel::update), then [`finish`](SumsKernel::finish).
+///
+/// The streaming shape exists so callers can *fuse* producing the masked
+/// words (e.g. intersecting two covers block by block) with consuming them,
+/// keeping each [`BLOCK_WORDS`] block cache-hot. Feeding the same words in
+/// one call or many produces bitwise-identical results: lane state persists
+/// across calls and blocks are whole words, so each lane sees the same
+/// ascending row sequence either way.
+///
+/// The AVX-512 path folds all `K` covers in one pass over the values; the
+/// other paths fold them one after another. Either way each cover's lanes
+/// see its rows in the same order, so each cover's result has the bits of
+/// a one-cover kernel fed that cover's words alone.
+#[derive(Debug)]
+pub struct SumsKernel<const K: usize> {
+    path: KernelPath,
+    lanes: [Lanes; K],
+}
+
+impl<const K: usize> SumsKernel<K> {
+    /// A fresh kernel on `path`.
+    ///
+    /// # Panics
+    /// Panics when `path` is not compiled in or not supported by the CPU
+    /// (see [`KernelPath::is_available`]).
+    pub fn new(path: KernelPath) -> Self {
+        const {
+            assert!(
+                K >= 1 && K <= MAX_COVERS,
+                "a kernel folds 1 to MAX_COVERS covers"
+            )
+        };
+        assert!(
+            path.is_available(),
+            "kernel path {:?} unavailable in this build / on this CPU",
+            path
+        );
+        Self {
+            path,
+            lanes: [Lanes::ZERO; K],
+        }
+    }
+
+    /// Accumulates one block. Word `w` of `masked` holds `cover ∧ valid`
+    /// word `w` of each of the `K` covers; `values` holds the corresponding
+    /// rows' outcome values, `values.len() ≤ 64 · masked.len()`. All calls
+    /// but the last must pass whole words (`values.len() = 64 ·
+    /// masked.len()`); bits of `masked` at or beyond `values.len()` must be
+    /// clear (the valid plane guarantees this).
+    pub fn update(&mut self, masked: &[[u64; K]], values: &[f64]) {
+        debug_assert!(
+            values.len() <= masked.len() * 64,
+            "values overrun masked words"
+        );
+        let full = values.len() / 64;
+        let head_words = full.min(masked.len());
+        let (head_m, tail_m) = masked.split_at(head_words);
+        let (head_v, tail_v) = values.split_at(head_words * 64);
+        match self.path {
+            #[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
+            KernelPath::Avx512 => {
+                // SAFETY: `SumsKernel::new` asserted `Avx512.is_available()`,
+                // i.e. runtime detection confirmed `avx512f`; `head_v` holds
+                // exactly 64 values per word of `head_m`.
+                unsafe { avx512_update(&mut self.lanes, head_m, head_v) };
+            }
+            #[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
+            KernelPath::Avx2 => {
+                for (k, l) in self.lanes.iter_mut().enumerate() {
+                    // BOUND: `k < K`, the length of every mask word array.
+                    let column = head_m.iter().map(|w| w[k]);
+                    // SAFETY: `SumsKernel::new` asserted
+                    // `Avx2.is_available()`, i.e. runtime detection
+                    // confirmed AVX2; `head_v` holds exactly 64 values per
+                    // word of `column`.
+                    unsafe { avx2_update(&mut l.n_valid, &mut l.s, &mut l.s2, column, head_v) };
+                }
+            }
+            #[cfg(all(feature = "simd-arch", target_arch = "aarch64"))]
+            KernelPath::Neon => {
+                for (k, l) in self.lanes.iter_mut().enumerate() {
+                    // BOUND: `k < K`, the length of every mask word array.
+                    let column = head_m.iter().map(|w| w[k]);
+                    // SAFETY: NEON is baseline on every aarch64 target this
+                    // compiles for; `head_v` holds 64 values per word of
+                    // `column`.
+                    unsafe { neon_update(&mut l.n_valid, &mut l.s, &mut l.s2, column, head_v) };
+                }
+            }
+            // `Portable`, plus paths not compiled into this build (which
+            // `new` already proved unreachable by asserting availability).
+            _ => self.lane_words(head_m, head_v),
+        }
+        // Shared partial-word tail: the same 16-lane structure, scalar code.
+        self.lane_words(tail_m, tail_v);
+    }
+
+    /// The portable 16-lane loop over `masked`'s words, one cover after
+    /// another within each word.
+    fn lane_words(&mut self, masked: &[[u64; K]], values: &[f64]) {
+        for (words, chunk) in masked.iter().zip(values.chunks(64)) {
+            for (l, &m) in self.lanes.iter_mut().zip(words) {
+                l.word(m, chunk);
+            }
+        }
+    }
+
+    /// Final `(n_valid, sum, sum_sq)` of each cover.
+    pub fn finish(self) -> [(u64, f64, f64); K] {
+        self.lanes.map(|l| l.finish())
+    }
 }
 
 /// One-shot masked sums on the [`active_kernel`] path:
@@ -359,12 +421,12 @@ pub fn masked_sums_on(
     cover: &[u64],
 ) -> (u64, f64, f64) {
     assert_eq!(cover.len(), valid.len(), "cover/valid word-count mismatch");
-    let mut kernel = SumsKernel::new(path);
-    let mut buf = [0u64; BLOCK_WORDS];
+    let mut kernel = SumsKernel::<1>::new(path);
+    let mut buf = [[0u64; 1]; BLOCK_WORDS];
     let mut values_rest = values;
     for (cw, vw) in cover.chunks(BLOCK_WORDS).zip(valid.chunks(BLOCK_WORDS)) {
         for (dst, (&c, &v)) in buf.iter_mut().zip(cw.iter().zip(vw)) {
-            *dst = c & v;
+            *dst = [c & v];
         }
         let take = (cw.len() * 64).min(values_rest.len());
         let (vals, rest) = values_rest.split_at(take);
@@ -372,7 +434,8 @@ pub fn masked_sums_on(
         let (masked, _) = buf.split_at(cw.len());
         kernel.update(masked, vals);
     }
-    kernel.finish()
+    let [sums] = kernel.finish();
+    sums
 }
 
 /// A popcount implementation of the count kernels, selected by
@@ -666,18 +729,24 @@ fn pair_counts_assign_popcnt(
 
 #[cfg(all(feature = "simd-arch", target_arch = "x86_64"))]
 use std::arch::x86_64::{
-    __m256d, _mm256_add_pd, _mm256_and_pd, _mm256_and_si256, _mm256_castsi256_pd,
+    __m256d, __m512d, _mm256_add_pd, _mm256_and_pd, _mm256_and_si256, _mm256_castsi256_pd,
     _mm256_cmpeq_epi64, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_epi64x, _mm256_set_epi64x,
-    _mm256_storeu_pd, _mm512_add_pd, _mm512_loadu_pd, _mm512_maskz_loadu_pd, _mm512_mul_pd,
+    _mm256_storeu_pd, _mm512_loadu_pd, _mm512_mask_add_pd, _mm512_mul_pd, _mm512_setzero_pd,
     _mm512_storeu_pd,
 };
 
-/// AVX-512 masked-sum block body: the cover byte *is* the lane mask
-/// (`_mm512_maskz_loadu_pd` zeroes unselected lanes), so mask expansion
-/// costs nothing. Two 8-lane accumulator pairs cover the canonical 16-lane
-/// layout: register A takes lanes 0–7 of each 16-row group, register B
-/// lanes 8–15. Whole 64-row words only; the caller routes the partial tail
-/// through the portable lane loop.
+/// AVX-512 masked-sum block body for `K` covers in one pass over the
+/// values. Each cover keeps the canonical 16 lanes in four 8-lane
+/// registers: Σ of lanes 0–7 and of lanes 8–15 of each 16-row group, then
+/// Σ² of the same. Each 8-row group of values is loaded and squared once
+/// and added into every cover with a merge-masked add whose mask is that
+/// cover's byte of the word, so mask expansion costs nothing and a cover's
+/// unselected lanes keep their value. The other paths add the `+0.0` of a
+/// zeroed row there instead, with the same bits: a lane starts at `+0.0`
+/// and, rounding to nearest, a sum is `−0.0` only when both addends are, so
+/// a lane never holds `−0.0`, and adding `+0.0` to any other value (a NaN
+/// included) returns it unchanged. Whole 64-row words only; the caller
+/// routes the partial tail through the portable lane loop.
 ///
 /// # Safety
 /// The caller must have verified `avx512f` support at runtime
@@ -688,51 +757,62 @@ use std::arch::x86_64::{
 #[allow(unsafe_code)]
 // SAFETY: `unsafe fn` solely because of `#[target_feature]`: callers reach
 // it only through `SumsKernel::update` after runtime AVX-512 detection.
-unsafe fn avx512_update(
-    n_valid: &mut u64,
-    s: &mut [f64; LANES],
-    s2: &mut [f64; LANES],
-    masked: &[u64],
+unsafe fn avx512_update<const K: usize>(
+    lanes: &mut [Lanes; K],
+    masked: &[[u64; K]],
     values: &[f64],
 ) {
     debug_assert_eq!(values.len(), masked.len() * 64);
-    // SAFETY: the accumulator arrays are 16 contiguous f64s; unaligned
-    // loads/stores of 8 lanes at offsets 0 and 8 are in bounds.
-    let mut acc_a = _mm512_loadu_pd(s.as_ptr());
-    let mut acc_b = _mm512_loadu_pd(s.as_ptr().add(8));
-    let mut sq_a = _mm512_loadu_pd(s2.as_ptr());
-    let mut sq_b = _mm512_loadu_pd(s2.as_ptr().add(8));
-    for (&m, chunk) in masked.iter().zip(values.chunks_exact(64)) {
-        *n_valid += u64::from(m.count_ones());
+    let mut acc: [[__m512d; 4]; K] = [[_mm512_setzero_pd(); 4]; K];
+    for (a, l) in acc.iter_mut().zip(lanes.iter()) {
+        // SAFETY: the accumulator arrays are 16 contiguous f64s; unaligned
+        // loads of 8 lanes at offsets 0 and 8 are in bounds.
+        *a = [
+            _mm512_loadu_pd(l.s.as_ptr()),
+            _mm512_loadu_pd(l.s.as_ptr().add(8)),
+            _mm512_loadu_pd(l.s2.as_ptr()),
+            _mm512_loadu_pd(l.s2.as_ptr().add(8)),
+        ];
+    }
+    for (words, chunk) in masked.iter().zip(values.chunks_exact(64)) {
+        for (l, &m) in lanes.iter_mut().zip(words) {
+            l.n_valid += u64::from(m.count_ones());
+        }
         let base = chunk.as_ptr();
         let mut g = 0u32;
         while g < 4 {
-            let k_a = ((m >> (g * 16)) & 0xff) as u8;
-            let k_b = ((m >> (g * 16 + 8)) & 0xff) as u8;
             // SAFETY: `chunk` is exactly 64 contiguous f64s, so offsets
-            // `16·g` and `16·g + 8` with `g < 4` leave 8 readable lanes;
-            // masked-out lanes are zeroed, never faulting.
-            let x_a = _mm512_maskz_loadu_pd(k_a, base.add((g * 16) as usize));
-            let x_b = _mm512_maskz_loadu_pd(k_b, base.add((g * 16 + 8) as usize));
-            acc_a = _mm512_add_pd(acc_a, x_a);
-            acc_b = _mm512_add_pd(acc_b, x_b);
-            sq_a = _mm512_add_pd(sq_a, _mm512_mul_pd(x_a, x_a));
-            sq_b = _mm512_add_pd(sq_b, _mm512_mul_pd(x_b, x_b));
+            // `16·g` and `16·g + 8` with `g < 4` leave 8 readable lanes.
+            let x_a = _mm512_loadu_pd(base.add((g * 16) as usize));
+            let x_b = _mm512_loadu_pd(base.add((g * 16 + 8) as usize));
+            let q_a = _mm512_mul_pd(x_a, x_a);
+            let q_b = _mm512_mul_pd(x_b, x_b);
+            for ([s_a, s_b, s2_a, s2_b], &m) in acc.iter_mut().zip(words) {
+                let k_a = ((m >> (g * 16)) & 0xff) as u8;
+                let k_b = ((m >> (g * 16 + 8)) & 0xff) as u8;
+                *s_a = _mm512_mask_add_pd(*s_a, k_a, *s_a, x_a);
+                *s_b = _mm512_mask_add_pd(*s_b, k_b, *s_b, x_b);
+                *s2_a = _mm512_mask_add_pd(*s2_a, k_a, *s2_a, q_a);
+                *s2_b = _mm512_mask_add_pd(*s2_b, k_b, *s2_b, q_b);
+            }
             g += 1;
         }
     }
-    // SAFETY: same 16-f64 accumulator arrays as the loads above.
-    _mm512_storeu_pd(s.as_mut_ptr(), acc_a);
-    _mm512_storeu_pd(s.as_mut_ptr().add(8), acc_b);
-    _mm512_storeu_pd(s2.as_mut_ptr(), sq_a);
-    _mm512_storeu_pd(s2.as_mut_ptr().add(8), sq_b);
+    for (l, [s_a, s_b, s2_a, s2_b]) in lanes.iter_mut().zip(acc) {
+        // SAFETY: same 16-f64 accumulator arrays as the loads above.
+        _mm512_storeu_pd(l.s.as_mut_ptr(), s_a);
+        _mm512_storeu_pd(l.s.as_mut_ptr().add(8), s_b);
+        _mm512_storeu_pd(l.s2.as_mut_ptr(), s2_a);
+        _mm512_storeu_pd(l.s2.as_mut_ptr().add(8), s2_b);
+    }
 }
 
 /// AVX2 masked-sum block body: four 4-lane accumulator pairs covering the
 /// canonical 16-lane layout (lanes 4p‥4p+4 of each 16-row group in register
 /// p), with compare-expanded masks and mul-then-add (no FMA) so lane values
-/// stay bitwise identical to [`SumsKernel::lanes_word`]. Whole 64-row words
-/// only; the caller routes the partial tail through the portable lane loop.
+/// stay bitwise identical to the portable lane loop. One cover per call:
+/// `masked` yields its words. Whole 64-row words only; the caller routes
+/// the partial tail through the portable lane loop.
 ///
 /// # Safety
 /// The caller must have verified AVX2 support at runtime
@@ -747,7 +827,7 @@ unsafe fn avx2_update(
     n_valid: &mut u64,
     s: &mut [f64; LANES],
     s2: &mut [f64; LANES],
-    masked: &[u64],
+    masked: impl ExactSizeIterator<Item = u64>,
     values: &[f64],
 ) {
     debug_assert_eq!(values.len(), masked.len() * 64);
@@ -769,7 +849,7 @@ unsafe fn avx2_update(
     let mut sq1 = _mm256_loadu_pd(s2.as_ptr().add(4));
     let mut sq2 = _mm256_loadu_pd(s2.as_ptr().add(8));
     let mut sq3 = _mm256_loadu_pd(s2.as_ptr().add(12));
-    for (&m, chunk) in masked.iter().zip(values.chunks_exact(64)) {
+    for (m, chunk) in masked.zip(values.chunks_exact(64)) {
         *n_valid += u64::from(m.count_ones());
         let base = chunk.as_ptr();
         let mut g = 0u32;
@@ -806,7 +886,8 @@ unsafe fn avx2_update(
 }
 
 /// NEON masked-sum block body: eight 2-lane accumulator pairs covering the
-/// canonical 16-lane layout. Whole 64-row words only.
+/// canonical 16-lane layout. One cover per call: `masked` yields its words.
+/// Whole 64-row words only.
 ///
 /// # Safety
 /// NEON is part of the aarch64 baseline; `values` must hold exactly 64
@@ -820,7 +901,7 @@ unsafe fn neon_update(
     n_valid: &mut u64,
     s: &mut [f64; LANES],
     s2: &mut [f64; LANES],
-    masked: &[u64],
+    masked: impl ExactSizeIterator<Item = u64>,
     values: &[f64],
 ) {
     use std::arch::aarch64::{
@@ -836,7 +917,7 @@ unsafe fn neon_update(
         *a = vld1q_f64(s.as_ptr().add(2 * p));
         *q = vld1q_f64(s2.as_ptr().add(2 * p));
     }
-    for (&m, chunk) in masked.iter().zip(values.chunks_exact(64)) {
+    for (m, chunk) in masked.zip(values.chunks_exact(64)) {
         *n_valid += u64::from(m.count_ones());
         for (g, group) in chunk.chunks_exact(LANES).enumerate() {
             let window = (m >> (g * 16)) & 0xffff;
@@ -931,10 +1012,12 @@ mod tests {
         let cover = words_of(n, |r| r % 4 != 2);
         for path in available_kernels() {
             let one_shot = {
-                let mut k = SumsKernel::new(path);
-                let masked: Vec<u64> = cover.iter().zip(&valid).map(|(&c, &v)| c & v).collect();
+                let mut k = SumsKernel::<1>::new(path);
+                let masked: Vec<[u64; 1]> =
+                    cover.iter().zip(&valid).map(|(&c, &v)| [c & v]).collect();
                 k.update(&masked, &values);
-                k.finish()
+                let [sums] = k.finish();
+                sums
             };
             let blocked = masked_sums_on(path, &values, &valid, &cover);
             assert_eq!(one_shot.0, blocked.0, "{path:?}");

@@ -16,13 +16,16 @@
 //!   exact accumulator-for-accumulator;
 //! * every **count path** ([`available_count_paths`] — portable, and
 //!   whichever of POPCNT/AVX-512 VPOPCNTDQ the build and the CPU offer)
-//!   returns the portable loop's counts on covers of up to 301 words.
+//!   returns the portable loop's counts on covers of up to 301 words;
+//! * folding up to [`MAX_COVERS`] sibling covers of one prefix in one pass
+//!   gives each cover the bits of its own pair fold, on every path, with
+//!   signed zeros, subnormals, infinities and NaN among the values.
 
 use h_divexplorer::items::Bitset;
 use h_divexplorer::mining::accum_scalar;
 use h_divexplorer::stats::simd::{
     and_count_on, available_count_paths, masked_sums_on, pair_counts_assign_on, pair_counts_on,
-    CountPath,
+    CountPath, MAX_COVERS,
 };
 use h_divexplorer::stats::{available_kernels, KernelPath, Outcome, OutcomePlanes, StatAccum};
 use proptest::prelude::*;
@@ -137,6 +140,21 @@ fn random_cover(state: &mut u64, n: usize) -> Bitset {
         }
     }
     cover
+}
+
+/// An outcome value at an edge of IEEE addition about as often as an
+/// ordinary one: signed zeros, subnormals of either sign, and — rarely, so
+/// that most sums stay finite — infinities and NaN.
+fn edge_value(state: &mut u64) -> f64 {
+    let sign = if splitmix(state) & 1 == 1 { -1.0 } else { 1.0 };
+    match splitmix(state) % 64 {
+        0..=7 => -0.0,
+        8..=15 => 0.0,
+        16..=23 => sign * f64::from_bits(splitmix(state) & 0x000f_ffff_ffff_ffff),
+        24 => sign * f64::INFINITY,
+        25 => f64::NAN,
+        _ => sign * (splitmix(state) >> 11) as f64 * 1e-9,
+    }
 }
 
 /// Reassociation tolerance for a sum of `n` doubles with magnitude budget
@@ -307,6 +325,74 @@ proptest! {
         let mut out = vec![0u64; joint.len()];
         prop_assert_eq!(planes.accum_assign_pair(a, b, &mut out, count), scalar);
         prop_assert_eq!(out, joint);
+    }
+
+    /// Folding 1 to [`MAX_COVERS`] covers of one prefix in one pass gives
+    /// each cover the `(n, n_valid, sum, sum_sq)` bits of its own one-cover
+    /// fold on the same masked-sum path, and those of its pair fold
+    /// (`accum_pair`) on every path; the unused entries stay empty. Row
+    /// counts up to 40,000 put partial words and 256-word block edges in
+    /// play; ⊥, boolean and edge-valued real outcomes sit in selected and
+    /// unselected rows alike. Across paths a NaN sum compares as NaN: which
+    /// NaN an add returns depends on its operand order, which the compiler
+    /// may pick per path.
+    #[test]
+    fn sibling_fold_equals_pair_folds(
+        seed in any::<u64>(),
+        n in 0usize..=40_000,
+        k in 1usize..=MAX_COVERS,
+    ) {
+        let mut state = seed;
+        let mut outcomes: Vec<Outcome> = (0..n)
+            .map(|_| match splitmix(&mut state) % 4 {
+                0 => Outcome::Undefined,
+                1 => Outcome::Bool(splitmix(&mut state) & 1 == 1),
+                _ => Outcome::Real(edge_value(&mut state)),
+            })
+            .collect();
+        if let Some(first) = outcomes.first_mut() {
+            // At least one real outcome keeps the planes on the masked sums.
+            *first = Outcome::Real(edge_value(&mut state));
+        }
+        let planes = OutcomePlanes::from_outcomes(&outcomes);
+        let prefix = random_cover(&mut state, n);
+        let covers: Vec<Bitset> = (0..k).map(|_| random_cover(&mut state, n)).collect();
+        let siblings: Vec<(&[u64], u64)> = covers
+            .iter()
+            .map(|c| (c.words(), prefix.and(c).count() as u64))
+            .collect();
+        let values: Vec<f64> = outcomes.iter().map(|o| o.value().unwrap_or(0.0)).collect();
+        let mut valid = Bitset::new(n);
+        for (row, o) in outcomes.iter().enumerate() {
+            if o.is_defined() {
+                valid.set(row);
+            }
+        }
+        let bits = |a: StatAccum| {
+            let (n, n_valid, sum, sum_sq) = a.raw_parts();
+            (n, n_valid, sum.to_bits(), sum_sq.to_bits())
+        };
+        let nan_as_nan = |a: StatAccum| {
+            let (n, n_valid, sum, sum_sq) = a.raw_parts();
+            let canonical = |x: f64| if x.is_nan() { f64::NAN } else { x }.to_bits();
+            (n, n_valid, canonical(sum), canonical(sum_sq))
+        };
+        let empty = bits(StatAccum::new());
+        for path in available_kernels() {
+            let folded = planes.accum_siblings_on(path, prefix.words(), &siblings);
+            for (i, &accum) in folded.iter().enumerate() {
+                let Some(&(cover, count)) = siblings.get(i) else {
+                    prop_assert_eq!(bits(accum), empty, "{:?}, unused entry {}", path, i);
+                    continue;
+                };
+                let joint: Vec<u64> = prefix.words().iter().zip(cover).map(|(p, c)| p & c).collect();
+                let (n_valid, sum, sum_sq) = masked_sums_on(path, &values, valid.words(), &joint);
+                let single = StatAccum::from_sums(count, n_valid, sum, sum_sq);
+                prop_assert_eq!(bits(accum), bits(single), "{:?}, cover {} of {}", path, i, k);
+                let pair = planes.accum_pair(prefix.words(), cover, count);
+                prop_assert_eq!(nan_as_nan(accum), nan_as_nan(pair), "{:?}, cover {} of {}", path, i, k);
+            }
+        }
     }
 
     /// `StatAccum::from_counts` is bitwise-identical to pushing the same
