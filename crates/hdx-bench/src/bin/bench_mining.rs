@@ -1,14 +1,15 @@
 //! Mining-performance harness: times the word-level outcome kernels against
 //! the scalar reference path (micro), the production miner and the two
 //! oracle miners end to end (synthetic-peak and compas; the paper's miner
+//! ablation), the production miner followed by a second pass that
+//! recomputes every itemset's statistics (the accumulate-during-mining
 //! ablation), and the multi-threaded search's rows × threads scaling curve,
 //! then writes machine-readable results to `BENCH_mining.json`
-//! (`hdx-bench/mining/v8`), with the run's hdx-obs telemetry — per-stage
-//! spans, pruning counters, the `hdx.bench.iter.latency_ns` histogram —
-//! embedded under `"telemetry"`.
+//! (`hdx-bench/mining/v9`), with the run's hdx-obs telemetry — per-stage
+//! spans, pruning counters, the split-gain histogram — embedded under
+//! `"telemetry"`.
 //!
-//! Unlike the criterion benches this binary needs no bench runner, finishes
-//! in seconds, and has a CI mode:
+//! It finishes in seconds and has a CI mode:
 //!
 //! ```text
 //! bench_mining [--quick] [--enforce] [--out PATH]
@@ -46,16 +47,20 @@
 //! run no longer favours the later thread counts. v8 adds the micro row
 //! `"numeric_siblings"`: ns per cover of folding four sibling covers of one
 //! prefix in one pass (`OutcomePlanes::accum_siblings`) and one at a time
-//! (`accum_pair`).
+//! (`accum_pair`). v9 adds the end-to-end `"second_pass"` rows: the
+//! `vertical` search, then each itemset's accumulator recomputed from the
+//! intersection of its items' covers by a row walk over the outcomes, so
+//! the paper's claim that accumulating while mining costs next to nothing
+//! (§V-B) reads as the gap between the two rows; the run telemetry no
+//! longer carries a bench-iteration histogram.
 
 use hdx_bench::experiments::{outcomes_for, pipeline_for};
-use hdx_bench::{apriori, fpgrowth, splitmix64};
+use hdx_bench::{apriori, fpgrowth, measure, median_ns, splitmix64};
 use hdx_core::HDivExplorerConfig;
 use hdx_data::AttrId;
 use hdx_datasets::{compas, synthetic_peak};
 use hdx_items::{Bitset, Item, ItemCatalog};
 use hdx_mining::{accum_scalar, mine, MiningConfig, MiningResult, Transactions};
-use hdx_obs::timing::{median_ns, sample_ns};
 use hdx_stats::simd::MAX_COVERS;
 use hdx_stats::{active_count_path, active_kernel, KernelPath, Outcome, OutcomePlanes};
 use std::fmt::Write as _;
@@ -238,13 +243,32 @@ fn micro_siblings(quick: bool) -> SiblingsResult {
 /// A miner under the end-to-end ablation.
 type Miner = fn(&Transactions, &ItemCatalog, &MiningConfig) -> MiningResult;
 
-/// The end-to-end ablation: the two oracles and the production search (one
-/// thread).
-const MINERS: [(&str, Miner); 3] = [
+/// The end-to-end ablation: the two oracles, the production search (one
+/// thread), and the production search with its statistics recomputed in a
+/// second pass.
+const MINERS: [(&str, Miner); 4] = [
     ("apriori", apriori),
     ("fpgrowth", fpgrowth),
     ("vertical", mine),
+    ("second_pass", second_pass),
 ];
+
+/// The design the paper's accumulate-during-mining argument (§V-B) is
+/// measured against: mine, then recompute each itemset's accumulator from
+/// the intersection of its items' covers, walking the outcomes of its rows.
+fn second_pass(t: &Transactions, catalog: &ItemCatalog, config: &MiningConfig) -> MiningResult {
+    let mut result = mine(t, catalog, config);
+    let covers = t.covers();
+    for fi in &mut result.itemsets {
+        let mut cover = Bitset::all_set(t.n_rows());
+        for item in fi.itemset.items() {
+            // Covers are ascending by item id, one per item some row holds.
+            cover.and_assign(&covers[covers.partition_point(|(id, _)| id < item)].1);
+        }
+        fi.accum = accum_scalar(&cover, t.outcomes());
+    }
+    result
+}
 
 struct EndToEnd {
     dataset: String,
@@ -372,9 +396,9 @@ fn scaling(quick: bool) -> Vec<ScalingCell> {
                     threads: k,
                     ..serial
                 };
-                cell.push(sample_ns(&mut || {
-                    black_box(mine(&transactions, &catalog, &config).itemsets.len());
-                }));
+                let (_, ns) =
+                    measure(|| black_box(mine(&transactions, &catalog, &config).itemsets.len()));
+                cell.push(ns);
             }
         }
         let ms: Vec<f64> = samples
@@ -413,7 +437,7 @@ fn render_json(
 ) -> String {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"hdx-bench/mining/v8\",");
+    let _ = writeln!(json, "  \"schema\": \"hdx-bench/mining/v9\",");
     let _ = writeln!(json, "  \"mode\": \"{mode}\",");
     let _ = writeln!(json, "  \"kernel_path\": \"{}\",", active_kernel().as_str());
     let _ = writeln!(

@@ -5,9 +5,7 @@
 //! cargo run --release -p hdx-bench --bin runall -- --scale 0.25
 //! ```
 
-use hdx_bench::experiments;
-use hdx_bench::Args;
-use hdx_obs::timing::measure;
+use hdx_bench::{experiments, measure, Args};
 
 fn main() -> std::io::Result<()> {
     let args = Args::from_env();

@@ -3,7 +3,7 @@
 //! Experiment harness regenerating **every table and figure** of the paper's
 //! evaluation (§VI). Each `src/bin/<exp>.rs` binary prints the rows/series
 //! of one paper artifact; the library holds the shared runners so the
-//! integration tests and Criterion benches exercise the same code.
+//! integration tests exercise the same code.
 //!
 //! Run e.g.:
 //!
@@ -25,7 +25,7 @@
 pub mod experiments;
 /// Minimal plotting helpers (ASCII/Gnuplot-style series dumps).
 pub mod plot;
-/// Shared CLI argument parsing, RNG, and table formatting.
+/// Shared CLI argument parsing, RNG, table formatting and timing.
 pub mod util;
 
 mod apriori;
@@ -34,4 +34,4 @@ mod mdlp;
 
 pub use apriori::apriori;
 pub use fpgrowth::fpgrowth;
-pub use util::{fmt_table, splitmix64, Args};
+pub use util::{fmt_table, measure, median_ns, splitmix64, Args};

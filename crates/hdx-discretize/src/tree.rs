@@ -79,13 +79,6 @@ impl DiscretizationTree {
     /// Index of the root node.
     pub const ROOT: usize = 0;
 
-    /// The leaf nodes' indices.
-    pub fn leaf_indices(&self) -> Vec<usize> {
-        (0..self.nodes.len())
-            .filter(|&i| self.nodes[i].children.is_empty())
-            .collect()
-    }
-
     /// Renders the tree as an indented text diagram (Fig. 1-style), using
     /// labels from `catalog`.
     pub fn render(&self, catalog: &ItemCatalog) -> String {

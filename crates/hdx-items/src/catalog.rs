@@ -81,11 +81,6 @@ impl ItemCatalog {
         self.item(id).label()
     }
 
-    /// Id of an already-interned item.
-    pub fn id_of(&self, item: &Item) -> Option<ItemId> {
-        self.ids.get(item).copied()
-    }
-
     /// Looks up an item by its display label (linear scan; intended for
     /// tests and result formatting, not hot paths).
     pub fn find_by_label(&self, label: &str) -> Option<ItemId> {

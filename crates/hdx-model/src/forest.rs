@@ -2,7 +2,7 @@
 
 use hdx_data::DataFrame;
 use rand::rngs::StdRng;
-use rand::{Rng, RngExt as _, SeedableRng};
+use rand::{RngExt as _, SeedableRng};
 
 use crate::tree::{DecisionTree, DecisionTreeConfig};
 
@@ -97,16 +97,6 @@ impl RandomForest {
         }
         total
     }
-}
-
-/// Fits a forest and returns its predictions on the training frame — the
-/// "default random forest" convenience the experiment harness uses.
-pub fn fit_predict<R: Rng + ?Sized>(df: &DataFrame, y: &[bool], seed_source: &mut R) -> Vec<bool> {
-    let config = RandomForestConfig {
-        seed: seed_source.random(),
-        ..RandomForestConfig::default()
-    };
-    RandomForest::fit(df, y, &config).predict(df)
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 mod forest;
 mod tree;
 
-pub use forest::{fit_predict, RandomForest, RandomForestConfig};
+pub use forest::{RandomForest, RandomForestConfig};
 pub use tree::{DecisionTree, DecisionTreeConfig};
 
 /// Classification quality summary.

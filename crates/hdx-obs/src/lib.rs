@@ -198,10 +198,6 @@ pub use stub::{
     record_snapshot, reset, set_snapshot_observer, time_hist_fn, SpanGuard,
 };
 
-/// Wall-clock timing helpers shared by benches and the CLI (every sample
-/// also lands in the `hdx.bench.iter.latency_ns` histogram).
-pub mod timing;
-
 /// Opens a hierarchical span for the rest of the enclosing scope.
 ///
 /// `span!("mine")`, `span!("level", int k)`, `span!("polarity", str "+")`,
@@ -358,7 +354,7 @@ mod disabled_tests {
         crate::gauge_max!(MineScratchPoolBytes, 100);
         crate::hist_record!(DiscretizeSplitGainNs, 5);
         crate::flush_thread!();
-        let three = crate::time_hist!(BenchIterNs, 1 + 2);
+        let three = crate::time_hist!(DiscretizeSplitGainNs, 1 + 2);
         assert_eq!(three, 3);
         assert_eq!(collect(), RunTelemetry::empty());
         assert_eq!(now_ns(), 0);
@@ -394,7 +390,7 @@ mod disabled_tests {
                     1 => instant("q", SpanArg::Str("s")),
                     2 => counter_add(CounterId::MineItemsetsEmitted, 3),
                     3 => gauge_set(GaugeId::DiscretizeTreeNodes, 9),
-                    4 => hist_record(HistId::BenchIterNs, 17),
+                    4 => hist_record(HistId::DiscretizeSplitGainNs, 17),
                     5 => assert!(
                         !set_snapshot_observer(Box::new(NopTap)),
                         "disabled tap install must refuse"
@@ -429,14 +425,14 @@ mod enabled_macro_tests {
             crate::counter_add!(DiscretizeSplitsAccepted, 2);
             crate::event!("tick", int 7);
         }
-        let sum: u64 = crate::time_hist!(BenchIterNs, (0..10u64).sum());
+        let sum: u64 = crate::time_hist!(DiscretizeSplitGainNs, (0..10u64).sum());
         assert_eq!(sum, 45);
         let t = collect();
         assert!(t.spans.iter().any(|s| s.path == "macro-test"));
         assert!(t.spans.iter().any(|s| s.path == "macro-test > tick:7"));
         assert!(t.counter(CounterId::DiscretizeSplitsAccepted) >= 2);
         assert!(t
-            .histogram(HistId::BenchIterNs)
+            .histogram(HistId::DiscretizeSplitGainNs)
             .is_some_and(|h| h.count >= 1));
     }
 }

@@ -72,7 +72,7 @@ pub mod job;
 pub mod journal;
 /// The submission wire format: the flat-object rule over `hdx_obs::json`.
 pub mod json;
-/// The live plane: job channels, the snapshot tap, the flight recorder.
+/// The live plane: job channels and the snapshot tap.
 pub mod live;
 /// Bounded admission queue with per-tenant caps and shed decisions.
 pub mod queue;

@@ -1,7 +1,6 @@
-//! The live plane: per-job event channels, the governor snapshot tap, and
-//! the worker flight recorder.
+//! The live plane: per-job event channels and the governor snapshot tap.
 //!
-//! One [`LivePlane`] per server wires three pieces together (DESIGN.md
+//! One [`LivePlane`] per server wires two pieces together (DESIGN.md
 //! §16):
 //!
 //! * every open job owns a `JobChannel`: its durable [`crate::journal`],
@@ -13,29 +12,17 @@
 //!   thread-local "current job" set by [`LivePlane::job_scope`] around the
 //!   runner, into that job's channel — which is how a running job's
 //!   progress reaches `GET /jobs/<id>/events` without the miners knowing
-//!   the service exists;
-//! * a thread-local flight recorder keeps the last [`FLIGHT_CAP`] event
-//!   lines each worker emitted (across jobs), dumped to `flight.ndjson` on
-//!   panic or exit-3 degradation so post-mortems start with context.
+//!   the service exists.
 //!
 //! With the `obs` feature off this module compiles to the no-op twin at the
 //! bottom of the file: no journal is written, no channel kept, no tap
 //! installed — the zero-cost-when-disabled contract of hdx-obs extended to
 //! the service.
-//!
-//! [`FLIGHT_CAP`]: crate::live::FLIGHT_CAP
 
 #[cfg(feature = "obs")]
 pub use enabled::{JobChannel, JobScope, LivePlane};
 #[cfg(not(feature = "obs"))]
 pub use stub::{JobScope, LivePlane};
-
-/// Most recent event lines retained per worker thread for flight dumps.
-pub const FLIGHT_CAP: usize = 256;
-
-/// The flight-recorder dump file written into a job directory on panic or
-/// degradation.
-pub const FLIGHT_FILE: &str = "flight.ndjson";
 
 /// Where a `GET /jobs/<id>/events` response comes from.
 pub enum EventsSource {
@@ -48,36 +35,14 @@ pub enum EventsSource {
     Unavailable(&'static str),
 }
 
-/// Best-effort write of the calling thread's flight ring to
-/// `<job_dir>/flight.ndjson`, headed by a line identifying the dump
-/// `reason`. Post-mortem artifact: plain write, no rename dance, errors
-/// reported to stderr only.
-#[cfg(feature = "obs")]
-fn write_flight(job_dir: &std::path::Path, reason: &str, lines: &[String]) {
-    let mut out = format!(
-        "{{\"flight_reason\":\"{}\",\"lines\":{}}}\n",
-        hdx_obs::json::escape(reason),
-        lines.len()
-    );
-    for line in lines {
-        out.push_str(line);
-    }
-    if let Err(e) = std::fs::write(job_dir.join(FLIGHT_FILE), out) {
-        eprintln!(
-            "hdx-serve: flight dump to {} failed: {e}",
-            job_dir.display()
-        );
-    }
-}
-
 #[cfg(feature = "obs")]
 mod enabled {
-    use super::{EventsSource, FLIGHT_CAP};
+    use super::EventsSource;
     use crate::events::{self, JobEvent};
     use crate::journal::{self, Journal};
     use hdx_obs::SnapshotSample;
     use std::cell::RefCell;
-    use std::collections::{HashMap, VecDeque};
+    use std::collections::HashMap;
     use std::path::Path;
     use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
     use std::time::Duration;
@@ -86,18 +51,6 @@ mod enabled {
         /// The job the calling thread is currently executing (set by
         /// [`JobScope`]); the snapshot tap routes samples here.
         static CURRENT: RefCell<Option<Arc<JobChannel>>> = const { RefCell::new(None) };
-        /// The flight recorder: this worker's most recent event lines.
-        static FLIGHT: RefCell<VecDeque<String>> = const { RefCell::new(VecDeque::new()) };
-    }
-
-    fn flight_push(line: &str) {
-        FLIGHT.with(|f| {
-            let mut f = f.borrow_mut();
-            if f.len() >= FLIGHT_CAP {
-                f.pop_front();
-            }
-            f.push_back(line.to_string());
-        });
     }
 
     /// The process-global snapshot tap. Routing is per-thread, so multiple
@@ -151,8 +104,6 @@ mod enabled {
                 Ok(()) => self.appended.notify_all(),
                 Err(e) => eprintln!("hdx-serve: event journal for {} failed: {e}", self.job_id),
             }
-            drop(log);
-            flight_push(&line);
         }
 
         /// Marks the log complete and wakes the followers so they finish.
@@ -328,16 +279,6 @@ mod enabled {
                     .and_then(|text| events::last_level_sample(&text)),
             }
         }
-
-        /// Dumps the calling worker's flight ring next to the job's
-        /// quarantine report (see [`super::FLIGHT_FILE`]).
-        pub fn dump_flight(&self, job_dir: &Path, reason: &str) {
-            FLIGHT.with(|f| {
-                let f = f.borrow();
-                let lines: Vec<String> = f.iter().cloned().collect();
-                super::write_flight(job_dir, reason, &lines);
-            });
-        }
     }
 }
 
@@ -393,10 +334,6 @@ mod stub {
         pub fn latest(&self, _job_id: &str, _job_dir: &Path) -> Option<hdx_obs::SnapshotSample> {
             None
         }
-
-        /// Does nothing.
-        #[inline(always)]
-        pub fn dump_flight(&self, _job_dir: &Path, _reason: &str) {}
     }
 }
 
@@ -542,26 +479,6 @@ mod tests {
             replayed.contains("{\"seq\":1,\"event\":\"retry\""),
             "{replayed}"
         );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn flight_dump_holds_recent_lines_for_this_worker() {
-        let plane = LivePlane::new();
-        let dir = tmp_dir("flight");
-        plane.open_job("j-f", &dir, "acme", false);
-        {
-            let _scope = plane.job_scope("j-f");
-            hdx_obs::record_snapshot(sample(9));
-        }
-        plane.dump_flight(&dir, "worker panic: boom");
-        let dump = fs::read_to_string(dir.join(FLIGHT_FILE)).expect("flight file");
-        assert!(
-            dump.starts_with("{\"flight_reason\":\"worker panic: boom\""),
-            "{dump}"
-        );
-        assert!(dump.contains("\"event\":\"level\""), "{dump}");
-        hdx_obs::reset();
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -201,8 +201,8 @@ struct Shared {
     next_id: AtomicU64,
     active_connections: AtomicUsize,
     started: Instant,
-    /// Per-job event channels, the snapshot tap, and the flight recorder
-    /// (a zero-sized no-op when the `obs` feature is off).
+    /// Per-job event channels and the snapshot tap (a zero-sized no-op
+    /// when the `obs` feature is off).
     plane: LivePlane,
     /// Process-lifetime metric accumulator behind `GET /metrics`: each
     /// scrape drains the worker pool's thread-local sinks into it, so
@@ -669,8 +669,8 @@ impl Drop for JobLease<'_> {
     fn drop(&mut self) {
         if !self.settled {
             // This Drop runs while the worker thread unwinds from a panic
-            // that escaped per-job isolation: dump the thread's flight ring
-            // next to the job it was holding, then settle the job.
+            // that escaped per-job isolation: journal the loss, then settle
+            // the job.
             let reason = "worker lost while running this job";
             self.shared.plane.emit(
                 &self.job_id,
@@ -678,9 +678,6 @@ impl Drop for JobLease<'_> {
                     error: reason.to_string(),
                 },
             );
-            self.shared
-                .plane
-                .dump_flight(&self.shared.job_dir(&self.job_id), reason);
             self.fail(reason.to_string());
         }
     }
@@ -730,25 +727,20 @@ impl JobLease<'_> {
                     self.shared
                         .plane
                         .emit(&self.job_id, &JobEvent::Panicked { error: msg.clone() });
-                    let reason = format!("worker panicked: {msg}");
-                    self.shared.plane.dump_flight(&dir, &reason);
-                    self.fail(reason);
+                    self.fail(format!("worker panicked: {msg}"));
                     return;
                 }
                 Ok(JobRunOutcome::Done(record)) => {
                     counter_add!(ServeJobsCompleted, 1);
                     if record.ok && record.termination != "complete" {
                         // A governor trip sealed partial results: surface
-                        // the degradation and keep the flight context.
+                        // the degradation.
                         self.shared.plane.emit(
                             &self.job_id,
                             &JobEvent::Degraded {
                                 termination: record.termination.clone(),
                             },
                         );
-                        self.shared
-                            .plane
-                            .dump_flight(&dir, &format!("degraded: {}", record.termination));
                     }
                     let (ok, termination) = (record.ok, record.termination.clone());
                     // The runner already sealed the marker.

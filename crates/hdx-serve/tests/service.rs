@@ -327,6 +327,31 @@ fn metrics_scrape_is_valid_exposition_in_every_build() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
+/// The page serves only what the service records: the bench harness times
+/// itself, so no `hdx_bench_` family sits on it, always empty, and the
+/// split-gain distribution is its one histogram.
+#[test]
+fn metrics_page_has_no_bench_family() {
+    let state = tmp_state_dir("no-bench-family");
+    let (addr, handle) = start(config(state.clone()));
+    let scrape = http(addr, "GET", "/metrics", "");
+    assert_eq!(scrape.status, 200, "{}", scrape.body);
+    assert!(
+        !scrape.body.contains("hdx_bench_"),
+        "a bench family is served:\n{}",
+        scrape.body
+    );
+    let histograms: Vec<&str> = scrape
+        .body
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.strip_suffix(" histogram"))
+        .collect();
+    assert_eq!(histograms, ["hdx_discretize_split_gain_eval_ns"]);
+    assert_eq!(http(addr, "POST", "/shutdown", "").status, 202);
+    handle.join().expect("drain");
+    let _ = std::fs::remove_dir_all(&state);
+}
+
 #[test]
 fn oversized_bodies_are_refused_before_they_are_read() {
     let state = tmp_state_dir("toobig");

@@ -38,8 +38,10 @@
 //! *integer-valued* outcomes (every partial sum below 2⁵³ is exactly
 //! representable, so association doesn't matter), and within the 16-lane
 //! reassociation bound for arbitrary reals. Every kernel path is bitwise
-//! identical *to every other*, so the result depends on neither the CPU nor
-//! the build's `simd-arch` feature.
+//! identical *to every other* on every sum that is not NaN, and NaN exactly
+//! where every other is (a NaN's sign and payload may differ between
+//! paths), so the result depends on neither the CPU nor the build's
+//! `simd-arch` feature.
 //!
 //! The planes operate on raw `&[u64]` word slices (least-significant bit =
 //! lowest row index, tail bits beyond the last row zero) so `hdx-stats`

@@ -18,7 +18,8 @@
 //! ascending order. Because lane partials only ever combine element-wise,
 //! every vector path — whatever its register width groups lanes into —
 //! produces identical per-lane values, and one shared fixed-order reduction
-//! (`reduce16`) folds them, so all vector paths agree **bit for bit**.
+//! (`reduce16`) folds them, so all vector paths agree **bit for bit** on
+//! every result that is not NaN (see the exactness contract below).
 //!
 //! ## Dispatch
 //!
@@ -33,7 +34,7 @@
 //! | [`KernelPath::Portable`] | always compiled | safe branch-free lane loop (autovectorizable) |
 //!
 //! Building without `simd-arch` (`--no-default-features`) leaves only the
-//! portable path, which gives the same bits as every other path.
+//! portable path, which gives the same results as every other path.
 //!
 //! ## Folding sibling covers
 //!
@@ -51,8 +52,13 @@
 //!
 //! * `n_valid` is a popcount: **exact on every path**.
 //! * Every path shares the 16-lane accumulation order and `reduce16`, so
-//!   all paths are **bitwise identical to each other** (no FMA anywhere —
-//!   products round before accumulation on every path).
+//!   every result that is not NaN is **bitwise identical on every path**
+//!   (no FMA anywhere — products round before accumulation on every path).
+//! * A result is NaN on a path exactly when it is NaN on every other, but
+//!   its sign and payload may differ: which NaN an add returns depends on
+//!   its operand order, which the compiler picks per path. The kernels do
+//!   not canonicalize NaN; the CSV reader quarantines non-finite cells, so
+//!   no loaded dataset reaches a NaN sum.
 //! * Against a row-walking sum (ascending rows, one accumulator) the lanes
 //!   reassociate. For **integer-valued** outcomes (booleans, counts,
 //!   labels), as long as every partial sum stays below 2⁵³, each partial is

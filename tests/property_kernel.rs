@@ -12,6 +12,11 @@
 //!   accumulation chains, so the error is `O(n · eps · Σ|x|)`), and all
 //!   paths agree with each other *bitwise* (shared lane layout and
 //!   fixed-order reduction);
+//! * with **infinities and NaN** among the valid values, every path is NaN
+//!   exactly where the portable path is, and bit-equal to it everywhere
+//!   else; a NaN's sign and payload may differ, since which NaN an add
+//!   returns depends on its operand order, which the compiler picks per
+//!   path;
 //! * the **boolean** popcount fast path and the **fused pair** kernel are
 //!   exact accumulator-for-accumulator;
 //! * every **count path** ([`available_count_paths`] — portable, and
@@ -157,6 +162,30 @@ fn edge_value(state: &mut u64) -> f64 {
     }
 }
 
+/// `n` rows for [`masked_sums_on`]: finite edge values, about half of them
+/// valid, with `specials` valid rows set to `+inf`, `-inf` or a NaN of
+/// either sign at random positions (so `specials = 0` sums stay finite).
+fn special_rows(state: &mut u64, n: usize, specials: usize) -> (Vec<f64>, Bitset) {
+    let mut values: Vec<f64> = (0..n)
+        .map(|_| match edge_value(state) {
+            v if v.is_finite() => v,
+            _ => 1.0,
+        })
+        .collect();
+    let mut valid = random_cover(state, n);
+    for _ in 0..specials.min(n) {
+        let row = (splitmix(state) % n as u64) as usize;
+        values[row] = match splitmix(state) % 4 {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            2 => f64::NAN,
+            _ => -f64::NAN,
+        };
+        valid.set(row);
+    }
+    (values, valid)
+}
+
 /// Reassociation tolerance for a sum of `n` doubles with magnitude budget
 /// `abs_sum`: a generous multiple of `n · eps · Σ|x|`.
 fn tolerance(n: usize, abs_sum: f64) -> f64 {
@@ -220,6 +249,37 @@ proptest! {
             for &(path, sum, sum_sq) in &path_results[1..] {
                 prop_assert_eq!(sum, first_sum, "{:?} vs {:?}", path, first_path);
                 prop_assert_eq!(sum_sq, first_sq, "{:?} vs {:?}", path, first_path);
+            }
+        }
+    }
+
+    /// With infinities and NaN among up to 5,000 valid rows, every path
+    /// counts the portable path's valid rows, is NaN exactly where the
+    /// portable path is, and otherwise gives its bits. A NaN's bits are
+    /// not compared: which NaN an add returns depends on its operand
+    /// order, which the compiler may pick per path.
+    #[test]
+    fn non_finite_sums_match_the_portable_path_up_to_nan_bits(
+        seed in any::<u64>(),
+        n in 0usize..=5_000,
+        specials in 0usize..=8,
+    ) {
+        let mut state = seed;
+        let (values, valid) = special_rows(&mut state, n, specials);
+        let cover = random_cover(&mut state, n);
+        let (count, sum, sum_sq) =
+            masked_sums_on(KernelPath::Portable, &values, valid.words(), cover.words());
+        for path in available_kernels() {
+            let got = masked_sums_on(path, &values, valid.words(), cover.words());
+            prop_assert_eq!(got.0, count, "n_valid on {:?}", path);
+            for (name, x, portable) in [("sum", got.1, sum), ("sum_sq", got.2, sum_sq)] {
+                prop_assert_eq!(
+                    x.is_nan(), portable.is_nan(),
+                    "{} on {:?}: {} vs {}", name, path, x, portable
+                );
+                if !portable.is_nan() {
+                    prop_assert_eq!(x.to_bits(), portable.to_bits(), "{} on {:?}", name, path);
+                }
             }
         }
     }

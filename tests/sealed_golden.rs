@@ -87,8 +87,7 @@ fn ingest_u64(status: &str, key: &str) -> Option<u64> {
 }
 
 /// The job directory's files once the job has folded a streamed append,
-/// without the files only the `obs` feature writes (the event journal and
-/// the flight recorder).
+/// without the file only the `obs` feature writes (the event journal).
 #[test]
 fn served_job_directory_matches_golden() {
     let state_dir = scratch("serve");
@@ -142,7 +141,7 @@ fn served_job_directory_matches_golden() {
     let job_dir = state_dir.join("jobs").join(&job_id);
     let files: Vec<String> = files_under(&job_dir)
         .into_iter()
-        .filter(|f| f != "events.ndjson" && f != "flight.ndjson")
+        .filter(|f| f != "events.ndjson")
         .collect();
     assert!(
         files.iter().all(|f| !f.ends_with(".tmp")),
