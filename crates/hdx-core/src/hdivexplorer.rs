@@ -106,7 +106,9 @@ impl HDivExplorerConfig {
         .collect()
     }
 
-    fn tree(&self) -> TreeDiscretizerConfig {
+    /// The tree discretizer's configuration: the tree support `st` and the
+    /// split criterion.
+    pub fn tree(&self) -> TreeDiscretizerConfig {
         TreeDiscretizerConfig {
             min_support: self.tree_min_support,
             criterion: self.criterion,
