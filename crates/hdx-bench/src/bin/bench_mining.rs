@@ -5,7 +5,7 @@
 //! recomputes every itemset's statistics (the accumulate-during-mining
 //! ablation), and the multi-threaded search's rows × threads scaling curve,
 //! then writes machine-readable results to `BENCH_mining.json`
-//! (`hdx-bench/mining/v10`), with the run's hdx-obs telemetry — per-stage
+//! (`hdx-bench/mining/v11`), with the run's hdx-obs telemetry — per-stage
 //! spans, pruning counters, the split-gain histogram — embedded under
 //! `"telemetry"`.
 //!
@@ -57,10 +57,16 @@
 //! miner of a dataset once (full mode 101 rounds, quick mode 5), a row's
 //! `"ms"` is its median over the rounds, and `"ms_q1"`/`"ms_q3"` give its
 //! quartiles, so the ratios between the miners of one run no longer depend
-//! on when each was timed.
+//! on when each was timed. v11 times both sides of each micro row
+//! round-robin too: each round runs the kernel twice and then its scalar
+//! reference twice (for `"numeric_siblings"`, the four-cover and the
+//! one-cover fold), the second run of each on caches the first warmed, and
+//! each side's ns is the median of its second runs over the rounds (full
+//! mode 15 rounds, quick mode 7), so drift of the host between two timing
+//! blocks no longer moves a speedup the `--enforce` floors gate.
 
 use hdx_bench::experiments::{outcomes_for, pipeline_for};
-use hdx_bench::{apriori, fpgrowth, measure, median_ns, splitmix64};
+use hdx_bench::{apriori, fpgrowth, measure, splitmix64};
 use hdx_core::HDivExplorerConfig;
 use hdx_data::AttrId;
 use hdx_datasets::{compas, synthetic_peak};
@@ -163,8 +169,11 @@ fn make_outcomes(kind: &str, n_rows: usize) -> Vec<Outcome> {
         .collect()
 }
 
+/// Times the kernel (side 0) and the scalar reference (side 1) over the
+/// same covers with [`warm_round_robin`], so drift of the host moves both
+/// sides of the ratio alike.
 fn micro(kind: &'static str, quick: bool) -> MicroResult {
-    let (n_rows, n_covers, iters) = if quick {
+    let (n_rows, n_covers, rounds) = if quick {
         (32_768, 16, 7)
     } else {
         (131_072, 32, 15)
@@ -175,23 +184,34 @@ fn micro(kind: &'static str, quick: bool) -> MicroResult {
     let planes = OutcomePlanes::from_outcomes(&outcomes);
 
     hdx_obs::span!("bench", str kind);
-    let kernel_total = median_ns(iters, || {
-        for (cover, &n) in covers.iter().zip(&counts) {
-            black_box(planes.accum(cover.words(), n));
-        }
-    });
-    let scalar_total = median_ns(iters, || {
-        for cover in &covers {
-            black_box(accum_scalar(cover, &outcomes));
+    let [kernel_ns, scalar_ns] = warm_round_robin(rounds, n_covers, |side| {
+        if side == 0 {
+            for (cover, &n) in covers.iter().zip(&counts) {
+                black_box(planes.accum(cover.words(), n));
+            }
+        } else {
+            for cover in &covers {
+                black_box(accum_scalar(cover, &outcomes));
+            }
         }
     });
     MicroResult {
         name: kind,
         rows: n_rows,
         covers: n_covers,
-        kernel_ns: kernel_total / n_covers as f64,
-        scalar_ns: scalar_total / n_covers as f64,
+        kernel_ns,
+        scalar_ns,
     }
+}
+
+/// Times the two sides of a micro row, each a pass over `covers` covers,
+/// with [`round_robin`]: each round runs side 0 twice and then side 1
+/// twice, and only the second run of each counts, since the first warms
+/// the caches the other side's pass evicted. Returns each side's median
+/// ns per cover.
+fn warm_round_robin(rounds: usize, covers: usize, mut pass: impl FnMut(usize)) -> [f64; 2] {
+    let times = round_robin(rounds, 4, |cell| pass(cell / 2));
+    [1, 3].map(|cell| times[cell][rounds / 2] as f64 / covers as f64)
 }
 
 /// The `numeric_siblings` micro row: ns per cover of folding the covers of
@@ -211,9 +231,10 @@ impl SiblingsResult {
 
 /// Times `numeric_dense`'s geometry as sibling groups: one half-density
 /// prefix, and its candidates' covers folded in groups of [`MAX_COVERS`]
-/// (the miner's numeric emission loop) or one pair fold each.
+/// (the miner's numeric emission loop, side 0) or one pair fold each
+/// (side 1), timed as [`micro`] times its two sides.
 fn micro_siblings(quick: bool) -> SiblingsResult {
-    let (n_rows, n_covers, iters) = if quick {
+    let (n_rows, n_covers, rounds) = if quick {
         (32_768, 16, 7)
     } else {
         (131_072, 32, 15)
@@ -227,21 +248,22 @@ fn micro_siblings(quick: bool) -> SiblingsResult {
     let planes = OutcomePlanes::from_outcomes(&make_outcomes("numeric_dense", n_rows));
 
     hdx_obs::span!("bench", str "numeric_siblings");
-    let four_total = median_ns(iters, || {
-        for group in siblings.chunks(MAX_COVERS) {
-            black_box(planes.accum_siblings(prefix.words(), group));
-        }
-    });
-    let one_total = median_ns(iters, || {
-        for &(cover, n) in &siblings {
-            black_box(planes.accum_pair(prefix.words(), cover, n));
+    let [four_ns, one_ns] = warm_round_robin(rounds, n_covers, |side| {
+        if side == 0 {
+            for group in siblings.chunks(MAX_COVERS) {
+                black_box(planes.accum_siblings(prefix.words(), group));
+            }
+        } else {
+            for &(cover, n) in &siblings {
+                black_box(planes.accum_pair(prefix.words(), cover, n));
+            }
         }
     });
     SiblingsResult {
         rows: n_rows,
         covers: n_covers,
-        four_ns: four_total / n_covers as f64,
-        one_ns: one_total / n_covers as f64,
+        four_ns,
+        one_ns,
     }
 }
 
@@ -463,7 +485,7 @@ fn render_json(
 ) -> String {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"hdx-bench/mining/v10\",");
+    let _ = writeln!(json, "  \"schema\": \"hdx-bench/mining/v11\",");
     let _ = writeln!(json, "  \"mode\": \"{mode}\",");
     let _ = writeln!(json, "  \"kernel_path\": \"{}\",", active_kernel().as_str());
     let _ = writeln!(

@@ -34,4 +34,4 @@ mod mdlp;
 
 pub use apriori::apriori;
 pub use fpgrowth::fpgrowth;
-pub use util::{fmt_table, measure, median_ns, splitmix64, Args};
+pub use util::{fmt_table, measure, splitmix64, Args};

@@ -119,14 +119,6 @@ pub fn measure<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (result, start.elapsed().as_nanos() as u64)
 }
 
-/// Median wall time of `iters` runs of `f`, in nanoseconds (`iters` is
-/// clamped to at least 1).
-pub fn median_ns(iters: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<u64> = (0..iters.max(1)).map(|_| measure(&mut f).1).collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2] as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,14 +173,6 @@ mod tests {
         assert_eq!(first, splitmix64(&mut b));
         assert_eq!(a, b, "state advances identically");
         assert_ne!(first, splitmix64(&mut a), "stream advances");
-    }
-
-    #[test]
-    fn median_of_odd_samples_is_middle() {
-        let mut calls = 0u32;
-        let ns = median_ns(5, || calls += 1);
-        assert_eq!(calls, 5);
-        assert!(ns >= 0.0);
     }
 
     #[test]

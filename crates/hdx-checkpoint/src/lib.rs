@@ -23,8 +23,9 @@
 //! Checkpoint *failures are non-fatal* by design: a run that cannot write
 //! its checkpoint keeps mining (durability degrades, results don't), with
 //! the failure recorded on the [`Checkpointer`] and surfaced once at the
-//! end. The mining hot path never blocks on a checkpoint decision either:
-//! [`Checkpointer::at_boundary`] costs a counter bump unless a write is due.
+//! end. Checkpoints are written only at boundaries
+//! ([`Checkpointer::at_boundary`]), between subtrees, so the search inside
+//! a subtree never waits on one.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -53,68 +54,69 @@ pub use scan::{
 pub use state::{AccumSnapshot, CheckpointState, CounterSnapshot, ItemsetSnapshot, MiningProgress};
 pub use store::{CheckpointStore, LoadedCheckpoint};
 
-/// One fit's checkpoint writer: the store, the "every N boundaries"
-/// cadence, and the state the next write persists.
+/// One fit's checkpoint writer: the store and the state the next write
+/// persists.
 ///
 /// A fit builds one checkpointer with its dataset and trees fingerprints,
 /// and [`arm`](Self::arm)s it before each mining pass (each rung of the
 /// adaptive-support ladder) with that pass's config fingerprint. Miners
-/// call [`at_boundary`](Self::at_boundary) after each completed work unit;
-/// the checkpointer stashes the progress and writes it through when due.
-/// [`finalize`](Self::finalize) flushes the last stashed progress (the
-/// governor-trip path: deadline hit ⇒ final checkpoint before exit-3).
+/// call [`at_boundary`](Self::at_boundary) after each completed work unit
+/// (a search root), and every call writes a checkpoint: a completed root is
+/// the only state a resume continues exactly, so there is no other cadence.
+/// [`finalize`](Self::finalize) writes what is still pending when the pass
+/// stops (the governor-trip path: deadline hit ⇒ final checkpoint before
+/// exit-3): a seed when no boundary was recorded, or a boundary whose
+/// write failed.
 #[derive(Debug)]
 pub struct Checkpointer {
     store: CheckpointStore,
-    every: u64,
-    boundaries: u64,
-    last_written_boundary: Option<u64>,
     /// The run's identity and the last stashed progress; a write encodes
     /// it in place.
     pending: CheckpointState,
-    /// Whether `pending.progress` holds a stash of the armed pass.
-    stashed: bool,
+    /// What `pending.progress` holds for the armed pass.
+    stash: Stash,
     writes: u64,
     last_error: Option<CheckpointError>,
 }
 
+/// What a [`Checkpointer`]'s pending progress holds for the armed pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stash {
+    /// Nothing since the last [`Checkpointer::arm`].
+    Empty,
+    /// A seed, or a boundary whose write failed: `finalize` writes it.
+    Unwritten,
+    /// The last boundary, already durable.
+    Written,
+}
+
 impl Checkpointer {
-    /// A checkpointer writing every `every`-th boundary (0 is treated as 1)
-    /// into `store`, stamping each state with the run's dataset and trees
-    /// fingerprints. The config fingerprint is 0 until [`arm`](Self::arm).
-    pub fn new(
-        store: CheckpointStore,
-        every: u64,
-        dataset_fingerprint: u64,
-        trees_fingerprint: u64,
-    ) -> Self {
+    /// A checkpointer writing into `store`, stamping each state with the
+    /// run's dataset and trees fingerprints. The config fingerprint is 0
+    /// until [`arm`](Self::arm).
+    pub fn new(store: CheckpointStore, dataset_fingerprint: u64, trees_fingerprint: u64) -> Self {
         Self {
             store,
-            every: every.max(1),
-            boundaries: 0,
-            last_written_boundary: None,
             pending: CheckpointState {
                 dataset_fingerprint,
                 config_fingerprint: 0,
                 trees_fingerprint,
                 progress: MiningProgress::default(),
             },
-            stashed: false,
+            stash: Stash::Empty,
             writes: 0,
             last_error: None,
         }
     }
 
     /// Arms the checkpointer for one mining pass under `config_fingerprint`:
-    /// the cadence restarts, the stash (seed or boundary) of the previous
-    /// pass is dropped, and every later write carries the new fingerprint.
-    /// The write count and the last error span the checkpointer's life.
+    /// the stash (seed or unwritten boundary) of the previous pass is
+    /// dropped, and every later write carries the new fingerprint. The
+    /// write count and the last error span the checkpointer's life.
     pub fn arm(&mut self, config_fingerprint: u64) {
         self.pending.config_fingerprint = config_fingerprint;
         self.pending.progress = MiningProgress::default();
-        self.stashed = false;
-        self.boundaries = 0;
-        self.last_written_boundary = None;
+        self.stash = Stash::Empty;
     }
 
     /// Stashes `progress` as the state to persist if the pass stops before
@@ -123,29 +125,25 @@ impl Checkpointer {
     /// behind instead of an empty directory. No-op once a boundary has been
     /// recorded or a seed is already stashed.
     pub fn seed(&mut self, progress: MiningProgress) {
-        if !self.stashed {
+        if self.stash == Stash::Empty {
             self.pending.progress = progress;
-            self.stashed = true;
+            self.stash = Stash::Unwritten;
         }
     }
 
-    /// Records a completed work boundary. Writes a checkpoint when the
-    /// cadence says so, otherwise stashes `progress` for a later
-    /// [`finalize`](Self::finalize). Never fails: write errors are recorded
-    /// on [`last_error`](Self::last_error) and the run continues.
+    /// Records a completed work boundary and writes it. Never fails: a
+    /// write error is recorded on [`last_error`](Self::last_error), the
+    /// boundary stays pending for [`finalize`](Self::finalize), and the run
+    /// continues.
     pub fn at_boundary(&mut self, progress: MiningProgress) {
-        self.boundaries += 1;
         self.pending.progress = progress;
-        self.stashed = true;
-        if self.boundaries.is_multiple_of(self.every) {
-            self.write_pending();
-        }
+        self.write_pending();
     }
 
-    /// Writes the last stashed progress if it is newer than the last durable
-    /// checkpoint. Call on normal completion and on governor trip alike.
+    /// Writes the stashed progress if it is not durable yet. Call on normal
+    /// completion and on governor trip alike.
     pub fn finalize(&mut self) {
-        if self.stashed && self.last_written_boundary != Some(self.boundaries) {
+        if self.stash == Stash::Unwritten {
             self.write_pending();
         }
     }
@@ -154,11 +152,12 @@ impl Checkpointer {
         match self.store.write(&self.pending) {
             Ok(_) => {
                 self.writes += 1;
-                self.last_written_boundary = Some(self.boundaries);
+                self.stash = Stash::Written;
             }
             Err(err) => {
                 hdx_obs::counter_add!(CheckpointWritesFailed, 1);
                 self.last_error = Some(err);
+                self.stash = Stash::Unwritten;
             }
         }
     }
@@ -224,21 +223,17 @@ mod tests {
     }
 
     #[test]
-    fn cadence_writes_every_nth_boundary_and_finalize_flushes() {
-        let dir = tmp_dir("cadence");
+    fn every_boundary_writes_and_finalize_adds_nothing_after_it() {
+        let dir = tmp_dir("every-boundary");
         let store = CheckpointStore::create(&dir).unwrap();
-        let mut ck = Checkpointer::new(store, 3, 1, 3);
+        let mut ck = Checkpointer::new(store, 1, 3);
         ck.arm(2);
-        ck.at_boundary(progress(1));
-        ck.at_boundary(progress(2));
-        assert_eq!(ck.writes(), 0, "not due yet");
-        ck.at_boundary(progress(3));
-        assert_eq!(ck.writes(), 1);
-        ck.at_boundary(progress(4));
+        for cursor in 1..=4 {
+            ck.at_boundary(progress(cursor));
+            assert_eq!(ck.writes(), cursor, "boundary {cursor} was written");
+        }
         ck.finalize();
-        assert_eq!(ck.writes(), 2, "finalize flushed the stashed boundary");
-        ck.finalize();
-        assert_eq!(ck.writes(), 2, "idempotent when nothing is newer");
+        assert_eq!(ck.writes(), 4, "the last boundary is already durable");
 
         let loaded = CheckpointStore::open(&dir).unwrap().load_latest().unwrap();
         assert_eq!(loaded.state.progress.cursor, 4);
@@ -253,61 +248,47 @@ mod tests {
         // Interrupted before the first boundary: finalize writes the seed.
         let dir = tmp_dir("seed-flushed");
         let store = CheckpointStore::create(&dir).unwrap();
-        let mut ck = Checkpointer::new(store, 1, 1, 2);
+        let mut ck = Checkpointer::new(store, 1, 2);
         ck.seed(progress(0));
         ck.finalize();
         assert_eq!(ck.writes(), 1, "seed persisted");
+        ck.finalize();
+        assert_eq!(ck.writes(), 1, "idempotent once the seed is durable");
         let loaded = CheckpointStore::open(&dir).unwrap().load_latest().unwrap();
         assert_eq!(loaded.state.progress.cursor, 0);
         let _ = fs::remove_dir_all(&dir);
 
-        // A recorded boundary supersedes the seed.
+        // A recorded boundary supersedes the seed, and a later seed.
         let dir = tmp_dir("seed-superseded");
         let store = CheckpointStore::create(&dir).unwrap();
-        let mut ck = Checkpointer::new(store, 1, 1, 2);
+        let mut ck = Checkpointer::new(store, 1, 2);
         ck.seed(progress(0));
         ck.at_boundary(progress(1));
+        ck.seed(progress(9));
         ck.finalize();
+        assert_eq!(ck.writes(), 1, "only the boundary was written");
         let loaded = CheckpointStore::open(&dir).unwrap().load_latest().unwrap();
         assert_eq!(loaded.state.progress.cursor, 1, "boundary wins over seed");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn every_zero_is_clamped_to_one() {
-        let dir = tmp_dir("clamp");
+    fn arming_drops_the_previous_passs_seed() {
+        let dir = tmp_dir("arm-seed");
         let store = CheckpointStore::create(&dir).unwrap();
-        let mut ck = Checkpointer::new(store, 0, 0, 0);
-        ck.at_boundary(progress(1));
-        assert_eq!(ck.writes(), 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn arming_restarts_the_cadence_and_drops_the_seed() {
-        let dir = tmp_dir("arm-cadence");
-        let store = CheckpointStore::create(&dir).unwrap();
-        let mut ck = Checkpointer::new(store, 2, 1, 3);
-        ck.arm(2);
-        ck.at_boundary(progress(1));
-        ck.arm(4);
-        ck.at_boundary(progress(1));
-        assert_eq!(ck.writes(), 0, "the first boundary of a pass is not due");
-        ck.at_boundary(progress(2));
-        assert_eq!(ck.writes(), 1, "the second is");
-
-        // A seed of the previous pass is not flushed by the next one.
+        let mut ck = Checkpointer::new(store, 1, 3);
         ck.arm(5);
         ck.seed(progress(7));
         ck.arm(6);
         ck.finalize();
-        assert_eq!(ck.writes(), 1, "nothing stashed since the last arm");
+        assert_eq!(ck.writes(), 0, "nothing stashed since the last arm");
         // And the new pass takes a seed of its own.
         ck.seed(progress(8));
         ck.finalize();
-        assert_eq!(ck.writes(), 2);
+        assert_eq!(ck.writes(), 1);
         let loaded = CheckpointStore::open(&dir).unwrap().load_latest().unwrap();
         assert_eq!(loaded.state.progress.cursor, 8);
+        assert_eq!(loaded.state.config_fingerprint, 6);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -315,7 +296,7 @@ mod tests {
     fn arming_stamps_the_new_config_fingerprint() {
         let dir = tmp_dir("arm-stamp");
         let store = CheckpointStore::create(&dir).unwrap();
-        let mut ck = Checkpointer::new(store.clone(), 1, 10, 30);
+        let mut ck = Checkpointer::new(store.clone(), 10, 30);
         ck.arm(20);
         ck.at_boundary(progress(1));
         let first = store.load_latest().unwrap().state;
@@ -367,12 +348,30 @@ mod tests {
     fn write_failure_is_recorded_not_fatal() {
         let dir = tmp_dir("failsoft");
         let store = CheckpointStore::create(&dir).unwrap();
-        let mut ck = Checkpointer::new(store, 1, 0, 0);
+        let mut ck = Checkpointer::new(store, 0, 0);
         // Remove the directory out from under the store: writes must fail
         // soft, leaving the error on the checkpointer.
         fs::remove_dir_all(&dir).unwrap();
         ck.at_boundary(progress(1));
         assert_eq!(ck.writes(), 0);
         assert!(ck.last_error().is_some());
+
+        // Once the directory is back, finalize retries the boundary.
+        fs::create_dir_all(&dir).unwrap();
+        ck.finalize();
+        assert_eq!(ck.writes(), 1, "the pending boundary was written");
+        ck.finalize();
+        assert_eq!(ck.writes(), 1);
+        let loaded = CheckpointStore::open(&dir).unwrap().load_latest().unwrap();
+        assert_eq!(loaded.state.progress.cursor, 1);
+
+        // A failed write is also dropped by the next arm.
+        fs::remove_dir_all(&dir).unwrap();
+        ck.at_boundary(progress(2));
+        fs::create_dir_all(&dir).unwrap();
+        ck.arm(1);
+        ck.finalize();
+        assert_eq!(ck.writes(), 1, "the previous pass's boundary was dropped");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

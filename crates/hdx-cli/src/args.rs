@@ -88,10 +88,9 @@ pub struct ExploreOpts {
     pub metrics_out: Option<String>,
     /// Print a human-readable span/metric table on stderr after the run.
     pub trace_summary: bool,
-    /// Directory for crash-safe mining checkpoints (enables `hdx resume`).
+    /// Directory for crash-safe mining checkpoints, one after every
+    /// completed search root (enables `hdx resume`).
     pub checkpoint_dir: Option<String>,
-    /// Write a checkpoint every N mining boundaries (default 1).
-    pub checkpoint_every: u64,
 }
 
 /// `hdx resume` options. The run-determining configuration comes from the
@@ -329,7 +328,6 @@ pub fn parse(args: Vec<String>) -> Result<Command, CliError> {
                 metrics_out: None,
                 trace_summary: false,
                 checkpoint_dir: None,
-                checkpoint_every: 1,
             };
             while let Some(flag) = cur.args.next() {
                 if apply_input_flag(&mut opts.spec, &flag, &mut cur)? {
@@ -373,12 +371,6 @@ pub fn parse(args: Vec<String>) -> Result<Command, CliError> {
                     "--metrics-out" => opts.metrics_out = Some(cur.value(&flag)?),
                     "--trace-summary" => opts.trace_summary = true,
                     "--checkpoint-dir" => opts.checkpoint_dir = Some(cur.value(&flag)?),
-                    "--checkpoint-every" => {
-                        opts.checkpoint_every = cur.parse_value(&flag)?;
-                        if opts.checkpoint_every == 0 {
-                            return Err(CliError::new("--checkpoint-every must be at least 1"));
-                        }
-                    }
                     other => return Err(CliError::new(format!("unknown flag `{other}`"))),
                 }
             }
@@ -794,37 +786,31 @@ mod tests {
 
     #[test]
     fn checkpoint_flags() {
-        let Command::Explore(o) = parse(v(&[
-            "explore",
-            "d.csv",
-            "--checkpoint-dir",
-            "ckpt",
-            "--checkpoint-every",
-            "4",
-        ]))
-        .unwrap() else {
+        let Command::Explore(o) =
+            parse(v(&["explore", "d.csv", "--checkpoint-dir", "ckpt"])).unwrap()
+        else {
             panic!("wrong command");
         };
         assert_eq!(o.checkpoint_dir.as_deref(), Some("ckpt"));
-        assert_eq!(o.checkpoint_every, 4);
-        // Defaults: off, every boundary.
+        // Default: off.
         let Command::Explore(o) = parse(v(&["explore", "d.csv"])).unwrap() else {
             panic!("wrong command");
         };
         assert_eq!(o.checkpoint_dir, None);
-        assert_eq!(o.checkpoint_every, 1);
-        // A zero cadence never writes anything.
-        assert!(parse(v(&[
-            "explore",
-            "d.csv",
-            "--checkpoint-dir",
-            "c",
-            "--checkpoint-every",
-            "0"
-        ]))
-        .unwrap_err()
-        .0
-        .contains("at least 1"));
+        // The cadence is no setting: a checkpoint follows every root.
+        assert_eq!(
+            parse(v(&[
+                "explore",
+                "d.csv",
+                "--checkpoint-dir",
+                "c",
+                "--checkpoint-every",
+                "4"
+            ]))
+            .unwrap_err()
+            .0,
+            "unknown flag `--checkpoint-every`"
+        );
         // Polarity pruning has no replayable cursor.
         assert!(parse(v(&[
             "explore",

@@ -326,11 +326,10 @@ fn explore(opts: &ExploreOpts) -> Result<RunOutput, CliError> {
                 spec: opts.spec.clone(),
                 adaptive_support: opts.adaptive_support,
                 fd_tolerance: opts.fd_tolerance,
-                checkpoint_every: opts.checkpoint_every,
             }
             .write(dir)?;
             let run = pipeline
-                .fit_checkpointed(&frame, &outcomes, mode, store, opts.checkpoint_every)
+                .fit_checkpointed(&frame, &outcomes, mode, store)
                 .map_err(|e| CliError(e.to_string()))?;
             checkpoint_notes(&run, dir, &mut notes);
             run.result
@@ -370,13 +369,7 @@ fn resume(opts: &ResumeOpts) -> Result<RunOutput, CliError> {
     let store = CheckpointStore::open(&opts.dir)
         .map_err(|e| CliError(format!("cannot open checkpoint dir `{}`: {e}", opts.dir)))?;
     let run = pipeline
-        .resume_checkpointed(
-            &frame,
-            &outcomes,
-            manifest.spec.mode,
-            store,
-            manifest.checkpoint_every,
-        )
+        .resume_checkpointed(&frame, &outcomes, manifest.spec.mode, store)
         .map_err(|e| CliError(format!("cannot resume from `{}`: {e}", opts.dir)))?;
     if let Some(seq) = run.resumed_seq {
         notes.push(format!("resumed from checkpoint #{seq} in {}", opts.dir));
@@ -406,7 +399,6 @@ struct Manifest {
     spec: RunSpec,
     adaptive_support: bool,
     fd_tolerance: Option<f64>,
-    checkpoint_every: u64,
 }
 
 /// Version 1 sealed the separator as a `u32` code point; version 2 seals
@@ -421,7 +413,10 @@ impl Manifest {
         self.spec.encode(&mut w);
         w.put_bool(self.adaptive_support);
         w.put_opt_f64(self.fd_tolerance);
-        w.put_u64(self.checkpoint_every);
+        // The slot of the deleted `--checkpoint-every` cadence, written with
+        // its old default (1), so the layout stays version 2 and a default
+        // run's manifest keeps its bytes.
+        w.put_u64(1);
         let path = std::path::Path::new(dir).join(MANIFEST_FILE);
         write_sealed(&path, &w.into_bytes())
             .map_err(|e| CliError(format!("cannot write `{}`: {e}", path.display())))
@@ -446,8 +441,10 @@ impl Manifest {
             spec: RunSpec::decode(&mut r).map_err(err)?,
             adaptive_support: r.bool().map_err(err)?,
             fd_tolerance: r.opt_f64().map_err(err)?,
-            checkpoint_every: r.u64().map_err(err)?,
         };
+        // The cadence slot (see `write`): read and ignored, so a directory
+        // sealed with any cadence still resumes.
+        r.u64().map_err(err)?;
         r.finish().map_err(err)?;
         Ok(manifest)
     }
@@ -978,6 +975,43 @@ mod tests {
             "notes: {:?}",
             resumed.notes
         );
+        assert_eq!(resumed.text, full.text);
+    }
+
+    /// A version 2 manifest sealed with `--checkpoint-every 4`, a flag
+    /// since deleted, resumes to the uninterrupted report: its cadence slot
+    /// is read and ignored.
+    #[test]
+    fn resume_ignores_the_cadence_slot_of_a_manifest() {
+        let path = write_fixture();
+        let ckpt = tmp("ckpt-cadence");
+        let _ = std::fs::remove_dir_all(&ckpt);
+        let full = run_full(&["explore", &path, "-s", "0.05"]).unwrap();
+        let cap = (count_subgroups(&full.text) - 2).to_string();
+        let capped = run_full(&[
+            "explore",
+            &path,
+            "-s",
+            "0.05",
+            "--checkpoint-dir",
+            &ckpt,
+            "--max-itemsets",
+            &cap,
+        ])
+        .unwrap();
+        assert!(capped.partial.is_some());
+        let manifest = std::path::Path::new(&ckpt).join(MANIFEST_FILE);
+        let mut payload = read_sealed(&manifest).unwrap();
+        let slot = payload.len() - 8;
+        assert_eq!(
+            payload[slot..],
+            1u64.to_le_bytes(),
+            "the cadence slot ends the layout"
+        );
+        payload[slot..].copy_from_slice(&4u64.to_le_bytes());
+        write_sealed(&manifest, &payload).unwrap();
+        let resumed = run_full(&["resume", &ckpt]).unwrap();
+        assert!(resumed.partial.is_none(), "notes: {:?}", resumed.notes);
         assert_eq!(resumed.text, full.text);
     }
 

@@ -70,10 +70,10 @@ EXPLORE OPTIONS:
   --metrics-out <file>   write machine-readable run telemetry (JSON); partial
                          (exit-code-3) runs still flush it
   --trace-summary        print a per-stage span/metric table on stderr
-  --checkpoint-dir <dir> write crash-safe mining checkpoints (plus a sealed
-                         run manifest) so `hdx resume <dir>` can pick up an
-                         interrupted run; incompatible with --polarity
-  --checkpoint-every <n> checkpoint every n mining boundaries [1]
+  --checkpoint-dir <dir> write a crash-safe mining checkpoint after every
+                         completed search root (plus a sealed run manifest)
+                         so `hdx resume <dir>` can pick up an interrupted
+                         run; incompatible with --polarity
 
 RESUME OPTIONS (configuration comes from the sealed manifest; budgets are
 per-invocation and output flags may be chosen afresh):

@@ -153,9 +153,10 @@ pub struct CheckpointedRun {
 
 impl HDivExplorer {
     /// Runs the full pipeline with crash-safe checkpointing: mining state is
-    /// persisted into `store` at every `every`-th work boundary (and once
-    /// more when mining stops — normal completion and governor trips alike),
-    /// so a killed process continues from its last boundary via
+    /// persisted into `store` after every completed search root (the only
+    /// cadence), and once more when mining stops with progress not yet
+    /// durable (a stop before the first root, or a failed last write). A
+    /// killed process continues from its last root via
     /// [`resume_checkpointed`](Self::resume_checkpointed) instead of
     /// restarting from zero.
     ///
@@ -170,13 +171,13 @@ impl HDivExplorer {
         outcomes: &[Outcome],
         mode: ExplorationMode,
         store: CheckpointStore,
-        every: u64,
     ) -> Result<CheckpointedRun, CoreError> {
-        self.run_checkpointed(df, outcomes, mode, store, every, false)
+        self.run_checkpointed(df, outcomes, mode, store, false)
     }
 
     /// Resumes a run persisted by [`fit_checkpointed`](Self::fit_checkpointed)
-    /// from the newest valid checkpoint in `store`.
+    /// from the newest valid checkpoint in `store`, writing a checkpoint
+    /// after every root it completes.
     ///
     /// The checkpoint's dataset and configuration fingerprints are checked
     /// first; the cheap stages (discretization, transaction encoding) are
@@ -195,9 +196,8 @@ impl HDivExplorer {
         outcomes: &[Outcome],
         mode: ExplorationMode,
         store: CheckpointStore,
-        every: u64,
     ) -> Result<CheckpointedRun, CoreError> {
-        self.run_checkpointed(df, outcomes, mode, store, every, true)
+        self.run_checkpointed(df, outcomes, mode, store, true)
     }
 
     fn run_checkpointed(
@@ -206,7 +206,6 @@ impl HDivExplorer {
         outcomes: &[Outcome],
         mode: ExplorationMode,
         store: CheckpointStore,
-        every: u64,
         resume: bool,
     ) -> Result<CheckpointedRun, CoreError> {
         self.validate_inputs(df, outcomes)?;
@@ -258,7 +257,7 @@ impl HDivExplorer {
             .as_ref()
             .map_or((None, 0), |l| (Some(l.seq), l.rejected));
         let mut checkpointing = Checkpointing {
-            ckpt: Checkpointer::new(store, every, dataset_fingerprint, trees_fingerprint),
+            ckpt: Checkpointer::new(store, dataset_fingerprint, trees_fingerprint),
             config_fingerprints,
             progress: loaded.map(|l| l.state.progress),
         };
@@ -388,7 +387,6 @@ mod tests {
                 &outcomes,
                 ExplorationMode::Generalized,
                 CheckpointStore::create(&dir).unwrap(),
-                1,
             )
             .unwrap();
         assert_eq!(json_bytes(&run.result), json_bytes(&plain));
@@ -408,7 +406,6 @@ mod tests {
                 &outcomes,
                 ExplorationMode::Generalized,
                 CheckpointStore::create(&dir).unwrap(),
-                1,
             )
             .unwrap();
         let err = HDivExplorer::new(HDivExplorerConfig {
@@ -420,7 +417,6 @@ mod tests {
             &outcomes,
             ExplorationMode::Generalized,
             CheckpointStore::open(&dir).unwrap(),
-            1,
         )
         .unwrap_err();
         match err {
@@ -445,7 +441,6 @@ mod tests {
             &outcomes,
             ExplorationMode::Generalized,
             CheckpointStore::create(&dir).unwrap(),
-            1,
         )
         .unwrap_err();
         assert!(matches!(
@@ -481,7 +476,6 @@ mod tests {
                 &outcomes,
                 ExplorationMode::Generalized,
                 CheckpointStore::create(&dir).unwrap(),
-                1,
             )
             .unwrap();
         assert!(run.result.termination().is_complete());
@@ -610,7 +604,6 @@ mod tests {
             &outcomes,
             ExplorationMode::Generalized,
             CheckpointStore::create(&dir).unwrap(),
-            1,
         )
         .unwrap();
         let state = CheckpointStore::open(&dir)
@@ -633,7 +626,6 @@ mod tests {
             &outcomes,
             ExplorationMode::Generalized,
             store,
-            1,
         );
         let _ = fs::remove_dir_all(&dir);
         run
@@ -683,13 +675,13 @@ mod tests {
         let pipeline = HDivExplorer::new(HDivExplorerConfig::default());
         let mode = ExplorationMode::Generalized;
         let store = CheckpointStore::create(&dir).unwrap();
-        let run = pipeline.fit_checkpointed(&df, &outcomes, mode, store.clone(), 1);
+        let run = pipeline.fit_checkpointed(&df, &outcomes, mode, store.clone());
         assert!(run.unwrap().result.trees.is_empty());
         let state = store.load_latest().unwrap().state;
         let newest = store.sequences().unwrap().last().copied().unwrap();
         let payload = legacy_payload(&state, &[], None);
         fs::write(store.path_of(newest + 1), envelope::seal(&payload)).unwrap();
-        match pipeline.resume_checkpointed(&df, &outcomes, mode, store, 1) {
+        match pipeline.resume_checkpointed(&df, &outcomes, mode, store) {
             Err(CoreError::Checkpoint(CheckpointError::FingerprintMismatch {
                 field,
                 expected,
@@ -752,7 +744,7 @@ mod tests {
         let dir = tmp_dir("higher-rung");
         let store = CheckpointStore::create(&dir).unwrap();
         HDivExplorer::new(config)
-            .fit_checkpointed(&df, &outcomes, mode, store.clone(), 1)
+            .fit_checkpointed(&df, &outcomes, mode, store.clone())
             .unwrap();
         // Drop the final checkpoint: the newest left is one the last rung
         // wrote before its last root was explored.
@@ -766,7 +758,7 @@ mod tests {
         assert!(mid.state.progress.cursor < done.state.progress.cursor);
 
         let resumed = HDivExplorer::new(config)
-            .resume_checkpointed(&df, &outcomes, mode, store, 1)
+            .resume_checkpointed(&df, &outcomes, mode, store)
             .unwrap();
         assert_eq!(resumed.resumed_seq, Some(mid.seq));
         assert_eq!(resumed.result.adaptive_retries, plain.adaptive_retries);

@@ -93,9 +93,10 @@ pub fn validate_resume(
 }
 
 /// [`mine_governed`](crate::mine_governed) with crash-safe checkpointing:
-/// the miner records a boundary into `ckpt` after every completed subtree
-/// and flushes a final checkpoint when it stops — normal completion and
-/// governor trips alike. The search runs serially whatever
+/// the miner writes a checkpoint through `ckpt` after every completed
+/// subtree, and when it stops — normal completion and governor trips
+/// alike — [`Checkpointer::finalize`] writes whatever is not yet durable.
+/// The search runs serially whatever
 /// [`MiningConfig::threads`] says (see the module docs).
 ///
 /// `resume` restarts the traversal from a boundary previously captured by

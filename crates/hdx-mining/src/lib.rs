@@ -161,7 +161,7 @@ pub fn mine_governed(
 }
 
 /// The body [`mine_governed`] and [`mine_governed_ckpt`] share: the search,
-/// the final checkpoint flush of a checkpointed run, the end-of-stage
+/// the `finalize` of a checkpointed run, the end-of-stage
 /// accounting and, under `debug-invariants`, the lattice check of a
 /// complete run that started from scratch (`resume` is `None`).
 pub(crate) fn search(

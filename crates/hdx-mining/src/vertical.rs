@@ -859,6 +859,33 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpointed_run_writes_one_checkpoint_per_root() {
+        let (catalog, _, t) = singleton_roots(20);
+        let config = MiningConfig {
+            min_support: 0.5,
+            max_len: Some(1),
+            threads: 1,
+        };
+        let dir = std::env::temp_dir().join(format!("hdx-mining-per-root-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::create(&dir).expect("checkpoint store");
+        let mut ckpt = Checkpointer::new(store.clone(), 0, 0);
+        let r = mine_governed_ckpt(
+            &t,
+            &catalog,
+            &config,
+            &Governor::unbounded(),
+            &mut ckpt,
+            None,
+        );
+        assert_eq!(r.itemsets.len(), 20);
+        assert_eq!(ckpt.writes(), 20, "one checkpoint per root, none after");
+        let latest = store.load_latest().expect("a checkpoint");
+        assert_eq!((latest.seq, latest.state.progress.cursor), (19, 20));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_trip_inside_a_subtree_records_no_boundary_for_it() {
         let (catalog, ids) = catalog();
         let rows = vec![
@@ -878,13 +905,13 @@ mod tests {
         // {a0} and {a0,b0} fit the budget; {a0,b1}, still inside a0's
         // subtree, trips it.
         let governor = Governor::new(RunBudget::unbounded().with_max_itemsets(2));
-        let mut ckpt = Checkpointer::new(store.clone(), 1, 0, 0);
+        let mut ckpt = Checkpointer::new(store.clone(), 0, 0);
         let partial = mine_governed_ckpt(&t, &catalog, &config, &governor, &mut ckpt, None);
         assert_eq!(partial.termination, Termination::BudgetExhausted);
         let progress = store.load_latest().expect("a checkpoint").state.progress;
         assert_eq!(progress.cursor, 0, "the tripped root is not a boundary");
 
-        let mut ckpt = Checkpointer::new(store, 1, 0, 0);
+        let mut ckpt = Checkpointer::new(store, 0, 0);
         let resumed = mine_governed_ckpt(
             &t,
             &catalog,

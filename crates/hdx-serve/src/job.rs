@@ -41,8 +41,9 @@ fn parse_stat(name: &str) -> Option<Statistic> {
 }
 
 /// Everything needed to run (or re-run, byte-identically) one mining job:
-/// its tenant, its [`RunSpec`], its budgets, its checkpoint cadence and a
-/// thread count.
+/// its tenant, its [`RunSpec`] and its budgets. A job always checkpoints
+/// after every completed search root and mines serially, so neither is a
+/// field.
 ///
 /// Budgets are resolved *at admission* — the tenant's fair share, further
 /// tightened by whatever the request asked for — and persisted here, so a
@@ -59,13 +60,6 @@ pub struct JobSpec {
     pub deadline_ms: Option<u64>,
     /// Itemset work cap (`None` = unbounded).
     pub max_itemsets: Option<u64>,
-    /// Checkpoint cadence: a checkpoint after every `checkpoint_every`
-    /// completed search roots (first-level subtrees), at least 1.
-    pub checkpoint_every: u64,
-    /// Parsed and persisted for spec-v2 compatibility, but has no effect:
-    /// service jobs always mine checkpointed, and checkpointed mining is
-    /// serial.
-    pub threads: Option<u32>,
 }
 
 impl JobSpec {
@@ -79,8 +73,12 @@ impl JobSpec {
             w.put_bool(cap.is_some());
             w.put_u64(cap.unwrap_or(0));
         }
-        w.put_u64(self.checkpoint_every);
-        w.put_opt_u32(self.threads);
+        // The slots of the deleted `checkpoint_every` cadence and `threads`
+        // count, written with their old defaults (1, unset), so the layout
+        // stays version 2 and a default submission's manifest keeps its
+        // bytes.
+        w.put_u64(1);
+        w.put_opt_u32(None);
         w.into_bytes()
     }
 
@@ -106,9 +104,11 @@ impl JobSpec {
             run: RunSpec::decode(&mut r)?,
             deadline_ms: cap(&mut r)?,
             max_itemsets: cap(&mut r)?,
-            checkpoint_every: r.u64()?,
-            threads: r.opt_u32()?,
         };
+        // The cadence and thread-count slots (see `encode`): read and
+        // ignored, so a manifest sealed with any value still loads.
+        r.u64()?;
+        r.opt_u32()?;
         r.finish()?;
         Ok(spec)
     }
@@ -181,7 +181,7 @@ fn uint_field(map: &BTreeMap<String, Json>, key: &str, max: u64) -> Result<Optio
 /// # Errors
 /// Returns a client-facing message (the service answers 400 with it).
 pub fn parse_submission(map: &BTreeMap<String, Json>) -> Result<(JobSpec, String), String> {
-    const KNOWN: [&str; 16] = [
+    const KNOWN: [&str; 14] = [
         "tenant",
         "csv",
         "stat",
@@ -196,8 +196,6 @@ pub fn parse_submission(map: &BTreeMap<String, Json>) -> Result<(JobSpec, String
         "max_len",
         "deadline_ms",
         "max_itemsets",
-        "checkpoint_every",
-        "threads",
     ];
     for key in map.keys() {
         if !KNOWN.contains(&key.as_str()) {
@@ -249,14 +247,6 @@ pub fn parse_submission(map: &BTreeMap<String, Json>) -> Result<(JobSpec, String
         run,
         deadline_ms: uint_field(map, "deadline_ms", u64::MAX / 2)?,
         max_itemsets: uint_field(map, "max_itemsets", u64::MAX / 2)?,
-        checkpoint_every: match uint_field(map, "checkpoint_every", 1_000_000)? {
-            Some(0) => return Err("`checkpoint_every` must be at least 1".into()),
-            other => other.unwrap_or(1),
-        },
-        threads: match uint_field(map, "threads", u32::MAX as u64)? {
-            Some(0) => return Err("`threads` must be at least 1".into()),
-            other => other.map(|v| v as u32),
-        },
     };
     Ok((spec, csv))
 }
@@ -352,7 +342,6 @@ mod tests {
         assert_eq!(spec.run.separator, ',');
         assert!((spec.run.support - 0.05).abs() < 1e-12);
         assert!((spec.run.tree_support - 0.1).abs() < 1e-12);
-        assert_eq!(spec.checkpoint_every, 1);
         assert!(csv.starts_with("class,pred"));
     }
 
@@ -381,13 +370,14 @@ mod tests {
             (r#""max_len":0"#, "`max_len` must be at least 1"),
             (r#""tree_support":1.0"#, "`tree_support`"),
             (r#""deadline_ms":-1"#, "`deadline_ms`"),
-            (r#""threads":0"#, "`threads`"),
-            (
-                r#""checkpoint_every":0"#,
-                "`checkpoint_every` must be at least 1",
-            ),
-            (r#""threads":1.5"#, "`threads`"),
             (r#""bogus_knob":1"#, "unknown field"),
+            // Deleted fields: a job checkpoints after every root and mines
+            // serially, whatever a submission asks.
+            (
+                r#""checkpoint_every":1"#,
+                "unknown field `checkpoint_every`",
+            ),
+            (r#""threads":2"#, "unknown field `threads`"),
         ];
         for (extra, want) in cases {
             let err = parse_submission(&submission(extra)).expect_err(extra);
@@ -404,8 +394,8 @@ mod tests {
     fn spec_codec_round_trips() {
         let (mut spec, _) = parse_submission(&submission(
             r#""tenant":"acme","stat":"target","target_col":"score","max_len":3,
-               "deadline_ms":1500,"max_itemsets":4096,"checkpoint_every":2,
-               "entropy":true,"base_mode":true,"separator":";","threads":2"#,
+               "deadline_ms":1500,"max_itemsets":4096,
+               "entropy":true,"base_mode":true,"separator":";""#,
         ))
         .expect("valid");
         spec.run.support = 0.125;
@@ -437,11 +427,32 @@ mod tests {
     fn the_golden_job_manifest_decodes_to_its_submission() {
         let sealed = include_bytes!("../../../tests/golden/sealed/job/manifest.hdx");
         let payload = hdx_checkpoint::envelope::open(sealed).expect("sealed manifest");
-        let body =
-            r#"{"csv":"-","tenant":"golden","stat":"fpr","support":0.05,"checkpoint_every":1}"#;
+        let body = r#"{"csv":"-","tenant":"golden","stat":"fpr","support":0.05}"#;
         let (submitted, _) = parse_submission(&parse_object(body).expect("json")).expect("valid");
         assert_eq!(JobSpec::decode(&payload).expect("decodes"), submitted);
         assert_eq!(submitted.encode(), payload);
+    }
+
+    /// A version 2 manifest sealed with another checkpoint cadence and a
+    /// thread count decodes to the spec of the same submission without
+    /// them: both slots are read and ignored.
+    #[test]
+    fn a_manifest_with_a_cadence_and_threads_decodes_without_them() {
+        let (spec, _) =
+            parse_submission(&submission(r#""tenant":"acme","max_itemsets":9"#)).expect("valid");
+        let mut w = ByteWriter::new();
+        w.put_u8(2);
+        w.put_str(&spec.tenant);
+        spec.run.encode(&mut w);
+        for cap in [spec.deadline_ms, spec.max_itemsets] {
+            w.put_bool(cap.is_some());
+            w.put_u64(cap.unwrap_or(0));
+        }
+        w.put_u64(3);
+        w.put_opt_u32(Some(2));
+        let manifest = w.into_bytes();
+        assert_ne!(manifest, spec.encode());
+        assert_eq!(JobSpec::decode(&manifest).expect("decodes"), spec);
     }
 
     #[test]

@@ -163,15 +163,9 @@ fn execute_inner(
         }
     };
     let run = if sequences.is_empty() {
-        pipeline.fit_checkpointed(&frame, &outcomes, mode, store, spec.checkpoint_every)
+        pipeline.fit_checkpointed(&frame, &outcomes, mode, store)
     } else {
-        match pipeline.resume_checkpointed(
-            &frame,
-            &outcomes,
-            mode,
-            store.clone(),
-            spec.checkpoint_every,
-        ) {
+        match pipeline.resume_checkpointed(&frame, &outcomes, mode, store.clone()) {
             Ok(run) => Ok(run),
             // A resume refusal (fingerprint mismatch, unreadable file)
             // means the checkpoints cannot continue this run: appended
@@ -184,7 +178,7 @@ fn execute_inner(
                 for seq in &sequences {
                     let _ = std::fs::remove_file(store.path_of(*seq));
                 }
-                pipeline.fit_checkpointed(&frame, &outcomes, mode, store, spec.checkpoint_every)
+                pipeline.fit_checkpointed(&frame, &outcomes, mode, store)
             }
         }
     };
@@ -265,7 +259,7 @@ mod tests {
 
     fn spec_and_csv() -> (JobSpec, String) {
         let body = format!(
-            r#"{{"csv":"{}","stat":"fpr","support":0.05,"checkpoint_every":1}}"#,
+            r#"{{"csv":"{}","stat":"fpr","support":0.05}}"#,
             crate::json::escape(&sample_csv())
         );
         parse_submission(&parse_object(&body).expect("json")).expect("spec")

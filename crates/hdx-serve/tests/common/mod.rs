@@ -98,7 +98,7 @@ pub fn sample_csv(rows: usize) -> String {
 /// The `POST /jobs` body for `csv`.
 pub fn submission(csv: &str, tenant: &str) -> String {
     format!(
-        r#"{{"csv":"{}","tenant":"{tenant}","stat":"fpr","support":0.02,"checkpoint_every":1}}"#,
+        r#"{{"csv":"{}","tenant":"{tenant}","stat":"fpr","support":0.02}}"#,
         hdx_serve::json::escape(csv)
     )
 }

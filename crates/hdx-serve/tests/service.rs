@@ -8,7 +8,9 @@ use std::path::PathBuf;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use hdx_serve::Server;
+use hdx_checkpoint::codec::ByteWriter;
+use hdx_checkpoint::{read_sealed, write_sealed, COMPLETE_FILE, MANIFEST_FILE};
+use hdx_serve::{DoneRecord, JobSpec, Server, DATA_FILE};
 
 mod common;
 
@@ -280,6 +282,63 @@ fn drain_then_restart_resumes_the_job_to_identical_bytes() {
     );
     let _ = std::fs::remove_dir_all(&state);
     let _ = std::fs::remove_dir_all(&control_state);
+}
+
+/// A job directory holding the data and a version 2 manifest sealed with
+/// a checkpoint cadence of 3 and `threads: 2`, slots a job now reads and
+/// ignores, but no completion marker, is recovered by a server start and
+/// seals the result a fresh submission of the same rows does.
+#[test]
+fn a_manifest_with_a_cadence_and_threads_recovers_to_the_fresh_result() {
+    let fresh_state = tmp_state_dir("legacy-fresh");
+    let (addr, handle) = start(config(fresh_state.clone()));
+    let accepted = http(addr, "POST", "/jobs", &submission(&sample_csv(300), "acme"));
+    assert_eq!(accepted.status, 202, "{}", accepted.body);
+    let job_id = extract_job_id(&accepted.body);
+    assert_eq!(await_terminal(addr, &job_id), "done");
+    assert_eq!(http(addr, "POST", "/shutdown", "").status, 202);
+    handle.join().expect("drain");
+
+    let fresh_dir = fresh_state.join("jobs").join(&job_id);
+    let spec = JobSpec::decode(&read_sealed(&fresh_dir.join(MANIFEST_FILE)).expect("manifest"))
+        .expect("decodes");
+    let mut w = ByteWriter::new();
+    w.put_u8(2);
+    w.put_str(&spec.tenant);
+    spec.run.encode(&mut w);
+    for cap in [spec.deadline_ms, spec.max_itemsets] {
+        w.put_bool(cap.is_some());
+        w.put_u64(cap.unwrap_or(0));
+    }
+    w.put_u64(3);
+    w.put_opt_u32(Some(2));
+    let state = tmp_state_dir("legacy-recovered");
+    let dir = state.join("jobs").join(&job_id);
+    std::fs::create_dir_all(&dir).expect("job dir");
+    std::fs::copy(fresh_dir.join(DATA_FILE), dir.join(DATA_FILE)).expect("data");
+    write_sealed(&dir.join(MANIFEST_FILE), &w.into_bytes()).expect("manifest");
+
+    let server = Server::bind(config(state.clone())).expect("bind");
+    assert!(
+        server
+            .recovery_notes
+            .iter()
+            .any(|n| n.contains(&job_id) && n.contains("resuming")),
+        "{:?}",
+        server.recovery_notes
+    );
+    let addr = server.local_addr();
+    let handle = thread::spawn(move || server.run().expect("serve"));
+    assert_eq!(await_terminal(addr, &job_id), "done");
+    assert_eq!(http(addr, "POST", "/shutdown", "").status, 202);
+    handle.join().expect("drain");
+    let body = |dir: &std::path::Path| {
+        let done = read_sealed(&dir.join(COMPLETE_FILE)).expect("done.hdx");
+        DoneRecord::decode(&done).expect("decodes").body
+    };
+    assert_eq!(body(&dir), body(&fresh_dir), "the same sealed result bytes");
+    let _ = std::fs::remove_dir_all(&fresh_state);
+    let _ = std::fs::remove_dir_all(&state);
 }
 
 #[test]

@@ -68,7 +68,7 @@ fn interrupted_resume_roundtrip(mode: ExplorationMode, resume_threads: usize, ta
     let dir = tmp_dir(&format!("{tag}-{mode:?}"));
     let store = CheckpointStore::create(&dir).unwrap();
     let capped = HDivExplorer::new(config(cap))
-        .fit_checkpointed(&df, &outcomes, mode, store, 1)
+        .fit_checkpointed(&df, &outcomes, mode, store)
         .unwrap();
     assert_eq!(
         capped.result.termination(),
@@ -84,7 +84,7 @@ fn interrupted_resume_roundtrip(mode: ExplorationMode, resume_threads: usize, ta
         threads: resume_threads,
         ..config(RunBudget::unbounded())
     })
-    .resume_checkpointed(&df, &outcomes, mode, store, 1)
+    .resume_checkpointed(&df, &outcomes, mode, store)
     .unwrap();
     assert!(!resumed.result.is_partial());
     assert!(resumed.resumed_seq.is_some());
@@ -128,7 +128,7 @@ fn resume_of_a_finished_run_writes_no_checkpoint() {
         let dir = tmp_dir(&format!("finished-{mode:?}"));
         let store = CheckpointStore::create(&dir).unwrap();
         let finished = HDivExplorer::new(config(RunBudget::unbounded()))
-            .fit_checkpointed(&df, &outcomes, mode, store, 1)
+            .fit_checkpointed(&df, &outcomes, mode, store)
             .unwrap();
         assert!(!finished.result.is_partial());
         assert_eq!(json_bytes(&finished.result), json_bytes(&plain));
@@ -136,7 +136,7 @@ fn resume_of_a_finished_run_writes_no_checkpoint() {
         let store = CheckpointStore::open(&dir).unwrap();
         let before = store.sequences().unwrap();
         let resumed = HDivExplorer::new(config(RunBudget::unbounded()))
-            .resume_checkpointed(&df, &outcomes, mode, store.clone(), 1)
+            .resume_checkpointed(&df, &outcomes, mode, store.clone())
             .unwrap();
         assert_eq!(resumed.resumed_seq, before.last().copied());
         assert_eq!(resumed.checkpoint_writes, 0, "{mode:?}");
@@ -162,7 +162,7 @@ fn corrupt_newest_checkpoint_falls_back_to_older_one() {
     let dir = tmp_dir("corrupt");
     let store = CheckpointStore::create(&dir).unwrap();
     let capped = HDivExplorer::new(config(RunBudget::unbounded().with_max_itemsets(total - 2)))
-        .fit_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
+        .fit_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store)
         .unwrap();
     assert!(
         capped.checkpoint_writes >= 2,
@@ -179,7 +179,7 @@ fn corrupt_newest_checkpoint_falls_back_to_older_one() {
     std::fs::write(&path, bytes).unwrap();
 
     let resumed = HDivExplorer::new(config(RunBudget::unbounded()))
-        .resume_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
+        .resume_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store)
         .unwrap();
     assert_eq!(
         resumed.rejected_checkpoints, 1,
@@ -204,13 +204,13 @@ fn resume_is_refused_for_a_different_dataset() {
     let dir = tmp_dir("identity");
     let store = CheckpointStore::create(&dir).unwrap();
     HDivExplorer::new(config(RunBudget::unbounded().with_max_itemsets(total - 2)))
-        .fit_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
+        .fit_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store)
         .unwrap();
 
     outcomes[0] = Outcome::Bool(true);
     let store = CheckpointStore::open(&dir).unwrap();
     let err = HDivExplorer::new(config(RunBudget::unbounded()))
-        .resume_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
+        .resume_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store)
         .unwrap_err();
     assert!(
         err.to_string().contains("dataset fingerprint mismatch"),

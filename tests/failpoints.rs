@@ -262,7 +262,7 @@ fn a_refused_resume_stops_before_the_fit() {
     let dir = tmp_dir("refused-resume");
     let store = CheckpointStore::create(&dir).unwrap();
     HDivExplorer::new(config)
-        .fit_checkpointed(&frame, &outcomes, mode, store, 1)
+        .fit_checkpointed(&frame, &outcomes, mode, store)
         .unwrap();
 
     failpoint::arm("discretize::split", FailAction::Panic, 1);
@@ -270,7 +270,7 @@ fn a_refused_resume_stops_before_the_fit() {
     std::panic::set_hook(Box::new(|_| {}));
     let resumed = std::panic::catch_unwind(|| {
         let store = CheckpointStore::open(&dir).unwrap();
-        HDivExplorer::new(config).resume_checkpointed(&edited, &outcomes, mode, store, 1)
+        HDivExplorer::new(config).resume_checkpointed(&edited, &outcomes, mode, store)
     });
     std::panic::set_hook(hook);
     failpoint::disarm("discretize::split");
@@ -320,7 +320,7 @@ fn checkpoint_write_faults_do_not_lose_the_run() {
         1,
     );
     let run = HDivExplorer::new(config)
-        .fit_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
+        .fit_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store)
         .unwrap();
     failpoint::disarm("checkpoint::write");
 
@@ -364,7 +364,7 @@ fn checkpoint_io_faults_preserve_the_previous_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
     let store = CheckpointStore::create(&dir).unwrap();
     HDivExplorer::new(config)
-        .fit_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store, 1)
+        .fit_checkpointed(&df, &outcomes, ExplorationMode::Generalized, store)
         .unwrap();
 
     let store = CheckpointStore::open(&dir).unwrap();

@@ -220,7 +220,7 @@ fn served_job_documents_match_golden() {
         ));
     }
     let body = format!(
-        r#"{{"csv":"{}","tenant":"golden","stat":"fpr","support":0.05,"checkpoint_every":1}}"#,
+        r#"{{"csv":"{}","tenant":"golden","stat":"fpr","support":0.05}}"#,
         hdx_obs::json::escape(&csv)
     );
     let accepted = http(addr, "POST", "/jobs", &body);

@@ -103,7 +103,7 @@ fn served_job_directory_matches_golden() {
 
     let csv = format!("class,pred,age,grp\n{}", rows(0..300));
     let body = format!(
-        r#"{{"csv":"{}","tenant":"golden","stat":"fpr","support":0.05,"checkpoint_every":1}}"#,
+        r#"{{"csv":"{}","tenant":"golden","stat":"fpr","support":0.05}}"#,
         hdx_obs::json::escape(&csv)
     );
     let accepted = http(addr, "POST", "/jobs", &body);

@@ -75,7 +75,7 @@ fn sample_csv(rows: usize) -> String {
 
 fn submission(csv: &str) -> String {
     format!(
-        r#"{{"csv":"{}","stat":"fpr","support":0.05,"checkpoint_every":1}}"#,
+        r#"{{"csv":"{}","stat":"fpr","support":0.05}}"#,
         hdx_obs::json::escape(csv)
     )
 }
